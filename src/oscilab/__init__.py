@@ -36,6 +36,7 @@ from .fock import (
     expectation,
     fock_state,
     identity,
+    level_phases,
     make_hamiltonian,
     make_ladder,
     make_xp,
@@ -44,6 +45,7 @@ from .fock import (
 from .observables import (
     ObservableRecord,
     averages_bruteforce,
+    averages_bruteforce_batch,
     averages_closedform,
     uncertainty_fock,
 )
@@ -75,6 +77,7 @@ __all__ = [
     "make_ladder",
     "make_xp",
     "make_hamiltonian",
+    "level_phases",
     "fock_state",
     "identity",
     "expectation",
@@ -89,6 +92,7 @@ __all__ = [
     "auto_n_max",
     "ObservableRecord",
     "averages_bruteforce",
+    "averages_bruteforce_batch",
     "averages_closedform",
     "uncertainty_fock",
     "SpatialGrid",

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import (
+    TRUNCATION_MARGIN,
     CoherentLabel,
     auto_n_max,
     coherent_coefficients,
@@ -79,8 +80,6 @@ COMMANDS = (
 SCHEMA_PREFIX = "oscilab"
 SCHEMA_VERSION = "v1"
 
-# Resolved "auto" truncations get this much headroom for second moments.
-AUTO_MARGIN = 2
 # Pointwise packet amplitudes err like the square root of the tail, so the
 # wavefunction command squares the moment-level tail tolerance.
 AMPLITUDE_TAIL_TOL = 1e-18
@@ -152,8 +151,8 @@ class RunConfig:
     def resolve_n_max(self, tail_tol: float | None = None) -> tuple[int, str]:
         if self.n_max == "auto":
             if tail_tol is None:
-                return auto_n_max(self.label()) + AUTO_MARGIN, "auto"
-            return auto_n_max(self.label(), tol=tail_tol) + AUTO_MARGIN, "auto"
+                return auto_n_max(self.label()) + TRUNCATION_MARGIN, "auto"
+            return auto_n_max(self.label(), tol=tail_tol) + TRUNCATION_MARGIN, "auto"
         return int(self.n_max), "explicit"
 
 
@@ -307,7 +306,7 @@ def _cmd_uncertainty(config: RunConfig) -> int:
     label = config.label()
     n_max, source = config.resolve_n_max()
     rows = []
-    for n in range(max(0, n_max - 1)):  # keep 2 levels of headroom
+    for n in range(max(0, n_max + 1 - TRUNCATION_MARGIN)):  # second-moment headroom
         exact = uncertainty_fock(n, params)
         brute = averages_bruteforce(fock_state(n, n_max), params).uncertainty
         rows.append((n, exact, brute, abs(exact - brute)))

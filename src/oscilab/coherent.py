@@ -18,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc
 
-from .fock import DimensionMismatchError, Operator, OscillatorParams, StateVector
+from .fock import (
+    DimensionMismatchError,
+    Operator,
+    OscillatorParams,
+    StateVector,
+    level_phases,
+)
 
 __all__ = [
     "CoherentLabel",
@@ -33,6 +39,10 @@ __all__ = [
 
 AUTO_TAIL_TOL = 1e-12
 AUTO_N_MAX_CAP = 1024
+# Levels added above auto_n_max wherever a truncation is resolved
+# automatically: second moments couple n to n + 2, so they need this much
+# headroom below the truncation edge.
+TRUNCATION_MARGIN = 2
 
 
 @dataclass(frozen=True)
@@ -102,8 +112,7 @@ def dynamical_coherent_state(
     phase exp(-i omega t / 2).
     """
     base = coherent_coefficients(label, n_max)
-    n = np.arange(n_max + 1)
-    phases = np.exp(-1j * params.omega * t * (n + 0.5))
+    phases = level_phases(params, t, n_max)
     return StateVector(base.coeffs * phases, n_max, time=float(t))
 
 

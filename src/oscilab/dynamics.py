@@ -10,13 +10,26 @@ expectation values in the tests, not assumed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import CoherentLabel, auto_n_max, coherent_coefficients
-from .fock import Operator, OscillatorParams, StateVector
-from .observables import ObservableRecord, averages_bruteforce, averages_closedform
+from .coherent import (
+    TRUNCATION_MARGIN,
+    CoherentLabel,
+    auto_n_max,
+    coherent_coefficients,
+)
+from .fock import Operator, OscillatorParams, StateVector, level_phases
+from .observables import (
+    RECORD_COLUMNS,
+    ObservableRecord,
+    averages_bruteforce_batch,
+    averages_closedform,
+    record_from_row,
+    record_row,
+)
 
 __all__ = [
     "PhaseAngle",
@@ -31,6 +44,10 @@ __all__ = [
 ]
 
 TRAJECTORY_METHODS = ("bruteforce", "closedform")
+
+# Far above any sampling the commands use (a period at dt = 1e-3 is 6,284
+# samples); checked before anything is allocated.
+MAX_TIME_SAMPLES = 10**7
 
 
 @dataclass(frozen=True)
@@ -50,38 +67,82 @@ class PhaseAngle:
         return self.alpha % (2.0 * math.pi)
 
 
-@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Uniformly sampled time series of observable records."""
+    """Uniformly sampled observables, one read-only array per RECORD_COLUMNS name.
 
-    records: tuple[ObservableRecord, ...]
-    dt: float
+    Build it from records, `Trajectory(records, dt)`, or from the columns of
+    a batched kernel, `Trajectory.from_columns(columns, dt)`. Either way the
+    time column must be nonempty, strictly increasing and spaced by dt.
+    """
 
-    def __post_init__(self):
-        records = tuple(self.records)
-        if not records:
+    __slots__ = ("_columns", "dt")
+
+    def __init__(self, records: Iterable[ObservableRecord], dt: float):
+        rows = [record_row(r) for r in records]
+        if not rows:
             raise ValueError("trajectory needs at least one record")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
-        times = np.array([r.time for r in records])
+        self._set(dict(zip(RECORD_COLUMNS, np.array(rows).T)), dt)
+
+    @classmethod
+    def from_columns(cls, columns: Mapping[str, np.ndarray], dt: float) -> "Trajectory":
+        if set(columns) != set(RECORD_COLUMNS):
+            raise ValueError(f"columns must be exactly {RECORD_COLUMNS}")
+        traj = object.__new__(cls)
+        traj._set(columns, dt)
+        return traj
+
+    def _set(self, columns: Mapping[str, np.ndarray], dt: float) -> None:
+        arrays = {}
+        for name in RECORD_COLUMNS:
+            values = np.array(columns[name], dtype=float)
+            values.setflags(write=False)
+            arrays[name] = values
+        times = arrays["time"]
+        if times.ndim != 1 or times.size == 0:
+            raise ValueError("trajectory needs at least one record")
+        if any(values.shape != times.shape for values in arrays.values()):
+            raise ValueError("every column must have one value per time")
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {dt!r}")
         if times.size > 1:
             steps = np.diff(times)
             if np.any(steps <= 0):
                 raise ValueError("record times must be strictly increasing")
             tol = 1e-9 * max(1.0, float(np.max(np.abs(times))))
-            if np.max(np.abs(steps - self.dt)) > tol:
+            if np.max(np.abs(steps - dt)) > tol:
                 raise ValueError("record times must be uniformly spaced by dt")
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "_columns", arrays)
+        object.__setattr__(self, "dt", float(dt))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Trajectory is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the validating constructor, since
+        # restoring slots one by one would go through __setattr__.
+        return (Trajectory.from_columns, (self._columns, self.dt))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._columns["time"].size
+
+    @property
+    def records(self) -> tuple[ObservableRecord, ...]:
+        """The samples as records, all of them rebuilt on each access.
+
+        That is O(len) per access; to read single values take
+        `column(name)[k]` instead.
+        """
+        rows = zip(*(self._columns[name] for name in RECORD_COLUMNS))
+        return tuple(record_from_row(row) for row in rows)
 
     def times(self) -> np.ndarray:
-        return np.array([r.time for r in self.records])
+        return self._columns["time"]
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
+        """One RECORD_COLUMNS column; complex averages are split into _re/_im."""
+        if name not in self._columns:
+            raise KeyError(f"no column {name!r}; columns are {RECORD_COLUMNS}")
+        return self._columns[name]
 
 
 def phase_transform_ladder(a: Operator, alpha: PhaseAngle) -> Operator:
@@ -126,18 +187,28 @@ def propagate_fock(state: StateVector, t: float, params: OscillatorParams) -> St
     Composes additively: propagating by t1 then t2 equals propagating by
     t1 + t2. Level populations never change.
     """
-    n = np.arange(state.coeffs.size)
-    phases = np.exp(-1j * params.omega * float(t) * (n + 0.5))
+    phases = level_phases(params, float(t), state.n_max)
     return StateVector(state.coeffs * phases, state.n_max, time=state.time + float(t))
 
 
 def sample_times(t_start: float, t_end: float, dt: float) -> np.ndarray:
-    """Uniform samples t_start + k dt up to and including t_end (within rounding)."""
+    """Uniform samples t_start + k dt up to and including t_end (within rounding).
+
+    Raises ValueError, before allocating, when that is more than
+    MAX_TIME_SAMPLES samples.
+    """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if t_end < t_start:
         raise ValueError(f"need t_end >= t_start, got [{t_start}, {t_end}]")
-    count = int(math.floor((t_end - t_start) / dt + 1e-9)) + 1
+    steps = (t_end - t_start) / dt + 1e-9
+    if not steps < MAX_TIME_SAMPLES:
+        requested = math.floor(steps) + 1 if steps < 1e15 else f"{steps + 1:.3g}"
+        raise ValueError(
+            f"dt={dt!r} over [{t_start!r}, {t_end!r}] asks for {requested} "
+            f"time samples; the limit is {MAX_TIME_SAMPLES}"
+        )
+    count = int(math.floor(steps)) + 1
     return t_start + dt * np.arange(count)
 
 
@@ -150,27 +221,23 @@ def sample_trajectory(
     method: str = "bruteforce",
     n_max: int | None = None,
 ) -> Trajectory:
-    """Observable records of a coherent state on a uniform time grid.
+    """Observables of a coherent state on a uniform time grid.
 
     method="bruteforce" propagates the truncated state exactly and takes
-    matrix expectations; method="closedform" evaluates the label formulas.
-    When n_max is None the truncation-tail rule picks it, plus two levels of
-    headroom for the second moments.
+    matrix expectations (`averages_bruteforce_batch`); method="closedform"
+    evaluates the label formulas (`averages_closedform`) time by time. When
+    n_max is None the truncation-tail rule picks it, plus TRUNCATION_MARGIN
+    levels of headroom for the second moments.
     """
     if method not in TRAJECTORY_METHODS:
         raise ValueError(f"method must be one of {TRAJECTORY_METHODS}, got {method!r}")
     times = sample_times(t_start, t_end, dt)
     if method == "closedform":
-        records = [averages_closedform(label, t, params) for t in times]
-        return Trajectory(tuple(records), dt)
+        return Trajectory([averages_closedform(label, t, params) for t in times], dt)
     if n_max is None:
-        n_max = auto_n_max(label) + 2
+        n_max = auto_n_max(label) + TRUNCATION_MARGIN
     base = coherent_coefficients(label, n_max)
-    records = []
-    for t in times:
-        state = propagate_fock(base, t, params)
-        records.append(averages_bruteforce(state, params))
-    return Trajectory(tuple(records), dt)
+    return Trajectory.from_columns(averages_bruteforce_batch(base, times, params), dt)
 
 
 def ehrenfest_residual(

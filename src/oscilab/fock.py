@@ -24,6 +24,7 @@ __all__ = [
     "make_ladder",
     "make_xp",
     "make_hamiltonian",
+    "level_phases",
     "fock_state",
     "identity",
     "expectation",
@@ -201,6 +202,18 @@ def make_hamiltonian(params: OscillatorParams, n_max: int) -> Operator:
     n_max = _check_n_max(n_max)
     levels = params.hbar * params.omega * (np.arange(n_max + 1) + 0.5)
     return Operator(np.diag(levels).astype(complex), n_max)
+
+
+def level_phases(params: OscillatorParams, t, n_max: int) -> np.ndarray:
+    """Exact evolution phases exp(-i omega t (n + 1/2)) of levels 0..n_max.
+
+    A scalar t gives one row of n_max + 1 phases; a 1-D array of times gives
+    one row per time. Every propagator goes through here, so a row is the
+    same to the bit whichever way it was asked for.
+    """
+    n = np.arange(_check_n_max(n_max) + 1)
+    t = np.asarray(t, dtype=float)[..., np.newaxis]
+    return np.exp(-1j * params.omega * t * (n + 0.5))
 
 
 def fock_state(n: int, n_max: int) -> StateVector:

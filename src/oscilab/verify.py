@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .coherent import (
+    TRUNCATION_MARGIN,
     CoherentLabel,
     annihilation_residual,
     auto_n_max,
@@ -56,9 +57,6 @@ __all__ = ["CriterionResult", "DEFAULT_CHI_SET", "run_all", "format_table"]
 
 DEFAULT_CHI_SET = (0j, 1 + 0j, 2j, 1 + 1j, -1.5 + 0.5j)
 
-# Headroom below the truncation edge so second moments stay unbiased.
-_MARGIN = 2
-
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -72,7 +70,7 @@ class CriterionResult:
 
 
 def _resolved_n_max(label: CoherentLabel, override: int | None) -> int:
-    return override if override is not None else auto_n_max(label) + _MARGIN
+    return override if override is not None else auto_n_max(label) + TRUNCATION_MARGIN
 
 
 def _two_period_times(params: OscillatorParams, count: int) -> np.ndarray:

@@ -50,6 +50,15 @@ def test_overridden_run_fails_loudly_when_under_truncated():
     assert any(not r.passed for r in results.values())
 
 
+def test_ehrenfest_detail_is_pinned():
+    from oscilab.verify import check_ehrenfest
+
+    assert check_ehrenfest().detail == (
+        "residuals (x, p) = (2.357e-07, 2.357e-07) at dt=1e-3 (tol 1e-05); "
+        "halving ratios = 4.00, 4.00"
+    )
+
+
 def test_seed_fixes_the_randomized_checks():
     from oscilab.verify import check_generating_identity, check_phase_symmetry
 

@@ -166,6 +166,17 @@ def test_invalid_configuration_exits_1(args, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    ("dt", "requested"), [("1e-300", "6.28e+300"), ("5e-324", "inf")]
+)
+def test_oversized_sample_count_exits_1_naming_the_cause(dt, requested, capsys):
+    assert main(["trajectory", "--dt", dt]) == 1
+    err = capsys.readouterr().err
+    assert f"asks for {requested} time samples" in err
+    assert "the limit is 10000000" in err
+    assert "Traceback" not in err
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert main(["spectrum", "--output", str(missing)]) == 2

@@ -18,15 +18,20 @@ from oscilab.fock import (
     fock_state,
     random_state,
 )
+from oscilab.dynamics import propagate_fock
 from oscilab.observables import (
+    BATCH_TIMES,
     RECORD_COLUMNS,
     _variance,
     averages_bruteforce,
+    averages_bruteforce_batch,
     averages_closedform,
+    record_from_row,
     record_object,
     record_row,
     uncertainty_fock,
 )
+from oscilab.verify import DEFAULT_CHI_SET
 
 PARAMS = OscillatorParams()
 
@@ -163,6 +168,13 @@ def test_variance_clipping_policy():
     assert _variance(4.0, 2.0 + 1e-13) == 0.0  # rounding-level negativity clips
     with pytest.raises(ValueError):
         _variance(4.0, 2.0 + 1e-5)  # real negativity is an error
+    # elementwise on arrays, with one bad entry failing the whole batch
+    np.testing.assert_array_equal(
+        _variance(np.array([1.0, 4.0, 5.0]), np.array([1.0, 2.0 + 1e-13, 2.0])),
+        [0.0, 0.0, 1.0],
+    )
+    with pytest.raises(ValueError):
+        _variance(np.array([5.0, 4.0]), np.array([2.0, 2.0 + 1e-5]))
 
 
 def test_record_serialization_schema():
@@ -172,6 +184,50 @@ def test_record_serialization_schema():
     row = record_row(rec)
     assert row[RECORD_COLUMNS.index("a_avg_re")] == rec.a_avg.real
     assert row[RECORD_COLUMNS.index("a_avg_im")] == rec.a_avg.imag
+    assert record_from_row(row) == rec
+
+
+# not a multiple of the block size, and negative times included
+BATCH_SAMPLE_TIMES = np.linspace(-1.0, 7.0, BATCH_TIMES + 45)
+
+
+@pytest.mark.parametrize("chi", DEFAULT_CHI_SET + (5.0, 3 - 4j))
+def test_batched_bruteforce_matches_per_state_oracle(chi):
+    label = CoherentLabel(chi)
+    base = coherent_coefficients(label, auto_n_max(label) + 2)
+    columns = averages_bruteforce_batch(base, BATCH_SAMPLE_TIMES, PARAMS)
+    assert tuple(columns) == RECORD_COLUMNS
+    oracle = np.array(
+        [
+            record_row(averages_bruteforce(propagate_fock(base, t, PARAMS), PARAMS))
+            for t in BATCH_SAMPLE_TIMES
+        ]
+    )
+    for k, name in enumerate(RECORD_COLUMNS):
+        np.testing.assert_allclose(columns[name], oracle[:, k], atol=1e-13, rtol=0)
+
+
+def test_batched_bruteforce_time_column_is_offset_by_base_time():
+    base = propagate_fock(coherent_coefficients(CoherentLabel(1), 18), 0.5, PARAMS)
+    times = np.array([0.0, 0.25, 1.0])
+    np.testing.assert_array_equal(
+        averages_bruteforce_batch(base, times, PARAMS)["time"], 0.5 + times
+    )
+
+
+def test_batched_bruteforce_shares_the_per_state_checks():
+    label = CoherentLabel(3)
+    with pytest.raises(NormalizationError) as excinfo:
+        averages_bruteforce_batch(coherent_coefficients(label, 4), [0.0, 1.0], PARAMS)
+    assert excinfo.value.norm == pytest.approx(
+        coherent_coefficients(label, 4).norm(), rel=1e-12
+    )
+    with pytest.warns(TruncationWarning):
+        averages_bruteforce_batch(fock_state(12, 12), np.arange(300.0), PARAMS)
+    with pytest.raises(ValueError):
+        averages_bruteforce_batch(fock_state(1, 6), np.zeros((2, 2)), PARAMS)
+    empty = averages_bruteforce_batch(fock_state(1, 6), [], PARAMS)
+    assert all(values.shape == (0,) for values in empty.values())
 
 
 def test_closedform_anomalous_averages_track_label():
