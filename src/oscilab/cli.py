@@ -22,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import (
+    AUTO_N_MAX_CAP,
+    AUTO_TAIL_TOL,
     TRUNCATION_MARGIN,
     CoherentLabel,
     auto_n_max,
@@ -53,12 +55,10 @@ from .observables import (
 )
 from .verify import format_table, run_all
 from .wavefunction import (
-    WaveSample,
     default_packet_grid,
     packet_moments,
     psi_closed_grid,
     psi_series_grid,
-    quadrature_norm,
 )
 
 __all__ = ["RunConfig", "UsageError", "main"]
@@ -148,12 +148,22 @@ class RunConfig:
     def label(self) -> CoherentLabel:
         return CoherentLabel(complex(self.chi_re or 0.0, self.chi_im or 0.0))
 
-    def resolve_n_max(self, tail_tol: float | None = None) -> tuple[int, str]:
-        if self.n_max == "auto":
-            if tail_tol is None:
-                return auto_n_max(self.label()) + TRUNCATION_MARGIN, "auto"
-            return auto_n_max(self.label(), tol=tail_tol) + TRUNCATION_MARGIN, "auto"
-        return int(self.n_max), "explicit"
+    def resolve_n_max(self, tail_tol: float = AUTO_TAIL_TOL) -> tuple[int, str]:
+        """The explicit n_max, or the auto rule's; refuses a capped auto rule."""
+        if self.n_max != "auto":
+            return int(self.n_max), "explicit"
+        label = self.label()
+        n_max = auto_n_max(label, tol=tail_tol)
+        if truncation_tail(label, n_max) >= tail_tol:
+            # the auto rule's bisection with a cap of 2**53: exact below it,
+            # a lower bound at it
+            needed = auto_n_max(label, tol=tail_tol, cap=2**53) + TRUNCATION_MARGIN
+            raise UsageError(
+                f"auto truncation needs at least n_max = {needed} for a tail below "
+                f"{tail_tol:.0e}, but auto is capped at n_max = {AUTO_N_MAX_CAP}; "
+                "pass --n-max to set it explicitly"
+            )
+        return n_max + TRUNCATION_MARGIN, "auto"
 
 
 def _fmt(value) -> str:
@@ -355,9 +365,7 @@ def _cmd_wavefunction(config: RunConfig) -> int:
             rows.append(
                 (t, float(x), s.real, s.imag, c.real, c.imag, float(abs(s - c)))
             )
-        samples = [WaveSample(float(x), v) for x, v in zip(grid.points, series)]
-        norm2 = quadrature_norm(samples, grid)
-        _, _, variance = packet_moments(samples, grid)
+        norm2, _, variance = packet_moments(series, grid)
         footer.append(
             {"t": t, "quadrature_norm": norm2, "packet_variance": variance}
         )

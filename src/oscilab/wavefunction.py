@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -247,36 +246,35 @@ def psi_closed(
     return WaveSample(float(x), complex(value))
 
 
-def quadrature_norm(samples: Sequence[WaveSample], grid: SpatialGrid) -> float:
-    """Sum of weights * |value|^2, approximating the square integral.
-
-    Samples are assumed aligned with the grid points, in order.
-    """
-    if len(samples) != len(grid):
+def _grid_amplitudes(amplitudes, grid: SpatialGrid) -> np.ndarray:
+    """Complex amplitudes aligned with the grid points, checked finite."""
+    if len(amplitudes) != len(grid):
         raise DimensionMismatchError(
-            f"{len(samples)} samples on a grid of {len(grid)} points"
+            f"{len(amplitudes)} amplitudes on a grid of {len(grid)} points"
         )
-    if not samples:
-        return 0.0
-    values = np.array([s.value for s in samples], dtype=complex)
+    values = np.asarray(amplitudes, dtype=complex)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("amplitudes must be finite")
+    return values
+
+
+def quadrature_norm(amplitudes, grid: SpatialGrid) -> float:
+    """Sum of weights * |amplitude|^2, approximating the square integral.
+
+    `amplitudes` is a complex array aligned with `grid.points`, in order.
+    """
+    values = _grid_amplitudes(amplitudes, grid)
     return float(np.sum(grid.weights * np.abs(values) ** 2))
 
 
-def packet_moments(
-    samples: Sequence[WaveSample], grid: SpatialGrid
-) -> tuple[float, float, float]:
-    """(squared norm, mean position, position variance) of |value|^2.
+def packet_moments(amplitudes, grid: SpatialGrid) -> tuple[float, float, float]:
+    """(squared norm, mean position, position variance) of |amplitude|^2.
 
-    Mean and variance are normalized by the squared norm, so a slightly
-    leaky truncation does not skew them.
+    `amplitudes` is a complex array aligned with `grid.points`. Mean and
+    variance are normalized by the squared norm, so a slightly leaky
+    truncation does not skew them.
     """
-    if len(samples) != len(grid):
-        raise DimensionMismatchError(
-            f"{len(samples)} samples on a grid of {len(grid)} points"
-        )
-    density = grid.weights * np.abs(
-        np.array([s.value for s in samples], dtype=complex)
-    ) ** 2
+    density = grid.weights * np.abs(_grid_amplitudes(amplitudes, grid)) ** 2
     norm2 = float(np.sum(density))
     if norm2 <= 0.0:
         raise ValueError("cannot take moments of a zero-norm sample set")

@@ -59,6 +59,23 @@ def test_ehrenfest_detail_is_pinned():
     )
 
 
+def test_propagator_vs_rk4_detail_is_pinned():
+    from oscilab.verify import check_propagator_vs_rk4
+
+    assert check_propagator_vs_rk4().detail == (
+        "max coefficient error = 6.663e-15 (tol 1e-07) over one period at 62832 steps"
+    )
+
+
+def test_wave_packet_detail_is_pinned():
+    from oscilab.verify import check_wave_packet
+
+    assert check_wave_packet(DEFAULT_CHI_SET).detail == (
+        "max |series - closed| = 2.033e-15 (tol 1e-08), "
+        "max width drift = 4.996e-16 (tol 1e-08)"
+    )
+
+
 def test_seed_fixes_the_randomized_checks():
     from oscilab.verify import check_generating_identity, check_phase_symmetry
 

@@ -263,3 +263,30 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("# schema: oscilab.spectrum.v1")
+
+
+@pytest.mark.parametrize(
+    "argv, needed",
+    [
+        (["spectrum", "--chi-re", "30"], "at least n_max = 1121 "),
+        (["wavefunction", "--chi-re", "30"], "at least n_max = 1177 "),
+        (["trajectory", "--chi-re", "1e100"], "at least n_max = 9007199254740994 "),
+    ],
+)
+def test_capped_auto_truncation_exits_1(argv, needed, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert needed in captured.err
+    assert "capped at n_max = 1024" in captured.err
+    assert "--n-max" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_explicit_n_max_past_the_auto_cap_still_runs(tmp_path):
+    out = tmp_path / "spectrum.csv"
+    argv = ["spectrum", "--chi-re", "30", "--n-max", "1121", "--output", str(out)]
+    assert main(argv) == 0
+    _, rows, footers, _ = read_csv(out)
+    assert len(rows) == 1122
+    assert float(footers[0]["truncation_tail"]) < 1e-12

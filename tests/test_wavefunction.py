@@ -37,7 +37,10 @@ def direct_eigenfunction(n, x, params):
 
 
 def samples_from(values, grid):
-    return [WaveSample(float(x), v) for x, v in zip(grid.points, values)]
+    """The amplitude array the moment functions take, aligned with the grid."""
+    values = np.asarray(values, dtype=complex)
+    assert values.shape == grid.points.shape
+    return values
 
 
 def test_hermite_base_cases():
@@ -230,7 +233,25 @@ def test_quadrature_norm_shifted_packet():
 def test_quadrature_norm_length_mismatch():
     grid = trapezoid_grid(0.0, 1.0, 5)
     with pytest.raises(DimensionMismatchError):
-        quadrature_norm([WaveSample(0.0, 1.0)], grid)
+        quadrature_norm(np.ones(1, dtype=complex), grid)
+
+
+def test_packet_moments_length_mismatch():
+    grid = trapezoid_grid(0.0, 1.0, 5)
+    with pytest.raises(DimensionMismatchError):
+        packet_moments(np.ones(4, dtype=complex), grid)
+
+
+@pytest.mark.parametrize("moments", [quadrature_norm, packet_moments])
+@pytest.mark.parametrize(
+    "bad", [complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)]
+)
+def test_moments_reject_non_finite_amplitudes(moments, bad):
+    grid = trapezoid_grid(-4.0, 4.0, 9)
+    values = eigenfunction(0, grid.points, PARAMS).astype(complex)
+    values[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        moments(values, grid)
 
 
 def test_grid_validation():
