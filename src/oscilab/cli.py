@@ -22,13 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import (
-    AUTO_N_MAX_CAP,
     AUTO_TAIL_TOL,
     TRUNCATION_MARGIN,
     CoherentLabel,
-    auto_n_max,
     coherent_coefficients,
     occupation_probability,
+    resolve_n_max,
     truncation_tail,
 )
 from .dynamics import (
@@ -39,7 +38,6 @@ from .dynamics import (
     transform_state_phase,
 )
 from .fock import (
-    NormalizationError,
     OscillatorParams,
     expectation,
     fock_state,
@@ -68,24 +66,18 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_VERIFY = 3
 
-COMMANDS = (
-    "trajectory",
-    "spectrum",
-    "uncertainty",
-    "wavefunction",
-    "symmetry-check",
-    "verify",
-)
-
 SCHEMA_PREFIX = "oscilab"
 SCHEMA_VERSION = "v1"
 
 # Pointwise packet amplitudes err like the square root of the tail, so the
 # wavefunction command squares the moment-level tail tolerance.
 AMPLITUDE_TAIL_TOL = 1e-18
+# Largest accepted gap between a wavefunction slice's quadrature norm and
+# the truncated state's norm; the packet tolerance `verify` uses.
+QUADRATURE_TOL = 1e-8
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Invalid configuration; maps to exit code 1."""
 
 
@@ -108,10 +100,8 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.command not in COMMANDS:
-            raise UsageError(f"unknown command {self.command!r}")
-        if self.format not in ("csv", "json"):
-            raise UsageError(f"format must be csv or json, got {self.format!r}")
+        """The checks argparse does not make; it already checks the command,
+        `format` and `n_max`."""
         for name in ("hbar", "mass", "omega"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -120,11 +110,6 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise UsageError(f"{name} must be finite, got {value!r}")
-        if not isinstance(self.n_max, str):
-            if self.n_max < 0:
-                raise UsageError(f"n_max must be nonnegative, got {self.n_max}")
-        elif self.n_max != "auto":
-            raise UsageError(f"n_max must be an integer or 'auto', got {self.n_max!r}")
         if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
             raise UsageError("t_start and t_end must be finite")
         if self.t_end < self.t_start:
@@ -149,21 +134,10 @@ class RunConfig:
         return CoherentLabel(complex(self.chi_re or 0.0, self.chi_im or 0.0))
 
     def resolve_n_max(self, tail_tol: float = AUTO_TAIL_TOL) -> tuple[int, str]:
-        """The explicit n_max, or the auto rule's; refuses a capped auto rule."""
+        """The truncation level and its source; see `coherent.resolve_n_max`."""
         if self.n_max != "auto":
             return int(self.n_max), "explicit"
-        label = self.label()
-        n_max = auto_n_max(label, tol=tail_tol)
-        if truncation_tail(label, n_max) >= tail_tol:
-            # the auto rule's bisection with a cap of 2**53: exact below it,
-            # a lower bound at it
-            needed = auto_n_max(label, tol=tail_tol, cap=2**53) + TRUNCATION_MARGIN
-            raise UsageError(
-                f"auto truncation needs at least n_max = {needed} for a tail below "
-                f"{tail_tol:.0e}, but auto is capped at n_max = {AUTO_N_MAX_CAP}; "
-                "pass --n-max to set it explicitly"
-            )
-        return n_max + TRUNCATION_MARGIN, "auto"
+        return resolve_n_max(self.label(), tol=tail_tol), "auto"
 
 
 def _fmt(value) -> str:
@@ -205,23 +179,12 @@ def _json_text(value) -> str:
 
 
 def _config_echo(config: RunConfig, n_max: int, source: str) -> list[tuple[str, object]]:
-    echo = {
-        "command": config.command,
-        "chi_re": 0.0 if config.chi_re is None else config.chi_re,
-        "chi_im": 0.0 if config.chi_im is None else config.chi_im,
-        "hbar": config.hbar,
-        "mass": config.mass,
-        "omega": config.omega,
-        "n_max": n_max,
-        "n_max_source": source,
-        "t_start": config.t_start,
-        "t_end": config.t_end,
-        "dt": config.dt,
-        "grid_halfwidth": config.grid_halfwidth,
-        "grid_points": config.grid_points,
-        "format": config.format,
-        "seed": config.seed,
-    }
+    """Every field but output_path, with the resolved n_max and its source."""
+    echo = dict(vars(config), n_max=n_max, n_max_source=source)
+    del echo["output_path"]
+    for name in ("chi_re", "chi_im"):
+        if echo[name] is None:
+            echo[name] = 0.0
     return sorted(echo.items())
 
 
@@ -261,10 +224,7 @@ def _emit(config: RunConfig, text: str) -> None:
         handle.write(text)
 
 
-def _cmd_trajectory(config: RunConfig) -> int:
-    params = config.params()
-    label = config.label()
-    n_max, source = config.resolve_n_max()
+def _trajectory(config, params, label, n_max):
     times = sample_times(config.t_start, config.t_end, config.dt)
     base = coherent_coefficients(label, n_max)
     columns = ["time"]
@@ -280,16 +240,10 @@ def _cmd_trajectory(config: RunConfig) -> int:
         for c, b in zip(closed, brute):
             row += [c, b, abs(c - b)]
         rows.append(tuple(row))
-    _emit(
-        config,
-        _render(config, "trajectory", _config_echo(config, n_max, source), columns, rows, []),
-    )
-    return EXIT_OK
+    return columns, rows, []
 
 
-def _cmd_spectrum(config: RunConfig) -> int:
-    label = config.label()
-    n_max, source = config.resolve_n_max()
+def _spectrum(config, params, label, n_max):
     state = coherent_coefficients(label, n_max)
     rows = []
     for n in range(n_max + 1):
@@ -297,24 +251,10 @@ def _cmd_spectrum(config: RunConfig) -> int:
         from_poisson = occupation_probability(label, n)
         rows.append((n, from_coeff, from_poisson, abs(from_coeff - from_poisson)))
     footer = [{"truncation_tail": truncation_tail(label, n_max)}]
-    _emit(
-        config,
-        _render(
-            config,
-            "spectrum",
-            _config_echo(config, n_max, source),
-            ["n", "prob_coeff", "prob_poisson", "abs_diff"],
-            rows,
-            footer,
-        ),
-    )
-    return EXIT_OK
+    return ["n", "prob_coeff", "prob_poisson", "abs_diff"], rows, footer
 
 
-def _cmd_uncertainty(config: RunConfig) -> int:
-    params = config.params()
-    label = config.label()
-    n_max, source = config.resolve_n_max()
+def _uncertainty(config, params, label, n_max):
     rows = []
     for n in range(max(0, n_max + 1 - TRUNCATION_MARGIN)):  # second-moment headroom
         exact = uncertainty_fock(n, params)
@@ -330,25 +270,13 @@ def _cmd_uncertainty(config: RunConfig) -> int:
             "abs_diff": abs(coherent_u - floor),
         }
     ]
-    _emit(
-        config,
-        _render(
-            config,
-            "uncertainty",
-            _config_echo(config, n_max, source),
-            ["n", "product_exact", "product_bruteforce", "abs_diff"],
-            rows,
-            footer,
-        ),
-    )
-    return EXIT_OK
+    return ["n", "product_exact", "product_bruteforce", "abs_diff"], rows, footer
 
 
-def _cmd_wavefunction(config: RunConfig) -> int:
-    params = config.params()
-    label = config.label()
-    n_max, source = config.resolve_n_max(tail_tol=AMPLITUDE_TAIL_TOL)
+def _wavefunction(config, params, label, n_max):
     times = sample_times(config.t_start, config.t_end, config.dt)
+    coeffs = coherent_coefficients(label, n_max).coeffs
+    coeff_norm2 = float(np.vdot(coeffs, coeffs).real)
     columns = ["t", "x", "series_re", "series_im", "closed_re", "closed_im", "abs_diff"]
     rows = []
     footer = []
@@ -360,28 +288,26 @@ def _cmd_wavefunction(config: RunConfig) -> int:
             npoints=config.grid_points,
         )
         series = psi_series_grid(label, grid.points, t, params, n_max)
+        norm2, _, variance = packet_moments(series, grid)
+        if abs(norm2 - coeff_norm2) > QUADRATURE_TOL:
+            raise UsageError(
+                f"the grid cannot resolve the packet at t = {t:g}: its quadrature "
+                f"norm {norm2:.6g} is off the state's norm {coeff_norm2:.6g} by "
+                f"{abs(norm2 - coeff_norm2):.1e} (tol {QUADRATURE_TOL:.0e}); raise "
+                "--grid-points or --grid-halfwidth"
+            )
         closed = psi_closed_grid(label, grid.points, t, params, "complex_center")
         for x, s, c in zip(grid.points, series, closed):
             rows.append(
                 (t, float(x), s.real, s.imag, c.real, c.imag, float(abs(s - c)))
             )
-        norm2, _, variance = packet_moments(series, grid)
         footer.append(
             {"t": t, "quadrature_norm": norm2, "packet_variance": variance}
         )
-    _emit(
-        config,
-        _render(
-            config, "wavefunction", _config_echo(config, n_max, source), columns, rows, footer
-        ),
-    )
-    return EXIT_OK
+    return columns, rows, footer
 
 
-def _cmd_symmetry_check(config: RunConfig) -> int:
-    params = config.params()
-    label = config.label()
-    n_max, source = config.resolve_n_max()
+def _symmetry_check(config, params, label, n_max):
     state = coherent_coefficients(label, n_max)
     a, ad = make_ladder(n_max)
     number_op = ad @ a
@@ -412,36 +338,39 @@ def _cmd_symmetry_check(config: RunConfig) -> int:
                 abs(classical_energy(x_rot, p_rot) - energy_ref),
             )
         )
-    columns = [
-        "alpha",
-        "h_drift",
-        "n_drift",
-        "a_rotation_error",
-        "a_modulus_drift",
-        "xp_energy_drift",
-    ]
-    footer = [
-        {
-            "max_h_drift": max(r[1] for r in rows),
-            "max_n_drift": max(r[2] for r in rows),
-            "max_a_rotation_error": max(r[3] for r in rows),
-            "max_a_modulus_drift": max(r[4] for r in rows),
-            "max_xp_energy_drift": max(r[5] for r in rows),
-        }
-    ]
-    _emit(
-        config,
-        _render(
-            config, "symmetry-check", _config_echo(config, n_max, source), columns, rows, footer
-        ),
-    )
+    columns = ["alpha", "h_drift", "n_drift", "a_rotation_error", "a_modulus_drift",
+               "xp_energy_drift"]
+    footer = [{f"max_{name}": max(row[i] for row in rows)
+               for i, name in enumerate(columns[1:], start=1)}]
+    return columns, rows, footer
+
+
+# Every table command: name -> (producer, tail tolerance of its auto
+# truncation). A producer maps (config, params, label, n_max) to
+# (columns, rows, footer); `_run_table` does the rest.
+PRODUCERS = {
+    "trajectory": (_trajectory, AUTO_TAIL_TOL),
+    "spectrum": (_spectrum, AUTO_TAIL_TOL),
+    "uncertainty": (_uncertainty, AUTO_TAIL_TOL),
+    "wavefunction": (_wavefunction, AMPLITUDE_TAIL_TOL),
+    "symmetry-check": (_symmetry_check, AUTO_TAIL_TOL),
+}
+
+
+def _run_table(config: RunConfig) -> int:
+    producer, tail_tol = PRODUCERS[config.command]
+    n_max, source = config.resolve_n_max(tail_tol)
+    columns, rows, footer = producer(config, config.params(), config.label(), n_max)
+    echo = _config_echo(config, n_max, source)
+    _emit(config, _render(config, config.command, echo, columns, rows, footer))
     return EXIT_OK
 
 
 def _cmd_verify(config: RunConfig) -> int:
     chi = None
     if config.chi_re is not None or config.chi_im is not None:
-        chi = complex(config.chi_re or 0.0, config.chi_im or 0.0)
+        chi = config.label().chi
+        config.resolve_n_max()  # refuse a capped auto truncation before the battery
     n_max = None if config.n_max == "auto" else int(config.n_max)
     results = run_all(chi=chi, n_max=n_max, seed=config.seed)
     sys.stdout.write(format_table(results) + "\n")
@@ -450,32 +379,14 @@ def _cmd_verify(config: RunConfig) -> int:
         footer = [{"passed": sum(r.passed for r in results), "total": len(results)}]
         resolved = 0 if n_max is None else n_max
         source = "auto" if n_max is None else "explicit"
-        _emit(
-            config,
-            _render(
-                config,
-                "verify",
-                _config_echo(config, resolved, source),
-                ["criterion", "passed", "detail"],
-                rows,
-                footer,
-            ),
-        )
+        echo = _config_echo(config, resolved, source)
+        columns = ["criterion", "passed", "detail"]
+        _emit(config, _render(config, "verify", echo, columns, rows, footer))
     failed = [r.name for r in results if not r.passed]
     if failed:
         sys.stderr.write("verification failed: " + ", ".join(failed) + "\n")
         return EXIT_VERIFY
     return EXIT_OK
-
-
-_HANDLERS = {
-    "trajectory": _cmd_trajectory,
-    "spectrum": _cmd_spectrum,
-    "uncertainty": _cmd_uncertainty,
-    "wavefunction": _cmd_wavefunction,
-    "symmetry-check": _cmd_symmetry_check,
-    "verify": _cmd_verify,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -575,27 +486,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=ns.command)
-    for name in (
-        "chi_re", "chi_im", "hbar", "mass", "omega", "n_max", "t_start", "t_end",
-        "dt", "grid_halfwidth", "grid_points", "output_path", "format", "seed",
-    ):
-        if hasattr(ns, name):
-            setattr(config, name, getattr(ns, name))
-    return config
-
-
 def main(argv=None) -> int:
     try:
         ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    config = _config_from_namespace(ns)
+    config = RunConfig(**vars(ns))
     try:
         config.validate()
-        return _HANDLERS[config.command](config)
-    except (UsageError, NormalizationError, ValueError) as exc:
+        return _cmd_verify(config) if config.command == "verify" else _run_table(config)
+    except ValueError as exc:  # UsageError and every library refusal
         sys.stderr.write(f"oscilab: error: {exc}\n")
         return EXIT_USAGE
     except OSError as exc:

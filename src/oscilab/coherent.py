@@ -7,7 +7,8 @@ interest, while the ladder stays well-scaled for any n.
 
 The truncation tail (total Poisson weight above n_max) is the single error
 control for everything downstream; `auto_n_max` turns it into a
-deterministic truncation policy.
+deterministic truncation policy, and `resolve_n_max` is the one place that
+policy is applied.
 """
 
 from __future__ import annotations
@@ -35,13 +36,14 @@ __all__ = [
     "annihilation_residual",
     "truncation_tail",
     "auto_n_max",
+    "resolve_n_max",
+    "TruncationCapError",
 ]
 
 AUTO_TAIL_TOL = 1e-12
 AUTO_N_MAX_CAP = 1024
-# Levels added above auto_n_max wherever a truncation is resolved
-# automatically: second moments couple n to n + 2, so they need this much
-# headroom below the truncation edge.
+# Levels `resolve_n_max` adds above auto_n_max: second moments couple n to
+# n + 2, so they need this much headroom below the truncation edge.
 TRUNCATION_MARGIN = 2
 
 
@@ -55,6 +57,11 @@ class CoherentLabel:
         chi = complex(self.chi)
         if not (math.isfinite(chi.real) and math.isfinite(chi.imag)):
             raise ValueError(f"label must be finite, got {chi!r}")
+        try:  # abs() may return inf; ** raises past the float range
+            if math.isinf(abs(chi) ** 2):
+                raise OverflowError
+        except OverflowError:
+            raise ValueError(f"label {chi!r} is too large: |chi|^2 overflows") from None
         object.__setattr__(self, "chi", chi)
 
     @property
@@ -169,3 +176,37 @@ def auto_n_max(
         else:
             lo = mid
     return hi
+
+
+class TruncationCapError(ValueError):
+    """The capped auto truncation leaves a tail at or above the tolerance."""
+
+    def __init__(self, needed: int, tol: float):
+        self.needed = needed
+        super().__init__(
+            f"auto truncation needs at least n_max = {needed} for a tail below "
+            f"{tol:.0e}, but auto is capped at n_max = {AUTO_N_MAX_CAP}; "
+            "pass --n-max to set it explicitly"
+        )
+
+
+def resolve_n_max(
+    label: CoherentLabel, n_max: int | None = None, tol: float = AUTO_TAIL_TOL
+) -> int:
+    """The explicit n_max, or auto_n_max plus TRUNCATION_MARGIN.
+
+    Raises TruncationCapError, naming the n_max the tolerance needs, when the
+    capped auto choice still leaves a tail at or above tol.
+    """
+    if n_max is not None:
+        return int(n_max)
+    auto = auto_n_max(label, tol=tol)
+    capped = truncation_tail(label, auto) >= tol
+    if capped:
+        # the auto rule's bisection with a cap of 2**53: exact below it, a
+        # lower bound at it
+        auto = auto_n_max(label, tol=tol, cap=2**53)
+    n_max = auto + TRUNCATION_MARGIN
+    if capped:
+        raise TruncationCapError(n_max, tol)
+    return n_max

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import (
-    TRUNCATION_MARGIN,
-    CoherentLabel,
-    auto_n_max,
-    coherent_coefficients,
-)
+from .coherent import CoherentLabel, coherent_coefficients, resolve_n_max
 from .fock import Operator, OscillatorParams, StateVector, level_phases
 from .observables import (
     RECORD_COLUMNS,
@@ -226,17 +221,15 @@ def sample_trajectory(
     method="bruteforce" propagates the truncated state exactly and takes
     matrix expectations (`averages_bruteforce_batch`); method="closedform"
     evaluates the label formulas (`averages_closedform`) time by time. When
-    n_max is None the truncation-tail rule picks it, plus TRUNCATION_MARGIN
-    levels of headroom for the second moments.
+    n_max is None, `resolve_n_max` applies the truncation-tail rule plus
+    TRUNCATION_MARGIN levels of headroom for the second moments.
     """
     if method not in TRAJECTORY_METHODS:
         raise ValueError(f"method must be one of {TRAJECTORY_METHODS}, got {method!r}")
     times = sample_times(t_start, t_end, dt)
     if method == "closedform":
         return Trajectory([averages_closedform(label, t, params) for t in times], dt)
-    if n_max is None:
-        n_max = auto_n_max(label) + TRUNCATION_MARGIN
-    base = coherent_coefficients(label, n_max)
+    base = coherent_coefficients(label, resolve_n_max(label, n_max))
     return Trajectory.from_columns(averages_bruteforce_batch(base, times, params), dt)
 
 

@@ -19,13 +19,12 @@ from typing import Callable
 import numpy as np
 
 from .coherent import (
-    TRUNCATION_MARGIN,
     CoherentLabel,
     annihilation_residual,
-    auto_n_max,
     coherent_coefficients,
     dynamical_coherent_state,
     evolve_label,
+    resolve_n_max,
 )
 from .dynamics import (
     PhaseAngle,
@@ -68,10 +67,6 @@ class CriterionResult:
         object.__setattr__(self, "passed", bool(self.passed))
 
 
-def _resolved_n_max(label: CoherentLabel, override: int | None) -> int:
-    return override if override is not None else auto_n_max(label) + TRUNCATION_MARGIN
-
-
 def _two_period_times(params: OscillatorParams, count: int) -> np.ndarray:
     return np.linspace(0.0, 2.0 * (2.0 * math.pi / params.omega), count)
 
@@ -85,7 +80,7 @@ def check_minimal_uncertainty(
     worst = 0.0
     for chi in chi_set:
         label = CoherentLabel(chi)
-        nm = _resolved_n_max(label, n_max)
+        nm = resolve_n_max(label, n_max)
         for t in _two_period_times(params, 8):
             state = dynamical_coherent_state(label, t, params, nm)
             rec = averages_bruteforce(state, params)
@@ -122,7 +117,7 @@ def check_anomalous_averages(
     worst = 0.0
     for chi in chi_set:
         label = CoherentLabel(chi)
-        nm = _resolved_n_max(label, n_max)
+        nm = resolve_n_max(label, n_max)
         for t in _two_period_times(params, 8):
             state = dynamical_coherent_state(label, t, params, nm)
             rec = averages_bruteforce(state, params)
@@ -189,7 +184,7 @@ def check_energy_constancy(
     worst_value = 0.0
     for chi in chi_set:
         label = CoherentLabel(chi)
-        nm = _resolved_n_max(label, n_max)
+        nm = resolve_n_max(label, n_max)
         base = coherent_coefficients(label, nm)
         energies = np.array(
             [
@@ -382,7 +377,7 @@ def check_propagator_vs_rk4(
     params = OscillatorParams()
     tol = 1e-7
     label = CoherentLabel(1 + 0j if chi is None else chi)
-    nm = _resolved_n_max(label, n_max)
+    nm = resolve_n_max(label, n_max)
     base = coherent_coefficients(label, nm)
     period = 2.0 * math.pi / params.omega
     steps = round(period / 1e-4)

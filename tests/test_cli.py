@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oscilab.cli import main
-from oscilab.coherent import CoherentLabel
+from oscilab.coherent import CoherentLabel, truncation_tail
 from oscilab.fock import OscillatorParams
 from oscilab.observables import averages_closedform
 
@@ -151,19 +151,24 @@ def test_json_output_structure(tmp_path):
 
 @pytest.mark.parametrize(
     "args",
-    [
-        ["trajectory", "--dt", "-0.1"],
-        ["wavefunction", "--grid-points", "100"],  # even
-        ["wavefunction", "--grid-points", "1"],
-        ["trajectory", "--t-start", "1.0", "--t-end", "0.0"],
-        ["trajectory", "--omega", "0"],
-        ["spectrum", "--n-max", "junk"],
-        ["no-such-command"],
+    [  # (argv, the option the last stderr line must name)
+        (["trajectory", "--dt", "-0.1"], "dt must be positive"),
+        (["wavefunction", "--grid-points", "100"], "grid_points"),  # even
+        (["wavefunction", "--grid-points", "1"], "grid_points"),
+        (["trajectory", "--t-start", "1.0", "--t-end", "0.0"], "t_end"),
+        (["trajectory", "--omega", "0"], "omega"),
+        (["spectrum", "--n-max", "junk"], "--n-max"),
+        (["no-such-command"], "command"),
+        (["spectrum", "--format", "xml"], "--format"),
+        (["spectrum", "--n-max", "-3"], "--n-max"),
     ],
 )
 def test_invalid_configuration_exits_1(args, capsys):
-    assert main(args) == 1
-    capsys.readouterr()
+    argv, named = args
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert named in err.splitlines()[-1]
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -290,3 +295,160 @@ def test_explicit_n_max_past_the_auto_cap_still_runs(tmp_path):
     _, rows, footers, _ = read_csv(out)
     assert len(rows) == 1122
     assert float(footers[0]["truncation_tail"]) < 1e-12
+
+
+TRAJECTORY_QUANTITIES = (
+    "mean_x", "mean_p", "mean_x2", "mean_p2", "n_avg", "a_avg_re", "a_avg_im",
+    "a2_avg_re", "a2_avg_im", "uncertainty", "energy",
+)
+CONFIG_DEFAULTS = (
+    "format={fmt} grid_halfwidth=10 grid_points=2001 hbar=1 mass=1 "
+    "n_max={n_max} n_max_source={source} omega=1 seed=0"
+)
+
+# The README examples: argv, the echoed config, the column header, the row
+# count and the footer keys. Numeric cells are left out on purpose.
+README_RUNS = [
+    (
+        ["trajectory", "--chi-re", "1", "--t-end", "6.283185307179586", "--dt", "0.01"],
+        "chi_im=0 chi_re=1 command=trajectory dt=0.01 {defaults} "
+        "t_end=6.2831853071795862 t_start=0",
+        (16, "auto"),
+        ["time"] + [f"{q}_{kind}" for q in TRAJECTORY_QUANTITIES
+                    for kind in ("closed", "brute", "diff")],
+        629,
+        [],
+    ),
+    (
+        ["spectrum", "--chi-re", "1.5", "--chi-im", "-0.25"],
+        "chi_im=-0.25 chi_re=1.5 command=spectrum dt=0.01 {defaults} t_end=0 t_start=0",
+        (21, "auto"),
+        ["n", "prob_coeff", "prob_poisson", "abs_diff"],
+        22,
+        [["truncation_tail"]],
+    ),
+    (
+        ["uncertainty", "--n-max", "40"],
+        "chi_im=0 chi_re=1 command=uncertainty dt=0.01 {defaults} t_end=0 t_start=0",
+        (40, "explicit"),
+        ["n", "product_exact", "product_bruteforce", "abs_diff"],
+        39,
+        [["coherent_uncertainty_bruteforce", "coherent_uncertainty_exact", "abs_diff"]],
+    ),
+    (
+        ["wavefunction", "--chi-re", "2", "--t-end", "3.14", "--dt", "1.57"],
+        "chi_im=0 chi_re=2 command=wavefunction dt=1.5700000000000001 {defaults} "
+        "t_end=3.1400000000000001 t_start=0",
+        (34, "auto"),
+        ["t", "x", "series_re", "series_im", "closed_re", "closed_im", "abs_diff"],
+        3 * 2001,
+        [["t", "quadrature_norm", "packet_variance"]] * 3,
+    ),
+    (
+        ["symmetry-check", "--chi-re", "1"],
+        "chi_im=0 chi_re=1 command=symmetry-check dt=0.01 {defaults} t_end=0 t_start=0",
+        (16, "auto"),
+        ["alpha", "h_drift", "n_drift", "a_rotation_error", "a_modulus_drift",
+         "xp_energy_drift"],
+        17,
+        [["max_h_drift", "max_n_drift", "max_a_rotation_error", "max_a_modulus_drift",
+          "max_xp_energy_drift"]],
+    ),
+    (
+        ["verify"],
+        "chi_im=0 chi_re=0 command=verify dt=0.01 {defaults} t_end=0 t_start=0",
+        (0, "auto"),
+        ["criterion", "passed", "detail"],
+        10,
+        [["passed", "total"]],
+    ),
+]
+
+
+def _cell(value) -> str:
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv, echo, resolved, columns, count, footer_keys",
+    README_RUNS,
+    ids=[run[0][0] for run in README_RUNS],
+)
+def test_readme_command_layout(
+    argv, echo, resolved, columns, count, footer_keys, fmt, tmp_path, capsys
+):
+    out = tmp_path / f"out.{fmt}"
+    assert main(argv + ["--format", fmt, "--output", str(out)]) == 0
+    capsys.readouterr()
+    n_max, source = resolved
+    defaults = CONFIG_DEFAULTS.format(fmt=fmt, n_max=n_max, source=source)
+    expected_echo = echo.format(defaults=defaults)
+    schema = f"oscilab.{argv[0]}.v1"
+    if fmt == "csv":
+        lines = out.read_text().splitlines()
+        assert lines[0] == f"# schema: {schema}"
+        assert lines[1] == f"# config: {expected_echo}"
+        header, rows, footers, _ = read_csv(out)
+        assert header == columns
+        assert len(rows) == count
+        assert [list(f) for f in footers] == footer_keys
+        return
+    payload = json.loads(out.read_text())
+    assert payload["schema"] == schema
+    config = " ".join(f"{k}={_cell(v)}" for k, v in payload["config"].items())
+    assert config == expected_echo
+    assert len(payload["rows"]) == count
+    assert all(list(row) == columns for row in payload["rows"])
+    assert [list(f) for f in payload["footer"]] == footer_keys
+
+
+def test_verify_refuses_a_capped_auto_truncation():
+    result = subprocess.run(
+        [sys.executable, "-m", "oscilab", "verify", "--chi-re", "40"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "at least n_max = 1891 " in result.stderr
+    assert "capped at n_max = 1024" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+
+
+def test_overflowing_label_exits_1(capsys):
+    assert main(["trajectory", "--chi-re", "1e200"]) == 1
+    err = capsys.readouterr().err
+    assert "1e+200" in err
+    assert "overflows" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, norm",
+    [
+        (["wavefunction", "--chi-re", "20", "--grid-points", "5"], "2.82095"),
+        (["wavefunction", "--grid-halfwidth", "2"], "0.995322"),
+    ],
+)
+def test_wavefunction_refuses_an_unresolved_grid(argv, norm, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"quadrature norm {norm} " in captured.err
+    assert "--grid-points" in captured.err
+    assert "--grid-halfwidth" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_wavefunction_accepts_an_honest_under_truncation(tmp_path, capsys):
+    # n_max = 4 keeps only 5.5% of the chi = 3 state, and the quadrature says so
+    out = tmp_path / "wave.csv"
+    assert main(["wavefunction", "--chi-re", "3", "--n-max", "4",
+                 "--output", str(out)]) == 0
+    _, _, footers, _ = read_csv(out)
+    kept = 1.0 - truncation_tail(CoherentLabel(3), 4)
+    assert kept < 0.06
+    assert float(footers[0]["quadrature_norm"]) == pytest.approx(kept, abs=1e-8)

@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from oscilab.coherent import (
+    TRUNCATION_MARGIN,
     CoherentLabel,
+    TruncationCapError,
     annihilation_residual,
     auto_n_max,
     coherent_coefficients,
     dynamical_coherent_state,
     evolve_label,
     occupation_probability,
+    resolve_n_max,
     truncation_tail,
 )
 from oscilab.fock import DimensionMismatchError, OscillatorParams, make_ladder
@@ -233,3 +236,32 @@ def test_auto_n_max_edge_cases():
 def test_label_requires_finite_value():
     with pytest.raises(ValueError):
         CoherentLabel(complex(float("nan"), 0))
+
+
+def test_resolve_n_max_explicit_auto_and_capped():
+    label = CoherentLabel(1.5 - 0.25j)
+    assert resolve_n_max(label, 7) == 7
+    assert resolve_n_max(label) == auto_n_max(label) + TRUNCATION_MARGIN
+    auto_18 = auto_n_max(label, tol=1e-18)
+    assert resolve_n_max(label, tol=1e-18) == auto_18 + TRUNCATION_MARGIN
+    assert resolve_n_max(CoherentLabel(40), 2000) == 2000  # explicit skips the cap
+    with pytest.raises(TruncationCapError) as info:
+        resolve_n_max(CoherentLabel(30))
+    assert isinstance(info.value, ValueError)
+    assert info.value.needed == 1121
+    needed_auto = info.value.needed - TRUNCATION_MARGIN
+    assert truncation_tail(CoherentLabel(30), needed_auto) < 1e-12
+    assert truncation_tail(CoherentLabel(30), needed_auto - 1) >= 1e-12
+    assert "at least n_max = 1121 for a tail below 1e-12" in str(info.value)
+    assert "capped at n_max = 1024" in str(info.value)
+
+
+@pytest.mark.parametrize("chi", [1e200, 1e155j, complex(1e308, 1e308)])
+def test_label_whose_nbar_overflows_is_refused(chi):
+    with pytest.raises(ValueError, match="too large"):
+        CoherentLabel(chi)
+
+
+def test_large_finite_nbar_is_accepted():
+    label = CoherentLabel(1e150)
+    assert label.nbar == pytest.approx(1e300)

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from oscilab.coherent import CoherentLabel, coherent_coefficients
+from oscilab.coherent import CoherentLabel, coherent_coefficients, resolve_n_max
 from oscilab.fock import OscillatorParams, make_hamiltonian
-from oscilab.verify import DEFAULT_CHI_SET, _resolved_n_max, rk4_coefficients
+from oscilab.verify import DEFAULT_CHI_SET, rk4_coefficients
 
 CASES = [(OscillatorParams(), chi) for chi in DEFAULT_CHI_SET + (5 + 0j,)]
 CASES.append((OscillatorParams(2.0, 0.5, 1.7), 1 - 0.5j))
@@ -30,7 +30,7 @@ def dense_rk4(state, params, t_total, steps):
 @pytest.mark.parametrize("params, chi", CASES)
 def test_rk4_matches_the_dense_oracle_bit_for_bit(params, chi):
     label = CoherentLabel(chi)
-    n_max = _resolved_n_max(label, None)
+    n_max = resolve_n_max(label)
     matrix = make_hamiltonian(params, n_max).matrix
     # The elementwise product equals the dense one only for a diagonal H.
     assert not np.any(matrix - np.diag(np.diagonal(matrix)))
