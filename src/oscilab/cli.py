@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage/invalid config, 2 unwritable output,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -152,6 +153,8 @@ def _fmt(value) -> str:
 
 
 def _csv_cell(value) -> str:
+    if type(value) is float:  # the common cell; a float never needs quoting
+        return format(value, ".17g")
     text = _fmt(value)
     if any(ch in text for ch in ',"\n'):
         text = '"' + text.replace('"', '""') + '"'
@@ -201,7 +204,7 @@ def _render(
         lines.append("# config: " + " ".join(f"{k}={_fmt(v)}" for k, v in echo))
         lines.append(",".join(columns))
         for row in rows:
-            lines.append(",".join(_csv_cell(v) for v in row))
+            lines.append(",".join(map(_csv_cell, row)))
         for record in footer:
             lines.append(
                 "# footer: " + " ".join(f"{k}={_fmt(v)}" for k, v in record.items())
@@ -297,10 +300,14 @@ def _wavefunction(config, params, label, n_max):
                 "--grid-points or --grid-halfwidth"
             )
         closed = psi_closed_grid(label, grid.points, t, params, "complex_center")
-        for x, s, c in zip(grid.points, series, closed):
-            rows.append(
-                (t, float(x), s.real, s.imag, c.real, c.imag, float(abs(s - c)))
-            )
+        d = series - closed
+        # np.hypot is the scalar abs(s - c) to the bit; np.abs is not
+        rows.extend(zip(
+            itertools.repeat(t), grid.points.tolist(),
+            series.real.tolist(), series.imag.tolist(),
+            closed.real.tolist(), closed.imag.tolist(),
+            np.hypot(d.real, d.imag).tolist(),
+        ))
         footer.append(
             {"t": t, "quadrature_norm": norm2, "packet_variance": variance}
         )

@@ -7,10 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oscilab.cli import main
+from oscilab.cli import (
+    AMPLITUDE_TAIL_TOL,
+    PRODUCERS,
+    RunConfig,
+    _csv_cell,
+    _fmt,
+    main,
+)
 from oscilab.coherent import CoherentLabel, truncation_tail
 from oscilab.fock import OscillatorParams
 from oscilab.observables import averages_closedform
+from oscilab.wavefunction import default_packet_grid, psi_closed_grid, psi_series_grid
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -452,3 +460,75 @@ def test_wavefunction_accepts_an_honest_under_truncation(tmp_path, capsys):
     kept = 1.0 - truncation_tail(CoherentLabel(3), 4)
     assert kept < 0.06
     assert float(footers[0]["quadrature_norm"]) == pytest.approx(kept, abs=1e-8)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = (
+        "import sys, oscilab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_underflowing_amplitudes_exit_1_naming_the_cause(capsys):
+    assert main(["wavefunction", "--chi-re", "38", "--n-max", "1200"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "label (38+0j) is too large: its amplitudes underflow" in captured.err
+    assert "zero-norm" not in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_verify_with_underflowing_amplitudes_passes_nothing_on_a_zero_state():
+    result = subprocess.run(
+        [sys.executable, "-m", "oscilab", "verify", "--chi-re", "40", "--n-max", "10"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 3
+    assert "RuntimeWarning" not in result.stderr
+    lines = {line.split()[1]: line for line in result.stdout.splitlines()[:-1]}
+    for name in ("annihilation-eigenstate", "propagator-vs-rk4"):
+        assert lines[name].startswith("FAIL")
+        assert "amplitudes underflow" in lines[name]
+
+
+def test_wavefunction_rows_match_the_per_scalar_form():
+    # the packet-large label: np.abs(series - closed) differs from the scalar
+    # abs in 1,367 of these 6,003 cells, np.hypot in none
+    config = RunConfig("wavefunction", chi_re=20.0, t_end=0.8, dt=0.4)
+    params, label = config.params(), config.label()
+    n_max, _ = config.resolve_n_max(AMPLITUDE_TAIL_TOL)
+    _, rows, _ = PRODUCERS["wavefunction"][0](config, params, label, n_max)
+    expected = []
+    for t in (0.0, 0.4, 0.8):
+        center = averages_closedform(label, t, params).mean_x
+        points = default_packet_grid(params, center=center).points
+        series = psi_series_grid(label, points, t, params, n_max)
+        closed = psi_closed_grid(label, points, t, params, "complex_center")
+        for x, s, c in zip(points, series, closed):
+            expected.append(
+                (t, float(x), s.real, s.imag, c.real, c.imag, float(abs(s - c)))
+            )
+    assert len(rows) == len(expected) == 3 * 2001
+    assert [tuple(map(_csv_cell, r)) for r in rows] == [
+        tuple(map(_fmt, r)) for r in expected
+    ]
+
+
+@pytest.mark.parametrize(
+    "value", [0.1, -0.0, 5e-324, 1e300, float("inf"), np.float64(0.1), 7, True, "a,b"]
+)
+def test_csv_cell_matches_the_general_formatter(value):
+    text = _fmt(value)
+    if any(ch in text for ch in ',"\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    assert _csv_cell(value) == text

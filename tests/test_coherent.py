@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammainc
 from scipy.stats import poisson
 
 from oscilab.coherent import (
+    AUTO_N_MAX_CAP,
     TRUNCATION_MARGIN,
     CoherentLabel,
     TruncationCapError,
@@ -254,6 +256,9 @@ def test_resolve_n_max_explicit_auto_and_capped():
     assert truncation_tail(CoherentLabel(30), needed_auto - 1) >= 1e-12
     assert "at least n_max = 1121 for a tail below 1e-12" in str(info.value)
     assert "capped at n_max = 1024" in str(info.value)
+    with pytest.raises(TruncationCapError) as info:
+        resolve_n_max(CoherentLabel(40))
+    assert info.value.needed == 1891
 
 
 @pytest.mark.parametrize("chi", [1e200, 1e155j, complex(1e308, 1e308)])
@@ -265,3 +270,107 @@ def test_label_whose_nbar_overflows_is_refused(chi):
 def test_large_finite_nbar_is_accepted():
     label = CoherentLabel(1e150)
     assert label.nbar == pytest.approx(1e300)
+
+
+# Mean occupations for the tail checks, up to |chi| = 38 (nbar 1444).
+TAIL_NBARS = (0.01, 0.1, 0.5, 1.0, 2.3125, 5.0, 10.0, 30.0, 100.0, 300.0, 700.0,
+              1000.0, 1444.0)
+
+
+def label_with_nbar(nbar: float) -> CoherentLabel:
+    return CoherentLabel(math.sqrt(nbar))
+
+
+def scipy_tail(label: CoherentLabel, n_max: int) -> float:
+    """The parent's tail: the regularized lower incomplete gamma function."""
+    return 0.0 if label.nbar == 0.0 else float(gammainc(n_max + 1, label.nbar))
+
+
+def scipy_auto_n_max(label: CoherentLabel, tol: float, cap: int = AUTO_N_MAX_CAP) -> int:
+    """`auto_n_max`'s bisection, run on the scipy tail."""
+    if scipy_tail(label, 0) < tol:
+        return 0
+    if scipy_tail(label, cap) >= tol:
+        return cap
+    lo, hi = 0, cap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if scipy_tail(label, mid) < tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("nbar", TAIL_NBARS)
+def test_truncation_tail_matches_scipy_gammainc(nbar):
+    label = label_with_nbar(nbar)
+    for n_max in range(int(label.nbar + 40 * math.sqrt(label.nbar)) + 1):
+        ours, ref = truncation_tail(label, n_max), scipy_tail(label, n_max)
+        if ref < 1e-300:  # scipy underflows; so must the sum, near enough
+            assert ours < 1e-290
+        else:
+            assert ours == pytest.approx(ref, rel=1e-11, abs=0.0), n_max
+
+
+@settings(deadline=None, max_examples=200)
+@given(nbar=st.floats(1e-6, 3000.0), n_max=st.integers(0, 5000))
+def test_truncation_tail_monotone_and_nonnegative_property(nbar, n_max):
+    label = CoherentLabel(math.sqrt(nbar))
+    here, above = truncation_tail(label, n_max), truncation_tail(label, n_max + 1)
+    assert 0.0 <= above <= here <= 1.0
+
+
+def test_truncation_tail_limits():
+    assert truncation_tail(CoherentLabel(1), 2**52) == 0.0  # start weight underflows
+    assert truncation_tail(CoherentLabel(1e100), 2**53) == 1.0  # Chernoff: all above
+    assert truncation_tail(CoherentLabel(30), 0) == 1.0  # Chernoff: all above
+    # below the mean but inside the Chernoff cut, the sum runs: 1 - 1.7e-7
+    tail = truncation_tail(CoherentLabel(10), 50)
+    assert tail < 1.0
+    assert tail == pytest.approx(float(gammainc(51, 100.0)), rel=0.0, abs=4e-15)
+    # unclamped, rounding lifts these sums to 1.0000000000000002
+    label = label_with_nbar(1000.0)
+    assert all(truncation_tail(label, n) <= 1.0 for n in range(731, 760))
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-18])
+def test_auto_n_max_matches_a_scipy_bisection(tol):
+    # a dense |chi| sweep up to 38; the tail depends on |chi| only
+    for chi in np.linspace(0.0, 38.0, 3801):
+        label = CoherentLabel(float(chi))
+        assert auto_n_max(label, tol) == scipy_auto_n_max(label, tol), chi
+
+
+def test_truncation_tail_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    worst = 0.0
+    for nbar in TAIL_NBARS:
+        label = label_with_nbar(nbar)
+        lam = mpmath.mpf(label.nbar)  # the exact double the sum sees
+        top = int(label.nbar + 40 * math.sqrt(label.nbar)) + 1
+        for n_max in sorted(set(range(0, top, max(1, top // 25))) | {top}):
+            ref = mpmath.gammainc(n_max + 1, 0, lam, regularized=True)
+            if ref < 1e-300:
+                continue
+            ours = truncation_tail(label, n_max)
+            worst = max(worst, float(abs(ours - ref) / ref))
+    assert worst < 2e-12  # 4.4e-13 measured; scipy's gammainc errs by 5.8e-12
+
+
+@pytest.mark.parametrize("chi", [38, 27 + 27j, -40j, 1e3])
+def test_coherent_coefficients_refuse_underflowing_amplitudes(chi):
+    label = CoherentLabel(chi)
+    with pytest.raises(ValueError, match="amplitudes underflow") as info:
+        coherent_coefficients(label, 1200)
+    assert repr(label.chi) in str(info.value)
+
+
+def test_coherent_coefficients_just_below_the_underflow_edge():
+    label = CoherentLabel(37.6)  # exp(-|chi|^2 / 2) = 1.0e-307, still normal
+    state = coherent_coefficients(label, 1700)
+    assert np.all(np.isfinite(state.coeffs))
+    assert state.norm() ** 2 == pytest.approx(
+        1.0 - truncation_tail(label, 1700), abs=1e-12
+    )
