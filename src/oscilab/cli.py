@@ -203,8 +203,12 @@ def _render(
         lines = [f"# schema: {SCHEMA_PREFIX}.{schema}.{SCHEMA_VERSION}"]
         lines.append("# config: " + " ".join(f"{k}={_fmt(v)}" for k, v in echo))
         lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(map(_csv_cell, row)))
+        if set(map(type, itertools.chain.from_iterable(rows))) <= {float}:
+            # one %-format per row; "%.17g" % x is format(x, ".17g") to the byte
+            line = ",".join(["%.17g"] * len(columns))
+            lines.extend(line % row for row in rows)
+        else:
+            lines.extend(",".join(map(_csv_cell, row)) for row in rows)
         for record in footer:
             lines.append(
                 "# footer: " + " ".join(f"{k}={_fmt(v)}" for k, v in record.items())

@@ -140,21 +140,26 @@ def check_anomalous_averages(
     )
 
 
-def check_ehrenfest(chi: complex | None = None) -> CriterionResult:
+def check_ehrenfest(
+    chi: complex | None = None, n_max: int | None = None
+) -> CriterionResult:
     """Mean coordinate and momentum obey the classical oscillator equation.
 
     Centered-difference residuals stay below 1e-5 at dt = 1e-3 and shrink
-    fourfold (to within 20%) when dt halves.
+    fourfold (to within 20%) when dt halves. n_max=None applies the auto
+    truncation rule.
     """
     params = OscillatorParams()  # omega = 1 pinned by the tolerance model
     label = CoherentLabel(1 + 0j if chi is None else chi)
     period = 2.0 * math.pi / params.omega
     tol = 1e-5
     coarse = ehrenfest_residual(
-        sample_trajectory(label, params, 0.0, period, 1e-3, "bruteforce"), params
+        sample_trajectory(label, params, 0.0, period, 1e-3, "bruteforce", n_max),
+        params,
     )
     fine = ehrenfest_residual(
-        sample_trajectory(label, params, 0.0, period, 5e-4, "bruteforce"), params
+        sample_trajectory(label, params, 0.0, period, 5e-4, "bruteforce", n_max),
+        params,
     )
     ok = max(coarse) < tol
     ratios = []
@@ -203,10 +208,13 @@ def check_energy_constancy(
     )
 
 
-def check_wave_packet(chi_set) -> CriterionResult:
-    """Series and closed-form packets agree; the packet width never changes."""
+def check_wave_packet(chi_set, n_max: int | None = None) -> CriterionResult:
+    """Series and closed-form packets agree; the packet width never changes.
+
+    n_max=None uses 64 levels, ample for every label of the probe set.
+    """
     params = OscillatorParams()
-    n_max = 64
+    n_max = 64 if n_max is None else n_max
     diff_tol = 1e-8
     var_tol = 1e-8
     expected_var = params.hbar / (2.0 * params.mass * params.omega)
@@ -405,9 +413,9 @@ def run_all(
         ("minimal-uncertainty", lambda: check_minimal_uncertainty(chi_set, n_max)),
         ("fock-uncertainty", check_fock_uncertainty),
         ("anomalous-averages", lambda: check_anomalous_averages(chi_set, n_max)),
-        ("ehrenfest-mean-motion", lambda: check_ehrenfest(chi)),
+        ("ehrenfest-mean-motion", lambda: check_ehrenfest(chi, n_max)),
         ("energy-constancy", lambda: check_energy_constancy(chi_set, n_max)),
-        ("wave-packet-nondiffusion", lambda: check_wave_packet(chi_set)),
+        ("wave-packet-nondiffusion", lambda: check_wave_packet(chi_set, n_max)),
         ("hermite-generating-identity", lambda: check_generating_identity(seed)),
         (
             "annihilation-eigenstate",

@@ -10,6 +10,11 @@ The coherent packet is available as a truncated eigenfunction series and in
 two algebraically identical closed forms: a Gaussian with a complex center,
 and the historical form written through the mean coordinate and momentum.
 Their pointwise agreement is asserted in tests rather than assumed.
+
+The series builds its eigenfunction table in the real part of a complex
+array (`eigenfunction_table(..., out=table.real)`), because the product with
+the complex coefficients reads a complex table: a float table would be cast
+to a complex copy inside `@`, and both would be held at once.
 """
 
 from __future__ import annotations
@@ -123,30 +128,54 @@ def hermite(n: int, x):
     return float(h[0]) if scalar else h
 
 
-def eigenfunction_table(n_max: int, x, params: OscillatorParams) -> np.ndarray:
+def eigenfunction_table(
+    n_max: int, x, params: OscillatorParams, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Orthonormal eigenfunctions phi_0..phi_n_max stacked along axis 0.
 
     Runs the recurrence on the weighted functions themselves,
         phi_{k+1} = sqrt(2/(k+1)) xi phi_k - sqrt(k/(k+1)) phi_{k-1},
     with xi = x sqrt(M omega / hbar), so no factorials or bare Hermite
     values ever appear.
+
+    `out`, when given, is a float64 array of shape (n_max + 1, len(x)) that
+    receives the table and is returned; it may be a strided view, such as
+    the `.real` of a complex array. The last two rows and the next one live
+    in contiguous scratch rows, so the recurrence never reads a strided
+    `out`; the values are the same to the bit either way.
     """
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     xs, _ = _as_axis(x)
-    xi = xs * math.sqrt(params.mass * params.omega / params.hbar)
-    table = np.empty((n_max + 1, xs.size), dtype=float)
-    prefactor = (params.mass * params.omega / (math.pi * params.hbar)) ** 0.25
-    table[0] = prefactor * np.exp(-0.5 * xi * xi)
-    if n_max >= 1:
-        table[1] = math.sqrt(2.0) * xi * table[0]
-    for k in range(1, n_max):
-        table[k + 1] = (
-            math.sqrt(2.0 / (k + 1)) * xi * table[k]
-            - math.sqrt(k / (k + 1.0)) * table[k - 1]
+    shape = (n_max + 1, xs.size)
+    if out is None:
+        out = np.empty(shape, dtype=float)
+    elif not (
+        isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == shape
+    ):
+        raise ValueError(
+            f"out must be a float64 array of shape {shape}, got "
+            f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}"
         )
-    return table
+    xi = xs * math.sqrt(params.mass * params.omega / params.hbar)
+    prefactor = (params.mass * params.omega / (math.pi * params.hbar)) ** 0.25
+    prev = prefactor * np.exp(-0.5 * xi * xi)
+    out[0] = prev
+    if n_max == 0:
+        return out
+    cur = math.sqrt(2.0) * xi * prev
+    out[1] = cur
+    new = np.empty_like(xi)
+    multiply, subtract = np.multiply, np.subtract
+    for k in range(1, n_max):
+        multiply(math.sqrt(2.0 / (k + 1)), xi, out=new)
+        multiply(new, cur, out=new)
+        multiply(math.sqrt(k / (k + 1.0)), prev, out=prev)  # phi_{k-1} is spent
+        subtract(new, prev, out=new)
+        out[k + 1] = new
+        prev, cur, new = cur, new, prev
+    return out
 
 
 def eigenfunction(n: int, x, params: OscillatorParams):
@@ -180,10 +209,19 @@ def psi_series_grid(
     params: OscillatorParams,
     n_max: int,
 ) -> np.ndarray:
-    """Coherent packet as the truncated eigenfunction series, on an array of x."""
+    """Coherent packet as the truncated eigenfunction series, on an array of x.
+
+    The eigenfunction table is built in the real part of the complex array
+    that the product reads. Given a float table, `coeffs @ table` would
+    make numpy cast a complex copy of it first, and both would be held at
+    once (28 MB instead of 19 MB at n_max 589 on 2001 points). The product
+    is the same complex matrix-vector call on the same values, so the
+    result is the same to the bit.
+    """
     xs, _ = _as_axis(x)
     coeffs = dynamical_coherent_state(label, t, params, n_max).coeffs
-    table = eigenfunction_table(n_max, xs, params)
+    table = np.zeros((coeffs.size, xs.size), dtype=complex)
+    eigenfunction_table(n_max, xs, params, out=table.real)
     return coeffs @ table
 
 

@@ -50,6 +50,19 @@ def test_overridden_run_fails_loudly_when_under_truncated():
     assert any(not r.passed for r in results.values())
 
 
+def test_explicit_n_max_reaches_every_sweeping_criterion():
+    from oscilab.fock import NormalizationError
+    from oscilab.verify import check_ehrenfest, check_wave_packet
+
+    # n_max = 4 keeps 5.5% of the chi = 3 state: both criteria must see that
+    with pytest.raises(NormalizationError):
+        check_ehrenfest(3 + 0j, n_max=4)
+    assert check_wave_packet((3 + 0j,), n_max=4).detail == (
+        "max |series - closed| = 7.759e-01 (tol 1e-08), "
+        "max width drift = 2.301e+00 (tol 1e-08)"
+    )
+
+
 def test_ehrenfest_detail_is_pinned():
     from oscilab.verify import check_ehrenfest
 

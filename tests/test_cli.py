@@ -6,13 +6,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oscilab import cli
 from oscilab.cli import (
     AMPLITUDE_TAIL_TOL,
     PRODUCERS,
     RunConfig,
     _csv_cell,
     _fmt,
+    _render,
     main,
 )
 from oscilab.coherent import CoherentLabel, truncation_tail
@@ -209,6 +213,10 @@ def test_verify_under_truncated_names_the_culprit(capsys):
     assert rc == 3
     assert "annihilation-eigenstate" in captured.err
     assert "FAIL" in captured.out
+    # every sweeping criterion runs at the given n_max, so these two fail too
+    assert "ehrenfest-mean-motion" in captured.err
+    assert "wave-packet-nondiffusion" in captured.err
+    assert "4/10 criteria passed" in captured.out
 
 
 def test_verify_table_written_to_files(tmp_path, capsys):
@@ -532,3 +540,39 @@ def test_csv_cell_matches_the_general_formatter(value):
     if any(ch in text for ch in ',"\n'):
         text = '"' + text.replace('"', '""') + '"'
     assert _csv_cell(value) == text
+
+
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e16,
+               123456789012345678.0, 0.1, 1.0 / 3.0, 2.0**-1074, 1.7976931348623157e308]
+CELLS = st.floats() | st.sampled_from(EDGE_FLOATS)
+
+
+def _data_lines(rows, width):
+    config = RunConfig("wavefunction")
+    text = _render(config, "wavefunction", [], [f"c{i}" for i in range(width)], rows, [])
+    return text.splitlines()[3:]
+
+
+@settings(deadline=None, max_examples=60)
+@given(width=st.integers(1, 8), data=st.data())
+def test_all_float_rows_render_as_their_csv_cells(width, data):
+    rows = data.draw(st.lists(st.tuples(*[CELLS] * width), max_size=12))
+    assert _data_lines(rows, width) == [",".join(map(_csv_cell, row)) for row in rows]
+
+
+def test_all_float_rows_skip_the_per_cell_formatter(monkeypatch):
+    def refuse(value):
+        raise AssertionError("an all-float table reached _csv_cell")
+
+    monkeypatch.setattr(cli, "_csv_cell", refuse)
+    rows = [tuple(EDGE_FLOATS), tuple(reversed(EDGE_FLOATS))]
+    assert len(_data_lines(rows, len(EDGE_FLOATS))) == 2
+
+
+@pytest.mark.parametrize(
+    "row", [(1, 0.5), (0.5, np.float64(0.25)), (0.5, True), ("a,b", 0.5)]
+)
+def test_rows_with_a_non_float_cell_keep_the_per_cell_formatter(row):
+    assert _data_lines([row, (0.5, 0.5)], 2) == [
+        ",".join(map(_csv_cell, row)), "0.5,0.5"
+    ]

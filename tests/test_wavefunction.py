@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_hermite
 
-from oscilab.coherent import CoherentLabel
+from oscilab.coherent import CoherentLabel, dynamical_coherent_state
 from oscilab.fock import DimensionMismatchError, OscillatorParams
 from oscilab.observables import averages_closedform
 from oscilab.wavefunction import (
@@ -274,3 +274,78 @@ def test_gauss_hermite_grid_is_positive_and_increasing():
     grid = gauss_hermite_grid(32, PARAMS)
     assert np.all(np.diff(grid.points) > 0)
     assert np.all(grid.weights > 0)
+
+
+@pytest.mark.parametrize(
+    "n_max, chi, grid",
+    [
+        (0, 0.4 - 0.2j, np.linspace(-3.0, 9.0, 97)),
+        (1, -1.0 + 0.5j, np.linspace(-7.5, 2.0, 101)),
+        (2, 1.5j, np.linspace(0.3, 6.0, 33)),
+        (64, 2.0 - 1.0j, np.linspace(-6.0, 11.0, 401)),
+        (589, 20.0 * np.exp(0.7j), np.linspace(10.0, 30.0, 2001)),
+    ],
+)
+def test_series_is_the_float_table_product_to_the_bit(n_max, chi, grid):
+    # off-centre grids; the complex table must give the product of the old
+    # float table, whose complex cast numpy made inside `@`
+    label = CoherentLabel(chi)
+    for t in (0.0, 0.9):
+        coeffs = dynamical_coherent_state(label, t, PARAMS, n_max).coeffs
+        reference = coeffs @ eigenfunction_table(n_max, grid, PARAMS)
+        series = psi_series_grid(label, grid, t, PARAMS, n_max)
+        assert series.dtype == reference.dtype == complex
+        assert np.array_equal(series, reference)
+        assert series.tobytes() == reference.tobytes()
+
+
+def textbook_table(n_max, xs, params):
+    """The recurrence written out row by row, with numpy temporaries."""
+    xi = xs * math.sqrt(params.mass * params.omega / params.hbar)
+    table = np.empty((n_max + 1, xs.size))
+    table[0] = (params.mass * params.omega / (math.pi * params.hbar)) ** 0.25 * np.exp(
+        -0.5 * xi * xi
+    )
+    if n_max >= 1:
+        table[1] = math.sqrt(2.0) * xi * table[0]
+    for k in range(1, n_max):
+        table[k + 1] = (
+            math.sqrt(2.0 / (k + 1)) * xi * table[k]
+            - math.sqrt(k / (k + 1.0)) * table[k - 1]
+        )
+    return table
+
+
+@pytest.mark.parametrize(
+    "params", [OscillatorParams(), OscillatorParams(2.0, 0.5, 3.0)]
+)
+@pytest.mark.parametrize("n_max", [0, 1, 2, 40, 300])
+def test_table_is_the_textbook_recurrence_to_the_bit(params, n_max):
+    # the default float table and one written into a complex array's .real
+    xs = np.linspace(-5.0, 8.0, 131) * params.length_scale
+    reference = textbook_table(n_max, xs, params)
+    default = eigenfunction_table(n_max, xs, params)
+    table = np.zeros((n_max + 1, xs.size), dtype=complex)
+    returned = eigenfunction_table(n_max, xs, params, out=table.real)
+    assert np.shares_memory(returned, table)
+    for values in (default, table.real):
+        assert np.array_equal(values, reference)
+        assert values.tobytes() == reference.tobytes()
+    assert not np.any(table.imag)
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        np.empty((5, 11)),  # one row short
+        np.empty((6, 10)),  # one point short
+        np.empty(66),  # flat
+        np.empty((6, 11), dtype=np.float32),
+        np.empty((6, 11), dtype=complex),
+        np.empty((6, 11), dtype=int),
+        [[0.0] * 11] * 6,  # not an array
+    ],
+)
+def test_table_out_of_the_wrong_shape_or_dtype_is_refused(out):
+    with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+        eigenfunction_table(5, np.linspace(-1.0, 1.0, 11), PARAMS, out=out)
