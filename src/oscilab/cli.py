@@ -161,6 +161,10 @@ def _csv_cell(value) -> str:
     return text
 
 
+class _JSONText(str):
+    """Text already rendered as JSON, which `_json_text` emits verbatim."""
+
+
 def _json_text(value) -> str:
     """Minimal deterministic JSON with 17-significant-digit floats.
 
@@ -174,6 +178,8 @@ def _json_text(value) -> str:
         return "{" + items + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_json_text(v) for v in value) + "]"
+    if isinstance(value, _JSONText):
+        return value
     if isinstance(value, str):
         return json.dumps(value)
     if value is None:
@@ -199,12 +205,14 @@ def _render(
     rows: list[tuple],
     footer: list[dict],
 ) -> str:
+    # an all-float table renders each row with one %-format, the same bytes
+    # as its cells one by one: "%.17g" % x is format(x, ".17g") to the byte
+    all_float = set(map(type, itertools.chain.from_iterable(rows))) <= {float}
     if config.format == "csv":
         lines = [f"# schema: {SCHEMA_PREFIX}.{schema}.{SCHEMA_VERSION}"]
         lines.append("# config: " + " ".join(f"{k}={_fmt(v)}" for k, v in echo))
         lines.append(",".join(columns))
-        if set(map(type, itertools.chain.from_iterable(rows))) <= {float}:
-            # one %-format per row; "%.17g" % x is format(x, ".17g") to the byte
+        if all_float:
             line = ",".join(["%.17g"] * len(columns))
             lines.extend(line % row for row in rows)
         else:
@@ -213,11 +221,18 @@ def _render(
             lines.append(
                 "# footer: " + " ".join(f"{k}={_fmt(v)}" for k, v in record.items())
             )
-        return "\n".join(lines) + "\n"
+        lines.append("")  # the final newline, without a second copy of the text
+        return "\n".join(lines)
+    if all_float:
+        keys = (json.dumps(str(name)).replace("%", "%%") for name in columns)
+        line = "{" + ", ".join(f"{key}: %.17g" for key in keys) + "}"
+        table = _JSONText("[" + ", ".join(line % row for row in rows) + "]")
+    else:
+        table = [dict(zip(columns, row)) for row in rows]
     payload = {
         "schema": f"{SCHEMA_PREFIX}.{schema}.{SCHEMA_VERSION}",
         "config": dict(echo),
-        "rows": [dict(zip(columns, row)) for row in rows],
+        "rows": table,
         "footer": footer,
     }
     return _json_text(payload) + "\n"

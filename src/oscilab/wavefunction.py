@@ -11,10 +11,11 @@ two algebraically identical closed forms: a Gaussian with a complex center,
 and the historical form written through the mean coordinate and momentum.
 Their pointwise agreement is asserted in tests rather than assumed.
 
-The series builds its eigenfunction table in the real part of a complex
-array (`eigenfunction_table(..., out=table.real)`), because the product with
-the complex coefficients reads a complex table: a float table would be cast
-to a complex copy inside `@`, and both would be held at once.
+The series never builds an eigenfunction table. It adds c_k phi_k into a
+(2, N) float accumulator, k ascending, as each row leaves the recurrence, so
+it holds a few grid-sized rows instead of (n_max + 1) of them, and the sum
+is plain elementwise numpy in a fixed order: no BLAS call, and the same bits
+at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -128,21 +129,47 @@ def hermite(n: int, x):
     return float(h[0]) if scalar else h
 
 
+def _eigenfunction_rows(n_max: int, xs: np.ndarray, params: OscillatorParams):
+    """Yield phi_0..phi_n_max on `xs`, one contiguous float row at a time.
+
+    Runs the recurrence on the weighted functions themselves,
+        phi_{k+1} = sqrt(2/(k+1)) xi phi_k - sqrt(k/(k+1)) phi_{k-1},
+    with xi = x sqrt(M omega / hbar), so no factorials or bare Hermite
+    values ever appear. Three scratch rows rotate, so a yielded row is
+    valid only until the generator resumes.
+    """
+    xi = xs * math.sqrt(params.mass * params.omega / params.hbar)
+    prefactor = (params.mass * params.omega / (math.pi * params.hbar)) ** 0.25
+    prev = prefactor * np.exp(-0.5 * xi * xi)
+    yield prev
+    if n_max == 0:
+        return
+    cur = math.sqrt(2.0) * xi * prev
+    yield cur
+    new = np.empty_like(xi)
+    multiply, subtract = np.multiply, np.subtract
+    for k in range(1, n_max):
+        multiply(math.sqrt(2.0 / (k + 1)), xi, out=new)
+        multiply(new, cur, out=new)
+        multiply(math.sqrt(k / (k + 1.0)), prev, out=prev)  # phi_{k-1} is spent
+        subtract(new, prev, out=new)
+        yield new
+        prev, cur, new = cur, new, prev
+
+
 def eigenfunction_table(
     n_max: int, x, params: OscillatorParams, *, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Orthonormal eigenfunctions phi_0..phi_n_max stacked along axis 0.
 
-    Runs the recurrence on the weighted functions themselves,
-        phi_{k+1} = sqrt(2/(k+1)) xi phi_k - sqrt(k/(k+1)) phi_{k-1},
-    with xi = x sqrt(M omega / hbar), so no factorials or bare Hermite
-    values ever appear.
+    The rows come from the weighted-function recurrence above, so no
+    factorials or bare Hermite values ever appear.
 
     `out`, when given, is a float64 array of shape (n_max + 1, len(x)) that
     receives the table and is returned; it may be a strided view, such as
-    the `.real` of a complex array. The last two rows and the next one live
-    in contiguous scratch rows, so the recurrence never reads a strided
-    `out`; the values are the same to the bit either way.
+    the `.real` of a complex array. The recurrence runs in contiguous
+    scratch rows and never reads `out`, so the values are the same to the
+    bit either way.
     """
     n_max = int(n_max)
     if n_max < 0:
@@ -158,23 +185,8 @@ def eigenfunction_table(
             f"out must be a float64 array of shape {shape}, got "
             f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}"
         )
-    xi = xs * math.sqrt(params.mass * params.omega / params.hbar)
-    prefactor = (params.mass * params.omega / (math.pi * params.hbar)) ** 0.25
-    prev = prefactor * np.exp(-0.5 * xi * xi)
-    out[0] = prev
-    if n_max == 0:
-        return out
-    cur = math.sqrt(2.0) * xi * prev
-    out[1] = cur
-    new = np.empty_like(xi)
-    multiply, subtract = np.multiply, np.subtract
-    for k in range(1, n_max):
-        multiply(math.sqrt(2.0 / (k + 1)), xi, out=new)
-        multiply(new, cur, out=new)
-        multiply(math.sqrt(k / (k + 1.0)), prev, out=prev)  # phi_{k-1} is spent
-        subtract(new, prev, out=new)
-        out[k + 1] = new
-        prev, cur, new = cur, new, prev
+    for k, row in enumerate(_eigenfunction_rows(n_max, xs, params)):
+        out[k] = row
     return out
 
 
@@ -211,18 +223,25 @@ def psi_series_grid(
 ) -> np.ndarray:
     """Coherent packet as the truncated eigenfunction series, on an array of x.
 
-    The eigenfunction table is built in the real part of the complex array
-    that the product reads. Given a float table, `coeffs @ table` would
-    make numpy cast a complex copy of it first, and both would be held at
-    once (28 MB instead of 19 MB at n_max 589 on 2001 points). The product
-    is the same complex matrix-vector call on the same values, so the
-    result is the same to the bit.
+    Each eigenfunction row is multiplied by (Re c_k, Im c_k) and added into
+    a (2, N) float accumulator as the recurrence yields it, k ascending.
+    No (n_max + 1) x N table is built (19 MB as complex at n_max 589 on
+    2001 points), and the sum is a fixed-order elementwise loop rather
+    than a BLAS product, so its bits do not depend on the BLAS build or
+    thread count.
     """
     xs, _ = _as_axis(x)
     coeffs = dynamical_coherent_state(label, t, params, n_max).coeffs
-    table = np.zeros((coeffs.size, xs.size), dtype=complex)
-    eigenfunction_table(n_max, xs, params, out=table.real)
-    return coeffs @ table
+    parts = np.stack([coeffs.real, coeffs.imag], axis=1)[:, :, np.newaxis]
+    acc = np.zeros((2, xs.size))
+    term = np.empty_like(acc)
+    multiply, add = np.multiply, np.add
+    for part, row in zip(parts, _eigenfunction_rows(coeffs.size - 1, xs, params)):
+        multiply(part, row, out=term)
+        add(acc, term, out=acc)
+    series = np.empty(xs.size, dtype=complex)
+    series.real, series.imag = acc
+    return series
 
 
 def psi_series(

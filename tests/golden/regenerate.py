@@ -2,26 +2,50 @@
 
     python tests/golden/regenerate.py           # print the hashes file
     python tests/golden/regenerate.py --write   # rewrite tests/golden/hashes
+    python tests/golden/regenerate.py --blas-threads 2 --command wavefunction
+                                                # those cases' lines only
 
 Every case in `cases` goes through `oscilab.cli.main` in this one process,
 with stdout and stderr captured and an empty working directory of its own.
 A hashes line holds the exit code, the sha256 of stdout, of stderr and of
 the `--output` file ("-" when the case wrote none), then the case itself.
 
-BLAS splits `coeffs @ table` differently at another thread count, and that
-moves the last digits of the `wavefunction` cells, so this script pins one
-BLAS thread before numpy loads. The header records a fingerprint of the
-machine: the same bytes are expected only where the fingerprint matches.
+The script pins the BLAS thread count before numpy loads: one thread unless
+`--blas-threads` says otherwise. The `wavefunction` series is a fixed-order
+elementwise sum, so its bytes do not depend on that count; the brute-force
+expectations of `trajectory`, `uncertainty` and `verify` are BLAS products,
+which could round differently with another split. The header records a
+fingerprint of the machine: the same bytes are expected only where the
+fingerprint matches.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(description="Run the golden corpus.")
+    parser.add_argument("--write", action="store_true", help="rewrite the hashes file")
+    parser.add_argument("--blas-threads", type=int, default=1, metavar="N")
+    parser.add_argument(
+        "--command", metavar="NAME",
+        help="run only the cases of this subcommand; print their lines, no header",
+    )
+    args = parser.parse_args(argv)
+    if args.write and args.command:
+        parser.error("--write records the whole corpus; drop --command")
+    if args.blas_threads < 1:
+        parser.error("--blas-threads must be at least 1")
+    return args
+
+
 if __name__ == "__main__":
+    ARGS = parse_args(sys.argv[1:])
     for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_name] = "1"
+        os.environ[_name] = str(ARGS.blas_threads)
     os.environ["COLUMNS"] = "80"  # argparse wraps the help texts to this width
     sys.path.insert(
         0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "src")
@@ -53,7 +77,7 @@ HEADER = (
 
 def fingerprint() -> str:
     """Python, numpy, BLAS build and SIMD set, and machine: what the bytes
-    of the BLAS-dependent cells depend on."""
+    of the corpus depend on."""
     try:
         config = np.show_config(mode="dicts")
         blas = config["Build Dependencies"]["blas"]
@@ -103,26 +127,31 @@ def run_case(case: str, workdir: Path) -> str:
     )
 
 
+def case_lines(command: str | None = None) -> list[str]:
+    """The hashes line of every case, or of the cases of one subcommand."""
+    lines = []
+    for case in read_cases():
+        if command is None or shlex.split(case)[1:2] == [command]:
+            with tempfile.TemporaryDirectory() as workdir:
+                lines.append(run_case(case, Path(workdir)))
+    return lines
+
+
 def corpus_text() -> str:
     """The full hashes file for this machine."""
-    lines = [HEADER + FINGERPRINT_PREFIX + fingerprint()]
-    for case in read_cases():
-        with tempfile.TemporaryDirectory() as workdir:
-            lines.append(run_case(case, Path(workdir)))
-    return "\n".join(lines) + "\n"
+    header = HEADER + FINGERPRINT_PREFIX + fingerprint()
+    return "\n".join([header, *case_lines()]) + "\n"
 
 
-def main(argv: list[str]) -> int:
-    if argv not in ([], ["--write"]):
-        sys.stderr.write("usage: regenerate.py [--write]\n")
-        return 2
-    text = corpus_text()
-    if argv:
-        HASHES.write_text(text)
+def main(args: argparse.Namespace) -> int:
+    if args.command:
+        sys.stdout.write("".join(line + "\n" for line in case_lines(args.command)))
+    elif args.write:
+        HASHES.write_text(corpus_text())
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(corpus_text())
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main(ARGS))

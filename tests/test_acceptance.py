@@ -84,8 +84,8 @@ def test_wave_packet_detail_is_pinned():
     from oscilab.verify import check_wave_packet
 
     assert check_wave_packet(DEFAULT_CHI_SET).detail == (
-        "max |series - closed| = 2.033e-15 (tol 1e-08), "
-        "max width drift = 4.996e-16 (tol 1e-08)"
+        "max |series - closed| = 2.136e-15 (tol 1e-08), "
+        "max width drift = 3.886e-16 (tol 1e-08)"
     )
 
 

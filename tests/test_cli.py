@@ -16,6 +16,7 @@ from oscilab.cli import (
     RunConfig,
     _csv_cell,
     _fmt,
+    _json_text,
     _render,
     main,
 )
@@ -419,6 +420,23 @@ def test_readme_command_layout(
     assert [list(f) for f in payload["footer"]] == footer_keys
 
 
+def test_wavefunction_bytes_do_not_depend_on_the_blas_thread_count():
+    def run(threads):
+        return subprocess.run(
+            [sys.executable, "-m", "oscilab", "wavefunction", "--chi-re", "2",
+             "--t-end", "3.14", "--dt", "1.57"],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin",
+                 "OPENBLAS_NUM_THREADS": threads},
+        )
+
+    one, two = run("1"), run("2")
+    assert one.returncode == two.returncode == 0, one.stderr + two.stderr
+    assert one.stdout.startswith("# schema: oscilab.wavefunction.v1")
+    assert one.stdout == two.stdout
+
+
 def test_verify_refuses_a_capped_auto_truncation():
     result = subprocess.run(
         [sys.executable, "-m", "oscilab", "verify", "--chi-re", "40"],
@@ -558,6 +576,26 @@ def _data_lines(rows, width):
 def test_all_float_rows_render_as_their_csv_cells(width, data):
     rows = data.draw(st.lists(st.tuples(*[CELLS] * width), max_size=12))
     assert _data_lines(rows, width) == [",".join(map(_csv_cell, row)) for row in rows]
+
+
+NAMES = st.text(max_size=6) | st.sampled_from(
+    ["50%", "%s", "%%", '"q"', "a\\b", "\u00e9"]
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(names=st.lists(NAMES, min_size=1, max_size=6, unique=True), data=st.data())
+def test_all_float_rows_render_as_their_json_text(names, data):
+    rows = data.draw(st.lists(st.tuples(*[CELLS] * len(names)), max_size=12))
+    echo, footer = [("chi_re", 1.5), ("n_max", 4)], [{"t": 0.25}]
+    config = RunConfig("wavefunction", format="json")
+    expected = _json_text({
+        "schema": "oscilab.wavefunction.v1",
+        "config": dict(echo),
+        "rows": [dict(zip(names, row)) for row in rows],
+        "footer": footer,
+    }) + "\n"
+    assert _render(config, "wavefunction", echo, names, rows, footer) == expected
 
 
 def test_all_float_rows_skip_the_per_cell_formatter(monkeypatch):

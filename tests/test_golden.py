@@ -1,13 +1,15 @@
 """Golden corpus: the bytes of every case in tests/golden/cases, pinned.
 
 The cases run in one child process with one BLAS thread (see
-tests/golden/regenerate.py). The `wavefunction`, brute-force and `verify`
-digits depend on the BLAS kernel, so the test is strict only on a machine
-whose fingerprint matches the one in the hashes header, and skips elsewhere.
+tests/golden/regenerate.py), and the `wavefunction` cases once more with two
+BLAS threads: the packet series is a fixed-order elementwise sum, so its
+bytes must not move with the thread count. Libm, numpy's SIMD loops and the
+BLAS products behind the brute-force and `verify` digits can still differ
+between machines, so the test is strict only on a machine whose fingerprint
+matches the one in the hashes header, and skips elsewhere.
 """
 
 import importlib.util
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -39,8 +41,8 @@ def test_every_case_has_one_hashes_line():
     assert list(_by_case(regenerate.HASHES.read_text())) == cases
 
 
-def test_corpus_matches_the_recorded_hashes():
-    regenerate = _regenerate_module()
+def _recorded_hashes(regenerate) -> str:
+    """The hashes file, after skipping unless this machine recorded it."""
     expected = regenerate.HASHES.read_text()
     prefix = regenerate.FINGERPRINT_PREFIX
     recorded = next(
@@ -49,17 +51,42 @@ def test_corpus_matches_the_recorded_hashes():
     here = regenerate.fingerprint()
     if here != recorded:
         pytest.skip(f"hashes recorded on [{recorded}], this machine is [{here}]")
+    return expected
+
+
+def _run_regenerate(*args: str) -> str:
     result = subprocess.run(
-        [sys.executable, str(GOLDEN / "regenerate.py")],
+        [sys.executable, str(GOLDEN / "regenerate.py"), *args],
         capture_output=True,
         text=True,
-        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    got, want = _by_case(result.stdout), _by_case(expected)
+    return result.stdout
+
+
+def _assert_same_cases(got: dict[str, str], want: dict[str, str]) -> None:
     changed = [case for case in want if got.get(case) != want[case]]
     assert not changed, "cases whose bytes changed:\n" + "\n".join(
         f"  {case}\n    now  {got.get(case)}\n    was  {want[case]}" for case in changed
     )
-    assert result.stdout == expected
+
+
+def test_corpus_matches_the_recorded_hashes():
+    regenerate = _regenerate_module()
+    expected = _recorded_hashes(regenerate)
+    got = _run_regenerate()
+    _assert_same_cases(_by_case(got), _by_case(expected))
+    assert got == expected
+
+
+def test_wavefunction_cases_match_at_two_blas_threads():
+    regenerate = _regenerate_module()
+    recorded = _by_case(_recorded_hashes(regenerate))
+    want = {
+        case: line for case, line in recorded.items()
+        if case.split()[1:2] == ["wavefunction"]
+    }
+    got = _by_case(_run_regenerate("--blas-threads", "2", "--command", "wavefunction"))
+    _assert_same_cases(got, want)
+    assert got == want

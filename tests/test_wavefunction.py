@@ -287,16 +287,21 @@ def test_gauss_hermite_grid_is_positive_and_increasing():
     ],
 )
 def test_series_is_the_float_table_product_to_the_bit(n_max, chi, grid):
-    # off-centre grids; the complex table must give the product of the old
-    # float table, whose complex cast numpy made inside `@`
+    # off-centre grids; the series is the float table product summed in a
+    # fixed order, k ascending, to the bit, and within 1e-13 of the dense
+    # (BLAS) product, whose summation order is its own
     label = CoherentLabel(chi)
     for t in (0.0, 0.9):
         coeffs = dynamical_coherent_state(label, t, PARAMS, n_max).coeffs
-        reference = coeffs @ eigenfunction_table(n_max, grid, PARAMS)
+        table = eigenfunction_table(n_max, grid, PARAMS)
+        fixed_order = np.zeros(grid.size, dtype=complex)
+        for c_k, row in zip(coeffs, table):
+            fixed_order += c_k * row
         series = psi_series_grid(label, grid, t, PARAMS, n_max)
-        assert series.dtype == reference.dtype == complex
-        assert np.array_equal(series, reference)
-        assert series.tobytes() == reference.tobytes()
+        assert series.dtype == complex
+        assert np.array_equal(series, fixed_order)
+        assert series.tobytes() == fixed_order.tobytes()
+        assert np.max(np.abs(series - coeffs @ table)) <= 1e-13
 
 
 def textbook_table(n_max, xs, params):
