@@ -76,8 +76,16 @@ def test_propagator_vs_rk4_detail_is_pinned():
     from oscilab.verify import check_propagator_vs_rk4
 
     assert check_propagator_vs_rk4().detail == (
-        "max coefficient error = 6.663e-15 (tol 1e-07) over one period at 62832 steps"
+        "max coefficient error = 1.892e-15 (tol 1e-07) over one period at 62832 steps"
     )
+
+
+def test_propagator_vs_rk4_refines_its_steps_for_high_levels():
+    # dt = 1e-4 leaves an RK4 error of 3.664e-04 at level 1200
+    from oscilab.verify import check_propagator_vs_rk4
+
+    result = check_propagator_vs_rk4(30 + 0j, n_max=1200)
+    assert result.passed, result.detail
 
 
 def test_wave_packet_detail_is_pinned():
