@@ -41,13 +41,14 @@ from .dynamics import (
 from .fock import (
     OscillatorParams,
     expectation,
-    fock_state,
     make_hamiltonian,
     make_ladder,
 )
 from .observables import (
     RECORD_COLUMNS,
     averages_bruteforce,
+    averages_bruteforce_batch,
+    averages_bruteforce_fock,
     averages_closedform,
     record_row,
     uncertainty_fock,
@@ -252,13 +253,12 @@ def _trajectory(config, params, label, n_max):
     columns = ["time"]
     for name in RECORD_COLUMNS[1:]:
         columns += [f"{name}_closed", f"{name}_brute", f"{name}_diff"]
+    brute_columns = averages_bruteforce_batch(base, times, params)
+    brute_rows = zip(*(brute_columns[name].tolist() for name in RECORD_COLUMNS[1:]))
     rows = []
-    for t in times:
-        closed = record_row(averages_closedform(label, float(t), params))[1:]
-        brute = record_row(
-            averages_bruteforce(propagate_fock(base, float(t), params), params)
-        )[1:]
-        row: list[float] = [float(t)]
+    for t, brute in zip(times.tolist(), brute_rows):
+        closed = record_row(averages_closedform(label, t, params))[1:]
+        row: list[float] = [t]
         for c, b in zip(closed, brute):
             row += [c, b, abs(c - b)]
         rows.append(tuple(row))
@@ -277,10 +277,11 @@ def _spectrum(config, params, label, n_max):
 
 
 def _uncertainty(config, params, label, n_max):
+    levels = range(max(0, n_max + 1 - TRUNCATION_MARGIN))  # second-moment headroom
+    products = averages_bruteforce_fock(levels, n_max, params)["uncertainty"].tolist()
     rows = []
-    for n in range(max(0, n_max + 1 - TRUNCATION_MARGIN)):  # second-moment headroom
+    for n, brute in zip(levels, products):
         exact = uncertainty_fock(n, params)
-        brute = averages_bruteforce(fock_state(n, n_max), params).uncertainty
         rows.append((n, exact, brute, abs(exact - brute)))
     state = propagate_fock(coherent_coefficients(label, n_max), config.t_start, params)
     coherent_u = averages_bruteforce(state, params).uncertainty

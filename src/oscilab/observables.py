@@ -1,15 +1,19 @@
 """Quadratic observables: means, second moments, uncertainty product, energy.
 
-Two independent routes compute the same record. `averages_bruteforce`
-evaluates matrix expectation values in the truncated basis and works for any
+Two independent routes compute the same record. The brute-force route
+evaluates expectation values in the truncated number basis and works for any
 state; `averages_closedform` evaluates the exact coherent-state expressions
 as functions of the evolved label. Tests pin the two against each other.
 
-`averages_bruteforce_batch` is the fast brute-force path over many times,
-returning one array per RECORD_COLUMNS name. It propagates a whole block of
-times with one phase multiply and takes every expectation with one matrix
-product per operator. Tests pin it to the per-state `averages_bruteforce`,
-which stays the reference.
+Every brute-force average comes from one kernel, `_moments`, which takes a
+block of coefficient rows. Each operator lies within two places of the
+diagonal, so each expectation is a shifted elementwise product summed with
+numpy along the level axis: no dense matrix and no BLAS call, so the digits
+do not depend on the BLAS build or its thread count. `averages_bruteforce`
+is the one-row call; `averages_bruteforce_batch` (one state propagated to
+many times) and `averages_bruteforce_fock` (many number states) feed it
+blocks of BATCH_TIMES rows, and each of their rows equals the one-row call
+to the bit. Tests pin the kernel to the dense `fock.Operator` matrices.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,9 +31,6 @@ from .fock import (
     StateVector,
     TruncationWarning,
     level_phases,
-    make_hamiltonian,
-    make_ladder,
-    make_xp,
 )
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "record_from_row",
     "averages_bruteforce",
     "averages_bruteforce_batch",
+    "averages_bruteforce_fock",
     "averages_closedform",
     "uncertainty_fock",
 ]
@@ -53,8 +54,8 @@ VARIANCE_CLIP_TOL = 1e-12
 
 DEFAULT_NORM_TOL = 1e-10
 
-# Times per block of the batched kernel. At the largest automatic truncation
-# (1025 levels) one complex block is 4 MiB, whatever the number of times.
+# Rows per block of the batched kernel. At the largest automatic truncation
+# (1025 levels) one complex block is 4 MiB, whatever the number of rows.
 BATCH_TIMES = 256
 
 
@@ -127,28 +128,6 @@ def record_from_row(row) -> ObservableRecord:
     )
 
 
-@lru_cache(maxsize=64)
-def _bundle(hbar: float, mass: float, omega: float, n_max: int):
-    """Operator matrices reused across repeated evaluations at one setting."""
-    params = OscillatorParams(hbar, mass, omega)
-    a, ad = make_ladder(n_max)
-    x, p = make_xp(params, n_max)
-    h = make_hamiltonian(params, n_max)
-    mats = {
-        "a": a.matrix,
-        "num": ad.matrix @ a.matrix,
-        "x": x.matrix,
-        "p": p.matrix,
-        "x2": x.matrix @ x.matrix,
-        "p2": p.matrix @ p.matrix,
-        "h": h.matrix,
-        "a2": a.matrix @ a.matrix,
-    }
-    for m in mats.values():
-        m.setflags(write=False)
-    return mats
-
-
 def _variance(second_moment, mean):
     """second_moment - mean^2 elementwise, rounding-level negatives set to 0."""
     var = np.asarray(second_moment - mean * mean)
@@ -160,21 +139,77 @@ def _variance(second_moment, mean):
     return np.where(var < 0.0, 0.0, var)
 
 
+def _moments(c: np.ndarray, params: OscillatorParams, norm_tol: float):
+    """Every RECORD_COLUMNS field but "time" for each row of a coefficient block.
+
+    c is a nonempty (rows, n_max + 1) complex block. Every operator here lies
+    within two places of the diagonal, so each expectation is a shifted
+    elementwise product summed along the contiguous level axis:
+        <a> = sum_n sqrt(n) conj(c[n-1]) c[n],
+        <a a> = sum_n sqrt(n (n-1)) conj(c[n-2]) c[n],
+        <a+ a> = sum_n n |c[n]|^2,  <H> = sum_n hbar omega (n + 1/2) |c[n]|^2,
+        <x> = 2 sqrt(hbar/2M omega) Re<a>,  <p> = 2 sqrt(M hbar omega/2) Im<a>,
+        <x^2> = (hbar/2M omega) (sum_n d[n] |c[n]|^2 + 2 Re<a a>),
+        <p^2> = (M hbar omega/2) (sum_n d[n] |c[n]|^2 - 2 Re<a a>),
+    with d[n] = 2n + 1 except d[n_max] = n_max: the truncated product
+    x.matrix @ x.matrix has no a a+ term on the top level. numpy sums each
+    row in one fixed order whatever the number of rows, and nothing here
+    calls BLAS, so row k of a block equals the one-row call to the bit, at
+    any BLAS thread count.
+
+    Raises ValueError on nonfinite coefficients, and NormalizationError
+    carrying the worst norm when a row's norm is off 1 by more than norm_tol.
+    Returns the fields and the largest probability on the top two levels.
+    """
+    if not np.all(np.isfinite(c)):
+        raise ValueError("coefficients must be finite")
+    prob = c.real * c.real + c.imag * c.imag
+    norms = np.sqrt(prob.sum(axis=1))
+    worst = int(np.argmax(np.abs(norms - 1.0)))
+    if abs(norms[worst] - 1.0) > norm_tol:
+        raise NormalizationError(float(norms[worst]), norm_tol)
+    top_mass = float(np.max(prob[:, -2:].sum(axis=1)))
+
+    hbar, mass, omega = params.hbar, params.mass, params.omega
+    n_max = c.shape[1] - 1
+    n = np.arange(n_max + 1, dtype=float)
+    a_avg = (np.sqrt(n[1:]) * (c[:, :-1].conj() * c[:, 1:])).sum(axis=1)
+    a2_avg = (np.sqrt(n[2:] * n[1:-1]) * (c[:, :-2].conj() * c[:, 2:])).sum(axis=1)
+    diag = 2.0 * n + 1.0
+    diag[-1] = n_max
+    spread = (diag * prob).sum(axis=1)
+    mean_x = 2.0 * math.sqrt(hbar / (2.0 * mass * omega)) * a_avg.real
+    mean_p = 2.0 * math.sqrt(mass * hbar * omega / 2.0) * a_avg.imag
+    mean_x2 = (hbar / (2.0 * mass * omega)) * (spread + 2.0 * a2_avg.real)
+    mean_p2 = (mass * hbar * omega / 2.0) * (spread - 2.0 * a2_avg.real)
+    fields = {
+        "mean_x": mean_x,
+        "mean_p": mean_p,
+        "mean_x2": mean_x2,
+        "mean_p2": mean_p2,
+        "n_avg": (n * prob).sum(axis=1),
+        "a_avg_re": a_avg.real,
+        "a_avg_im": a_avg.imag,
+        "a2_avg_re": a2_avg.real,
+        "a2_avg_im": a2_avg.imag,
+        "uncertainty": np.sqrt(_variance(mean_x2, mean_x) * _variance(mean_p2, mean_p)),
+        "energy": (hbar * omega * (n + 0.5) * prob).sum(axis=1),
+    }
+    return fields, top_mass
+
+
 def averages_bruteforce(
     state: StateVector, params: OscillatorParams, norm_tol: float = DEFAULT_NORM_TOL
 ) -> ObservableRecord:
-    """All averages of one state by matrix expectation in the truncated basis.
+    """All averages of one state by expectation in the truncated basis.
 
-    Raises NormalizationError (carrying the measured norm) when the state is
-    not normalized within norm_tol. Warns with TruncationWarning when the top
-    two levels carry enough weight to bias the second moments.
+    The one-row call of the banded kernel, so every row of
+    `averages_bruteforce_batch` and `averages_bruteforce_fock` equals it to
+    the bit. Raises NormalizationError (carrying the measured norm) when the
+    state is not normalized within norm_tol. Warns with TruncationWarning
+    when the top two levels carry enough weight to bias the second moments.
     """
-    c = state.coeffs
-    norm = float(np.linalg.norm(c))
-    if abs(norm - 1.0) > norm_tol:
-        raise NormalizationError(norm, norm_tol)
-
-    top_mass = float(np.sum(np.abs(c[-2:]) ** 2))
+    fields, top_mass = _moments(state.coeffs[np.newaxis, :], params, norm_tol)
     if top_mass > SUPPORT_MASS_TOL:
         warnings.warn(
             f"top two levels carry probability {top_mass:.3e}; second moments "
@@ -182,30 +217,33 @@ def averages_bruteforce(
             TruncationWarning,
             stacklevel=2,
         )
-
-    mats = _bundle(params.hbar, params.mass, params.omega, state.n_max)
-
-    def ev(key: str) -> complex:
-        return complex(np.vdot(c, mats[key] @ c))
-
-    mean_x = ev("x").real
-    mean_p = ev("p").real
-    mean_x2 = ev("x2").real
-    mean_p2 = ev("p2").real
-    var_x = _variance(mean_x2, mean_x)
-    var_p = _variance(mean_p2, mean_p)
-    return ObservableRecord(
-        time=state.time,
-        mean_x=mean_x,
-        mean_p=mean_p,
-        mean_x2=mean_x2,
-        mean_p2=mean_p2,
-        n_avg=ev("num").real,
-        a_avg=ev("a"),
-        a2_avg=ev("a2"),
-        uncertainty=math.sqrt(var_x * var_p),
-        energy=ev("h").real,
+    return record_from_row(
+        [state.time, *(fields[name][0] for name in RECORD_COLUMNS[1:])]
     )
+
+
+def _columns(times: np.ndarray, blocks, params: OscillatorParams):
+    """RECORD_COLUMNS arrays from the kernel run over consecutive blocks of
+    rows, one row per entry of `times`, with one TruncationWarning for the
+    largest top-two level mass of any row."""
+    columns = {"time": times}
+    columns.update((name, np.empty(times.size)) for name in RECORD_COLUMNS[1:])
+    top_mass = 0.0
+    start = 0
+    for c in blocks:
+        fields, block_top = _moments(c, params, DEFAULT_NORM_TOL)
+        for name, values in fields.items():
+            columns[name][start:start + len(c)] = values
+        start += len(c)
+        top_mass = max(top_mass, block_top)
+    if top_mass > SUPPORT_MASS_TOL:
+        warnings.warn(
+            f"top two levels carry probability up to {top_mass:.3e}; second "
+            f"moments near the truncation edge are unreliable",
+            TruncationWarning,
+            stacklevel=3,
+        )
+    return columns
 
 
 def averages_bruteforce_batch(
@@ -215,9 +253,8 @@ def averages_bruteforce_batch(
 
     Returns one float array per RECORD_COLUMNS name, "time" holding
     base.time + t. Row k equals averages_bruteforce(propagate_fock(base,
-    times[k], params), params) up to rounding: the propagated coefficients
-    are the same to the bit, and each expectation is still a literal matrix
-    expectation, <c|M|c> = sum(conj(C) * (C M^T)) row by row.
+    times[k], params), params) to the bit: the propagated coefficients are
+    the same, and the kernel sums each row alike in a block of any size.
 
     Every sample gets the checks of the per-state path: finite coefficients,
     DEFAULT_NORM_TOL (the NormalizationError carries the worst norm of the
@@ -228,56 +265,42 @@ def averages_bruteforce_batch(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError(f"times must be one-dimensional, got shape {times.shape}")
-    mats = _bundle(params.hbar, params.mass, params.omega, base.n_max)
-    columns = {name: np.empty(times.size) for name in RECORD_COLUMNS}
-    top_mass = 0.0
-    for start in range(0, times.size, BATCH_TIMES):
-        block = slice(start, start + BATCH_TIMES)
-        c = base.coeffs * level_phases(params, times[block], base.n_max)
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        norms = np.linalg.norm(c, axis=1)
-        worst = int(np.argmax(np.abs(norms - 1.0)))
-        if abs(norms[worst] - 1.0) > DEFAULT_NORM_TOL:
-            raise NormalizationError(float(norms[worst]), DEFAULT_NORM_TOL)
-        top_mass = max(top_mass, float(np.max(np.sum(np.abs(c[:, -2:]) ** 2, axis=1))))
-        c_conj = c.conj()
+    blocks = (
+        base.coeffs * level_phases(params, times[start:start + BATCH_TIMES], base.n_max)
+        for start in range(0, times.size, BATCH_TIMES)
+    )
+    return _columns(base.time + times, blocks, params)
 
-        def ev(key: str) -> np.ndarray:
-            return np.einsum("ij,ij->i", c_conj, c @ mats[key].T)
 
-        mean_x = ev("x").real
-        mean_p = ev("p").real
-        mean_x2 = ev("x2").real
-        mean_p2 = ev("p2").real
-        a_avg = ev("a")
-        a2_avg = ev("a2")
-        fields = {
-            "time": base.time + times[block],
-            "mean_x": mean_x,
-            "mean_p": mean_p,
-            "mean_x2": mean_x2,
-            "mean_p2": mean_p2,
-            "n_avg": ev("num").real,
-            "a_avg_re": a_avg.real,
-            "a_avg_im": a_avg.imag,
-            "a2_avg_re": a2_avg.real,
-            "a2_avg_im": a2_avg.imag,
-            "uncertainty": np.sqrt(
-                _variance(mean_x2, mean_x) * _variance(mean_p2, mean_p)
-            ),
-            "energy": ev("h").real,
-        }
-        for name in RECORD_COLUMNS:
-            columns[name][block] = fields[name]
-    if top_mass > SUPPORT_MASS_TOL:
-        warnings.warn(
-            f"top two levels carry probability up to {top_mass:.3e}; second "
-            f"moments near the truncation edge are unreliable",
-            TruncationWarning,
-            stacklevel=2,
+def averages_bruteforce_fock(
+    levels, n_max: int, params: OscillatorParams
+) -> dict[str, np.ndarray]:
+    """`averages_bruteforce` of each number state |n>, n in `levels`, as columns.
+
+    Row k equals averages_bruteforce(fock_state(levels[k], n_max), params)
+    to the bit, with the checks and the single TruncationWarning of
+    `averages_bruteforce_batch`. The basis rows go through in blocks of
+    BATCH_TIMES, so memory stays linear in n_max.
+    """
+    levels = np.asarray(levels, dtype=int)
+    if levels.ndim != 1:
+        raise ValueError(f"levels must be one-dimensional, got shape {levels.shape}")
+    n_max = int(n_max)
+    if levels.size and not (0 <= levels.min() and levels.max() <= n_max):
+        raise ValueError(
+            f"levels must lie in 0..{n_max}, got {levels.min()}..{levels.max()}"
         )
-    return columns
+
+    def basis_rows(chunk):
+        c = np.zeros((chunk.size, n_max + 1), dtype=complex)
+        c[np.arange(chunk.size), chunk] = 1.0
+        return c
+
+    blocks = (
+        basis_rows(levels[start:start + BATCH_TIMES])
+        for start in range(0, levels.size, BATCH_TIMES)
+    )
+    return _columns(np.zeros(levels.size), blocks, params)
 
 
 def averages_closedform(

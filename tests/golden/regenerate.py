@@ -2,7 +2,7 @@
 
     python tests/golden/regenerate.py           # print the hashes file
     python tests/golden/regenerate.py --write   # rewrite tests/golden/hashes
-    python tests/golden/regenerate.py --blas-threads 2 --command wavefunction
+    python tests/golden/regenerate.py --blas-threads 2 --command trajectory
                                                 # those cases' lines only
 
 Every case in `cases` goes through `oscilab.cli.main` in this one process,
@@ -11,12 +11,13 @@ A hashes line holds the exit code, the sha256 of stdout, of stderr and of
 the `--output` file ("-" when the case wrote none), then the case itself.
 
 The script pins the BLAS thread count before numpy loads: one thread unless
-`--blas-threads` says otherwise. The `wavefunction` series is a fixed-order
-elementwise sum, so its bytes do not depend on that count; the brute-force
-expectations of `trajectory`, `uncertainty` and `verify` are BLAS products,
-which could round differently with another split. The header records a
-fingerprint of the machine: the same bytes are expected only where the
-fingerprint matches.
+`--blas-threads` says otherwise. The `wavefunction` series and every
+brute-force average are fixed-order elementwise sums, so their bytes do not
+depend on that count. `symmetry-check` and verify's `phase-symmetry` still
+take dense `fock.expectation` products, BLAS calls on at most 25 levels in
+these cases; their bytes matched at one and two threads where the hashes
+were recorded. The header records a fingerprint of the machine: the same
+bytes are expected only where the fingerprint matches.
 """
 
 from __future__ import annotations

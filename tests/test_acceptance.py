@@ -76,7 +76,8 @@ def test_propagator_vs_rk4_detail_is_pinned():
     from oscilab.verify import check_propagator_vs_rk4
 
     assert check_propagator_vs_rk4().detail == (
-        "max coefficient error = 1.892e-15 (tol 1e-07) over one period at 62832 steps"
+        "max coefficient error = 4.809e-14 (tol 1e-07) "
+        "over one period at up to 62832 steps"
     )
 
 

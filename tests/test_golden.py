@@ -1,12 +1,12 @@
 """Golden corpus: the bytes of every case in tests/golden/cases, pinned.
 
 The cases run in one child process with one BLAS thread (see
-tests/golden/regenerate.py), and the `wavefunction` cases once more with two
-BLAS threads: the packet series is a fixed-order elementwise sum, so its
-bytes must not move with the thread count. Libm, numpy's SIMD loops and the
-BLAS products behind the brute-force and `verify` digits can still differ
-between machines, so the test is strict only on a machine whose fingerprint
-matches the one in the hashes header, and skips elsewhere.
+tests/golden/regenerate.py), and once more with two BLAS threads: the packet
+series and the brute-force expectations are fixed-order elementwise sums, so
+no command's bytes may move with the thread count. Libm, numpy's SIMD loops
+and the BLAS build can still differ between machines, so the test is strict
+only on a machine whose fingerprint matches the one in the hashes header,
+and skips elsewhere.
 """
 
 import importlib.util
@@ -80,13 +80,9 @@ def test_corpus_matches_the_recorded_hashes():
     assert got == expected
 
 
-def test_wavefunction_cases_match_at_two_blas_threads():
+def test_corpus_matches_at_two_blas_threads():
     regenerate = _regenerate_module()
-    recorded = _by_case(_recorded_hashes(regenerate))
-    want = {
-        case: line for case, line in recorded.items()
-        if case.split()[1:2] == ["wavefunction"]
-    }
-    got = _by_case(_run_regenerate("--blas-threads", "2", "--command", "wavefunction"))
-    _assert_same_cases(got, want)
-    assert got == want
+    expected = _recorded_hashes(regenerate)
+    got = _run_regenerate("--blas-threads", "2")
+    _assert_same_cases(_by_case(got), _by_case(expected))
+    assert got == expected

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscilab.coherent import (
     CoherentLabel,
@@ -15,7 +17,11 @@ from oscilab.fock import (
     OscillatorParams,
     StateVector,
     TruncationWarning,
+    expectation,
     fock_state,
+    make_hamiltonian,
+    make_ladder,
+    make_xp,
     random_state,
 )
 from oscilab.dynamics import propagate_fock
@@ -25,6 +31,7 @@ from oscilab.observables import (
     _variance,
     averages_bruteforce,
     averages_bruteforce_batch,
+    averages_bruteforce_fock,
     averages_closedform,
     record_from_row,
     record_object,
@@ -204,7 +211,7 @@ def test_batched_bruteforce_matches_per_state_oracle(chi):
         ]
     )
     for k, name in enumerate(RECORD_COLUMNS):
-        np.testing.assert_allclose(columns[name], oracle[:, k], atol=1e-13, rtol=0)
+        np.testing.assert_array_equal(columns[name], oracle[:, k])
 
 
 def test_batched_bruteforce_time_column_is_offset_by_base_time():
@@ -238,3 +245,94 @@ def test_closedform_anomalous_averages_track_label():
         assert rec.a_avg == pytest.approx(chit, abs=1e-15)
         assert rec.a2_avg == pytest.approx(chit * chit, abs=1e-15)
         assert rec.n_avg == pytest.approx(label.nbar, abs=1e-15)
+
+
+def assert_kernel_matches_dense(states, params):
+    """Each record field within 1e-13 of <c|M|c> with M the dense
+    fock.Operator product; every state has the same n_max."""
+    n_max = states[0].n_max
+    a, ad = make_ladder(n_max)
+    x, p = make_xp(params, n_max)
+    ops = {
+        "mean_x": x, "mean_p": p, "mean_x2": x @ x, "mean_p2": p @ p,
+        "n_avg": ad @ a, "a_avg": a, "a2_avg": a @ a,
+        "energy": make_hamiltonian(params, n_max),
+    }
+    for state in states:
+        rec = averages_bruteforce(state, params)
+        for name, op in ops.items():
+            got, want = getattr(rec, name), expectation(op, state)
+            if name not in ("a_avg", "a2_avg"):
+                want = want.real
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (name, got, want)
+
+
+@pytest.mark.filterwarnings("ignore::oscilab.fock.TruncationWarning")
+@pytest.mark.parametrize("n_max", [0, 1, 2, 16, 64, 551])
+def test_kernel_matches_the_dense_matrices(n_max):
+    rng = np.random.default_rng(n_max)
+    params = OscillatorParams(2.0, 0.5, 3.0)
+    # random states and |n_max> fill the top level, where the truncated
+    # x.matrix @ x.matrix has no a a+ term: <n_max|x x|n_max> weighs n_max,
+    # not 2 n_max + 1
+    states = [random_state(n_max, rng) for _ in range(3)]
+    states += [fock_state(n, n_max) for n in {0, n_max // 2, max(0, n_max - 1), n_max}]
+    assert_kernel_matches_dense(states, params)
+    assert_kernel_matches_dense(states, PARAMS)
+
+
+@pytest.mark.filterwarnings("ignore::oscilab.fock.TruncationWarning")
+@settings(deadline=None, max_examples=60)
+@given(
+    n_max=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+    hbar=st.floats(1e-3, 1e3),
+    mass=st.floats(1e-3, 1e3),
+    omega=st.floats(1e-3, 1e3),
+)
+def test_kernel_matches_the_dense_matrices_for_any_state_and_units(
+    n_max, seed, hbar, mass, omega
+):
+    state = random_state(n_max, np.random.default_rng(seed))
+    assert_kernel_matches_dense([state], OscillatorParams(hbar, mass, omega))
+
+
+@pytest.mark.filterwarnings("ignore::oscilab.fock.TruncationWarning")
+@pytest.mark.parametrize("rows", [1, BATCH_TIMES - 1, BATCH_TIMES, BATCH_TIMES + 1])
+def test_every_batched_row_equals_the_one_row_call_to_the_bit(rows):
+    rng = np.random.default_rng(rows)
+    times = rng.uniform(-5.0, 5.0, rows)
+    bases = (random_state(30, rng, time=0.25), coherent_coefficients(CoherentLabel(20), 551))
+    for base in bases:
+        columns = averages_bruteforce_batch(base, times, PARAMS)
+        for k in (0, rows // 2, rows - 1):
+            state = propagate_fock(base, times[k], PARAMS)
+            want = record_row(averages_bruteforce(state, PARAMS))
+            assert tuple(columns[name][k] for name in RECORD_COLUMNS) == want
+    levels = rng.integers(0, 41, rows)
+    columns = averages_bruteforce_fock(levels, 40, PARAMS)
+    for k in (0, rows // 2, rows - 1):
+        want = record_row(averages_bruteforce(fock_state(levels[k], 40), PARAMS))
+        assert tuple(columns[name][k] for name in RECORD_COLUMNS) == want
+
+
+def test_fock_states_give_the_exact_uncertainty_product():
+    levels = range(41)
+    products = averages_bruteforce_fock(levels, 42, PARAMS)["uncertainty"]
+    for n, product in zip(levels, products):
+        assert product == uncertainty_fock(n, PARAMS)
+        assert averages_bruteforce(fock_state(n, 42), PARAMS).uncertainty == product
+
+
+def test_fock_columns_check_their_levels():
+    with pytest.raises(ValueError):
+        averages_bruteforce_fock([0, 7], 6, PARAMS)
+    with pytest.raises(ValueError):
+        averages_bruteforce_fock([-1], 6, PARAMS)
+    with pytest.raises(ValueError):
+        averages_bruteforce_fock([[0]], 6, PARAMS)
+    with pytest.warns(TruncationWarning):
+        averages_bruteforce_fock([5], 6, PARAMS)
+    empty = averages_bruteforce_fock([], 6, PARAMS)
+    assert tuple(empty) == RECORD_COLUMNS
+    assert all(values.shape == (0,) for values in empty.values())
