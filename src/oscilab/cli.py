@@ -297,20 +297,23 @@ def _uncertainty(config, params, label, n_max):
 
 
 def _wavefunction(config, params, label, n_max):
-    times = sample_times(config.t_start, config.t_end, config.dt)
+    times = sample_times(config.t_start, config.t_end, config.dt).tolist()
     coeffs = coherent_coefficients(label, n_max).coeffs
     coeff_norm2 = float(np.vdot(coeffs, coeffs).real)
+    grids = [
+        default_packet_grid(
+            params, center=averages_closedform(label, t, params).mean_x,
+            halfwidth=config.grid_halfwidth, npoints=config.grid_points,
+        )
+        for t in times
+    ]
+    stack = psi_series_grid(
+        label, np.array([grid.points for grid in grids]), times, params, n_max
+    )
     columns = ["t", "x", "series_re", "series_im", "closed_re", "closed_im", "abs_diff"]
     rows = []
     footer = []
-    for t in times:
-        t = float(t)
-        center = averages_closedform(label, t, params).mean_x
-        grid = default_packet_grid(
-            params, center=center, halfwidth=config.grid_halfwidth,
-            npoints=config.grid_points,
-        )
-        series = psi_series_grid(label, grid.points, t, params, n_max)
+    for t, grid, series in zip(times, grids, stack):
         norm2, _, variance = packet_moments(series, grid)
         if abs(norm2 - coeff_norm2) > QUADRATURE_TOL:
             raise UsageError(

@@ -31,6 +31,7 @@ from .coherent import (
 )
 from .dynamics import (
     PhaseAngle,
+    Trajectory,
     ehrenfest_residual,
     propagate_fock,
     rotate_xp,
@@ -63,6 +64,14 @@ from .wavefunction import (
 __all__ = ["CriterionResult", "DEFAULT_CHI_SET", "run_all", "format_table"]
 
 DEFAULT_CHI_SET = (0j, 1 + 0j, 2j, 1 + 1j, -1.5 + 0.5j)
+
+# The packet series (tol 1e-8) and the annihilation residual (tol 1e-10) err
+# like the square root of the truncation tail, so their auto truncation takes
+# a far tighter tail than the moments' AUTO_TAIL_TOL: at chi = 5 a tail of
+# 1e-18 (n_max 82) still left a residual of 1.8e-09. The floor is the fixed
+# truncation they used before, above what the probe set resolves to.
+SERIES_TAIL_TOL = 1e-24
+SERIES_N_MAX_FLOOR = 64
 
 
 @dataclass(frozen=True)
@@ -155,19 +164,24 @@ def check_ehrenfest(
     Centered-difference residuals stay below 1e-5 at dt = 1e-3 and shrink
     fourfold (to within 20%) when dt halves. n_max=None applies the auto
     truncation rule.
+
+    Only the dt = 5e-4 trajectory is sampled. The dt = 1e-3 sample times are
+    its even rows to the bit, and a row's averages do not depend on the
+    rows around it, so the coarse trajectory is those rows, rebuilt through
+    `Trajectory.from_columns` and its spacing checks.
     """
     params = OscillatorParams()  # omega = 1 pinned by the tolerance model
     label = CoherentLabel(1 + 0j if chi is None else chi)
     period = 2.0 * math.pi / params.omega
     tol = 1e-5
-    coarse = ehrenfest_residual(
-        sample_trajectory(label, params, 0.0, period, 1e-3, "bruteforce", n_max),
-        params,
+    fine_traj = sample_trajectory(
+        label, params, 0.0, period, 5e-4, "bruteforce", n_max
     )
-    fine = ehrenfest_residual(
-        sample_trajectory(label, params, 0.0, period, 5e-4, "bruteforce", n_max),
-        params,
+    coarse_traj = Trajectory.from_columns(
+        {name: fine_traj.column(name)[::2] for name in RECORD_COLUMNS}, 1e-3
     )
+    coarse = ehrenfest_residual(coarse_traj, params)
+    fine = ehrenfest_residual(fine_traj, params)
     ok = max(coarse) < tol
     ratios = []
     for c, f in zip(coarse, fine):
@@ -211,13 +225,22 @@ def check_energy_constancy(
     )
 
 
+def _series_n_max(label: CoherentLabel, n_max: int | None) -> int:
+    """The explicit n_max, or the label's truncation at SERIES_TAIL_TOL,
+    never below SERIES_N_MAX_FLOOR."""
+    if n_max is not None:
+        return int(n_max)
+    return max(SERIES_N_MAX_FLOOR, resolve_n_max(label, tol=SERIES_TAIL_TOL))
+
+
 def check_wave_packet(chi_set, n_max: int | None = None) -> CriterionResult:
     """Series and closed-form packets agree; the packet width never changes.
 
-    n_max=None uses 64 levels, ample for every label of the probe set.
+    n_max=None resolves each label's truncation by `_series_n_max`. The five
+    slices of a label, each on a grid around its mean, go through one
+    stacked `psi_series_grid` call.
     """
     params = OscillatorParams()
-    n_max = 64 if n_max is None else n_max
     diff_tol = 1e-8
     var_tol = 1e-8
     expected_var = params.hbar / (2.0 * params.mass * params.omega)
@@ -226,10 +249,13 @@ def check_wave_packet(chi_set, n_max: int | None = None) -> CriterionResult:
     times = (0.0, 0.7, math.pi, 4.2, 2.0 * math.pi)
     for chi in chi_set:
         label = CoherentLabel(chi)
-        for t in times:
-            center = averages_closedform(label, t, params).mean_x
-            grid = default_packet_grid(params, center=center)
-            series = psi_series_grid(label, grid.points, t, params, n_max)
+        centers = (averages_closedform(label, t, params).mean_x for t in times)
+        grids = [default_packet_grid(params, center=c) for c in centers]
+        stack = psi_series_grid(
+            label, np.array([grid.points for grid in grids]), times, params,
+            _series_n_max(label, n_max),
+        )
+        for t, grid, series in zip(times, grids, stack):
             closed = psi_closed_grid(label, grid.points, t, params, "complex_center")
             worst_diff = max(worst_diff, float(np.max(np.abs(series - closed))))
             _, _, var = packet_moments(series, grid)
@@ -262,13 +288,14 @@ def check_annihilation_eigenstate(
     chi_set, n_max: int | None = None
 ) -> CriterionResult:
     """The evolved state stays an annihilation eigenstate, except when
-    deliberately under-truncated."""
+    deliberately under-truncated. n_max=None resolves each label's
+    truncation by `_series_n_max`."""
     params = OscillatorParams()
     tol = 1e-10
     worst = 0.0
     for chi in chi_set:
         label = CoherentLabel(chi)
-        nm = 64 if n_max is None else n_max
+        nm = _series_n_max(label, n_max)
         a, _ = make_ladder(nm)
         for t in (0.0, 1.1):
             state = dynamical_coherent_state(label, t, params, nm)

@@ -15,7 +15,10 @@ The series never builds an eigenfunction table. It adds c_k phi_k into a
 (2, N) float accumulator, k ascending, as each row leaves the recurrence, so
 it holds a few grid-sized rows instead of (n_max + 1) of them, and the sum
 is plain elementwise numpy in a fixed order: no BLAS call, and the same bits
-at any BLAS thread count.
+at any BLAS thread count. It also takes a stack of S slices, each with its
+own time and grid, and runs the recurrence once over all their points, in
+passes bounded to stay in cache. A point gets the same operations in the
+same order either way, so a slice of a stack equals its own call to the bit.
 """
 
 from __future__ import annotations
@@ -53,6 +56,13 @@ CLOSED_FORMS = ("complex_center", "schrodinger")
 
 DEFAULT_GRID_HALFWIDTH = 10.0  # in units of the oscillator length
 DEFAULT_GRID_POINTS = 2001
+
+# Points per pass of the series recurrence. A pass keeps eight float rows of
+# its points live, 1.3 MB at this size, within a 2 MiB L2 cache. Measured on
+# such a core: 9 slices of 2001 points at n_max 589 ran 10-20% faster in one
+# pass than one slice per pass, and 25 slices at n_max 64 ran 15-45% slower
+# in one pass than in passes of 5 to 10.
+_SERIES_PASS_POINTS = 20_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,31 +227,63 @@ def generating_sum_check(x: float, t: float, k_max: int) -> float:
 def psi_series_grid(
     label: CoherentLabel,
     x,
-    t: float,
+    t,
     params: OscillatorParams,
     n_max: int,
 ) -> np.ndarray:
-    """Coherent packet as the truncated eigenfunction series, on an array of x.
+    """Coherent packet as the truncated eigenfunction series, on arrays of x.
 
-    Each eigenfunction row is multiplied by (Re c_k, Im c_k) and added into
-    a (2, N) float accumulator as the recurrence yields it, k ascending.
-    No (n_max + 1) x N table is built (19 MB as complex at n_max 589 on
-    2001 points), and the sum is a fixed-order elementwise loop rather
-    than a BLAS product, so its bits do not depend on the BLAS build or
-    thread count.
+    A scalar t takes a scalar or 1-d x and returns the (N,) series. A stack
+    of S slices takes t of length S and x of shape (S, N), slice s being the
+    packet at t[s] on the points x[s], and returns an (S, N) array. Any other
+    pairing of shapes raises DimensionMismatchError; a single time is the
+    S = 1 stack.
+
+    One pass of the recurrence covers every point of as many slices as fit
+    in _SERIES_PASS_POINTS points, and at least one. Each eigenfunction row
+    is multiplied by (Re c_k(t_s), Im c_k(t_s)) and added into a (2, S, N)
+    float accumulator as the recurrence yields it, k ascending. No
+    (n_max + 1) x N table is built (19 MB as complex at n_max 589 on 2001
+    points), and the sum is a fixed-order elementwise loop rather than a
+    BLAS product, so every point gets the same operations whatever the
+    stack around it, and its bits do not depend on the BLAS build or thread
+    count.
     """
-    xs, _ = _as_axis(x)
-    coeffs = dynamical_coherent_state(label, t, params, n_max).coeffs
-    parts = np.stack([coeffs.real, coeffs.imag], axis=1)[:, :, np.newaxis]
-    acc = np.zeros((2, xs.size))
-    term = np.empty_like(acc)
+    ts = np.asarray(t, dtype=float)
+    xs = np.asarray(x, dtype=float)
+    single = ts.ndim == 0
+    if single:
+        if xs.ndim > 1:
+            raise DimensionMismatchError(
+                f"a single time takes a scalar or 1-d x, got shape {xs.shape}"
+            )
+        ts, xs = ts.reshape(1), xs.reshape(1, -1)
+    elif ts.ndim != 1 or xs.ndim != 2 or xs.shape[0] != ts.size:
+        raise DimensionMismatchError(
+            f"times of shape {ts.shape} need x of shape ({ts.size}, N), "
+            f"got {xs.shape}"
+        )
+    series = np.empty(xs.shape, dtype=complex)
+    per_pass = max(1, _SERIES_PASS_POINTS // max(1, xs.shape[1]))
     multiply, add = np.multiply, np.add
-    for part, row in zip(parts, _eigenfunction_rows(coeffs.size - 1, xs, params)):
-        multiply(part, row, out=term)
-        add(acc, term, out=acc)
-    series = np.empty(xs.size, dtype=complex)
-    series.real, series.imag = acc
-    return series
+    for start in range(0, ts.size, per_pass):
+        block = slice(start, start + per_pass)
+        coeffs = np.array([
+            dynamical_coherent_state(label, s, params, n_max).coeffs
+            for s in ts[block].tolist()
+        ])
+        # parts[k] is the (2, slices, 1) stack of Re and Im c_k(t_s)
+        parts = np.stack([coeffs.real, coeffs.imag]).transpose(2, 0, 1)[..., np.newaxis]
+        points = xs[block]
+        acc = np.zeros((2, *points.shape))
+        term = np.empty_like(acc)
+        rows = _eigenfunction_rows(parts.shape[0] - 1, points, params)
+        for part, row in zip(parts, rows):
+            multiply(part, row, out=term)
+            add(acc, term, out=acc)
+        out = series[block]
+        out.real, out.imag = acc
+    return series[0] if single else series
 
 
 def psi_series(

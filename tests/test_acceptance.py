@@ -5,6 +5,8 @@ Runs every criterion at its shipped tolerance through the same code path the
 with pytest -s, and on any failure).
 """
 
+import math
+
 import pytest
 
 from oscilab.verify import DEFAULT_CHI_SET, run_all
@@ -70,6 +72,57 @@ def test_ehrenfest_detail_is_pinned():
         "residuals (x, p) = (2.357e-07, 2.357e-07) at dt=1e-3 (tol 1e-05); "
         "halving ratios = 4.00, 4.00"
     )
+
+
+@pytest.mark.parametrize("chi", DEFAULT_CHI_SET)
+def test_ehrenfest_reads_the_coarse_trajectory_from_the_fine_one(monkeypatch, chi):
+    # the dt = 1e-3 trajectory whose residual check_ehrenfest reports equals
+    # an independently sampled one, column by column and residual by residual
+    from oscilab import verify
+    from oscilab.coherent import CoherentLabel
+    from oscilab.dynamics import ehrenfest_residual, sample_trajectory
+    from oscilab.fock import OscillatorParams
+    from oscilab.observables import RECORD_COLUMNS
+
+    seen = {}
+
+    def recording_residual(traj, params):
+        residual = ehrenfest_residual(traj, params)
+        seen[traj.dt] = (traj, residual)
+        return residual
+
+    monkeypatch.setattr(verify, "ehrenfest_residual", recording_residual)
+    verify.check_ehrenfest(chi)
+    params = OscillatorParams()
+    independent = sample_trajectory(
+        CoherentLabel(chi), params, 0.0, 2.0 * math.pi, 1e-3, "bruteforce"
+    )
+    coarse, residual = seen[1e-3]
+    for name in RECORD_COLUMNS:
+        assert coarse.column(name).tobytes() == independent.column(name).tobytes()
+    assert residual == ehrenfest_residual(independent, params)
+
+
+@pytest.mark.parametrize("chi", [5 + 0j, 10 + 0j, 3 - 4j])
+def test_series_criteria_resolve_their_truncation_from_the_label(chi):
+    # n_max 64 left the chi = 5 packet at 3.6e-06 and its residual at 2.8e-05
+    from oscilab.verify import check_annihilation_eigenstate, check_wave_packet
+
+    for check in (check_wave_packet, check_annihilation_eigenstate):
+        result = check((chi,))
+        assert result.passed, result.detail
+
+
+def test_series_truncation_is_floored_at_the_fixed_level():
+    # the probe set keeps the fixed 64 levels, so its bytes do not move
+    from oscilab.coherent import CoherentLabel
+    from oscilab.verify import _series_n_max
+
+    for chi in DEFAULT_CHI_SET:
+        assert _series_n_max(CoherentLabel(chi), None) == 64
+        assert _series_n_max(CoherentLabel(chi), 4) == 4
+    assert _series_n_max(CoherentLabel(5), None) == 93
+    assert _series_n_max(CoherentLabel(10), None) == 220
 
 
 def test_propagator_vs_rk4_detail_is_pinned():

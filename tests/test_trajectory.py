@@ -125,3 +125,11 @@ def test_sample_times_names_the_requested_count():
     with pytest.raises(ValueError, match="asks for 10000001 time samples"):
         sample_times(0.0, 1.0, 1e-7)
     assert sample_times(0.0, 1.0, 1e-6).size == 1_000_001
+
+
+def test_coarse_sample_times_are_the_even_fine_rows_to_the_bit():
+    # 5e-4 is 1e-3 / 2 exactly in binary, so 5e-4 * 2k rounds as 1e-3 * k
+    coarse = sample_times(0.0, 2.0 * math.pi, 1e-3)
+    even = sample_times(0.0, 2.0 * math.pi, 5e-4)[::2]
+    np.testing.assert_array_equal(coarse, even)
+    assert coarse.tobytes() == even.tobytes()

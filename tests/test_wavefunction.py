@@ -7,6 +7,7 @@ from scipy.special import eval_hermite
 from oscilab.coherent import CoherentLabel, dynamical_coherent_state
 from oscilab.fock import DimensionMismatchError, OscillatorParams
 from oscilab.observables import averages_closedform
+from oscilab import wavefunction
 from oscilab.wavefunction import (
     SpatialGrid,
     WaveSample,
@@ -302,6 +303,49 @@ def test_series_is_the_float_table_product_to_the_bit(n_max, chi, grid):
         assert np.array_equal(series, fixed_order)
         assert series.tobytes() == fixed_order.tobytes()
         assert np.max(np.abs(series - coeffs @ table)) <= 1e-13
+
+
+STACK_LABELS = {0: 0.4 - 0.2j, 1: -1.0 + 0.5j, 64: 2.0 - 1.0j, 589: 20.0 * np.exp(0.7j)}
+
+
+@pytest.mark.parametrize("slices", [1, 2, 9])
+@pytest.mark.parametrize("n_max", sorted(STACK_LABELS))
+@pytest.mark.parametrize("pass_points", [None, 2 * 2001])
+def test_stacked_slices_equal_the_per_slice_calls_to_the_bit(
+    monkeypatch, slices, n_max, pass_points
+):
+    # each slice has its own time and its own grid around its own mean; with
+    # pass_points set, the 9-slice stack runs in passes of 2, 2, 2, 2 and 1
+    if pass_points is not None:
+        monkeypatch.setattr(wavefunction, "_SERIES_PASS_POINTS", pass_points)
+    label = CoherentLabel(STACK_LABELS[n_max])
+    times = np.linspace(0.0, 2.0 * math.pi, slices) + 0.3
+    centers = [averages_closedform(label, t, PARAMS).mean_x for t in times]
+    halfwidths = np.linspace(6.0, 10.0, slices)
+    points = np.array(
+        [np.linspace(c - h, c + h, 2001) for c, h in zip(centers, halfwidths)]
+    )
+    stacked = psi_series_grid(label, points, times, PARAMS, n_max)
+    assert stacked.shape == points.shape and stacked.dtype == complex
+    for s in range(slices):
+        single = psi_series_grid(label, points[s], times[s], PARAMS, n_max)
+        np.testing.assert_array_equal(stacked[s].view(float), single.view(float))
+        assert stacked[s].tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize(
+    "x, t",
+    [
+        (np.zeros((2, 5)), [0.0, 1.0, 2.0]),  # three times, two slices
+        (np.zeros(2), [0.0, 1.0]),  # a flat axis for two times
+        (np.zeros((2, 5)), 0.0),  # a stack for one time
+        (np.zeros((1, 2, 5)), [0.0]),
+        (np.zeros((2, 5)), np.zeros((2, 1))),
+    ],
+)
+def test_mismatched_stack_shapes_are_refused(x, t):
+    with pytest.raises(DimensionMismatchError):
+        psi_series_grid(CoherentLabel(1.0), x, t, PARAMS, 8)
 
 
 def textbook_table(n_max, xs, params):
