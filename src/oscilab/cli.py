@@ -128,6 +128,8 @@ class RunConfig:
             raise UsageError(
                 f"grid_points must be an odd integer >= 3, got {self.grid_points}"
             )
+        if self.seed < 0:
+            raise UsageError(f"seed must be nonnegative, got {self.seed}")
 
     def params(self) -> OscillatorParams:
         return OscillatorParams(self.hbar, self.mass, self.omega)

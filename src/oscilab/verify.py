@@ -5,6 +5,14 @@ worst case; `run_all` executes the whole battery deterministically (seeded)
 in natural units. The `verify` CLI command prints the table and gates its
 exit code on it.
 
+The seed selects the draws of `hermite-generating-identity` and
+`phase-symmetry` from a SplitMix64 stream (a golden-ratio Weyl sequence
+through a 64-bit mixer) computed with integer numpy, so `numpy.random` is
+never imported. `phase-symmetry` rotates its whole block of random states
+elementwise and takes every state's <H>, <a+ a> and <a>, before and after,
+from the banded kernel of `observables`, one call per block; no dense
+operator is built.
+
 The Runge-Kutta coefficient integrator defined here exists purely as an
 independent cross-check of the exact spectral propagator. Library code never
 evolves anything with it. Because the Hamiltonian is diagonal, N classical
@@ -16,6 +24,7 @@ O(log N) array operations and no exponential is evaluated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,17 +45,12 @@ from .dynamics import (
     propagate_fock,
     rotate_xp,
     sample_trajectory,
-    transform_state_phase,
 )
-from .fock import (
-    OscillatorParams,
-    expectation,
-    make_hamiltonian,
-    make_ladder,
-    random_state,
-)
+from .fock import OscillatorParams, make_ladder
 from .observables import (
+    DEFAULT_NORM_TOL,
     RECORD_COLUMNS,
+    _moments,
     averages_bruteforce_batch,
     averages_bruteforce_fock,
     averages_closedform,
@@ -72,6 +76,53 @@ DEFAULT_CHI_SET = (0j, 1 + 0j, 2j, 1 + 1j, -1.5 + 0.5j)
 # truncation they used before, above what the probe set resolves to.
 SERIES_TAIL_TOL = 1e-24
 SERIES_N_MAX_FLOOR = 64
+
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): a Weyl sequence with the
+# golden-ratio step 2^64 / phi, each state passed through a 64-bit mixer.
+_WEYL_STEP = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer on a uint64 array: a bijection of 64-bit words.
+    Array arithmetic wraps modulo 2^64 without a warning."""
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+def _uniform_draws(seed: int, count: int) -> np.ndarray:
+    """`count` doubles in [0, 1) from the stream that `seed` selects.
+
+    The seed is folded into a 64-bit key 64 bits at a time,
+    key = mix((key xor limb) + step), so any nonnegative integer works, and
+    below 2^64 the fold is a bijection: distinct seeds get distinct keys.
+    Draw k is the top 53 bits of mix(key + k step), k = 1..count. The mixer
+    decorrelates the Weyl states, so two keys give unrelated streams rather
+    than shifted copies of one sequence. Everything is integer numpy, so the
+    same seed gives the same bytes on any machine.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    key = np.zeros(1, dtype=np.uint64)
+    while True:
+        key = _mix64((key ^ np.uint64(seed & _MASK64)) + np.uint64(_WEYL_STEP))
+        seed >>= 64
+        if not seed:
+            break
+    k = np.arange(1, count + 1, dtype=np.uint64)
+    words = _mix64(key + k * np.uint64(_WEYL_STEP))
+    return (words >> 11).astype(float) * 2.0**-53
+
+
+def _normal_draws(u: np.ndarray) -> np.ndarray:
+    """Standard normal draws from an even number of uniforms in [0, 1), by
+    Box-Muller: each pair (u1, u2) gives r cos(2 pi u2) and r sin(2 pi u2)
+    with r = sqrt(-2 ln(1 - u1))."""
+    radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    angle = 2.0 * math.pi * u[1::2]
+    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1).ravel()
 
 
 @dataclass(frozen=True)
@@ -271,11 +322,11 @@ def check_wave_packet(chi_set, n_max: int | None = None) -> CriterionResult:
 def check_generating_identity(seed: int) -> CriterionResult:
     """Hermite generating-function partial sums converge to exp(2xt - t^2)."""
     tol = 1e-12
-    rng = np.random.default_rng(seed)
+    u = _uniform_draws(seed, 40)
+    xs = -3.0 + 6.0 * u[0::2]
+    ts = -0.9 + 1.8 * u[1::2]
     worst = 0.0
-    for _ in range(20):
-        x = rng.uniform(-3.0, 3.0)
-        t = rng.uniform(-0.9, 0.9)
+    for x, t in zip(xs.tolist(), ts.tolist()):
         worst = max(worst, generating_sum_check(x, t, 60))
     return CriterionResult(
         "hermite-generating-identity",
@@ -317,39 +368,57 @@ def check_annihilation_eigenstate(
     )
 
 
+def _phase_symmetry_draws(seed: int):
+    """The states, angles and classical points `check_phase_symmetry` draws.
+
+    Returns a (100, 25) block of normalized states at n_max 24 with i.i.d.
+    complex Gaussian amplitudes, one angle per state, uniform in
+    [-4 pi, 4 pi], and one classical (x, p) pair per state, each coordinate
+    2 N(0, 1). All come from the seed's `_uniform_draws`.
+    """
+    rows, levels = 100, 25
+    split = 2 * rows * levels
+    u = _uniform_draws(seed, split + 3 * rows)
+    amplitudes = _normal_draws(u[:split]).reshape(rows, 2, levels)
+    states = amplitudes[:, 0] + 1j * amplitudes[:, 1]
+    prob = states.real * states.real + states.imag * states.imag
+    states /= np.sqrt(prob.sum(axis=1))[:, np.newaxis]
+    alphas = -4.0 * math.pi + 8.0 * math.pi * u[split:split + rows]
+    xs, ps = 2.0 * _normal_draws(u[split + rows:]).reshape(rows, 2).T
+    return states, alphas, xs, ps
+
+
 def check_phase_symmetry(seed: int) -> CriterionResult:
     """Phase rotation leaves <H> and <a+ a> alone, rotates <a>, and
-    preserves the classical energy form of the rotated means."""
+    preserves the classical energy form of the rotated means.
+
+    The rotated block multiplies c_n by e^(-i n alpha) elementwise, and one
+    banded-kernel call per block gives every state's <H>, <a+ a> and <a>.
+    No second moment is read, so random states that fill the top levels
+    need no truncation warning.
+    """
     params = OscillatorParams()
-    n_max = 24
     inv_tol = 1e-10
     rot_tol = 1e-12
-    rng = np.random.default_rng(seed)
-    a, ad = make_ladder(n_max)
-    num = ad @ a
-    h = make_hamiltonian(params, n_max)
-    worst_inv = 0.0
-    worst_rot = 0.0
+    states, alphas, xs, ps = _phase_symmetry_draws(seed)
+    n = np.arange(states.shape[1])
+    rotated = states * np.exp(-1j * alphas[:, np.newaxis] * n)
+    before, _ = _moments(states, params, DEFAULT_NORM_TOL)
+    after, _ = _moments(rotated, params, DEFAULT_NORM_TOL)
+    worst_inv = max(
+        float(np.max(np.abs(after[name] - before[name])))
+        for name in ("energy", "n_avg")
+    )
+    a_before = before["a_avg_re"] + 1j * before["a_avg_im"]
+    a_after = after["a_avg_re"] + 1j * after["a_avg_im"]
+    worst_rot = max(
+        float(np.max(np.abs(a_after - np.exp(-1j * alphas) * a_before))),
+        float(np.max(np.abs(np.abs(a_after) - np.abs(a_before)))),
+    )
     worst_energy = 0.0
     m_omega2 = params.mass * params.omega**2
-    for _ in range(100):
-        state = random_state(n_max, rng)
-        alpha = PhaseAngle(rng.uniform(-4.0 * math.pi, 4.0 * math.pi))
-        rotated = transform_state_phase(state, alpha)
-        worst_inv = max(
-            worst_inv,
-            abs(expectation(h, rotated).real - expectation(h, state).real),
-            abs(expectation(num, rotated).real - expectation(num, state).real),
-        )
-        a_before = expectation(a, state)
-        a_after = expectation(a, rotated)
-        worst_rot = max(
-            worst_rot,
-            abs(a_after - complex(np.exp(-1j * alpha.alpha)) * a_before),
-            abs(abs(a_after) - abs(a_before)),
-        )
-        x, p = rng.standard_normal(2) * 2.0
-        x_new, p_new = rotate_xp(x, p, alpha, params)
+    for x, p, alpha in zip(xs.tolist(), ps.tolist(), alphas.tolist()):
+        x_new, p_new = rotate_xp(x, p, PhaseAngle(alpha), params)
         energy_before = 0.5 * m_omega2 * x**2 + p**2 / (2.0 * params.mass)
         energy_after = 0.5 * m_omega2 * x_new**2 + p_new**2 / (2.0 * params.mass)
         worst_energy = max(worst_energy, abs(energy_after - energy_before))
@@ -377,7 +446,8 @@ def rk4_coefficients(state, params: OscillatorParams, t_total: float, steps: int
     error is the method's own O(dt^4), unrelated to the exact phases of
     `propagate_fock`, and the cost is O(log steps) array operations.
     """
-    g = -1j * np.diagonal(make_hamiltonian(params, state.n_max).matrix) / params.hbar
+    levels = params.hbar * params.omega * (np.arange(state.n_max + 1) + 0.5)
+    g = -1j * levels / params.hbar
     dt = t_total / steps
     k1 = g
     k2 = g * (1.0 + 0.5 * dt * k1)

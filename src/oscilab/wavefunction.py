@@ -277,7 +277,12 @@ def psi_series_grid(
         points = xs[block]
         acc = np.zeros((2, *points.shape))
         term = np.empty_like(acc)
-        rows = _eigenfunction_rows(parts.shape[0] - 1, points, params)
+        # Above the pass's last nonzero coefficient every term is +-0 phi_k,
+        # and adding that to a finite accumulator never changes it, so the
+        # recurrence stops there with the same bits.
+        nonzero = np.flatnonzero(parts.reshape(parts.shape[0], -1).any(axis=1))
+        top = int(nonzero[-1]) if nonzero.size else 0
+        rows = _eigenfunction_rows(top, points, params)
         for part, row in zip(parts, rows):
             multiply(part, row, out=term)
             add(acc, term, out=acc)

@@ -174,6 +174,7 @@ def test_json_output_structure(tmp_path):
         (["no-such-command"], "command"),
         (["spectrum", "--format", "xml"], "--format"),
         (["spectrum", "--n-max", "-3"], "--n-max"),
+        (["verify", "--seed", "-1"], "seed must be nonnegative"),
     ],
 )
 def test_invalid_configuration_exits_1(args, capsys):
@@ -206,6 +207,13 @@ def test_verify_default_passes(capsys):
     out = capsys.readouterr().out
     assert "10/10 criteria passed" in out
     assert "FAIL" not in out
+
+
+def test_verify_passes_at_a_forty_digit_seed(capsys):
+    assert main(["verify", "--seed", "3141592653589793238462643383279502884197"]) == 0
+    captured = capsys.readouterr()
+    assert "10/10 criteria passed" in captured.out
+    assert captured.err == ""
 
 
 def test_verify_under_truncated_names_the_culprit(capsys):

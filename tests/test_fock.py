@@ -11,6 +11,7 @@ from oscilab.fock import (
     expectation,
     fock_state,
     identity,
+    level_phases,
     make_hamiltonian,
     make_ladder,
     make_xp,
@@ -191,3 +192,23 @@ def test_random_state_is_normalized_and_reproducible():
     s2 = random_state(20, rng=123)
     assert s1.norm() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_array_equal(s1.coeffs, s2.coeffs)
+
+
+@pytest.mark.parametrize(
+    "params", [OscillatorParams(), OscillatorParams(2.0, 0.5, 1.7)]
+)
+def test_level_phases_equal_the_complex_exponential_to_the_bit(params):
+    # the real cos/sin of the angle are the complex exp of the angle times -1j
+    times = np.concatenate([
+        [0.0, -0.0, 1e-300, -2.5, 1e4, -1e4, 9999.999999, 10001.5],
+        np.linspace(-20.0, 20.0, 4001),
+        np.linspace(9990.0, 10010.0, 401),
+    ])
+    for n_max in (0, 16, 589):
+        n = np.arange(n_max + 1)
+        reference = np.exp(-1j * params.omega * times[:, np.newaxis] * (n + 0.5))
+        phases = level_phases(params, times, n_max)
+        assert phases.tobytes() == reference.tobytes()
+        for t in (0.0, -3.25, 1e4):
+            row = np.exp(-1j * params.omega * t * (n + 0.5))
+            assert level_phases(params, t, n_max).tobytes() == row.tobytes()

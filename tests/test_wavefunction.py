@@ -398,3 +398,27 @@ def test_table_is_the_textbook_recurrence_to_the_bit(params, n_max):
 def test_table_out_of_the_wrong_shape_or_dtype_is_refused(out):
     with pytest.raises(ValueError, match="out must be a float64 array of shape"):
         eigenfunction_table(5, np.linspace(-1.0, 1.0, 11), PARAMS, out=out)
+
+
+def test_vacuum_series_stops_at_its_last_nonzero_level(monkeypatch):
+    # every coefficient above level 0 is exactly zero, so the n_max 64 series
+    # runs one recurrence row and equals the n_max 0 series to the bit
+    label = CoherentLabel(0)
+    rows_run = []
+    rows = wavefunction._eigenfunction_rows
+
+    def counted(n_max, xs, params):
+        for row in rows(n_max, xs, params):
+            rows_run.append(row.shape)
+            yield row
+
+    monkeypatch.setattr(wavefunction, "_eigenfunction_rows", counted)
+    times = np.array([0.0, 0.7, math.pi, 4.2, 2.0 * math.pi])
+    points = np.tile(np.linspace(-10.0, 10.0, 2001), (times.size, 1))
+    full = psi_series_grid(label, points, times, PARAMS, 64)
+    assert len(rows_run) == 1
+    bare = psi_series_grid(label, points, times, PARAMS, 0)
+    assert full.tobytes() == bare.tobytes()
+    for t in (0.0, -1.3):
+        single = psi_series_grid(label, points[0], t, PARAMS, 64)
+        assert single.tobytes() == psi_series_grid(label, points[0], t, PARAMS, 0).tobytes()
