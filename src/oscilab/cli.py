@@ -31,25 +31,15 @@ from .coherent import (
     resolve_n_max,
     truncation_tail,
 )
-from .dynamics import (
-    PhaseAngle,
-    propagate_fock,
-    rotate_xp,
-    sample_times,
-    transform_state_phase,
-)
-from .fock import (
-    OscillatorParams,
-    expectation,
-    make_hamiltonian,
-    make_ladder,
-)
+from .dynamics import propagate_fock, sample_times
+from .fock import OscillatorParams
 from .observables import (
     RECORD_COLUMNS,
     averages_bruteforce,
     averages_bruteforce_batch,
     averages_bruteforce_fock,
     averages_closedform,
+    phase_rotation_drifts,
     record_row,
     uncertainty_fock,
 )
@@ -340,41 +330,14 @@ def _wavefunction(config, params, label, n_max):
 
 
 def _symmetry_check(config, params, label, n_max):
-    state = coherent_coefficients(label, n_max)
-    a, ad = make_ladder(n_max)
-    number_op = ad @ a
-    hamiltonian = make_hamiltonian(params, n_max)
-    h_ref = expectation(hamiltonian, state).real
-    n_ref = expectation(number_op, state).real
-    a_ref = expectation(a, state)
-    base = averages_bruteforce(state, params)
-
-    def classical_energy(x: float, p: float) -> float:
-        return 0.5 * params.mass * params.omega**2 * x**2 + p**2 / (2.0 * params.mass)
-
-    energy_ref = classical_energy(base.mean_x, base.mean_p)
-    rows = []
-    for alpha in np.linspace(0.0, 2.0 * math.pi, 17):
-        angle = PhaseAngle(float(alpha))
-        rotated = transform_state_phase(state, angle)
-        a_rot = expectation(a, rotated)
-        expected_a = complex(np.exp(-1j * angle.alpha)) * a_ref
-        x_rot, p_rot = rotate_xp(base.mean_x, base.mean_p, angle, params)
-        rows.append(
-            (
-                float(alpha),
-                abs(expectation(hamiltonian, rotated).real - h_ref),
-                abs(expectation(number_op, rotated).real - n_ref),
-                abs(a_rot - expected_a),
-                abs(abs(a_rot) - abs(a_ref)),
-                abs(classical_energy(x_rot, p_rot) - energy_ref),
-            )
-        )
-    columns = ["alpha", "h_drift", "n_drift", "a_rotation_error", "a_modulus_drift",
-               "xp_energy_drift"]
-    footer = [{f"max_{name}": max(row[i] for row in rows)
-               for i, name in enumerate(columns[1:], start=1)}]
-    return columns, rows, footer
+    alphas = np.linspace(0.0, 2.0 * math.pi, 17)
+    coeffs = coherent_coefficients(label, n_max).coeffs
+    drifts = phase_rotation_drifts(
+        np.broadcast_to(coeffs, (alphas.size, coeffs.size)), alphas, params
+    )
+    rows = list(zip(alphas.tolist(), *(values.tolist() for values in drifts.values())))
+    footer = [{f"max_{name}": float(values.max()) for name, values in drifts.items()}]
+    return ["alpha", *drifts], rows, footer
 
 
 # Every table command: name -> (producer, tail tolerance of its auto
@@ -459,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-max", type=_n_max_type, default="auto",
         help="truncation level, or 'auto' for the tail rule (default auto)",
     )
-    state.add_argument("--seed", type=int, default=0)
 
     out = _Parser(add_help=False)
     out.add_argument(

@@ -23,13 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    DimensionMismatchError,
-    Operator,
-    OscillatorParams,
-    StateVector,
-    level_phases,
-)
+from .fock import OscillatorParams, StateVector, level_phases
 
 __all__ = [
     "CoherentLabel",
@@ -134,22 +128,19 @@ def dynamical_coherent_state(
     return StateVector(base.coeffs * phases, n_max, time=float(t))
 
 
-def annihilation_residual(
-    state: StateVector, evolved: CoherentLabel, a: Operator
-) -> float:
+def annihilation_residual(state: StateVector, evolved: CoherentLabel) -> float:
     """Norm of (a - chi(t)) applied to the state.
 
-    Zero for an exact coherent state; for one truncated at n_max it is
-    bounded by |C_n_max| * sqrt(n_max + 1), so it quantifies how badly the
-    truncation broke the eigenstate property.
+    (a c)_n = sqrt(n + 1) c_(n+1) is a shifted elementwise product, zero on
+    the top level, so no ladder matrix is built. The residual is zero for an
+    exact coherent state; for one truncated at n_max it is bounded by
+    |C_n_max| * sqrt(n_max + 1), so it quantifies how badly the truncation
+    broke the eigenstate property.
     """
-    if a.matrix.shape[0] != state.coeffs.size:
-        raise DimensionMismatchError(
-            f"operator dimension {a.matrix.shape[0]} does not match "
-            f"state length {state.coeffs.size}"
-        )
-    residual = a.matrix @ state.coeffs - evolved.chi * state.coeffs
-    return float(np.linalg.norm(residual))
+    c = state.coeffs
+    lowered = np.zeros_like(c)
+    lowered[:-1] = np.sqrt(np.arange(1, c.size, dtype=float)) * c[1:]
+    return float(np.linalg.norm(lowered - evolved.chi * c))
 
 
 # stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n) for n = 1..15 (Loader's

@@ -1,10 +1,12 @@
 """Truncated Fock-space core: oscillator parameters, states, operator matrices.
 
-Everything is expressed in the number basis |0>..|n_max> with dense complex
-matrices. Dense storage is deliberate: at desk scale (n_max up to a few
-hundred) it keeps products, commutators and expectation values trivial and
-serves as the correctness baseline. All values are immutable after
-construction and every operation is a pure function of its inputs.
+Everything is expressed in the number basis |0>..|n_max>. The dense complex
+matrices (`Operator`, `make_ladder`, `make_xp`, `make_hamiltonian`,
+`expectation`) are the tests' oracle: they keep products, commutators and
+expectation values trivial, and no runtime path builds one, since every
+command computes its averages with the banded products of `observables`.
+All values are immutable after construction and every operation is a pure
+function of its inputs.
 """
 
 from __future__ import annotations

@@ -13,7 +13,9 @@ do not depend on the BLAS build or its thread count. `averages_bruteforce`
 is the one-row call; `averages_bruteforce_batch` (one state propagated to
 many times) and `averages_bruteforce_fock` (many number states) feed it
 blocks of BATCH_TIMES rows, and each of their rows equals the one-row call
-to the bit. Tests pin the kernel to the dense `fock.Operator` matrices.
+to the bit. `phase_rotation_drifts` reads a block and its phase-rotated copy
+from the same kernel. Tests pin the kernel to the dense `fock.Operator`
+matrices.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "averages_bruteforce_batch",
     "averages_bruteforce_fock",
     "averages_closedform",
+    "phase_rotation_drifts",
     "uncertainty_fock",
 ]
 
@@ -301,6 +304,56 @@ def averages_bruteforce_fock(
         for start in range(0, levels.size, BATCH_TIMES)
     )
     return _columns(np.zeros(levels.size), blocks, params)
+
+
+def phase_rotation_drifts(
+    states: np.ndarray, alphas, params: OscillatorParams, xs=None, ps=None
+) -> dict[str, np.ndarray]:
+    """What the phase transformation c_n -> c_n e^(-i n alpha) moves, per row.
+
+    states is a nonempty (rows, n_max + 1) block and alphas holds one angle
+    per row. Row k is rotated by alphas[k] elementwise, and one `_moments`
+    call on each block gives every row's <H>, <a+ a> and <a> before and
+    after. The classical pair (xs[k], ps[k]) turns by the same angle, as
+    `dynamics.rotate_xp` turns it; xs and ps default to each row's own <x>
+    and <p>. Returns the columns
+        h_drift = |<H>' - <H>|,  n_drift = |<a+ a>' - <a+ a>|,
+        a_rotation_error = |<a>' - e^(-i alpha) <a>|,
+        a_modulus_drift = ||<a>'| - |<a>||,
+        xp_energy_drift = |E(x', p') - E(x, p)|,  E = M omega^2 x^2/2 + p^2/2M.
+    No second moment is read, so states that fill the top levels draw no
+    TruncationWarning. Raises NormalizationError like `averages_bruteforce`.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.shape != states.shape[:1]:
+        raise ValueError(
+            f"need one angle per row: {states.shape[0]} rows, angles of shape "
+            f"{alphas.shape}"
+        )
+    n = np.arange(states.shape[1])
+    rotated = states * np.exp(-1j * alphas[:, np.newaxis] * n)
+    before, _ = _moments(states, params, DEFAULT_NORM_TOL)
+    after, _ = _moments(rotated, params, DEFAULT_NORM_TOL)
+    a_before = before["a_avg_re"] + 1j * before["a_avg_im"]
+    a_after = after["a_avg_re"] + 1j * after["a_avg_im"]
+    xs = before["mean_x"] if xs is None else np.asarray(xs, dtype=float)
+    ps = before["mean_p"] if ps is None else np.asarray(ps, dtype=float)
+    sin_a, cos_a = np.sin(alphas), np.cos(alphas)
+    m_omega = params.mass * params.omega
+    m_omega2 = params.mass * params.omega**2
+    x_new = -(ps / m_omega) * sin_a + xs * cos_a
+    p_new = ps * cos_a + m_omega * xs * sin_a
+
+    def energy(x, p):
+        return 0.5 * m_omega2 * x**2 + p**2 / (2.0 * params.mass)
+
+    return {
+        "h_drift": np.abs(after["energy"] - before["energy"]),
+        "n_drift": np.abs(after["n_avg"] - before["n_avg"]),
+        "a_rotation_error": np.abs(a_after - np.exp(-1j * alphas) * a_before),
+        "a_modulus_drift": np.abs(np.abs(a_after) - np.abs(a_before)),
+        "xp_energy_drift": np.abs(energy(x_new, p_new) - energy(xs, ps)),
+    }
 
 
 def averages_closedform(

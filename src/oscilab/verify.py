@@ -8,10 +8,9 @@ exit code on it.
 The seed selects the draws of `hermite-generating-identity` and
 `phase-symmetry` from a SplitMix64 stream (a golden-ratio Weyl sequence
 through a 64-bit mixer) computed with integer numpy, so `numpy.random` is
-never imported. `phase-symmetry` rotates its whole block of random states
-elementwise and takes every state's <H>, <a+ a> and <a>, before and after,
-from the banded kernel of `observables`, one call per block; no dense
-operator is built.
+never imported. `phase-symmetry` passes its whole block of random states to
+`observables.phase_rotation_drifts`, the sweep behind the `symmetry-check`
+command; no criterion builds a dense operator.
 
 The Runge-Kutta coefficient integrator defined here exists purely as an
 independent cross-check of the exact spectral propagator. Library code never
@@ -39,21 +38,18 @@ from .coherent import (
     resolve_n_max,
 )
 from .dynamics import (
-    PhaseAngle,
     Trajectory,
     ehrenfest_residual,
     propagate_fock,
-    rotate_xp,
     sample_trajectory,
 )
-from .fock import OscillatorParams, make_ladder
+from .fock import OscillatorParams
 from .observables import (
-    DEFAULT_NORM_TOL,
     RECORD_COLUMNS,
-    _moments,
     averages_bruteforce_batch,
     averages_bruteforce_fock,
     averages_closedform,
+    phase_rotation_drifts,
     record_from_row,
     uncertainty_fock,
 )
@@ -347,19 +343,14 @@ def check_annihilation_eigenstate(
     for chi in chi_set:
         label = CoherentLabel(chi)
         nm = _series_n_max(label, n_max)
-        a, _ = make_ladder(nm)
         for t in (0.0, 1.1):
             state = dynamical_coherent_state(label, t, params, nm)
             worst = max(
-                worst,
-                annihilation_residual(state, evolve_label(label, t, params), a),
+                worst, annihilation_residual(state, evolve_label(label, t, params))
             )
     # under-truncated control: the residual must be grossly visible
     bad_label = CoherentLabel(3 + 0j)
-    a12, _ = make_ladder(12)
-    bad = annihilation_residual(
-        coherent_coefficients(bad_label, 12), bad_label, a12
-    )
+    bad = annihilation_residual(coherent_coefficients(bad_label, 12), bad_label)
     return CriterionResult(
         "annihilation-eigenstate",
         worst < tol and bad > 1e-2,
@@ -392,36 +383,19 @@ def check_phase_symmetry(seed: int) -> CriterionResult:
     """Phase rotation leaves <H> and <a+ a> alone, rotates <a>, and
     preserves the classical energy form of the rotated means.
 
-    The rotated block multiplies c_n by e^(-i n alpha) elementwise, and one
-    banded-kernel call per block gives every state's <H>, <a+ a> and <a>.
-    No second moment is read, so random states that fill the top levels
-    need no truncation warning.
+    The drawn block goes through `phase_rotation_drifts`, which rotates
+    c_n by e^(-i n alpha) elementwise and reads both blocks from the banded
+    kernel; each reported value is the largest of its columns over the 100
+    states.
     """
-    params = OscillatorParams()
     inv_tol = 1e-10
     rot_tol = 1e-12
     states, alphas, xs, ps = _phase_symmetry_draws(seed)
-    n = np.arange(states.shape[1])
-    rotated = states * np.exp(-1j * alphas[:, np.newaxis] * n)
-    before, _ = _moments(states, params, DEFAULT_NORM_TOL)
-    after, _ = _moments(rotated, params, DEFAULT_NORM_TOL)
-    worst_inv = max(
-        float(np.max(np.abs(after[name] - before[name])))
-        for name in ("energy", "n_avg")
-    )
-    a_before = before["a_avg_re"] + 1j * before["a_avg_im"]
-    a_after = after["a_avg_re"] + 1j * after["a_avg_im"]
-    worst_rot = max(
-        float(np.max(np.abs(a_after - np.exp(-1j * alphas) * a_before))),
-        float(np.max(np.abs(np.abs(a_after) - np.abs(a_before)))),
-    )
-    worst_energy = 0.0
-    m_omega2 = params.mass * params.omega**2
-    for x, p, alpha in zip(xs.tolist(), ps.tolist(), alphas.tolist()):
-        x_new, p_new = rotate_xp(x, p, PhaseAngle(alpha), params)
-        energy_before = 0.5 * m_omega2 * x**2 + p**2 / (2.0 * params.mass)
-        energy_after = 0.5 * m_omega2 * x_new**2 + p_new**2 / (2.0 * params.mass)
-        worst_energy = max(worst_energy, abs(energy_after - energy_before))
+    drifts = phase_rotation_drifts(states, alphas, OscillatorParams(), xs, ps)
+    worst = {name: float(np.max(values)) for name, values in drifts.items()}
+    worst_inv = max(worst["h_drift"], worst["n_drift"])
+    worst_rot = max(worst["a_rotation_error"], worst["a_modulus_drift"])
+    worst_energy = worst["xp_energy_drift"]
     return CriterionResult(
         "phase-symmetry",
         worst_inv < inv_tol and worst_rot < rot_tol and worst_energy < rot_tol,

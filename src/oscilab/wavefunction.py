@@ -167,37 +167,20 @@ def _eigenfunction_rows(n_max: int, xs: np.ndarray, params: OscillatorParams):
         prev, cur, new = cur, new, prev
 
 
-def eigenfunction_table(
-    n_max: int, x, params: OscillatorParams, *, out: np.ndarray | None = None
-) -> np.ndarray:
+def eigenfunction_table(n_max: int, x, params: OscillatorParams) -> np.ndarray:
     """Orthonormal eigenfunctions phi_0..phi_n_max stacked along axis 0.
 
     The rows come from the weighted-function recurrence above, so no
     factorials or bare Hermite values ever appear.
-
-    `out`, when given, is a float64 array of shape (n_max + 1, len(x)) that
-    receives the table and is returned; it may be a strided view, such as
-    the `.real` of a complex array. The recurrence runs in contiguous
-    scratch rows and never reads `out`, so the values are the same to the
-    bit either way.
     """
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     xs, _ = _as_axis(x)
-    shape = (n_max + 1, xs.size)
-    if out is None:
-        out = np.empty(shape, dtype=float)
-    elif not (
-        isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == shape
-    ):
-        raise ValueError(
-            f"out must be a float64 array of shape {shape}, got "
-            f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}"
-        )
+    table = np.empty((n_max + 1, xs.size), dtype=float)
     for k, row in enumerate(_eigenfunction_rows(n_max, xs, params)):
-        out[k] = row
-    return out
+        table[k] = row
+    return table
 
 
 def eigenfunction(n: int, x, params: OscillatorParams):

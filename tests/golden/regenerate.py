@@ -13,10 +13,8 @@ the `--output` file ("-" when the case wrote none), then the case itself.
 The script pins the BLAS thread count before numpy loads: one thread unless
 `--blas-threads` says otherwise. The `wavefunction` series and every
 brute-force average are fixed-order elementwise sums, so their bytes do not
-depend on that count. `symmetry-check` still takes dense
-`fock.expectation` products, BLAS calls on at most 25 levels in these cases;
-its bytes matched at one and two threads where the hashes were recorded. The header records a fingerprint of the machine: the same
-bytes are expected only where the fingerprint matches.
+depend on that count. The header records a fingerprint of the machine: the
+same bytes are expected only where the fingerprint matches.
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -20,8 +22,15 @@ from oscilab.cli import (
     _render,
     main,
 )
-from oscilab.coherent import CoherentLabel, truncation_tail
-from oscilab.fock import OscillatorParams
+from oscilab.coherent import CoherentLabel, coherent_coefficients, truncation_tail
+from oscilab.dynamics import PhaseAngle, rotate_xp, transform_state_phase
+from oscilab.fock import (
+    OscillatorParams,
+    expectation,
+    make_hamiltonian,
+    make_ladder,
+    make_xp,
+)
 from oscilab.observables import averages_closedform
 from oscilab.wavefunction import default_packet_grid, psi_closed_grid, psi_series_grid
 
@@ -125,7 +134,7 @@ def test_wavefunction_footer_and_agreement(tmp_path):
 
 
 def test_identical_configs_are_byte_identical(tmp_path):
-    args = ["spectrum", "--chi-re", "1.5", "--chi-im", "-0.25", "--seed", "3"]
+    args = ["spectrum", "--chi-re", "1.5", "--chi-im", "-0.25"]
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--output", str(first)]) == 0
     assert main(args + ["--output", str(second)]) == 0
@@ -183,6 +192,14 @@ def test_invalid_configuration_exits_1(args, capsys):
     err = capsys.readouterr().err
     assert named in err.splitlines()[-1]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(PRODUCERS))
+def test_table_commands_take_no_seed(command, capsys):
+    # no table is drawn at random; only verify has a --seed
+    assert main([command, "--seed", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --seed 3" in err.splitlines()[-1]
 
 
 @pytest.mark.parametrize(
@@ -271,6 +288,76 @@ def test_symmetry_check_reports_clean_invariance(tmp_path):
     assert float(footer["max_n_drift"]) < 1e-10
     assert float(footer["max_a_rotation_error"]) < 1e-12
     assert float(footer["max_xp_energy_drift"]) < 1e-12
+
+
+def dense_symmetry_rows(label, n_max, params):
+    """The symmetry-check table from dense `fock.expectation` products."""
+    state = coherent_coefficients(label, n_max)
+    a, ad = make_ladder(n_max)
+    number = ad @ a
+    hamiltonian = make_hamiltonian(params, n_max)
+    x_op, p_op = make_xp(params, n_max)
+
+    def energy(x, p):
+        return 0.5 * params.mass * params.omega**2 * x**2 + p**2 / (2.0 * params.mass)
+
+    h_ref = expectation(hamiltonian, state).real
+    n_ref = expectation(number, state).real
+    a_ref = expectation(a, state)
+    x_ref = expectation(x_op, state).real
+    p_ref = expectation(p_op, state).real
+    rows = []
+    for alpha in np.linspace(0.0, 2.0 * math.pi, 17).tolist():
+        angle = PhaseAngle(alpha)
+        rotated = transform_state_phase(state, angle)
+        a_rot = expectation(a, rotated)
+        x_rot, p_rot = rotate_xp(x_ref, p_ref, angle, params)
+        rows.append([
+            alpha,
+            abs(expectation(hamiltonian, rotated).real - h_ref),
+            abs(expectation(number, rotated).real - n_ref),
+            abs(a_rot - complex(np.exp(-1j * alpha)) * a_ref),
+            abs(abs(a_rot) - abs(a_ref)),
+            abs(energy(x_rot, p_rot) - energy(x_ref, p_ref)),
+        ])
+    return np.array(rows)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    modulus=st.floats(0.0, 4.0),
+    phase=st.floats(0.0, 2.0 * math.pi),
+    n_max=st.integers(0, 40),
+    params=st.tuples(*[st.floats(0.5, 2.0)] * 3),
+)
+def test_symmetry_check_cells_match_dense_expectations(modulus, phase, n_max, params):
+    chi = modulus * complex(math.cos(phase), math.sin(phase))
+    params = OscillatorParams(*params)
+    # "--name=value": argparse takes "-1e-05" after a space for an option
+    argv = [
+        "symmetry-check", f"--chi-re={chi.real!r}", f"--chi-im={chi.imag!r}",
+        f"--n-max={n_max}", f"--hbar={params.hbar!r}", f"--mass={params.mass!r}",
+        f"--omega={params.omega!r}", "--format=json",
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    label = CoherentLabel(chi)
+    norm = coherent_coefficients(label, n_max).norm()
+    if abs(norm - 1.0) > 1e-10:  # an under-truncated state is refused
+        assert code == 1
+        assert "state norm" in err.getvalue()
+        return
+    assert code == 0, err.getvalue()
+    payload = json.loads(out.getvalue())
+    columns = list(payload["rows"][0])
+    got = np.array([[row[name] for name in columns] for row in payload["rows"]])
+    want = dense_symmetry_rows(label, n_max, params)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    assert payload["footer"] == [
+        {f"max_{name}": max(got[:, k]) for k, name in enumerate(columns) if k}
+    ]
 
 
 def test_uncertainty_command(tmp_path):

@@ -21,7 +21,8 @@ from oscilab.coherent import (
     resolve_n_max,
     truncation_tail,
 )
-from oscilab.fock import DimensionMismatchError, OscillatorParams, make_ladder
+from oscilab.fock import OscillatorParams, make_ladder
+from oscilab.verify import DEFAULT_CHI_SET
 
 PARAMS = OscillatorParams()
 
@@ -177,37 +178,33 @@ def test_dynamical_state_is_evolved_label_times_global_phase(chi, t):
 
 
 def test_annihilation_residual_vacuum_exact_zero():
-    a, _ = make_ladder(6)
     label = CoherentLabel(0)
-    assert annihilation_residual(coherent_coefficients(label, 6), label, a) == 0.0
+    assert annihilation_residual(coherent_coefficients(label, 6), label) == 0.0
 
 
 def test_annihilation_residual_well_truncated():
     label = CoherentLabel(1)
     state = coherent_coefficients(label, 64)
-    a, _ = make_ladder(64)
-    residual = annihilation_residual(state, label, a)
+    residual = annihilation_residual(state, label)
     bound = abs(state.coeffs[-1]) * math.sqrt(65)
     assert residual < 1e-10
-    # the analytic bound binds only above the matrix-product rounding floor
+    # the analytic bound binds only above the rounding floor of the product
     assert residual <= bound + 1e-14
 
 
 def test_annihilation_residual_under_truncated():
     label = CoherentLabel(3)
-    a, _ = make_ladder(12)
-    assert annihilation_residual(coherent_coefficients(label, 12), label, a) > 0.01
+    assert annihilation_residual(coherent_coefficients(label, 12), label) > 0.01
 
 
 @pytest.mark.parametrize("chi", [1, 2j, 1 + 1j])
 def test_annihilation_residual_decays_at_tail_bound_rate(chi):
-    noise_floor = 1e-13  # rounding of the matrix product; decay saturates here
+    noise_floor = 1e-13  # rounding of the product; decay saturates here
     label = CoherentLabel(chi)
     residuals = []
     for n_max in (16, 32, 64):
         state = coherent_coefficients(label, n_max)
-        a, _ = make_ladder(n_max)
-        residual = annihilation_residual(state, label, a)
+        residual = annihilation_residual(state, label)
         bound = abs(state.coeffs[-1]) * math.sqrt(n_max + 1)
         assert residual <= max(bound * (1 + 1e-9), noise_floor)
         residuals.append(residual)
@@ -215,11 +212,16 @@ def test_annihilation_residual_decays_at_tail_bound_rate(chi):
         assert r2 <= max(r1, noise_floor)
 
 
-def test_annihilation_residual_dimension_mismatch():
-    a, _ = make_ladder(5)
-    label = CoherentLabel(1)
-    with pytest.raises(DimensionMismatchError):
-        annihilation_residual(coherent_coefficients(label, 8), label, a)
+@pytest.mark.parametrize("chi", DEFAULT_CHI_SET)
+@pytest.mark.parametrize("n_max", [4, 12, 64, 622])
+def test_annihilation_residual_is_the_dense_ladder_product_to_the_bit(chi, n_max):
+    a, _ = make_ladder(n_max)
+    label = CoherentLabel(chi)
+    for t in (0.0, 1.1):
+        state = dynamical_coherent_state(label, t, PARAMS, n_max)
+        evolved = evolve_label(label, t, PARAMS)
+        dense = np.linalg.norm(a.matrix @ state.coeffs - evolved.chi * state.coeffs)
+        assert annihilation_residual(state, evolved) == dense
 
 
 def test_auto_n_max_minimality():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from oscilab.fock import (
     make_xp,
     random_state,
 )
-from oscilab.dynamics import propagate_fock
+from oscilab.dynamics import PhaseAngle, propagate_fock, rotate_xp
 from oscilab.observables import (
     BATCH_TIMES,
     RECORD_COLUMNS,
@@ -33,6 +34,7 @@ from oscilab.observables import (
     averages_bruteforce_batch,
     averages_bruteforce_fock,
     averages_closedform,
+    phase_rotation_drifts,
     record_from_row,
     record_object,
     record_row,
@@ -91,7 +93,7 @@ def test_closed_and_brute_force_agree_fieldwise(chi, t):
 
 
 def test_bruteforce_energy_time_independent():
-    from oscilab.dynamics import propagate_fock
+    from oscilab.dynamics import PhaseAngle, propagate_fock, rotate_xp
 
     label = CoherentLabel(1.5j)
     base = coherent_coefficients(label, auto_n_max(label) + 2)
@@ -336,3 +338,31 @@ def test_fock_columns_check_their_levels():
     empty = averages_bruteforce_fock([], 6, PARAMS)
     assert tuple(empty) == RECORD_COLUMNS
     assert all(values.shape == (0,) for values in empty.values())
+
+
+def test_drifts_rotate_the_given_classical_pairs_as_rotate_xp_does():
+    params = OscillatorParams(2.0, 0.5, 1.7)
+    states = np.array([random_state(12, seed).coeffs for seed in range(9)])
+    alphas = np.linspace(-4.0 * math.pi, 4.0 * math.pi, 9)
+    xs = np.linspace(-3.0, 3.0, 9)
+    ps = np.linspace(2.5, -2.5, 9)
+
+    def energy(x, p):
+        return 0.5 * params.mass * params.omega**2 * x**2 + p**2 / (2.0 * params.mass)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a full top level draws no warning
+        drifts = phase_rotation_drifts(states, alphas, params, xs, ps)
+    for k, (x, p, alpha) in enumerate(zip(xs, ps, alphas)):
+        x_new, p_new = rotate_xp(x, p, PhaseAngle(alpha), params)
+        want = abs(energy(x_new, p_new) - energy(x, p))
+        assert abs(drifts["xp_energy_drift"][k] - want) <= 1e-13 * energy(x, p)
+    assert max(drifts["h_drift"].max(), drifts["n_drift"].max()) < 1e-12
+
+
+def test_drifts_need_one_angle_per_row_and_normalized_rows():
+    states = np.array([fock_state(1, 4).coeffs] * 3)
+    with pytest.raises(ValueError, match="one angle per row"):
+        phase_rotation_drifts(states, [0.1, 0.2], PARAMS)
+    with pytest.raises(NormalizationError):
+        phase_rotation_drifts(2.0 * states, [0.1, 0.2, 0.3], PARAMS)

@@ -370,34 +370,11 @@ def textbook_table(n_max, xs, params):
 )
 @pytest.mark.parametrize("n_max", [0, 1, 2, 40, 300])
 def test_table_is_the_textbook_recurrence_to_the_bit(params, n_max):
-    # the default float table and one written into a complex array's .real
     xs = np.linspace(-5.0, 8.0, 131) * params.length_scale
     reference = textbook_table(n_max, xs, params)
-    default = eigenfunction_table(n_max, xs, params)
-    table = np.zeros((n_max + 1, xs.size), dtype=complex)
-    returned = eigenfunction_table(n_max, xs, params, out=table.real)
-    assert np.shares_memory(returned, table)
-    for values in (default, table.real):
-        assert np.array_equal(values, reference)
-        assert values.tobytes() == reference.tobytes()
-    assert not np.any(table.imag)
-
-
-@pytest.mark.parametrize(
-    "out",
-    [
-        np.empty((5, 11)),  # one row short
-        np.empty((6, 10)),  # one point short
-        np.empty(66),  # flat
-        np.empty((6, 11), dtype=np.float32),
-        np.empty((6, 11), dtype=complex),
-        np.empty((6, 11), dtype=int),
-        [[0.0] * 11] * 6,  # not an array
-    ],
-)
-def test_table_out_of_the_wrong_shape_or_dtype_is_refused(out):
-    with pytest.raises(ValueError, match="out must be a float64 array of shape"):
-        eigenfunction_table(5, np.linspace(-1.0, 1.0, 11), PARAMS, out=out)
+    table = eigenfunction_table(n_max, xs, params)
+    assert np.array_equal(table, reference)
+    assert table.tobytes() == reference.tobytes()
 
 
 def test_vacuum_series_stops_at_its_last_nonzero_level(monkeypatch):
