@@ -6,6 +6,8 @@ coherent states, evolves them exactly, and checks every closed-form claim
 packet, broken phase symmetry) against brute-force matrix numerics.
 """
 
+from types import ModuleType as _ModuleType
+
 from .coherent import (
     CoherentLabel,
     TruncationCapError,
@@ -50,6 +52,7 @@ from .observables import (
     averages_bruteforce_batch,
     averages_bruteforce_fock,
     averages_closedform,
+    averages_closedform_batch,
     phase_rotation_drifts,
     uncertainty_fock,
 )
@@ -70,57 +73,8 @@ from .wavefunction import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "DimensionMismatchError",
-    "NormalizationError",
-    "TruncationWarning",
-    "OscillatorParams",
-    "StateVector",
-    "Operator",
-    "make_ladder",
-    "make_xp",
-    "make_hamiltonian",
-    "level_phases",
-    "fock_state",
-    "identity",
-    "expectation",
-    "random_state",
-    "CoherentLabel",
-    "coherent_coefficients",
-    "occupation_probability",
-    "evolve_label",
-    "dynamical_coherent_state",
-    "annihilation_residual",
-    "truncation_tail",
-    "auto_n_max",
-    "resolve_n_max",
-    "TruncationCapError",
-    "ObservableRecord",
-    "averages_bruteforce",
-    "averages_bruteforce_batch",
-    "averages_bruteforce_fock",
-    "averages_closedform",
-    "phase_rotation_drifts",
-    "uncertainty_fock",
-    "SpatialGrid",
-    "WaveSample",
-    "hermite",
-    "eigenfunction",
-    "generating_sum_check",
-    "psi_series",
-    "psi_closed",
-    "quadrature_norm",
-    "packet_moments",
-    "trapezoid_grid",
-    "default_packet_grid",
-    "gauss_hermite_grid",
-    "PhaseAngle",
-    "Trajectory",
-    "phase_transform_ladder",
-    "rotate_xp",
-    "transform_state_phase",
-    "propagate_fock",
-    "sample_trajectory",
-    "ehrenfest_residual",
+# every name imported above, so the list cannot drift from the imports
+__all__ = ["__version__"] + [
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

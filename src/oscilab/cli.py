@@ -17,6 +17,7 @@ import argparse
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -38,9 +39,8 @@ from .observables import (
     averages_bruteforce,
     averages_bruteforce_batch,
     averages_bruteforce_fock,
-    averages_closedform,
+    averages_closedform_batch,
     phase_rotation_drifts,
-    record_row,
     uncertainty_fock,
 )
 from .verify import format_table, run_all
@@ -241,20 +241,13 @@ def _emit(config: RunConfig, text: str) -> None:
 
 def _trajectory(config, params, label, n_max):
     times = sample_times(config.t_start, config.t_end, config.dt)
-    base = coherent_coefficients(label, n_max)
-    columns = ["time"]
+    brute = averages_bruteforce_batch(coherent_coefficients(label, n_max), times, params)
+    closed = averages_closedform_batch(label, times, params)
+    columns, values = ["time"], [times]
     for name in RECORD_COLUMNS[1:]:
         columns += [f"{name}_closed", f"{name}_brute", f"{name}_diff"]
-    brute_columns = averages_bruteforce_batch(base, times, params)
-    brute_rows = zip(*(brute_columns[name].tolist() for name in RECORD_COLUMNS[1:]))
-    rows = []
-    for t, brute in zip(times.tolist(), brute_rows):
-        closed = record_row(averages_closedform(label, t, params))[1:]
-        row: list[float] = [t]
-        for c, b in zip(closed, brute):
-            row += [c, b, abs(c - b)]
-        rows.append(tuple(row))
-    return columns, rows, []
+        values += [closed[name], brute[name], np.abs(closed[name] - brute[name])]
+    return columns, list(zip(*(v.tolist() for v in values))), []
 
 
 def _spectrum(config, params, label, n_max):
@@ -292,12 +285,13 @@ def _wavefunction(config, params, label, n_max):
     times = sample_times(config.t_start, config.t_end, config.dt).tolist()
     coeffs = coherent_coefficients(label, n_max).coeffs
     coeff_norm2 = float(np.vdot(coeffs, coeffs).real)
+    centers = averages_closedform_batch(label, times, params)["mean_x"]
     grids = [
         default_packet_grid(
-            params, center=averages_closedform(label, t, params).mean_x,
-            halfwidth=config.grid_halfwidth, npoints=config.grid_points,
+            params, center=c, halfwidth=config.grid_halfwidth,
+            npoints=config.grid_points,
         )
-        for t in times
+        for c in centers.tolist()
     ]
     stack = psi_series_grid(
         label, np.array([grid.points for grid in grids]), times, params, n_max
@@ -384,8 +378,18 @@ def _cmd_verify(config: RunConfig) -> int:
     return EXIT_OK
 
 
+# argparse reads an argument that starts with '-' as an option unless its
+# `_negative_number_matcher` matches it, and its own pattern misses "-1e-5"
+# and "-inf". Every negative float literal starts like this; no option does.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; the file-I/O code owns exit 2 here."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -109,9 +109,27 @@ def occupation_probability(label: CoherentLabel, n: int) -> float:
     return math.exp(-lam + n * math.log(lam) - math.lgamma(n + 1))
 
 
+def _evolved_chi(
+    label: CoherentLabel, times, params: OscillatorParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Re and Im of chi(t) = chi exp(-i omega t) at each of the 1-d `times`.
+
+    The phase is cos and sin of +0 - omega t, the exponent that Python's
+    complex -1j * omega * t holds, and chi times it is taken in real
+    arithmetic, as Python's complex `*` takes it (numpy's rounds otherwise),
+    so each element is label.chi * complex(np.exp(-1j * omega * t)) to the bit.
+    """
+    angle = -params.omega * np.asarray(times, dtype=float)
+    angle += 0.0  # -0 to +0, as in the complex exponent
+    cos, sin = np.cos(angle), np.sin(angle)
+    ar, ai = label.chi.real, label.chi.imag
+    return ar * cos - ai * sin, ar * sin + ai * cos
+
+
 def evolve_label(label: CoherentLabel, t: float, params: OscillatorParams) -> CoherentLabel:
     """Label at time t: chi * exp(-i omega t). Modulus is preserved."""
-    return CoherentLabel(label.chi * complex(np.exp(-1j * params.omega * t)))
+    re, im = _evolved_chi(label, [t], params)
+    return CoherentLabel(complex(re[0], im[0]))
 
 
 def dynamical_coherent_state(

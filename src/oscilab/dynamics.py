@@ -21,7 +21,7 @@ from .observables import (
     RECORD_COLUMNS,
     ObservableRecord,
     averages_bruteforce_batch,
-    averages_closedform,
+    averages_closedform_batch,
     record_from_row,
     record_row,
 )
@@ -219,18 +219,21 @@ def sample_trajectory(
     """Observables of a coherent state on a uniform time grid.
 
     method="bruteforce" propagates the truncated state exactly and takes
-    matrix expectations (`averages_bruteforce_batch`); method="closedform"
-    evaluates the label formulas (`averages_closedform`) time by time. When
-    n_max is None, `resolve_n_max` applies the truncation-tail rule plus
-    TRUNCATION_MARGIN levels of headroom for the second moments.
+    its averages from the banded kernel (`averages_bruteforce_batch`);
+    method="closedform" evaluates the label formulas on the whole grid at
+    once (`averages_closedform_batch`). When n_max is None, `resolve_n_max`
+    applies the truncation-tail rule plus TRUNCATION_MARGIN levels of
+    headroom for the second moments.
     """
     if method not in TRAJECTORY_METHODS:
         raise ValueError(f"method must be one of {TRAJECTORY_METHODS}, got {method!r}")
     times = sample_times(t_start, t_end, dt)
     if method == "closedform":
-        return Trajectory([averages_closedform(label, t, params) for t in times], dt)
-    base = coherent_coefficients(label, resolve_n_max(label, n_max))
-    return Trajectory.from_columns(averages_bruteforce_batch(base, times, params), dt)
+        columns = averages_closedform_batch(label, times, params)
+    else:
+        base = coherent_coefficients(label, resolve_n_max(label, n_max))
+        columns = averages_bruteforce_batch(base, times, params)
+    return Trajectory.from_columns(columns, dt)
 
 
 def ehrenfest_residual(

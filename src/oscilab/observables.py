@@ -2,8 +2,12 @@
 
 Two independent routes compute the same record. The brute-force route
 evaluates expectation values in the truncated number basis and works for any
-state; `averages_closedform` evaluates the exact coherent-state expressions
-as functions of the evolved label. Tests pin the two against each other.
+state. `averages_closedform_batch` evaluates the exact coherent-state
+expressions of the evolved label chi(t) at an array of times, and
+`averages_closedform` is its 1-row call. chi(t) and chi(t)^2 are taken in
+real arithmetic, (ar br - ai bi, ar bi + ai br), as Python's complex `*`
+takes them, so a row is the scalar complex formula to the bit (numpy's
+complex `*` rounds otherwise). Tests pin the two routes against each other.
 
 Every brute-force average comes from one kernel, `_moments`, which takes a
 block of coefficient rows. Each operator lies within two places of the
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import CoherentLabel
+from .coherent import CoherentLabel, _evolved_chi
 from .fock import (
     NormalizationError,
     OscillatorParams,
@@ -45,6 +49,7 @@ __all__ = [
     "averages_bruteforce_batch",
     "averages_bruteforce_fock",
     "averages_closedform",
+    "averages_closedform_batch",
     "phase_rotation_drifts",
     "uncertainty_fock",
 ]
@@ -356,12 +361,14 @@ def phase_rotation_drifts(
     }
 
 
-def averages_closedform(
-    label: CoherentLabel, t: float, params: OscillatorParams
-) -> ObservableRecord:
+def averages_closedform_batch(
+    label: CoherentLabel, times, params: OscillatorParams
+) -> dict[str, np.ndarray]:
     """All coherent-state averages as explicit functions of the evolved label.
 
-    With chi(t) = chi exp(-i omega t):
+    Returns one float array per RECORD_COLUMNS name, one row per entry of
+    the 1-d `times`, like `averages_bruteforce_batch`. With chi(t) = chi
+    exp(-i omega t) from `coherent._evolved_chi`:
         <a> = chi(t),  <a a> = chi(t)^2,  <a+ a> = |chi|^2,
         mean x  = sqrt(hbar/2M omega) (chi*(t) + chi(t)),
         mean p  = i sqrt(M hbar omega/2) (chi*(t) - chi(t)),
@@ -370,24 +377,37 @@ def averages_closedform(
     the uncertainty product is hbar/2 identically and the energy
     hbar omega (|chi|^2 + 1/2) never depends on t.
     """
+    times = np.array(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be one-dimensional, got shape {times.shape}")
     hbar, mass, omega = params.hbar, params.mass, params.omega
-    chit = label.chi * complex(np.exp(-1j * omega * t))
+    re, im = _evolved_chi(label, times, params)
+    a2_re, a2_im = re * re - im * im, re * im + im * re
+    sq = 2.0 * a2_re  # chi*(t)^2 + chi(t)^2
     lam = label.nbar
-    sq = 2.0 * (chit * chit).real  # chi*(t)^2 + chi(t)^2
-    x_scale = math.sqrt(hbar / (2.0 * mass * omega))
-    p_scale = math.sqrt(mass * hbar * omega / 2.0)
-    return ObservableRecord(
-        time=float(t),
-        mean_x=2.0 * x_scale * chit.real,
-        mean_p=2.0 * p_scale * chit.imag,
-        mean_x2=(hbar / (2.0 * mass * omega)) * (sq + 2.0 * lam + 1.0),
-        mean_p2=(mass * hbar * omega / 2.0) * (2.0 * lam + 1.0 - sq),
-        n_avg=lam,
-        a_avg=chit,
-        a2_avg=chit * chit,
-        uncertainty=0.5 * hbar,
-        energy=hbar * omega * (lam + 0.5),
-    )
+    return {
+        "time": times,
+        "mean_x": 2.0 * math.sqrt(hbar / (2.0 * mass * omega)) * re,
+        "mean_p": 2.0 * math.sqrt(mass * hbar * omega / 2.0) * im,
+        "mean_x2": (hbar / (2.0 * mass * omega)) * (sq + 2.0 * lam + 1.0),
+        "mean_p2": (mass * hbar * omega / 2.0) * (2.0 * lam + 1.0 - sq),
+        "n_avg": np.full(times.size, lam),
+        "a_avg_re": re,
+        "a_avg_im": im,
+        "a2_avg_re": a2_re,
+        "a2_avg_im": a2_im,
+        "uncertainty": np.full(times.size, 0.5 * hbar),
+        "energy": np.full(times.size, hbar * omega * (lam + 0.5)),
+    }
+
+
+def averages_closedform(
+    label: CoherentLabel, t: float, params: OscillatorParams
+) -> ObservableRecord:
+    """The closed-form averages at one time: the 1-row call of
+    `averages_closedform_batch`."""
+    columns = averages_closedform_batch(label, [t], params)
+    return record_from_row([columns[name][0] for name in RECORD_COLUMNS])
 
 
 def uncertainty_fock(n: int, params: OscillatorParams) -> float:

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import CoherentLabel, dynamical_coherent_state
-from .fock import DimensionMismatchError, OscillatorParams
+from .coherent import CoherentLabel, _evolved_chi, coherent_coefficients
+from .fock import DimensionMismatchError, OscillatorParams, level_phases
 from .observables import averages_closedform
 
 __all__ = [
@@ -248,13 +248,12 @@ def psi_series_grid(
         )
     series = np.empty(xs.shape, dtype=complex)
     per_pass = max(1, _SERIES_PASS_POINTS // max(1, xs.shape[1]))
+    base = coherent_coefficients(label, n_max).coeffs
     multiply, add = np.multiply, np.add
     for start in range(0, ts.size, per_pass):
         block = slice(start, start + per_pass)
-        coeffs = np.array([
-            dynamical_coherent_state(label, s, params, n_max).coeffs
-            for s in ts[block].tolist()
-        ])
+        # row s is dynamical_coherent_state(label, ts[s], ...).coeffs to the bit
+        coeffs = base * level_phases(params, ts[block], n_max)
         # parts[k] is the (2, slices, 1) stack of Re and Im c_k(t_s)
         parts = np.stack([coeffs.real, coeffs.imag]).transpose(2, 0, 1)[..., np.newaxis]
         points = xs[block]
@@ -309,7 +308,8 @@ def psi_closed_grid(
     hbar, mass, omega = params.hbar, params.mass, params.omega
     prefactor = (mass * omega / (math.pi * hbar)) ** 0.25
     if form == "complex_center":
-        chit = label.chi * complex(np.exp(-1j * omega * t))
+        re, im = _evolved_chi(label, [t], params)
+        chit = complex(re[0], im[0])
         shift = chit * math.sqrt(2.0 * hbar / (mass * omega))
         amp = prefactor * math.exp(-0.5 * label.nbar)
         phase = np.exp(-0.5j * omega * t + 0.5 * chit * chit)

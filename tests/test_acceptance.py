@@ -157,3 +157,41 @@ def test_seed_fixes_the_randomized_checks():
     assert check_generating_identity(7).detail == check_generating_identity(7).detail
     assert check_phase_symmetry(7).detail == check_phase_symmetry(7).detail
     assert check_phase_symmetry(7).detail != check_phase_symmetry(8).detail
+
+
+def _counting_sweeps(monkeypatch, fail_at=None):
+    """Record the length of every time axis verify sweeps by brute force,
+    raising RuntimeError on an axis of length fail_at."""
+    from oscilab import verify
+    from oscilab.observables import averages_bruteforce_batch
+
+    lengths = []
+
+    def counting(base, times, params):
+        lengths.append(len(times))
+        if len(times) == fail_at:
+            raise RuntimeError("forced sweep failure")
+        return averages_bruteforce_batch(base, times, params)
+
+    monkeypatch.setattr(verify, "averages_bruteforce_batch", counting)
+    return lengths
+
+
+def test_one_run_sweeps_each_label_once_at_eight_times(monkeypatch):
+    lengths = _counting_sweeps(monkeypatch)
+    results = run_all(seed=0)
+    assert all(result.passed for result in results)
+    # minimal-uncertainty and anomalous-averages read one 8-time sweep;
+    # energy-constancy takes its own at 100 times
+    assert sorted(lengths) == [8] * len(DEFAULT_CHI_SET) + [100] * len(DEFAULT_CHI_SET)
+
+
+def test_a_failing_sweep_fails_both_of_its_readers(monkeypatch):
+    lengths = _counting_sweeps(monkeypatch, fail_at=8)
+    results = {result.name: result for result in run_all(seed=0)}
+    assert lengths.count(8) == 2  # the first label raised, once per reader
+    for name in ("minimal-uncertainty", "anomalous-averages"):
+        assert not results[name].passed
+        assert results[name].detail == "raised RuntimeError: forced sweep failure"
+    others = set(CRITERIA) - {"minimal-uncertainty", "anomalous-averages"}
+    assert all(results[name].passed for name in others)

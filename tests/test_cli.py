@@ -184,6 +184,8 @@ def test_json_output_structure(tmp_path):
         (["spectrum", "--format", "xml"], "--format"),
         (["spectrum", "--n-max", "-3"], "--n-max"),
         (["verify", "--seed", "-1"], "seed must be nonnegative"),
+        (["spectrum", "--chi-im", "--hbar", "2"], "--chi-im: expected one argument"),
+        (["spectrum", "--chi-re", "-inf"], "chi_re must be finite"),
     ],
 )
 def test_invalid_configuration_exits_1(args, capsys):
@@ -192,6 +194,48 @@ def test_invalid_configuration_exits_1(args, capsys):
     err = capsys.readouterr().err
     assert named in err.splitlines()[-1]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["-1e-5", "-1E-5", "-2.5e+1", "-.5e1", "-1e5", "-1.8e-190", "-0.0", "-7", "-inf"],
+)
+def test_negative_float_literals_are_option_values(value):
+    namespace = cli.build_parser().parse_args(["spectrum", "--chi-im", value])
+    assert namespace.chi_im == float(value)
+
+
+def test_the_parser_reads_its_negative_number_matcher(monkeypatch):
+    # the fix rides on argparse's private `_negative_number_matcher`: if
+    # argparse stops reading it, this fails instead of the fix going quiet
+    seen, pattern = [], cli._NEGATIVE_NUMBER
+
+    class Spy:
+        @staticmethod
+        def match(text):
+            seen.append(text)
+            return pattern.match(text)
+
+    monkeypatch.setattr(cli, "_NEGATIVE_NUMBER", Spy)
+    cli.build_parser().parse_args(["trajectory", "--t-start", "-1e-3"])
+    assert "-1e-3" in seen
+
+
+def test_negative_exponent_values_match_the_equals_spelling(tmp_path):
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    times = ["--t-end", "1e-3", "--dt", "1e-3"]
+    assert main([
+        "trajectory", "--chi-im", "-1e-5", "--t-start", "-1e-3", *times,
+        "--output", str(spaced),
+    ]) == 0
+    assert main([
+        "trajectory", "--chi-im=-1e-5", "--t-start=-1e-3", *times,
+        "--output", str(joined),
+    ]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    _, rows, _, config = read_csv(spaced)
+    assert config["chi_im"] == "-1.0000000000000001e-05"
+    assert config["t_start"] == "-0.001" and len(rows) == 3
 
 
 @pytest.mark.parametrize("command", sorted(PRODUCERS))

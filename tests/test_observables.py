@@ -25,7 +25,7 @@ from oscilab.fock import (
     make_xp,
     random_state,
 )
-from oscilab.dynamics import PhaseAngle, propagate_fock, rotate_xp
+from oscilab.dynamics import PhaseAngle, propagate_fock, rotate_xp, sample_trajectory
 from oscilab.observables import (
     BATCH_TIMES,
     RECORD_COLUMNS,
@@ -34,6 +34,7 @@ from oscilab.observables import (
     averages_bruteforce_batch,
     averages_bruteforce_fock,
     averages_closedform,
+    averages_closedform_batch,
     phase_rotation_drifts,
     record_from_row,
     record_object,
@@ -93,7 +94,7 @@ def test_closed_and_brute_force_agree_fieldwise(chi, t):
 
 
 def test_bruteforce_energy_time_independent():
-    from oscilab.dynamics import PhaseAngle, propagate_fock, rotate_xp
+    from oscilab.dynamics import PhaseAngle, propagate_fock, rotate_xp, sample_trajectory
 
     label = CoherentLabel(1.5j)
     base = coherent_coefficients(label, auto_n_max(label) + 2)
@@ -366,3 +367,71 @@ def test_drifts_need_one_angle_per_row_and_normalized_rows():
         phase_rotation_drifts(states, [0.1, 0.2], PARAMS)
     with pytest.raises(NormalizationError):
         phase_rotation_drifts(2.0 * states, [0.1, 0.2, 0.3], PARAMS)
+
+
+def textbook_closedform(label, t, params):
+    """One RECORD_COLUMNS row of the closed forms in Python complex arithmetic."""
+    hbar, mass, omega = params.hbar, params.mass, params.omega
+    chit = label.chi * complex(np.exp(-1j * omega * t))
+    a2 = chit * chit
+    lam = label.nbar
+    return (
+        float(t),
+        2.0 * math.sqrt(hbar / (2.0 * mass * omega)) * chit.real,
+        2.0 * math.sqrt(mass * hbar * omega / 2.0) * chit.imag,
+        (hbar / (2.0 * mass * omega)) * (2.0 * a2.real + 2.0 * lam + 1.0),
+        (mass * hbar * omega / 2.0) * (2.0 * lam + 1.0 - 2.0 * a2.real),
+        lam,
+        chit.real,
+        chit.imag,
+        a2.real,
+        a2.imag,
+        0.5 * hbar,
+        hbar * omega * (lam + 0.5),
+    )
+
+
+CLOSED_TIMES = [0.0, -0.0, -3.3, 0.7, 50.0, 1e4, 1e6]
+CLOSED_LABELS = [0j, 1.5 + 0j, -3.0 + 0j, 0.8j, -1.5 + 0.5j, 0.7 - 1.3j, 20.0 + 7.0j]
+CLOSED_PARAMS = [
+    OscillatorParams(),
+    OscillatorParams(2.0, 0.5, 1.7),
+    OscillatorParams(0.3, 3.0, 123.4),
+]
+
+
+@pytest.mark.parametrize("params", CLOSED_PARAMS)
+@pytest.mark.parametrize("chi", CLOSED_LABELS)
+def test_closedform_columns_are_the_textbook_formula_to_the_bit(chi, params):
+    # numpy's complex `*` would move some of these cells by an ulp; the kernel
+    # takes the same real products as Python's complex arithmetic
+    label = CoherentLabel(chi)
+    reference = np.array([textbook_closedform(label, t, params) for t in CLOSED_TIMES])
+    columns = averages_closedform_batch(label, CLOSED_TIMES, params)
+    assert tuple(columns) == RECORD_COLUMNS
+    for k, name in enumerate(RECORD_COLUMNS):
+        assert columns[name].tobytes() == reference[:, k].tobytes(), name
+    for t, row in zip(CLOSED_TIMES, reference):
+        assert np.array(record_row(averages_closedform(label, t, params))).tobytes() == (
+            row.tobytes()
+        )
+        chit = evolve_label(label, t, params).chi
+        assert np.array([chit.real, chit.imag]).tobytes() == row[6:8].tobytes()
+
+
+@pytest.mark.parametrize("params", CLOSED_PARAMS)
+@pytest.mark.parametrize("t_start, dt", [(-3.3, 0.37), (1e6, 0.25)])
+def test_closedform_trajectory_is_the_textbook_formula_to_the_bit(params, t_start, dt):
+    label = CoherentLabel(-1.5 + 0.5j)
+    traj = sample_trajectory(label, params, t_start, t_start + 20 * dt, dt, "closedform")
+    reference = np.array([textbook_closedform(label, t, params) for t in traj.times()])
+    assert len(traj) == 21
+    for k, name in enumerate(RECORD_COLUMNS):
+        assert traj.column(name).tobytes() == reference[:, k].tobytes(), name
+
+
+def test_closedform_columns_take_a_flat_time_axis():
+    empty = averages_closedform_batch(CoherentLabel(1.0), [], PARAMS)
+    assert all(values.shape == (0,) for values in empty.values())
+    with pytest.raises(ValueError, match="one-dimensional"):
+        averages_closedform_batch(CoherentLabel(1.0), [[0.0, 1.0]], PARAMS)

@@ -334,6 +334,36 @@ def test_stacked_slices_equal_the_per_slice_calls_to_the_bit(
 
 
 @pytest.mark.parametrize(
+    "chi, n_max, times",
+    [
+        (20.0, 589, np.linspace(0.0, 2.0 * math.pi, 9)),
+        (1.5 - 0.5j, 24, np.array([0.0, -0.0, -3.3, 1e4])),
+        (-1.0 + 0.5j, 8, np.linspace(-5.0, 5.0, 40)),  # two passes of 20 slices
+    ],
+)
+def test_every_slice_uses_the_dynamical_state_coefficients_to_the_bit(
+    monkeypatch, chi, n_max, times
+):
+    # with phi_k replaced by the indicator of point k, the series at point k
+    # of slice s is c_k(t_s) itself (its zeros made +0 by the accumulator)
+    def indicator_rows(top, points, params):
+        for k in range(top + 1):
+            row = np.zeros(points.shape)
+            row[:, k] = 1.0
+            yield row
+
+    monkeypatch.setattr(wavefunction, "_eigenfunction_rows", indicator_rows)
+    monkeypatch.setattr(wavefunction, "_SERIES_PASS_POINTS", 20 * 600)
+    label = CoherentLabel(chi)
+    points = np.zeros((times.size, 600))
+    series = psi_series_grid(label, points, times, PARAMS, n_max)
+    for t, got in zip(times, series):
+        want = dynamical_coherent_state(label, t, PARAMS, n_max).coeffs + 0.0
+        assert got[: n_max + 1].tobytes() == want.tobytes()
+        assert not np.any(got[n_max + 1:])
+
+
+@pytest.mark.parametrize(
     "x, t",
     [
         (np.zeros((2, 5)), [0.0, 1.0, 2.0]),  # three times, two slices
