@@ -1,8 +1,11 @@
 """Command-line front end: reproducible runs written to CSV or JSON.
 
 Every command is a pure function of its RunConfig (seed included), and every
-numeric cell is written with 17 significant digits, so identical invocations
-produce byte-identical files. CSV output is RFC-4180 with '#' comment lines
+numeric cell is written with 17 significant digits, as "%.17g" % x, so
+identical invocations produce byte-identical files. A table of floats goes
+through one exact array kernel (`_float_cells`), which hands the few cells
+it cannot decide exactly to "%.17g" itself; any other table goes cell by
+cell. CSV output is RFC-4180 with '#' comment lines
 for the schema, the echoed config (including the resolved truncation level)
 and footer records; JSON output is one object with "config", "rows" and
 "footer".
@@ -14,6 +17,7 @@ Exit codes: 0 success, 1 usage/invalid config, 2 unwritable output,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -146,12 +150,189 @@ def _fmt(value) -> str:
 
 
 def _csv_cell(value) -> str:
-    if type(value) is float:  # the common cell; a float never needs quoting
-        return format(value, ".17g")
     text = _fmt(value)
     if any(ch in text for ch in ',"\n'):
         text = '"' + text.replace('"', '""') + '"'
     return text
+
+
+# The float-cell kernel works through a table this many cells at a time, so
+# its temporaries stay near a megabyte whatever the table's size.
+_CHUNK_CELLS = 1 << 14
+# Largest scale 10^q it multiplies by: 10^(16 - X) for the smallest decimal
+# exponent X = -281 that log10 gives its range, and one more for the correction.
+_MAX_SCALE = 298
+# A cell's bytes before its separator: a sign, the "0.000" of a fixed-point
+# value under 1, 17 digits with a point slot after each but the last, "e-"
+# and three exponent digits. Every cell fills every slot, and a keep mask
+# picks the bytes "%.17g" writes.
+_DIGIT0, _EXP, _CELL_SLOTS = 6, 39, 44
+# Cell shapes, the first index of the keep masks: fixed point at decimal
+# exponent shape - 4 (-4..15); scientific with a two- or three-digit
+# exponent; and zero (0 significant digits) or a fallback cell (1).
+_SCIENTIFIC, _SCIENTIFIC_3, _OTHER = 20, 21, 22
+
+
+@functools.cache
+def _kernel_tables() -> tuple[np.ndarray, ...]:
+    """The float-cell kernel's tables, built on first use.
+
+    10^q for q = 0.._MAX_SCALE as hi + lo (hi the double nearest 10^q, lo
+    the double nearest 10^q - hi) with hi's Veltkamp halves; the ASCII
+    digits of 0000..9999 and their trailing-zero counts; and the keep masks
+    by (negative, shape, significant digits).
+    """
+    exact = [10**q for q in range(_MAX_SCALE + 1)]
+    hi = np.array([float(v) for v in exact])
+    lo = np.array([float(v - int(h)) for v, h in zip(exact, hi.tolist())])
+    split = 134217729.0 * hi  # 2^27 + 1
+    hi_hi = split - (split - hi)
+    four = np.arange(10000)[:, np.newaxis] // np.array([1000, 100, 10, 1]) % 10
+    zeros = np.argmax(four[:, ::-1] != 0, axis=1)
+    zeros[0] = 4
+
+    masks = np.zeros((2, _OTHER + 1, 18, _CELL_SLOTS), bool)
+    masks[1, :, :, 0] = True  # the minus sign
+    slots = np.arange(17)
+    for shape in range(_OTHER):
+        for sig in range(1, 18):
+            mask = masks[:, shape, sig]
+            if shape < _SCIENTIFIC:
+                exp10 = shape - 4
+                if exp10 < 0:
+                    mask[:, 1:2 - exp10] = True  # "0." and -exp10 - 1 zeros
+                digits, point = max(sig, exp10 + 1), exp10
+            else:
+                mask[:, _EXP:_EXP + 2] = True  # "e-"
+                mask[:, _EXP + (2 if shape == _SCIENTIFIC_3 else 3):] = True
+                digits, point = sig, 0
+            mask[:, _DIGIT0:_EXP:2] = slots < digits
+            if 0 <= point < sig - 1:
+                mask[:, _DIGIT0 + 1 + 2 * point] = True
+    masks[:, _OTHER, 0, 1] = True  # zero: its "0"
+    masks[:, _OTHER, 1, 0] = True  # fallback: its marker byte
+    # each 4-digit string as one uint32, to gather four bytes at a time
+    four = (four + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    return hi, lo, hi_hi, hi - hi_hi, four, zeros, masks.reshape(-1, _CELL_SLOTS)
+
+
+def _scaled(a: np.ndarray, exp10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10^(16 - exp10) as p + t: p the rounded product with hi, t its
+    exact error (Dekker's TwoProduct) plus a * lo; |p + t - a 10^q| is
+    under 2^-100 |p|."""
+    hi, lo, hi_hi, hi_lo = _kernel_tables()[:4]
+    q = np.clip(16 - exp10, 0, _MAX_SCALE)
+    p = a * hi[q]
+    split = 134217729.0 * a
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    hh, hl = hi_hi[q], hi_lo[q]
+    err = ((a_hi * hh - p) + a_hi * hl + a_lo * hh) + a_lo * hl
+    return p, err + a * lo[q]
+
+
+def _decimal(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 significant digits D (an int64 in [1e16, 1e17)) and decimal
+    exponent X of each |x| in `ax`, D 10^(X - 16) being |x| rounded to 17
+    digits, and where they are exact.
+
+    A finite 1e-280 <= |x| < 1e16 is scaled to p + t = |x| 10^(16 - X) in
+    [1e16, 1e17); p is then an integer and D = p + rint(t). That is exact
+    unless t lies within 1e-6 of a half unit (every exact tie does) or D
+    leaves the decade; those cells, and every cell outside the range, are
+    marked not exact.
+    """
+    fast = (ax >= 1e-280) & (ax < 1e16)
+    a = np.where(fast, ax, 1.0)
+    exp10 = np.floor(np.log10(a)).astype(np.int64)
+    p, t = _scaled(a, exp10)
+    # log10 can miss the exponent by one near a power of ten: correct it by
+    # the exact signs of p + t - 1e16 and p + t - 1e17, and scale again
+    off = ((p - 1e17) + t >= 0).astype(np.int64) - ((p - 1e16) + t < 0)
+    miss = np.flatnonzero(off)
+    if miss.size:
+        exp10[miss] += off[miss]
+        p[miss], t[miss] = _scaled(a[miss], exp10[miss])
+    r = np.rint(t)
+    digits = p.astype(np.int64) + r.astype(np.int64)
+    exact = fast & (np.abs(t - r) < 0.5 - 1e-6)
+    exact &= (digits >= 10**16) & (digits < 10**17)
+    return digits, exp10, exact
+
+
+def _float_chunk(table: np.ndarray, template: np.ndarray, sep_keep: np.ndarray) -> str:
+    """Rows of a float64 table, each cell "%.17g" % cell followed by its
+    column's separator: `template`'s bytes past _CELL_SLOTS where
+    `sep_keep` is set. A cell `_decimal` cannot write exactly, +-0 aside,
+    goes through "%.17g" itself."""
+    _, _, _, _, four, zeros, masks = _kernel_tables()
+    x = table.ravel()
+    ax = np.abs(x)
+    digits, exp10, exact = _decimal(ax)
+    fallback = ~exact & (ax != 0)
+
+    # the lead digit and four groups of four, then the significant digits
+    # left once trailing zeros go
+    digits[~exact] = 10**16
+    high = digits // 10**8
+    low = (digits - high * 10**8).astype(np.int32)
+    lead, high = np.divmod(high.astype(np.int32), 10**8)
+    groups = np.empty((x.size, 4), np.int32)
+    groups[:, 0], groups[:, 1] = np.divmod(high, 10000)
+    groups[:, 2], groups[:, 3] = np.divmod(low, 10000)
+    group_zeros = zeros[groups]
+    trailing = group_zeros[:, 3]
+    for k in (2, 1, 0):
+        trailing += np.where(trailing == 12 - 4 * k, group_zeros[:, k], 0)
+    sig = np.where(exact, 17 - trailing, fallback)
+    shape = np.where(
+        exp10 < -4, np.where(exp10 <= -100, _SCIENTIFIC_3, _SCIENTIFIC), exp10 + 4
+    )
+    shape[~exact] = _OTHER
+    shape += np.signbit(x) * (_OTHER + 1)
+
+    block = np.empty(table.shape + template.shape[1:], np.uint8)
+    block[:] = template
+    cells = block.reshape(x.size, -1)
+    cells[:, _DIGIT0] = lead + ord("0")
+    cells[:, _DIGIT0 + 2:_EXP:2] = four[groups].view(np.uint8)
+    exponent = four[np.clip(-exp10, 0, 999)].view(np.uint8).reshape(x.size, 4)
+    cells[:, _EXP + 2:_CELL_SLOTS] = exponent[:, 1:]
+    cells[fallback, 0] = 0  # marks where a "%.17g" cell goes
+    keep = np.empty(block.shape, bool)
+    keep[..., :_CELL_SLOTS] = np.take(masks, shape * 18 + sig, axis=0).reshape(
+        table.shape + (_CELL_SLOTS,)
+    )
+    keep[..., _CELL_SLOTS:] = sep_keep
+
+    text = np.compress(keep.ravel(), block.ravel()).tobytes().decode()
+    if not fallback.any():
+        return text
+    texts = ["%.17g" % value for value in x[fallback].tolist()]
+    parts = text.split("\0")
+    return "".join(itertools.chain.from_iterable(zip(parts, texts + [""])))
+
+
+def _float_cells(table: np.ndarray, seps: list[str]) -> list[str]:
+    """A float64 (rows, columns) table as text, row by row, each cell written
+    as "%.17g" % cell and followed by its column's separator; returned in
+    pieces of whole rows, for the caller to join once."""
+    rows, columns = table.shape
+    raw = [sep.encode() for sep in seps]
+    width = max(map(len, raw))
+    template = np.zeros((columns, _CELL_SLOTS + width), np.uint8)
+    template[:, 0] = ord("-")
+    template[:, 1:_DIGIT0] = np.frombuffer(b"0.000", np.uint8)
+    template[:, _DIGIT0 + 1:_EXP:2] = ord(".")
+    template[:, _EXP:_EXP + 2] = np.frombuffer(b"e-", np.uint8)
+    for k, sep in enumerate(raw):
+        template[k, _CELL_SLOTS:_CELL_SLOTS + len(sep)] = np.frombuffer(sep, np.uint8)
+    sep_keep = np.arange(width) < np.array([len(sep) for sep in raw])[:, np.newaxis]
+    step = max(1, _CHUNK_CELLS // columns)
+    return [
+        _float_chunk(table[i:i + step], template, sep_keep)
+        for i in range(0, rows, step)
+    ]
 
 
 class _JSONText(str):
@@ -195,31 +376,34 @@ def _render(
     schema: str,
     echo: list[tuple[str, object]],
     columns: list[str],
-    rows: list[tuple],
+    rows: np.ndarray | list[tuple],
     footer: list[dict],
 ) -> str:
-    # an all-float table renders each row with one %-format, the same bytes
-    # as its cells one by one: "%.17g" % x is format(x, ".17g") to the byte
-    all_float = set(map(type, itertools.chain.from_iterable(rows))) <= {float}
+    """The output text. A float64 matrix of rows goes through the array
+    kernel `_float_cells`, a list of row tuples through the per-cell
+    formatters; both write floats as "%.17g"."""
+    matrix = isinstance(rows, np.ndarray)
     if config.format == "csv":
-        lines = [f"# schema: {SCHEMA_PREFIX}.{schema}.{SCHEMA_VERSION}"]
-        lines.append("# config: " + " ".join(f"{k}={_fmt(v)}" for k, v in echo))
-        lines.append(",".join(columns))
-        if all_float:
-            line = ",".join(["%.17g"] * len(columns))
-            lines.extend(line % row for row in rows)
+        head = [f"# schema: {SCHEMA_PREFIX}.{schema}.{SCHEMA_VERSION}"]
+        head.append("# config: " + " ".join(f"{k}={_fmt(v)}" for k, v in echo))
+        head.append(",".join(columns))
+        if matrix:
+            body = _float_cells(rows, [","] * (len(columns) - 1) + ["\n"])
         else:
-            lines.extend(",".join(map(_csv_cell, row)) for row in rows)
-        for record in footer:
-            lines.append(
-                "# footer: " + " ".join(f"{k}={_fmt(v)}" for k, v in record.items())
-            )
-        lines.append("")  # the final newline, without a second copy of the text
-        return "\n".join(lines)
-    if all_float:
-        keys = (json.dumps(str(name)).replace("%", "%%") for name in columns)
-        line = "{" + ", ".join(f"{key}: %.17g" for key in keys) + "}"
-        table = _JSONText("[" + ", ".join(line % row for row in rows) + "]")
+            body = [",".join(map(_csv_cell, row)) + "\n" for row in rows]
+        feet = [
+            "# footer: " + " ".join(f"{k}={_fmt(v)}" for k, v in record.items()) + "\n"
+            for record in footer
+        ]
+        return "".join(["\n".join(head), "\n", *body, *feet])
+    if matrix:
+        keys = [json.dumps(str(name)) for name in columns]
+        last = f"}}, {{{keys[0]}: "
+        pieces = _float_cells(rows, [f", {key}: " for key in keys[1:]] + [last])
+        if pieces:
+            pieces[-1] = pieces[-1][:-len(last)]
+            pieces = [f"[{{{keys[0]}: ", *pieces, "}]"]
+        table = _JSONText("".join(pieces) or "[]")
     else:
         table = [dict(zip(columns, row)) for row in rows]
     payload = {
@@ -239,15 +423,31 @@ def _emit(config: RunConfig, text: str) -> None:
         handle.write(text)
 
 
+def _check_phase(config: RunConfig, t: float, n_max: int) -> None:
+    """Refuse a time whose largest level phase, omega |t| (n_max + 1/2), is
+    not a finite float; numpy's cos and sin would turn it into nan."""
+    if not math.isfinite(config.omega * abs(t) * (n_max + 0.5)):
+        raise UsageError(
+            f"the phase omega*|t|*(n_max + 1/2) overflows at t = {t!r} "
+            f"(omega {config.omega!r}, n_max {n_max})"
+        )
+
+
+def _sample_times(config: RunConfig, n_max: int) -> np.ndarray:
+    for t in (config.t_start, config.t_end):
+        _check_phase(config, t, n_max)
+    return sample_times(config.t_start, config.t_end, config.dt)
+
+
 def _trajectory(config, params, label, n_max):
-    times = sample_times(config.t_start, config.t_end, config.dt)
+    times = _sample_times(config, n_max)
     brute = averages_bruteforce_batch(coherent_coefficients(label, n_max), times, params)
     closed = averages_closedform_batch(label, times, params)
     columns, values = ["time"], [times]
     for name in RECORD_COLUMNS[1:]:
         columns += [f"{name}_closed", f"{name}_brute", f"{name}_diff"]
         values += [closed[name], brute[name], np.abs(closed[name] - brute[name])]
-    return columns, list(zip(*(v.tolist() for v in values))), []
+    return columns, np.column_stack(values), []
 
 
 def _spectrum(config, params, label, n_max):
@@ -262,6 +462,7 @@ def _spectrum(config, params, label, n_max):
 
 
 def _uncertainty(config, params, label, n_max):
+    _check_phase(config, config.t_start, n_max)
     levels = range(max(0, n_max + 1 - TRUNCATION_MARGIN))  # second-moment headroom
     products = averages_bruteforce_fock(levels, n_max, params)["uncertainty"].tolist()
     rows = []
@@ -282,7 +483,7 @@ def _uncertainty(config, params, label, n_max):
 
 
 def _wavefunction(config, params, label, n_max):
-    times = sample_times(config.t_start, config.t_end, config.dt).tolist()
+    times = _sample_times(config, n_max).tolist()
     coeffs = coherent_coefficients(label, n_max).coeffs
     coeff_norm2 = float(np.vdot(coeffs, coeffs).real)
     centers = averages_closedform_batch(label, times, params)["mean_x"]
@@ -293,13 +494,11 @@ def _wavefunction(config, params, label, n_max):
         )
         for c in centers.tolist()
     ]
-    stack = psi_series_grid(
-        label, np.array([grid.points for grid in grids]), times, params, n_max
-    )
-    columns = ["t", "x", "series_re", "series_im", "closed_re", "closed_im", "abs_diff"]
-    rows = []
+    points = np.array([grid.points for grid in grids])
+    stack = psi_series_grid(label, points, times, params, n_max)
+    closed = np.empty_like(stack)
     footer = []
-    for t, grid, series in zip(times, grids, stack):
+    for t, grid, series, out in zip(times, grids, stack, closed):
         norm2, _, variance = packet_moments(series, grid)
         if abs(norm2 - coeff_norm2) > QUADRATURE_TOL:
             raise UsageError(
@@ -308,19 +507,18 @@ def _wavefunction(config, params, label, n_max):
                 f"{abs(norm2 - coeff_norm2):.1e} (tol {QUADRATURE_TOL:.0e}); raise "
                 "--grid-points or --grid-halfwidth"
             )
-        closed = psi_closed_grid(label, grid.points, t, params, "complex_center")
-        d = series - closed
-        # np.hypot is the scalar abs(s - c) to the bit; np.abs is not
-        rows.extend(zip(
-            itertools.repeat(t), grid.points.tolist(),
-            series.real.tolist(), series.imag.tolist(),
-            closed.real.tolist(), closed.imag.tolist(),
-            np.hypot(d.real, d.imag).tolist(),
-        ))
+        out[:] = psi_closed_grid(label, grid.points, t, params, "complex_center")
         footer.append(
             {"t": t, "quadrature_norm": norm2, "packet_variance": variance}
         )
-    return columns, rows, footer
+    d = stack - closed
+    table = np.stack([
+        np.broadcast_to(np.array(times)[:, np.newaxis], points.shape), points,
+        stack.real, stack.imag, closed.real, closed.imag,
+        np.hypot(d.real, d.imag),  # the scalar abs(s - c) to the bit; np.abs is not
+    ], axis=-1)
+    columns = ["t", "x", "series_re", "series_im", "closed_re", "closed_im", "abs_diff"]
+    return columns, table.reshape(-1, len(columns)), footer
 
 
 def _symmetry_check(config, params, label, n_max):
@@ -329,14 +527,14 @@ def _symmetry_check(config, params, label, n_max):
     drifts = phase_rotation_drifts(
         np.broadcast_to(coeffs, (alphas.size, coeffs.size)), alphas, params
     )
-    rows = list(zip(alphas.tolist(), *(values.tolist() for values in drifts.values())))
     footer = [{f"max_{name}": float(values.max()) for name, values in drifts.items()}]
-    return ["alpha", *drifts], rows, footer
+    return ["alpha", *drifts], np.column_stack([alphas, *drifts.values()]), footer
 
 
 # Every table command: name -> (producer, tail tolerance of its auto
 # truncation). A producer maps (config, params, label, n_max) to
-# (columns, rows, footer); `_run_table` does the rest.
+# (columns, rows, footer): rows a float64 matrix when every column is float,
+# else a list of row tuples. `_run_table` does the rest.
 PRODUCERS = {
     "trajectory": (_trajectory, AUTO_TAIL_TOL),
     "spectrum": (_spectrum, AUTO_TAIL_TOL),

@@ -1,0 +1,94 @@
+"""Check the CLI's float-table kernel against Python's "%.17g", byte for byte.
+
+    python tests/float_kernel.py                  # 10^6 random bit patterns
+    python tests/float_kernel.py --count 20000 --seed 3
+
+The cells are every edge value of `edge_floats` and `--count` float64 values
+whose 64 bits are drawn at random from `--seed`, so every sign, exponent and
+significand (nan and inf included) turns up. They go through
+`oscilab.cli._float_cells` as one column; any line that differs from
+"%.17g" % value is printed, and the exit code is then 1. No hypothesis
+database is involved, so a run depends on the seed alone.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import os
+import sys
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from oscilab.cli import _float_cells  # noqa: E402
+
+
+def _ulps(value: float) -> list[float]:
+    return [math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf)]
+
+
+def exact_ties() -> list[float]:
+    """Doubles exactly halfway between two 17-digit decimals: x 10^q an odd
+    multiple of 1/2 in [1e16, 1e17), three at each scale q = 1..24 (the only
+    scales with one in the kernel's range), and (2^17 + k) / 2^17 for odd k."""
+    ties = [(2**17 + k) / 2**17 for k in range(1, 2**12, 2)]
+    for q in range(1, 25):
+        least, most = -(-2 * 10**16 // 5**q), (2 * 10**17 - 1) // 5**q
+        for m in (least | 1, (least + most) // 2 | 1, most - 1 + most % 2):
+            if m < 2**53:
+                ties.append(m / 2 ** (q + 1))  # exact: m has at most 53 bits
+    return ties
+
+
+def edge_floats() -> list[float]:
+    """Signed zeros, non-finite values, subnormals and the extremes; the
+    kernel's range bounds 1e16 and 1e-280, and every 10^k, each with its
+    neighbours one ulp away; and exact ties.
+
+    The 10^k include 1e-4 and 1e-5, where the format switches between fixed
+    and scientific, and the doubles nearest 10^k that lie below it yet print
+    as 10^k (k = -14, -70, 98, 129 and ten more), whose digits round up a
+    decade.
+    """
+    values = [0.0, math.inf, math.nan, 5e-324, 2.2250738585072009e-308,
+              2.2250738585072014e-308, 1e-300, 1.7976931348623157e308, 0.1, 1 / 3]
+    values += _ulps(1e16) + _ulps(1e-280)
+    for k in range(-323, 309):
+        values += _ulps(float(f"1e{k}"))
+    values += exact_ties()
+    return values + [-v for v in values]
+
+
+def random_floats(count: int, seed: int) -> np.ndarray:
+    bits = np.random.default_rng(seed).integers(0, 2**64, count, dtype=np.uint64)
+    return bits.view(np.float64)
+
+
+def mismatches(values) -> list[tuple[float, str, str]]:
+    """(value, kernel text, "%.17g" text) of every cell the kernel writes
+    differently."""
+    column = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    got = "".join(_float_cells(column, ["\n"])).split("\n")[:-1]
+    want = ["%.17g" % v for v in column.ravel().tolist()]
+    assert len(got) == len(want)
+    return [(v, g, w) for v, g, w in zip(column.ravel().tolist(), got, want) if g != w]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--count", type=int, default=10**6)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    edges = edge_floats()
+    bad = mismatches(edges) + mismatches(random_floats(args.count, args.seed))
+    for value, got, want in bad[:20]:
+        print(f"{value!r}: kernel {got!r}, %.17g {want!r}")
+    print(f"{len(edges)} edge values and {args.count} random bit patterns "
+          f"(seed {args.seed}): {len(bad)} mismatches")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

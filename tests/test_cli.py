@@ -1,9 +1,12 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -710,11 +713,16 @@ def _data_lines(rows, width):
     return text.splitlines()[3:]
 
 
+def _matrix(rows, width):
+    return np.array(rows, dtype=float).reshape(len(rows), width)
+
+
 @settings(deadline=None, max_examples=60)
 @given(width=st.integers(1, 8), data=st.data())
 def test_all_float_rows_render_as_their_csv_cells(width, data):
     rows = data.draw(st.lists(st.tuples(*[CELLS] * width), max_size=12))
-    assert _data_lines(rows, width) == [",".join(map(_csv_cell, row)) for row in rows]
+    matrix = _matrix(rows, width)
+    assert _data_lines(matrix, width) == [",".join(map(_csv_cell, row)) for row in rows]
 
 
 NAMES = st.text(max_size=6) | st.sampled_from(
@@ -734,7 +742,8 @@ def test_all_float_rows_render_as_their_json_text(names, data):
         "rows": [dict(zip(names, row)) for row in rows],
         "footer": footer,
     }) + "\n"
-    assert _render(config, "wavefunction", echo, names, rows, footer) == expected
+    matrix = _matrix(rows, len(names))
+    assert _render(config, "wavefunction", echo, names, matrix, footer) == expected
 
 
 def test_all_float_rows_skip_the_per_cell_formatter(monkeypatch):
@@ -742,7 +751,7 @@ def test_all_float_rows_skip_the_per_cell_formatter(monkeypatch):
         raise AssertionError("an all-float table reached _csv_cell")
 
     monkeypatch.setattr(cli, "_csv_cell", refuse)
-    rows = [tuple(EDGE_FLOATS), tuple(reversed(EDGE_FLOATS))]
+    rows = np.array([EDGE_FLOATS, EDGE_FLOATS[::-1]])
     assert len(_data_lines(rows, len(EDGE_FLOATS))) == 2
 
 
@@ -753,3 +762,120 @@ def test_rows_with_a_non_float_cell_keep_the_per_cell_formatter(row):
     assert _data_lines([row, (0.5, 0.5)], 2) == [
         ",".join(map(_csv_cell, row)), "0.5,0.5"
     ]
+
+
+def _float_kernel_module():
+    path = Path(__file__).resolve().parent / "float_kernel.py"
+    spec = importlib.util.spec_from_file_location("float_kernel", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+FLOAT_KERNEL = _float_kernel_module()
+
+
+def test_float_kernel_writes_every_edge_value_as_percent_17g():
+    assert FLOAT_KERNEL.mismatches(FLOAT_KERNEL.edge_floats()) == []
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_float_kernel_writes_any_bit_pattern_as_percent_17g(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert FLOAT_KERNEL.mismatches(values) == []
+
+
+def test_float_kernel_random_bit_patterns_match():
+    assert FLOAT_KERNEL.mismatches(FLOAT_KERNEL.random_floats(20000, seed=1)) == []
+
+
+def test_edge_list_holds_ties_and_decade_round_ups():
+    edges = FLOAT_KERNEL.edge_floats()
+    ties = FLOAT_KERNEL.exact_ties()
+    assert set(ties) <= set(edges)
+    for tie in ties:
+        exponent = int(("%.16e" % tie).split("e")[1])
+        scaled = Fraction(tie) * Fraction(10) ** (16 - exponent)
+        assert scaled.denominator == 2
+    round_ups = [
+        v for v in edges
+        if v > 0 and math.isfinite(v) and ("%.17g" % v).startswith("1e")
+        and Fraction(v) < Fraction(10) ** int(("%.17g" % v)[2:])
+    ]
+    assert len(round_ups) >= 10
+
+
+def test_decimal_digits_are_exact_wherever_they_can_be():
+    """`_decimal` marks exact every cell of its range but the exact ties and
+    the values whose 17 digits round up a decade, and its digits are those
+    of "%.16e"; the ties go to the fallback, since a half unit cannot be
+    told from a near one in general."""
+    values = FLOAT_KERNEL.edge_floats()
+    values += FLOAT_KERNEL.random_floats(5000, seed=2).tolist()
+    digits, exp10, exact = cli._decimal(np.abs(np.array(values)))
+    for value, d, x, ok in zip(values, digits.tolist(), exp10.tolist(), exact.tolist()):
+        value = abs(value)
+        if not (1e-280 <= value < 1e16):
+            assert not ok, value
+            continue
+        mantissa, exponent = ("%.16e" % value).split("e")
+        rounds_up = Fraction(value) < Fraction(10) ** int(exponent)
+        scaled = Fraction(value) * Fraction(10) ** (16 - int(exponent) + rounds_up)
+        assert ok == (scaled.denominator != 2 and not rounds_up), value
+        if ok:
+            assert (d, x) == (int(mantissa.replace(".", "")), int(exponent)), value
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("shape", [(0, 1), (0, 3), (1, 1), (5, 1), (2, 3)])
+def test_float_matrices_of_any_shape_render_as_their_row_tuples(shape, fmt):
+    matrix = np.arange(math.prod(shape), dtype=float).reshape(shape) / 7 - 0.5
+    columns = [f"c{i}" for i in range(shape[1])]
+    config = RunConfig("wavefunction", format=fmt)
+    rows = [tuple(row) for row in matrix.tolist()]
+    assert _render(config, "wavefunction", [("a", 1)], columns, matrix, []) == _render(
+        config, "wavefunction", [("a", 1)], columns, rows, []
+    )
+
+
+def test_rendering_a_packet_sized_matrix_stays_in_its_memory_bound():
+    # 18,009 x 7 cells, the packet-large table's shape, 2.7 MiB of CSV.
+    # Measured peak: 8.3 MiB (the text is held twice while it is joined);
+    # with the whole table as one chunk the kernel's slot block and keep
+    # mask took it to 48 MiB
+    rng = np.random.default_rng(0)
+    matrix = rng.standard_normal((18009, 7)) * 10.0 ** rng.integers(-20, 5, (18009, 7))
+    config = RunConfig("wavefunction")
+    columns = [f"c{i}" for i in range(7)]
+    _render(config, "wavefunction", [], columns, matrix[:2], [])  # builds the tables
+    tracemalloc.start()
+    try:
+        text = _render(config, "wavefunction", [], columns, matrix, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2.5 * 2**20
+    assert peak < 12 * 2**20
+
+
+@pytest.mark.parametrize("command", ["wavefunction", "trajectory"])
+def test_an_overflowing_phase_exits_1_naming_the_time(command):
+    result = subprocess.run(
+        [sys.executable, "-m", "oscilab", command,
+         "--t-start", "1e308", "--t-end", "1e308", "--omega", "10"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "the phase omega*|t|*(n_max + 1/2) overflows at t = 1e+308" in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+
+
+def test_uncertainty_reads_only_t_start_for_its_phase(capsys):
+    assert main(["uncertainty", "--t-end", "1e308", "--omega", "10"]) == 0
+    assert main(["uncertainty", "--t-start", "1e308", "--t-end", "1e308",
+                 "--omega", "10"]) == 1
+    assert "overflows at t = 1e+308" in capsys.readouterr().err
