@@ -36,11 +36,10 @@ from .coherent import (
     resolve_n_max,
     truncation_tail,
 )
-from .dynamics import propagate_fock, sample_times
+from .dynamics import sample_times
 from .fock import OscillatorParams
 from .observables import (
     RECORD_COLUMNS,
-    averages_bruteforce,
     averages_bruteforce_batch,
     averages_bruteforce_fock,
     averages_closedform_batch,
@@ -48,12 +47,7 @@ from .observables import (
     uncertainty_fock,
 )
 from .verify import format_table, run_all
-from .wavefunction import (
-    default_packet_grid,
-    packet_moments,
-    psi_closed_grid,
-    psi_series_grid,
-)
+from .wavefunction import packet_sweep
 
 __all__ = ["RunConfig", "UsageError", "main"]
 
@@ -108,10 +102,6 @@ class RunConfig:
                 raise UsageError(f"{name} must be finite, got {value!r}")
         if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
             raise UsageError("t_start and t_end must be finite")
-        if self.t_end < self.t_start:
-            raise UsageError(
-                f"t_end ({self.t_end}) must not precede t_start ({self.t_start})"
-            )
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise UsageError(f"dt must be positive, got {self.dt!r}")
         if self.grid_halfwidth <= 0:
@@ -335,10 +325,6 @@ def _float_cells(table: np.ndarray, seps: list[str]) -> list[str]:
     ]
 
 
-class _JSONText(str):
-    """Text already rendered as JSON, which `_json_text` emits verbatim."""
-
-
 def _json_text(value) -> str:
     """Minimal deterministic JSON with 17-significant-digit floats.
 
@@ -352,8 +338,6 @@ def _json_text(value) -> str:
         return "{" + items + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_json_text(v) for v in value) + "]"
-    if isinstance(value, _JSONText):
-        return value
     if isinstance(value, str):
         return json.dumps(value)
     if value is None:
@@ -396,23 +380,19 @@ def _render(
             for record in footer
         ]
         return "".join(["\n".join(head), "\n", *body, *feet])
-    if matrix:
+    # one list of pieces, joined once, so the kernel's rows are copied once
+    schema_id = json.dumps(f"{SCHEMA_PREFIX}.{schema}.{SCHEMA_VERSION}")
+    pieces = [f'{{"schema": {schema_id}, "config": {_json_text(dict(echo))}, "rows": ']
+    if matrix and len(rows):
         keys = [json.dumps(str(name)) for name in columns]
         last = f"}}, {{{keys[0]}: "
-        pieces = _float_cells(rows, [f", {key}: " for key in keys[1:]] + [last])
-        if pieces:
-            pieces[-1] = pieces[-1][:-len(last)]
-            pieces = [f"[{{{keys[0]}: ", *pieces, "}]"]
-        table = _JSONText("".join(pieces) or "[]")
+        cells = _float_cells(rows, [f", {key}: " for key in keys[1:]] + [last])
+        cells[-1] = cells[-1][:-len(last)]
+        pieces += [f"[{{{keys[0]}: ", *cells, "}]"]
     else:
-        table = [dict(zip(columns, row)) for row in rows]
-    payload = {
-        "schema": f"{SCHEMA_PREFIX}.{schema}.{SCHEMA_VERSION}",
-        "config": dict(echo),
-        "rows": table,
-        "footer": footer,
-    }
-    return _json_text(payload) + "\n"
+        pieces.append(_json_text([dict(zip(columns, row)) for row in rows]))
+    pieces.append(f', "footer": {_json_text(footer)}}}\n')
+    return "".join(pieces)
 
 
 def _emit(config: RunConfig, text: str) -> None:
@@ -434,6 +414,10 @@ def _check_phase(config: RunConfig, t: float, n_max: int) -> None:
 
 
 def _sample_times(config: RunConfig, n_max: int) -> np.ndarray:
+    if config.t_end < config.t_start:
+        raise UsageError(
+            f"t_end ({config.t_end}) must not precede t_start ({config.t_start})"
+        )
     for t in (config.t_start, config.t_end):
         _check_phase(config, t, n_max)
     return sample_times(config.t_start, config.t_end, config.dt)
@@ -469,8 +453,9 @@ def _uncertainty(config, params, label, n_max):
     for n, brute in zip(levels, products):
         exact = uncertainty_fock(n, params)
         rows.append((n, exact, brute, abs(exact - brute)))
-    state = propagate_fock(coherent_coefficients(label, n_max), config.t_start, params)
-    coherent_u = averages_bruteforce(state, params).uncertainty
+    state = coherent_coefficients(label, n_max)
+    at_start = averages_bruteforce_batch(state, [config.t_start], params)
+    coherent_u = float(at_start["uncertainty"][0])
     floor = 0.5 * params.hbar
     footer = [
         {
@@ -483,23 +468,14 @@ def _uncertainty(config, params, label, n_max):
 
 
 def _wavefunction(config, params, label, n_max):
-    times = _sample_times(config, n_max).tolist()
+    times = _sample_times(config, n_max)
     coeffs = coherent_coefficients(label, n_max).coeffs
     coeff_norm2 = float(np.vdot(coeffs, coeffs).real)
-    centers = averages_closedform_batch(label, times, params)["mean_x"]
-    grids = [
-        default_packet_grid(
-            params, center=c, halfwidth=config.grid_halfwidth,
-            npoints=config.grid_points,
-        )
-        for c in centers.tolist()
-    ]
-    points = np.array([grid.points for grid in grids])
-    stack = psi_series_grid(label, points, times, params, n_max)
-    closed = np.empty_like(stack)
+    points, series, closed, norms, variances = packet_sweep(
+        label, times, params, n_max, config.grid_halfwidth, config.grid_points
+    )
     footer = []
-    for t, grid, series, out in zip(times, grids, stack, closed):
-        norm2, _, variance = packet_moments(series, grid)
+    for t, norm2, variance in zip(times.tolist(), norms.tolist(), variances.tolist()):
         if abs(norm2 - coeff_norm2) > QUADRATURE_TOL:
             raise UsageError(
                 f"the grid cannot resolve the packet at t = {t:g}: its quadrature "
@@ -507,14 +483,11 @@ def _wavefunction(config, params, label, n_max):
                 f"{abs(norm2 - coeff_norm2):.1e} (tol {QUADRATURE_TOL:.0e}); raise "
                 "--grid-points or --grid-halfwidth"
             )
-        out[:] = psi_closed_grid(label, grid.points, t, params, "complex_center")
-        footer.append(
-            {"t": t, "quadrature_norm": norm2, "packet_variance": variance}
-        )
-    d = stack - closed
+        footer.append({"t": t, "quadrature_norm": norm2, "packet_variance": variance})
+    d = series - closed
     table = np.stack([
-        np.broadcast_to(np.array(times)[:, np.newaxis], points.shape), points,
-        stack.real, stack.imag, closed.real, closed.imag,
+        np.broadcast_to(times[:, np.newaxis], points.shape), points,
+        series.real, series.imag, closed.real, closed.imag,
         np.hypot(d.real, d.imag),  # the scalar abs(s - c) to the bit; np.abs is not
     ], axis=-1)
     columns = ["t", "x", "series_re", "series_im", "closed_re", "closed_im", "abs_diff"]
@@ -614,16 +587,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    state = _Parser(add_help=False)
-    state.add_argument("--chi-re", type=float, default=1.0, help="Re chi (default 1)")
-    state.add_argument("--chi-im", type=float, default=0.0, help="Im chi (default 0)")
-    state.add_argument("--hbar", type=float, default=1.0)
-    state.add_argument("--mass", type=float, default=1.0)
-    state.add_argument("--omega", type=float, default=1.0)
-    state.add_argument(
-        "--n-max", type=_n_max_type, default="auto",
-        help="truncation level, or 'auto' for the tail rule (default auto)",
-    )
+    def state_parent(units: bool = True) -> argparse.ArgumentParser:
+        p = _Parser(add_help=False)
+        p.add_argument("--chi-re", type=float, default=1.0, help="Re chi (default 1)")
+        p.add_argument("--chi-im", type=float, default=0.0, help="Im chi (default 0)")
+        if units:
+            p.add_argument("--hbar", type=float, default=1.0)
+            p.add_argument("--mass", type=float, default=1.0)
+            p.add_argument("--omega", type=float, default=1.0)
+        p.add_argument(
+            "--n-max", type=_n_max_type, default="auto",
+            help="truncation level, or 'auto' for the tail rule (default auto)",
+        )
+        return p
 
     out = _Parser(add_help=False)
     out.add_argument(
@@ -649,23 +625,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser(
-        "trajectory", parents=[state, out, time_parent(2.0 * math.pi)],
+        "trajectory", parents=[state_parent(), out, time_parent(2.0 * math.pi)],
         help="closed-form and brute-force averages over time, plus differences",
     )
     sub.add_parser(
-        "spectrum", parents=[state, out],
+        "spectrum", parents=[state_parent(units=False), out],
         help="level populations against the Poisson weights",
     )
-    sub.add_parser(
-        "uncertainty", parents=[state, out, time_parent(0.0)],
+    uncertainty = sub.add_parser(
+        "uncertainty", parents=[state_parent(), out],
         help="fluctuation products of number states and the coherent state",
     )
+    uncertainty.add_argument("--t-start", type=float, default=0.0)
     sub.add_parser(
-        "wavefunction", parents=[state, out, time_parent(0.0), grid],
+        "wavefunction", parents=[state_parent(), out, time_parent(0.0), grid],
         help="packet samples: truncated series against the closed form",
     )
     sub.add_parser(
-        "symmetry-check", parents=[state, out],
+        "symmetry-check", parents=[state_parent(), out],
         help="phase-rotation invariance report",
     )
     verify = sub.add_parser(

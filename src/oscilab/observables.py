@@ -13,13 +13,13 @@ Every brute-force average comes from one kernel, `_moments`, which takes a
 block of coefficient rows. Each operator lies within two places of the
 diagonal, so each expectation is a shifted elementwise product summed with
 numpy along the level axis: no dense matrix and no BLAS call, so the digits
-do not depend on the BLAS build or its thread count. `averages_bruteforce`
-is the one-row call; `averages_bruteforce_batch` (one state propagated to
-many times) and `averages_bruteforce_fock` (many number states) feed it
-blocks of BATCH_TIMES rows, and each of their rows equals the one-row call
+do not depend on the BLAS build or its thread count. `_columns` runs it
+over blocks of rows, with the norm check and one TruncationWarning:
+`averages_bruteforce` is its 1-row call, and `averages_bruteforce_batch`
+(one state propagated to many times) and `averages_bruteforce_fock` (many
+number states) feed it blocks of BATCH_TIMES rows, each row the 1-row call
 to the bit. `phase_rotation_drifts` reads a block and its phase-rotated copy
-from the same kernel. Tests pin the kernel to the dense `fock.Operator`
-matrices.
+from the kernel. Tests pin the kernel to the dense `fock.Operator` matrices.
 """
 
 from __future__ import annotations
@@ -206,40 +206,16 @@ def _moments(c: np.ndarray, params: OscillatorParams, norm_tol: float):
     return fields, top_mass
 
 
-def averages_bruteforce(
-    state: StateVector, params: OscillatorParams, norm_tol: float = DEFAULT_NORM_TOL
-) -> ObservableRecord:
-    """All averages of one state by expectation in the truncated basis.
-
-    The one-row call of the banded kernel, so every row of
-    `averages_bruteforce_batch` and `averages_bruteforce_fock` equals it to
-    the bit. Raises NormalizationError (carrying the measured norm) when the
-    state is not normalized within norm_tol. Warns with TruncationWarning
-    when the top two levels carry enough weight to bias the second moments.
-    """
-    fields, top_mass = _moments(state.coeffs[np.newaxis, :], params, norm_tol)
-    if top_mass > SUPPORT_MASS_TOL:
-        warnings.warn(
-            f"top two levels carry probability {top_mass:.3e}; second moments "
-            f"near the truncation edge are unreliable",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return record_from_row(
-        [state.time, *(fields[name][0] for name in RECORD_COLUMNS[1:])]
-    )
-
-
-def _columns(times: np.ndarray, blocks, params: OscillatorParams):
-    """RECORD_COLUMNS arrays from the kernel run over consecutive blocks of
-    rows, one row per entry of `times`, with one TruncationWarning for the
-    largest top-two level mass of any row."""
+def _columns(times, blocks, params: OscillatorParams, norm_tol=DEFAULT_NORM_TOL):
+    """RECORD_COLUMNS arrays from the kernel over consecutive blocks of rows,
+    one row per entry of `times`, and one TruncationWarning for the largest
+    top-two level mass of any row, attributed to the public function's caller."""
     columns = {"time": times}
     columns.update((name, np.empty(times.size)) for name in RECORD_COLUMNS[1:])
     top_mass = 0.0
     start = 0
     for c in blocks:
-        fields, block_top = _moments(c, params, DEFAULT_NORM_TOL)
+        fields, block_top = _moments(c, params, norm_tol)
         for name, values in fields.items():
             columns[name][start:start + len(c)] = values
         start += len(c)
@@ -252,6 +228,23 @@ def _columns(times: np.ndarray, blocks, params: OscillatorParams):
             stacklevel=3,
         )
     return columns
+
+
+def averages_bruteforce(
+    state: StateVector, params: OscillatorParams, norm_tol: float = DEFAULT_NORM_TOL
+) -> ObservableRecord:
+    """All averages of one state by expectation in the truncated basis.
+
+    The one-row call of `_columns`, so every row of
+    `averages_bruteforce_batch` and `averages_bruteforce_fock` equals it to
+    the bit. Raises NormalizationError (carrying the measured norm) when the
+    state is not normalized within norm_tol. Warns with TruncationWarning
+    when the top two levels carry enough weight to bias the second moments.
+    """
+    columns = _columns(
+        np.array([state.time]), [state.coeffs[np.newaxis, :]], params, norm_tol
+    )
+    return record_from_row([columns[name][0] for name in RECORD_COLUMNS])
 
 
 def averages_bruteforce_batch(

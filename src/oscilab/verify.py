@@ -52,13 +52,7 @@ from .observables import (
     phase_rotation_drifts,
     uncertainty_fock,
 )
-from .wavefunction import (
-    default_packet_grid,
-    generating_sum_check,
-    packet_moments,
-    psi_closed_grid,
-    psi_series_grid,
-)
+from .wavefunction import generating_sum_check, packet_sweep
 
 __all__ = ["CriterionResult", "DEFAULT_CHI_SET", "run_all", "format_table"]
 
@@ -278,8 +272,8 @@ def check_wave_packet(chi_set, n_max: int | None = None) -> CriterionResult:
     """Series and closed-form packets agree; the packet width never changes.
 
     n_max=None resolves each label's truncation by `_series_n_max`. The five
-    slices of a label, each on a grid around its mean, go through one
-    stacked `psi_series_grid` call.
+    slices of a label, each on a grid around its mean, come from one
+    `packet_sweep` call, the sweep behind the `wavefunction` command.
     """
     params = OscillatorParams()
     diff_tol = 1e-8
@@ -290,17 +284,12 @@ def check_wave_packet(chi_set, n_max: int | None = None) -> CriterionResult:
     times = (0.0, 0.7, math.pi, 4.2, 2.0 * math.pi)
     for chi in chi_set:
         label = CoherentLabel(chi)
-        centers = averages_closedform_batch(label, times, params)["mean_x"]
-        grids = [default_packet_grid(params, center=c) for c in centers.tolist()]
-        stack = psi_series_grid(
-            label, np.array([grid.points for grid in grids]), times, params,
-            _series_n_max(label, n_max),
+        _, series, closed, _, variances = packet_sweep(
+            label, times, params, _series_n_max(label, n_max)
         )
-        for t, grid, series in zip(times, grids, stack):
-            closed = psi_closed_grid(label, grid.points, t, params, "complex_center")
-            worst_diff = max(worst_diff, float(np.max(np.abs(series - closed))))
-            _, _, var = packet_moments(series, grid)
-            worst_var = max(worst_var, abs(var - expected_var))
+        diffs = np.max(np.abs(series - closed), axis=1)  # per slice
+        worst_diff = max(worst_diff, *diffs.tolist())
+        worst_var = max(worst_var, *np.abs(variances - expected_var).tolist())
     return CriterionResult(
         "wave-packet-nondiffusion",
         worst_diff < diff_tol and worst_var < var_tol,

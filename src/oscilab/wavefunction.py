@@ -19,6 +19,9 @@ at any BLAS thread count. It also takes a stack of S slices, each with its
 own time and grid, and runs the recurrence once over all their points, in
 passes bounded to stay in cache. A point gets the same operations in the
 same order either way, so a slice of a stack equals its own call to the bit.
+The closed forms take the same stacks, with the same guarantee, and
+`packet_sweep` runs both on a grid per time for the `wavefunction` command
+and the `wave-packet-nondiffusion` criterion.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import CoherentLabel, _evolved_chi, coherent_coefficients
+from .coherent import CoherentLabel, coherent_coefficients
 from .fock import DimensionMismatchError, OscillatorParams, level_phases
-from .observables import averages_closedform
+from .observables import averages_closedform_batch
 
 __all__ = [
     "CLOSED_FORMS",
@@ -46,6 +49,7 @@ __all__ = [
     "psi_closed_grid",
     "quadrature_norm",
     "packet_moments",
+    "packet_sweep",
     "trapezoid_grid",
     "default_packet_grid",
     "gauss_hermite_grid",
@@ -207,20 +211,35 @@ def generating_sum_check(x: float, t: float, k_max: int) -> float:
     return abs(total - math.exp(2.0 * x * t - t * t))
 
 
+def _slices(t, x) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(S,) times, (S, N) points and whether t is a single time: a scalar t
+    with a scalar or 1-d x (S = 1), or S slices, t of length S and x of
+    shape (S, N), slice s on the points x[s] at t[s]. Any other pairing
+    raises DimensionMismatchError."""
+    ts = np.asarray(t, dtype=float)
+    xs = np.asarray(x, dtype=float)
+    if ts.ndim == 0:
+        if xs.ndim > 1:
+            raise DimensionMismatchError(
+                f"a single time takes a scalar or 1-d x, got shape {xs.shape}"
+            )
+        return ts.reshape(1), xs.reshape(1, -1), True
+    if ts.ndim != 1 or xs.ndim != 2 or xs.shape[0] != ts.size:
+        raise DimensionMismatchError(
+            f"times of shape {ts.shape} need x of shape ({ts.size}, N), "
+            f"got {xs.shape}"
+        )
+    return ts, xs, False
+
+
 def psi_series_grid(
-    label: CoherentLabel,
-    x,
-    t,
-    params: OscillatorParams,
-    n_max: int,
+    label: CoherentLabel, x, t, params: OscillatorParams, n_max: int
 ) -> np.ndarray:
     """Coherent packet as the truncated eigenfunction series, on arrays of x.
 
     A scalar t takes a scalar or 1-d x and returns the (N,) series. A stack
-    of S slices takes t of length S and x of shape (S, N), slice s being the
-    packet at t[s] on the points x[s], and returns an (S, N) array. Any other
-    pairing of shapes raises DimensionMismatchError; a single time is the
-    S = 1 stack.
+    of S slices takes t of length S and x of shape (S, N) and returns an
+    (S, N) array; see `_slices` for the pairings.
 
     One pass of the recurrence covers every point of as many slices as fit
     in _SERIES_PASS_POINTS points, and at least one. Each eigenfunction row
@@ -232,20 +251,7 @@ def psi_series_grid(
     stack around it, and its bits do not depend on the BLAS build or thread
     count.
     """
-    ts = np.asarray(t, dtype=float)
-    xs = np.asarray(x, dtype=float)
-    single = ts.ndim == 0
-    if single:
-        if xs.ndim > 1:
-            raise DimensionMismatchError(
-                f"a single time takes a scalar or 1-d x, got shape {xs.shape}"
-            )
-        ts, xs = ts.reshape(1), xs.reshape(1, -1)
-    elif ts.ndim != 1 or xs.ndim != 2 or xs.shape[0] != ts.size:
-        raise DimensionMismatchError(
-            f"times of shape {ts.shape} need x of shape ({ts.size}, N), "
-            f"got {xs.shape}"
-        )
+    ts, xs, single = _slices(t, x)
     series = np.empty(xs.shape, dtype=complex)
     per_pass = max(1, _SERIES_PASS_POINTS // max(1, xs.shape[1]))
     base = coherent_coefficients(label, n_max).coeffs
@@ -285,18 +291,19 @@ def psi_series(
 
 
 def psi_closed_grid(
-    label: CoherentLabel,
-    x,
-    t: float,
-    params: OscillatorParams,
-    form: str,
+    label: CoherentLabel, x, t, params: OscillatorParams, form: str
 ) -> np.ndarray:
-    """Closed-form coherent packet on an array of positions.
+    """Closed-form coherent packet on arrays of positions.
 
     form="complex_center": Gaussian whose squared shift has the complex
     center chi(t) sqrt(2 hbar / M omega), taken literally.
     form="schrodinger": the same packet written through the mean coordinate
     and momentum, a plane-wave factor on a real-centered Gaussian.
+
+    Takes the (t, x) pairings of `psi_series_grid`. Each slice's scalar
+    factors are Python numbers, from `averages_closedform_batch`, and only
+    the Gaussian and plane-wave arrays are broadcast, so a slice is its own
+    single-time call to the bit (numpy complex factors round otherwise).
 
     All complex exponentials are evaluated directly from their real and
     imaginary parts; no multivalued logarithm is involved, so sweeps over t
@@ -304,22 +311,31 @@ def psi_closed_grid(
     """
     if form not in CLOSED_FORMS:
         raise ValueError(f"form must be one of {CLOSED_FORMS}, got {form!r}")
-    xs, _ = _as_axis(x)
+    ts, xs, single = _slices(t, x)
     hbar, mass, omega = params.hbar, params.mass, params.omega
     prefactor = (mass * omega / (math.pi * hbar)) ** 0.25
+    closed = averages_closedform_batch(label, ts, params)
+    factor = np.empty((ts.size, 1), dtype=complex)  # one scalar per slice
     if form == "complex_center":
-        re, im = _evolved_chi(label, [t], params)
-        chit = complex(re[0], im[0])
-        shift = chit * math.sqrt(2.0 * hbar / (mass * omega))
+        scale = math.sqrt(2.0 * hbar / (mass * omega))
         amp = prefactor * math.exp(-0.5 * label.nbar)
-        phase = np.exp(-0.5j * omega * t + 0.5 * chit * chit)
-        return amp * phase * np.exp(-(mass * omega / (2.0 * hbar)) * (xs - shift) ** 2)
-    rec = averages_closedform(label, t, params)
-    xb, pb = rec.mean_x, rec.mean_p
-    phase = np.exp(-1j * (0.5 * omega * t + 0.5 * pb * xb / hbar))
-    plane = np.exp(1j * (pb / hbar) * xs)
-    gauss = np.exp(-(mass * omega / (2.0 * hbar)) * (xs - xb) ** 2)
-    return prefactor * phase * plane * gauss
+        shift = np.empty_like(factor)
+        rows = zip(ts.tolist(), closed["a_avg_re"].tolist(), closed["a_avg_im"].tolist())
+        for s, (t_s, re, im) in enumerate(rows):
+            chit = complex(re, im)
+            shift[s] = chit * scale
+            factor[s] = amp * np.exp(-0.5j * omega * t_s + 0.5 * chit * chit)
+        values = factor * np.exp(-(mass * omega / (2.0 * hbar)) * (xs - shift) ** 2)
+    else:
+        wave = np.empty_like(factor)
+        xb, pb = closed["mean_x"], closed["mean_p"]
+        for s, (t_s, x_s, p_s) in enumerate(zip(ts.tolist(), xb.tolist(), pb.tolist())):
+            phase = np.exp(-1j * (0.5 * omega * t_s + 0.5 * p_s * x_s / hbar))
+            factor[s], wave[s] = prefactor * phase, 1j * (p_s / hbar)
+        plane = np.exp(wave * xs)
+        gauss = np.exp(-(mass * omega / (2.0 * hbar)) * (xs - xb[:, np.newaxis]) ** 2)
+        values = factor * plane * gauss
+    return values[0] if single else values
 
 
 def psi_closed(
@@ -395,6 +411,30 @@ def default_packet_grid(
         raise ValueError(f"halfwidth must be positive, got {halfwidth}")
     span = halfwidth * params.length_scale
     return trapezoid_grid(center - span, center + span, npoints)
+
+
+def packet_sweep(
+    label: CoherentLabel, times, params: OscillatorParams, n_max: int,
+    halfwidth: float = DEFAULT_GRID_HALFWIDTH, npoints: int = DEFAULT_GRID_POINTS,
+):
+    """(points, series, closed, norm2, variance) of the packet at the 1-d times.
+
+    Slice s lies on `default_packet_grid` around the mean at times[s]; the
+    (S, N) series and complex-centre closed form each come from one stacked
+    call, and `packet_moments` takes each series slice's squared norm and
+    variance in time order (raising on a zero-norm slice).
+    """
+    centers = averages_closedform_batch(label, times, params)["mean_x"]
+    grids = [
+        default_packet_grid(params, center=c, halfwidth=halfwidth, npoints=npoints)
+        for c in centers.tolist()
+    ]
+    points = np.array([grid.points for grid in grids])
+    series = psi_series_grid(label, points, times, params, n_max)
+    closed = psi_closed_grid(label, points, times, params, "complex_center")
+    moments = [packet_moments(row, grid) for row, grid in zip(series, grids)]
+    norm2, _, variance = np.array(moments).T
+    return points, series, closed, norm2, variance
 
 
 def gauss_hermite_grid(

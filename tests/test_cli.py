@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib.util
 import io
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscilab import cli
+from oscilab import cli, verify
 from oscilab.cli import (
     AMPLITUDE_TAIL_TOL,
     PRODUCERS,
@@ -35,7 +36,12 @@ from oscilab.fock import (
     make_xp,
 )
 from oscilab.observables import averages_closedform
-from oscilab.wavefunction import default_packet_grid, psi_closed_grid, psi_series_grid
+from oscilab.wavefunction import (
+    default_packet_grid,
+    packet_sweep,
+    psi_closed_grid,
+    psi_series_grid,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -187,8 +193,10 @@ def test_json_output_structure(tmp_path):
         (["spectrum", "--format", "xml"], "--format"),
         (["spectrum", "--n-max", "-3"], "--n-max"),
         (["verify", "--seed", "-1"], "seed must be nonnegative"),
-        (["spectrum", "--chi-im", "--hbar", "2"], "--chi-im: expected one argument"),
+        (["trajectory", "--chi-im", "--hbar", "2"], "--chi-im: expected one argument"),
         (["spectrum", "--chi-re", "-inf"], "chi_re must be finite"),
+        # the time order is checked before the phase that t_start would overflow
+        (["wavefunction", "--t-start", "1e308", "--omega", "10"], "must not precede"),
     ],
 )
 def test_invalid_configuration_exits_1(args, capsys):
@@ -839,14 +847,12 @@ def test_float_matrices_of_any_shape_render_as_their_row_tuples(shape, fmt):
     )
 
 
-def test_rendering_a_packet_sized_matrix_stays_in_its_memory_bound():
-    # 18,009 x 7 cells, the packet-large table's shape, 2.7 MiB of CSV.
-    # Measured peak: 8.3 MiB (the text is held twice while it is joined);
-    # with the whole table as one chunk the kernel's slot block and keep
-    # mask took it to 48 MiB
+def _render_packet_sized_matrix(fmt):
+    """The text of an 18,009 x 7 matrix, the packet-large table's shape, and
+    the tracemalloc peak of rendering it."""
     rng = np.random.default_rng(0)
     matrix = rng.standard_normal((18009, 7)) * 10.0 ** rng.integers(-20, 5, (18009, 7))
-    config = RunConfig("wavefunction")
+    config = RunConfig("wavefunction", format=fmt)
     columns = [f"c{i}" for i in range(7)]
     _render(config, "wavefunction", [], columns, matrix[:2], [])  # builds the tables
     tracemalloc.start()
@@ -855,7 +861,23 @@ def test_rendering_a_packet_sized_matrix_stays_in_its_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return text, peak
+
+
+def test_rendering_a_packet_sized_matrix_stays_in_its_memory_bound():
+    # 2.7 MiB of CSV. Measured peak: 8.3 MiB (the text is held twice while
+    # it is joined); with the whole table as one chunk the kernel's slot
+    # block and keep mask took it to 48 MiB
+    text, peak = _render_packet_sized_matrix("csv")
     assert len(text) > 2.5 * 2**20
+    assert peak < 12 * 2**20
+
+
+def test_rendering_a_packet_sized_matrix_as_json_stays_in_its_memory_bound():
+    # 3.6 MiB of JSON. Measured peak: 10.3 MiB, the text held twice while it
+    # is joined; joined into intermediate strings three times over, 17.9 MiB
+    text, peak = _render_packet_sized_matrix("json")
+    assert len(text) > 3.5 * 2**20
     assert peak < 12 * 2**20
 
 
@@ -875,7 +897,71 @@ def test_an_overflowing_phase_exits_1_naming_the_time(command):
 
 
 def test_uncertainty_reads_only_t_start_for_its_phase(capsys):
-    assert main(["uncertainty", "--t-end", "1e308", "--omega", "10"]) == 0
-    assert main(["uncertainty", "--t-start", "1e308", "--t-end", "1e308",
-                 "--omega", "10"]) == 1
+    assert main(["uncertainty", "--t-end", "1e308", "--omega", "10"]) == 1
+    assert "unrecognized arguments: --t-end 1e308" in capsys.readouterr().err
+    assert main(["uncertainty", "--t-start", "1e308", "--omega", "10"]) == 1
     assert "overflows at t = 1e+308" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--hbar", "2"],
+        ["spectrum", "--mass", "2"],
+        ["spectrum", "--omega", "2"],
+        ["uncertainty", "--t-end", "1"],
+        ["uncertainty", "--dt", "0.1"],
+    ],
+)
+def test_commands_refuse_the_options_they_do_not_read(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in err.splitlines()[-1]
+
+
+def test_uncertainty_runs_from_a_later_t_start(tmp_path, capsys):
+    # uncertainty reads no t_end, so a t_start past the t_end default runs
+    out = tmp_path / "unc.csv"
+    assert main(["uncertainty", "--t-start", "1", "--n-max", "16",
+                 "--output", str(out)]) == 0
+    _, rows, footers, config = read_csv(out)
+    assert len(rows) == 15
+    assert (config["t_start"], config["t_end"], config["dt"]) == ("1", "0", "0.01")
+    assert float(footers[0]["abs_diff"]) < 1e-9
+
+
+def test_packet_callers_import_only_packet_sweep():
+    package = Path(SRC) / "oscilab"
+    imported = {}
+    for module in ("cli", "verify", "wavefunction"):
+        tree = ast.parse((package / f"{module}.py").read_text())
+        imported[module] = {
+            (node.module, alias.name)
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+    packet_parts = {"psi_closed_grid", "default_packet_grid", "packet_moments"}
+    for module in ("cli", "verify"):
+        assert ("wavefunction", "packet_sweep") in imported[module]
+        assert not {name for _, name in imported[module]} & packet_parts
+    assert not {name for _, name in imported["cli"]} & {
+        "propagate_fock", "averages_bruteforce"
+    }
+    assert not [name for _, name in imported["wavefunction"] if name.startswith("_")]
+
+
+def test_verify_and_wavefunction_sweep_each_label_once(monkeypatch, capsys):
+    calls = []
+
+    def spy(label, *args, **kwargs):
+        calls.append(label.chi)
+        return packet_sweep(label, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "packet_sweep", spy)
+    monkeypatch.setattr(cli, "packet_sweep", spy)
+    assert all(result.passed for result in verify.run_all())
+    assert calls == list(verify.DEFAULT_CHI_SET)
+    calls.clear()
+    assert main(["wavefunction", "--chi-re", "2", "--t-end", "3.14", "--dt", "1.57"]) == 0
+    assert calls == [2 + 0j]
+    assert capsys.readouterr().out.count("\n") == 3 + 3 * 2001 + 3

@@ -155,8 +155,31 @@ def test_unnormalized_state_rejected_with_measured_norm():
 
 
 def test_top_heavy_state_warns_about_truncation():
-    with pytest.warns(TruncationWarning):
+    with pytest.warns(TruncationWarning) as caught:
         averages_bruteforce(fock_state(12, 12), PARAMS)
+    assert [w.filename for w in caught] == [__file__]  # the caller's file
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0, 0.9, -3.3, 1e4])
+def test_averages_bruteforce_is_row_0_of_the_batch_to_the_bit(t):
+    params = OscillatorParams(2.0, 0.5, 3.0)
+    base = coherent_coefficients(CoherentLabel(1.2 - 0.7j), 30)
+    record = averages_bruteforce(propagate_fock(base, t, params), params)
+    batch = averages_bruteforce_batch(base, [t], params)
+    row = np.array([batch[name][0] for name in RECORD_COLUMNS])
+    assert np.array(record_row(record)).tobytes() == row.tobytes()
+
+
+def test_averages_bruteforce_takes_a_custom_norm_tolerance():
+    state = coherent_coefficients(CoherentLabel(1), 8)  # norm 1 - 5.6e-7
+    gap = abs(state.norm() - 1.0)
+    assert 1e-10 < gap < 1e-6
+    with pytest.raises(NormalizationError) as excinfo:
+        averages_bruteforce(state, PARAMS, norm_tol=0.5 * gap)
+    assert excinfo.value.norm == pytest.approx(state.norm(), rel=1e-12)
+    with pytest.warns(TruncationWarning):
+        record = averages_bruteforce(state, PARAMS, norm_tol=2.0 * gap)
+    assert record.n_avg == pytest.approx(1.0, abs=1e-4)
 
 
 def test_uncertainty_fock_formula():

@@ -9,6 +9,7 @@ from oscilab.fock import DimensionMismatchError, OscillatorParams
 from oscilab.observables import averages_closedform
 from oscilab import wavefunction
 from oscilab.wavefunction import (
+    CLOSED_FORMS,
     SpatialGrid,
     WaveSample,
     default_packet_grid,
@@ -18,6 +19,7 @@ from oscilab.wavefunction import (
     generating_sum_check,
     hermite,
     packet_moments,
+    packet_sweep,
     psi_closed,
     psi_closed_grid,
     psi_series,
@@ -363,19 +365,110 @@ def test_every_slice_uses_the_dynamical_state_coefficients_to_the_bit(
         assert not np.any(got[n_max + 1:])
 
 
-@pytest.mark.parametrize(
-    "x, t",
-    [
-        (np.zeros((2, 5)), [0.0, 1.0, 2.0]),  # three times, two slices
-        (np.zeros(2), [0.0, 1.0]),  # a flat axis for two times
-        (np.zeros((2, 5)), 0.0),  # a stack for one time
-        (np.zeros((1, 2, 5)), [0.0]),
-        (np.zeros((2, 5)), np.zeros((2, 1))),
-    ],
-)
+MISMATCHED_STACKS = [
+    (np.zeros((2, 5)), [0.0, 1.0, 2.0]),  # three times, two slices
+    (np.zeros(2), [0.0, 1.0]),  # a flat axis for two times
+    (np.zeros((2, 5)), 0.0),  # a stack for one time
+    (np.zeros((1, 2, 5)), [0.0]),
+    (np.zeros((2, 5)), np.zeros((2, 1))),
+]
+
+
+@pytest.mark.parametrize("x, t", MISMATCHED_STACKS)
 def test_mismatched_stack_shapes_are_refused(x, t):
     with pytest.raises(DimensionMismatchError):
         psi_series_grid(CoherentLabel(1.0), x, t, PARAMS, 8)
+
+
+@pytest.mark.parametrize("form", CLOSED_FORMS)
+@pytest.mark.parametrize("x, t", MISMATCHED_STACKS)
+def test_closed_forms_refuse_the_series_mismatched_shapes(x, t, form):
+    with pytest.raises(DimensionMismatchError):
+        psi_closed_grid(CoherentLabel(1.0), x, t, PARAMS, form)
+
+
+def per_time_closed_form(label, xs, t, params, form):
+    """The closed forms as one time writes them: every scalar factor a
+    Python number, chi(t) the Python complex chi * exp(-i omega t)."""
+    hbar, mass, omega = params.hbar, params.mass, params.omega
+    prefactor = (mass * omega / (math.pi * hbar)) ** 0.25
+    if form == "complex_center":
+        chit = label.chi * complex(np.exp(-1j * omega * t))
+        shift = chit * math.sqrt(2.0 * hbar / (mass * omega))
+        amp = prefactor * math.exp(-0.5 * label.nbar)
+        phase = np.exp(-0.5j * omega * t + 0.5 * chit * chit)
+        return amp * phase * np.exp(-(mass * omega / (2.0 * hbar)) * (xs - shift) ** 2)
+    rec = averages_closedform(label, t, params)
+    xb, pb = rec.mean_x, rec.mean_p
+    phase = np.exp(-1j * (0.5 * omega * t + 0.5 * pb * xb / hbar))
+    plane = np.exp(1j * (pb / hbar) * xs)
+    gauss = np.exp(-(mass * omega / (2.0 * hbar)) * (xs - xb) ** 2)
+    return prefactor * phase * plane * gauss
+
+
+PACKET_LARGE_TIMES = np.linspace(0.0, 2.0 * math.pi, 9)
+EDGE_TIMES = np.array([0.0, -0.0, -3.3, 1e4])
+
+
+@pytest.mark.parametrize("form", CLOSED_FORMS)
+@pytest.mark.parametrize(
+    "chi, params, times",
+    [
+        (20.0, PARAMS, PACKET_LARGE_TIMES),  # the packet-large label
+        (20.0 * np.exp(2.4j), PARAMS, PACKET_LARGE_TIMES),
+        (1.5 - 0.5j, OscillatorParams(2.0, 0.5, 3.0), PACKET_LARGE_TIMES),
+        (20.0, PARAMS, EDGE_TIMES),
+        (20.0 * np.exp(2.4j), PARAMS, EDGE_TIMES),
+        (1.5 - 0.5j, OscillatorParams(2.0, 0.5, 3.0), EDGE_TIMES),
+    ],
+)
+def test_closed_form_slices_are_their_single_time_calls_to_the_bit(
+    chi, params, times, form
+):
+    # chi(t), chi(t)^2 and the phase taken as numpy complex arrays move up
+    # to 8,004 of the 18,009 packet-large cells, by up to 5.5e-15
+    label = CoherentLabel(chi)
+    centers = [averages_closedform(label, t, params).mean_x for t in times]
+    points = np.array([default_packet_grid(params, center=c).points for c in centers])
+    stacked = psi_closed_grid(label, points, times, params, form)
+    assert stacked.shape == points.shape and stacked.dtype == complex
+    for t, xs, got in zip(times.tolist(), points, stacked):
+        single = psi_closed_grid(label, xs, t, params, form)
+        want = per_time_closed_form(label, xs, t, params, form)
+        assert got.tobytes() == single.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "chi, params, n_max, times, halfwidth, npoints",
+    [
+        (20.0, PARAMS, 589, PACKET_LARGE_TIMES, 10.0, 2001),  # packet-large
+        (1.5 - 0.5j, OscillatorParams(2.0, 0.5, 3.0), 40, EDGE_TIMES, 7.0, 501),
+        (0, PARAMS, 16, np.array([0.3]), 10.0, 3),
+    ],
+)
+def test_packet_sweep_rows_are_the_per_slice_calls_to_the_bit(
+    chi, params, n_max, times, halfwidth, npoints
+):
+    label = CoherentLabel(chi)
+    sweep = packet_sweep(label, times, params, n_max, halfwidth, npoints)
+    assert [part.shape for part in sweep] == [(times.size, npoints)] * 3 + [times.shape] * 2
+    for s, t in enumerate(times.tolist()):
+        center = averages_closedform(label, t, params).mean_x
+        grid = default_packet_grid(params, center, halfwidth, npoints)
+        series = psi_series_grid(label, grid.points, t, params, n_max)
+        closed = psi_closed_grid(label, grid.points, t, params, "complex_center")
+        want = per_time_closed_form(label, grid.points, t, params, "complex_center")
+        assert closed.tobytes() == want.tobytes()
+        norm2, _, variance = packet_moments(series, grid)
+        expected = [grid.points, series, closed, np.float64(norm2), np.float64(variance)]
+        assert [part[s].tobytes() for part in sweep] == [e.tobytes() for e in expected]
+
+
+def test_packet_sweep_refuses_a_zero_norm_slice():
+    # at chi = 36 the whole default grid lies past |xi| = 38.6, where the
+    # series' Gaussian seed underflows, so the t = 0 slice is zero
+    with pytest.raises(ValueError, match="zero-norm"):
+        packet_sweep(CoherentLabel(36.0), [0.0], PARAMS, 1300)
 
 
 def textbook_table(n_max, xs, params):
