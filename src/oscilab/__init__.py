@@ -1,9 +1,10 @@
 """oscilab: a numerical laboratory for harmonic-oscillator coherent states.
 
-Builds truncated number-basis operators, constructs stationary and dynamical
-coherent states, evolves them exactly, and checks every closed-form claim
-(means, second moments, minimal uncertainty, constant energy, non-diffusing
-packet, broken phase symmetry) against brute-force matrix numerics.
+Constructs stationary and dynamical coherent states in a truncated number
+basis, evolves them exactly, and checks every closed-form claim (means,
+second moments, minimal uncertainty, constant energy, non-diffusing packet,
+broken phase symmetry) against brute-force expectation values taken with
+banded products of the amplitudes.
 """
 
 from types import ModuleType as _ModuleType
@@ -15,36 +16,23 @@ from .coherent import (
     auto_n_max,
     coherent_coefficients,
     dynamical_coherent_state,
-    evolve_label,
     occupation_probability,
     resolve_n_max,
     truncation_tail,
 )
 from .dynamics import (
-    PhaseAngle,
     Trajectory,
     ehrenfest_residual,
-    phase_transform_ladder,
     propagate_fock,
-    rotate_xp,
     sample_trajectory,
-    transform_state_phase,
 )
 from .fock import (
     DimensionMismatchError,
     NormalizationError,
-    Operator,
     OscillatorParams,
     StateVector,
     TruncationWarning,
-    expectation,
-    fock_state,
-    identity,
     level_phases,
-    make_hamiltonian,
-    make_ladder,
-    make_xp,
-    random_state,
 )
 from .observables import (
     ObservableRecord,
@@ -60,14 +48,10 @@ from .wavefunction import (
     SpatialGrid,
     WaveSample,
     default_packet_grid,
-    eigenfunction,
-    gauss_hermite_grid,
     generating_sum_check,
-    hermite,
     packet_moments,
     psi_closed,
     psi_series,
-    quadrature_norm,
     trapezoid_grid,
 )
 

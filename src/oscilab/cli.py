@@ -65,6 +65,8 @@ AMPLITUDE_TAIL_TOL = 1e-18
 # Largest accepted gap between a wavefunction slice's quadrature norm and
 # the truncated state's norm; the packet tolerance `verify` uses.
 QUADRATURE_TOL = 1e-8
+# Largest ulp a level phase may have, in radians: 2 pi 2^-20, about 6e-6.
+PHASE_ULP_LIMIT = 2.0 * math.pi * 2.0**-20
 
 
 class UsageError(ValueError):
@@ -405,10 +407,18 @@ def _emit(config: RunConfig, text: str) -> None:
 
 def _check_phase(config: RunConfig, t: float, n_max: int) -> None:
     """Refuse a time whose largest level phase, omega |t| (n_max + 1/2), is
-    not a finite float; numpy's cos and sin would turn it into nan."""
-    if not math.isfinite(config.omega * abs(t) * (n_max + 0.5)):
+    not a finite float (numpy's cos and sin would make it nan), or whose ulp
+    exceeds PHASE_ULP_LIMIT, from 2^35 rad up: its phases keep too few digits."""
+    phase = config.omega * abs(t) * (n_max + 0.5)
+    if not math.isfinite(phase):
         raise UsageError(
             f"the phase omega*|t|*(n_max + 1/2) overflows at t = {t!r} "
+            f"(omega {config.omega!r}, n_max {n_max})"
+        )
+    if math.ulp(phase) > PHASE_ULP_LIMIT:
+        raise UsageError(
+            f"the phase omega*|t|*(n_max + 1/2) = {phase:.3g} keeps too few digits at "
+            f"t = {t!r}: one ulp of it is {math.ulp(phase):.3g} rad, above 2*pi*2^-20 "
             f"(omega {config.omega!r}, n_max {n_max})"
         )
 

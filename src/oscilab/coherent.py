@@ -29,7 +29,6 @@ __all__ = [
     "CoherentLabel",
     "coherent_coefficients",
     "occupation_probability",
-    "evolve_label",
     "dynamical_coherent_state",
     "annihilation_residual",
     "truncation_tail",
@@ -124,12 +123,6 @@ def _evolved_chi(
     cos, sin = np.cos(angle), np.sin(angle)
     ar, ai = label.chi.real, label.chi.imag
     return ar * cos - ai * sin, ar * sin + ai * cos
-
-
-def evolve_label(label: CoherentLabel, t: float, params: OscillatorParams) -> CoherentLabel:
-    """Label at time t: chi * exp(-i omega t). Modulus is preserved."""
-    re, im = _evolved_chi(label, [t], params)
-    return CoherentLabel(complex(re[0], im[0]))
 
 
 def dynamical_coherent_state(

@@ -1,37 +1,31 @@
-"""Phase transformations, exact Fock-basis propagation, mean-motion checks.
+"""Exact Fock-basis propagation, columnar trajectories, mean-motion checks.
 
 The Hamiltonian is diagonal in the number basis, so time evolution is exact
 per-level phase rotation; no integrator lives in the library. The phase
-transformation a -> a e^(i alpha) acts on states as coeffs[n] -> coeffs[n]
-e^(-i n alpha); the consistency of the two pictures is verified through
-expectation values in the tests, not assumed.
+transformation a -> a e^(i alpha), coeffs[n] -> coeffs[n] e^(-i n alpha) on
+states, is applied by `observables.phase_rotation_drifts`; the tests check
+it against the rotated ladder matrix of `tests/oracle.py`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from collections.abc import Mapping
 
 import numpy as np
 
 from .coherent import CoherentLabel, coherent_coefficients, resolve_n_max
-from .fock import Operator, OscillatorParams, StateVector, level_phases
+from .fock import OscillatorParams, StateVector, level_phases
 from .observables import (
     RECORD_COLUMNS,
     ObservableRecord,
     averages_bruteforce_batch,
     averages_closedform_batch,
     record_from_row,
-    record_row,
 )
 
 __all__ = [
-    "PhaseAngle",
     "Trajectory",
-    "phase_transform_ladder",
-    "rotate_xp",
-    "transform_state_phase",
     "propagate_fock",
     "sample_times",
     "sample_trajectory",
@@ -45,48 +39,20 @@ TRAJECTORY_METHODS = ("bruteforce", "closedform")
 MAX_TIME_SAMPLES = 10**7
 
 
-@dataclass(frozen=True)
-class PhaseAngle:
-    """Rotation angle of the phase transformation, in radians."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"angle must be finite, got {self.alpha!r}")
-        object.__setattr__(self, "alpha", float(self.alpha))
-
-    @property
-    def reduced(self) -> float:
-        """Angle folded into [0, 2 pi), for reporting only."""
-        return self.alpha % (2.0 * math.pi)
-
-
 class Trajectory:
     """Uniformly sampled observables, one read-only array per RECORD_COLUMNS name.
 
-    Build it from records, `Trajectory(records, dt)`, or from the columns of
-    a batched kernel, `Trajectory.from_columns(columns, dt)`. Either way the
-    time column must be nonempty, strictly increasing and spaced by dt.
+    `Trajectory.from_columns(columns, dt)` is the one constructor; it takes
+    the columns of a batched kernel and checks that the time column is
+    nonempty, strictly increasing and spaced by dt.
     """
 
     __slots__ = ("_columns", "dt")
-
-    def __init__(self, records: Iterable[ObservableRecord], dt: float):
-        rows = [record_row(r) for r in records]
-        if not rows:
-            raise ValueError("trajectory needs at least one record")
-        self._set(dict(zip(RECORD_COLUMNS, np.array(rows).T)), dt)
 
     @classmethod
     def from_columns(cls, columns: Mapping[str, np.ndarray], dt: float) -> "Trajectory":
         if set(columns) != set(RECORD_COLUMNS):
             raise ValueError(f"columns must be exactly {RECORD_COLUMNS}")
-        traj = object.__new__(cls)
-        traj._set(columns, dt)
-        return traj
-
-    def _set(self, columns: Mapping[str, np.ndarray], dt: float) -> None:
         arrays = {}
         for name in RECORD_COLUMNS:
             values = np.array(columns[name], dtype=float)
@@ -106,8 +72,10 @@ class Trajectory:
             tol = 1e-9 * max(1.0, float(np.max(np.abs(times))))
             if np.max(np.abs(steps - dt)) > tol:
                 raise ValueError("record times must be uniformly spaced by dt")
-        object.__setattr__(self, "_columns", arrays)
-        object.__setattr__(self, "dt", float(dt))
+        traj = object.__new__(cls)
+        object.__setattr__(traj, "_columns", arrays)
+        object.__setattr__(traj, "dt", float(dt))
+        return traj
 
     def __setattr__(self, name, value):
         raise AttributeError("Trajectory is immutable")
@@ -130,50 +98,11 @@ class Trajectory:
         rows = zip(*(self._columns[name] for name in RECORD_COLUMNS))
         return tuple(record_from_row(row) for row in rows)
 
-    def times(self) -> np.ndarray:
-        return self._columns["time"]
-
     def column(self, name: str) -> np.ndarray:
         """One RECORD_COLUMNS column; complex averages are split into _re/_im."""
         if name not in self._columns:
             raise KeyError(f"no column {name!r}; columns are {RECORD_COLUMNS}")
         return self._columns[name]
-
-
-def phase_transform_ladder(a: Operator, alpha: PhaseAngle) -> Operator:
-    """Rotated annihilation operator a * e^(i alpha).
-
-    The creation-operator rule (conjugate phase) follows from `.dagger`.
-    """
-    return Operator(a.matrix * complex(np.exp(1j * alpha.alpha)), a.n_max)
-
-
-def rotate_xp(
-    mean_x: float, mean_p: float, alpha: PhaseAngle, params: OscillatorParams
-) -> tuple[float, float]:
-    """Coordinate-momentum rotation induced by the phase transformation.
-
-    x' = -(p / M omega) sin(alpha) + x cos(alpha)
-    p' = p cos(alpha) + M omega x sin(alpha)
-    The classical energy form M omega^2 x^2 / 2 + p^2 / 2M is invariant.
-    """
-    sin_a = math.sin(alpha.alpha)
-    cos_a = math.cos(alpha.alpha)
-    m_omega = params.mass * params.omega
-    x_new = -(mean_p / m_omega) * sin_a + mean_x * cos_a
-    p_new = mean_p * cos_a + m_omega * mean_x * sin_a
-    return x_new, p_new
-
-
-def transform_state_phase(state: StateVector, alpha: PhaseAngle) -> StateVector:
-    """State-space image of the phase transformation: coeffs[n] * e^(-i n alpha).
-
-    Norm and level populations are untouched; a coherent state maps to the
-    coherent state of the rotated label chi e^(-i alpha).
-    """
-    n = np.arange(state.coeffs.size)
-    phases = np.exp(-1j * alpha.alpha * n)
-    return StateVector(state.coeffs * phases, state.n_max, time=state.time)
 
 
 def propagate_fock(state: StateVector, t: float, params: OscillatorParams) -> StateVector:

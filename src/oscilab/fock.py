@@ -1,12 +1,10 @@
-"""Truncated Fock-space core: oscillator parameters, states, operator matrices.
+"""Truncated Fock-space core: oscillator parameters, states, level phases.
 
-Everything is expressed in the number basis |0>..|n_max>. The dense complex
-matrices (`Operator`, `make_ladder`, `make_xp`, `make_hamiltonian`,
-`expectation`) are the tests' oracle: they keep products, commutators and
-expectation values trivial, and no runtime path builds one, since every
-command computes its averages with the banded products of `observables`.
-All values are immutable after construction and every operation is a pure
-function of its inputs.
+Everything is expressed in the number basis |0>..|n_max>. No operator
+matrix is built on any runtime path: every average comes from the banded
+products of `observables`, and the dense matrices the tests check them
+against live in `tests/oracle.py`. All values are immutable after
+construction and every operation is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -22,20 +20,12 @@ __all__ = [
     "TruncationWarning",
     "OscillatorParams",
     "StateVector",
-    "Operator",
-    "make_ladder",
-    "make_xp",
-    "make_hamiltonian",
     "level_phases",
-    "fock_state",
-    "identity",
-    "expectation",
-    "random_state",
 ]
 
 
 class DimensionMismatchError(ValueError):
-    """Operator, state or grid sizes do not line up."""
+    """State, grid or stack sizes do not line up."""
 
 
 class NormalizationError(ValueError):
@@ -111,99 +101,11 @@ class StateVector:
         return float(np.linalg.norm(self.coeffs))
 
 
-@dataclass(frozen=True, eq=False)
-class Operator:
-    """Dense complex square matrix acting on the truncated number basis."""
-
-    matrix: np.ndarray
-    n_max: int | None = None
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise ValueError(f"matrix must be square and nonempty, got shape {m.shape}")
-        n_max = m.shape[0] - 1 if self.n_max is None else int(self.n_max)
-        if m.shape[0] != n_max + 1:
-            raise DimensionMismatchError(
-                f"matrix dimension {m.shape[0]} does not fit n_max={n_max}"
-            )
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "n_max", n_max)
-
-    @property
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.n_max)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if self.n_max != other.n_max:
-            raise DimensionMismatchError(
-                f"cannot multiply operators at n_max {self.n_max} and {other.n_max}"
-            )
-        return Operator(self.matrix @ other.matrix, self.n_max)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        if self.n_max != other.n_max:
-            raise DimensionMismatchError(
-                f"cannot add operators at n_max {self.n_max} and {other.n_max}"
-            )
-        return Operator(self.matrix + other.matrix, self.n_max)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        if self.n_max != other.n_max:
-            raise DimensionMismatchError(
-                f"cannot subtract operators at n_max {self.n_max} and {other.n_max}"
-            )
-        return Operator(self.matrix - other.matrix, self.n_max)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self.matrix * scalar, self.n_max)
-
-    __rmul__ = __mul__
-
-
 def _check_n_max(n_max: int) -> int:
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     return n_max
-
-
-def make_ladder(n_max: int) -> tuple[Operator, Operator]:
-    """Annihilation and creation matrices at truncation n_max.
-
-    a has a[n-1, n] = sqrt(n) on the superdiagonal and zeros elsewhere;
-    the creation operator is its conjugate transpose. The truncated pair
-    satisfies [a, a+] = 1 everywhere except the corner entry (n_max, n_max),
-    which picks up -n_max.
-    """
-    n_max = _check_n_max(n_max)
-    a = np.diag(np.sqrt(np.arange(1, n_max + 1, dtype=float)), k=1).astype(complex)
-    return Operator(a, n_max), Operator(a.conj().T, n_max)
-
-
-def make_xp(params: OscillatorParams, n_max: int) -> tuple[Operator, Operator]:
-    """Position and momentum matrices.
-
-    x = sqrt(hbar / 2 M omega) (a+ + a),  p = i sqrt(M hbar omega / 2) (a+ - a);
-    both come out exactly Hermitian.
-    """
-    n_max = _check_n_max(n_max)
-    a, ad = make_ladder(n_max)
-    x_scale = math.sqrt(params.hbar / (2.0 * params.mass * params.omega))
-    p_scale = math.sqrt(params.mass * params.hbar * params.omega / 2.0)
-    x = Operator(x_scale * (ad.matrix + a.matrix), n_max)
-    p = Operator(1j * p_scale * (ad.matrix - a.matrix), n_max)
-    return x, p
-
-
-def make_hamiltonian(params: OscillatorParams, n_max: int) -> Operator:
-    """Diagonal Hamiltonian with level energies hbar omega (n + 1/2)."""
-    n_max = _check_n_max(n_max)
-    levels = params.hbar * params.omega * (np.arange(n_max + 1) + 0.5)
-    return Operator(np.diag(levels).astype(complex), n_max)
 
 
 def level_phases(params: OscillatorParams, t, n_max: int) -> np.ndarray:
@@ -230,40 +132,12 @@ def level_phases(params: OscillatorParams, t, n_max: int) -> np.ndarray:
     return phases
 
 
-def fock_state(n: int, n_max: int) -> StateVector:
-    """Number eigenstate |n> as a basis vector at truncation n_max."""
-    n_max = _check_n_max(n_max)
-    n = int(n)
-    if n < 0 or n > n_max:
-        raise ValueError(f"level n={n} out of range 0..{n_max}")
-    c = np.zeros(n_max + 1, dtype=complex)
-    c[n] = 1.0
-    return StateVector(c, n_max, time=0.0)
-
-
-def identity(n_max: int) -> Operator:
-    n_max = _check_n_max(n_max)
-    return Operator(np.eye(n_max + 1, dtype=complex), n_max)
-
-
-def expectation(op: Operator, state: StateVector) -> complex:
-    """<state| op |state>.
-
-    The state is assumed normalized; no norm check happens here. The result
-    is real up to rounding when op is Hermitian but is always returned as a
-    complex number.
-    """
-    if op.matrix.shape[0] != state.coeffs.size:
-        raise DimensionMismatchError(
-            f"operator dimension {op.matrix.shape[0]} does not match "
-            f"state length {state.coeffs.size}"
-        )
-    return complex(np.vdot(state.coeffs, op.matrix @ state.coeffs))
-
-
-def random_state(n_max: int, rng=None, time: float = 0.0) -> StateVector:
-    """Haar-like random normalized state: i.i.d. complex Gaussian amplitudes."""
-    n_max = _check_n_max(n_max)
-    rng = np.random.default_rng(rng)
-    c = rng.standard_normal(n_max + 1) + 1j * rng.standard_normal(n_max + 1)
-    return StateVector(c / np.linalg.norm(c), n_max, time=time)
+def make_xp(params: OscillatorParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense x = sqrt(hbar/2M omega) (a+ + a) and p = i sqrt(M hbar omega/2)
+    (a+ - a) as arrays. No command builds them; the function stays because
+    perfbench's traced metric `fock.make_xp.calls` counts its calls."""
+    levels = np.sqrt(np.arange(1, _check_n_max(n_max) + 1, dtype=float))
+    a = np.diag(levels, k=1).astype(complex)
+    x_scale = math.sqrt(params.hbar / (2.0 * params.mass * params.omega))
+    p_scale = math.sqrt(params.mass * params.hbar * params.omega / 2.0)
+    return x_scale * (a.conj().T + a), 1j * p_scale * (a.conj().T - a)

@@ -19,7 +19,8 @@ over blocks of rows, with the norm check and one TruncationWarning:
 (one state propagated to many times) and `averages_bruteforce_fock` (many
 number states) feed it blocks of BATCH_TIMES rows, each row the 1-row call
 to the bit. `phase_rotation_drifts` reads a block and its phase-rotated copy
-from the kernel. Tests pin the kernel to the dense `fock.Operator` matrices.
+from the kernel. Tests pin the kernel to the dense matrices of
+`tests/oracle.py`.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ from .fock import (
 __all__ = [
     "ObservableRecord",
     "RECORD_COLUMNS",
-    "record_row",
-    "record_object",
     "record_from_row",
     "averages_bruteforce",
     "averages_bruteforce_batch",
@@ -103,31 +102,8 @@ RECORD_COLUMNS = (
 )
 
 
-def record_row(record: ObservableRecord) -> tuple[float, ...]:
-    """Flatten a record into the RECORD_COLUMNS order (complex split re/im)."""
-    return (
-        record.time,
-        record.mean_x,
-        record.mean_p,
-        record.mean_x2,
-        record.mean_p2,
-        record.n_avg,
-        record.a_avg.real,
-        record.a_avg.imag,
-        record.a2_avg.real,
-        record.a2_avg.imag,
-        record.uncertainty,
-        record.energy,
-    )
-
-
-def record_object(record: ObservableRecord) -> dict[str, float]:
-    """Record as a flat mapping, matching the CSV column names."""
-    return dict(zip(RECORD_COLUMNS, record_row(record)))
-
-
 def record_from_row(row) -> ObservableRecord:
-    """Inverse of `record_row`: a record from values in RECORD_COLUMNS order."""
+    """A record from values in RECORD_COLUMNS order (complex averages re, im)."""
     (time, mean_x, mean_p, mean_x2, mean_p2, n_avg,
      a_re, a_im, a2_re, a2_im, uncertainty, energy) = map(float, row)
     return ObservableRecord(
@@ -278,10 +254,10 @@ def averages_bruteforce_fock(
 ) -> dict[str, np.ndarray]:
     """`averages_bruteforce` of each number state |n>, n in `levels`, as columns.
 
-    Row k equals averages_bruteforce(fock_state(levels[k], n_max), params)
-    to the bit, with the checks and the single TruncationWarning of
-    `averages_bruteforce_batch`. The basis rows go through in blocks of
-    BATCH_TIMES, so memory stays linear in n_max.
+    Row k equals `averages_bruteforce` of the basis vector |levels[k]> at
+    truncation n_max to the bit, with the checks and the single
+    TruncationWarning of `averages_bruteforce_batch`. The basis rows go
+    through in blocks of BATCH_TIMES, so memory stays linear in n_max.
     """
     levels = np.asarray(levels, dtype=int)
     if levels.ndim != 1:
@@ -312,9 +288,9 @@ def phase_rotation_drifts(
     states is a nonempty (rows, n_max + 1) block and alphas holds one angle
     per row. Row k is rotated by alphas[k] elementwise, and one `_moments`
     call on each block gives every row's <H>, <a+ a> and <a> before and
-    after. The classical pair (xs[k], ps[k]) turns by the same angle, as
-    `dynamics.rotate_xp` turns it; xs and ps default to each row's own <x>
-    and <p>. Returns the columns
+    after. The classical pair (xs[k], ps[k]) turns by the same angle, to
+    (x cos - (p / M omega) sin, p cos + M omega x sin); xs and ps default
+    to each row's own <x> and <p>. Returns the columns
         h_drift = |<H>' - <H>|,  n_drift = |<a+ a>' - <a+ a>|,
         a_rotation_error = |<a>' - e^(-i alpha) <a>|,
         a_modulus_drift = ||<a>'| - |<a>||,

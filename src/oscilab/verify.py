@@ -273,7 +273,8 @@ def check_wave_packet(chi_set, n_max: int | None = None) -> CriterionResult:
 
     n_max=None resolves each label's truncation by `_series_n_max`. The five
     slices of a label, each on a grid around its mean, come from one
-    `packet_sweep` call, the sweep behind the `wavefunction` command.
+    `packet_sweep` call, the sweep behind the `wavefunction` command. Any
+    slice with a non-finite difference or variance fails it, and is counted.
     """
     params = OscillatorParams()
     diff_tol = 1e-8
@@ -281,20 +282,28 @@ def check_wave_packet(chi_set, n_max: int | None = None) -> CriterionResult:
     expected_var = params.hbar / (2.0 * params.mass * params.omega)
     worst_diff = 0.0
     worst_var = 0.0
+    nonfinite = 0
     times = (0.0, 0.7, math.pi, 4.2, 2.0 * math.pi)
     for chi in chi_set:
         label = CoherentLabel(chi)
         _, series, closed, _, variances = packet_sweep(
             label, times, params, _series_n_max(label, n_max)
         )
-        diffs = np.max(np.abs(series - closed), axis=1)  # per slice
-        worst_diff = max(worst_diff, *diffs.tolist())
-        worst_var = max(worst_var, *np.abs(variances - expected_var).tolist())
+        diffs = np.max(np.abs(series - closed), axis=1)  # per slice, nan-propagating
+        finite = np.isfinite(diffs) & np.isfinite(variances)
+        nonfinite += int(np.count_nonzero(~finite))
+        worst_diff = max([worst_diff, *diffs[finite].tolist()])
+        worst_var = max([worst_var, *np.abs(variances[finite] - expected_var).tolist()])
+    detail = (
+        f"max |series - closed| = {worst_diff:.3e} (tol {diff_tol:.0e}), "
+        f"max width drift = {worst_var:.3e} (tol {var_tol:.0e})"
+    )
+    if nonfinite:
+        detail += f", {nonfinite} non-finite slice{'s' if nonfinite > 1 else ''}"
     return CriterionResult(
         "wave-packet-nondiffusion",
-        worst_diff < diff_tol and worst_var < var_tol,
-        f"max |series - closed| = {worst_diff:.3e} (tol {diff_tol:.0e}), "
-        f"max width drift = {worst_var:.3e} (tol {var_tol:.0e})",
+        worst_diff < diff_tol and worst_var < var_tol and not nonfinite,
+        detail,
     )
 
 

@@ -1,15 +1,16 @@
-"""Position-space representation: Hermite numerics, eigenfunctions, packets.
+"""Position-space representation: eigenfunction rows, packets, quadrature.
 
-Two evaluation strategies coexist on purpose. The standalone `hermite` uses
-the raw polynomial recurrence H_{k+1} = 2x H_k - 2k H_{k-1}, which overflows
-near n ~ 150 at moderate x. Eigenfunctions therefore run the recurrence on
-the Gaussian-weighted, orthonormal functions directly, which stay bounded
-for any level.
+The raw Hermite recurrence H_{k+1} = 2x H_k - 2k H_{k-1} overflows near
+n ~ 150 at moderate x, so the eigenfunctions run the recurrence on the
+Gaussian-weighted, orthonormal functions directly, which stay bounded for
+any level. `generating_sum_check` keeps the raw recurrence for the Hermite
+generating identity, where k stays small.
 
-The coherent packet is available as a truncated eigenfunction series and in
-two algebraically identical closed forms: a Gaussian with a complex center,
-and the historical form written through the mean coordinate and momentum.
-Their pointwise agreement is asserted in tests rather than assumed.
+The coherent packet is available as a truncated eigenfunction series and as
+a closed form, a Gaussian with a complex center. `packet_sweep` returns
+both for its callers to compare, and the tests check them against each
+other and against the textbook references of `tests/oracle.py` (single
+eigenfunctions, the packet written through the mean coordinate).
 
 The series never builds an eigenfunction table. It adds c_k phi_k into a
 (2, N) float accumulator, k ascending, as each row leaves the recurrence, so
@@ -19,7 +20,7 @@ at any BLAS thread count. It also takes a stack of S slices, each with its
 own time and grid, and runs the recurrence once over all their points, in
 passes bounded to stay in cache. A point gets the same operations in the
 same order either way, so a slice of a stack equals its own call to the bit.
-The closed forms take the same stacks, with the same guarantee, and
+The closed form takes the same stacks, with the same guarantee, and
 `packet_sweep` runs both on a grid per time for the `wavefunction` command
 and the `wave-packet-nondiffusion` criterion.
 """
@@ -36,27 +37,18 @@ from .fock import DimensionMismatchError, OscillatorParams, level_phases
 from .observables import averages_closedform_batch
 
 __all__ = [
-    "CLOSED_FORMS",
     "SpatialGrid",
     "WaveSample",
-    "hermite",
-    "eigenfunction",
-    "eigenfunction_table",
     "generating_sum_check",
     "psi_series",
     "psi_series_grid",
     "psi_closed",
     "psi_closed_grid",
-    "quadrature_norm",
     "packet_moments",
     "packet_sweep",
     "trapezoid_grid",
     "default_packet_grid",
-    "gauss_hermite_grid",
 ]
-
-# The complex-center Gaussian and the Schrodinger mean-coordinate form.
-CLOSED_FORMS = ("complex_center", "schrodinger")
 
 DEFAULT_GRID_HALFWIDTH = 10.0  # in units of the oscillator length
 DEFAULT_GRID_POINTS = 2001
@@ -119,30 +111,6 @@ class WaveSample:
         object.__setattr__(self, "value", v)
 
 
-def _as_axis(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    return np.atleast_1d(arr), arr.ndim == 0
-
-
-def hermite(n: int, x):
-    """Physicists' Hermite polynomial H_n(x) by the three-term recurrence.
-
-    Accepts a scalar or an array of positions. No overflow trap: for large
-    n * x the values exceed double range and return inf.
-    """
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"order must be nonnegative, got {n}")
-    xs, scalar = _as_axis(x)
-    h_prev = np.ones_like(xs)
-    if n == 0:
-        return float(h_prev[0]) if scalar else h_prev
-    h = 2.0 * xs
-    for k in range(1, n):
-        h, h_prev = 2.0 * xs * h - 2.0 * k * h_prev, h
-    return float(h[0]) if scalar else h
-
-
 def _eigenfunction_rows(n_max: int, xs: np.ndarray, params: OscillatorParams):
     """Yield phi_0..phi_n_max on `xs`, one contiguous float row at a time.
 
@@ -172,26 +140,17 @@ def _eigenfunction_rows(n_max: int, xs: np.ndarray, params: OscillatorParams):
 
 
 def eigenfunction_table(n_max: int, x, params: OscillatorParams) -> np.ndarray:
-    """Orthonormal eigenfunctions phi_0..phi_n_max stacked along axis 0.
-
-    The rows come from the weighted-function recurrence above, so no
-    factorials or bare Hermite values ever appear.
-    """
+    """Orthonormal eigenfunctions phi_0..phi_n_max stacked along axis 0, the
+    rows of the recurrence above. No command builds the table; it stays for
+    the tests and because perfbench's traced metrics name it."""
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    xs, _ = _as_axis(x)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     table = np.empty((n_max + 1, xs.size), dtype=float)
     for k, row in enumerate(_eigenfunction_rows(n_max, xs, params)):
         table[k] = row
     return table
-
-
-def eigenfunction(n: int, x, params: OscillatorParams):
-    """Oscillator eigenfunction phi_n(x), normalized to unit square integral."""
-    xs, scalar = _as_axis(x)
-    values = eigenfunction_table(int(n), xs, params)[-1]
-    return float(values[0]) if scalar else values
 
 
 def generating_sum_check(x: float, t: float, k_max: int) -> float:
@@ -280,77 +239,56 @@ def psi_series_grid(
 
 
 def psi_series(
-    label: CoherentLabel,
-    x: float,
-    t: float,
-    params: OscillatorParams,
-    n_max: int,
+    label: CoherentLabel, x: float, t: float, params: OscillatorParams, n_max: int
 ) -> WaveSample:
+    """The series at one point: the 1-row call of `psi_series_grid`."""
     value = psi_series_grid(label, x, t, params, n_max)[0]
     return WaveSample(float(x), complex(value))
 
 
-def psi_closed_grid(
-    label: CoherentLabel, x, t, params: OscillatorParams, form: str
-) -> np.ndarray:
-    """Closed-form coherent packet on arrays of positions.
-
-    form="complex_center": Gaussian whose squared shift has the complex
-    center chi(t) sqrt(2 hbar / M omega), taken literally.
-    form="schrodinger": the same packet written through the mean coordinate
-    and momentum, a plane-wave factor on a real-centered Gaussian.
+def psi_closed_grid(label: CoherentLabel, x, t, params: OscillatorParams) -> np.ndarray:
+    """Closed-form coherent packet on arrays of positions: a Gaussian whose
+    squared shift has the complex center chi(t) sqrt(2 hbar / M omega).
 
     Takes the (t, x) pairings of `psi_series_grid`. Each slice's scalar
     factors are Python numbers, from `averages_closedform_batch`, and only
-    the Gaussian and plane-wave arrays are broadcast, so a slice is its own
-    single-time call to the bit (numpy complex factors round otherwise).
-
-    All complex exponentials are evaluated directly from their real and
-    imaginary parts; no multivalued logarithm is involved, so sweeps over t
-    never hit a branch cut.
+    the Gaussian array is broadcast, so a slice is its own single-time call
+    to the bit (numpy complex factors round otherwise). No multivalued
+    logarithm is involved, so sweeps over t never hit a branch cut.
     """
-    if form not in CLOSED_FORMS:
-        raise ValueError(f"form must be one of {CLOSED_FORMS}, got {form!r}")
     ts, xs, single = _slices(t, x)
     hbar, mass, omega = params.hbar, params.mass, params.omega
     prefactor = (mass * omega / (math.pi * hbar)) ** 0.25
     closed = averages_closedform_batch(label, ts, params)
     factor = np.empty((ts.size, 1), dtype=complex)  # one scalar per slice
-    if form == "complex_center":
-        scale = math.sqrt(2.0 * hbar / (mass * omega))
-        amp = prefactor * math.exp(-0.5 * label.nbar)
-        shift = np.empty_like(factor)
-        rows = zip(ts.tolist(), closed["a_avg_re"].tolist(), closed["a_avg_im"].tolist())
-        for s, (t_s, re, im) in enumerate(rows):
-            chit = complex(re, im)
-            shift[s] = chit * scale
-            factor[s] = amp * np.exp(-0.5j * omega * t_s + 0.5 * chit * chit)
-        values = factor * np.exp(-(mass * omega / (2.0 * hbar)) * (xs - shift) ** 2)
-    else:
-        wave = np.empty_like(factor)
-        xb, pb = closed["mean_x"], closed["mean_p"]
-        for s, (t_s, x_s, p_s) in enumerate(zip(ts.tolist(), xb.tolist(), pb.tolist())):
-            phase = np.exp(-1j * (0.5 * omega * t_s + 0.5 * p_s * x_s / hbar))
-            factor[s], wave[s] = prefactor * phase, 1j * (p_s / hbar)
-        plane = np.exp(wave * xs)
-        gauss = np.exp(-(mass * omega / (2.0 * hbar)) * (xs - xb[:, np.newaxis]) ** 2)
-        values = factor * plane * gauss
+    scale = math.sqrt(2.0 * hbar / (mass * omega))
+    amp = prefactor * math.exp(-0.5 * label.nbar)
+    shift = np.empty_like(factor)
+    rows = zip(ts.tolist(), closed["a_avg_re"].tolist(), closed["a_avg_im"].tolist())
+    for s, (t_s, re, im) in enumerate(rows):
+        chit = complex(re, im)
+        shift[s] = chit * scale
+        factor[s] = amp * np.exp(-0.5j * omega * t_s + 0.5 * chit * chit)
+    values = factor * np.exp(-(mass * omega / (2.0 * hbar)) * (xs - shift) ** 2)
     return values[0] if single else values
 
 
 def psi_closed(
-    label: CoherentLabel,
-    x: float,
-    t: float,
-    params: OscillatorParams,
-    form: str,
+    label: CoherentLabel, x: float, t: float, params: OscillatorParams
 ) -> WaveSample:
-    value = psi_closed_grid(label, x, t, params, form)[0]
+    """The closed form at one point: the 1-row call of `psi_closed_grid`."""
+    value = psi_closed_grid(label, x, t, params)[0]
     return WaveSample(float(x), complex(value))
 
 
-def _grid_amplitudes(amplitudes, grid: SpatialGrid) -> np.ndarray:
-    """Complex amplitudes aligned with the grid points, checked finite."""
+def packet_moments(amplitudes, grid: SpatialGrid) -> tuple[float, float, float]:
+    """(squared norm, mean position, position variance) of |amplitude|^2.
+
+    `amplitudes` is a complex array aligned with `grid.points`, in order;
+    the squared norm sums weights * |amplitude|^2, the quadrature of the
+    square integral. Mean and variance are normalized by the squared norm,
+    so a slightly leaky truncation does not skew them.
+    """
     if len(amplitudes) != len(grid):
         raise DimensionMismatchError(
             f"{len(amplitudes)} amplitudes on a grid of {len(grid)} points"
@@ -358,26 +296,7 @@ def _grid_amplitudes(amplitudes, grid: SpatialGrid) -> np.ndarray:
     values = np.asarray(amplitudes, dtype=complex)
     if not np.all(np.isfinite(values)):
         raise ValueError("amplitudes must be finite")
-    return values
-
-
-def quadrature_norm(amplitudes, grid: SpatialGrid) -> float:
-    """Sum of weights * |amplitude|^2, approximating the square integral.
-
-    `amplitudes` is a complex array aligned with `grid.points`, in order.
-    """
-    values = _grid_amplitudes(amplitudes, grid)
-    return float(np.sum(grid.weights * np.abs(values) ** 2))
-
-
-def packet_moments(amplitudes, grid: SpatialGrid) -> tuple[float, float, float]:
-    """(squared norm, mean position, position variance) of |amplitude|^2.
-
-    `amplitudes` is a complex array aligned with `grid.points`. Mean and
-    variance are normalized by the squared norm, so a slightly leaky
-    truncation does not skew them.
-    """
-    density = grid.weights * np.abs(_grid_amplitudes(amplitudes, grid)) ** 2
+    density = grid.weights * np.abs(values) ** 2
     norm2 = float(np.sum(density))
     if norm2 <= 0.0:
         raise ValueError("cannot take moments of a zero-norm sample set")
@@ -431,24 +350,7 @@ def packet_sweep(
     ]
     points = np.array([grid.points for grid in grids])
     series = psi_series_grid(label, points, times, params, n_max)
-    closed = psi_closed_grid(label, points, times, params, "complex_center")
+    closed = psi_closed_grid(label, points, times, params)
     moments = [packet_moments(row, grid) for row, grid in zip(series, grids)]
     norm2, _, variance = np.array(moments).T
     return points, series, closed, norm2, variance
-
-
-def gauss_hermite_grid(
-    order: int, params: OscillatorParams, center: float = 0.0
-) -> SpatialGrid:
-    """Gauss-Hermite nodes scaled to physical length, Gaussian weight unfolded.
-
-    The stored weights include exp(+xi^2), so `quadrature_norm` integrates
-    plain |value|^2. Orders beyond ~350 overflow the unfolding and fail the
-    grid finiteness validation before any physics sees them.
-    """
-    order = int(order)
-    if order < 1:
-        raise ValueError(f"order must be positive, got {order}")
-    xi, w = np.polynomial.hermite.hermgauss(order)
-    scale = params.length_scale
-    return SpatialGrid(center + scale * xi, scale * w * np.exp(xi * xi))

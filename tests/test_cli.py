@@ -15,6 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import (
+    PhaseAngle,
+    expectation,
+    make_hamiltonian,
+    make_ladder,
+    make_xp,
+    rotate_xp,
+    transform_state_phase,
+)
 from oscilab import cli, verify
 from oscilab.cli import (
     AMPLITUDE_TAIL_TOL,
@@ -27,14 +36,7 @@ from oscilab.cli import (
     main,
 )
 from oscilab.coherent import CoherentLabel, coherent_coefficients, truncation_tail
-from oscilab.dynamics import PhaseAngle, rotate_xp, transform_state_phase
-from oscilab.fock import (
-    OscillatorParams,
-    expectation,
-    make_hamiltonian,
-    make_ladder,
-    make_xp,
-)
+from oscilab.fock import OscillatorParams
 from oscilab.observables import averages_closedform
 from oscilab.wavefunction import (
     default_packet_grid,
@@ -346,7 +348,7 @@ def test_symmetry_check_reports_clean_invariance(tmp_path):
 
 
 def dense_symmetry_rows(label, n_max, params):
-    """The symmetry-check table from dense `fock.expectation` products."""
+    """The symmetry-check table from the oracle's dense `expectation` products."""
     state = coherent_coefficients(label, n_max)
     a, ad = make_ladder(n_max)
     number = ad @ a
@@ -536,6 +538,16 @@ def _cell(value) -> str:
     return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
+def test_the_readme_python_blocks_run_in_order(capsys):
+    # the library examples, each block in the namespace the earlier ones left
+    import readme_examples
+
+    assert readme_examples.run() == 4
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 8
+    assert abs(float(printed[1]) - 0.5) < 1e-9  # the uncertainty floor hbar/2
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "argv, echo, resolved, columns, count, footer_keys",
@@ -689,7 +701,7 @@ def test_wavefunction_rows_match_the_per_scalar_form():
         center = averages_closedform(label, t, params).mean_x
         points = default_packet_grid(params, center=center).points
         series = psi_series_grid(label, points, t, params, n_max)
-        closed = psi_closed_grid(label, points, t, params, "complex_center")
+        closed = psi_closed_grid(label, points, t, params)
         for x, s, c in zip(points, series, closed):
             expected.append(
                 (t, float(x), s.real, s.imag, c.real, c.imag, float(abs(s - c)))
@@ -894,6 +906,30 @@ def test_an_overflowing_phase_exits_1_naming_the_time(command):
     assert result.stdout == ""
     assert "the phase omega*|t|*(n_max + 1/2) overflows at t = 1e+308" in result.stderr
     assert "RuntimeWarning" not in result.stderr
+
+
+def test_a_phase_without_digits_exits_1_naming_the_time():
+    # at omega t ~ 1e300 one ulp of the level phase is 2.4e285 rad
+    result = subprocess.run(
+        [sys.executable, "-m", "oscilab", "trajectory",
+         "--t-start", "1e300", "--t-end", "1e300"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "keeps too few digits at t = 1e+300" in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+
+
+def test_the_phase_bound_refuses_from_2_to_the_35_radians():
+    # one ulp is 2^-18 rad just below 2^35 and 2^-17 at it; 2 pi 2^-20 lies between
+    config = RunConfig("trajectory", omega=2.0)
+    cli._check_phase(config, 2.7e10 / (2.0 * 16.5), 16)
+    cli._check_phase(config, math.nextafter(2.0**35, 0.0), 0)  # omega t (0 + 1/2)
+    with pytest.raises(cli.UsageError, match="too few digits at t = -34359738368.0"):
+        cli._check_phase(config, -(2.0**35), 0)
 
 
 def test_uncertainty_reads_only_t_start_for_its_phase(capsys):

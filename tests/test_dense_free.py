@@ -1,11 +1,18 @@
-"""No runtime path builds a dense operator.
+"""The package holds no dense operator and no test oracle.
 
-`fock.Operator` and its builders are the tests' oracle: every command and
-every verify criterion computes its expectations with banded, shifted
-elementwise products instead. Two checks pin that: no module outside `fock`
-(and `dynamics`, whose `phase_transform_ladder` oracle returns an Operator)
-imports a dense builder, and the commands that once built the largest
-matrices run with Operator construction made to fail.
+Every command and every verify criterion computes its expectations with
+banded, shifted elementwise products. The dense matrices, the phase
+transformation as a matrix, the textbook Hermite and eigenfunction forms
+and the other references the tests check the package against live in
+`tests/oracle.py`. An AST check pins that: no module of `src/oscilab`
+defines, imports or reads as an attribute any of those names, imports the
+oracle, or reaches `numpy.polynomial`.
+
+Two definitions are exempt, because the benchmark's traced metrics count
+calls of them by name (`perfbench/run.py` fails on a metric it cannot
+find): `fock.make_xp`, the dense x and p as plain arrays, and
+`wavefunction.eigenfunction_table`, the float table of the eigenfunction
+recurrence. The corpus calls neither.
 """
 
 import ast
@@ -13,59 +20,70 @@ from pathlib import Path
 
 import pytest
 
-from oscilab import fock
-from oscilab.cli import main
-
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "oscilab"
-DENSE_NAMES = {
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "oscilab"
+ORACLE_NAMES = {
     "Operator",
     "make_ladder",
     "make_xp",
     "make_hamiltonian",
-    "expectation",
     "identity",
+    "expectation",
     "random_state",
+    "fock_state",
+    "PhaseAngle",
+    "rotate_xp",
+    "phase_transform_ladder",
+    "transform_state_phase",
+    "hermite",
+    "eigenfunction",
+    "eigenfunction_table",
+    "gauss_hermite_grid",
+    "quadrature_norm",
+    "evolve_label",
+    "record_row",
+    "record_object",
+    "polynomial",
 }
-ALLOWED = {"fock.py", "dynamics.py", "__init__.py"}
 
 
-def dense_uses(path: Path) -> list[str]:
-    """Dense names a module imports, or reads as attributes of `fock`."""
+# name in the benchmark's traced metrics -> the module that must define it
+BENCHMARK_METRIC_DEFS = {"make_xp": "fock.py", "eigenfunction_table": "wavefunction.py"}
+
+
+def oracle_uses(path: Path) -> list[str]:
+    """Oracle names a module defines, imports or reads as an attribute, and
+    the modules it imports from the tests."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.ImportFrom):
-            found += [alias.name for alias in node.names if alias.name in DENSE_NAMES]
-        elif (
-            isinstance(node, ast.Attribute)
-            and node.attr in DENSE_NAMES
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "fock"
-        ):
-            found.append(f"fock.{node.attr}")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            exempt = BENCHMARK_METRIC_DEFS.get(node.name) == path.name
+            if node.name in ORACLE_NAMES and not exempt:
+                found.append(f"def {node.name}")
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] in ("oracle", "tests"):
+                found.append(f"from {node.module}")
+            found += [alias.name for alias in node.names if alias.name in ORACLE_NAMES]
+        elif isinstance(node, ast.Import):
+            found += [
+                f"import {alias.name}" for alias in node.names
+                if alias.name.split(".")[0] in ("oracle", "tests")
+                or "polynomial" in alias.name.split(".")
+            ]
+        elif isinstance(node, ast.Attribute) and node.attr in ORACLE_NAMES:
+            found.append(f".{node.attr}")
     return found
 
 
 def test_the_checker_sees_the_dense_imports_that_remain():
-    assert dense_uses(PACKAGE / "dynamics.py") == ["Operator"]
-    assert set(dense_uses(PACKAGE / "__init__.py")) >= DENSE_NAMES
+    defined = set(oracle_uses(ROOT / "tests" / "oracle.py"))
+    assert {"def Operator", "def make_xp", "def hermite"} <= defined
+    assert ".polynomial" in defined  # gauss_hermite_grid's hermgauss
+    imported = set(oracle_uses(ROOT / "tests" / "test_fock.py"))
+    assert {"from oracle", "Operator", "make_ladder"} <= imported
+    assert "from oracle" in oracle_uses(ROOT / "tests" / "test_verify.py")
 
 
-@pytest.mark.parametrize(
-    "module",
-    sorted(p.name for p in PACKAGE.glob("*.py") if p.name not in ALLOWED),
-)
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_runtime_modules_import_no_dense_operator(module):
-    assert dense_uses(PACKAGE / module) == []
-
-
-@pytest.mark.parametrize(
-    "argv", [["symmetry-check", "--chi-re", "3", "--n-max", "3000"], ["verify"]]
-)
-def test_commands_run_with_operator_construction_refused(argv, monkeypatch, capsys):
-    def refuse(self):
-        raise AssertionError("a runtime path built a dense operator")
-
-    monkeypatch.setattr(fock.Operator, "__post_init__", refuse)
-    with pytest.raises(AssertionError):
-        fock.make_ladder(2)
-    assert main(argv) == 0, capsys.readouterr().err
+    assert oracle_uses(PACKAGE / module) == []

@@ -10,26 +10,30 @@ from oscilab.coherent import (
     coherent_coefficients,
     dynamical_coherent_state,
 )
-from oscilab.dynamics import (
+from oracle import (
     PhaseAngle,
-    Trajectory,
-    ehrenfest_residual,
-    phase_transform_ladder,
-    propagate_fock,
-    rotate_xp,
-    sample_times,
-    sample_trajectory,
-    transform_state_phase,
-)
-from oscilab.fock import (
-    OscillatorParams,
     expectation,
     fock_state,
     make_hamiltonian,
     make_ladder,
+    phase_transform_ladder,
     random_state,
+    rotate_xp,
+    transform_state_phase,
 )
-from oscilab.observables import averages_bruteforce
+from oscilab.dynamics import (
+    Trajectory,
+    ehrenfest_residual,
+    propagate_fock,
+    sample_times,
+    sample_trajectory,
+)
+from oscilab.fock import OscillatorParams
+from oscilab.observables import (
+    RECORD_COLUMNS,
+    averages_bruteforce,
+    averages_bruteforce_batch,
+)
 
 PARAMS = OscillatorParams()
 
@@ -166,17 +170,25 @@ def test_propagator_group_law(t1, t2):
 
 
 def test_trajectory_rejects_bad_sampling():
+    traj = sample_trajectory(CoherentLabel(1), PARAMS, 0.0, 0.1, 0.05, "closedform")
+    columns = {name: traj.column(name) for name in RECORD_COLUMNS}
+    with pytest.raises(ValueError):
+        Trajectory.from_columns(columns, dt=0.07)  # spacing disagrees with dt
+    with pytest.raises(ValueError):
+        Trajectory.from_columns(columns, dt=-0.05)
+    with pytest.raises(ValueError):
+        Trajectory.from_columns({name: [] for name in RECORD_COLUMNS}, dt=0.05)
+    reversed_columns = {name: values[::-1] for name, values in columns.items()}
+    with pytest.raises(ValueError):
+        Trajectory.from_columns(reversed_columns, dt=0.05)
+
+
+def test_from_columns_is_the_one_constructor():
     records = sample_trajectory(
         CoherentLabel(1), PARAMS, 0.0, 0.1, 0.05, "closedform"
     ).records
-    with pytest.raises(ValueError):
-        Trajectory(records, dt=0.07)  # spacing disagrees with dt
-    with pytest.raises(ValueError):
-        Trajectory(records, dt=-0.05)
-    with pytest.raises(ValueError):
-        Trajectory((), dt=0.05)
-    with pytest.raises(ValueError):
-        Trajectory(tuple(reversed(records)), dt=0.05)
+    with pytest.raises(TypeError):
+        Trajectory(records, 0.05)
 
 
 def test_sample_times_includes_endpoint():
@@ -192,7 +204,7 @@ def test_mean_motion_follows_classical_solution():
     traj = sample_trajectory(
         label, PARAMS, 0.0, 2 * math.pi, 2 * math.pi / 256, "bruteforce"
     )
-    t = traj.times()
+    t = traj.column("time")
     x0 = traj.records[0].mean_x
     p0 = traj.records[0].mean_p
     expected = x0 * np.cos(t) + (p0 / (PARAMS.mass * PARAMS.omega)) * np.sin(t)
@@ -201,11 +213,9 @@ def test_mean_motion_follows_classical_solution():
 
 def test_ehrenfest_residual_zero_for_stationary_state():
     base = fock_state(2, 8)
-    records = tuple(
-        averages_bruteforce(propagate_fock(base, t, PARAMS), PARAMS)
-        for t in sample_times(0.0, 0.4, 0.1)
-    )
-    assert ehrenfest_residual(Trajectory(records, 0.1), PARAMS) == (0.0, 0.0)
+    columns = averages_bruteforce_batch(base, sample_times(0.0, 0.4, 0.1), PARAMS)
+    traj = Trajectory.from_columns(columns, 0.1)
+    assert ehrenfest_residual(traj, PARAMS) == (0.0, 0.0)
 
 
 def test_ehrenfest_residual_small_and_quadratic_in_dt():
@@ -224,11 +234,10 @@ def test_ehrenfest_residual_small_and_quadratic_in_dt():
 
 
 def test_ehrenfest_needs_three_records():
-    records = sample_trajectory(
-        CoherentLabel(1), PARAMS, 0.0, 0.01, 0.01, "closedform"
-    ).records
+    traj = sample_trajectory(CoherentLabel(1), PARAMS, 0.0, 0.01, 0.01, "closedform")
+    assert len(traj) == 2
     with pytest.raises(ValueError):
-        ehrenfest_residual(Trajectory(records, 0.01), PARAMS)
+        ehrenfest_residual(traj, PARAMS)
 
 
 def test_sample_trajectory_rejects_unknown_method():

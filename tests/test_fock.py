@@ -3,19 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from oscilab.fock import (
-    DimensionMismatchError,
+from oracle import (
     Operator,
-    OscillatorParams,
-    StateVector,
     expectation,
     fock_state,
     identity,
-    level_phases,
     make_hamiltonian,
     make_ladder,
     make_xp,
     random_state,
+)
+from oscilab import fock
+from oscilab.fock import (
+    DimensionMismatchError,
+    OscillatorParams,
+    StateVector,
+    level_phases,
 )
 
 
@@ -47,6 +50,17 @@ def test_commutator_is_identity_except_corner():
     expected = np.eye(n_max + 1, dtype=complex)
     expected[n_max, n_max] = -n_max
     np.testing.assert_allclose(comm, expected, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "params", [OscillatorParams(), OscillatorParams(2.5, 0.7, 3.1)]
+)
+def test_the_package_make_xp_is_the_oracle_matrices_to_the_bit(params):
+    for n_max in (0, 1, 9):
+        x, p = fock.make_xp(params, n_max)
+        dense_x, dense_p = make_xp(params, n_max)
+        assert x.tobytes() == dense_x.matrix.tobytes()
+        assert p.tobytes() == dense_p.matrix.tobytes()
 
 
 def test_xp_unit_parameter_matrices():

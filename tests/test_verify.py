@@ -12,22 +12,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oscilab import fock
-from oscilab.coherent import CoherentLabel, coherent_coefficients, resolve_n_max
-from oscilab.dynamics import PhaseAngle, propagate_fock, transform_state_phase
-from oscilab.fock import (
-    OscillatorParams,
-    StateVector,
+import oracle
+from oracle import (
+    PhaseAngle,
     expectation,
     make_hamiltonian,
     make_ladder,
+    transform_state_phase,
 )
+from oscilab.coherent import CoherentLabel, coherent_coefficients, resolve_n_max
+from oscilab.dynamics import propagate_fock
+from oscilab.fock import OscillatorParams, StateVector
+from oscilab import verify
 from oscilab.verify import (
     DEFAULT_CHI_SET,
     _normal_draws,
     _phase_symmetry_draws,
     _uniform_draws,
     check_phase_symmetry,
+    check_wave_packet,
     rk4_coefficients,
 )
 
@@ -210,7 +213,7 @@ def test_phase_symmetry_matches_dense_expectations(seed, monkeypatch):
     def no_dense_matrix(self):
         raise AssertionError("check_phase_symmetry built a dense operator")
 
-    monkeypatch.setattr(fock.Operator, "__post_init__", no_dense_matrix)
+    monkeypatch.setattr(oracle.Operator, "__post_init__", no_dense_matrix)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = check_phase_symmetry(seed)
@@ -238,3 +241,25 @@ def test_verify_loads_no_numpy_random():
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
     assert result.stdout.splitlines()[-2:] == ["10/10 criteria passed", "False"]
+
+
+@pytest.mark.parametrize("part", ["closed", "variance"])
+def test_a_non_finite_packet_slice_fails_and_is_counted(part, monkeypatch):
+    # Python's max keeps its first argument over a nan, so a nan slice once
+    # left the maxima of the finite slices to pass the criterion
+    sweep = verify.packet_sweep
+
+    def one_nan_slice(*args, **kwargs):
+        points, series, closed, norm2, variance = sweep(*args, **kwargs)
+        closed, variance = closed.copy(), variance.copy()
+        if part == "closed":
+            closed[2, 1000] = complex(math.nan, 0.0)
+        else:
+            variance[2] = math.nan
+        return points, series, closed, norm2, variance
+
+    finite = check_wave_packet((1.0 + 0j,))
+    monkeypatch.setattr(verify, "packet_sweep", one_nan_slice)
+    result = check_wave_packet((1.0 + 0j,))
+    assert finite.passed and not result.passed
+    assert result.detail == finite.detail + ", 1 non-finite slice"

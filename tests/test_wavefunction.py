@@ -4,31 +4,35 @@ import numpy as np
 import pytest
 from scipy.special import eval_hermite
 
+from oracle import (
+    eigenfunction,
+    gauss_hermite_grid,
+    hermite,
+    psi_schrodinger_grid,
+)
 from oscilab.coherent import CoherentLabel, dynamical_coherent_state
 from oscilab.fock import DimensionMismatchError, OscillatorParams
 from oscilab.observables import averages_closedform
 from oscilab import wavefunction
 from oscilab.wavefunction import (
-    CLOSED_FORMS,
     SpatialGrid,
     WaveSample,
     default_packet_grid,
-    eigenfunction,
     eigenfunction_table,
-    gauss_hermite_grid,
     generating_sum_check,
-    hermite,
     packet_moments,
     packet_sweep,
     psi_closed,
     psi_closed_grid,
     psi_series,
     psi_series_grid,
-    quadrature_norm,
     trapezoid_grid,
 )
 
 PARAMS = OscillatorParams()
+
+# The package's complex-center Gaussian and the oracle's mean-coordinate form.
+CLOSED_FORMS = {"complex_center": psi_closed_grid, "schrodinger": psi_schrodinger_grid}
 
 
 def direct_eigenfunction(n, x, params):
@@ -85,12 +89,12 @@ def test_eigenfunction_matches_direct_formula(params):
 def test_eigenfunction_unit_norm_by_quadrature():
     grid = default_packet_grid(PARAMS)
     values = eigenfunction(3, grid.points, PARAMS)
-    assert quadrature_norm(samples_from(values, grid), grid) == pytest.approx(
+    assert packet_moments(samples_from(values, grid), grid)[0] == pytest.approx(
         1.0, abs=1e-8
     )
     gh = gauss_hermite_grid(64, PARAMS)
     values = eigenfunction(3, gh.points, PARAMS)
-    assert quadrature_norm(samples_from(values, gh), gh) == pytest.approx(
+    assert packet_moments(samples_from(values, gh), gh)[0] == pytest.approx(
         1.0, abs=1e-12
     )
 
@@ -133,7 +137,7 @@ def test_series_vacuum_is_ground_gaussian_with_phase():
 
 def test_series_matches_closed_form_at_origin():
     sample_series = psi_series(CoherentLabel(1), 0.0, 0.0, PARAMS, 64)
-    sample_closed = psi_closed(CoherentLabel(1), 0.0, 0.0, PARAMS, "complex_center")
+    sample_closed = psi_closed(CoherentLabel(1), 0.0, 0.0, PARAMS)
     assert abs(sample_series.value - sample_closed.value) < 1e-10
 
 
@@ -144,7 +148,7 @@ def test_series_and_closed_form_agree_on_grid(chi, t):
     center = averages_closedform(label, t, PARAMS).mean_x
     grid = default_packet_grid(PARAMS, center=center)
     series = psi_series_grid(label, grid.points, t, PARAMS, 64)
-    closed = psi_closed_grid(label, grid.points, t, PARAMS, "complex_center")
+    closed = psi_closed_grid(label, grid.points, t, PARAMS)
     assert np.max(np.abs(series - closed)) < 1e-8
 
 
@@ -154,22 +158,17 @@ def test_two_closed_forms_agree_pointwise():
     for _ in range(20):
         x = rng.uniform(-4, 4)
         t = rng.uniform(0, 4 * math.pi)
-        a = psi_closed(label, x, t, PARAMS, "complex_center").value
-        b = psi_closed(label, x, t, PARAMS, "schrodinger").value
+        a = psi_closed(label, x, t, PARAMS).value
+        b = psi_schrodinger_grid(label, x, t, PARAMS)[0]
         assert abs(a - b) < 1e-12
 
 
 def test_closed_form_vacuum():
     xs = np.linspace(-3, 3, 11)
-    for form in ("complex_center", "schrodinger"):
-        values = psi_closed_grid(CoherentLabel(0), xs, 0.7, PARAMS, form)
+    for closed_grid in CLOSED_FORMS.values():
+        values = closed_grid(CoherentLabel(0), xs, 0.7, PARAMS)
         expected = eigenfunction(0, xs, PARAMS) * np.exp(-0.35j)
         np.testing.assert_allclose(values, expected, atol=1e-14)
-
-
-def test_unknown_closed_form_rejected():
-    with pytest.raises(ValueError):
-        psi_closed(CoherentLabel(1), 0.0, 0.0, PARAMS, "nope")
 
 
 @pytest.mark.parametrize(
@@ -181,7 +180,7 @@ def test_packet_width_never_changes(params):
     for t in np.linspace(0.0, 2 * math.pi / params.omega, 7):
         center = averages_closedform(label, t, params).mean_x
         grid = default_packet_grid(params, center=center)
-        values = psi_closed_grid(label, grid.points, t, params, "complex_center")
+        values = psi_closed_grid(label, grid.points, t, params)
         _, _, var = packet_moments(samples_from(values, grid), grid)
         assert var == pytest.approx(expected_var, abs=1e-9)
 
@@ -202,9 +201,9 @@ def test_phase_gradient_at_center_is_mean_momentum():
     h = 1e-5
     for t in (0.4, 2.0):
         rec = averages_closedform(label, t, PARAMS)
-        for form in ("complex_center", "schrodinger"):
-            left = psi_closed(label, rec.mean_x - h, t, PARAMS, form).value
-            right = psi_closed(label, rec.mean_x + h, t, PARAMS, form).value
+        for closed_grid in CLOSED_FORMS.values():
+            left = closed_grid(label, rec.mean_x - h, t, PARAMS)[0]
+            right = closed_grid(label, rec.mean_x + h, t, PARAMS)[0]
             gradient = np.angle(right / left) / (2 * h)
             assert gradient == pytest.approx(rec.mean_p / PARAMS.hbar, abs=1e-6)
 
@@ -212,14 +211,15 @@ def test_phase_gradient_at_center_is_mean_momentum():
 def test_quadrature_norm_ground_state():
     grid = trapezoid_grid(-8.0, 8.0, 2001)
     values = eigenfunction(0, grid.points, PARAMS)
-    assert quadrature_norm(samples_from(values, grid), grid) == pytest.approx(
+    assert packet_moments(samples_from(values, grid), grid)[0] == pytest.approx(
         1.0, abs=1e-10
     )
 
 
-def test_quadrature_norm_empty_is_zero():
+def test_packet_moments_refuse_an_empty_grid():
     empty = SpatialGrid(np.array([]), np.array([]))
-    assert quadrature_norm([], empty) == 0.0
+    with pytest.raises(ValueError, match="zero-norm"):
+        packet_moments([], empty)
 
 
 def test_quadrature_norm_shifted_packet():
@@ -227,34 +227,28 @@ def test_quadrature_norm_shifted_packet():
     t = 1.234
     center = averages_closedform(label, t, PARAMS).mean_x
     grid = default_packet_grid(PARAMS, center=center)
-    values = psi_closed_grid(label, grid.points, t, PARAMS, "complex_center")
-    assert quadrature_norm(samples_from(values, grid), grid) == pytest.approx(
+    values = psi_closed_grid(label, grid.points, t, PARAMS)
+    assert packet_moments(samples_from(values, grid), grid)[0] == pytest.approx(
         1.0, abs=1e-8
     )
 
 
-def test_quadrature_norm_length_mismatch():
-    grid = trapezoid_grid(0.0, 1.0, 5)
-    with pytest.raises(DimensionMismatchError):
-        quadrature_norm(np.ones(1, dtype=complex), grid)
-
-
 def test_packet_moments_length_mismatch():
     grid = trapezoid_grid(0.0, 1.0, 5)
-    with pytest.raises(DimensionMismatchError):
-        packet_moments(np.ones(4, dtype=complex), grid)
+    for size in (1, 4):
+        with pytest.raises(DimensionMismatchError):
+            packet_moments(np.ones(size, dtype=complex), grid)
 
 
-@pytest.mark.parametrize("moments", [quadrature_norm, packet_moments])
 @pytest.mark.parametrize(
     "bad", [complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)]
 )
-def test_moments_reject_non_finite_amplitudes(moments, bad):
+def test_moments_reject_non_finite_amplitudes(bad):
     grid = trapezoid_grid(-4.0, 4.0, 9)
     values = eigenfunction(0, grid.points, PARAMS).astype(complex)
     values[3] = bad
     with pytest.raises(ValueError, match="finite"):
-        moments(values, grid)
+        packet_moments(values, grid)
 
 
 def test_grid_validation():
@@ -384,7 +378,7 @@ def test_mismatched_stack_shapes_are_refused(x, t):
 @pytest.mark.parametrize("x, t", MISMATCHED_STACKS)
 def test_closed_forms_refuse_the_series_mismatched_shapes(x, t, form):
     with pytest.raises(DimensionMismatchError):
-        psi_closed_grid(CoherentLabel(1.0), x, t, PARAMS, form)
+        CLOSED_FORMS[form](CoherentLabel(1.0), x, t, PARAMS)
 
 
 def per_time_closed_form(label, xs, t, params, form):
@@ -430,10 +424,10 @@ def test_closed_form_slices_are_their_single_time_calls_to_the_bit(
     label = CoherentLabel(chi)
     centers = [averages_closedform(label, t, params).mean_x for t in times]
     points = np.array([default_packet_grid(params, center=c).points for c in centers])
-    stacked = psi_closed_grid(label, points, times, params, form)
+    stacked = CLOSED_FORMS[form](label, points, times, params)
     assert stacked.shape == points.shape and stacked.dtype == complex
     for t, xs, got in zip(times.tolist(), points, stacked):
-        single = psi_closed_grid(label, xs, t, params, form)
+        single = CLOSED_FORMS[form](label, xs, t, params)
         want = per_time_closed_form(label, xs, t, params, form)
         assert got.tobytes() == single.tobytes() == want.tobytes()
 
@@ -456,7 +450,7 @@ def test_packet_sweep_rows_are_the_per_slice_calls_to_the_bit(
         center = averages_closedform(label, t, params).mean_x
         grid = default_packet_grid(params, center, halfwidth, npoints)
         series = psi_series_grid(label, grid.points, t, params, n_max)
-        closed = psi_closed_grid(label, grid.points, t, params, "complex_center")
+        closed = psi_closed_grid(label, grid.points, t, params)
         want = per_time_closed_form(label, grid.points, t, params, "complex_center")
         assert closed.tobytes() == want.tobytes()
         norm2, _, variance = packet_moments(series, grid)
