@@ -45,14 +45,11 @@ from .observables import (
     uncertainty_fock,
 )
 from .wavefunction import (
-    SpatialGrid,
     WaveSample,
-    default_packet_grid,
     generating_sum_check,
     packet_moments,
     psi_closed,
     psi_series,
-    trapezoid_grid,
 )
 
 __version__ = "0.1.0"

@@ -106,6 +106,8 @@ class RunConfig:
             raise UsageError("t_start and t_end must be finite")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise UsageError(f"dt must be positive, got {self.dt!r}")
+        if not math.isfinite(self.grid_halfwidth):
+            raise UsageError(f"grid_halfwidth must be finite, got {self.grid_halfwidth!r}")
         if self.grid_halfwidth <= 0:
             raise UsageError(
                 f"grid_halfwidth must be positive, got {self.grid_halfwidth!r}"
@@ -484,14 +486,21 @@ def _wavefunction(config, params, label, n_max):
     points, series, closed, norms, variances = packet_sweep(
         label, times, params, n_max, config.grid_halfwidth, config.grid_points
     )
+    finite = np.isfinite(closed).all(axis=1).tolist()
     footer = []
-    for t, norm2, variance in zip(times.tolist(), norms.tolist(), variances.tolist()):
+    slices = zip(times.tolist(), norms.tolist(), variances.tolist(), finite)
+    for t, norm2, variance, ok in slices:
         if abs(norm2 - coeff_norm2) > QUADRATURE_TOL:
             raise UsageError(
                 f"the grid cannot resolve the packet at t = {t:g}: its quadrature "
                 f"norm {norm2:.6g} is off the state's norm {coeff_norm2:.6g} by "
                 f"{abs(norm2 - coeff_norm2):.1e} (tol {QUADRATURE_TOL:.0e}); raise "
                 "--grid-points or --grid-halfwidth"
+            )
+        if not ok:
+            raise UsageError(
+                f"the closed form is not finite at t = {t:g}: its Gaussian factor "
+                "leaves the float range (|Im chi(t)| above about 26.6)"
             )
         footer.append({"t": t, "quadrature_norm": norm2, "packet_variance": variance})
     d = series - closed

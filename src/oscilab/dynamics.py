@@ -20,7 +20,6 @@ from .observables import (
     RECORD_COLUMNS,
     ObservableRecord,
     averages_bruteforce_batch,
-    averages_closedform_batch,
     record_from_row,
 )
 
@@ -31,8 +30,6 @@ __all__ = [
     "sample_trajectory",
     "ehrenfest_residual",
 ]
-
-TRAJECTORY_METHODS = ("bruteforce", "closedform")
 
 # Far above any sampling the commands use (a period at dt = 1e-3 is 6,284
 # samples); checked before anything is allocated.
@@ -142,27 +139,18 @@ def sample_trajectory(
     t_start: float,
     t_end: float,
     dt: float,
-    method: str = "bruteforce",
     n_max: int | None = None,
 ) -> Trajectory:
     """Observables of a coherent state on a uniform time grid.
 
-    method="bruteforce" propagates the truncated state exactly and takes
-    its averages from the banded kernel (`averages_bruteforce_batch`);
-    method="closedform" evaluates the label formulas on the whole grid at
-    once (`averages_closedform_batch`). When n_max is None, `resolve_n_max`
-    applies the truncation-tail rule plus TRUNCATION_MARGIN levels of
-    headroom for the second moments.
+    Propagates the truncated state exactly and takes its averages from the
+    banded kernel (`averages_bruteforce_batch`). When n_max is None,
+    `resolve_n_max` applies the truncation-tail rule plus TRUNCATION_MARGIN
+    levels of headroom for the second moments.
     """
-    if method not in TRAJECTORY_METHODS:
-        raise ValueError(f"method must be one of {TRAJECTORY_METHODS}, got {method!r}")
     times = sample_times(t_start, t_end, dt)
-    if method == "closedform":
-        columns = averages_closedform_batch(label, times, params)
-    else:
-        base = coherent_coefficients(label, resolve_n_max(label, n_max))
-        columns = averages_bruteforce_batch(base, times, params)
-    return Trajectory.from_columns(columns, dt)
+    base = coherent_coefficients(label, resolve_n_max(label, n_max))
+    return Trajectory.from_columns(averages_bruteforce_batch(base, times, params), dt)
 
 
 def ehrenfest_residual(

@@ -213,9 +213,7 @@ def check_ehrenfest(
     label = CoherentLabel(1 + 0j if chi is None else chi)
     period = 2.0 * math.pi / params.omega
     tol = 1e-5
-    fine_traj = sample_trajectory(
-        label, params, 0.0, period, 5e-4, "bruteforce", n_max
-    )
+    fine_traj = sample_trajectory(label, params, 0.0, period, 5e-4, n_max)
     coarse_traj = Trajectory.from_columns(
         {name: fine_traj.column(name)[::2] for name in RECORD_COLUMNS}, 1e-3
     )

@@ -22,7 +22,7 @@ passes bounded to stay in cache. A point gets the same operations in the
 same order either way, so a slice of a stack equals its own call to the bit.
 The closed form takes the same stacks, with the same guarantee, and
 `packet_sweep` runs both on a grid per time for the `wavefunction` command
-and the `wave-packet-nondiffusion` criterion.
+and the `wave-packet-nondiffusion` criterion, on one (S, N) array of grids.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .fock import DimensionMismatchError, OscillatorParams, level_phases
 from .observables import averages_closedform_batch
 
 __all__ = [
-    "SpatialGrid",
     "WaveSample",
     "generating_sum_check",
     "psi_series",
@@ -46,8 +45,6 @@ __all__ = [
     "psi_closed_grid",
     "packet_moments",
     "packet_sweep",
-    "trapezoid_grid",
-    "default_packet_grid",
 ]
 
 DEFAULT_GRID_HALFWIDTH = 10.0  # in units of the oscillator length
@@ -59,37 +56,6 @@ DEFAULT_GRID_POINTS = 2001
 # pass than one slice per pass, and 25 slices at n_max 64 ran 15-45% slower
 # in one pass than in passes of 5 to 10.
 _SERIES_PASS_POINTS = 20_000
-
-
-@dataclass(frozen=True, eq=False)
-class SpatialGrid:
-    """Quadrature nodes and positive weights on a strictly increasing axis."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
-        wts = np.array(self.weights, dtype=float)
-        if pts.ndim != 1 or wts.ndim != 1:
-            raise ValueError("points and weights must be 1-d arrays")
-        if pts.size != wts.size:
-            raise DimensionMismatchError(
-                f"{pts.size} points but {wts.size} weights"
-            )
-        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
-            raise ValueError("grid entries must be finite")
-        if np.any(np.diff(pts) <= 0):
-            raise ValueError("points must be strictly increasing")
-        if np.any(wts <= 0):
-            raise ValueError("weights must be positive")
-        pts.setflags(write=False)
-        wts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
-
-    def __len__(self) -> int:
-        return self.points.size
 
 
 @dataclass(frozen=True)
@@ -269,7 +235,9 @@ def psi_closed_grid(label: CoherentLabel, x, t, params: OscillatorParams) -> np.
         chit = complex(re, im)
         shift[s] = chit * scale
         factor[s] = amp * np.exp(-0.5j * omega * t_s + 0.5 * chit * chit)
-    values = factor * np.exp(-(mass * omega / (2.0 * hbar)) * (xs - shift) ** 2)
+    # past |Im chi(t)| ~ 26.6 the Gaussian overflows: nan or inf, which callers refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = factor * np.exp(-(mass * omega / (2.0 * hbar)) * (xs - shift) ** 2)
     return values[0] if single else values
 
 
@@ -281,55 +249,30 @@ def psi_closed(
     return WaveSample(float(x), complex(value))
 
 
-def packet_moments(amplitudes, grid: SpatialGrid) -> tuple[float, float, float]:
-    """(squared norm, mean position, position variance) of |amplitude|^2.
+def packet_moments(amplitudes, points, weights):
+    """(squared norm, mean position, position variance) of |amplitude|^2 along
+    the last axis of three arrays of one shape, (N,) for one slice or (S, N).
 
-    `amplitudes` is a complex array aligned with `grid.points`, in order;
-    the squared norm sums weights * |amplitude|^2, the quadrature of the
-    square integral. Mean and variance are normalized by the squared norm,
-    so a slightly leaky truncation does not skew them.
+    The squared norm sums weights * |amplitude|^2, the quadrature of the
+    square integral; mean and variance are normalized by it, so a slightly
+    leaky truncation does not skew them. The first slice, in order, that is
+    not finite or has zero norm raises.
     """
-    if len(amplitudes) != len(grid):
-        raise DimensionMismatchError(
-            f"{len(amplitudes)} amplitudes on a grid of {len(grid)} points"
-        )
     values = np.asarray(amplitudes, dtype=complex)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("amplitudes must be finite")
-    density = grid.weights * np.abs(values) ** 2
-    norm2 = float(np.sum(density))
-    if norm2 <= 0.0:
+    shapes = (values.shape, np.shape(points), np.shape(weights))
+    if len(set(shapes)) > 1:
+        raise DimensionMismatchError(f"amplitudes, points and weights of shapes {shapes}")
+    finite = np.isfinite(values).all(axis=-1)
+    density = weights * np.abs(values) ** 2  # inf or nan, silently, where not finite
+    norm2 = density.sum(axis=-1)
+    refused = (~finite | (norm2 <= 0.0)).ravel()
+    if refused.any():
+        if not finite.ravel()[refused.argmax()]:
+            raise ValueError("amplitudes must be finite")
         raise ValueError("cannot take moments of a zero-norm sample set")
-    mean = float(np.sum(grid.points * density) / norm2)
-    var = float(np.sum((grid.points - mean) ** 2 * density) / norm2)
+    mean = (points * density).sum(axis=-1) / norm2
+    var = ((points - np.expand_dims(mean, -1)) ** 2 * density).sum(axis=-1) / norm2
     return norm2, mean, var
-
-
-def trapezoid_grid(lo: float, hi: float, npoints: int) -> SpatialGrid:
-    """Uniform grid with trapezoid weights on [lo, hi]."""
-    npoints = int(npoints)
-    if npoints < 2:
-        raise ValueError(f"need at least 2 points, got {npoints}")
-    if not hi > lo:
-        raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
-    points = np.linspace(lo, hi, npoints)
-    step = points[1] - points[0]
-    weights = np.full(npoints, step)
-    weights[0] = weights[-1] = 0.5 * step
-    return SpatialGrid(points, weights)
-
-
-def default_packet_grid(
-    params: OscillatorParams,
-    center: float = 0.0,
-    halfwidth: float = DEFAULT_GRID_HALFWIDTH,
-    npoints: int = DEFAULT_GRID_POINTS,
-) -> SpatialGrid:
-    """Trapezoid grid spanning center +/- halfwidth oscillator lengths."""
-    if halfwidth <= 0:
-        raise ValueError(f"halfwidth must be positive, got {halfwidth}")
-    span = halfwidth * params.length_scale
-    return trapezoid_grid(center - span, center + span, npoints)
 
 
 def packet_sweep(
@@ -338,19 +281,44 @@ def packet_sweep(
 ):
     """(points, series, closed, norm2, variance) of the packet at the 1-d times.
 
-    Slice s lies on `default_packet_grid` around the mean at times[s]; the
-    (S, N) series and complex-centre closed form each come from one stacked
-    call, and `packet_moments` takes each series slice's squared norm and
-    variance in time order (raising on a zero-norm slice).
+    Slice s lies on the trapezoid grid of `npoints` points spanning the mean
+    at times[s] +/- `halfwidth` oscillator lengths. The S grids are one
+    C-contiguous (S, N) array from one broadcast `linspace`, the series and
+    the complex-centre closed form come from one stacked call each, and one
+    `packet_moments` call takes every slice's squared norm and variance.
+    Before building anything it refuses a grid that would square past the
+    float range, and after, the first grid, in time order, that is not
+    strictly increasing.
     """
+    if npoints < 2:
+        raise ValueError(f"need at least 2 points, got {npoints}")
+    if not (math.isfinite(halfwidth) and halfwidth > 0):
+        raise ValueError(f"halfwidth must be finite and positive, got {halfwidth!r}")
     centers = averages_closedform_batch(label, times, params)["mean_x"]
-    grids = [
-        default_packet_grid(params, center=c, halfwidth=halfwidth, npoints=npoints)
-        for c in centers.tolist()
-    ]
-    points = np.array([grid.points for grid in grids])
+    span = halfwidth * params.length_scale
+    per_length = math.sqrt(params.mass * params.omega / params.hbar)  # x to xi
+    for center in centers.tolist():
+        # the widest coordinate difference, in length and in oscillator lengths
+        widest = 2.0 * (abs(center) + span) * max(1.0, per_length)
+        if not math.isfinite(widest * widest):
+            raise ValueError(
+                f"the grid of halfwidth {halfwidth!r} around centre {center!r} is too "
+                "wide: its squared coordinate differences pass the float range"
+            )
+    points = np.ascontiguousarray(
+        np.linspace(centers - span, centers + span, npoints, axis=-1)
+    )
+    increasing = (points[:, 1:] > points[:, :-1]).all(axis=-1)
+    if not increasing.all():
+        raise ValueError(
+            f"the grid of halfwidth {halfwidth!r} around centre "
+            f"{centers.tolist()[int(increasing.argmin())]!r} is not strictly "
+            f"increasing: its {npoints} points collapse onto too few floats"
+        )
+    step = points[:, 1:2] - points[:, :1]
+    weights = np.repeat(step, npoints, axis=1)
+    weights[:, [0, -1]] = 0.5 * step
     series = psi_series_grid(label, points, times, params, n_max)
     closed = psi_closed_grid(label, points, times, params)
-    moments = [packet_moments(row, grid) for row, grid in zip(series, grids)]
-    norm2, _, variance = np.array(moments).T
+    norm2, _, variance = packet_moments(series, points, weights)
     return points, series, closed, norm2, variance

@@ -12,7 +12,11 @@ not part of it:
   nodes (`hermite`, `eigenfunction`, `gauss_hermite_grid`);
 - the packet written through the mean coordinate and momentum
   (`psi_schrodinger_grid`), and a record flattened into the RECORD_COLUMNS
-  order (`record_row`).
+  order (`record_row`);
+- one validated trapezoid grid per packet slice and its moments
+  (`SpatialGrid`, `trapezoid_grid`, `default_packet_grid`, `slice_moments`),
+  the per-slice reference of the (S, N) arrays of `packet_sweep`;
+- a trajectory of the closed-form averages (`closedform_trajectory`).
 
 The package's banded kernels, recurrence rows and closed forms are pinned
 to these in the tests, bit for bit where the arithmetic is the same.
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from oscilab.coherent import CoherentLabel
+from oscilab.dynamics import Trajectory, sample_times
 from oscilab.fock import (
     DimensionMismatchError,
     OscillatorParams,
@@ -33,7 +38,12 @@ from oscilab.fock import (
     _check_n_max,
 )
 from oscilab.observables import ObservableRecord, averages_closedform_batch
-from oscilab.wavefunction import SpatialGrid, _slices, eigenfunction_table
+from oscilab.wavefunction import (
+    DEFAULT_GRID_HALFWIDTH,
+    DEFAULT_GRID_POINTS,
+    _slices,
+    eigenfunction_table,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,11 +276,12 @@ def eigenfunction(n: int, x, params: OscillatorParams):
 
 def gauss_hermite_grid(
     order: int, params: OscillatorParams, center: float = 0.0
-) -> SpatialGrid:
-    """Gauss-Hermite nodes scaled to physical length, Gaussian weight unfolded.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(points, weights): Gauss-Hermite nodes scaled to physical length, the
+    Gaussian weight unfolded.
 
-    The stored weights include exp(+xi^2), so `quadrature_norm` integrates
-    plain |value|^2. Orders beyond ~350 overflow the unfolding and fail the
+    The weights include exp(+xi^2), so `packet_moments` integrates plain
+    |value|^2. Orders beyond ~350 overflow the unfolding and fail the
     grid finiteness validation before any physics sees them.
     """
     order = int(order)
@@ -278,7 +289,8 @@ def gauss_hermite_grid(
         raise ValueError(f"order must be positive, got {order}")
     xi, w = np.polynomial.hermite.hermgauss(order)
     scale = params.length_scale
-    return SpatialGrid(center + scale * xi, scale * w * np.exp(xi * xi))
+    grid = SpatialGrid(center + scale * xi, scale * w * np.exp(xi * xi))
+    return grid.points, grid.weights
 
 
 def psi_schrodinger_grid(
@@ -304,3 +316,94 @@ def psi_schrodinger_grid(
     gauss = np.exp(-(mass * omega / (2.0 * hbar)) * (xs - xb[:, np.newaxis]) ** 2)
     values = factor * plane * gauss
     return values[0] if single else values
+
+
+@dataclass(frozen=True, eq=False)
+class SpatialGrid:
+    """Quadrature nodes and positive weights on a strictly increasing axis."""
+
+    points: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        pts = np.array(self.points, dtype=float)
+        wts = np.array(self.weights, dtype=float)
+        if pts.ndim != 1 or wts.ndim != 1:
+            raise ValueError("points and weights must be 1-d arrays")
+        if pts.size != wts.size:
+            raise DimensionMismatchError(
+                f"{pts.size} points but {wts.size} weights"
+            )
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
+            raise ValueError("grid entries must be finite")
+        if np.any(np.diff(pts) <= 0):
+            raise ValueError("points must be strictly increasing")
+        if np.any(wts <= 0):
+            raise ValueError("weights must be positive")
+        pts.setflags(write=False)
+        wts.setflags(write=False)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "weights", wts)
+
+    def __len__(self) -> int:
+        return self.points.size
+
+
+def trapezoid_grid(lo: float, hi: float, npoints: int) -> SpatialGrid:
+    """Uniform grid with trapezoid weights on [lo, hi]."""
+    npoints = int(npoints)
+    if npoints < 2:
+        raise ValueError(f"need at least 2 points, got {npoints}")
+    if not hi > lo:
+        raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
+    points = np.linspace(lo, hi, npoints)
+    step = points[1] - points[0]
+    weights = np.full(npoints, step)
+    weights[0] = weights[-1] = 0.5 * step
+    return SpatialGrid(points, weights)
+
+
+def default_packet_grid(
+    params: OscillatorParams,
+    center: float = 0.0,
+    halfwidth: float = DEFAULT_GRID_HALFWIDTH,
+    npoints: int = DEFAULT_GRID_POINTS,
+) -> SpatialGrid:
+    """Trapezoid grid spanning center +/- halfwidth oscillator lengths."""
+    if halfwidth <= 0:
+        raise ValueError(f"halfwidth must be positive, got {halfwidth}")
+    span = halfwidth * params.length_scale
+    return trapezoid_grid(center - span, center + span, npoints)
+
+
+def slice_moments(amplitudes, grid: SpatialGrid) -> tuple[float, float, float]:
+    """(squared norm, mean position, position variance) of |amplitude|^2 on
+    one grid: the per-slice reference of `packet_moments`.
+
+    `amplitudes` is a complex array aligned with `grid.points`, in order;
+    the squared norm sums weights * |amplitude|^2, the quadrature of the
+    square integral. Mean and variance are normalized by the squared norm,
+    so a slightly leaky truncation does not skew them.
+    """
+    if len(amplitudes) != len(grid):
+        raise DimensionMismatchError(
+            f"{len(amplitudes)} amplitudes on a grid of {len(grid)} points"
+        )
+    values = np.asarray(amplitudes, dtype=complex)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("amplitudes must be finite")
+    density = grid.weights * np.abs(values) ** 2
+    norm2 = float(np.sum(density))
+    if norm2 <= 0.0:
+        raise ValueError("cannot take moments of a zero-norm sample set")
+    mean = float(np.sum(grid.points * density) / norm2)
+    var = float(np.sum((grid.points - mean) ** 2 * density) / norm2)
+    return norm2, mean, var
+
+
+def closedform_trajectory(
+    label: CoherentLabel, params: OscillatorParams, t_start: float, t_end: float, dt: float
+) -> Trajectory:
+    """The label's closed-form averages on the uniform time grid, as a trajectory."""
+    times = sample_times(t_start, t_end, dt)
+    return Trajectory.from_columns(averages_closedform_batch(label, times, params), dt)

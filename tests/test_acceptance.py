@@ -94,9 +94,7 @@ def test_ehrenfest_reads_the_coarse_trajectory_from_the_fine_one(monkeypatch, ch
     monkeypatch.setattr(verify, "ehrenfest_residual", recording_residual)
     verify.check_ehrenfest(chi)
     params = OscillatorParams()
-    independent = sample_trajectory(
-        CoherentLabel(chi), params, 0.0, 2.0 * math.pi, 1e-3, "bruteforce"
-    )
+    independent = sample_trajectory(CoherentLabel(chi), params, 0.0, 2.0 * math.pi, 1e-3)
     coarse, residual = seen[1e-3]
     for name in RECORD_COLUMNS:
         assert coarse.column(name).tobytes() == independent.column(name).tobytes()

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from oracle import (
     PhaseAngle,
+    default_packet_grid,
     expectation,
     make_hamiltonian,
     make_ladder,
@@ -39,7 +41,6 @@ from oscilab.coherent import CoherentLabel, coherent_coefficients, truncation_ta
 from oscilab.fock import OscillatorParams
 from oscilab.observables import averages_closedform
 from oscilab.wavefunction import (
-    default_packet_grid,
     packet_sweep,
     psi_closed_grid,
     psi_series_grid,
@@ -637,6 +638,37 @@ def test_wavefunction_refuses_an_unresolved_grid(argv, norm, capsys):
     assert "--grid-points" in captured.err
     assert "--grid-halfwidth" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--grid-halfwidth", "inf"], "grid_halfwidth must be finite, got inf"),
+        (["--grid-halfwidth", "nan"], "grid_halfwidth must be finite, got nan"),
+        (["--grid-halfwidth", "-inf"], "grid_halfwidth must be finite, got -inf"),
+        (["--grid-halfwidth", "-1"], "grid_halfwidth must be positive, got -1.0"),
+        (["--chi-re", "20", "--grid-halfwidth", "1e-20"],
+         "the grid of halfwidth 1e-20 around centre 28.284271247461902 is not "
+         "strictly increasing"),
+        (["--grid-halfwidth", "1e300", "--hbar", "1e10"],
+         "the grid of halfwidth 1e+300 around centre 141421.35623730952 is too wide"),
+        (["--chi-im", "27"], "the closed form is not finite at t = 0: "),
+        # t = -0.3 passes both checks; at t = 0, |Im chi(t)| = 26.7
+        (["--chi-im", "26.7", "--t-start", "-0.3", "--t-end", "0.3", "--dt", "0.3"],
+         "the closed form is not finite at t = 0: "),
+        # the quadrature refusal of t = 0 comes before its closed-form check
+        (["--chi-re", "27", "--t-end", "1.6", "--dt", "1.6"],
+         "the grid cannot resolve the packet at t = 0: "),
+    ],
+)
+def test_wavefunction_refuses_a_bad_grid_or_closed_form_by_name(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["wavefunction", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_wavefunction_accepts_an_honest_under_truncation(tmp_path, capsys):

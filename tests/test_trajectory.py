@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from oracle import record_row
+from oracle import closedform_trajectory, record_row
 from oscilab.coherent import (
     CoherentLabel,
     auto_n_max,
@@ -95,8 +95,8 @@ def test_from_columns_validates_shape_and_sampling():
 
 def test_bruteforce_and_closedform_trajectories_agree():
     label = CoherentLabel(-1.5 + 0.5j)
-    brute = sample_trajectory(label, PARAMS, 0.0, 2 * math.pi, 0.01, "bruteforce")
-    closed = sample_trajectory(label, PARAMS, 0.0, 2 * math.pi, 0.01, "closedform")
+    brute = sample_trajectory(label, PARAMS, 0.0, 2 * math.pi, 0.01)
+    closed = closedform_trajectory(label, PARAMS, 0.0, 2 * math.pi, 0.01)
     np.testing.assert_array_equal(brute.column("time"), closed.column("time"))
     for name in RECORD_COLUMNS:
         np.testing.assert_allclose(

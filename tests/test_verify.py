@@ -263,3 +263,16 @@ def test_a_non_finite_packet_slice_fails_and_is_counted(part, monkeypatch):
     result = check_wave_packet((1.0 + 0j,))
     assert finite.passed and not result.passed
     assert result.detail == finite.detail + ", 1 non-finite slice"
+
+
+def test_an_overflowing_closed_form_fails_without_a_warning():
+    # at |Im chi(t)| > 26.6 the closed form's Gaussian leaves the float range
+    # at three of the five times
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = check_wave_packet((27j,))
+    assert not result.passed
+    assert result.detail == (
+        "max |series - closed| = 7.009e-07 (tol 1e-08), "
+        "max width drift = 5.929e-14 (tol 1e-08), 3 non-finite slices"
+    )

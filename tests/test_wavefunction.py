@@ -1,23 +1,29 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_hermite
 
 from oracle import (
+    SpatialGrid,
+    default_packet_grid,
     eigenfunction,
     gauss_hermite_grid,
     hermite,
     psi_schrodinger_grid,
+    slice_moments,
+    trapezoid_grid,
 )
 from oscilab.coherent import CoherentLabel, dynamical_coherent_state
 from oscilab.fock import DimensionMismatchError, OscillatorParams
-from oscilab.observables import averages_closedform
+from oscilab.observables import averages_closedform, averages_closedform_batch
 from oscilab import wavefunction
 from oscilab.wavefunction import (
-    SpatialGrid,
     WaveSample,
-    default_packet_grid,
     eigenfunction_table,
     generating_sum_check,
     packet_moments,
@@ -26,7 +32,6 @@ from oscilab.wavefunction import (
     psi_closed_grid,
     psi_series,
     psi_series_grid,
-    trapezoid_grid,
 )
 
 PARAMS = OscillatorParams()
@@ -89,14 +94,12 @@ def test_eigenfunction_matches_direct_formula(params):
 def test_eigenfunction_unit_norm_by_quadrature():
     grid = default_packet_grid(PARAMS)
     values = eigenfunction(3, grid.points, PARAMS)
-    assert packet_moments(samples_from(values, grid), grid)[0] == pytest.approx(
-        1.0, abs=1e-8
-    )
-    gh = gauss_hermite_grid(64, PARAMS)
-    values = eigenfunction(3, gh.points, PARAMS)
-    assert packet_moments(samples_from(values, gh), gh)[0] == pytest.approx(
-        1.0, abs=1e-12
-    )
+    assert packet_moments(
+        samples_from(values, grid), grid.points, grid.weights
+    )[0] == pytest.approx(1.0, abs=1e-8)
+    points, weights = gauss_hermite_grid(64, PARAMS)
+    values = eigenfunction(3, points, PARAMS)
+    assert packet_moments(values, points, weights)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eigenfunctions_orthonormal_under_quadrature():
@@ -181,7 +184,7 @@ def test_packet_width_never_changes(params):
         center = averages_closedform(label, t, params).mean_x
         grid = default_packet_grid(params, center=center)
         values = psi_closed_grid(label, grid.points, t, params)
-        _, _, var = packet_moments(samples_from(values, grid), grid)
+        _, _, var = packet_moments(samples_from(values, grid), grid.points, grid.weights)
         assert var == pytest.approx(expected_var, abs=1e-9)
 
 
@@ -211,15 +214,15 @@ def test_phase_gradient_at_center_is_mean_momentum():
 def test_quadrature_norm_ground_state():
     grid = trapezoid_grid(-8.0, 8.0, 2001)
     values = eigenfunction(0, grid.points, PARAMS)
-    assert packet_moments(samples_from(values, grid), grid)[0] == pytest.approx(
-        1.0, abs=1e-10
-    )
+    assert packet_moments(
+        samples_from(values, grid), grid.points, grid.weights
+    )[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_packet_moments_refuse_an_empty_grid():
     empty = SpatialGrid(np.array([]), np.array([]))
     with pytest.raises(ValueError, match="zero-norm"):
-        packet_moments([], empty)
+        packet_moments([], empty.points, empty.weights)
 
 
 def test_quadrature_norm_shifted_packet():
@@ -228,16 +231,16 @@ def test_quadrature_norm_shifted_packet():
     center = averages_closedform(label, t, PARAMS).mean_x
     grid = default_packet_grid(PARAMS, center=center)
     values = psi_closed_grid(label, grid.points, t, PARAMS)
-    assert packet_moments(samples_from(values, grid), grid)[0] == pytest.approx(
-        1.0, abs=1e-8
-    )
+    assert packet_moments(
+        samples_from(values, grid), grid.points, grid.weights
+    )[0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_packet_moments_length_mismatch():
     grid = trapezoid_grid(0.0, 1.0, 5)
     for size in (1, 4):
         with pytest.raises(DimensionMismatchError):
-            packet_moments(np.ones(size, dtype=complex), grid)
+            packet_moments(np.ones(size, dtype=complex), grid.points, grid.weights)
 
 
 @pytest.mark.parametrize(
@@ -248,18 +251,7 @@ def test_moments_reject_non_finite_amplitudes(bad):
     values = eigenfunction(0, grid.points, PARAMS).astype(complex)
     values[3] = bad
     with pytest.raises(ValueError, match="finite"):
-        packet_moments(values, grid)
-
-
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        SpatialGrid(np.array([0.0, 0.0, 1.0]), np.ones(3))
-    with pytest.raises(ValueError):
-        SpatialGrid(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
-    with pytest.raises(DimensionMismatchError):
-        SpatialGrid(np.array([0.0, 1.0]), np.ones(3))
-    with pytest.raises(ValueError):
-        trapezoid_grid(1.0, 0.0, 5)
+        packet_moments(values, grid.points, grid.weights)
 
 
 def test_wave_sample_requires_finite_value():
@@ -268,9 +260,9 @@ def test_wave_sample_requires_finite_value():
 
 
 def test_gauss_hermite_grid_is_positive_and_increasing():
-    grid = gauss_hermite_grid(32, PARAMS)
-    assert np.all(np.diff(grid.points) > 0)
-    assert np.all(grid.weights > 0)
+    points, weights = gauss_hermite_grid(32, PARAMS)
+    assert np.all(np.diff(points) > 0)
+    assert np.all(weights > 0)
 
 
 @pytest.mark.parametrize(
@@ -453,7 +445,7 @@ def test_packet_sweep_rows_are_the_per_slice_calls_to_the_bit(
         closed = psi_closed_grid(label, grid.points, t, params)
         want = per_time_closed_form(label, grid.points, t, params, "complex_center")
         assert closed.tobytes() == want.tobytes()
-        norm2, _, variance = packet_moments(series, grid)
+        norm2, _, variance = packet_moments(series, grid.points, grid.weights)
         expected = [grid.points, series, closed, np.float64(norm2), np.float64(variance)]
         assert [part[s].tobytes() for part in sweep] == [e.tobytes() for e in expected]
 
@@ -516,3 +508,112 @@ def test_vacuum_series_stops_at_its_last_nonzero_level(monkeypatch):
     for t in (0.0, -1.3):
         single = psi_series_grid(label, points[0], t, PARAMS, 64)
         assert single.tobytes() == psi_series_grid(label, points[0], t, PARAMS, 0).tobytes()
+
+
+def assert_sweep_is_the_per_slice_oracle(monkeypatch, label, times, params, n_max,
+                                         halfwidth, npoints):
+    """The (S, N) grid, weights and moments of `packet_sweep` against
+    default_packet_grid and slice_moments of each slice, by bytes."""
+    seen = []
+
+    def spy(amplitudes, points, weights):
+        moments = packet_moments(amplitudes, points, weights)
+        seen.append((amplitudes, points, weights, moments))
+        return moments
+
+    monkeypatch.setattr(wavefunction, "packet_moments", spy)
+    sweep = packet_sweep(label, times, params, n_max, halfwidth, npoints)
+    (series, points, weights, moments), = seen
+    assert points is sweep[0] and series is sweep[1]
+    assert points.flags.c_contiguous and weights.flags.c_contiguous
+    assert points.shape == weights.shape == (len(times), npoints)
+    centers = averages_closedform_batch(label, times, params)["mean_x"]
+    for s, center in enumerate(centers.tolist()):
+        grid = default_packet_grid(params, center, halfwidth, npoints)
+        assert points[s].tobytes() == grid.points.tobytes()
+        assert weights[s].tobytes() == grid.weights.tobytes()
+        want = np.array(slice_moments(series[s], grid))
+        assert np.array([m[s] for m in moments]).tobytes() == want.tobytes()
+        assert sweep[3][s] == want[0] and sweep[4][s] == want[2]
+
+
+def test_packet_sweep_grids_and_moments_are_the_per_slice_oracle_to_the_bit(monkeypatch):
+    rng = np.random.default_rng(18)
+    for _ in range(300):
+        params = OscillatorParams(*(10.0 ** rng.uniform(-3.0, 3.0, size=3)))
+        label = CoherentLabel(complex(*rng.uniform(-3.0, 3.0, size=2)))
+        times = rng.uniform(-10.0, 10.0, size=int(rng.integers(1, 10)))
+        halfwidth = float(10.0 ** rng.uniform(-2.0, 2.0))
+        npoints = int(rng.integers(2, 2002))
+        assert_sweep_is_the_per_slice_oracle(
+            monkeypatch, label, times, params, 8, halfwidth, npoints
+        )
+
+
+@pytest.mark.parametrize(
+    "chi, n_max, times",
+    [
+        (20.0, 589, PACKET_LARGE_TIMES),  # packet-large
+        (-1.5 + 0.5j, 64, np.array([0.0, 0.7, math.pi, 4.2, 2.0 * math.pi])),  # verify
+    ],
+)
+def test_packet_sweep_shapes_of_the_commands_are_the_per_slice_oracle(
+    monkeypatch, chi, n_max, times
+):
+    assert_sweep_is_the_per_slice_oracle(
+        monkeypatch, CoherentLabel(chi), times, PARAMS, n_max, 10.0, 2001
+    )
+
+
+def test_packet_moments_refuse_the_first_bad_slice_in_order():
+    points = np.tile(np.linspace(-4.0, 4.0, 9), (3, 1))
+    weights = np.ones_like(points)
+    values = np.ones(points.shape, dtype=complex)
+    values[1] = 0.0
+    values[2, 4] = math.nan
+    with pytest.raises(ValueError, match="zero-norm"):
+        packet_moments(values, points, weights)
+    values[0, 0] = math.inf
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        packet_moments(values, points, weights)
+    with pytest.raises(DimensionMismatchError):
+        packet_moments(values, points, weights[:, 1:])
+
+
+@pytest.mark.parametrize(
+    "halfwidth, npoints, match",
+    [
+        (math.inf, 2001, "halfwidth must be finite and positive, got inf"),
+        (math.nan, 2001, "halfwidth must be finite and positive, got nan"),
+        (0.0, 2001, "halfwidth must be finite and positive, got 0.0"),
+        (-1.0, 2001, "halfwidth must be finite and positive, got -1.0"),
+        (10.0, 1, "need at least 2 points, got 1"),
+        (1e-20, 2001, "around centre 28.284271247461902 is not strictly increasing"),
+        (1e-15, 2001, "around centre 28.284271247461902 is not strictly increasing"),
+        (1e154, 2001, "the grid of halfwidth 1e+154 around centre 28.284271247461902 "
+                      "is too wide"),
+    ],
+)
+def test_packet_sweep_refuses_a_bad_grid_without_a_warning(halfwidth, npoints, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(match)):
+            packet_sweep(CoherentLabel(20.0), [0.0, 1.0], PARAMS, 589, halfwidth, npoints)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_units=st.tuples(*[st.floats(-12.0, 12.0)] * 3),
+    log_halfwidth=st.floats(-25.0, 160.0),
+    chi=st.complex_numbers(max_magnitude=5.0),
+)
+def test_packet_sweep_returns_or_refuses_without_a_warning(log_units, log_halfwidth, chi):
+    # a closed-form slice may come back non-finite (the CLI refuses it);
+    # nothing may warn on the way
+    params = OscillatorParams(*(10.0**u for u in log_units))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            packet_sweep(CoherentLabel(chi), [0.0, 0.5], params, 40, 10.0**log_halfwidth, 41)
+        except ValueError:
+            pass
