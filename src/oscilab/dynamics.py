@@ -5,6 +5,11 @@ per-level phase rotation; no integrator lives in the library. The phase
 transformation a -> a e^(i alpha), coeffs[n] -> coeffs[n] e^(-i n alpha) on
 states, is applied by `observables.phase_rotation_drifts`; the tests check
 it against the rotated ladder matrix of `tests/oracle.py`.
+
+`ehrenfest_residual` takes bare <x> and <p> arrays, so the
+`ehrenfest-mean-motion` criterion builds no `Trajectory`; it checks its
+sample times with `check_uniform_times`, the code behind the spacing
+checks of `Trajectory.from_columns`.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ __all__ = [
     "propagate_fock",
     "sample_times",
     "sample_trajectory",
+    "check_uniform_times",
     "ehrenfest_residual",
 ]
 
@@ -41,7 +47,7 @@ class Trajectory:
 
     `Trajectory.from_columns(columns, dt)` is the one constructor; it takes
     the columns of a batched kernel and checks that the time column is
-    nonempty, strictly increasing and spaced by dt.
+    nonempty, strictly increasing and spaced by dt (`check_uniform_times`).
     """
 
     __slots__ = ("_columns", "dt")
@@ -56,19 +62,9 @@ class Trajectory:
             values.setflags(write=False)
             arrays[name] = values
         times = arrays["time"]
-        if times.ndim != 1 or times.size == 0:
-            raise ValueError("trajectory needs at least one record")
         if any(values.shape != times.shape for values in arrays.values()):
             raise ValueError("every column must have one value per time")
-        if not (math.isfinite(dt) and dt > 0):
-            raise ValueError(f"dt must be finite and positive, got {dt!r}")
-        if times.size > 1:
-            steps = np.diff(times)
-            if np.any(steps <= 0):
-                raise ValueError("record times must be strictly increasing")
-            tol = 1e-9 * max(1.0, float(np.max(np.abs(times))))
-            if np.max(np.abs(steps - dt)) > tol:
-                raise ValueError("record times must be uniformly spaced by dt")
+        check_uniform_times(times, dt)
         traj = object.__new__(cls)
         object.__setattr__(traj, "_columns", arrays)
         object.__setattr__(traj, "dt", float(dt))
@@ -100,6 +96,23 @@ class Trajectory:
         if name not in self._columns:
             raise KeyError(f"no column {name!r}; columns are {RECORD_COLUMNS}")
         return self._columns[name]
+
+
+def check_uniform_times(times: np.ndarray, dt: float) -> None:
+    """Raise ValueError unless the 1-d times are nonempty, dt is finite and
+    positive, and the times strictly increase in steps of dt to within
+    1e-9 max(1, |t|)."""
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("trajectory needs at least one record")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if times.size > 1:
+        steps = np.diff(times)
+        if np.any(steps <= 0):
+            raise ValueError("record times must be strictly increasing")
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(times))))
+        if np.max(np.abs(steps - dt)) > tol:
+            raise ValueError("record times must be uniformly spaced by dt")
 
 
 def propagate_fock(state: StateVector, t: float, params: OscillatorParams) -> StateVector:
@@ -154,21 +167,26 @@ def sample_trajectory(
 
 
 def ehrenfest_residual(
-    traj: Trajectory, params: OscillatorParams
+    mean_x: np.ndarray, mean_p: np.ndarray, dt: float, params: OscillatorParams
 ) -> tuple[float, float]:
-    """Worst violation of the classical oscillator equations along a trajectory.
+    """Worst violation of the classical oscillator equations by <x> and <p>
+    sampled at the uniform spacing dt.
 
     At interior samples, centered differences test both the second-order
     equations D2 x + omega^2 x = 0, D2 p + omega^2 p = 0 and the first-order
     relations D x = p / M, D p = -M omega^2 x; per component the worse of
-    the two is returned. For exact means both scale as dt^2.
+    the two is returned. For exact means both scale as dt^2. The caller
+    vouches for the spacing, with `check_uniform_times` on the sample times.
     """
-    if len(traj) < 3:
-        raise ValueError(f"need at least 3 records, got {len(traj)}")
-    dt = traj.dt
+    x = np.asarray(mean_x, dtype=float)
+    p = np.asarray(mean_p, dtype=float)
+    if x.ndim != 1 or x.shape != p.shape:
+        raise ValueError(
+            f"need two 1-d arrays of one length, got shapes {x.shape} and {p.shape}"
+        )
+    if x.size < 3:
+        raise ValueError(f"need at least 3 samples, got {x.size}")
     omega2 = params.omega**2
-    x = traj.column("mean_x")
-    p = traj.column("mean_p")
 
     def second(values: np.ndarray) -> np.ndarray:
         return (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (dt * dt)

@@ -13,18 +13,22 @@ Every brute-force average comes from one kernel, `_moments`, which takes a
 block of coefficient rows. Each operator lies within two places of the
 diagonal, so each expectation is a shifted elementwise product summed with
 numpy along the level axis: no dense matrix and no BLAS call, so the digits
-do not depend on the BLAS build or its thread count. `_columns` runs it
-over blocks of rows, with the norm check and one TruncationWarning:
-`averages_bruteforce` is its 1-row call, and `averages_bruteforce_batch`
-(one state propagated to many times) and `averages_bruteforce_fock` (many
-number states) feed it blocks of BATCH_TIMES rows, each row the 1-row call
-to the bit. `phase_rotation_drifts` reads a block and its phase-rotated copy
-from the kernel. Tests pin the kernel to the dense matrices of
-`tests/oracle.py`.
+do not depend on the BLAS build or its thread count. `_first_moments` holds
+its checks (finite coefficients, the norm, the top-two level mass) and the
+one <a> sum, from which <x> and <p> follow; `_moments` adds the second
+moments on top. `_columns` runs one of the two over blocks of rows, with
+one TruncationWarning: `averages_bruteforce` is its 1-row call, and
+`averages_bruteforce_batch` (one state propagated to many times),
+`mean_motion_batch` (the same, <x> and <p> only) and
+`averages_bruteforce_fock` (many number states) feed it blocks of at most
+BATCH_CELLS rows x levels, each row the 1-row call to the bit.
+`phase_rotation_drifts` reads a block and its phase-rotated copy from
+`_moments`. Tests pin the kernel to the dense matrices of `tests/oracle.py`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -47,6 +51,7 @@ __all__ = [
     "averages_bruteforce",
     "averages_bruteforce_batch",
     "averages_bruteforce_fock",
+    "mean_motion_batch",
     "averages_closedform",
     "averages_closedform_batch",
     "phase_rotation_drifts",
@@ -61,9 +66,11 @@ VARIANCE_CLIP_TOL = 1e-12
 
 DEFAULT_NORM_TOL = 1e-10
 
-# Rows per block of the batched kernel. At the largest automatic truncation
-# (1025 levels) one complex block is 4 MiB, whatever the number of rows.
-BATCH_TIMES = 256
+# Rows x levels per block of the batched kernels: one complex block is
+# 256 KiB whatever the truncation, 963 rows at n_max 16 and 29 at n_max 551,
+# so a block and its temporaries stay in a 2 MiB L2 cache. On such a core,
+# 2^16 cells ran no faster and raised the peak RSS of `verify` by 3.4 MiB.
+BATCH_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -123,16 +130,50 @@ def _variance(second_moment, mean):
     return np.where(var < 0.0, 0.0, var)
 
 
+def _first_moments(c: np.ndarray, params: OscillatorParams, norm_tol: float):
+    """The checks of the kernel and the first moments of each row of a block.
+
+    c is a nonempty (rows, n_max + 1) complex block. Raises ValueError on
+    nonfinite coefficients, and NormalizationError carrying the worst norm
+    when a row's norm is off 1 by more than norm_tol. Returns |c|^2, the
+    fields a_avg_re, a_avg_im, mean_x and mean_p, from
+        <a> = sum_n sqrt(n) conj(c[n-1]) c[n],
+        <x> = 2 sqrt(hbar/2M omega) Re<a>,  <p> = 2 sqrt(M hbar omega/2) Im<a>,
+    and the largest probability on the top two levels.
+    """
+    prob = c.real * c.real + c.imag * c.imag
+    norms = np.sqrt(prob.sum(axis=1))
+    # a nonfinite coefficient makes its row's norm nonfinite, quietly, so
+    # only a nonfinite norm calls for the full check
+    if not np.isfinite(norms).all() and not np.isfinite(c).all():
+        raise ValueError("coefficients must be finite")
+    worst = int(np.argmax(np.abs(norms - 1.0)))
+    if abs(norms[worst] - 1.0) > norm_tol:
+        raise NormalizationError(float(norms[worst]), norm_tol)
+    top_mass = float(np.max(prob[:, -2:].sum(axis=1)))
+    hbar, mass, omega = params.hbar, params.mass, params.omega
+    # in place, sqrt(n) conj(c[n-1]) c[n] to the bit: a complex product
+    # rounds alike with its factors swapped
+    terms = c[:, :-1].conj()
+    terms *= c[:, 1:]
+    terms *= np.sqrt(np.arange(1, c.shape[1], dtype=float))
+    a_avg = terms.sum(axis=1)
+    fields = {
+        "a_avg_re": a_avg.real,
+        "a_avg_im": a_avg.imag,
+        "mean_x": 2.0 * math.sqrt(hbar / (2.0 * mass * omega)) * a_avg.real,
+        "mean_p": 2.0 * math.sqrt(mass * hbar * omega / 2.0) * a_avg.imag,
+    }
+    return prob, fields, top_mass
+
+
 def _moments(c: np.ndarray, params: OscillatorParams, norm_tol: float):
     """Every RECORD_COLUMNS field but "time" for each row of a coefficient block.
 
-    c is a nonempty (rows, n_max + 1) complex block. Every operator here lies
-    within two places of the diagonal, so each expectation is a shifted
-    elementwise product summed along the contiguous level axis:
-        <a> = sum_n sqrt(n) conj(c[n-1]) c[n],
+    On top of `_first_moments` (its checks, <a>, <x> and <p>), with the
+    operators again within two places of the diagonal:
         <a a> = sum_n sqrt(n (n-1)) conj(c[n-2]) c[n],
         <a+ a> = sum_n n |c[n]|^2,  <H> = sum_n hbar omega (n + 1/2) |c[n]|^2,
-        <x> = 2 sqrt(hbar/2M omega) Re<a>,  <p> = 2 sqrt(M hbar omega/2) Im<a>,
         <x^2> = (hbar/2M omega) (sum_n d[n] |c[n]|^2 + 2 Re<a a>),
         <p^2> = (M hbar omega/2) (sum_n d[n] |c[n]|^2 - 2 Re<a a>),
     with d[n] = 2n + 1 except d[n_max] = n_max: the truncated product
@@ -141,59 +182,46 @@ def _moments(c: np.ndarray, params: OscillatorParams, norm_tol: float):
     calls BLAS, so row k of a block equals the one-row call to the bit, at
     any BLAS thread count.
 
-    Raises ValueError on nonfinite coefficients, and NormalizationError
-    carrying the worst norm when a row's norm is off 1 by more than norm_tol.
     Returns the fields and the largest probability on the top two levels.
     """
-    if not np.all(np.isfinite(c)):
-        raise ValueError("coefficients must be finite")
-    prob = c.real * c.real + c.imag * c.imag
-    norms = np.sqrt(prob.sum(axis=1))
-    worst = int(np.argmax(np.abs(norms - 1.0)))
-    if abs(norms[worst] - 1.0) > norm_tol:
-        raise NormalizationError(float(norms[worst]), norm_tol)
-    top_mass = float(np.max(prob[:, -2:].sum(axis=1)))
-
+    prob, fields, top_mass = _first_moments(c, params, norm_tol)
     hbar, mass, omega = params.hbar, params.mass, params.omega
     n_max = c.shape[1] - 1
     n = np.arange(n_max + 1, dtype=float)
-    a_avg = (np.sqrt(n[1:]) * (c[:, :-1].conj() * c[:, 1:])).sum(axis=1)
     a2_avg = (np.sqrt(n[2:] * n[1:-1]) * (c[:, :-2].conj() * c[:, 2:])).sum(axis=1)
     diag = 2.0 * n + 1.0
     diag[-1] = n_max
     spread = (diag * prob).sum(axis=1)
-    mean_x = 2.0 * math.sqrt(hbar / (2.0 * mass * omega)) * a_avg.real
-    mean_p = 2.0 * math.sqrt(mass * hbar * omega / 2.0) * a_avg.imag
     mean_x2 = (hbar / (2.0 * mass * omega)) * (spread + 2.0 * a2_avg.real)
     mean_p2 = (mass * hbar * omega / 2.0) * (spread - 2.0 * a2_avg.real)
-    fields = {
-        "mean_x": mean_x,
-        "mean_p": mean_p,
-        "mean_x2": mean_x2,
-        "mean_p2": mean_p2,
-        "n_avg": (n * prob).sum(axis=1),
-        "a_avg_re": a_avg.real,
-        "a_avg_im": a_avg.imag,
-        "a2_avg_re": a2_avg.real,
-        "a2_avg_im": a2_avg.imag,
-        "uncertainty": np.sqrt(_variance(mean_x2, mean_x) * _variance(mean_p2, mean_p)),
-        "energy": (hbar * omega * (n + 0.5) * prob).sum(axis=1),
-    }
+    var_x = _variance(mean_x2, fields["mean_x"])
+    var_p = _variance(mean_p2, fields["mean_p"])
+    fields.update(
+        mean_x2=mean_x2,
+        mean_p2=mean_p2,
+        n_avg=(n * prob).sum(axis=1),
+        a2_avg_re=a2_avg.real,
+        a2_avg_im=a2_avg.imag,
+        uncertainty=np.sqrt(var_x * var_p),
+        energy=(hbar * omega * (n + 0.5) * prob).sum(axis=1),
+    )
     return fields, top_mass
 
 
-def _columns(times, blocks, params: OscillatorParams, norm_tol=DEFAULT_NORM_TOL):
-    """RECORD_COLUMNS arrays from the kernel over consecutive blocks of rows,
-    one row per entry of `times`, and one TruncationWarning for the largest
-    top-two level mass of any row, attributed to the public function's caller."""
-    columns = {"time": times}
-    columns.update((name, np.empty(times.size)) for name in RECORD_COLUMNS[1:])
+def _columns(rows: int, blocks, kernel, names=RECORD_COLUMNS[1:]):
+    """The `names` columns of `kernel` over consecutive blocks of `rows` rows
+    in all, and one TruncationWarning for the largest top-two level mass of
+    any row, attributed to the public function's caller.
+
+    kernel maps a block to (fields, top-two level mass), as `_moments` does.
+    """
+    columns = {name: np.empty(rows) for name in names}
     top_mass = 0.0
     start = 0
     for c in blocks:
-        fields, block_top = _moments(c, params, norm_tol)
-        for name, values in fields.items():
-            columns[name][start:start + len(c)] = values
+        fields, block_top = kernel(c)
+        for name in names:
+            columns[name][start:start + len(c)] = fields[name]
         start += len(c)
         top_mass = max(top_mass, block_top)
     if top_mass > SUPPORT_MASS_TOL:
@@ -217,10 +245,24 @@ def averages_bruteforce(
     state is not normalized within norm_tol. Warns with TruncationWarning
     when the top two levels carry enough weight to bias the second moments.
     """
-    columns = _columns(
-        np.array([state.time]), [state.coeffs[np.newaxis, :]], params, norm_tol
+    kernel = functools.partial(_moments, params=params, norm_tol=norm_tol)
+    columns = _columns(1, [state.coeffs[np.newaxis, :]], kernel)
+    values = (columns[name][0] for name in RECORD_COLUMNS[1:])
+    return record_from_row([state.time, *values])
+
+
+def _propagated_blocks(base: StateVector, times, params: OscillatorParams):
+    """The 1-d float times, and `base` propagated by each of them in blocks of
+    at most BATCH_CELLS rows x levels."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be one-dimensional, got shape {times.shape}")
+    rows = max(1, BATCH_CELLS // (base.n_max + 1))
+    blocks = (
+        base.coeffs * level_phases(params, times[start:start + rows], base.n_max)
+        for start in range(0, times.size, rows)
     )
-    return record_from_row([columns[name][0] for name in RECORD_COLUMNS])
+    return times, blocks
 
 
 def averages_bruteforce_batch(
@@ -236,17 +278,31 @@ def averages_bruteforce_batch(
     Every sample gets the checks of the per-state path: finite coefficients,
     DEFAULT_NORM_TOL (the NormalizationError carries the worst norm of the
     first block that fails) and the variance clip. A single TruncationWarning
-    reports the largest top-two level mass. Times go through in blocks of
-    BATCH_TIMES, so memory does not grow with their number.
+    reports the largest top-two level mass. Times go through in blocks of at
+    most BATCH_CELLS rows x levels, so memory does not grow with their number.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ValueError(f"times must be one-dimensional, got shape {times.shape}")
-    blocks = (
-        base.coeffs * level_phases(params, times[start:start + BATCH_TIMES], base.n_max)
-        for start in range(0, times.size, BATCH_TIMES)
+    times, blocks = _propagated_blocks(base, times, params)
+    kernel = functools.partial(_moments, params=params, norm_tol=DEFAULT_NORM_TOL)
+    return {"time": base.time + times, **_columns(times.size, blocks, kernel)}
+
+
+def mean_motion_batch(
+    base: StateVector, times, params: OscillatorParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """(mean_x, mean_p) of `base` propagated by each of `times`.
+
+    Row k equals row k of the mean_x and mean_p columns of
+    `averages_bruteforce_batch` to the bit, with the same blocks, the same
+    refusals and the same single TruncationWarning: only the second
+    moments, which these two columns never read, are skipped.
+    """
+    times, blocks = _propagated_blocks(base, times, params)
+    columns = _columns(
+        times.size, blocks,
+        lambda c: _first_moments(c, params, DEFAULT_NORM_TOL)[1:],  # (fields, top mass)
+        ("mean_x", "mean_p"),
     )
-    return _columns(base.time + times, blocks, params)
+    return columns["mean_x"], columns["mean_p"]
 
 
 def averages_bruteforce_fock(
@@ -257,7 +313,8 @@ def averages_bruteforce_fock(
     Row k equals `averages_bruteforce` of the basis vector |levels[k]> at
     truncation n_max to the bit, with the checks and the single
     TruncationWarning of `averages_bruteforce_batch`. The basis rows go
-    through in blocks of BATCH_TIMES, so memory stays linear in n_max.
+    through in blocks of at most BATCH_CELLS rows x levels, so memory stays
+    linear in n_max.
     """
     levels = np.asarray(levels, dtype=int)
     if levels.ndim != 1:
@@ -273,11 +330,13 @@ def averages_bruteforce_fock(
         c[np.arange(chunk.size), chunk] = 1.0
         return c
 
+    rows = max(1, BATCH_CELLS // (n_max + 1))
     blocks = (
-        basis_rows(levels[start:start + BATCH_TIMES])
-        for start in range(0, levels.size, BATCH_TIMES)
+        basis_rows(levels[start:start + rows])
+        for start in range(0, levels.size, rows)
     )
-    return _columns(np.zeros(levels.size), blocks, params)
+    kernel = functools.partial(_moments, params=params, norm_tol=DEFAULT_NORM_TOL)
+    return {"time": np.zeros(levels.size), **_columns(levels.size, blocks, kernel)}
 
 
 def phase_rotation_drifts(

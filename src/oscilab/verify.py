@@ -10,7 +10,9 @@ The seed selects the draws of `hermite-generating-identity` and
 through a 64-bit mixer) computed with integer numpy, so `numpy.random` is
 never imported. `phase-symmetry` passes its whole block of random states to
 `observables.phase_rotation_drifts`, the sweep behind the `symmetry-check`
-command; no criterion builds a dense operator.
+command; no criterion builds a dense operator. `ehrenfest-mean-motion`
+reads only <x> and <p>, so it takes them from `observables.mean_motion_batch`,
+which skips the second moments, and builds no `Trajectory`.
 
 The Runge-Kutta coefficient integrator defined here exists purely as an
 independent cross-check of the exact spectral propagator. Library code never
@@ -38,17 +40,17 @@ from .coherent import (
     resolve_n_max,
 )
 from .dynamics import (
-    Trajectory,
+    check_uniform_times,
     ehrenfest_residual,
     propagate_fock,
-    sample_trajectory,
+    sample_times,
 )
 from .fock import OscillatorParams
 from .observables import (
-    RECORD_COLUMNS,
     averages_bruteforce_batch,
     averages_bruteforce_fock,
     averages_closedform_batch,
+    mean_motion_batch,
     phase_rotation_drifts,
     uncertainty_fock,
 )
@@ -204,21 +206,23 @@ def check_ehrenfest(
     fourfold (to within 20%) when dt halves. n_max=None applies the auto
     truncation rule.
 
-    Only the dt = 5e-4 trajectory is sampled. The dt = 1e-3 sample times are
-    its even rows to the bit, and a row's averages do not depend on the
-    rows around it, so the coarse trajectory is those rows, rebuilt through
-    `Trajectory.from_columns` and its spacing checks.
+    Only <x> and <p> are computed (`mean_motion_batch`), and only at the
+    dt = 5e-4 times. The dt = 1e-3 sample times are their even rows to the
+    bit, and a row's averages do not depend on the rows around it, so the
+    coarse residual is taken on those rows. `check_uniform_times` checks
+    the spacing of both sample sets.
     """
     params = OscillatorParams()  # omega = 1 pinned by the tolerance model
     label = CoherentLabel(1 + 0j if chi is None else chi)
     period = 2.0 * math.pi / params.omega
     tol = 1e-5
-    fine_traj = sample_trajectory(label, params, 0.0, period, 5e-4, n_max)
-    coarse_traj = Trajectory.from_columns(
-        {name: fine_traj.column(name)[::2] for name in RECORD_COLUMNS}, 1e-3
-    )
-    coarse = ehrenfest_residual(coarse_traj, params)
-    fine = ehrenfest_residual(fine_traj, params)
+    times = sample_times(0.0, period, 5e-4)
+    base = coherent_coefficients(label, resolve_n_max(label, n_max))
+    mean_x, mean_p = mean_motion_batch(base, times, params)
+    check_uniform_times(times, 5e-4)
+    check_uniform_times(times[::2], 1e-3)
+    coarse = ehrenfest_residual(mean_x[::2], mean_p[::2], 1e-3, params)
+    fine = ehrenfest_residual(mean_x, mean_p, 5e-4, params)
     ok = max(coarse) < tol
     ratios = []
     for c, f in zip(coarse, fine):

@@ -56,9 +56,14 @@ def test_explicit_n_max_reaches_every_sweeping_criterion():
     from oscilab.fock import NormalizationError
     from oscilab.verify import check_ehrenfest, check_wave_packet
 
-    # n_max = 4 keeps 5.5% of the chi = 3 state: both criteria must see that
-    with pytest.raises(NormalizationError):
+    # n_max = 4 keeps 5.5% of the chi = 3 state: both criteria must see that,
+    # ehrenfest-mean-motion with the worst norm of its first block, the text
+    # of the `verify --chi-re 3 --n-max 4` corpus case
+    with pytest.raises(NormalizationError) as excinfo:
         check_ehrenfest(3 + 0j, n_max=4)
+    assert str(excinfo.value) == (
+        "state norm 0.23444325858319087 deviates from 1 by more than tolerance 1e-10"
+    )
     assert check_wave_packet((3 + 0j,), n_max=4).detail == (
         "max |series - closed| = 7.759e-01 (tol 1e-08), "
         "max width drift = 2.301e+00 (tol 1e-08)"
@@ -76,29 +81,31 @@ def test_ehrenfest_detail_is_pinned():
 
 @pytest.mark.parametrize("chi", DEFAULT_CHI_SET)
 def test_ehrenfest_reads_the_coarse_trajectory_from_the_fine_one(monkeypatch, chi):
-    # the dt = 1e-3 trajectory whose residual check_ehrenfest reports equals
-    # an independently sampled one, column by column and residual by residual
+    # the dt = 1e-3 <x> and <p> whose residual check_ehrenfest reports equal
+    # an independently sampled trajectory's, column by column and residual
+    # by residual
     from oscilab import verify
     from oscilab.coherent import CoherentLabel
     from oscilab.dynamics import ehrenfest_residual, sample_trajectory
     from oscilab.fock import OscillatorParams
-    from oscilab.observables import RECORD_COLUMNS
 
     seen = {}
 
-    def recording_residual(traj, params):
-        residual = ehrenfest_residual(traj, params)
-        seen[traj.dt] = (traj, residual)
+    def recording_residual(mean_x, mean_p, dt, params):
+        residual = ehrenfest_residual(mean_x, mean_p, dt, params)
+        seen[dt] = (mean_x, mean_p, residual)
         return residual
 
     monkeypatch.setattr(verify, "ehrenfest_residual", recording_residual)
     verify.check_ehrenfest(chi)
     params = OscillatorParams()
     independent = sample_trajectory(CoherentLabel(chi), params, 0.0, 2.0 * math.pi, 1e-3)
-    coarse, residual = seen[1e-3]
-    for name in RECORD_COLUMNS:
-        assert coarse.column(name).tobytes() == independent.column(name).tobytes()
-    assert residual == ehrenfest_residual(independent, params)
+    mean_x, mean_p, residual = seen[1e-3]
+    assert mean_x.tobytes() == independent.column("mean_x").tobytes()
+    assert mean_p.tobytes() == independent.column("mean_p").tobytes()
+    assert residual == ehrenfest_residual(
+        independent.column("mean_x"), independent.column("mean_p"), 1e-3, params
+    )
 
 
 @pytest.mark.parametrize("chi", [5 + 0j, 10 + 0j, 3 - 4j])

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import math
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -26,7 +27,7 @@ from oracle import (
     rotate_xp,
     transform_state_phase,
 )
-from oscilab import cli, verify
+from oscilab import cli, verify, wavefunction
 from oscilab.cli import (
     AMPLITUDE_TAIL_TOL,
     PRODUCERS,
@@ -41,6 +42,7 @@ from oscilab.coherent import CoherentLabel, coherent_coefficients, truncation_ta
 from oscilab.fock import OscillatorParams
 from oscilab.observables import averages_closedform
 from oscilab.wavefunction import (
+    MAX_PACKET_CELLS,
     packet_sweep,
     psi_closed_grid,
     psi_series_grid,
@@ -669,6 +671,45 @@ def test_wavefunction_refuses_a_bad_grid_or_closed_form_by_name(argv, message, c
     assert captured.out == ""
     assert message in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, slices, points",
+    [
+        (["--grid-points", "1000000001"], 1, 1_000_000_001),
+        (["--t-end", "6.28", "--dt", "1e-6"], 6_280_001, 2001),  # 1.3e10 cells
+    ],
+)
+def test_wavefunction_refuses_more_packet_cells_than_the_bound(argv, slices, points):
+    # under a 2 GiB address-space limit a lost bound fails on a MemoryError
+    # instead of exhausting the machine
+    limit = 2 * 1024**3
+    result = subprocess.run(
+        [sys.executable, "-m", "oscilab", "wavefunction", *argv],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        timeout=120,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"oscilab: error: {slices} slices x {points} grid points is "
+        f"{slices * points} packet cells; the limit is {MAX_PACKET_CELLS}\n"
+    )
+
+
+def test_packet_sweep_takes_the_cell_bound_and_refuses_one_slice_more(monkeypatch):
+    monkeypatch.setattr(wavefunction, "MAX_PACKET_CELLS", 3 * 2001)
+    label = CoherentLabel(1)
+    times = np.array([0.0, 0.5, 1.0])
+    params = OscillatorParams()
+    assert packet_sweep(label, times, params, 16)[0].shape == (3, 2001)
+    with pytest.raises(ValueError, match="4 slices x 2001 grid points is 8004 "):
+        packet_sweep(label, np.append(times, 1.5), params, 16)
+    with pytest.raises(ValueError, match="3 slices x 2003 grid points is 6009 "):
+        packet_sweep(label, times, params, 16, npoints=2003)
 
 
 def test_wavefunction_accepts_an_honest_under_truncation(tmp_path, capsys):

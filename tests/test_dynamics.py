@@ -24,6 +24,7 @@ from oracle import (
 )
 from oscilab.dynamics import (
     Trajectory,
+    check_uniform_times,
     ehrenfest_residual,
     propagate_fock,
     sample_times,
@@ -184,6 +185,30 @@ def test_trajectory_rejects_bad_sampling():
         Trajectory.from_columns(reversed_columns, dt=0.05)
 
 
+def test_the_spacing_helper_refuses_what_from_columns_refuses():
+    traj = closedform_trajectory(CoherentLabel(1), PARAMS, 0.0, 0.1, 0.05)
+    times = traj.column("time")
+    refused = [
+        (times, 0.07, "uniformly spaced"),
+        (times, -0.05, "finite and positive"),
+        (times, float("nan"), "finite and positive"),
+        (np.zeros(0), 0.05, "at least one record"),
+        (np.zeros((1, 1)), 0.05, "at least one record"),
+        (times[::-1], 0.05, "strictly increasing"),
+        (np.array([0.0, 0.0, 0.05]), 0.05, "strictly increasing"),
+    ]
+    for values, dt, message in refused:
+        columns = {name: np.zeros(values.shape) for name in RECORD_COLUMNS}
+        columns["time"] = values
+        with pytest.raises(ValueError, match=message):
+            check_uniform_times(values, dt)
+        with pytest.raises(ValueError, match=message):
+            Trajectory.from_columns(columns, dt)
+    check_uniform_times(times, 0.05)
+    check_uniform_times(times[::2], 0.1)
+    check_uniform_times(np.array([7.0]), 0.05)  # one sample has no spacing
+
+
 def test_from_columns_is_the_one_constructor():
     records = closedform_trajectory(CoherentLabel(1), PARAMS, 0.0, 0.1, 0.05).records
     with pytest.raises(TypeError):
@@ -208,23 +233,22 @@ def test_mean_motion_follows_classical_solution():
     np.testing.assert_allclose(traj.column("mean_x"), expected, atol=1e-10)
 
 
+def residual_of(traj: Trajectory):
+    x, p = traj.column("mean_x"), traj.column("mean_p")
+    return ehrenfest_residual(x, p, traj.dt, PARAMS)
+
+
 def test_ehrenfest_residual_zero_for_stationary_state():
     base = fock_state(2, 8)
     columns = averages_bruteforce_batch(base, sample_times(0.0, 0.4, 0.1), PARAMS)
     traj = Trajectory.from_columns(columns, 0.1)
-    assert ehrenfest_residual(traj, PARAMS) == (0.0, 0.0)
+    assert residual_of(traj) == (0.0, 0.0)
 
 
 def test_ehrenfest_residual_small_and_quadratic_in_dt():
     label = CoherentLabel(1)
-    coarse = ehrenfest_residual(
-        closedform_trajectory(label, PARAMS, 0.0, 2 * math.pi, 1e-3),
-        PARAMS,
-    )
-    fine = ehrenfest_residual(
-        closedform_trajectory(label, PARAMS, 0.0, 2 * math.pi, 5e-4),
-        PARAMS,
-    )
+    coarse = residual_of(closedform_trajectory(label, PARAMS, 0.0, 2 * math.pi, 1e-3))
+    fine = residual_of(closedform_trajectory(label, PARAMS, 0.0, 2 * math.pi, 5e-4))
     assert max(coarse) < 1e-5
     for c, f in zip(coarse, fine):
         assert c / f == pytest.approx(4.0, rel=0.2)
@@ -234,7 +258,9 @@ def test_ehrenfest_needs_three_records():
     traj = closedform_trajectory(CoherentLabel(1), PARAMS, 0.0, 0.01, 0.01)
     assert len(traj) == 2
     with pytest.raises(ValueError):
-        ehrenfest_residual(traj, PARAMS)
+        residual_of(traj)
+    with pytest.raises(ValueError):  # one <p> short of the <x>
+        ehrenfest_residual(np.zeros(3), np.zeros(2), 0.01, PARAMS)
 
 
 def test_phase_angle_reduction():

@@ -30,9 +30,10 @@ from oscilab.fock import (
     StateVector,
     TruncationWarning,
 )
+from oscilab import observables
 from oscilab.dynamics import propagate_fock
 from oscilab.observables import (
-    BATCH_TIMES,
+    BATCH_CELLS,
     RECORD_COLUMNS,
     _variance,
     averages_bruteforce,
@@ -40,6 +41,7 @@ from oscilab.observables import (
     averages_bruteforce_fock,
     averages_closedform,
     averages_closedform_batch,
+    mean_motion_batch,
     phase_rotation_drifts,
     record_from_row,
     uncertainty_fock,
@@ -219,14 +221,16 @@ def test_record_serialization_schema():
     assert record_from_row(row) == rec
 
 
-# not a multiple of the block size, and negative times included
-BATCH_SAMPLE_TIMES = np.linspace(-1.0, 7.0, BATCH_TIMES + 45)
+# blocks of 256 rows below: not a multiple of the block size, and negative
+# times included
+BATCH_SAMPLE_TIMES = np.linspace(-1.0, 7.0, 256 + 45)
 
 
 @pytest.mark.parametrize("chi", DEFAULT_CHI_SET + (5.0, 3 - 4j))
-def test_batched_bruteforce_matches_per_state_oracle(chi):
+def test_batched_bruteforce_matches_per_state_oracle(monkeypatch, chi):
     label = CoherentLabel(chi)
     base = coherent_coefficients(label, auto_n_max(label) + 2)
+    monkeypatch.setattr(observables, "BATCH_CELLS", 256 * (base.n_max + 1))
     columns = averages_bruteforce_batch(base, BATCH_SAMPLE_TIMES, PARAMS)
     assert tuple(columns) == RECORD_COLUMNS
     oracle = np.array(
@@ -333,8 +337,14 @@ def test_kernel_matches_the_dense_matrices_for_any_state_and_units(
     assert_kernel_matches_dense([state], OscillatorParams(hbar, mass, omega))
 
 
+# one row, and around the block bounds of the 552 levels of n_max 551 and
+# past the one block of the 31 and 41 levels of n_max 30 and 40
+BLOCK_EDGE_ROWS = [1, *(BATCH_CELLS // 552 + d for d in (-1, 0, 1))]
+BLOCK_EDGE_ROWS += [BATCH_CELLS // 41 + 1, BATCH_CELLS // 31 + 1]
+
+
 @pytest.mark.filterwarnings("ignore::oscilab.fock.TruncationWarning")
-@pytest.mark.parametrize("rows", [1, BATCH_TIMES - 1, BATCH_TIMES, BATCH_TIMES + 1])
+@pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
 def test_every_batched_row_equals_the_one_row_call_to_the_bit(rows):
     rng = np.random.default_rng(rows)
     times = rng.uniform(-5.0, 5.0, rows)
@@ -350,6 +360,83 @@ def test_every_batched_row_equals_the_one_row_call_to_the_bit(rows):
     for k in (0, rows // 2, rows - 1):
         want = record_row(averages_bruteforce(fock_state(levels[k], 40), PARAMS))
         assert tuple(columns[name][k] for name in RECORD_COLUMNS) == want
+
+
+def _outcome(fn, base, times, params):
+    """fn's result or the ValueError it raised, and every warning it issued
+    as (category, text, file)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(base, times, params)
+        except ValueError as exc:  # NormalizationError included
+            result = exc
+    return result, [(w.category, str(w.message), w.filename) for w in caught]
+
+
+def assert_mean_motion_is_the_batch_kernel(base, times, params):
+    """mean_motion_batch gives averages_bruteforce_batch's mean_x and mean_p
+    to the byte, or the same refusal; and the same warnings either way."""
+    motion, motion_warnings = _outcome(mean_motion_batch, base, times, params)
+    full, full_warnings = _outcome(averages_bruteforce_batch, base, times, params)
+    assert motion_warnings == full_warnings
+    assert all(filename == __file__ for _, _, filename in motion_warnings)
+    if isinstance(full, ValueError):
+        assert type(motion) is type(full) and str(motion) == str(full)
+        return None
+    assert [values.tobytes() for values in motion] == [
+        full["mean_x"].tobytes(), full["mean_p"].tobytes()
+    ]
+    return motion
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    chi_re=st.floats(-9.0, 9.0),
+    chi_im=st.floats(-9.0, 9.0),
+    hbar=st.floats(1e-3, 1e3),
+    mass=st.floats(1e-3, 1e3),
+    omega=st.floats(1e-3, 1e3),
+    n_max=st.integers(0, 200),
+    count=st.integers(0, 40),
+    block_rows=st.integers(1, 41),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(chi_re=1.0, chi_im=0.5, hbar=1.0, mass=1.0, omega=1.0, n_max=16,
+         count=7, block_rows=1, seed=0)
+def test_mean_motion_batch_is_the_batch_kernels_means_to_the_bit(
+    chi_re, chi_im, hbar, mass, omega, n_max, count, block_rows, seed
+):
+    # the blocks of `block_rows` rows cross bounds whenever count exceeds it;
+    # the default bound gives the same bytes, one block or several
+    params = OscillatorParams(hbar, mass, omega)
+    base = coherent_coefficients(CoherentLabel(complex(chi_re, chi_im)), n_max)
+    times = np.random.default_rng(seed).uniform(-10.0, 10.0, count)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(observables, "BATCH_CELLS", block_rows * (n_max + 1))
+        motion = assert_mean_motion_is_the_batch_kernel(base, times, params)
+    if motion is not None:
+        default, _ = _outcome(mean_motion_batch, base, times, params)
+        assert [v.tobytes() for v in default] == [v.tobytes() for v in motion]
+
+
+def test_mean_motion_batch_refuses_and_warns_as_the_batch_kernel():
+    under = coherent_coefficients(CoherentLabel(3), 4)
+    with pytest.raises(NormalizationError) as excinfo:
+        mean_motion_batch(under, [0.0, 1.0], PARAMS)
+    assert excinfo.value.norm == pytest.approx(under.norm(), rel=1e-12)
+    assert_mean_motion_is_the_batch_kernel(under, [0.0, 1.0], PARAMS)
+    with np.errstate(invalid="ignore"):  # cos(inf) is nan: non-finite rows
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            mean_motion_batch(fock_state(1, 6), [0.0, np.inf], PARAMS)
+        assert_mean_motion_is_the_batch_kernel(fock_state(1, 6), [0.0, np.inf], PARAMS)
+    with pytest.warns(TruncationWarning):
+        mean_motion_batch(fock_state(12, 12), np.arange(300.0), PARAMS)
+    assert_mean_motion_is_the_batch_kernel(fock_state(12, 12), np.arange(300.0), PARAMS)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        mean_motion_batch(fock_state(1, 6), np.zeros((2, 2)), PARAMS)
+    empty = mean_motion_batch(fock_state(1, 6), [], PARAMS)
+    assert [values.shape for values in empty] == [(0,), (0,)]
 
 
 def test_fock_states_give_the_exact_uncertainty_product():

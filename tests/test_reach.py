@@ -23,9 +23,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 PACKAGE = Path(oscilab.__file__).resolve().parent
 
 ALLOWLIST = {
+    "dynamics.Trajectory.__len__": "the README's library example",
     "dynamics.Trajectory.__reduce__": "pickle and copy support for library users",
     "dynamics.Trajectory.__setattr__": "the immutability guard; nothing assigns",
+    "dynamics.Trajectory.column": "the README's library example",
+    "dynamics.Trajectory.from_columns": "the README's library example",
     "dynamics.Trajectory.records": "the README's per-sample view of the columns",
+    "dynamics.sample_trajectory": "the README's library example",
     "fock.StateVector.norm": "public accessor of a state's norm",
     "fock.make_xp": "perfbench's traced metric fock.make_xp.calls names it",
     "observables.averages_bruteforce": "the README's 1-row view of the batch kernel",
