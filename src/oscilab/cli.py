@@ -10,6 +10,11 @@ for the schema, the echoed config (including the resolved truncation level)
 and footer records; JSON output is one object with "config", "rows" and
 "footer".
 
+Each call is a fresh process, so the module imports no more than every
+command needs: `json` is imported by the JSON branches only, and the
+parser is built without argparse parent parsers. `main` keeps freed
+array memory in the process (`_keep_freed_memory`).
+
 Exit codes: 0 success, 1 usage/invalid config, 2 unwritable output,
 3 failed verification.
 """
@@ -19,11 +24,9 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +39,8 @@ from .coherent import (
     resolve_n_max,
     truncation_tail,
 )
-from .dynamics import sample_times
-from .fock import OscillatorParams
+from .dynamics import sample_count, sample_times
+from .fock import OscillatorParams, Value
 from .observables import (
     RECORD_COLUMNS,
     averages_bruteforce_batch,
@@ -65,6 +68,12 @@ AMPLITUDE_TAIL_TOL = 1e-18
 # Largest accepted gap between a wavefunction slice's quadrature norm and
 # the truncated state's norm; the packet tolerance `verify` uses.
 QUADRATURE_TOL = 1e-8
+# Time samples x columns of one trajectory table, refused above this before
+# any average is computed. A cell costs about 121 B as JSON and 69 B as CSV,
+# rendering included (125,664 rows of 34 JSON cells peaked 507 MiB above the
+# imported CLI), so an accepted run stays near 0.5 GiB, below 1 GiB; the
+# largest golden-corpus trajectory has 21,386 cells.
+MAX_TRAJECTORY_CELLS = 2**22
 # Largest ulp a level phase may have, in radians: 2 pi 2^-20, about 6e-6.
 PHASE_ULP_LIMIT = 2.0 * math.pi * 2.0**-20
 
@@ -73,23 +82,21 @@ class UsageError(ValueError):
     """Invalid configuration; maps to exit code 1."""
 
 
-@dataclass
-class RunConfig:
-    command: str
-    chi_re: float | None = 1.0
-    chi_im: float | None = 0.0
-    hbar: float = 1.0
-    mass: float = 1.0
-    omega: float = 1.0
-    n_max: int | str = "auto"
-    t_start: float = 0.0
-    t_end: float = 0.0
-    dt: float = 0.01
-    grid_halfwidth: float = 10.0
-    grid_points: int = 2001
-    output_path: str = "-"
-    format: str = "csv"
-    seed: int = 0
+class RunConfig(Value):
+    """One command's parsed options; `main` builds it from the argparse
+    namespace, so each field is the `dest` of an option."""
+
+    __slots__ = ("command", "chi_re", "chi_im", "hbar", "mass", "omega", "n_max",
+                 "t_start", "t_end", "dt", "grid_halfwidth", "grid_points",
+                 "output_path", "format", "seed")
+
+    def __init__(self, command: str, chi_re: float | None = 1.0, chi_im: float | None = 0.0,
+                 hbar: float = 1.0, mass: float = 1.0, omega: float = 1.0,
+                 n_max: int | str = "auto", t_start: float = 0.0, t_end: float = 0.0,
+                 dt: float = 0.01, grid_halfwidth: float = 10.0, grid_points: int = 2001,
+                 output_path: str = "-", format: str = "csv", seed: int = 0):
+        self._init(command, chi_re, chi_im, hbar, mass, omega, n_max, t_start, t_end,
+                   dt, grid_halfwidth, grid_points, output_path, format, seed)
 
     def validate(self) -> None:
         """The checks argparse does not make; it already checks the command,
@@ -181,32 +188,33 @@ def _kernel_tables() -> tuple[np.ndarray, ...]:
     lo = np.array([float(v - int(h)) for v, h in zip(exact, hi.tolist())])
     split = 134217729.0 * hi  # 2^27 + 1
     hi_hi = split - (split - hi)
-    four = np.arange(10000)[:, np.newaxis] // np.array([1000, 100, 10, 1]) % 10
+    four = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # 0000..9999
     zeros = np.argmax(four[:, ::-1] != 0, axis=1)
     zeros[0] = 4
 
+    # the keep masks of the number shapes, over (shape, sig, slot)
+    shape = np.arange(_OTHER)[:, np.newaxis, np.newaxis]
+    sig = np.arange(18)[:, np.newaxis]
+    slot = np.arange(_CELL_SLOTS)
+    exp10 = shape - 4
+    fixed = shape < _SCIENTIFIC
+    digits = np.where(fixed, np.maximum(sig, exp10 + 1), sig)
+    point = np.where(fixed, exp10, 0)  # the digit the point follows
+    k, odd = np.divmod(slot - _DIGIT0, 2)  # digit k's slot, or the point's after it
+    body = (slot >= _DIGIT0) & (slot < _EXP)
+    keep = body & (odd == 0) & (k < digits)
+    keep |= body & (odd == 1) & (k == point) & (point >= 0) & (point < sig - 1)
+    keep |= (exp10 < 0) & (slot >= 1) & (slot < 2 - exp10)  # "0." and -exp10 - 1 zeros
+    keep |= ~fixed & (slot >= _EXP) & (slot < _EXP + 2)  # "e-"
+    keep |= ~fixed & (slot >= _EXP + np.where(shape == _SCIENTIFIC_3, 2, 3))
+    keep &= sig > 0  # a number has at least one significant digit
     masks = np.zeros((2, _OTHER + 1, 18, _CELL_SLOTS), bool)
+    masks[:, :_OTHER] = keep
     masks[1, :, :, 0] = True  # the minus sign
-    slots = np.arange(17)
-    for shape in range(_OTHER):
-        for sig in range(1, 18):
-            mask = masks[:, shape, sig]
-            if shape < _SCIENTIFIC:
-                exp10 = shape - 4
-                if exp10 < 0:
-                    mask[:, 1:2 - exp10] = True  # "0." and -exp10 - 1 zeros
-                digits, point = max(sig, exp10 + 1), exp10
-            else:
-                mask[:, _EXP:_EXP + 2] = True  # "e-"
-                mask[:, _EXP + (2 if shape == _SCIENTIFIC_3 else 3):] = True
-                digits, point = sig, 0
-            mask[:, _DIGIT0:_EXP:2] = slots < digits
-            if 0 <= point < sig - 1:
-                mask[:, _DIGIT0 + 1 + 2 * point] = True
     masks[:, _OTHER, 0, 1] = True  # zero: its "0"
     masks[:, _OTHER, 1, 0] = True  # fallback: its marker byte
     # each 4-digit string as one uint32, to gather four bytes at a time
-    four = (four + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    four = np.ascontiguousarray(four + np.uint8(ord("0"))).view(np.uint32).ravel()
     return hi, lo, hi_hi, hi - hi_hi, four, zeros, masks.reshape(-1, _CELL_SLOTS)
 
 
@@ -335,6 +343,8 @@ def _json_text(value) -> str:
     The stdlib encoder reprs floats its own way, so numbers go through the
     same formatter as the CSV cells.
     """
+    import json  # only JSON output needs it
+
     if isinstance(value, dict):
         items = ", ".join(
             f"{json.dumps(str(k))}: {_json_text(v)}" for k, v in value.items()
@@ -351,7 +361,7 @@ def _json_text(value) -> str:
 
 def _config_echo(config: RunConfig, n_max: int, source: str) -> list[tuple[str, object]]:
     """Every field but output_path, with the resolved n_max and its source."""
-    echo = dict(vars(config), n_max=n_max, n_max_source=source)
+    echo = dict(zip(config.__slots__, config._fields()), n_max=n_max, n_max_source=source)
     del echo["output_path"]
     for name in ("chi_re", "chi_im"):
         if echo[name] is None:
@@ -384,6 +394,8 @@ def _render(
             for record in footer
         ]
         return "".join(["\n".join(head), "\n", *body, *feet])
+    import json  # only JSON output needs it
+
     # one list of pieces, joined once, so the kernel's rows are copied once
     schema_id = json.dumps(f"{SCHEMA_PREFIX}.{schema}.{SCHEMA_VERSION}")
     pieces = [f'{{"schema": {schema_id}, "config": {_json_text(dict(echo))}, "rows": ']
@@ -425,18 +437,25 @@ def _check_phase(config: RunConfig, t: float, n_max: int) -> None:
         )
 
 
-def _sample_times(config: RunConfig, n_max: int) -> np.ndarray:
+def _sample_count(config: RunConfig, n_max: int) -> int:
+    """The number of sample times, once the interval and its phases pass."""
     if config.t_end < config.t_start:
         raise UsageError(
             f"t_end ({config.t_end}) must not precede t_start ({config.t_start})"
         )
     for t in (config.t_start, config.t_end):
         _check_phase(config, t, n_max)
-    return sample_times(config.t_start, config.t_end, config.dt)
+    return sample_count(config.t_start, config.t_end, config.dt)
 
 
 def _trajectory(config, params, label, n_max):
-    times = _sample_times(config, n_max)
+    samples, columns = _sample_count(config, n_max), 1 + 3 * (len(RECORD_COLUMNS) - 1)
+    if samples * columns > MAX_TRAJECTORY_CELLS:
+        raise UsageError(
+            f"{samples} time samples x {columns} columns is {samples * columns} "
+            f"trajectory cells; the limit is {MAX_TRAJECTORY_CELLS}"
+        )
+    times = sample_times(config.t_start, config.t_end, config.dt)
     brute = averages_bruteforce_batch(coherent_coefficients(label, n_max), times, params)
     closed = averages_closedform_batch(label, times, params)
     columns, values = ["time"], [times]
@@ -480,7 +499,8 @@ def _uncertainty(config, params, label, n_max):
 
 
 def _wavefunction(config, params, label, n_max):
-    times = _sample_times(config, n_max)
+    _sample_count(config, n_max)  # refuses a reversed interval or a digitless phase
+    times = sample_times(config.t_start, config.t_end, config.dt)
     coeffs = coherent_coefficients(label, n_max).coeffs
     coeff_norm2 = float(np.vdot(coeffs, coeffs).real)
     points, series, closed, norms, variances = packet_sweep(
@@ -599,75 +619,85 @@ def _n_max_type(text: str):
     return value
 
 
+def _state_options(p: argparse.ArgumentParser, units: bool = True) -> None:
+    p.add_argument("--chi-re", type=float, default=1.0, help="Re chi (default 1)")
+    p.add_argument("--chi-im", type=float, default=0.0, help="Im chi (default 0)")
+    if units:
+        p.add_argument("--hbar", type=float, default=1.0)
+        p.add_argument("--mass", type=float, default=1.0)
+        p.add_argument("--omega", type=float, default=1.0)
+    p.add_argument(
+        "--n-max", type=_n_max_type, default="auto",
+        help="truncation level, or 'auto' for the tail rule (default auto)",
+    )
+
+
+def _output_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--output", dest="output_path", default="-",
+        help="output file path, '-' for stdout (default)",
+    )
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _time_options(p: argparse.ArgumentParser, t_end_default: float) -> None:
+    p.add_argument("--t-start", type=float, default=0.0)
+    p.add_argument("--t-end", type=float, default=t_end_default)
+    p.add_argument("--dt", type=float, default=0.01)
+
+
+def _grid_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--grid-halfwidth", type=float, default=10.0,
+        help="grid half-width in oscillator lengths (default 10)",
+    )
+    p.add_argument(
+        "--grid-points", type=int, default=2001, help="odd point count (default 2001)"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser and one subparser per command; each option group is added
+    straight to the subparsers that take it, in the order --help lists it."""
     parser = _Parser(
         prog="oscilab",
         description="Harmonic-oscillator coherent-state laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def state_parent(units: bool = True) -> argparse.ArgumentParser:
-        p = _Parser(add_help=False)
-        p.add_argument("--chi-re", type=float, default=1.0, help="Re chi (default 1)")
-        p.add_argument("--chi-im", type=float, default=0.0, help="Im chi (default 0)")
-        if units:
-            p.add_argument("--hbar", type=float, default=1.0)
-            p.add_argument("--mass", type=float, default=1.0)
-            p.add_argument("--omega", type=float, default=1.0)
-        p.add_argument(
-            "--n-max", type=_n_max_type, default="auto",
-            help="truncation level, or 'auto' for the tail rule (default auto)",
-        )
-        return p
-
-    out = _Parser(add_help=False)
-    out.add_argument(
-        "--output", dest="output_path", default="-",
-        help="output file path, '-' for stdout (default)",
-    )
-    out.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    def time_parent(t_end_default: float) -> argparse.ArgumentParser:
-        p = _Parser(add_help=False)
-        p.add_argument("--t-start", type=float, default=0.0)
-        p.add_argument("--t-end", type=float, default=t_end_default)
-        p.add_argument("--dt", type=float, default=0.01)
-        return p
-
-    grid = _Parser(add_help=False)
-    grid.add_argument(
-        "--grid-halfwidth", type=float, default=10.0,
-        help="grid half-width in oscillator lengths (default 10)",
-    )
-    grid.add_argument(
-        "--grid-points", type=int, default=2001, help="odd point count (default 2001)"
-    )
-
-    sub.add_parser(
-        "trajectory", parents=[state_parent(), out, time_parent(2.0 * math.pi)],
+    trajectory = sub.add_parser(
+        "trajectory",
         help="closed-form and brute-force averages over time, plus differences",
     )
-    sub.add_parser(
-        "spectrum", parents=[state_parent(units=False), out],
-        help="level populations against the Poisson weights",
+    _state_options(trajectory)
+    _output_options(trajectory)
+    _time_options(trajectory, 2.0 * math.pi)
+    spectrum = sub.add_parser(
+        "spectrum", help="level populations against the Poisson weights"
     )
+    _state_options(spectrum, units=False)
+    _output_options(spectrum)
     uncertainty = sub.add_parser(
-        "uncertainty", parents=[state_parent(), out],
+        "uncertainty",
         help="fluctuation products of number states and the coherent state",
     )
+    _state_options(uncertainty)
+    _output_options(uncertainty)
     uncertainty.add_argument("--t-start", type=float, default=0.0)
-    sub.add_parser(
-        "wavefunction", parents=[state_parent(), out, time_parent(0.0), grid],
-        help="packet samples: truncated series against the closed form",
+    wavefunction = sub.add_parser(
+        "wavefunction", help="packet samples: truncated series against the closed form"
     )
-    sub.add_parser(
-        "symmetry-check", parents=[state_parent(), out],
-        help="phase-rotation invariance report",
-    )
+    _state_options(wavefunction)
+    _output_options(wavefunction)
+    _time_options(wavefunction, 0.0)
+    _grid_options(wavefunction)
+    symmetry = sub.add_parser("symmetry-check", help="phase-rotation invariance report")
+    _state_options(symmetry)
+    _output_options(symmetry)
     verify = sub.add_parser(
-        "verify", parents=[out],
-        help="run the acceptance battery (natural units); exit 3 on failure",
+        "verify", help="run the acceptance battery (natural units); exit 3 on failure"
     )
+    _output_options(verify)
     verify.add_argument(
         "--chi-re", type=float, default=None,
         help="override the probe set with this single label",
@@ -678,7 +708,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, and the
+# values `main` gives them. By default glibc maps each block of 128 KiB or
+# more on its own and unmaps it when freed, and trims the heap top past
+# 128 KiB free, so every kernel block, series accumulator and render chunk
+# faults its pages in afresh, at about 2.2 us per 4 KiB page on a KVM guest.
+# With these, freed blocks of up to 64 MiB stay in the heap for the next one.
+# M_TOP_PAD stays unset: padding the heap raised the peak RSS of `verify`.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD, _MMAP_THRESHOLD = 256 << 20, 64 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Set the two thresholds above; a libc without mallopt is left alone."""
+    import ctypes  # numpy has imported it already
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     try:
         ns = build_parser().parse_args(argv)
     except SystemExit as exc:

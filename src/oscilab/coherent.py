@@ -19,11 +19,10 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import OscillatorParams, StateVector, level_phases
+from .fock import OscillatorParams, StateVector, Value, level_phases
 
 __all__ = [
     "CoherentLabel",
@@ -44,14 +43,13 @@ AUTO_N_MAX_CAP = 1024
 TRUNCATION_MARGIN = 2
 
 
-@dataclass(frozen=True)
-class CoherentLabel:
+class CoherentLabel(Value):
     """The complex amplitude labelling a coherent state (dimensionless)."""
 
-    chi: complex
+    __slots__ = ("chi",)
 
-    def __post_init__(self):
-        chi = complex(self.chi)
+    def __init__(self, chi: complex):
+        chi = complex(chi)
         if not (math.isfinite(chi.real) and math.isfinite(chi.imag)):
             raise ValueError(f"label must be finite, got {chi!r}")
         try:  # abs() may return inf; ** raises past the float range
@@ -59,7 +57,7 @@ class CoherentLabel:
                 raise OverflowError
         except OverflowError:
             raise ValueError(f"label {chi!r} is too large: |chi|^2 overflows") from None
-        object.__setattr__(self, "chi", chi)
+        self._init(chi)
 
     @property
     def nbar(self) -> float:

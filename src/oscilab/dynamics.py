@@ -32,6 +32,7 @@ __all__ = [
     "Trajectory",
     "propagate_fock",
     "sample_times",
+    "sample_count",
     "sample_trajectory",
     "check_uniform_times",
     "ehrenfest_residual",
@@ -131,6 +132,12 @@ def sample_times(t_start: float, t_end: float, dt: float) -> np.ndarray:
     Raises ValueError, before allocating, when that is more than
     MAX_TIME_SAMPLES samples.
     """
+    return t_start + dt * np.arange(sample_count(t_start, t_end, dt))
+
+
+def sample_count(t_start: float, t_end: float, dt: float) -> int:
+    """The number of `sample_times(t_start, t_end, dt)`, with its refusals,
+    computed without allocating."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if t_end < t_start:
@@ -142,8 +149,7 @@ def sample_times(t_start: float, t_end: float, dt: float) -> np.ndarray:
             f"dt={dt!r} over [{t_start!r}, {t_end!r}] asks for {requested} "
             f"time samples; the limit is {MAX_TIME_SAMPLES}"
         )
-    count = int(math.floor(steps)) + 1
-    return t_start + dt * np.arange(count)
+    return int(math.floor(steps)) + 1
 
 
 def sample_trajectory(

@@ -5,12 +5,18 @@ matrix is built on any runtime path: every average comes from the banded
 products of `observables`, and the dense matrices the tests check them
 against live in `tests/oracle.py`. All values are immutable after
 construction and every operation is a pure function of its inputs.
+
+The package's value types (`OscillatorParams`, `StateVector`,
+`coherent.CoherentLabel`, `observables.ObservableRecord`,
+`verify.CriterionResult`, `wavefunction.WaveSample` and `cli.RunConfig`)
+derive from `Value`: fields in `__slots__`, set once by a hand-written
+`__init__`. Every CLI call imports them afresh, so they are plain classes
+rather than dataclasses, whose methods are built with `exec` on import.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +24,7 @@ __all__ = [
     "DimensionMismatchError",
     "NormalizationError",
     "TruncationWarning",
+    "Value",
     "OscillatorParams",
     "StateVector",
     "level_phases",
@@ -43,23 +50,60 @@ class TruncationWarning(UserWarning):
     """Occupied levels sit too close to the truncation edge to trust results."""
 
 
-@dataclass(frozen=True)
-class OscillatorParams:
+class Value:
+    """Base of the immutable value types: the fields are the subclass's
+    `__slots__`, in order, and its `__init__` sets each once through `_init`.
+
+    Assigning or deleting a field raises AttributeError; the repr shows
+    every field; values compare and hash by class and field values; pickle
+    and copy rebuild a value through its validating constructor.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _immutable(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of "
+                             f"immutable {type(self).__name__}")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return (type(self), self._fields())
+
+
+class OscillatorParams(Value):
     """Physical constants hbar, mass M and angular frequency omega.
 
     The defaults give natural units hbar = M = omega = 1, which is what the
     test suites mostly use; any strictly positive values are accepted.
     """
 
-    hbar: float = 1.0
-    mass: float = 1.0
-    omega: float = 1.0
+    __slots__ = ("hbar", "mass", "omega")
 
-    def __post_init__(self):
-        for name in ("hbar", "mass", "omega"):
-            value = getattr(self, name)
+    def __init__(self, hbar: float = 1.0, mass: float = 1.0, omega: float = 1.0):
+        for name, value in (("hbar", hbar), ("mass", mass), ("omega", omega)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        self._init(hbar, mass, omega)
 
     @property
     def length_scale(self) -> float:
@@ -67,35 +111,33 @@ class OscillatorParams:
         return math.sqrt(self.hbar / (self.mass * self.omega))
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(Value):
     """Complex amplitudes over |0>..|n_max| plus the time they refer to.
 
     The coefficient array is stored read-only; physical states have squared
-    norm 1 up to the tolerance of whoever consumes them.
+    norm 1 up to the tolerance of whoever consumes them. States compare and
+    hash by identity, as an array has no single truth value.
     """
 
-    coeffs: np.ndarray
-    n_max: int | None = None
-    time: float = 0.0
+    __slots__ = ("coeffs", "n_max", "time")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=complex)
+    def __init__(self, coeffs: np.ndarray, n_max: int | None = None, time: float = 0.0):
+        c = np.array(coeffs, dtype=complex)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a nonempty one-dimensional array")
-        n_max = c.size - 1 if self.n_max is None else int(self.n_max)
+        n_max = c.size - 1 if n_max is None else int(n_max)
         if c.size != n_max + 1:
             raise DimensionMismatchError(
                 f"{c.size} coefficients do not fit n_max={n_max}"
             )
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        if not math.isfinite(self.time):
+        if not math.isfinite(time):
             raise ValueError("time must be finite")
         c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "time", float(self.time))
+        self._init(c, n_max, float(time))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))

@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .fock import (
     OscillatorParams,
     StateVector,
     TruncationWarning,
+    Value,
     level_phases,
 )
 
@@ -73,24 +73,21 @@ DEFAULT_NORM_TOL = 1e-10
 BATCH_CELLS = 2**14
 
 
-@dataclass(frozen=True)
-class ObservableRecord:
+class ObservableRecord(Value):
     """One time sample of every computed average.
 
     Creation/annihilation averages are stored once; their conjugates
     (<a+> = conj(<a>), <a+ a+> = conj(<a a>)) are implied, not stored.
     """
 
-    time: float
-    mean_x: float
-    mean_p: float
-    mean_x2: float
-    mean_p2: float
-    n_avg: float
-    a_avg: complex
-    a2_avg: complex
-    uncertainty: float
-    energy: float
+    __slots__ = ("time", "mean_x", "mean_p", "mean_x2", "mean_p2", "n_avg",
+                 "a_avg", "a2_avg", "uncertainty", "energy")
+
+    def __init__(self, time: float, mean_x: float, mean_p: float, mean_x2: float,
+                 mean_p2: float, n_avg: float, a_avg: complex, a2_avg: complex,
+                 uncertainty: float, energy: float):
+        self._init(time, mean_x, mean_p, mean_x2, mean_p2, n_avg, a_avg, a2_avg,
+                   uncertainty, energy)
 
 
 RECORD_COLUMNS = (

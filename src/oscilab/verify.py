@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -45,7 +44,7 @@ from .dynamics import (
     propagate_fock,
     sample_times,
 )
-from .fock import OscillatorParams
+from .fock import OscillatorParams, Value
 from .observables import (
     averages_bruteforce_batch,
     averages_bruteforce_fock,
@@ -116,15 +115,14 @@ def _normal_draws(u: np.ndarray) -> np.ndarray:
     return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1).ravel()
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    name: str
-    passed: bool
-    detail: str
+class CriterionResult(Value):
+    """One criterion's verdict and the measured values behind it."""
 
-    def __post_init__(self):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
         # numpy comparisons leak np.bool_, which serializers must not see
-        object.__setattr__(self, "passed", bool(self.passed))
+        self._init(name, bool(passed), detail)
 
 
 def _label_sweep(chi_set, n_max: int | None, count: int):

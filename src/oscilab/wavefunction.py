@@ -28,12 +28,11 @@ and the `wave-packet-nondiffusion` criterion, on one (S, N) array of grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .coherent import CoherentLabel, coherent_coefficients
-from .fock import DimensionMismatchError, OscillatorParams, level_phases
+from .fock import DimensionMismatchError, OscillatorParams, Value, level_phases
 from .observables import averages_closedform_batch
 
 __all__ = [
@@ -64,23 +63,16 @@ MAX_PACKET_CELLS = 2**21
 _SERIES_PASS_POINTS = 20_000
 
 
-@dataclass(frozen=True)
-class WaveSample:
+class WaveSample(Value):
     """Complex amplitude at one position (units length**-1/2)."""
 
-    x: float
-    value: complex
+    __slots__ = ("x", "value")
 
-    def __post_init__(self):
-        v = complex(self.value)
-        if not (
-            math.isfinite(self.x)
-            and math.isfinite(v.real)
-            and math.isfinite(v.imag)
-        ):
+    def __init__(self, x: float, value: complex):
+        v = complex(value)
+        if not (math.isfinite(x) and math.isfinite(v.real) and math.isfinite(v.imag)):
             raise ValueError("sample must be finite")
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "value", v)
+        self._init(float(x), v)
 
 
 def _eigenfunction_rows(n_max: int, xs: np.ndarray, params: OscillatorParams):

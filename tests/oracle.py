@@ -16,7 +16,9 @@ not part of it:
 - one validated trapezoid grid per packet slice and its moments
   (`SpatialGrid`, `trapezoid_grid`, `default_packet_grid`, `slice_moments`),
   the per-slice reference of the (S, N) arrays of `packet_sweep`;
-- a trajectory of the closed-form averages (`closedform_trajectory`).
+- a trajectory of the closed-form averages (`closedform_trajectory`);
+- the float-cell kernel's tables built one (shape, digits) cell at a time
+  (`kernel_tables`), the reference of `cli._kernel_tables`.
 
 The package's banded kernels, recurrence rows and closed forms are pinned
 to these in the tests, bit for bit where the arithmetic is the same.
@@ -29,6 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from oscilab.cli import (
+    _CELL_SLOTS,
+    _DIGIT0,
+    _EXP,
+    _MAX_SCALE,
+    _OTHER,
+    _SCIENTIFIC,
+    _SCIENTIFIC_3,
+)
 from oscilab.coherent import CoherentLabel
 from oscilab.dynamics import Trajectory, sample_times
 from oscilab.fock import (
@@ -407,3 +418,40 @@ def closedform_trajectory(
     """The label's closed-form averages on the uniform time grid, as a trajectory."""
     times = sample_times(t_start, t_end, dt)
     return Trajectory.from_columns(averages_closedform_batch(label, times, params), dt)
+
+
+def kernel_tables() -> tuple[np.ndarray, ...]:
+    """The tables of `cli._kernel_tables`, each keep mask set by its own
+    (shape, significant digits) iteration."""
+    exact = [10**q for q in range(_MAX_SCALE + 1)]
+    hi = np.array([float(v) for v in exact])
+    lo = np.array([float(v - int(h)) for v, h in zip(exact, hi.tolist())])
+    split = 134217729.0 * hi  # 2^27 + 1
+    hi_hi = split - (split - hi)
+    four = np.arange(10000)[:, np.newaxis] // np.array([1000, 100, 10, 1]) % 10
+    zeros = np.argmax(four[:, ::-1] != 0, axis=1)
+    zeros[0] = 4
+
+    masks = np.zeros((2, _OTHER + 1, 18, _CELL_SLOTS), bool)
+    masks[1, :, :, 0] = True  # the minus sign
+    slots = np.arange(17)
+    for shape in range(_OTHER):
+        for sig in range(1, 18):
+            mask = masks[:, shape, sig]
+            if shape < _SCIENTIFIC:
+                exp10 = shape - 4
+                if exp10 < 0:
+                    mask[:, 1:2 - exp10] = True  # "0." and -exp10 - 1 zeros
+                digits, point = max(sig, exp10 + 1), exp10
+            else:
+                mask[:, _EXP:_EXP + 2] = True  # "e-"
+                mask[:, _EXP + (2 if shape == _SCIENTIFIC_3 else 3):] = True
+                digits, point = sig, 0
+            mask[:, _DIGIT0:_EXP:2] = slots < digits
+            if 0 <= point < sig - 1:
+                mask[:, _DIGIT0 + 1 + 2 * point] = True
+    masks[:, _OTHER, 0, 1] = True  # zero: its "0"
+    masks[:, _OTHER, 1, 0] = True  # fallback: its marker byte
+    # each 4-digit string as one uint32, to gather four bytes at a time
+    four = (four + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    return hi, lo, hi_hi, hi - hi_hi, four, zeros, masks.reshape(-1, _CELL_SLOTS)

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import ctypes
 import importlib.util
 import io
 import json
@@ -8,6 +9,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +23,7 @@ from oracle import (
     PhaseAngle,
     default_packet_grid,
     expectation,
+    kernel_tables,
     make_hamiltonian,
     make_ladder,
     make_xp,
@@ -30,6 +33,7 @@ from oracle import (
 from oscilab import cli, verify, wavefunction
 from oscilab.cli import (
     AMPLITUDE_TAIL_TOL,
+    MAX_TRAJECTORY_CELLS,
     PRODUCERS,
     RunConfig,
     _csv_cell,
@@ -700,6 +704,37 @@ def test_wavefunction_refuses_more_packet_cells_than_the_bound(argv, slices, poi
     )
 
 
+def test_trajectory_refuses_more_table_cells_than_the_bound():
+    # 6,280,001 samples pass MAX_TIME_SAMPLES; their (samples, 34) table and
+    # its text would not fit the 2 GiB address-space limit
+    limit = 2 * 1024**3
+    result = subprocess.run(
+        [sys.executable, "-m", "oscilab", "trajectory", "--t-end", "6.28", "--dt", "1e-6"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        timeout=120,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "oscilab: error: 6280001 time samples x 34 columns is 213520034 "
+        f"trajectory cells; the limit is {MAX_TRAJECTORY_CELLS}\n"
+    )
+
+
+def test_trajectory_takes_the_cell_bound_and_refuses_one_sample_more(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_TRAJECTORY_CELLS", 3 * 34)
+    assert main(["trajectory", "--t-end", "0.02", "--dt", "0.01"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3 + 3  # schema, config, header
+    assert main(["trajectory", "--t-end", "0.03", "--dt", "0.01"]) == 1
+    assert capsys.readouterr().err == (
+        "oscilab: error: 4 time samples x 34 columns is 136 trajectory cells; "
+        "the limit is 102\n"
+    )
+
+
 def test_packet_sweep_takes_the_cell_bound_and_refuses_one_slice_more(monkeypatch):
     monkeypatch.setattr(wavefunction, "MAX_PACKET_CELLS", 3 * 2001)
     label = CoherentLabel(1)
@@ -736,6 +771,69 @@ def test_importing_the_cli_loads_no_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_json_nor_sets_malloc():
+    # libc is reached through ctypes.CDLL, which fails here once numpy is in
+    code = (
+        "import sys, ctypes, numpy; "
+        "ctypes.CDLL = lambda *args: sys.exit('the import opened libc'); "
+        "import oscilab.cli; "
+        "print(sorted({'dataclasses', 'json'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def _fake_libc(monkeypatch, libc):
+    opened = []
+
+    def cdll(name):
+        opened.append(name)
+        if isinstance(libc, Exception):
+            raise libc
+        return libc
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    return opened
+
+
+def test_main_sets_the_mmap_and_trim_thresholds_through_mallopt(monkeypatch, capsys):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    opened = _fake_libc(monkeypatch, types.SimpleNamespace(mallopt=mallopt))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cli._keep_freed_memory()
+    assert opened == [None]
+    assert calls == [(-3, 64 * 2**20), (-1, 256 * 2**20)]  # M_MMAP_, M_TRIM_THRESHOLD
+    assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+    assert mallopt.restype is ctypes.c_int
+    calls.clear()
+    assert main(["spectrum", "--chi-re", "0"]) == 0
+    capsys.readouterr()
+    assert calls == [(-3, 64 * 2**20), (-1, 256 * 2**20)]
+
+
+@pytest.mark.parametrize(
+    "libc", [types.SimpleNamespace(), OSError("no libc")], ids=["no-mallopt", "no-libc"]
+)
+def test_the_allocator_setting_is_skipped_quietly_without_mallopt(monkeypatch, libc):
+    opened = _fake_libc(monkeypatch, libc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cli._keep_freed_memory()
+    assert opened == [None]
 
 
 def test_underflowing_amplitudes_exit_1_naming_the_cause(capsys):
@@ -897,6 +995,12 @@ def test_edge_list_holds_ties_and_decade_round_ups():
         and Fraction(v) < Fraction(10) ** int(("%.17g" % v)[2:])
     ]
     assert len(round_ups) >= 10
+
+
+def test_kernel_tables_are_the_loop_built_tables_exactly():
+    for got, want in zip(cli._kernel_tables.__wrapped__(), kernel_tables(), strict=True):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        np.testing.assert_array_equal(got, want)
 
 
 def test_decimal_digits_are_exact_wherever_they_can_be():
