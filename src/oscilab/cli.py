@@ -68,12 +68,11 @@ AMPLITUDE_TAIL_TOL = 1e-18
 # Largest accepted gap between a wavefunction slice's quadrature norm and
 # the truncated state's norm; the packet tolerance `verify` uses.
 QUADRATURE_TOL = 1e-8
-# Time samples x columns of one trajectory table, refused above this before
-# any average is computed. A cell costs about 121 B as JSON and 69 B as CSV,
-# rendering included (125,664 rows of 34 JSON cells peaked 507 MiB above the
-# imported CLI), so an accepted run stays near 0.5 GiB, below 1 GiB; the
-# largest golden-corpus trajectory has 21,386 cells.
-MAX_TRAJECTORY_CELLS = 2**22
+# The most cells one array term of a run may hold; `_admit` refuses a run
+# with a larger term before any array exists. Measured at 2^22, a table cell
+# costs at most 103 B as CSV and 190 B as JSON, rendering included, and a
+# coefficient cell 96 B: every admitted run peaks below 0.8 GiB.
+MAX_CELLS = 2**22
 # Largest ulp a level phase may have, in radians: 2 pi 2^-20, about 6e-6.
 PHASE_ULP_LIMIT = 2.0 * math.pi * 2.0**-20
 
@@ -437,24 +436,42 @@ def _check_phase(config: RunConfig, t: float, n_max: int) -> None:
         )
 
 
-def _sample_count(config: RunConfig, n_max: int) -> int:
-    """The number of sample times, once the interval and its phases pass."""
-    if config.t_end < config.t_start:
+def _count(n: int, noun: str) -> str:
+    """n and the plural noun, singular at 1; n to three digits from 10^15 up."""
+    from decimal import Decimal  # refusals only; it rounds an int of any size
+
+    text = str(n) if n < 10**15 else f"{Decimal(n):.3g}"
+    return f"{text} {noun[:-1] if n == 1 else noun}"
+
+
+def _admit(config: RunConfig, n_max: int) -> None:
+    """Refuse a run whose largest array term passes MAX_CELLS cells, from the
+    argv and n_max alone, before any sample times, grid or coefficient array
+    exist; the commands that sample times first check the interval's ends."""
+    levels, count = n_max + 1, 0
+    if config.command in ("trajectory", "wavefunction"):
+        count = sample_count(config.t_start, config.t_end, config.dt)
+        for t in (config.t_start, config.t_end):
+            _check_phase(config, t, n_max)
+    # the output table's rows and columns, and the coefficient rows alive at once
+    table, rows = {
+        "trajectory": ((count, "time samples", 34), (1, "states")),
+        "wavefunction": ((count * config.grid_points, "grid points", 7), (count, "slices")),
+        "spectrum": ((levels, "levels", 4), (1, "states")),
+        "uncertainty": ((levels - TRUNCATION_MARGIN, "number states", 4), (1, "states")),
+        "symmetry-check": ((17, "angles", 6), (17, "angles")),
+        "verify": ((0, "rows", 0), (5, "slices")),  # wave-packet-nondiffusion's
+    }[config.command]
+    terms = [(*table, "columns", "table"), (*rows, levels, "levels", "coefficient")]
+    a, a_name, b, b_name, term = max(terms, key=lambda t: t[0] * t[2])
+    if a * b > MAX_CELLS:
         raise UsageError(
-            f"t_end ({config.t_end}) must not precede t_start ({config.t_start})"
+            f"{_count(a, a_name)} x {_count(b, b_name)} is "
+            f"{_count(a * b, term + ' cells')}; the limit is {MAX_CELLS}"
         )
-    for t in (config.t_start, config.t_end):
-        _check_phase(config, t, n_max)
-    return sample_count(config.t_start, config.t_end, config.dt)
 
 
 def _trajectory(config, params, label, n_max):
-    samples, columns = _sample_count(config, n_max), 1 + 3 * (len(RECORD_COLUMNS) - 1)
-    if samples * columns > MAX_TRAJECTORY_CELLS:
-        raise UsageError(
-            f"{samples} time samples x {columns} columns is {samples * columns} "
-            f"trajectory cells; the limit is {MAX_TRAJECTORY_CELLS}"
-        )
     times = sample_times(config.t_start, config.t_end, config.dt)
     brute = averages_bruteforce_batch(coherent_coefficients(label, n_max), times, params)
     closed = averages_closedform_batch(label, times, params)
@@ -499,7 +516,6 @@ def _uncertainty(config, params, label, n_max):
 
 
 def _wavefunction(config, params, label, n_max):
-    _sample_count(config, n_max)  # refuses a reversed interval or a digitless phase
     times = sample_times(config.t_start, config.t_end, config.dt)
     coeffs = coherent_coefficients(label, n_max).coeffs
     coeff_norm2 = float(np.vdot(coeffs, coeffs).real)
@@ -509,13 +525,18 @@ def _wavefunction(config, params, label, n_max):
     finite = np.isfinite(closed).all(axis=1).tolist()
     footer = []
     slices = zip(times.tolist(), norms.tolist(), variances.tolist(), finite)
-    for t, norm2, variance, ok in slices:
+    for s, (t, norm2, variance, ok) in enumerate(slices):
         if abs(norm2 - coeff_norm2) > QUADRATURE_TOL:
+            xi = np.abs(points[s]) * math.sqrt(params.mass * params.omega / params.hbar)
+            # the closed form's norm where the seed, so every eigenfunction, is 0
+            lost = (np.abs(closed[s][np.exp(-0.5 * xi * xi) == 0.0]) ** 2).sum()
+            cause = "raise --grid-points or --grid-halfwidth"
+            if lost * (points[s, 1] - points[s, 0]) > QUADRATURE_TOL:
+                cause = f"the seed exp(-xi^2/2) underflows to 0 at |xi| = {xi.max():.4g}"
             raise UsageError(
                 f"the grid cannot resolve the packet at t = {t:g}: its quadrature "
                 f"norm {norm2:.6g} is off the state's norm {coeff_norm2:.6g} by "
-                f"{abs(norm2 - coeff_norm2):.1e} (tol {QUADRATURE_TOL:.0e}); raise "
-                "--grid-points or --grid-halfwidth"
+                f"{abs(norm2 - coeff_norm2):.1e} (tol {QUADRATURE_TOL:.0e}); {cause}"
             )
         if not ok:
             raise UsageError(
@@ -559,6 +580,7 @@ PRODUCERS = {
 def _run_table(config: RunConfig) -> int:
     producer, tail_tol = PRODUCERS[config.command]
     n_max, source = config.resolve_n_max(tail_tol)
+    _admit(config, n_max)
     columns, rows, footer = producer(config, config.params(), config.label(), n_max)
     echo = _config_echo(config, n_max, source)
     _emit(config, _render(config, config.command, echo, columns, rows, footer))
@@ -571,14 +593,13 @@ def _cmd_verify(config: RunConfig) -> int:
         chi = config.label().chi
         config.resolve_n_max()  # refuse a capped auto truncation before the battery
     n_max = None if config.n_max == "auto" else int(config.n_max)
+    _admit(config, n_max or 0)
     results = run_all(chi=chi, n_max=n_max, seed=config.seed)
     sys.stdout.write(format_table(results) + "\n")
     if config.output_path != "-":
         rows = [(r.name, r.passed, r.detail) for r in results]
         footer = [{"passed": sum(r.passed for r in results), "total": len(results)}]
-        resolved = 0 if n_max is None else n_max
-        source = "auto" if n_max is None else "explicit"
-        echo = _config_echo(config, resolved, source)
+        echo = _config_echo(config, n_max or 0, "auto" if n_max is None else "explicit")
         columns = ["criterion", "passed", "detail"]
         _emit(config, _render(config, "verify", echo, columns, rows, footer))
     failed = [r.name for r in results if not r.passed]

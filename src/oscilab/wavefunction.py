@@ -48,12 +48,6 @@ __all__ = [
 
 DEFAULT_GRID_HALFWIDTH = 10.0  # in units of the oscillator length
 DEFAULT_GRID_POINTS = 2001
-# Slices x grid points of one packet sweep, refused above this before any
-# grid is built. A `wavefunction` cell costs about 370 B, rendering included
-# (401 slices of 2001 points peaked 286 MiB above the imported CLI), so an
-# accepted run stays below 1 GiB; the largest golden-corpus sweep has 18,009
-# cells.
-MAX_PACKET_CELLS = 2**21
 
 # Points per pass of the series recurrence. A pass keeps eight float rows of
 # its points live, 1.3 MB at this size, within a 2 MiB L2 cache. Measured on
@@ -284,16 +278,10 @@ def packet_sweep(
     C-contiguous (S, N) array from one broadcast `linspace`, the series and
     the complex-centre closed form come from one stacked call each, and one
     `packet_moments` call takes every slice's squared norm and variance.
-    Before building anything it refuses more than MAX_PACKET_CELLS slices x
-    points and a grid that would square past the float range, and after,
-    the first grid, in time order, that is not strictly increasing.
+    Before building anything it refuses a grid that would square past the
+    float range, and after, the first grid, in time order, that is not
+    strictly increasing.
     """
-    cells = np.size(times) * npoints
-    if cells > MAX_PACKET_CELLS:
-        raise ValueError(
-            f"{np.size(times)} slices x {npoints} grid points is {cells} packet "
-            f"cells; the limit is {MAX_PACKET_CELLS}"
-        )
     if npoints < 2:
         raise ValueError(f"need at least 2 points, got {npoints}")
     if not (math.isfinite(halfwidth) and halfwidth > 0):

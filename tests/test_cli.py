@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import math
+import re
 import resource
 import subprocess
 import sys
@@ -33,7 +34,7 @@ from oracle import (
 from oscilab import cli, verify, wavefunction
 from oscilab.cli import (
     AMPLITUDE_TAIL_TOL,
-    MAX_TRAJECTORY_CELLS,
+    MAX_CELLS,
     PRODUCERS,
     RunConfig,
     _csv_cell,
@@ -46,7 +47,6 @@ from oscilab.coherent import CoherentLabel, coherent_coefficients, truncation_ta
 from oscilab.fock import OscillatorParams
 from oscilab.observables import averages_closedform
 from oscilab.wavefunction import (
-    MAX_PACKET_CELLS,
     packet_sweep,
     psi_closed_grid,
     psi_series_grid,
@@ -267,14 +267,21 @@ def test_table_commands_take_no_seed(command, capsys):
 
 
 @pytest.mark.parametrize(
-    ("dt", "requested"), [("1e-300", "6.28e+300"), ("5e-324", "inf")]
+    "argv, message",
+    [
+        (["--dt", "5e-324"],
+         "dt=5e-324 over [0.0, 6.283185307179586] asks for inf time samples"),
+        (["--dt", "1e-300"],
+         "6.28e+300 time samples x 34 columns is 2.14e+302 table cells"),
+        (["--t-end", "1", "--dt", "1e-7"],
+         "10000001 time samples x 34 columns is 340000034 table cells"),
+    ],
 )
-def test_oversized_sample_count_exits_1_naming_the_cause(dt, requested, capsys):
-    assert main(["trajectory", "--dt", dt]) == 1
+def test_oversized_sample_count_exits_1_naming_the_cause(argv, message, capsys):
+    assert main(["trajectory", *argv]) == 1
     err = capsys.readouterr().err
-    assert f"asks for {requested} time samples" in err
-    assert "the limit is 10000000" in err
-    assert "Traceback" not in err
+    assert err.startswith(f"oscilab: error: {message}")
+    assert err.count("\n") == 1
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):
@@ -634,6 +641,8 @@ def test_overflowing_label_exits_1(capsys):
     [
         (["wavefunction", "--chi-re", "20", "--grid-points", "5"], "2.82095"),
         (["wavefunction", "--grid-halfwidth", "2"], "0.995322"),
+        # the seed underflows past |xi| 38.6, where the packet holds no norm
+        (["wavefunction", "--grid-halfwidth", "45", "--grid-points", "5"], "12.6943"),
     ],
 )
 def test_wavefunction_refuses_an_unresolved_grid(argv, norm, capsys):
@@ -644,6 +653,16 @@ def test_wavefunction_refuses_an_unresolved_grid(argv, norm, capsys):
     assert "--grid-points" in captured.err
     assert "--grid-halfwidth" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_wavefunction_names_an_underflowing_eigenfunction_seed(capsys):
+    # past |xi| = 38.6 the seed phi_0 of the recurrence is 0, and the packet
+    # centred at xi = 35.36 loses 1.3e-6 of its norm there; at --chi-re 20
+    # --grid-points 5 (|xi| up to 38.28) the usual advice stands
+    assert main(["wavefunction", "--chi-re", "25"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("oscilab: error: the grid cannot resolve the packet at t = 0: ")
+    assert err.endswith("; the seed exp(-xi^2/2) underflows to 0 at |xi| = 45.36\n")
 
 
 @pytest.mark.parametrize(
@@ -677,19 +696,49 @@ def test_wavefunction_refuses_a_bad_grid_or_closed_form_by_name(argv, message, c
     assert captured.err.count("\n") == 1
 
 
+# Run in a child under a 2 GiB address-space limit, so that a lost bound fails
+# on a MemoryError instead of exhausting the machine; prints the child's VmHWM
+# growth over the imported CLI, in KiB.
+_PEAK_CHILD = """
+import sys, oscilab.cli
+def hwm():
+    return next(int(line.split()[1]) for line in open("/proc/self/status")
+                if line.startswith("VmHWM:"))
+before = hwm()
+code = oscilab.cli.main(sys.argv[1:])
+print(hwm() - before)
+sys.exit(code)
+"""
+
+
 @pytest.mark.parametrize(
-    "argv, slices, points",
+    "argv, message",
     [
-        (["--grid-points", "1000000001"], 1, 1_000_000_001),
-        (["--t-end", "6.28", "--dt", "1e-6"], 6_280_001, 2001),  # 1.3e10 cells
+        (["wavefunction", "--grid-points", "1000000001"],
+         "1000000001 grid points x 7 columns is 7000000007 table cells"),
+        # 6,280,001 slices: the parent built every sample time, 97 MiB, first
+        (["wavefunction", "--t-end", "6.28", "--dt", "1e-6"],
+         "12566282001 grid points x 7 columns is 87963974007 table cells"),
+        (["trajectory", "--t-end", "6.28", "--dt", "1e-6"],
+         "6280001 time samples x 34 columns is 213520034 table cells"),
+        (["trajectory", "--n-max", "1000000000"],
+         "1 state x 1000000001 levels is 1000000001 coefficient cells"),
+        (["wavefunction", "--n-max", "1000000000"],
+         "1 slice x 1000000001 levels is 1000000001 coefficient cells"),
+        (["spectrum", "--n-max", "1000000000"],
+         "1000000001 levels x 4 columns is 4000000004 table cells"),
+        (["uncertainty", "--n-max", "1000000000"],
+         "999999999 number states x 4 columns is 3999999996 table cells"),
+        (["symmetry-check", "--n-max", "1000000"],
+         "17 angles x 1000001 levels is 17000017 coefficient cells"),
+        (["verify", "--n-max", "1000000000"],
+         "5 slices x 1000000001 levels is 5000000005 coefficient cells"),
     ],
 )
-def test_wavefunction_refuses_more_packet_cells_than_the_bound(argv, slices, points):
-    # under a 2 GiB address-space limit a lost bound fails on a MemoryError
-    # instead of exhausting the machine
+def test_oversized_runs_are_refused_before_any_array_exists(argv, message):
     limit = 2 * 1024**3
     result = subprocess.run(
-        [sys.executable, "-m", "oscilab", "wavefunction", *argv],
+        [sys.executable, "-c", _PEAK_CHILD, *argv],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "OPENBLAS_NUM_THREADS": "1"},
@@ -697,54 +746,45 @@ def test_wavefunction_refuses_more_packet_cells_than_the_bound(argv, slices, poi
         timeout=120,
     )
     assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr == (
-        f"oscilab: error: {slices} slices x {points} grid points is "
-        f"{slices * points} packet cells; the limit is {MAX_PACKET_CELLS}\n"
+    assert result.stderr == f"oscilab: error: {message}; the limit is {MAX_CELLS}\n"
+    assert int(result.stdout) < 4 * 1024  # KiB above the imported CLI
+
+
+@pytest.mark.parametrize(
+    "argv, step",
+    [
+        (["trajectory", "--t-end", "0.02", "--dt", "0.01"], ["--t-end", "0.03"]),
+        (["trajectory", "--t-end", "0", "--n-max", "99"], ["--n-max", "100"]),
+        (["wavefunction", "--t-end", "0.5", "--dt", "0.5", "--grid-points", "201"],
+         ["--grid-points", "203"]),
+        (["wavefunction", "--grid-points", "201", "--n-max", "2000"], ["--n-max", "2001"]),
+        (["spectrum", "--n-max", "9"], ["--n-max", "10"]),
+        (["uncertainty", "--chi-re", "0", "--n-max", "9"], ["--n-max", "10"]),
+        (["symmetry-check", "--chi-re", "0", "--n-max", "9"], ["--n-max", "10"]),
+    ],
+)
+def test_a_run_at_max_cells_passes_and_one_step_more_is_refused(
+    argv, step, monkeypatch, capsys
+):
+    # at a limit of 0 the admission names the run's largest term
+    monkeypatch.setattr(cli, "MAX_CELLS", 0)
+    assert main(argv) == 1
+    predicted = re.fullmatch(
+        r"oscilab: error: (\d+) [a-z ]+ x (\d+) [a-z ]+ is (\d+) (table|coefficient) "
+        r"cells; the limit is 0\n",
+        capsys.readouterr().err,
     )
-
-
-def test_trajectory_refuses_more_table_cells_than_the_bound():
-    # 6,280,001 samples pass MAX_TIME_SAMPLES; their (samples, 34) table and
-    # its text would not fit the 2 GiB address-space limit
-    limit = 2 * 1024**3
-    result = subprocess.run(
-        [sys.executable, "-m", "oscilab", "trajectory", "--t-end", "6.28", "--dt", "1e-6"],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "OPENBLAS_NUM_THREADS": "1"},
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        timeout=120,
-    )
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr == (
-        "oscilab: error: 6280001 time samples x 34 columns is 213520034 "
-        f"trajectory cells; the limit is {MAX_TRAJECTORY_CELLS}\n"
-    )
-
-
-def test_trajectory_takes_the_cell_bound_and_refuses_one_sample_more(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "MAX_TRAJECTORY_CELLS", 3 * 34)
-    assert main(["trajectory", "--t-end", "0.02", "--dt", "0.01"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 3 + 3  # schema, config, header
-    assert main(["trajectory", "--t-end", "0.03", "--dt", "0.01"]) == 1
-    assert capsys.readouterr().err == (
-        "oscilab: error: 4 time samples x 34 columns is 136 trajectory cells; "
-        "the limit is 102\n"
-    )
-
-
-def test_packet_sweep_takes_the_cell_bound_and_refuses_one_slice_more(monkeypatch):
-    monkeypatch.setattr(wavefunction, "MAX_PACKET_CELLS", 3 * 2001)
-    label = CoherentLabel(1)
-    times = np.array([0.0, 0.5, 1.0])
-    params = OscillatorParams()
-    assert packet_sweep(label, times, params, 16)[0].shape == (3, 2001)
-    with pytest.raises(ValueError, match="4 slices x 2001 grid points is 8004 "):
-        packet_sweep(label, np.append(times, 1.5), params, 16)
-    with pytest.raises(ValueError, match="3 slices x 2003 grid points is 6009 "):
-        packet_sweep(label, times, params, 16, npoints=2003)
+    (rows, columns, cells), term = map(int, predicted.groups()[:3]), predicted[4]
+    assert rows * columns == cells
+    monkeypatch.setattr(cli, "MAX_CELLS", cells)
+    assert main([*argv, "--format", "json"]) == 0
+    table = json.loads(capsys.readouterr().out)["rows"]
+    shape = (len(table), len(table[0]))
+    assert shape == (rows, columns) if term == "table" else shape[0] * shape[1] <= cells
+    assert main([*argv, *step]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f" {term} cells; the limit is {cells}\n")
+    assert err.count("\n") == 1
 
 
 def test_wavefunction_accepts_an_honest_under_truncation(tmp_path, capsys):
