@@ -149,10 +149,12 @@ def _first_moments(c: np.ndarray, params: OscillatorParams, norm_tol: float):
         raise NormalizationError(float(norms[worst]), norm_tol)
     top_mass = float(np.max(prob[:, -2:].sum(axis=1)))
     hbar, mass, omega = params.hbar, params.mass, params.omega
-    # in place, sqrt(n) conj(c[n-1]) c[n] to the bit: a complex product
-    # rounds alike with its factors swapped
-    terms = c[:, :-1].conj()
-    terms *= c[:, 1:]
+    # conj(c[n-1]) c[n] out of place: numpy's in-place complex product of a
+    # single element rounds each part once more than its other loops (no
+    # fused multiply-add), so a 1-row block at n_max 1 would differ from the
+    # same row in a longer block. Scaling by the real sqrt(n) rounds alike
+    # either way, so it stays in place.
+    terms = c[:, :-1].conj() * c[:, 1:]
     terms *= np.sqrt(np.arange(1, c.shape[1], dtype=float))
     a_avg = terms.sum(axis=1)
     fields = {

@@ -404,6 +404,10 @@ def assert_mean_motion_is_the_batch_kernel(base, times, params):
 )
 @example(chi_re=1.0, chi_im=0.5, hbar=1.0, mass=1.0, omega=1.0, n_max=16,
          count=7, block_rows=1, seed=0)
+# n_max 1 and 1-row blocks: <a> is one complex product per row, which must
+# round as it does inside a 2-row block
+@example(chi_re=0.0, chi_im=2.220446049250313e-16, hbar=1.0, mass=1.0,
+         omega=1.0, n_max=1, count=2, block_rows=1, seed=0)
 def test_mean_motion_batch_is_the_batch_kernels_means_to_the_bit(
     chi_re, chi_im, hbar, mass, omega, n_max, count, block_rows, seed
 ):
