@@ -376,8 +376,8 @@ def _render(
     rows: np.ndarray | list[tuple],
     footer: list[dict],
 ) -> str:
-    """The output text. A float64 matrix of rows goes through the array
-    kernel `_float_cells`, a list of row tuples through the per-cell
+    """The output text. A table command's float64 matrix goes through the
+    array kernel `_float_cells`, `verify`'s row tuples through the per-cell
     formatters; both write floats as "%.17g"."""
     matrix = isinstance(rows, np.ndarray)
     if config.format == "csv":
@@ -483,24 +483,24 @@ def _trajectory(config, params, label, n_max):
 
 
 def _spectrum(config, params, label, n_max):
-    state = coherent_coefficients(label, n_max)
-    rows = []
-    for n in range(n_max + 1):
-        from_coeff = float(abs(state.coeffs[n]) ** 2)
-        from_poisson = occupation_probability(label, n)
-        rows.append((n, from_coeff, from_poisson, abs(from_coeff - from_poisson)))
+    table = np.empty((n_max + 1, 4))
+    table[:, 0] = range(n_max + 1)
+    # level by level: numpy's array complex abs rounds apart from its scalar one
+    table[:, 1] = [abs(c) ** 2 for c in coherent_coefficients(label, n_max).coeffs]
+    table[:, 2] = [occupation_probability(label, n) for n in range(n_max + 1)]
+    table[:, 3] = np.abs(table[:, 1] - table[:, 2])
     footer = [{"truncation_tail": truncation_tail(label, n_max)}]
-    return ["n", "prob_coeff", "prob_poisson", "abs_diff"], rows, footer
+    return ["n", "prob_coeff", "prob_poisson", "abs_diff"], table, footer
 
 
 def _uncertainty(config, params, label, n_max):
     _check_phase(config, config.t_start, n_max)
     levels = range(max(0, n_max + 1 - TRUNCATION_MARGIN))  # second-moment headroom
-    products = averages_bruteforce_fock(levels, n_max, params)["uncertainty"].tolist()
-    rows = []
-    for n, brute in zip(levels, products):
-        exact = uncertainty_fock(n, params)
-        rows.append((n, exact, brute, abs(exact - brute)))
+    table = np.empty((len(levels), 4))
+    table[:, 0] = levels
+    table[:, 1] = [uncertainty_fock(n, params) for n in levels]
+    table[:, 2] = averages_bruteforce_fock(levels, n_max, params)["uncertainty"]
+    table[:, 3] = np.abs(table[:, 1] - table[:, 2])
     state = coherent_coefficients(label, n_max)
     at_start = averages_bruteforce_batch(state, [config.t_start], params)
     coherent_u = float(at_start["uncertainty"][0])
@@ -512,7 +512,7 @@ def _uncertainty(config, params, label, n_max):
             "abs_diff": abs(coherent_u - floor),
         }
     ]
-    return ["n", "product_exact", "product_bruteforce", "abs_diff"], rows, footer
+    return ["n", "product_exact", "product_bruteforce", "abs_diff"], table, footer
 
 
 def _wavefunction(config, params, label, n_max):
@@ -566,8 +566,8 @@ def _symmetry_check(config, params, label, n_max):
 
 # Every table command: name -> (producer, tail tolerance of its auto
 # truncation). A producer maps (config, params, label, n_max) to
-# (columns, rows, footer): rows a float64 matrix when every column is float,
-# else a list of row tuples. `_run_table` does the rest.
+# (columns, rows, footer), rows a float64 matrix (an integer column, such as
+# `n`, holds floats that "%.17g" writes as the ints). `_run_table` does the rest.
 PRODUCERS = {
     "trajectory": (_trajectory, AUTO_TAIL_TOL),
     "spectrum": (_spectrum, AUTO_TAIL_TOL),

@@ -43,9 +43,18 @@ from oscilab.cli import (
     _render,
     main,
 )
-from oscilab.coherent import CoherentLabel, coherent_coefficients, truncation_tail
+from oscilab.coherent import (
+    CoherentLabel,
+    coherent_coefficients,
+    occupation_probability,
+    truncation_tail,
+)
 from oscilab.fock import OscillatorParams
-from oscilab.observables import averages_closedform
+from oscilab.observables import (
+    averages_bruteforce_fock,
+    averages_closedform,
+    uncertainty_fock,
+)
 from oscilab.wavefunction import (
     packet_sweep,
     psi_closed_grid,
@@ -1074,6 +1083,72 @@ def test_float_matrices_of_any_shape_render_as_their_row_tuples(shape, fmt):
     assert _render(config, "wavefunction", [("a", 1)], columns, matrix, []) == _render(
         config, "wavefunction", [("a", 1)], columns, rows, []
     )
+
+
+# integers at the edges of "%.17g": one digit, the decades to 10^16 (it writes
+# fixed point below 10^17), 2^22 (the admission's table rows) and the end of
+# the doubles' run of consecutive integers, 2^53 - 1
+INTEGER_EDGES = sorted(
+    {0, 1, 9, 10, 99, 100, 2**22, 2**53 - 1}
+    | {10**k for k in range(17)} | {10**k - 1 for k in range(1, 16)}
+)
+
+
+def test_the_float_kernel_writes_integer_cells_as_the_ints():
+    column = np.array(INTEGER_EDGES, dtype=float)[:, np.newaxis]
+    text = "".join(cli._float_cells(column, ["\n"]))
+    assert text.splitlines() == [str(n) for n in INTEGER_EDGES]
+
+
+def per_level_rows(command, label, n_max, params):
+    """The spectrum or uncertainty rows from the per-level scalar formulas,
+    n an int, as row tuples."""
+    if command == "spectrum":
+        coeffs = coherent_coefficients(label, n_max).coeffs
+        rows = []
+        for n in range(n_max + 1):
+            from_coeff = float(abs(coeffs[n]) ** 2)
+            from_poisson = occupation_probability(label, n)
+            rows.append((n, from_coeff, from_poisson, abs(from_coeff - from_poisson)))
+        return rows
+    levels = range(max(0, n_max - 1))
+    products = averages_bruteforce_fock(levels, n_max, params)["uncertainty"].tolist()
+    rows = []
+    for n, brute in zip(levels, products):
+        exact = uncertainty_fock(n, params)
+        rows.append((n, exact, brute, abs(exact - brute)))
+    return rows
+
+
+# the vacuum below n_max 2 warns that its top two levels hold all its weight
+@pytest.mark.filterwarnings("ignore:top two levels")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "command, chi, n_max",
+    [
+        ("spectrum", "0", 0), ("spectrum", "1.5", 30), ("spectrum", "7", 600),
+        ("uncertainty", "0", 0), ("uncertainty", "0", 1),  # no rows
+        ("uncertainty", "0", 2), ("uncertainty", "1.5", 40),
+    ],
+)
+def test_spectrum_and_uncertainty_write_their_row_tuples_bytes(
+    tmp_path, command, chi, n_max, fmt
+):
+    out = tmp_path / "table"
+    chi_im = "-0.25" if chi != "0" else "0"
+    units = {"hbar": 1.5} if command == "uncertainty" else {}  # spectrum takes none
+    argv = [command, "--chi-re", chi, "--chi-im", chi_im, "--n-max", str(n_max),
+            "--format", fmt, *[f"--{k}={v}" for k, v in units.items()]]
+    assert main(argv + ["--output", str(out)]) == 0
+    config = RunConfig(command, chi_re=float(chi), chi_im=float(chi_im), n_max=n_max,
+                       format=fmt, **units)
+    columns, matrix, footer = PRODUCERS[command][0](
+        config, config.params(), config.label(), n_max
+    )
+    rows = per_level_rows(command, config.label(), n_max, config.params())
+    assert isinstance(matrix, np.ndarray) and len(matrix) == len(rows)
+    echo = cli._config_echo(config, n_max, "explicit")
+    assert out.read_text() == _render(config, command, echo, columns, rows, footer)
 
 
 def _render_packet_sized_matrix(fmt):

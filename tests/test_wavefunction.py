@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 import warnings
@@ -508,6 +509,82 @@ def test_vacuum_series_stops_at_its_last_nonzero_level(monkeypatch):
     for t in (0.0, -1.3):
         single = psi_series_grid(label, points[0], t, PARAMS, 64)
         assert single.tobytes() == psi_series_grid(label, points[0], t, PARAMS, 0).tobytes()
+
+
+@contextlib.contextmanager
+def caller_bufsize(size):
+    """numpy's ufunc buffer set to `size` elements for the body, as a caller
+    of the package might set it, and reset after."""
+    before = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(before)
+
+
+def series_stack(npoints, slices=3):
+    """(label, points, times) of a stack of shifted grids of `npoints` points."""
+    times = np.linspace(0.0, 2.0, slices)
+    points = np.linspace(-6.0, 6.0, npoints) + np.linspace(-0.5, 0.5, slices)[:, None]
+    return CoherentLabel(1.5 - 0.5j), points, times
+
+
+def test_series_restores_the_buffer_size_when_the_recurrence_raises(monkeypatch):
+    rows = wavefunction._eigenfunction_rows
+    inside = []
+
+    def failing(n_max, xs, params):
+        for k, row in enumerate(rows(n_max, xs, params)):
+            inside.append(np.getbufsize())
+            if k == 3:
+                raise RuntimeError("recurrence failed")
+            yield row
+
+    monkeypatch.setattr(wavefunction, "_eigenfunction_rows", failing)
+    label, points, times = series_stack(2001)
+    with caller_bufsize(8192):
+        with pytest.raises(RuntimeError, match="recurrence failed"):
+            psi_series_grid(label, points, times, PARAMS, 24)
+        assert np.getbufsize() == 8192
+    assert inside[-1] == 2000  # the scope was entered: one row, to a multiple of 16
+
+
+@pytest.mark.parametrize("npoints", [7, 2001, 8209])
+def test_series_bytes_do_not_depend_on_the_buffer_size(monkeypatch, npoints):
+    label, points, times = series_stack(npoints)
+    calls = []
+    for size in (16, 8192):
+        with caller_bufsize(size):
+            calls.append(psi_series_grid(label, points, times, PARAMS, 40).tobytes())
+    # and with the scope taken out: numpy's default buffer, which copies
+    monkeypatch.setattr(np, "setbufsize", lambda size: None)
+    calls.append(psi_series_grid(label, points, times, PARAMS, 40).tobytes())
+    assert calls[0] == calls[1] == calls[2]
+
+
+@pytest.mark.parametrize("size", [16, 1024, 4096, 8192])
+@pytest.mark.parametrize("npoints", [2, 7, 2001, 4113, 8209])
+def test_series_never_asks_for_a_buffer_above_the_callers_and_restores_it(
+    monkeypatch, size, npoints
+):
+    asked = []
+    setbufsize = np.setbufsize
+
+    def spy(value):
+        asked.append(value)
+        return setbufsize(value)
+
+    label, points, times = series_stack(npoints)
+    with caller_bufsize(size):
+        monkeypatch.setattr(np, "setbufsize", spy)
+        psi_series_grid(label, points, times, PARAMS, 12)
+        monkeypatch.undo()
+        assert np.getbufsize() == size
+    assert asked and asked[-1] == size  # the last call restores the caller's
+    for value in asked:
+        # never above the caller's, and numpy 1's rules: a multiple of 16, at most 10^7
+        assert 16 <= value <= size and value % 16 == 0
+    assert min(asked) == min(size, max(16, npoints // 16 * 16))
 
 
 def assert_sweep_is_the_per_slice_oracle(monkeypatch, label, times, params, n_max,
