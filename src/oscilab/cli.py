@@ -5,7 +5,8 @@ numeric cell is written with 17 significant digits, as "%.17g" % x, so
 identical invocations produce byte-identical files. A table of floats goes
 through one exact array kernel (`_float_cells`), which hands the few cells
 it cannot decide exactly to "%.17g" itself; any other table goes cell by
-cell. CSV output is RFC-4180 with '#' comment lines
+cell. The output is ASCII bytes: written to a file as rendered, and to
+stdout decoded once. CSV output is RFC-4180 with '#' comment lines
 for the schema, the echoed config (including the resolved truncation level)
 and footer records; JSON output is one object with "config", "rows" and
 "footer".
@@ -162,14 +163,16 @@ _CHUNK_CELLS = 1 << 14
 # Largest scale 10^q it multiplies by: 10^(16 - X) for the smallest decimal
 # exponent X = -281 that log10 gives its range, and one more for the correction.
 _MAX_SCALE = 298
-# A cell's bytes before its separator: a sign, the "0.000" of a fixed-point
-# value under 1, 17 digits with a point slot after each but the last, "e-"
-# and three exponent digits. Every cell fills every slot, and a keep mask
-# picks the bytes "%.17g" writes.
+# A cell's bytes before its separator, as five 8-byte words and a 4-byte
+# one: a sign, the "0.000" of a fixed-point value under 1, the lead digit and
+# a point slot; four words of four digits, each followed by a point slot (the
+# last by "e"); and "-" with three exponent digits. Every cell fills every
+# slot, its keep mask zeroes the bytes "%.17g" does not write, and one delete
+# pass drops the zeros.
 _DIGIT0, _EXP, _CELL_SLOTS = 6, 39, 44
 # Cell shapes, the first index of the keep masks: fixed point at decimal
 # exponent shape - 4 (-4..15); scientific with a two- or three-digit
-# exponent; and zero (0 significant digits) or a fallback cell (1).
+# exponent; and a fallback cell, whose one significant digit is its marker.
 _SCIENTIFIC, _SCIENTIFIC_3, _OTHER = 20, 21, 22
 
 
@@ -178,9 +181,10 @@ def _kernel_tables() -> tuple[np.ndarray, ...]:
     """The float-cell kernel's tables, built on first use.
 
     10^q for q = 0.._MAX_SCALE as hi + lo (hi the double nearest 10^q, lo
-    the double nearest 10^q - hi) with hi's Veltkamp halves; the ASCII
-    digits of 0000..9999 and their trailing-zero counts; and the keep masks
-    by (negative, shape, significant digits).
+    the double nearest 10^q - hi) with hi's Veltkamp halves; the trailing-zero
+    counts of 0000..9999; the cell words and the exponent words (below); and
+    the keep masks by (negative, shape, significant digits), 0xFF per kept
+    byte, as a cell's five words and its 4-byte word.
     """
     exact = [10**q for q in range(_MAX_SCALE + 1)]
     hi = np.array([float(v) for v in exact])
@@ -207,14 +211,29 @@ def _kernel_tables() -> tuple[np.ndarray, ...]:
     keep |= ~fixed & (slot >= _EXP) & (slot < _EXP + 2)  # "e-"
     keep |= ~fixed & (slot >= _EXP + np.where(shape == _SCIENTIFIC_3, 2, 3))
     keep &= sig > 0  # a number has at least one significant digit
-    masks = np.zeros((2, _OTHER + 1, 18, _CELL_SLOTS), bool)
-    masks[:, :_OTHER] = keep
-    masks[1, :, :, 0] = True  # the minus sign
-    masks[:, _OTHER, 0, 1] = True  # zero: its "0"
-    masks[:, _OTHER, 1, 0] = True  # fallback: its marker byte
-    # each 4-digit string as one uint32, to gather four bytes at a time
-    four = np.ascontiguousarray(four + np.uint8(ord("0"))).view(np.uint32).ravel()
-    return hi, lo, hi_hi, hi - hi_hi, four, zeros, masks.reshape(-1, _CELL_SLOTS)
+    masks = np.zeros((2, _OTHER + 1, 18, _CELL_SLOTS), np.uint8)
+    masks[:, :_OTHER] = keep * np.uint8(0xFF)
+    masks[1, :, :, 0] = 0xFF  # the minus sign
+    masks[:, _OTHER, 1, 0] = 0xFF  # fallback: its marker byte
+    masks = masks.reshape(-1, _CELL_SLOTS)
+
+    # the cell words: each 4-digit group with its point slots, then with its
+    # last slot "e" (index + 10^4), then the lead words (index + 2 10^4) of
+    # the lead digits and of the fallback marker (lead 10)
+    text = four + np.uint8(ord("0"))
+    words = np.full((2 * 10**4 + 11, 8), ord("."), np.uint8)
+    words[:2 * 10**4, ::2] = np.tile(text, (2, 1))
+    words[10**4:2 * 10**4, 7] = ord("e")
+    words[2 * 10**4:] = np.frombuffer(b"-0.000..", np.uint8)
+    words[2 * 10**4:-1, _DIGIT0] = text[:10, 3]
+    words[-1, 0] = 1  # the fallback marker
+    # the exponent word of each scale q: "-" and the digits of |q - 16|
+    exponent = np.full((_MAX_SCALE + 1, 4), ord("-"), np.uint8)
+    exponent[:, 1:] = text[np.abs(np.arange(_MAX_SCALE + 1) - 16), 1:]
+    return (hi, lo, hi_hi, hi - hi_hi, zeros.astype(np.uint8),
+            words.view(np.uint64).ravel(), exponent.view(np.uint32).ravel(),
+            masks[:, :_EXP + 1].copy().view(np.uint64),
+            masks[:, _EXP + 1:].copy().view(np.uint32).ravel())
 
 
 def _scaled(a: np.ndarray, exp10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -261,79 +280,72 @@ def _decimal(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return digits, exp10, exact
 
 
-def _float_chunk(table: np.ndarray, template: np.ndarray, sep_keep: np.ndarray) -> str:
+def _float_chunk(table: np.ndarray, tails: np.ndarray) -> bytes:
     """Rows of a float64 table, each cell "%.17g" % cell followed by its
-    column's separator: `template`'s bytes past _CELL_SLOTS where
-    `sep_keep` is set. A cell `_decimal` cannot write exactly, +-0 aside,
-    goes through "%.17g" itself."""
-    _, _, _, _, four, zeros, masks = _kernel_tables()
+    column's separator, the nonzero bytes of its row of `tails` (uint32
+    words). A cell `_decimal` cannot write exactly, +-0 aside, goes through
+    "%.17g" itself."""
+    zeros, cell_words, exp_words, keep64, keep32 = _kernel_tables()[4:]
     x = table.ravel()
     ax = np.abs(x)
     digits, exp10, exact = _decimal(ax)
-    fallback = ~exact & (ax != 0)
+    zero = ax == 0  # the digit 0 at `_decimal`'s exponent 0 for its stand-in 1.0
+    fallback = ~(exact | zero)
 
-    # the lead digit and four groups of four, then the significant digits
-    # left once trailing zeros go
-    digits[~exact] = 10**16
+    # the word of the lead digit (10 for the marker) and of each group of
+    # four, then the significant digits left once trailing zeros go
+    np.copyto(digits, 10**17, where=fallback)
+    np.copyto(digits, 0, where=zero)
     high = digits // 10**8
     low = (digits - high * 10**8).astype(np.int32)
     lead, high = np.divmod(high.astype(np.int32), 10**8)
-    groups = np.empty((x.size, 4), np.int32)
-    groups[:, 0], groups[:, 1] = np.divmod(high, 10000)
-    groups[:, 2], groups[:, 3] = np.divmod(low, 10000)
-    group_zeros = zeros[groups]
+    index = np.empty((x.size, 5), np.intp)
+    np.add(lead, 2 * 10**4, out=index[:, 0])  # the lead words follow the groups'
+    np.divmod(high, 10**4, out=(index[:, 1], index[:, 2]))
+    np.divmod(low, 10**4, out=(index[:, 3], index[:, 4]))
+    group_zeros = zeros.take(index[:, 1:])
+    index[:, 4] += 10**4  # the last group's word ends in "e"
     trailing = group_zeros[:, 3]
     for k in (2, 1, 0):
-        trailing += np.where(trailing == 12 - 4 * k, group_zeros[:, k], 0)
-    sig = np.where(exact, 17 - trailing, fallback)
-    shape = np.where(
-        exp10 < -4, np.where(exp10 <= -100, _SCIENTIFIC_3, _SCIENTIFIC), exp10 + 4
-    )
-    shape[~exact] = _OTHER
+        trailing += (trailing == 12 - 4 * k) * group_zeros[:, k]
+    shape = exp10 + 4
+    np.copyto(shape, _SCIENTIFIC, where=exp10 < -4)
+    shape += exp10 <= -100  # _SCIENTIFIC_3
+    np.copyto(shape, _OTHER, where=fallback)
     shape += np.signbit(x) * (_OTHER + 1)
+    mask = shape * 18 + 17 - trailing
 
-    block = np.empty(table.shape + template.shape[1:], np.uint8)
-    block[:] = template
-    cells = block.reshape(x.size, -1)
-    cells[:, _DIGIT0] = lead + ord("0")
-    cells[:, _DIGIT0 + 2:_EXP:2] = four[groups].view(np.uint8)
-    exponent = four[np.clip(-exp10, 0, 999)].view(np.uint8).reshape(x.size, 4)
-    cells[:, _EXP + 2:_CELL_SLOTS] = exponent[:, 1:]
-    cells[fallback, 0] = 0  # marks where a "%.17g" cell goes
-    keep = np.empty(block.shape, bool)
-    keep[..., :_CELL_SLOTS] = np.take(masks, shape * 18 + sig, axis=0).reshape(
-        table.shape + (_CELL_SLOTS,)
-    )
-    keep[..., _CELL_SLOTS:] = sep_keep
+    block = np.empty((x.size, (11 + tails.shape[1]) // 2), np.uint64)  # 11 slot words
+    words = block.view(np.uint32)
+    np.bitwise_and(cell_words.take(index), keep64.take(mask, axis=0), out=block[:, :5])
+    q = 16 - exp10  # the scale `_decimal` took, 0.._MAX_SCALE
+    np.bitwise_and(exp_words.take(q), keep32.take(mask), out=words[:, 10])
+    words.reshape(table.shape + (-1,))[..., 11:] = tails
 
-    text = np.compress(keep.ravel(), block.ravel()).tobytes().decode()
+    data = block.tobytes().translate(None, b"\0")
     if not fallback.any():
-        return text
-    texts = ["%.17g" % value for value in x[fallback].tolist()]
-    parts = text.split("\0")
-    return "".join(itertools.chain.from_iterable(zip(parts, texts + [""])))
+        return data
+    texts = [b"%.17g" % value for value in x[fallback].tolist()]
+    parts = data.split(b"\1")
+    return b"".join(itertools.chain.from_iterable(zip(parts, texts + [b""])))
 
 
-def _float_cells(table: np.ndarray, seps: list[str]) -> list[str]:
-    """A float64 (rows, columns) table as text, row by row, each cell written
-    as "%.17g" % cell and followed by its column's separator; returned in
-    pieces of whole rows, for the caller to join once."""
+def _float_cells(table: np.ndarray, seps: list[str]) -> list[bytes]:
+    """A float64 (rows, columns) table as ASCII bytes, row by row, each cell
+    written as "%.17g" % cell and followed by its column's separator;
+    returned in pieces of whole rows."""
     rows, columns = table.shape
     raw = [sep.encode() for sep in seps]
-    width = max(map(len, raw))
-    template = np.zeros((columns, _CELL_SLOTS + width), np.uint8)
-    template[:, 0] = ord("-")
-    template[:, 1:_DIGIT0] = np.frombuffer(b"0.000", np.uint8)
-    template[:, _DIGIT0 + 1:_EXP:2] = ord(".")
-    template[:, _EXP:_EXP + 2] = np.frombuffer(b"e-", np.uint8)
+    if any(b"\0" in sep or b"\1" in sep for sep in raw):
+        raise ValueError(f"a separator holds a delete or marker byte: {seps!r}")
+    # the separators, zero-padded so that each cell fills whole 8-byte words
+    width = _CELL_SLOTS + max(map(len, raw))
+    tails = np.zeros((columns, -(-width // 8) * 8 - _CELL_SLOTS), np.uint8)
     for k, sep in enumerate(raw):
-        template[k, _CELL_SLOTS:_CELL_SLOTS + len(sep)] = np.frombuffer(sep, np.uint8)
-    sep_keep = np.arange(width) < np.array([len(sep) for sep in raw])[:, np.newaxis]
+        tails[k, :len(sep)] = np.frombuffer(sep, np.uint8)
+    tails = tails.view(np.uint32)
     step = max(1, _CHUNK_CELLS // columns)
-    return [
-        _float_chunk(table[i:i + step], template, sep_keep)
-        for i in range(0, rows, step)
-    ]
+    return [_float_chunk(table[i:i + step], tails) for i in range(0, rows, step)]
 
 
 def _json_text(value) -> str:
@@ -375,10 +387,11 @@ def _render(
     columns: list[str],
     rows: np.ndarray | list[tuple],
     footer: list[dict],
-) -> str:
-    """The output text. A table command's float64 matrix goes through the
-    array kernel `_float_cells`, `verify`'s row tuples through the per-cell
-    formatters; both write floats as "%.17g"."""
+) -> list[bytes]:
+    """The output bytes, in pieces for `_emit` to write as they are. A table
+    command's float64 matrix goes through the array kernel `_float_cells`,
+    `verify`'s row tuples through the per-cell formatters; both write floats
+    as "%.17g"."""
     matrix = isinstance(rows, np.ndarray)
     if config.format == "csv":
         head = [f"# schema: {SCHEMA_PREFIX}.{schema}.{SCHEMA_VERSION}"]
@@ -387,35 +400,34 @@ def _render(
         if matrix:
             body = _float_cells(rows, [","] * (len(columns) - 1) + ["\n"])
         else:
-            body = [",".join(map(_csv_cell, row)) + "\n" for row in rows]
-        feet = [
+            body = ["".join(",".join(map(_csv_cell, row)) + "\n" for row in rows).encode()]
+        feet = "".join(
             "# footer: " + " ".join(f"{k}={_fmt(v)}" for k, v in record.items()) + "\n"
             for record in footer
-        ]
-        return "".join(["\n".join(head), "\n", *body, *feet])
+        )
+        return [("\n".join(head) + "\n").encode(), *body, feet.encode()]
     import json  # only JSON output needs it
 
-    # one list of pieces, joined once, so the kernel's rows are copied once
     schema_id = json.dumps(f"{SCHEMA_PREFIX}.{schema}.{SCHEMA_VERSION}")
-    pieces = [f'{{"schema": {schema_id}, "config": {_json_text(dict(echo))}, "rows": ']
+    head = f'{{"schema": {schema_id}, "config": {_json_text(dict(echo))}, "rows": '
+    tail = f', "footer": {_json_text(footer)}}}\n'
     if matrix and len(rows):
         keys = [json.dumps(str(name)) for name in columns]
         last = f"}}, {{{keys[0]}: "
         cells = _float_cells(rows, [f", {key}: " for key in keys[1:]] + [last])
         cells[-1] = cells[-1][:-len(last)]
-        pieces += [f"[{{{keys[0]}: ", *cells, "}]"]
-    else:
-        pieces.append(_json_text([dict(zip(columns, row)) for row in rows]))
-    pieces.append(f', "footer": {_json_text(footer)}}}\n')
-    return "".join(pieces)
+        return [f"{head}[{{{keys[0]}: ".encode(), *cells, f"}}]{tail}".encode()]
+    return [(head + _json_text([dict(zip(columns, row)) for row in rows]) + tail).encode()]
 
 
-def _emit(config: RunConfig, text: str) -> None:
+def _emit(config: RunConfig, pieces: list[bytes]) -> None:
+    """Write the pieces to the output file, or decoded to stdout, a text
+    stream that may be a StringIO."""
     if config.output_path == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(b"".join(pieces).decode())
         return
-    with open(config.output_path, "w", newline="") as handle:
-        handle.write(text)
+    with open(config.output_path, "wb") as handle:
+        handle.writelines(pieces)
 
 
 def _check_phase(config: RunConfig, t: float, n_max: int) -> None:

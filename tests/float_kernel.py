@@ -6,9 +6,9 @@
 The cells are every edge value of `edge_floats` and `--count` float64 values
 whose 64 bits are drawn at random from `--seed`, so every sign, exponent and
 significand (nan and inf included) turns up. They go through
-`oscilab.cli._float_cells` as one column; any line that differs from
-"%.17g" % value is printed, and the exit code is then 1. No hypothesis
-database is involved, so a run depends on the seed alone.
+`oscilab.cli._float_cells` as one column; any line of its bytes that
+differs from b"%.17g" % value is printed, and the exit code is then 1. No
+hypothesis database is involved, so a run depends on the seed alone.
 """
 
 from __future__ import annotations
@@ -66,12 +66,12 @@ def random_floats(count: int, seed: int) -> np.ndarray:
     return bits.view(np.float64)
 
 
-def mismatches(values) -> list[tuple[float, str, str]]:
-    """(value, kernel text, "%.17g" text) of every cell the kernel writes
-    differently."""
+def mismatches(values) -> list[tuple[float, bytes, bytes]]:
+    """(value, kernel bytes, b"%.17g" bytes) of every cell the kernel
+    writes differently."""
     column = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    got = "".join(_float_cells(column, ["\n"])).split("\n")[:-1]
-    want = ["%.17g" % v for v in column.ravel().tolist()]
+    got = b"".join(_float_cells(column, ["\n"])).split(b"\n")[:-1]
+    want = [b"%.17g" % v for v in column.ravel().tolist()]
     assert len(got) == len(want)
     return [(v, g, w) for v, g, w in zip(column.ravel().tolist(), got, want) if g != w]
 

@@ -421,8 +421,8 @@ def closedform_trajectory(
 
 
 def kernel_tables() -> tuple[np.ndarray, ...]:
-    """The tables of `cli._kernel_tables`, each keep mask set by its own
-    (shape, significant digits) iteration."""
+    """The tables of `cli._kernel_tables`: each keep mask set by its own
+    (shape, significant digits) iteration, and each cell word spelt out."""
     exact = [10**q for q in range(_MAX_SCALE + 1)]
     hi = np.array([float(v) for v in exact])
     lo = np.array([float(v - int(h)) for v, h in zip(exact, hi.tolist())])
@@ -450,8 +450,16 @@ def kernel_tables() -> tuple[np.ndarray, ...]:
             mask[:, _DIGIT0:_EXP:2] = slots < digits
             if 0 <= point < sig - 1:
                 mask[:, _DIGIT0 + 1 + 2 * point] = True
-    masks[:, _OTHER, 0, 1] = True  # zero: its "0"
     masks[:, _OTHER, 1, 0] = True  # fallback: its marker byte
-    # each 4-digit string as one uint32, to gather four bytes at a time
-    four = (four + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-    return hi, lo, hi_hi, hi - hi_hi, four, zeros, masks.reshape(-1, _CELL_SLOTS)
+    # 0xFF per kept byte, as the words the kernel ANDs a cell's slots with
+    keep = masks.reshape(-1, _CELL_SLOTS).astype(np.uint8) * np.uint8(0xFF)
+
+    groups = ["".join(digit + "." for digit in f"{g:04d}") for g in range(10**4)]
+    words = [g.encode() for g in groups] + [g[:-1].encode() + b"e" for g in groups]
+    words += [b"-0.000%d." % d for d in range(10)] + [b"\x010.000.."]  # the marker
+    exponents = [b"-%03d" % abs(q - 16) for q in range(_MAX_SCALE + 1)]
+    return (hi, lo, hi_hi, hi - hi_hi, zeros.astype(np.uint8),
+            np.frombuffer(b"".join(words), np.uint64),
+            np.frombuffer(b"".join(exponents), np.uint32),
+            keep[:, :_EXP + 1].copy().view(np.uint64),
+            keep[:, _EXP + 1:].copy().view(np.uint32).ravel())

@@ -947,9 +947,14 @@ EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e16,
 CELLS = st.floats() | st.sampled_from(EDGE_FLOATS)
 
 
+def _rendered(*args) -> str:
+    """The text of `_render`'s byte pieces."""
+    return b"".join(_render(*args)).decode()
+
+
 def _data_lines(rows, width):
     config = RunConfig("wavefunction")
-    text = _render(config, "wavefunction", [], [f"c{i}" for i in range(width)], rows, [])
+    text = _rendered(config, "wavefunction", [], [f"c{i}" for i in range(width)], rows, [])
     return text.splitlines()[3:]
 
 
@@ -983,7 +988,28 @@ def test_all_float_rows_render_as_their_json_text(names, data):
         "footer": footer,
     }) + "\n"
     matrix = _matrix(rows, len(names))
-    assert _render(config, "wavefunction", echo, names, matrix, footer) == expected
+    assert _rendered(config, "wavefunction", echo, names, matrix, footer) == expected
+
+
+def test_json_column_names_with_the_delete_and_marker_bytes_render_as_today():
+    # json.dumps escapes both bytes, so the kernel's separators hold neither
+    names = ["\x00\x01", "\x01"]
+    matrix = np.array([[0.5, -1e-300], [math.nan, -0.0], [1 / 3, 2.0**-1074]])
+    config = RunConfig("wavefunction", format="json")
+    expected = _json_text({
+        "schema": "oscilab.wavefunction.v1",
+        "config": {},
+        "rows": [dict(zip(names, row)) for row in matrix.tolist()],
+        "footer": [],
+    }) + "\n"
+    assert _rendered(config, "wavefunction", [], names, matrix, []) == expected
+
+
+@pytest.mark.parametrize("sep", ["\x00", "a\x01", ",\x00\n", "\x01"])
+def test_a_separator_holding_the_delete_or_marker_byte_is_refused(sep):
+    # the delete pass would drop such a byte, and the fallback split cut on it
+    with pytest.raises(ValueError, match="delete or marker byte"):
+        cli._float_cells(np.zeros((2, 2)), [",", sep])
 
 
 def test_all_float_rows_skip_the_per_cell_formatter(monkeypatch):
@@ -1080,7 +1106,7 @@ def test_float_matrices_of_any_shape_render_as_their_row_tuples(shape, fmt):
     columns = [f"c{i}" for i in range(shape[1])]
     config = RunConfig("wavefunction", format=fmt)
     rows = [tuple(row) for row in matrix.tolist()]
-    assert _render(config, "wavefunction", [("a", 1)], columns, matrix, []) == _render(
+    assert _rendered(config, "wavefunction", [("a", 1)], columns, matrix, []) == _rendered(
         config, "wavefunction", [("a", 1)], columns, rows, []
     )
 
@@ -1096,7 +1122,7 @@ INTEGER_EDGES = sorted(
 
 def test_the_float_kernel_writes_integer_cells_as_the_ints():
     column = np.array(INTEGER_EDGES, dtype=float)[:, np.newaxis]
-    text = "".join(cli._float_cells(column, ["\n"]))
+    text = b"".join(cli._float_cells(column, ["\n"])).decode()
     assert text.splitlines() == [str(n) for n in INTEGER_EDGES]
 
 
@@ -1148,12 +1174,13 @@ def test_spectrum_and_uncertainty_write_their_row_tuples_bytes(
     rows = per_level_rows(command, config.label(), n_max, config.params())
     assert isinstance(matrix, np.ndarray) and len(matrix) == len(rows)
     echo = cli._config_echo(config, n_max, "explicit")
-    assert out.read_text() == _render(config, command, echo, columns, rows, footer)
+    pieces = _render(config, command, echo, columns, rows, footer)
+    assert out.read_bytes() == b"".join(pieces)
 
 
 def _render_packet_sized_matrix(fmt):
-    """The text of an 18,009 x 7 matrix, the packet-large table's shape, and
-    the tracemalloc peak of rendering it."""
+    """The byte count of an 18,009 x 7 matrix, the packet-large table's
+    shape, and the tracemalloc peak of rendering it."""
     rng = np.random.default_rng(0)
     matrix = rng.standard_normal((18009, 7)) * 10.0 ** rng.integers(-20, 5, (18009, 7))
     config = RunConfig("wavefunction", format=fmt)
@@ -1161,28 +1188,31 @@ def _render_packet_sized_matrix(fmt):
     _render(config, "wavefunction", [], columns, matrix[:2], [])  # builds the tables
     tracemalloc.start()
     try:
-        text = _render(config, "wavefunction", [], columns, matrix, [])
+        pieces = _render(config, "wavefunction", [], columns, matrix, [])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return text, peak
+    return sum(map(len, pieces)), peak
 
 
 def test_rendering_a_packet_sized_matrix_stays_in_its_memory_bound():
-    # 2.7 MiB of CSV. Measured peak: 8.3 MiB (the text is held twice while
-    # it is joined); with the whole table as one chunk the kernel's slot
-    # block and keep mask took it to 48 MiB
-    text, peak = _render_packet_sized_matrix("csv")
-    assert len(text) > 2.5 * 2**20
-    assert peak < 12 * 2**20
+    # 2.7 MiB of CSV. Measured peak: 6.0 MiB, the byte pieces and one chunk's
+    # temporaries; the bound leaves 1.5 MiB of margin. Joined into one str,
+    # the output peaked at 8.3 MiB; with the whole table as one chunk the
+    # kernel's slot block and keep mask took it to 48 MiB
+    size, peak = _render_packet_sized_matrix("csv")
+    assert size > 2.5 * 2**20
+    assert peak < 7.5 * 2**20
 
 
 def test_rendering_a_packet_sized_matrix_as_json_stays_in_its_memory_bound():
-    # 3.6 MiB of JSON. Measured peak: 10.3 MiB, the text held twice while it
-    # is joined; joined into intermediate strings three times over, 17.9 MiB
-    text, peak = _render_packet_sized_matrix("json")
-    assert len(text) > 3.5 * 2**20
-    assert peak < 12 * 2**20
+    # 3.6 MiB of JSON. Measured peak: 7.1 MiB, the byte pieces and one
+    # chunk's temporaries; the bound leaves 1.4 MiB of margin. Joined into
+    # one str, 10.3 MiB; joined into intermediate strings three times over,
+    # 17.9 MiB
+    size, peak = _render_packet_sized_matrix("json")
+    assert size > 3.5 * 2**20
+    assert peak < 8.5 * 2**20
 
 
 @pytest.mark.parametrize("command", ["wavefunction", "trajectory"])
