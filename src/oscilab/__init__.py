@@ -20,12 +20,7 @@ from .coherent import (
     resolve_n_max,
     truncation_tail,
 )
-from .dynamics import (
-    Trajectory,
-    ehrenfest_residual,
-    propagate_fock,
-    sample_trajectory,
-)
+from .dynamics import Trajectory, ehrenfest_residual, propagate_fock
 from .fock import (
     DimensionMismatchError,
     NormalizationError,
@@ -39,18 +34,11 @@ from .observables import (
     averages_bruteforce,
     averages_bruteforce_batch,
     averages_bruteforce_fock,
-    averages_closedform,
     averages_closedform_batch,
     phase_rotation_drifts,
     uncertainty_fock,
 )
-from .wavefunction import (
-    WaveSample,
-    generating_sum_check,
-    packet_moments,
-    psi_closed,
-    psi_series,
-)
+from .wavefunction import WaveSample, generating_sum_check, packet_moments
 
 __version__ = "0.1.0"
 

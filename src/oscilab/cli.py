@@ -457,9 +457,24 @@ def _count(n: int, noun: str) -> str:
 
 
 def _admit(config: RunConfig, n_max: int) -> None:
-    """Refuse a run whose largest array term passes MAX_CELLS cells, from the
-    argv and n_max alone, before any sample times, grid or coefficient array
-    exist; the commands that sample times first check the interval's ends."""
+    """Refuse a run whose moment scales leave the normal floats, or whose
+    largest array term passes MAX_CELLS cells, from the argv and n_max alone,
+    before any sample times, grid or coefficient array exist; the commands
+    that sample times first check the interval's ends."""
+    hbar, mass, omega, top = config.hbar, config.mass, config.omega, 4 * n_max + 2
+    # a state on levels 0..n_max has <x^2>, <p^2>, <x>^2, <p>^2 and <H> at
+    # most top = 4 n_max + 2 times their scale; the ground level's equal it
+    for term, scale in (
+        ("hbar/(2*M*omega)", hbar / (2.0 * mass) / omega),
+        ("M*hbar*omega/2", mass * hbar * omega / 2.0),
+        ("hbar*omega/2", hbar * omega / 2.0),
+    ):
+        if not (scale >= sys.float_info.min and math.isfinite(scale * top)):
+            raise UsageError(
+                f"the moment scale {term} = {scale:.3g} and (4*n_max + 2) times it, "
+                f"{scale * top:.3g}, must be finite, normal floats (hbar {hbar!r}, "
+                f"mass {mass!r}, omega {omega!r}, n_max {n_max})"
+            )
     levels, count = n_max + 1, 0
     if config.command in ("trajectory", "wavefunction"):
         count = sample_count(config.t_start, config.t_end, config.dt)

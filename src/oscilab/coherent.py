@@ -83,8 +83,6 @@ def coherent_coefficients(label: CoherentLabel, n_max: int) -> StateVector:
             f"label {chi!r} is too large: its amplitudes underflow "
             f"(exp(-|chi|^2/2) = {c0:.3g} is below the smallest normal float)"
         )
-    if n_max == 0:
-        return StateVector(np.array([c0], dtype=complex), 0, time=0.0)
     ratios = chi / np.sqrt(np.arange(1, n_max + 1, dtype=float))
     coeffs = np.empty(n_max + 1, dtype=complex)
     coeffs[0] = c0

@@ -19,21 +19,14 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .coherent import CoherentLabel, coherent_coefficients, resolve_n_max
 from .fock import OscillatorParams, StateVector, level_phases
-from .observables import (
-    RECORD_COLUMNS,
-    ObservableRecord,
-    averages_bruteforce_batch,
-    record_from_row,
-)
+from .observables import RECORD_COLUMNS
 
 __all__ = [
     "Trajectory",
     "propagate_fock",
     "sample_times",
     "sample_count",
-    "sample_trajectory",
     "check_uniform_times",
     "ehrenfest_residual",
 ]
@@ -77,16 +70,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self._columns["time"].size
-
-    @property
-    def records(self) -> tuple[ObservableRecord, ...]:
-        """The samples as records, all of them rebuilt on each access.
-
-        That is O(len) per access; to read single values take
-        `column(name)[k]` instead.
-        """
-        rows = zip(*(self._columns[name] for name in RECORD_COLUMNS))
-        return tuple(record_from_row(row) for row in rows)
 
     def column(self, name: str) -> np.ndarray:
         """One RECORD_COLUMNS column; complex averages are split into _re/_im."""
@@ -141,26 +124,6 @@ def sample_count(t_start: float, t_end: float, dt: float) -> int:
             f"dt={dt!r} over [{t_start!r}, {t_end!r}] asks for {steps + 1} time samples"
         )
     return int(math.floor(steps)) + 1
-
-
-def sample_trajectory(
-    label: CoherentLabel,
-    params: OscillatorParams,
-    t_start: float,
-    t_end: float,
-    dt: float,
-    n_max: int | None = None,
-) -> Trajectory:
-    """Observables of a coherent state on a uniform time grid.
-
-    Propagates the truncated state exactly and takes its averages from the
-    banded kernel (`averages_bruteforce_batch`). When n_max is None,
-    `resolve_n_max` applies the truncation-tail rule plus TRUNCATION_MARGIN
-    levels of headroom for the second moments.
-    """
-    times = sample_times(t_start, t_end, dt)
-    base = coherent_coefficients(label, resolve_n_max(label, n_max))
-    return Trajectory.from_columns(averages_bruteforce_batch(base, times, params), dt)
 
 
 def ehrenfest_residual(

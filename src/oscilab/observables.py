@@ -3,11 +3,11 @@
 Two independent routes compute the same record. The brute-force route
 evaluates expectation values in the truncated number basis and works for any
 state. `averages_closedform_batch` evaluates the exact coherent-state
-expressions of the evolved label chi(t) at an array of times, and
-`averages_closedform` is its 1-row call. chi(t) and chi(t)^2 are taken in
-real arithmetic, (ar br - ai bi, ar bi + ai br), as Python's complex `*`
-takes them, so a row is the scalar complex formula to the bit (numpy's
-complex `*` rounds otherwise). Tests pin the two routes against each other.
+expressions of the evolved label chi(t) at an array of times. chi(t) and
+chi(t)^2 are taken in real arithmetic, (ar br - ai bi, ar bi + ai br), as
+Python's complex `*` takes them, so a row is the scalar complex formula to
+the bit (numpy's complex `*` rounds otherwise). Tests pin the two routes
+against each other.
 
 Every brute-force average comes from one kernel, `_moments`, which takes a
 block of coefficient rows. Each operator lies within two places of the
@@ -17,11 +17,11 @@ do not depend on the BLAS build or its thread count. `_first_moments` holds
 its checks (finite coefficients, the norm, the top-two level mass) and the
 one <a> sum, from which <x> and <p> follow; `_moments` adds the second
 moments on top. `_columns` runs one of the two over blocks of rows, with
-one TruncationWarning: `averages_bruteforce` is its 1-row call, and
-`averages_bruteforce_batch` (one state propagated to many times),
-`mean_motion_batch` (the same, <x> and <p> only) and
-`averages_bruteforce_fock` (many number states) feed it blocks of at most
-BATCH_CELLS rows x levels, each row the 1-row call to the bit.
+one TruncationWarning: `averages_bruteforce` is its 1-row call, kept for
+perfbench's traced metrics, and `averages_bruteforce_batch` (one state
+propagated to many times), `mean_motion_batch` (the same, <x> and <p>
+only) and `averages_bruteforce_fock` (many number states) feed it blocks
+of at most BATCH_CELLS rows x levels, each row the 1-row call to the bit.
 `phase_rotation_drifts` reads a block and its phase-rotated copy from
 `_moments`. Tests pin the kernel to the dense matrices of `tests/oracle.py`.
 """
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -52,7 +53,6 @@ __all__ = [
     "averages_bruteforce_batch",
     "averages_bruteforce_fock",
     "mean_motion_batch",
-    "averages_closedform",
     "averages_closedform_batch",
     "phase_rotation_drifts",
     "uncertainty_fock",
@@ -195,13 +195,21 @@ def _moments(c: np.ndarray, params: OscillatorParams, norm_tol: float):
     mean_p2 = (mass * hbar * omega / 2.0) * (spread - 2.0 * a2_avg.real)
     var_x = _variance(mean_x2, fields["mean_x"])
     var_p = _variance(mean_p2, fields["mean_p"])
+    # var_x var_p leaves the float range long before its root hbar/2 does: where
+    # it is not finite, or subnormal with both variances positive, take each root
+    with np.errstate(over="ignore"):
+        product = var_x * var_p
+    uncertainty, tiny = np.sqrt(product), sys.float_info.min
+    if not (product.min() >= tiny and product.max() < math.inf):
+        off = ~np.isfinite(product) | ((product < tiny) & (var_x > 0) & (var_p > 0))
+        uncertainty[off] = np.sqrt(var_x[off]) * np.sqrt(var_p[off])
     fields.update(
         mean_x2=mean_x2,
         mean_p2=mean_p2,
         n_avg=(n * prob).sum(axis=1),
         a2_avg_re=a2_avg.real,
         a2_avg_im=a2_avg.imag,
-        uncertainty=np.sqrt(var_x * var_p),
+        uncertainty=uncertainty,
         energy=(hbar * omega * (n + 0.5) * prob).sum(axis=1),
     )
     return fields, top_mass
@@ -426,15 +434,6 @@ def averages_closedform_batch(
         "uncertainty": np.full(times.size, 0.5 * hbar),
         "energy": np.full(times.size, hbar * omega * (lam + 0.5)),
     }
-
-
-def averages_closedform(
-    label: CoherentLabel, t: float, params: OscillatorParams
-) -> ObservableRecord:
-    """The closed-form averages at one time: the 1-row call of
-    `averages_closedform_batch`."""
-    columns = averages_closedform_batch(label, [t], params)
-    return record_from_row([columns[name][0] for name in RECORD_COLUMNS])
 
 
 def uncertainty_fock(n: int, params: OscillatorParams) -> float:

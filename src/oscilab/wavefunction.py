@@ -42,9 +42,7 @@ from .observables import averages_closedform_batch
 __all__ = [
     "WaveSample",
     "generating_sum_check",
-    "psi_series",
     "psi_series_grid",
-    "psi_closed",
     "psi_closed_grid",
     "packet_moments",
     "packet_sweep",
@@ -62,7 +60,7 @@ _SERIES_PASS_POINTS = 20_000
 
 
 class WaveSample(Value):
-    """Complex amplitude at one position (units length**-1/2)."""
+    """Complex amplitude at one position (length**-1/2); perfbench counts them."""
 
     __slots__ = ("x", "value")
 
@@ -216,14 +214,6 @@ def psi_series_grid(
     return series[0] if single else series
 
 
-def psi_series(
-    label: CoherentLabel, x: float, t: float, params: OscillatorParams, n_max: int
-) -> WaveSample:
-    """The series at one point: the 1-row call of `psi_series_grid`."""
-    value = psi_series_grid(label, x, t, params, n_max)[0]
-    return WaveSample(float(x), complex(value))
-
-
 def psi_closed_grid(label: CoherentLabel, x, t, params: OscillatorParams) -> np.ndarray:
     """Closed-form coherent packet on arrays of positions: a Gaussian whose
     squared shift has the complex center chi(t) sqrt(2 hbar / M omega).
@@ -251,14 +241,6 @@ def psi_closed_grid(label: CoherentLabel, x, t, params: OscillatorParams) -> np.
     with np.errstate(over="ignore", invalid="ignore"):
         values = factor * np.exp(-(mass * omega / (2.0 * hbar)) * (xs - shift) ** 2)
     return values[0] if single else values
-
-
-def psi_closed(
-    label: CoherentLabel, x: float, t: float, params: OscillatorParams
-) -> WaveSample:
-    """The closed form at one point: the 1-row call of `psi_closed_grid`."""
-    value = psi_closed_grid(label, x, t, params)[0]
-    return WaveSample(float(x), complex(value))
 
 
 def packet_moments(amplitudes, points, weights):

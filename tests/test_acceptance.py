@@ -85,9 +85,10 @@ def test_ehrenfest_reads_the_coarse_trajectory_from_the_fine_one(monkeypatch, ch
     # an independently sampled trajectory's, column by column and residual
     # by residual
     from oscilab import verify
-    from oscilab.coherent import CoherentLabel
-    from oscilab.dynamics import ehrenfest_residual, sample_trajectory
+    from oscilab.coherent import CoherentLabel, coherent_coefficients, resolve_n_max
+    from oscilab.dynamics import Trajectory, ehrenfest_residual, sample_times
     from oscilab.fock import OscillatorParams
+    from oscilab.observables import averages_bruteforce_batch
 
     seen = {}
 
@@ -99,7 +100,12 @@ def test_ehrenfest_reads_the_coarse_trajectory_from_the_fine_one(monkeypatch, ch
     monkeypatch.setattr(verify, "ehrenfest_residual", recording_residual)
     verify.check_ehrenfest(chi)
     params = OscillatorParams()
-    independent = sample_trajectory(CoherentLabel(chi), params, 0.0, 2.0 * math.pi, 1e-3)
+    label = CoherentLabel(chi)
+    base = coherent_coefficients(label, resolve_n_max(label))
+    times = sample_times(0.0, 2.0 * math.pi, 1e-3)
+    independent = Trajectory.from_columns(
+        averages_bruteforce_batch(base, times, params), 1e-3
+    )
     mean_x, mean_p, residual = seen[1e-3]
     assert mean_x.tobytes() == independent.column("mean_x").tobytes()
     assert mean_p.tobytes() == independent.column("mean_p").tobytes()

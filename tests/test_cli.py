@@ -52,7 +52,7 @@ from oscilab.coherent import (
 from oscilab.fock import OscillatorParams
 from oscilab.observables import (
     averages_bruteforce_fock,
-    averages_closedform,
+    averages_closedform_batch,
     uncertainty_fock,
 )
 from oscilab.wavefunction import (
@@ -181,7 +181,7 @@ def test_cells_round_trip_to_exact_doubles(tmp_path):
     label = CoherentLabel(1)
     for row in rows:
         t = float(row[header.index("time")])
-        expected = averages_closedform(label, t, params).mean_x
+        expected = averages_closedform_batch(label, [t], params)["mean_x"][0]
         assert float(row[header.index("mean_x_closed")]) == expected
 
 
@@ -223,6 +223,46 @@ def test_invalid_configuration_exits_1(args, capsys):
     err = capsys.readouterr().err
     assert named in err.splitlines()[-1]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [  # (argv, what the refusal names; None for a run that must succeed)
+        # var_x var_p overflows, or underflows below the normal floats, while
+        # its root hbar/2 stays in range
+        ("trajectory --hbar 1e300 --t-end 0.02", None),
+        ("uncertainty --hbar 1e200 --n-max 40", None),
+        ("symmetry-check --hbar 1e300", None),
+        ("trajectory --hbar 1e-170 --t-end 0.02", None),
+        # a moment scale passes the float range
+        ("trajectory --hbar 1e300 --omega 1e10 --t-end 0.02", "M*hbar*omega/2 = inf"),
+        ("uncertainty --hbar 1e300 --omega 1e10 --n-max 40", "M*hbar*omega/2 = inf"),
+        ("trajectory --mass 1e-300 --hbar 1e10 --t-end 0.02", "hbar/(2*M*omega) = inf"),
+        # ... or falls below the normal floats, where <x^2> keeps few digits
+        ("trajectory --hbar 1e-300 --mass 1e10 --omega 1e10 --t-end 0.02",
+         "hbar/(2*M*omega) = 5e-321"),
+        # (2 n_max + 1) hbar/(2 M omega) is 1.78e308, in range, but <x^2> at
+        # t = 0 is (2 |chi|^2 + 1 + 2 Re chi^2) = 401 times hbar/(2 M omega)
+        ("symmetry-check --chi-re 10 --hbar 9.859923565172812e+305",
+         "hbar/(2*M*omega) = 4.93e+305 and (4*n_max + 2) times it, inf"),
+    ],
+)
+def test_extreme_units_end_finite_or_refused_by_name(argv, named, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv.split() + ["--output", str(out)])
+    err = capsys.readouterr().err
+    if named is None:
+        assert (code, err) == (0, "")
+        header, rows, footers, _ = read_csv(out)
+        cells = [float(v) for row in rows for v in row]
+        cells += [float(v) for footer in footers for v in footer.values()]
+        assert len(cells) > len(header) and all(map(math.isfinite, cells))
+    else:
+        assert code == 1 and not out.exists()
+        assert err.startswith("oscilab: error: the moment scale ") and named in err
+        assert "Traceback" not in err and "Warning" not in err
 
 
 @pytest.mark.parametrize(
@@ -918,7 +958,7 @@ def test_wavefunction_rows_match_the_per_scalar_form():
     _, rows, _ = PRODUCERS["wavefunction"][0](config, params, label, n_max)
     expected = []
     for t in (0.0, 0.4, 0.8):
-        center = averages_closedform(label, t, params).mean_x
+        center = averages_closedform_batch(label, [t], params)["mean_x"][0]
         points = default_packet_grid(params, center=center).points
         series = psi_series_grid(label, points, t, params, n_max)
         closed = psi_closed_grid(label, points, t, params)

@@ -9,6 +9,7 @@ from oscilab.coherent import (
     CoherentLabel,
     coherent_coefficients,
     dynamical_coherent_state,
+    resolve_n_max,
 )
 from oracle import (
     PhaseAngle,
@@ -28,7 +29,6 @@ from oscilab.dynamics import (
     ehrenfest_residual,
     propagate_fock,
     sample_times,
-    sample_trajectory,
 )
 from oscilab.fock import OscillatorParams
 from oscilab.observables import (
@@ -210,9 +210,9 @@ def test_the_spacing_helper_refuses_what_from_columns_refuses():
 
 
 def test_from_columns_is_the_one_constructor():
-    records = closedform_trajectory(CoherentLabel(1), PARAMS, 0.0, 0.1, 0.05).records
+    traj = closedform_trajectory(CoherentLabel(1), PARAMS, 0.0, 0.1, 0.05)
     with pytest.raises(TypeError):
-        Trajectory(records, 0.05)
+        Trajectory({name: traj.column(name) for name in RECORD_COLUMNS}, 0.05)
 
 
 def test_sample_times_includes_endpoint():
@@ -225,10 +225,14 @@ def test_sample_times_includes_endpoint():
 
 def test_mean_motion_follows_classical_solution():
     label = CoherentLabel(1 + 0.5j)
-    traj = sample_trajectory(label, PARAMS, 0.0, 2 * math.pi, 2 * math.pi / 256)
+    base = coherent_coefficients(label, resolve_n_max(label))
+    dt = 2 * math.pi / 256
+    traj = Trajectory.from_columns(
+        averages_bruteforce_batch(base, sample_times(0.0, 2 * math.pi, dt), PARAMS), dt
+    )
     t = traj.column("time")
-    x0 = traj.records[0].mean_x
-    p0 = traj.records[0].mean_p
+    x0 = traj.column("mean_x")[0]
+    p0 = traj.column("mean_p")[0]
     expected = x0 * np.cos(t) + (p0 / (PARAMS.mass * PARAMS.omega)) * np.sin(t)
     np.testing.assert_allclose(traj.column("mean_x"), expected, atol=1e-10)
 

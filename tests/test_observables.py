@@ -39,7 +39,6 @@ from oscilab.observables import (
     averages_bruteforce,
     averages_bruteforce_batch,
     averages_bruteforce_fock,
-    averages_closedform,
     averages_closedform_batch,
     mean_motion_batch,
     phase_rotation_drifts,
@@ -73,18 +72,18 @@ def test_coherent_occupation_matches_label():
 
 
 def test_closedform_values_at_zero_time():
-    rec = averages_closedform(CoherentLabel(1), 0.0, PARAMS)
-    assert rec.mean_x == pytest.approx(math.sqrt(2), rel=1e-15)
-    assert rec.mean_p == 0.0
-    assert rec.uncertainty == 0.5
-    assert rec.a_avg == 1 + 0j
+    rec = averages_closedform_batch(CoherentLabel(1), [0.0], PARAMS)
+    assert rec["mean_x"][0] == pytest.approx(math.sqrt(2), rel=1e-15)
+    assert rec["mean_p"][0] == 0.0
+    assert rec["uncertainty"][0] == 0.5
+    assert complex(rec["a_avg_re"][0], rec["a_avg_im"][0]) == 1 + 0j
 
 
 def test_closedform_energy():
     for t in (0.0, 0.9, 17.3):
-        rec = averages_closedform(CoherentLabel(1 + 1j), t, PARAMS)
-        assert rec.energy == pytest.approx(2.5, rel=1e-15)
-        assert rec.uncertainty == 0.5
+        rec = averages_closedform_batch(CoherentLabel(1 + 1j), [t], PARAMS)
+        assert rec["energy"][0] == pytest.approx(2.5, rel=1e-15)
+        assert rec["uncertainty"][0] == 0.5
 
 
 @pytest.mark.parametrize("chi", [0.5, 1, 2j, 1 + 1j, -1.5])
@@ -94,7 +93,8 @@ def test_closed_and_brute_force_agree_fieldwise(chi, t):
     n_max = auto_n_max(label, tol=1e-14) + 2
     state = dynamical_coherent_state(label, t, PARAMS, n_max)
     brute = record_row(averages_bruteforce(state, PARAMS))
-    closed = record_row(averages_closedform(label, t, PARAMS))
+    single = averages_closedform_batch(label, [t], PARAMS)
+    closed = [single[name][0] for name in RECORD_COLUMNS]
     np.testing.assert_allclose(brute, closed, atol=1e-9, rtol=0)
 
 
@@ -114,11 +114,11 @@ def test_bruteforce_energy_time_independent():
 def test_energy_partition_between_kinetic_and_potential(params):
     label = CoherentLabel(1 - 0.8j)
     for t in (0.0, 0.6):
-        rec = averages_closedform(label, t, params)
-        split = rec.mean_p2 / (2 * params.mass) + (
+        rec = averages_closedform_batch(label, [t], params)
+        split = rec["mean_p2"][0] / (2 * params.mass) + (
             0.5 * params.mass * params.omega**2
-        ) * rec.mean_x2
-        assert rec.energy == pytest.approx(split, abs=1e-10)
+        ) * rec["mean_x2"][0]
+        assert rec["energy"][0] == pytest.approx(split, abs=1e-10)
         n_max = auto_n_max(label) + 2
         brute = averages_bruteforce(
             dynamical_coherent_state(label, t, params, n_max), params
@@ -199,6 +199,22 @@ def test_uncertainty_fock_matches_bruteforce(n):
     assert rec.uncertainty == pytest.approx(uncertainty_fock(n, PARAMS), abs=1e-10)
 
 
+@pytest.mark.parametrize("hbar", [1e-170, 1e200, 1e300])
+def test_uncertainty_product_stays_in_range_where_var_x_var_p_leaves_it(hbar):
+    # var_x var_p underflows below the normal floats at hbar 1e-170 and
+    # overflows from about 1e154 up; its root hbar/2 stays in range
+    params = OscillatorParams(hbar=hbar)
+    base = coherent_coefficients(CoherentLabel(1 + 0.5j), 30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coherent = averages_bruteforce_batch(base, np.linspace(0.0, 1.0, 5), params)
+        levels = averages_bruteforce_fock(range(10), 13, params)
+    np.testing.assert_allclose(coherent["uncertainty"], 0.5 * hbar, rtol=1e-12)
+    np.testing.assert_allclose(
+        levels["uncertainty"], hbar * (np.arange(10) + 0.5), rtol=1e-12
+    )
+
+
 def test_variance_clipping_policy():
     assert _variance(1.0, 1.0) == 0.0
     assert _variance(4.0, 2.0 + 1e-13) == 0.0  # rounding-level negativity clips
@@ -214,7 +230,9 @@ def test_variance_clipping_policy():
 
 
 def test_record_serialization_schema():
-    rec = averages_closedform(CoherentLabel(1j), 0.25, PARAMS)
+    rec = averages_bruteforce(
+        dynamical_coherent_state(CoherentLabel(1j), 0.25, PARAMS, 24), PARAMS
+    )
     row = record_row(rec)
     assert row[RECORD_COLUMNS.index("a_avg_re")] == rec.a_avg.real
     assert row[RECORD_COLUMNS.index("a_avg_im")] == rec.a_avg.imag
@@ -269,11 +287,13 @@ def test_batched_bruteforce_shares_the_per_state_checks():
 def test_closedform_anomalous_averages_track_label():
     label = CoherentLabel(0.7 - 1.1j)
     for t in (0.0, 2.1):
-        rec = averages_closedform(label, t, PARAMS)
+        rec = averages_closedform_batch(label, [t], PARAMS)
         chit = label.chi * complex(np.exp(-1j * PARAMS.omega * t))
-        assert rec.a_avg == pytest.approx(chit, abs=1e-15)
-        assert rec.a2_avg == pytest.approx(chit * chit, abs=1e-15)
-        assert rec.n_avg == pytest.approx(label.nbar, abs=1e-15)
+        a_avg = complex(rec["a_avg_re"][0], rec["a_avg_im"][0])
+        a2_avg = complex(rec["a2_avg_re"][0], rec["a2_avg_im"][0])
+        assert a_avg == pytest.approx(chit, abs=1e-15)
+        assert a2_avg == pytest.approx(chit * chit, abs=1e-15)
+        assert rec["n_avg"][0] == pytest.approx(label.nbar, abs=1e-15)
 
 
 def assert_kernel_matches_dense(states, params):
@@ -536,7 +556,8 @@ def test_closedform_columns_are_the_textbook_formula_to_the_bit(chi, params):
     for k, name in enumerate(RECORD_COLUMNS):
         assert columns[name].tobytes() == reference[:, k].tobytes(), name
     for t, row in zip(CLOSED_TIMES, reference):
-        assert np.array(record_row(averages_closedform(label, t, params))).tobytes() == (
+        single = averages_closedform_batch(label, [t], params)
+        assert np.array([single[name][0] for name in RECORD_COLUMNS]).tobytes() == (
             row.tobytes()
         )
 

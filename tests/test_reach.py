@@ -28,8 +28,6 @@ ALLOWLIST = {
     "dynamics.Trajectory.__setattr__": "the immutability guard; nothing assigns",
     "dynamics.Trajectory.column": "the README's library example",
     "dynamics.Trajectory.from_columns": "the README's library example",
-    "dynamics.Trajectory.records": "the README's per-sample view of the columns",
-    "dynamics.sample_trajectory": "the README's library example",
     "fock.StateVector.norm": "public accessor of a state's norm",
     "fock.Value.__eq__": "value equality for library users; no command compares values",
     "fock.Value.__hash__": "lets labels and parameters key a dict or cache; none does",
@@ -37,14 +35,12 @@ ALLOWLIST = {
     "fock.Value.__repr__": "the field-showing repr for library users and test failures",
     "fock.Value._immutable": "the immutability guard; nothing assigns or deletes",
     "fock.make_xp": "perfbench's traced metric fock.make_xp.calls names it",
-    "observables.averages_bruteforce": "the README's 1-row view of the batch kernel",
-    "observables.ObservableRecord.__init__": "the records of Trajectory.records",
-    "observables.averages_closedform": "the README's 1-row view of the closed form",
-    "observables.record_from_row": "builds the records of the 1-row views",
-    "wavefunction.WaveSample.__init__": "validates the 1-row packet samples",
+    "observables.averages_bruteforce": "perfbench's traced metrics name it",
+    "observables.ObservableRecord.__init__": "the record averages_bruteforce returns",
+    "observables.record_from_row": "builds the record of averages_bruteforce",
+    "wavefunction.WaveSample.__init__": "perfbench's traced metric "
+    "wavefunction.wavesample.count wraps it",
     "wavefunction.eigenfunction_table": "perfbench's traced metrics name it",
-    "wavefunction.psi_closed": "the 1-row view of psi_closed_grid",
-    "wavefunction.psi_series": "the 1-row view of psi_series_grid",
 }
 
 

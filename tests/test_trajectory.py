@@ -7,19 +7,19 @@ import pickle
 import numpy as np
 import pytest
 
-from oracle import closedform_trajectory, record_row
+from oracle import closedform_trajectory
 from oscilab.coherent import (
     CoherentLabel,
     auto_n_max,
     coherent_coefficients,
     dynamical_coherent_state,
+    resolve_n_max,
 )
 from oscilab.dynamics import (
     Trajectory,
     propagate_fock,
     sample_count,
     sample_times,
-    sample_trajectory,
 )
 from oscilab.fock import (
     NormalizationError,
@@ -27,7 +27,11 @@ from oscilab.fock import (
     TruncationWarning,
     level_phases,
 )
-from oscilab.observables import RECORD_COLUMNS, SUPPORT_MASS_TOL, ObservableRecord
+from oscilab.observables import (
+    RECORD_COLUMNS,
+    SUPPORT_MASS_TOL,
+    averages_bruteforce_batch,
+)
 
 PARAMS = OscillatorParams()
 
@@ -46,20 +50,15 @@ def test_phase_rows_are_bit_identical_to_the_per_state_propagators():
         )
 
 
-def test_columns_are_read_only_arrays_and_records_round_trip():
-    traj = sample_trajectory(CoherentLabel(1 + 1j), PARAMS, 0.0, 1.0, 0.1)
+def test_columns_are_read_only_arrays():
+    label = CoherentLabel(1 + 1j)
+    base = coherent_coefficients(label, resolve_n_max(label))
+    columns = averages_bruteforce_batch(base, sample_times(0.0, 1.0, 0.1), PARAMS)
+    traj = Trajectory.from_columns(columns, 0.1)
     assert len(traj) == 11
     for name in RECORD_COLUMNS:
         values = traj.column(name)
         assert values.shape == (11,) and not values.flags.writeable
-    records = traj.records
-    assert len(records) == 11
-    assert all(isinstance(record, ObservableRecord) for record in records)
-    for name in RECORD_COLUMNS:
-        np.testing.assert_array_equal(
-            [record_row(record)[RECORD_COLUMNS.index(name)] for record in records],
-            traj.column(name),
-        )
     with pytest.raises(KeyError):
         traj.column("a_avg")  # complex averages are stored as _re/_im
     with pytest.raises(AttributeError):
@@ -67,7 +66,10 @@ def test_columns_are_read_only_arrays_and_records_round_trip():
 
 
 def test_pickle_and_copy_rebuild_an_equal_trajectory():
-    traj = sample_trajectory(CoherentLabel(0.5 - 1j), PARAMS, 0.0, 2.0, 0.25)
+    label = CoherentLabel(0.5 - 1j)
+    base = coherent_coefficients(label, resolve_n_max(label))
+    columns = averages_bruteforce_batch(base, sample_times(0.0, 2.0, 0.25), PARAMS)
+    traj = Trajectory.from_columns(columns, 0.25)
     for clone in (
         pickle.loads(pickle.dumps(traj)),
         copy.copy(traj),
@@ -95,7 +97,9 @@ def test_from_columns_validates_shape_and_sampling():
 
 def test_bruteforce_and_closedform_trajectories_agree():
     label = CoherentLabel(-1.5 + 0.5j)
-    brute = sample_trajectory(label, PARAMS, 0.0, 2 * math.pi, 0.01)
+    base = coherent_coefficients(label, resolve_n_max(label))
+    times = sample_times(0.0, 2 * math.pi, 0.01)
+    brute = Trajectory.from_columns(averages_bruteforce_batch(base, times, PARAMS), 0.01)
     closed = closedform_trajectory(label, PARAMS, 0.0, 2 * math.pi, 0.01)
     np.testing.assert_array_equal(brute.column("time"), closed.column("time"))
     for name in RECORD_COLUMNS:
@@ -106,7 +110,9 @@ def test_bruteforce_and_closedform_trajectories_agree():
 
 def test_bruteforce_sampling_rejects_gross_under_truncation():
     with pytest.raises(NormalizationError):
-        sample_trajectory(CoherentLabel(3), PARAMS, 0.0, 1.0, 0.1, n_max=4)
+        averages_bruteforce_batch(
+            coherent_coefficients(CoherentLabel(3), 4), sample_times(0.0, 1.0, 0.1), PARAMS
+        )
 
 
 def test_bruteforce_sampling_warns_when_only_the_edge_mass_is_too_large():
@@ -117,7 +123,9 @@ def test_bruteforce_sampling_warns_when_only_the_edge_mass_is_too_large():
     assert abs(np.linalg.norm(coeffs) - 1.0) < 1e-10
     assert np.sum(np.abs(coeffs[-2:]) ** 2) > SUPPORT_MASS_TOL
     with pytest.warns(TruncationWarning):
-        sample_trajectory(label, PARAMS, 0.0, 1.0, 0.1, n_max=n_max)
+        averages_bruteforce_batch(
+            coherent_coefficients(label, n_max), sample_times(0.0, 1.0, 0.1), PARAMS
+        )
 
 
 @pytest.mark.parametrize("dt, requested", [(5e-324, "inf"), (float("nan"), "nan")])

@@ -21,7 +21,7 @@ from oracle import (
 )
 from oscilab.coherent import CoherentLabel, dynamical_coherent_state
 from oscilab.fock import DimensionMismatchError, OscillatorParams
-from oscilab.observables import averages_closedform, averages_closedform_batch
+from oscilab.observables import averages_closedform_batch
 from oscilab import wavefunction
 from oscilab.wavefunction import (
     WaveSample,
@@ -29,9 +29,7 @@ from oscilab.wavefunction import (
     generating_sum_check,
     packet_moments,
     packet_sweep,
-    psi_closed,
     psi_closed_grid,
-    psi_series,
     psi_series_grid,
 )
 
@@ -140,16 +138,16 @@ def test_series_vacuum_is_ground_gaussian_with_phase():
 
 
 def test_series_matches_closed_form_at_origin():
-    sample_series = psi_series(CoherentLabel(1), 0.0, 0.0, PARAMS, 64)
-    sample_closed = psi_closed(CoherentLabel(1), 0.0, 0.0, PARAMS)
-    assert abs(sample_series.value - sample_closed.value) < 1e-10
+    sample_series = psi_series_grid(CoherentLabel(1), 0.0, 0.0, PARAMS, 64)[0]
+    sample_closed = psi_closed_grid(CoherentLabel(1), 0.0, 0.0, PARAMS)[0]
+    assert abs(sample_series - sample_closed) < 1e-10
 
 
 @pytest.mark.parametrize("chi", [0.5, 1, 2j, 1 + 1j, -1.5 + 0.5j])
 @pytest.mark.parametrize("t", [0.0, 1.3, 2 * math.pi])
 def test_series_and_closed_form_agree_on_grid(chi, t):
     label = CoherentLabel(chi)
-    center = averages_closedform(label, t, PARAMS).mean_x
+    center = averages_closedform_batch(label, [t], PARAMS)["mean_x"][0]
     grid = default_packet_grid(PARAMS, center=center)
     series = psi_series_grid(label, grid.points, t, PARAMS, 64)
     closed = psi_closed_grid(label, grid.points, t, PARAMS)
@@ -162,7 +160,7 @@ def test_two_closed_forms_agree_pointwise():
     for _ in range(20):
         x = rng.uniform(-4, 4)
         t = rng.uniform(0, 4 * math.pi)
-        a = psi_closed(label, x, t, PARAMS).value
+        a = psi_closed_grid(label, x, t, PARAMS)[0]
         b = psi_schrodinger_grid(label, x, t, PARAMS)[0]
         assert abs(a - b) < 1e-12
 
@@ -182,7 +180,7 @@ def test_packet_width_never_changes(params):
     label = CoherentLabel(2)
     expected_var = params.hbar / (2 * params.mass * params.omega)
     for t in np.linspace(0.0, 2 * math.pi / params.omega, 7):
-        center = averages_closedform(label, t, params).mean_x
+        center = averages_closedform_batch(label, [t], params)["mean_x"][0]
         grid = default_packet_grid(params, center=center)
         values = psi_closed_grid(label, grid.points, t, params)
         _, _, var = packet_moments(samples_from(values, grid), grid.points, grid.weights)
@@ -192,24 +190,25 @@ def test_packet_width_never_changes(params):
 def test_packet_center_tracks_mean_position():
     label = CoherentLabel(1.5)
     for t in (0.0, 0.9, 2.4):
-        rec = averages_closedform(label, t, PARAMS)
-        grid = default_packet_grid(PARAMS, center=rec.mean_x)
+        mean_x = averages_closedform_batch(label, [t], PARAMS)["mean_x"][0]
+        grid = default_packet_grid(PARAMS, center=mean_x)
         values = psi_series_grid(label, grid.points, t, PARAMS, 64)
         step = grid.points[1] - grid.points[0]
         peak = grid.points[np.argmax(np.abs(values))]
-        assert abs(peak - rec.mean_x) <= step
+        assert abs(peak - mean_x) <= step
 
 
 def test_phase_gradient_at_center_is_mean_momentum():
     label = CoherentLabel(1 + 1j)
     h = 1e-5
     for t in (0.4, 2.0):
-        rec = averages_closedform(label, t, PARAMS)
+        rec = averages_closedform_batch(label, [t], PARAMS)
+        mean_x, mean_p = rec["mean_x"][0], rec["mean_p"][0]
         for closed_grid in CLOSED_FORMS.values():
-            left = closed_grid(label, rec.mean_x - h, t, PARAMS)[0]
-            right = closed_grid(label, rec.mean_x + h, t, PARAMS)[0]
+            left = closed_grid(label, mean_x - h, t, PARAMS)[0]
+            right = closed_grid(label, mean_x + h, t, PARAMS)[0]
             gradient = np.angle(right / left) / (2 * h)
-            assert gradient == pytest.approx(rec.mean_p / PARAMS.hbar, abs=1e-6)
+            assert gradient == pytest.approx(mean_p / PARAMS.hbar, abs=1e-6)
 
 
 def test_quadrature_norm_ground_state():
@@ -229,7 +228,7 @@ def test_packet_moments_refuse_an_empty_grid():
 def test_quadrature_norm_shifted_packet():
     label = CoherentLabel(2)
     t = 1.234
-    center = averages_closedform(label, t, PARAMS).mean_x
+    center = averages_closedform_batch(label, [t], PARAMS)["mean_x"][0]
     grid = default_packet_grid(PARAMS, center=center)
     values = psi_closed_grid(label, grid.points, t, PARAMS)
     assert packet_moments(
@@ -309,7 +308,7 @@ def test_stacked_slices_equal_the_per_slice_calls_to_the_bit(
         monkeypatch.setattr(wavefunction, "_SERIES_PASS_POINTS", pass_points)
     label = CoherentLabel(STACK_LABELS[n_max])
     times = np.linspace(0.0, 2.0 * math.pi, slices) + 0.3
-    centers = [averages_closedform(label, t, PARAMS).mean_x for t in times]
+    centers = averages_closedform_batch(label, times, PARAMS)["mean_x"].tolist()
     halfwidths = np.linspace(6.0, 10.0, slices)
     points = np.array(
         [np.linspace(c - h, c + h, 2001) for c, h in zip(centers, halfwidths)]
@@ -385,8 +384,8 @@ def per_time_closed_form(label, xs, t, params, form):
         amp = prefactor * math.exp(-0.5 * label.nbar)
         phase = np.exp(-0.5j * omega * t + 0.5 * chit * chit)
         return amp * phase * np.exp(-(mass * omega / (2.0 * hbar)) * (xs - shift) ** 2)
-    rec = averages_closedform(label, t, params)
-    xb, pb = rec.mean_x, rec.mean_p
+    rec = averages_closedform_batch(label, [t], params)
+    xb, pb = float(rec["mean_x"][0]), float(rec["mean_p"][0])
     phase = np.exp(-1j * (0.5 * omega * t + 0.5 * pb * xb / hbar))
     plane = np.exp(1j * (pb / hbar) * xs)
     gauss = np.exp(-(mass * omega / (2.0 * hbar)) * (xs - xb) ** 2)
@@ -415,7 +414,7 @@ def test_closed_form_slices_are_their_single_time_calls_to_the_bit(
     # chi(t), chi(t)^2 and the phase taken as numpy complex arrays move up
     # to 8,004 of the 18,009 packet-large cells, by up to 5.5e-15
     label = CoherentLabel(chi)
-    centers = [averages_closedform(label, t, params).mean_x for t in times]
+    centers = averages_closedform_batch(label, times, params)["mean_x"].tolist()
     points = np.array([default_packet_grid(params, center=c).points for c in centers])
     stacked = CLOSED_FORMS[form](label, points, times, params)
     assert stacked.shape == points.shape and stacked.dtype == complex
@@ -440,7 +439,7 @@ def test_packet_sweep_rows_are_the_per_slice_calls_to_the_bit(
     sweep = packet_sweep(label, times, params, n_max, halfwidth, npoints)
     assert [part.shape for part in sweep] == [(times.size, npoints)] * 3 + [times.shape] * 2
     for s, t in enumerate(times.tolist()):
-        center = averages_closedform(label, t, params).mean_x
+        center = averages_closedform_batch(label, [t], params)["mean_x"][0]
         grid = default_packet_grid(params, center, halfwidth, npoints)
         series = psi_series_grid(label, grid.points, t, params, n_max)
         closed = psi_closed_grid(label, grid.points, t, params)
