@@ -13,7 +13,6 @@ from .coherent import (
     CoherentLabel,
     TruncationCapError,
     annihilation_residual,
-    auto_n_max,
     coherent_coefficients,
     dynamical_coherent_state,
     occupation_probability,

@@ -17,7 +17,7 @@ parser is built without argparse parent parsers. `main` keeps freed
 array memory in the process (`_keep_freed_memory`).
 
 Exit codes: 0 success, 1 usage/invalid config, 2 unwritable output,
-3 failed verification.
+3 failed verification. A TruncationWarning goes to stderr as one line.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import itertools
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .coherent import (
     truncation_tail,
 )
 from .dynamics import sample_count, sample_times
-from .fock import OscillatorParams, Value
+from .fock import OscillatorParams, TruncationWarning, Value
 from .observables import (
     RECORD_COLUMNS,
     averages_bruteforce_batch,
@@ -63,8 +64,8 @@ EXIT_VERIFY = 3
 SCHEMA_PREFIX = "oscilab"
 SCHEMA_VERSION = "v1"
 
-# Pointwise packet amplitudes err like the square root of the tail, so the
-# wavefunction command squares the moment-level tail tolerance.
+# The wavefunction command's tail tolerance: a pointwise packet amplitude errs
+# like the square root of the tail, here 1e-9, below QUADRATURE_TOL.
 AMPLITUDE_TAIL_TOL = 1e-18
 # Largest accepted gap between a wavefunction slice's quadrature norm and
 # the truncated state's norm; the packet tolerance `verify` uses.
@@ -131,12 +132,6 @@ class RunConfig(Value):
 
     def label(self) -> CoherentLabel:
         return CoherentLabel(complex(self.chi_re or 0.0, self.chi_im or 0.0))
-
-    def resolve_n_max(self, tail_tol: float = AUTO_TAIL_TOL) -> tuple[int, str]:
-        """The truncation level and its source; see `coherent.resolve_n_max`."""
-        if self.n_max != "auto":
-            return int(self.n_max), "explicit"
-        return resolve_n_max(self.label(), tol=tail_tol), "auto"
 
 
 def _fmt(value) -> str:
@@ -370,8 +365,9 @@ def _json_text(value) -> str:
     return _fmt(value)
 
 
-def _config_echo(config: RunConfig, n_max: int, source: str) -> list[tuple[str, object]]:
+def _config_echo(config: RunConfig, n_max: int) -> list[tuple[str, object]]:
     """Every field but output_path, with the resolved n_max and its source."""
+    source = "auto" if config.n_max == "auto" else "explicit"
     echo = dict(zip(config.__slots__, config._fields()), n_max=n_max, n_max_source=source)
     del echo["output_path"]
     for name in ("chi_re", "chi_im"):
@@ -475,6 +471,12 @@ def _admit(config: RunConfig, n_max: int) -> None:
                 f"{scale * top:.3g}, must be finite, normal floats (hbar {hbar!r}, "
                 f"mass {mass!r}, omega {omega!r}, n_max {n_max})"
             )
+    # the classical energy M omega^2 x^2/2 of the symmetry check's xp drift
+    if config.command == "symmetry-check" and not math.isfinite(mass * (omega * omega)):
+        raise UsageError(
+            f"the energy scale M*omega^2 = {mass * (omega * omega):.3g} must be a "
+            f"finite float (hbar {hbar!r}, mass {mass!r}, omega {omega!r})"
+        )
     levels, count = n_max + 1, 0
     if config.command in ("trajectory", "wavefunction"):
         count = sample_count(config.t_start, config.t_end, config.dt)
@@ -606,27 +608,28 @@ PRODUCERS = {
 
 def _run_table(config: RunConfig) -> int:
     producer, tail_tol = PRODUCERS[config.command]
-    n_max, source = config.resolve_n_max(tail_tol)
+    explicit = None if config.n_max == "auto" else config.n_max
+    n_max = resolve_n_max(config.label(), explicit, tail_tol)
     _admit(config, n_max)
     columns, rows, footer = producer(config, config.params(), config.label(), n_max)
-    echo = _config_echo(config, n_max, source)
+    echo = _config_echo(config, n_max)
     _emit(config, _render(config, config.command, echo, columns, rows, footer))
     return EXIT_OK
 
 
 def _cmd_verify(config: RunConfig) -> int:
+    n_max = None if config.n_max == "auto" else int(config.n_max)
     chi = None
     if config.chi_re is not None or config.chi_im is not None:
         chi = config.label().chi
-        config.resolve_n_max()  # refuse a capped auto truncation before the battery
-    n_max = None if config.n_max == "auto" else int(config.n_max)
+        resolve_n_max(config.label(), n_max)  # refuse a capped auto truncation first
     _admit(config, n_max or 0)
     results = run_all(chi=chi, n_max=n_max, seed=config.seed)
     sys.stdout.write(format_table(results) + "\n")
     if config.output_path != "-":
         rows = [(r.name, r.passed, r.detail) for r in results]
         footer = [{"passed": sum(r.passed for r in results), "total": len(results)}]
-        echo = _config_echo(config, n_max or 0, "auto" if n_max is None else "explicit")
+        echo = _config_echo(config, n_max or 0)
         columns = ["criterion", "passed", "detail"]
         _emit(config, _render(config, "verify", echo, columns, rows, footer))
     failed = [r.name for r in results if not r.passed]
@@ -788,15 +791,23 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     config = RunConfig(**vars(ns))
-    try:
-        config.validate()
-        return _cmd_verify(config) if config.command == "verify" else _run_table(config)
-    except ValueError as exc:  # UsageError and every library refusal
-        sys.stderr.write(f"oscilab: error: {exc}\n")
-        return EXIT_USAGE
-    except OSError as exc:
-        sys.stderr.write(f"oscilab: I/O error: {exc}\n")
-        return EXIT_IO
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            config.validate()
+            code = _cmd_verify(config) if config.command == "verify" else _run_table(config)
+        except ValueError as exc:  # UsageError and every library refusal
+            sys.stderr.write(f"oscilab: error: {exc}\n")
+            code = EXIT_USAGE
+        except OSError as exc:
+            sys.stderr.write(f"oscilab: I/O error: {exc}\n")
+            code = EXIT_IO
+    # a TruncationWarning as one line; any other warning as Python shows it
+    for w in caught:
+        if issubclass(w.category, TruncationWarning):
+            sys.stderr.write(f"oscilab: warning: {w.message}\n")
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return code
 
 
 if __name__ == "__main__":

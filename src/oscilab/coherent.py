@@ -6,9 +6,10 @@ formula overflows n! and underflows chi**n long before truncation levels of
 interest, while the ladder stays well-scaled for any n.
 
 The truncation tail (total Poisson weight above n_max) is the single error
-control for everything downstream; `auto_n_max` turns it into a
-deterministic truncation policy, and `resolve_n_max` is the one place that
-policy is applied. The tail is a direct sum of Poisson weights started from
+control for everything downstream, and `resolve_n_max` alone turns a tail
+tolerance into n_max: the smallest truncation whose tail is below it, found
+by one bisection, plus the second-moment margin, or a TruncationCapError
+past AUTO_N_MAX_CAP. The tail is a direct sum of Poisson weights started from
 Loader's saddle-point form of the weight (C. Loader, "Fast and accurate
 computation of binomial probabilities", 2000), so this module needs only
 `math` and numpy.
@@ -22,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .fock import OscillatorParams, StateVector, Value, level_phases
+from .fock import OscillatorParams, StateVector, Value, check_n_max, level_phases
 
 __all__ = [
     "CoherentLabel",
@@ -31,15 +32,14 @@ __all__ = [
     "dynamical_coherent_state",
     "annihilation_residual",
     "truncation_tail",
-    "auto_n_max",
     "resolve_n_max",
     "TruncationCapError",
 ]
 
 AUTO_TAIL_TOL = 1e-12
 AUTO_N_MAX_CAP = 1024
-# Levels `resolve_n_max` adds above auto_n_max: second moments couple n to
-# n + 2, so they need this much headroom below the truncation edge.
+# Levels `resolve_n_max` adds above the tail rule's n_max: second moments
+# couple n to n + 2, so they need this much headroom below the truncation edge.
 TRUNCATION_MARGIN = 2
 
 
@@ -73,9 +73,7 @@ def coherent_coefficients(label: CoherentLabel, n_max: int) -> StateVector:
     ladder start exp(-|chi|^2 / 2) underflows past the smallest normal float
     (|chi| above about 37.64), since every amplitude would then be lost.
     """
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    n_max = check_n_max(n_max)
     chi = label.chi
     c0 = math.exp(-0.5 * abs(chi) ** 2)
     if c0 < sys.float_info.min:
@@ -215,9 +213,7 @@ def truncation_tail(label: CoherentLabel, n_max: int) -> float:
     when the start weight underflows, and 1.0 when the Chernoff bound puts
     the weight at or below n_max under half an ulp of 1; it never exceeds 1.
     """
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    n_max = check_n_max(n_max)
     lam = label.nbar
     if lam == 0.0:
         return 0.0
@@ -243,28 +239,6 @@ def truncation_tail(label: CoherentLabel, n_max: int) -> float:
     return min(total, 1.0)  # rounding can lift a sum near 1 past it
 
 
-def auto_n_max(
-    label: CoherentLabel, tol: float = AUTO_TAIL_TOL, cap: int = AUTO_N_MAX_CAP
-) -> int:
-    """Smallest n_max with truncation tail below tol, capped at `cap`.
-
-    The tail is monotone nonincreasing in n_max, so a bisection finds the
-    minimal adequate truncation.
-    """
-    if truncation_tail(label, 0) < tol:
-        return 0
-    if truncation_tail(label, cap) >= tol:
-        return cap
-    lo, hi = 0, cap
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if truncation_tail(label, mid) < tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 class TruncationCapError(ValueError):
     """The capped auto truncation leaves a tail at or above the tolerance."""
 
@@ -280,20 +254,26 @@ class TruncationCapError(ValueError):
 def resolve_n_max(
     label: CoherentLabel, n_max: int | None = None, tol: float = AUTO_TAIL_TOL
 ) -> int:
-    """The explicit n_max, or auto_n_max plus TRUNCATION_MARGIN.
+    """The explicit n_max, or TRUNCATION_MARGIN levels above the smallest
+    n_max whose truncation tail is below tol.
 
-    Raises TruncationCapError, naming the n_max the tolerance needs, when the
-    capped auto choice still leaves a tail at or above tol.
+    The tail is nonincreasing in n_max, so one bisection finds the smallest
+    adequate truncation: over 0..AUTO_N_MAX_CAP, and on up to 2**53 only when
+    the tail at the cap is still at or above tol (exact below 2**53, a lower
+    bound at it). A result past the cap raises TruncationCapError, naming the
+    n_max the tolerance needs.
     """
     if n_max is not None:
         return int(n_max)
-    auto = auto_n_max(label, tol=tol)
-    capped = truncation_tail(label, auto) >= tol
-    if capped:
-        # the auto rule's bisection with a cap of 2**53: exact below it, a
-        # lower bound at it
-        auto = auto_n_max(label, tol=tol, cap=2**53)
-    n_max = auto + TRUNCATION_MARGIN
-    if capped:
-        raise TruncationCapError(n_max, tol)
-    return n_max
+    lo, hi = -1, AUTO_N_MAX_CAP  # tail(lo) >= tol; tail(hi) < tol unless hi = 2**53
+    if truncation_tail(label, hi) >= tol:
+        lo, hi = hi, 2**53
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if truncation_tail(label, mid) < tol:
+            hi = mid
+        else:
+            lo = mid
+    if hi > AUTO_N_MAX_CAP:
+        raise TruncationCapError(hi + TRUNCATION_MARGIN, tol)
+    return hi + TRUNCATION_MARGIN

@@ -27,6 +27,7 @@ __all__ = [
     "Value",
     "OscillatorParams",
     "StateVector",
+    "check_n_max",
     "level_phases",
 ]
 
@@ -143,7 +144,8 @@ class StateVector(Value):
         return float(np.linalg.norm(self.coeffs))
 
 
-def _check_n_max(n_max: int) -> int:
+def check_n_max(n_max: int) -> int:
+    """n_max as an int, refused when negative: the shared check of a truncation level."""
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
@@ -162,7 +164,7 @@ def level_phases(params: OscillatorParams, t, n_max: int) -> np.ndarray:
     same angle this equals the complex np.exp(-1j omega t (n + 1/2)) to the
     bit (a test pins it), and skips the complex exponential's extra work.
     """
-    n = np.arange(_check_n_max(n_max) + 1)
+    n = np.arange(check_n_max(n_max) + 1)
     t = np.asarray(t, dtype=float)[..., np.newaxis]
     angle = -params.omega * t * (n + 0.5)
     # the complex exponent's imaginary part is +0 + angle, so +0 rather than
@@ -178,7 +180,7 @@ def make_xp(params: OscillatorParams, n_max: int) -> tuple[np.ndarray, np.ndarra
     """Dense x = sqrt(hbar/2M omega) (a+ + a) and p = i sqrt(M hbar omega/2)
     (a+ - a) as arrays. No command builds them; the function stays because
     perfbench's traced metric `fock.make_xp.calls` counts its calls."""
-    levels = np.sqrt(np.arange(1, _check_n_max(n_max) + 1, dtype=float))
+    levels = np.sqrt(np.arange(1, check_n_max(n_max) + 1, dtype=float))
     a = np.diag(levels, k=1).astype(complex)
     x_scale = math.sqrt(params.hbar / (2.0 * params.mass * params.omega))
     p_scale = math.sqrt(params.mass * params.hbar * params.omega / 2.0)

@@ -36,7 +36,9 @@ import math
 import numpy as np
 
 from .coherent import CoherentLabel, coherent_coefficients
-from .fock import DimensionMismatchError, OscillatorParams, Value, level_phases
+from .fock import (
+    DimensionMismatchError, OscillatorParams, Value, check_n_max, level_phases,
+)
 from .observables import averages_closedform_batch
 
 __all__ = [
@@ -103,9 +105,7 @@ def eigenfunction_table(n_max: int, x, params: OscillatorParams) -> np.ndarray:
     """Orthonormal eigenfunctions phi_0..phi_n_max stacked along axis 0, the
     rows of the recurrence above. No command builds the table; it stays for
     the tests and because perfbench's traced metrics name it."""
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    n_max = check_n_max(n_max)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     table = np.empty((n_max + 1, xs.size), dtype=float)
     for k, row in enumerate(_eigenfunction_rows(n_max, xs, params)):

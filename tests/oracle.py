@@ -17,6 +17,8 @@ not part of it:
   (`SpatialGrid`, `trapezoid_grid`, `default_packet_grid`, `slice_moments`),
   the per-slice reference of the (S, N) arrays of `packet_sweep`;
 - a trajectory of the closed-form averages (`closedform_trajectory`);
+- the two-step truncation rule that `coherent.resolve_n_max` folded into
+  one bisection (`auto_n_max`, `two_step_resolve`);
 - the float-cell kernel's tables built one (shape, digits) cell at a time
   (`kernel_tables`), the reference of `cli._kernel_tables`.
 
@@ -40,13 +42,18 @@ from oscilab.cli import (
     _SCIENTIFIC,
     _SCIENTIFIC_3,
 )
-from oscilab.coherent import CoherentLabel
+from oscilab.coherent import (
+    AUTO_N_MAX_CAP,
+    TRUNCATION_MARGIN,
+    CoherentLabel,
+    truncation_tail,
+)
 from oscilab.dynamics import Trajectory, sample_times
 from oscilab.fock import (
     DimensionMismatchError,
     OscillatorParams,
     StateVector,
-    _check_n_max,
+    check_n_max,
 )
 from oscilab.observables import ObservableRecord, averages_closedform_batch
 from oscilab.wavefunction import (
@@ -118,7 +125,7 @@ def make_ladder(n_max: int) -> tuple[Operator, Operator]:
     satisfies [a, a+] = 1 everywhere except the corner entry (n_max, n_max),
     which picks up -n_max.
     """
-    n_max = _check_n_max(n_max)
+    n_max = check_n_max(n_max)
     a = np.diag(np.sqrt(np.arange(1, n_max + 1, dtype=float)), k=1).astype(complex)
     return Operator(a, n_max), Operator(a.conj().T, n_max)
 
@@ -129,7 +136,7 @@ def make_xp(params: OscillatorParams, n_max: int) -> tuple[Operator, Operator]:
     x = sqrt(hbar / 2 M omega) (a+ + a),  p = i sqrt(M hbar omega / 2) (a+ - a);
     both come out exactly Hermitian.
     """
-    n_max = _check_n_max(n_max)
+    n_max = check_n_max(n_max)
     a, ad = make_ladder(n_max)
     x_scale = math.sqrt(params.hbar / (2.0 * params.mass * params.omega))
     p_scale = math.sqrt(params.mass * params.hbar * params.omega / 2.0)
@@ -140,14 +147,14 @@ def make_xp(params: OscillatorParams, n_max: int) -> tuple[Operator, Operator]:
 
 def make_hamiltonian(params: OscillatorParams, n_max: int) -> Operator:
     """Diagonal Hamiltonian with level energies hbar omega (n + 1/2)."""
-    n_max = _check_n_max(n_max)
+    n_max = check_n_max(n_max)
     levels = params.hbar * params.omega * (np.arange(n_max + 1) + 0.5)
     return Operator(np.diag(levels).astype(complex), n_max)
 
 
 def fock_state(n: int, n_max: int) -> StateVector:
     """Number eigenstate |n> as a basis vector at truncation n_max."""
-    n_max = _check_n_max(n_max)
+    n_max = check_n_max(n_max)
     n = int(n)
     if n < 0 or n > n_max:
         raise ValueError(f"level n={n} out of range 0..{n_max}")
@@ -157,7 +164,7 @@ def fock_state(n: int, n_max: int) -> StateVector:
 
 
 def identity(n_max: int) -> Operator:
-    n_max = _check_n_max(n_max)
+    n_max = check_n_max(n_max)
     return Operator(np.eye(n_max + 1, dtype=complex), n_max)
 
 
@@ -178,7 +185,7 @@ def expectation(op: Operator, state: StateVector) -> complex:
 
 def random_state(n_max: int, rng=None, time: float = 0.0) -> StateVector:
     """Haar-like random normalized state: i.i.d. complex Gaussian amplitudes."""
-    n_max = _check_n_max(n_max)
+    n_max = check_n_max(n_max)
     rng = np.random.default_rng(rng)
     c = rng.standard_normal(n_max + 1) + 1j * rng.standard_normal(n_max + 1)
     return StateVector(c / np.linalg.norm(c), n_max, time=time)
@@ -418,6 +425,34 @@ def closedform_trajectory(
     """The label's closed-form averages on the uniform time grid, as a trajectory."""
     times = sample_times(t_start, t_end, dt)
     return Trajectory.from_columns(averages_closedform_batch(label, times, params), dt)
+
+
+def auto_n_max(label: CoherentLabel, tol: float, cap: int = AUTO_N_MAX_CAP) -> int:
+    """Smallest n_max with truncation tail below tol, capped at `cap`: a
+    bisection over 0..cap, the tail being nonincreasing in n_max."""
+    if truncation_tail(label, 0) < tol:
+        return 0
+    if truncation_tail(label, cap) >= tol:
+        return cap
+    lo, hi = 0, cap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if truncation_tail(label, mid) < tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def two_step_resolve(label: CoherentLabel, tol: float) -> tuple[int, bool]:
+    """(auto n_max plus TRUNCATION_MARGIN, whether the cap binds) by two
+    bisections: `auto_n_max` at AUTO_N_MAX_CAP, a tail walk at its result to
+    tell a capped one, and for a capped one `auto_n_max` again at 2**53."""
+    auto = auto_n_max(label, tol)
+    capped = truncation_tail(label, auto) >= tol
+    if capped:
+        auto = auto_n_max(label, tol, cap=2**53)
+    return auto + TRUNCATION_MARGIN, capped
 
 
 def kernel_tables() -> tuple[np.ndarray, ...]:

@@ -47,6 +47,7 @@ from oscilab.coherent import (
     CoherentLabel,
     coherent_coefficients,
     occupation_probability,
+    resolve_n_max,
     truncation_tail,
 )
 from oscilab.fock import OscillatorParams
@@ -263,6 +264,55 @@ def test_extreme_units_end_finite_or_refused_by_name(argv, named, tmp_path, caps
         assert code == 1 and not out.exists()
         assert err.startswith("oscilab: error: the moment scale ") and named in err
         assert "Traceback" not in err and "Warning" not in err
+
+
+def test_symmetry_check_refuses_an_energy_scale_past_the_float_range(capsys):
+    # every moment scale is a normal float, but M*omega^2 = 2.5e-111 * 4e420
+    # is not; only symmetry-check forms it, for its xp energy drift
+    units = "--hbar 1e-200 --mass 2.5e-111 --omega 2e210"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(f"symmetry-check {units}".split()) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "oscilab: error: the energy scale M*omega^2 = inf must be a finite float "
+            "(hbar 1e-200, mass 2.5e-111, omega 2e+210)\n"
+        )
+        assert main(f"trajectory {units} --t-end 0".split()) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_truncation_warning_is_one_line_on_stderr(capsys):
+    # the top two of n_max = 13's levels hold 8.3e-10 of |chi| = 1's weight
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main("trajectory --chi-re 1 --n-max 13 --t-end 0.02".split())
+    out, err = capsys.readouterr()
+    assert (code, caught) == (0, [])
+    assert len(out.splitlines()) == 6
+    assert err == (
+        "oscilab: warning: top two levels carry probability up to 8.271e-10; second "
+        "moments near the truncation edge are unreliable\n"
+    )
+
+
+def test_any_other_warning_reaches_the_caller_as_python_shows_it(monkeypatch, capsys):
+    def producer(config, params, label, n_max):
+        warnings.warn("not a truncation", RuntimeWarning)
+        return ["n"], np.zeros((1, 1)), []
+
+    monkeypatch.setitem(PRODUCERS, "spectrum", (producer, 1e-12))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["spectrum"]) == 0
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (RuntimeWarning, "not a truncation")
+    ]
+    assert capsys.readouterr().err == ""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning):
+            main(["spectrum"])
 
 
 @pytest.mark.parametrize(
@@ -954,7 +1004,7 @@ def test_wavefunction_rows_match_the_per_scalar_form():
     # abs in 1,367 of these 6,003 cells, np.hypot in none
     config = RunConfig("wavefunction", chi_re=20.0, t_end=0.8, dt=0.4)
     params, label = config.params(), config.label()
-    n_max, _ = config.resolve_n_max(AMPLITUDE_TAIL_TOL)
+    n_max = resolve_n_max(label, None, AMPLITUDE_TAIL_TOL)
     _, rows, _ = PRODUCERS["wavefunction"][0](config, params, label, n_max)
     expected = []
     for t in (0.0, 0.4, 0.8):
@@ -1213,7 +1263,7 @@ def test_spectrum_and_uncertainty_write_their_row_tuples_bytes(
     )
     rows = per_level_rows(command, config.label(), n_max, config.params())
     assert isinstance(matrix, np.ndarray) and len(matrix) == len(rows)
-    echo = cli._config_echo(config, n_max, "explicit")
+    echo = cli._config_echo(config, n_max)
     pieces = _render(config, command, echo, columns, rows, footer)
     assert out.read_bytes() == b"".join(pieces)
 

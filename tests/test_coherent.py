@@ -13,14 +13,13 @@ from oscilab.coherent import (
     CoherentLabel,
     TruncationCapError,
     annihilation_residual,
-    auto_n_max,
     coherent_coefficients,
     dynamical_coherent_state,
     occupation_probability,
     resolve_n_max,
     truncation_tail,
 )
-from oracle import make_ladder
+from oracle import make_ladder, two_step_resolve
 from oscilab.fock import OscillatorParams
 from oscilab.observables import averages_closedform_batch
 from oscilab.verify import DEFAULT_CHI_SET
@@ -231,17 +230,32 @@ def test_annihilation_residual_is_the_dense_ladder_product_to_the_bit(chi, n_max
         assert annihilation_residual(state, evolved) == dense
 
 
-def test_auto_n_max_minimality():
+def test_resolve_n_max_minimality():
     label = CoherentLabel(1.3 - 0.7j)
-    n = auto_n_max(label)
+    n = resolve_n_max(label) - TRUNCATION_MARGIN
     assert truncation_tail(label, n) < 1e-12
     assert truncation_tail(label, n - 1) >= 1e-12
 
 
-def test_auto_n_max_edge_cases():
-    assert auto_n_max(CoherentLabel(0)) == 0
-    assert auto_n_max(CoherentLabel(40)) == 1024  # capped
-    assert auto_n_max(CoherentLabel(1), tol=1e-18) > auto_n_max(CoherentLabel(1))
+# |chi| whose smallest n_max with a tail below 1e-12 is the cap itself
+CAP_EDGE_CHI = 28.560098510768736
+
+
+def test_resolve_n_max_edge_cases():
+    assert resolve_n_max(CoherentLabel(0)) == TRUNCATION_MARGIN
+    assert resolve_n_max(CoherentLabel(1), tol=2.0) == TRUNCATION_MARGIN
+    assert resolve_n_max(CoherentLabel(1), tol=1e-18) > resolve_n_max(CoherentLabel(1))
+    # the cap itself is not capped
+    edge = CoherentLabel(CAP_EDGE_CHI)
+    assert truncation_tail(edge, AUTO_N_MAX_CAP - 1) >= 1e-12
+    assert resolve_n_max(edge) == AUTO_N_MAX_CAP + TRUNCATION_MARGIN
+    with pytest.raises(TruncationCapError) as info:
+        resolve_n_max(CoherentLabel(CAP_EDGE_CHI + 1e-3))
+    assert info.value.needed == AUTO_N_MAX_CAP + 1 + TRUNCATION_MARGIN
+    # no n_max below 2**53 is enough: the bisection's top is the bound it names
+    with pytest.raises(TruncationCapError) as info:
+        resolve_n_max(CoherentLabel(1e100))
+    assert info.value.needed == 2**53 + TRUNCATION_MARGIN
 
 
 def test_label_requires_finite_value():
@@ -252,9 +266,9 @@ def test_label_requires_finite_value():
 def test_resolve_n_max_explicit_auto_and_capped():
     label = CoherentLabel(1.5 - 0.25j)
     assert resolve_n_max(label, 7) == 7
-    assert resolve_n_max(label) == auto_n_max(label) + TRUNCATION_MARGIN
-    auto_18 = auto_n_max(label, tol=1e-18)
-    assert resolve_n_max(label, tol=1e-18) == auto_18 + TRUNCATION_MARGIN
+    for tol in (1e-12, 1e-18):
+        auto = scipy_auto_n_max(label, tol)
+        assert resolve_n_max(label, tol=tol) == auto + TRUNCATION_MARGIN
     assert resolve_n_max(CoherentLabel(40), 2000) == 2000  # explicit skips the cap
     with pytest.raises(TruncationCapError) as info:
         resolve_n_max(CoherentLabel(30))
@@ -296,7 +310,7 @@ def scipy_tail(label: CoherentLabel, n_max: int) -> float:
 
 
 def scipy_auto_n_max(label: CoherentLabel, tol: float, cap: int = AUTO_N_MAX_CAP) -> int:
-    """`auto_n_max`'s bisection, run on the scipy tail."""
+    """Smallest n_max with a scipy tail below tol, capped at `cap`."""
     if scipy_tail(label, 0) < tol:
         return 0
     if scipy_tail(label, cap) >= tol:
@@ -344,11 +358,48 @@ def test_truncation_tail_limits():
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-18])
-def test_auto_n_max_matches_a_scipy_bisection(tol):
+def test_resolve_n_max_matches_a_scipy_bisection(tol):
     # a dense |chi| sweep up to 38; the tail depends on |chi| only
+    capped = 0
     for chi in np.linspace(0.0, 38.0, 3801):
         label = CoherentLabel(float(chi))
-        assert auto_n_max(label, tol) == scipy_auto_n_max(label, tol), chi
+        auto = scipy_auto_n_max(label, tol)
+        if auto == AUTO_N_MAX_CAP and scipy_tail(label, auto) >= tol:
+            capped += 1
+            with pytest.raises(TruncationCapError) as info:
+                resolve_n_max(label, tol=tol)
+            needed = scipy_auto_n_max(label, tol, cap=2**53) + TRUNCATION_MARGIN
+            assert info.value.needed == needed, chi
+        else:
+            assert resolve_n_max(label, tol=tol) == auto + TRUNCATION_MARGIN, chi
+    assert capped > 0
+
+
+# |chi| across each tolerance's cap edge and on to 1e4, where the tail at
+# the cap is 1.0 and the bisection runs on to 2**53
+RESOLVER_CHIS = np.concatenate([
+    np.linspace(0.0, 40.0, 401),
+    [CAP_EDGE_CHI, 27.73640367432479, 27.05381905464064],  # the edges at 1e-18, 1e-24
+    np.geomspace(40.0, 1e4, 25)[1:],
+])
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-18, 1e-24])
+def test_resolve_n_max_equals_the_two_step_rule(tol):
+    # the one bisection gives what auto_n_max at the cap, the tail re-walk
+    # and auto_n_max at 2**53 gave: the same n_max, capped or not
+    capped = 0
+    for chi in RESOLVER_CHIS:
+        label = CoherentLabel(float(chi))
+        n_max, was_capped = two_step_resolve(label, tol)
+        if was_capped:
+            capped += 1
+            with pytest.raises(TruncationCapError) as info:
+                resolve_n_max(label, tol=tol)
+            assert info.value.needed == n_max, chi
+        else:
+            assert resolve_n_max(label, tol=tol) == n_max, chi
+    assert 0 < capped < len(RESOLVER_CHIS)
 
 
 def test_truncation_tail_against_mpmath():

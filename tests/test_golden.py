@@ -95,8 +95,11 @@ def test_corpus_matches_at_two_blas_threads():
 
 
 def test_no_corpus_case_warns(tmp_path, monkeypatch):
-    # every case, refusals included, ends without a warning of any kind: none
-    # is recorded, and none reaches the stderr the hashes pin
+    # every case, refusals included, ends without a Python warning of any
+    # kind: none is recorded, and none reaches the stderr the hashes pin. The
+    # one case whose state fills its top levels has `main` write its
+    # TruncationWarning as an "oscilab: warning:" line instead
+    warns = "oscilab trajectory --chi-re 1 --n-max 13 --t-end 0.02"
     monkeypatch.chdir(tmp_path)
     for case in _regenerate_module().read_cases():
         err = io.StringIO()
@@ -106,3 +109,4 @@ def test_no_corpus_case_warns(tmp_path, monkeypatch):
             cli.main(shlex.split(case)[1:])
         assert not caught, (case, [str(w.message) for w in caught])
         assert "Warning" not in err.getvalue(), case
+        assert ("oscilab: warning: " in err.getvalue()) == (case == warns), case

@@ -20,9 +20,9 @@ from oracle import (
 )
 from oscilab.coherent import (
     CoherentLabel,
-    auto_n_max,
     coherent_coefficients,
     dynamical_coherent_state,
+    resolve_n_max,
 )
 from oscilab.fock import (
     NormalizationError,
@@ -90,7 +90,7 @@ def test_closedform_energy():
 @pytest.mark.parametrize("t", [0.0, 0.3, 1.7, 2 * math.pi])
 def test_closed_and_brute_force_agree_fieldwise(chi, t):
     label = CoherentLabel(chi)
-    n_max = auto_n_max(label, tol=1e-14) + 2
+    n_max = resolve_n_max(label, tol=1e-14)
     state = dynamical_coherent_state(label, t, PARAMS, n_max)
     brute = record_row(averages_bruteforce(state, PARAMS))
     single = averages_closedform_batch(label, [t], PARAMS)
@@ -100,7 +100,7 @@ def test_closed_and_brute_force_agree_fieldwise(chi, t):
 
 def test_bruteforce_energy_time_independent():
     label = CoherentLabel(1.5j)
-    base = coherent_coefficients(label, auto_n_max(label) + 2)
+    base = coherent_coefficients(label, resolve_n_max(label))
     energies = [
         averages_bruteforce(propagate_fock(base, t, PARAMS), PARAMS).energy
         for t in np.linspace(0.0, 4 * math.pi, 100)
@@ -119,7 +119,7 @@ def test_energy_partition_between_kinetic_and_potential(params):
             0.5 * params.mass * params.omega**2
         ) * rec["mean_x2"][0]
         assert rec["energy"][0] == pytest.approx(split, abs=1e-10)
-        n_max = auto_n_max(label) + 2
+        n_max = resolve_n_max(label)
         brute = averages_bruteforce(
             dynamical_coherent_state(label, t, params, n_max), params
         )
@@ -247,7 +247,7 @@ BATCH_SAMPLE_TIMES = np.linspace(-1.0, 7.0, 256 + 45)
 @pytest.mark.parametrize("chi", DEFAULT_CHI_SET + (5.0, 3 - 4j))
 def test_batched_bruteforce_matches_per_state_oracle(monkeypatch, chi):
     label = CoherentLabel(chi)
-    base = coherent_coefficients(label, auto_n_max(label) + 2)
+    base = coherent_coefficients(label, resolve_n_max(label))
     monkeypatch.setattr(observables, "BATCH_CELLS", 256 * (base.n_max + 1))
     columns = averages_bruteforce_batch(base, BATCH_SAMPLE_TIMES, PARAMS)
     assert tuple(columns) == RECORD_COLUMNS

@@ -9,8 +9,8 @@ import pytest
 
 from oracle import closedform_trajectory
 from oscilab.coherent import (
+    TRUNCATION_MARGIN,
     CoherentLabel,
-    auto_n_max,
     coherent_coefficients,
     dynamical_coherent_state,
     resolve_n_max,
@@ -39,7 +39,7 @@ PARAMS = OscillatorParams()
 def test_phase_rows_are_bit_identical_to_the_per_state_propagators():
     params = OscillatorParams(omega=1.7)  # omega = 1 would hide reordering
     label = CoherentLabel(1.2 - 0.7j)
-    n_max = auto_n_max(label) + 2
+    n_max = resolve_n_max(label)
     base = coherent_coefficients(label, n_max)
     times = np.linspace(-3.0, 40.0, 123)
     block = base.coeffs * level_phases(params, times, n_max)
@@ -117,7 +117,7 @@ def test_bruteforce_sampling_rejects_gross_under_truncation():
 
 def test_bruteforce_sampling_warns_when_only_the_edge_mass_is_too_large():
     label = CoherentLabel(1)
-    n_max = auto_n_max(label, tol=1e-10)
+    n_max = resolve_n_max(label, tol=1e-10) - TRUNCATION_MARGIN
     coeffs = coherent_coefficients(label, n_max).coeffs
     # normalized within the default 1e-10, yet too much weight at the edge
     assert abs(np.linalg.norm(coeffs) - 1.0) < 1e-10
