@@ -13,8 +13,9 @@ and footer records; JSON output is one object with "config", "rows" and
 
 Each call is a fresh process, so the module imports no more than every
 command needs: `json` is imported by the JSON branches only, and the
-parser is built without argparse parent parsers. `main` keeps freed
-array memory in the process (`_keep_freed_memory`).
+parser is built without argparse parent parsers and gives its options to
+the invoked command only. `main` keeps freed array memory in the process
+(`_keep_freed_memory`).
 
 Exit codes: 0 success, 1 usage/invalid config, 2 unwritable output,
 3 failed verification. A TruncationWarning goes to stderr as one line.
@@ -153,8 +154,9 @@ def _csv_cell(value) -> str:
 
 
 # The float-cell kernel works through a table this many cells at a time, so
-# its temporaries stay near a megabyte whatever the table's size.
-_CHUNK_CELLS = 1 << 14
+# its temporaries stay near a megabyte (1.1 MiB under tracemalloc) whatever
+# the table's size, and fit in a 2 MiB L2 cache.
+_CHUNK_CELLS = 1 << 12
 # Largest scale 10^q it multiplies by: 10^(16 - X) for the smallest decimal
 # exponent X = -281 that log10 gives its range, and one more for the correction.
 _MAX_SCALE = 298
@@ -181,33 +183,38 @@ def _kernel_tables() -> tuple[np.ndarray, ...]:
     the keep masks by (negative, shape, significant digits), 0xFF per kept
     byte, as a cell's five words and its 4-byte word.
     """
-    exact = [10**q for q in range(_MAX_SCALE + 1)]
-    hi = np.array([float(v) for v in exact])
-    lo = np.array([float(v - int(h)) for v, h in zip(exact, hi.tolist())])
+    hi, lo, power = [], [], 1
+    for _ in range(_MAX_SCALE + 1):
+        hi.append(float(power))
+        lo.append(float(power - int(hi[-1])))
+        power *= 10
+    hi, lo = np.array(hi), np.array(lo)
     split = 134217729.0 * hi  # 2^27 + 1
     hi_hi = split - (split - hi)
-    four = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # 0000..9999
-    zeros = np.argmax(four[:, ::-1] != 0, axis=1)
-    zeros[0] = 4
+    zeros = np.zeros(10**4, np.uint8)
+    for count, step in enumerate((10, 100, 1000, 10**4), 1):
+        zeros[::step] = count
 
-    # the keep masks of the number shapes, over (shape, sig, slot)
-    shape = np.arange(_OTHER)[:, np.newaxis, np.newaxis]
-    sig = np.arange(18)[:, np.newaxis]
-    slot = np.arange(_CELL_SLOTS)
-    exp10 = shape - 4
-    fixed = shape < _SCIENTIFIC
-    digits = np.where(fixed, np.maximum(sig, exp10 + 1), sig)
-    point = np.where(fixed, exp10, 0)  # the digit the point follows
-    k, odd = np.divmod(slot - _DIGIT0, 2)  # digit k's slot, or the point's after it
-    body = (slot >= _DIGIT0) & (slot < _EXP)
-    keep = body & (odd == 0) & (k < digits)
-    keep |= body & (odd == 1) & (k == point) & (point >= 0) & (point < sig - 1)
-    keep |= (exp10 < 0) & (slot >= 1) & (slot < 2 - exp10)  # "0." and -exp10 - 1 zeros
-    keep |= ~fixed & (slot >= _EXP) & (slot < _EXP + 2)  # "e-"
-    keep |= ~fixed & (slot >= _EXP + np.where(shape == _SCIENTIFIC_3, 2, 3))
-    keep &= sig > 0  # a number has at least one significant digit
+    # the keep masks of the number shapes, slot by slot; sig 0 keeps nothing
     masks = np.zeros((2, _OTHER + 1, 18, _CELL_SLOTS), np.uint8)
-    masks[:, :_OTHER] = keep * np.uint8(0xFF)
+    keep = masks[0, :_OTHER, 1:]  # (shape, sig, slot) from sig 1
+    sig = np.arange(1, 18)
+    # fixed point at decimal exponent shape - 4 writes at least its integer
+    # digits, scientific its significant ones
+    digits = np.maximum(sig, np.arange(_OTHER)[:, np.newaxis] - 3)
+    digits[_SCIENTIFIC:] = sig
+    keep[:, :, _DIGIT0:_EXP:2] = (np.arange(17) < digits[:, :, np.newaxis]) * np.uint8(0xFF)
+    # the point, unless after the last digit: after digit shape - 4 in fixed
+    # point from shape 4 up, after the lead digit in scientific
+    shape, row = np.nonzero(sig > np.arange(1, _SCIENTIFIC - 3)[:, np.newaxis])
+    keep[shape + 4, row, _DIGIT0 + 1 + 2 * shape] = 0xFF
+    keep[_SCIENTIFIC:, 1:, _DIGIT0 + 1] = 0xFF
+    for shape in range(4):
+        keep[shape, :, 1:6 - shape] = 0xFF  # "0." and 3 - shape zeros
+    keep[_SCIENTIFIC:, :, _EXP:_EXP + 2] = 0xFF  # "e-"
+    keep[_SCIENTIFIC, :, _EXP + 3:] = 0xFF
+    keep[_SCIENTIFIC_3, :, _EXP + 2:] = 0xFF
+    masks[1] = masks[0]
     masks[1, :, :, 0] = 0xFF  # the minus sign
     masks[:, _OTHER, 1, 0] = 0xFF  # fallback: its marker byte
     masks = masks.reshape(-1, _CELL_SLOTS)
@@ -215,17 +222,20 @@ def _kernel_tables() -> tuple[np.ndarray, ...]:
     # the cell words: each 4-digit group with its point slots, then with its
     # last slot "e" (index + 10^4), then the lead words (index + 2 10^4) of
     # the lead digits and of the fallback marker (lead 10)
-    text = four + np.uint8(ord("0"))
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     words = np.full((2 * 10**4 + 11, 8), ord("."), np.uint8)
-    words[:2 * 10**4, ::2] = np.tile(text, (2, 1))
+    groups = words[:2 * 10**4].reshape(2, 10, 10, 10, 10, 8)
+    for k in range(4):  # digit k of the group varies along axis k + 1
+        groups[..., 2 * k] = digit.reshape((10,) + (1,) * (3 - k))
     words[10**4:2 * 10**4, 7] = ord("e")
     words[2 * 10**4:] = np.frombuffer(b"-0.000..", np.uint8)
-    words[2 * 10**4:-1, _DIGIT0] = text[:10, 3]
+    words[2 * 10**4:-1, _DIGIT0] = digit
     words[-1, 0] = 1  # the fallback marker
-    # the exponent word of each scale q: "-" and the digits of |q - 16|
+    # the exponent word of each scale q: "-" and the digits of |q - 16|, the
+    # last three of group |q - 16|
     exponent = np.full((_MAX_SCALE + 1, 4), ord("-"), np.uint8)
-    exponent[:, 1:] = text[np.abs(np.arange(_MAX_SCALE + 1) - 16), 1:]
-    return (hi, lo, hi_hi, hi - hi_hi, zeros.astype(np.uint8),
+    exponent[:, 1:] = words[np.abs(np.arange(_MAX_SCALE + 1) - 16), 2::2]
+    return (hi, lo, hi_hi, hi - hi_hi, zeros,
             words.view(np.uint64).ravel(), exponent.view(np.uint32).ravel(),
             masks[:, :_EXP + 1].copy().view(np.uint64),
             masks[:, _EXP + 1:].copy().view(np.uint32).ravel())
@@ -236,14 +246,14 @@ def _scaled(a: np.ndarray, exp10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exact error (Dekker's TwoProduct) plus a * lo; |p + t - a 10^q| is
     under 2^-100 |p|."""
     hi, lo, hi_hi, hi_lo = _kernel_tables()[:4]
-    q = np.clip(16 - exp10, 0, _MAX_SCALE)
-    p = a * hi[q]
+    q = 16 - exp10  # 0.._MAX_SCALE for `_decimal`'s exponents; take refuses more
+    p = a * hi.take(q)
     split = 134217729.0 * a
     a_hi = split - (split - a)
     a_lo = a - a_hi
-    hh, hl = hi_hi[q], hi_lo[q]
+    hh, hl = hi_hi.take(q), hi_lo.take(q)
     err = ((a_hi * hh - p) + a_hi * hl + a_lo * hh) + a_lo * hl
-    return p, err + a * lo[q]
+    return p, err + a * lo.take(q)
 
 
 def _decimal(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -298,11 +308,15 @@ def _float_chunk(table: np.ndarray, tails: np.ndarray) -> bytes:
     np.add(lead, 2 * 10**4, out=index[:, 0])  # the lead words follow the groups'
     np.divmod(high, 10**4, out=(index[:, 1], index[:, 2]))
     np.divmod(low, 10**4, out=(index[:, 3], index[:, 4]))
-    group_zeros = zeros.take(index[:, 1:])
+    # trailing zeros: the last group's, and an earlier group's only where
+    # every later group is 0000
+    trailing = zeros.take(index[:, 4])
+    rest = np.flatnonzero(trailing == 4)
+    for k in (3, 2, 1):
+        more = zeros.take(index[rest, k])
+        trailing[rest] += more
+        rest = rest[more == 4]
     index[:, 4] += 10**4  # the last group's word ends in "e"
-    trailing = group_zeros[:, 3]
-    for k in (2, 1, 0):
-        trailing += (trailing == 12 - 4 * k) * group_zeros[:, k]
     shape = exp10 + 4
     np.copyto(shape, _SCIENTIFIC, where=exp10 < -4)
     shape += exp10 <= -100  # _SCIENTIFIC_3
@@ -691,10 +705,12 @@ def _output_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _time_options(p: argparse.ArgumentParser, t_end_default: float) -> None:
+def _time_options(p: argparse.ArgumentParser, t_end_default: float | None = None) -> None:
+    """--t-start, and with a t_end default --t-end and --dt."""
     p.add_argument("--t-start", type=float, default=0.0)
-    p.add_argument("--t-end", type=float, default=t_end_default)
-    p.add_argument("--dt", type=float, default=0.01)
+    if t_end_default is not None:
+        p.add_argument("--t-end", type=float, default=t_end_default)
+        p.add_argument("--dt", type=float, default=0.01)
 
 
 def _grid_options(p: argparse.ArgumentParser) -> None:
@@ -707,55 +723,50 @@ def _grid_options(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser and one subparser per command; each option group is added
-    straight to the subparsers that take it, in the order --help lists it."""
+def _verify_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--chi-re", type=float, default=None,
+        help="override the probe set with this single label",
+    )
+    p.add_argument("--chi-im", type=float, default=None)
+    p.add_argument("--n-max", type=_n_max_type, default="auto")
+    p.add_argument("--seed", type=int, default=0)
+
+
+# Every command: name -> (help line, option groups as (adder, *arguments)),
+# in the order --help lists them.
+COMMANDS = {
+    "trajectory": ("closed-form and brute-force averages over time, plus differences",
+                   [(_state_options,), (_output_options,), (_time_options, 2.0 * math.pi)]),
+    "spectrum": ("level populations against the Poisson weights",
+                 [(_state_options, False), (_output_options,)]),
+    "uncertainty": ("fluctuation products of number states and the coherent state",
+                    [(_state_options,), (_output_options,), (_time_options,)]),
+    "wavefunction": ("packet samples: truncated series against the closed form",
+                     [(_state_options,), (_output_options,), (_time_options, 0.0),
+                      (_grid_options,)]),
+    "symmetry-check": ("phase-rotation invariance report",
+                       [(_state_options,), (_output_options,)]),
+    "verify": ("run the acceptance battery (natural units); exit 3 on failure",
+               [(_output_options,), (_verify_options,)]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser and one subparser per command. Every subparser is
+    registered, so usage, help and the top-level errors list them all, but
+    given a command's name only that one gets its options; given anything
+    else (None, "--", "-h", a typo) every one does."""
     parser = _Parser(
         prog="oscilab",
         description="Harmonic-oscillator coherent-state laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    trajectory = sub.add_parser(
-        "trajectory",
-        help="closed-form and brute-force averages over time, plus differences",
-    )
-    _state_options(trajectory)
-    _output_options(trajectory)
-    _time_options(trajectory, 2.0 * math.pi)
-    spectrum = sub.add_parser(
-        "spectrum", help="level populations against the Poisson weights"
-    )
-    _state_options(spectrum, units=False)
-    _output_options(spectrum)
-    uncertainty = sub.add_parser(
-        "uncertainty",
-        help="fluctuation products of number states and the coherent state",
-    )
-    _state_options(uncertainty)
-    _output_options(uncertainty)
-    uncertainty.add_argument("--t-start", type=float, default=0.0)
-    wavefunction = sub.add_parser(
-        "wavefunction", help="packet samples: truncated series against the closed form"
-    )
-    _state_options(wavefunction)
-    _output_options(wavefunction)
-    _time_options(wavefunction, 0.0)
-    _grid_options(wavefunction)
-    symmetry = sub.add_parser("symmetry-check", help="phase-rotation invariance report")
-    _state_options(symmetry)
-    _output_options(symmetry)
-    verify = sub.add_parser(
-        "verify", help="run the acceptance battery (natural units); exit 3 on failure"
-    )
-    _output_options(verify)
-    verify.add_argument(
-        "--chi-re", type=float, default=None,
-        help="override the probe set with this single label",
-    )
-    verify.add_argument("--chi-im", type=float, default=None)
-    verify.add_argument("--n-max", type=_n_max_type, default="auto")
-    verify.add_argument("--seed", type=int, default=0)
+    for name, (help_text, groups) in COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        if command == name or command not in COMMANDS:
+            for add, *arguments in groups:
+                add(subparser, *arguments)
     return parser
 
 
@@ -786,8 +797,9 @@ def _keep_freed_memory() -> None:
 
 def main(argv=None) -> int:
     _keep_freed_memory()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        ns = build_parser().parse_args(argv)
+        ns = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     config = RunConfig(**vars(ns))

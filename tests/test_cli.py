@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import ctypes
@@ -363,6 +364,69 @@ def test_table_commands_take_no_seed(command, capsys):
     assert main([command, "--seed", "3"]) == 1
     err = capsys.readouterr().err
     assert "unrecognized arguments: --seed 3" in err.splitlines()[-1]
+
+
+def _subparser(parser, command):
+    """The subparser `parser` dispatches `command` to."""
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[command]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_the_parser_for_one_command_helps_as_the_full_parser(command):
+    lazy, full = cli.build_parser(command), cli.build_parser()
+    assert lazy.format_help() == full.format_help()
+    assert _subparser(lazy, command).format_help() == _subparser(full, command).format_help()
+
+
+def _parsed(parser, argv):
+    """The namespace, or the exit code, stdout and stderr of a refusal."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+PARSER_ARGVS = [
+    ["trajectory", "--chi-re", "-1e-5", "--t-end", "1", "--dt=0.5", "--format", "json"],
+    ["spectrum", "--chi-im", "2", "--n-max", "12", "--output", "out.csv"],
+    ["uncertainty", "--hbar", "2", "--t-start", "1"],
+    ["wavefunction", "--grid-points", "11", "--grid-halfwidth", "4", "--mass", "3"],
+    ["symmetry-check", "--omega", "0.5", "--n-max", "auto"],
+    ["verify", "--seed", "7", "--chi-re", "2"],
+    ["wavefunction", "--chi-re"],  # a missing value
+    ["spectrum", "--bogus", "1"],  # an unknown option
+    ["spectrum", "--dt", "1"],  # another command's option
+    ["verify", "--n-max", "-3"],  # a bad value
+    ["trajectory", "--format", "xml"],  # a bad --format choice
+    ["uncertainty", "--n-max", "4", "stray"],  # a stray positional after the options
+    ["symmetry-check", "-h"],
+    ["verify", "--help"],
+    ["-h"],
+    ["--", "verify"],
+    ["verif"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS)
+def test_the_parser_for_one_command_parses_as_the_full_parser(argv):
+    # `main` builds the options of the command argv[0] names only; every
+    # argv must parse, or be refused, byte for byte as with all of them
+    lazy = cli.build_parser(argv[0] if argv else None)
+    assert _parsed(lazy, argv) == _parsed(cli.build_parser(), argv)
+
+
+def test_main_reads_sys_argv_when_given_no_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["oscilab", "spectrum", "--bogus", "1"])
+    assert main() == 1
+    usage = "{trajectory,spectrum,uncertainty,wavefunction,symmetry-check,verify}"
+    assert usage in capsys.readouterr().err
+    monkeypatch.setattr(sys, "argv", ["oscilab", "spectrum", "--n-max", "3"])
+    assert main() == 0
+    assert capsys.readouterr().out.splitlines()[-2].startswith("3,")  # level 3, then the footer
 
 
 @pytest.mark.parametrize(
@@ -1268,11 +1332,16 @@ def test_spectrum_and_uncertainty_write_their_row_tuples_bytes(
     assert out.read_bytes() == b"".join(pieces)
 
 
-def _render_packet_sized_matrix(fmt):
-    """The byte count of an 18,009 x 7 matrix, the packet-large table's
-    shape, and the tracemalloc peak of rendering it."""
+def _packet_sized_matrix():
+    """An 18,009 x 7 float matrix, the packet-large table's shape."""
     rng = np.random.default_rng(0)
-    matrix = rng.standard_normal((18009, 7)) * 10.0 ** rng.integers(-20, 5, (18009, 7))
+    return rng.standard_normal((18009, 7)) * 10.0 ** rng.integers(-20, 5, (18009, 7))
+
+
+def _render_packet_sized_matrix(fmt):
+    """The byte count of the packet-sized matrix and the tracemalloc peak of
+    rendering it."""
+    matrix = _packet_sized_matrix()
     config = RunConfig("wavefunction", format=fmt)
     columns = [f"c{i}" for i in range(7)]
     _render(config, "wavefunction", [], columns, matrix[:2], [])  # builds the tables
@@ -1286,23 +1355,40 @@ def _render_packet_sized_matrix(fmt):
 
 
 def test_rendering_a_packet_sized_matrix_stays_in_its_memory_bound():
-    # 2.7 MiB of CSV. Measured peak: 6.0 MiB, the byte pieces and one chunk's
-    # temporaries; the bound leaves 1.5 MiB of margin. Joined into one str,
-    # the output peaked at 8.3 MiB; with the whole table as one chunk the
-    # kernel's slot block and keep mask took it to 48 MiB
+    # 2.7 MiB of CSV. Measured peak: 3.5 MiB, the byte pieces and one
+    # 4,096-cell chunk's temporaries; the bound leaves 0.7 MiB of margin, less
+    # than the 0.9 MiB that 8,192-cell chunks add. With 16,384-cell chunks
+    # the peak was 6.0 MiB; joined into one str, 8.3 MiB; with the whole
+    # table as one chunk the kernel's slot block and keep mask took it to 48 MiB
     size, peak = _render_packet_sized_matrix("csv")
     assert size > 2.5 * 2**20
-    assert peak < 7.5 * 2**20
+    assert peak < 4.25 * 2**20
 
 
 def test_rendering_a_packet_sized_matrix_as_json_stays_in_its_memory_bound():
-    # 3.6 MiB of JSON. Measured peak: 7.1 MiB, the byte pieces and one
-    # chunk's temporaries; the bound leaves 1.4 MiB of margin. Joined into
-    # one str, 10.3 MiB; joined into intermediate strings three times over,
-    # 17.9 MiB
+    # 3.6 MiB of JSON. Measured peak: 4.4 MiB, the byte pieces and one
+    # 4,096-cell chunk's temporaries; the bound leaves 0.8 MiB of margin. With
+    # 16,384-cell chunks, 7.1 MiB; joined into one str, 10.3 MiB; joined into
+    # intermediate strings three times over, 17.9 MiB
     size, peak = _render_packet_sized_matrix("json")
     assert size > 3.5 * 2**20
-    assert peak < 8.5 * 2**20
+    assert peak < 5.25 * 2**20
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_float_cells_do_not_depend_on_the_chunk_size(fmt, monkeypatch):
+    # chunks of one row (7 cells), of the kernel's size, of the old size
+    # 16,384 and of the whole table; a zero and a fallback cell ("%.17g"
+    # itself, split out on its marker) in every 1000th row
+    matrix = _packet_sized_matrix()
+    matrix[::1000, 2], matrix[::1000, 5] = 0.0, 1e300
+    config = RunConfig("wavefunction", format=fmt)
+    columns = [f"c{i}" for i in range(7)]
+    texts = set()
+    for cells in (7, cli._CHUNK_CELLS, 1 << 14, matrix.size):
+        monkeypatch.setattr(cli, "_CHUNK_CELLS", cells)
+        texts.add(_rendered(config, "wavefunction", [], columns, matrix, []))
+    assert len(texts) == 1
 
 
 @pytest.mark.parametrize("command", ["wavefunction", "trajectory"])
