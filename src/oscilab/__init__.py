@@ -19,7 +19,7 @@ from .coherent import (
     resolve_n_max,
     truncation_tail,
 )
-from .dynamics import Trajectory, ehrenfest_residual, propagate_fock
+from .dynamics import ehrenfest_residual, propagate_fock
 from .fock import (
     DimensionMismatchError,
     NormalizationError,

@@ -53,7 +53,7 @@ from .observables import (
     uncertainty_fock,
 )
 from .verify import format_table, run_all
-from .wavefunction import packet_sweep
+from .wavefunction import DEFAULT_GRID_HALFWIDTH, DEFAULT_GRID_POINTS, packet_sweep
 
 __all__ = ["RunConfig", "UsageError", "main"]
 
@@ -95,7 +95,8 @@ class RunConfig(Value):
     def __init__(self, command: str, chi_re: float | None = 1.0, chi_im: float | None = 0.0,
                  hbar: float = 1.0, mass: float = 1.0, omega: float = 1.0,
                  n_max: int | str = "auto", t_start: float = 0.0, t_end: float = 0.0,
-                 dt: float = 0.01, grid_halfwidth: float = 10.0, grid_points: int = 2001,
+                 dt: float = 0.01, grid_halfwidth: float = DEFAULT_GRID_HALFWIDTH,
+                 grid_points: int = DEFAULT_GRID_POINTS,
                  output_path: str = "-", format: str = "csv", seed: int = 0):
         self._init(command, chi_re, chi_im, hbar, mass, omega, n_max, t_start, t_end,
                    dt, grid_halfwidth, grid_points, output_path, format, seed)
@@ -374,8 +375,6 @@ def _json_text(value) -> str:
         return "[" + ", ".join(_json_text(v) for v in value) + "]"
     if isinstance(value, str):
         return json.dumps(value)
-    if value is None:
-        return "null"
     return _fmt(value)
 
 
@@ -715,11 +714,12 @@ def _time_options(p: argparse.ArgumentParser, t_end_default: float | None = None
 
 def _grid_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--grid-halfwidth", type=float, default=10.0,
-        help="grid half-width in oscillator lengths (default 10)",
+        "--grid-halfwidth", type=float, default=DEFAULT_GRID_HALFWIDTH,
+        help=f"grid half-width in oscillator lengths (default {DEFAULT_GRID_HALFWIDTH:g})",
     )
     p.add_argument(
-        "--grid-points", type=int, default=2001, help="odd point count (default 2001)"
+        "--grid-points", type=int, default=DEFAULT_GRID_POINTS,
+        help=f"odd point count (default {DEFAULT_GRID_POINTS})",
     )
 
 

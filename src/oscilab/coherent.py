@@ -52,9 +52,8 @@ class CoherentLabel(Value):
         chi = complex(chi)
         if not (math.isfinite(chi.real) and math.isfinite(chi.imag)):
             raise ValueError(f"label must be finite, got {chi!r}")
-        try:  # abs() may return inf; ** raises past the float range
-            if math.isinf(abs(chi) ** 2):
-                raise OverflowError
+        try:  # abs() and ** raise OverflowError past the float range
+            abs(chi) ** 2
         except OverflowError:
             raise ValueError(f"label {chi!r} is too large: |chi|^2 overflows") from None
         self._init(chi)

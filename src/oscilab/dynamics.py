@@ -1,4 +1,4 @@
-"""Exact Fock-basis propagation, columnar trajectories, mean-motion checks.
+"""Exact Fock-basis propagation, sample times, mean-motion checks.
 
 The Hamiltonian is diagonal in the number basis, so time evolution is exact
 per-level phase rotation; no integrator lives in the library. The phase
@@ -6,24 +6,20 @@ transformation a -> a e^(i alpha), coeffs[n] -> coeffs[n] e^(-i n alpha) on
 states, is applied by `observables.phase_rotation_drifts`; the tests check
 it against the rotated ladder matrix of `tests/oracle.py`.
 
-`ehrenfest_residual` takes bare <x> and <p> arrays, so the
-`ehrenfest-mean-motion` criterion builds no `Trajectory`; it checks its
-sample times with `check_uniform_times`, the code behind the spacing
-checks of `Trajectory.from_columns`.
+`ehrenfest_residual` takes bare <x> and <p> arrays sampled at one spacing;
+the `ehrenfest-mean-motion` criterion checks its sample times with
+`check_uniform_times`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 
 import numpy as np
 
 from .fock import OscillatorParams, StateVector, level_phases
-from .observables import RECORD_COLUMNS
 
 __all__ = [
-    "Trajectory",
     "propagate_fock",
     "sample_times",
     "sample_count",
@@ -32,67 +28,21 @@ __all__ = [
 ]
 
 
-class Trajectory:
-    """Uniformly sampled observables, one read-only array per RECORD_COLUMNS name.
-
-    `Trajectory.from_columns(columns, dt)` is the one constructor; it takes
-    the columns of a batched kernel and checks that the time column is
-    nonempty, strictly increasing and spaced by dt (`check_uniform_times`).
-    """
-
-    __slots__ = ("_columns", "dt")
-
-    @classmethod
-    def from_columns(cls, columns: Mapping[str, np.ndarray], dt: float) -> "Trajectory":
-        if set(columns) != set(RECORD_COLUMNS):
-            raise ValueError(f"columns must be exactly {RECORD_COLUMNS}")
-        arrays = {}
-        for name in RECORD_COLUMNS:
-            values = np.array(columns[name], dtype=float)
-            values.setflags(write=False)
-            arrays[name] = values
-        times = arrays["time"]
-        if any(values.shape != times.shape for values in arrays.values()):
-            raise ValueError("every column must have one value per time")
-        check_uniform_times(times, dt)
-        traj = object.__new__(cls)
-        object.__setattr__(traj, "_columns", arrays)
-        object.__setattr__(traj, "dt", float(dt))
-        return traj
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Trajectory is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the validating constructor, since
-        # restoring slots one by one would go through __setattr__.
-        return (Trajectory.from_columns, (self._columns, self.dt))
-
-    def __len__(self) -> int:
-        return self._columns["time"].size
-
-    def column(self, name: str) -> np.ndarray:
-        """One RECORD_COLUMNS column; complex averages are split into _re/_im."""
-        if name not in self._columns:
-            raise KeyError(f"no column {name!r}; columns are {RECORD_COLUMNS}")
-        return self._columns[name]
-
-
 def check_uniform_times(times: np.ndarray, dt: float) -> None:
     """Raise ValueError unless the 1-d times are nonempty, dt is finite and
     positive, and the times strictly increase in steps of dt to within
     1e-9 max(1, |t|)."""
     if times.ndim != 1 or times.size == 0:
-        raise ValueError("trajectory needs at least one record")
+        raise ValueError("need a nonempty 1-d array of sample times")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if times.size > 1:
         steps = np.diff(times)
         if np.any(steps <= 0):
-            raise ValueError("record times must be strictly increasing")
+            raise ValueError("sample times must be strictly increasing")
         tol = 1e-9 * max(1.0, float(np.max(np.abs(times))))
         if np.max(np.abs(steps - dt)) > tol:
-            raise ValueError("record times must be uniformly spaced by dt")
+            raise ValueError("sample times must be uniformly spaced by dt")
 
 
 def propagate_fock(state: StateVector, t: float, params: OscillatorParams) -> StateVector:

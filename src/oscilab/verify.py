@@ -12,7 +12,7 @@ never imported. `phase-symmetry` passes its whole block of random states to
 `observables.phase_rotation_drifts`, the sweep behind the `symmetry-check`
 command; no criterion builds a dense operator. `ehrenfest-mean-motion`
 reads only <x> and <p>, so it takes them from `observables.mean_motion_batch`,
-which skips the second moments, and builds no `Trajectory`.
+which skips the second moments.
 
 The Runge-Kutta coefficient integrator defined here exists purely as an
 independent cross-check of the exact spectral propagator. Library code never

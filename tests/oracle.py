@@ -16,7 +16,7 @@ not part of it:
 - one validated trapezoid grid per packet slice and its moments
   (`SpatialGrid`, `trapezoid_grid`, `default_packet_grid`, `slice_moments`),
   the per-slice reference of the (S, N) arrays of `packet_sweep`;
-- a trajectory of the closed-form averages (`closedform_trajectory`);
+- the closed-form averages on a uniform time grid (`closedform_trajectory`);
 - the two-step truncation rule that `coherent.resolve_n_max` folded into
   one bisection (`auto_n_max`, `two_step_resolve`);
 - the float-cell kernel's tables built one (shape, digits) cell at a time
@@ -48,7 +48,7 @@ from oscilab.coherent import (
     CoherentLabel,
     truncation_tail,
 )
-from oscilab.dynamics import Trajectory, sample_times
+from oscilab.dynamics import check_uniform_times, sample_times
 from oscilab.fock import (
     DimensionMismatchError,
     OscillatorParams,
@@ -421,10 +421,12 @@ def slice_moments(amplitudes, grid: SpatialGrid) -> tuple[float, float, float]:
 
 def closedform_trajectory(
     label: CoherentLabel, params: OscillatorParams, t_start: float, t_end: float, dt: float
-) -> Trajectory:
-    """The label's closed-form averages on the uniform time grid, as a trajectory."""
+) -> dict[str, np.ndarray]:
+    """The label's closed-form averages on the uniform time grid, one array
+    per RECORD_COLUMNS name; the times pass `check_uniform_times`."""
     times = sample_times(t_start, t_end, dt)
-    return Trajectory.from_columns(averages_closedform_batch(label, times, params), dt)
+    check_uniform_times(times, dt)
+    return averages_closedform_batch(label, times, params)
 
 
 def auto_n_max(label: CoherentLabel, tol: float, cap: int = AUTO_N_MAX_CAP) -> int:

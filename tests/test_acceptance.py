@@ -82,11 +82,10 @@ def test_ehrenfest_detail_is_pinned():
 @pytest.mark.parametrize("chi", DEFAULT_CHI_SET)
 def test_ehrenfest_reads_the_coarse_trajectory_from_the_fine_one(monkeypatch, chi):
     # the dt = 1e-3 <x> and <p> whose residual check_ehrenfest reports equal
-    # an independently sampled trajectory's, column by column and residual
-    # by residual
+    # independently sampled columns, column by column and residual by residual
     from oscilab import verify
     from oscilab.coherent import CoherentLabel, coherent_coefficients, resolve_n_max
-    from oscilab.dynamics import Trajectory, ehrenfest_residual, sample_times
+    from oscilab.dynamics import check_uniform_times, ehrenfest_residual, sample_times
     from oscilab.fock import OscillatorParams
     from oscilab.observables import averages_bruteforce_batch
 
@@ -103,14 +102,13 @@ def test_ehrenfest_reads_the_coarse_trajectory_from_the_fine_one(monkeypatch, ch
     label = CoherentLabel(chi)
     base = coherent_coefficients(label, resolve_n_max(label))
     times = sample_times(0.0, 2.0 * math.pi, 1e-3)
-    independent = Trajectory.from_columns(
-        averages_bruteforce_batch(base, times, params), 1e-3
-    )
+    check_uniform_times(times, 1e-3)
+    independent = averages_bruteforce_batch(base, times, params)
     mean_x, mean_p, residual = seen[1e-3]
-    assert mean_x.tobytes() == independent.column("mean_x").tobytes()
-    assert mean_p.tobytes() == independent.column("mean_p").tobytes()
+    assert mean_x.tobytes() == independent["mean_x"].tobytes()
+    assert mean_p.tobytes() == independent["mean_p"].tobytes()
     assert residual == ehrenfest_residual(
-        independent.column("mean_x"), independent.column("mean_p"), 1e-3, params
+        independent["mean_x"], independent["mean_p"], 1e-3, params
     )
 
 

@@ -1499,3 +1499,55 @@ def test_verify_and_wavefunction_sweep_each_label_once(monkeypatch, capsys):
     assert main(["wavefunction", "--chi-re", "2", "--t-end", "3.14", "--dt", "1.57"]) == 0
     assert calls == [2 + 0j]
     assert capsys.readouterr().out.count("\n") == 3 + 3 * 2001 + 3
+
+
+def _run_strict(argv: str, capsys) -> tuple[int, str, str]:
+    """`main` on the argv with every warning an error: exit code, stdout, stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv.split())
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_the_float_kernel_corrects_a_log10_exponent_that_misses_by_one(capsys):
+    t = 0.09999999999999999  # log10 rounds to -1.0, its decimal exponent is -2
+    assert math.floor(math.log10(t)) == -1 and "%.17g" % t == "0.099999999999999992"
+    code, out, err = _run_strict(f"trajectory --t-end {t!r} --dt {t!r}", capsys)
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+    assert [row[0] for row in rows] == ["time", "0", "%.17g" % t]
+
+
+def test_a_one_level_spectrum_leaves_a_tail_of_one_minus_e_to_the_minus_nine(capsys):
+    code, out, err = _run_strict("spectrum --chi-re 3 --n-max 0", capsys)
+    assert (code, err) == (0, "")
+    footer = out.splitlines()[-1]
+    assert footer.startswith("# footer: truncation_tail=")
+    assert float(footer.split("=")[1]) == pytest.approx(-math.expm1(-9.0), rel=1e-15)
+
+
+def test_verify_of_the_vacuum_has_no_halving_ratio_to_report(capsys):
+    code, out, err = _run_strict("verify --chi-re 0", capsys)
+    assert (code, err) == (0, "")
+    row = next(line for line in out.splitlines() if "ehrenfest-mean-motion" in line)
+    assert row.startswith("PASS") and row.endswith("halving ratios = n/a")
+
+
+def test_verify_names_the_non_finite_slices_past_im_chi_26_6(capsys):
+    code, out, err = _run_strict("verify --chi-im 27", capsys)
+    assert code == 3
+    assert err == "verification failed: wave-packet-nondiffusion\n"
+    row = next(line for line in out.splitlines() if "wave-packet-nondiffusion" in line)
+    assert row.startswith("FAIL") and row.endswith(", 3 non-finite slices")
+
+
+def test_a_label_whose_modulus_overflows_is_refused_by_name(capsys):
+    chi = complex(1.5e308, 1.5e308)
+    with pytest.raises(OverflowError):
+        abs(chi)  # |chi| past the float range raises rather than giving inf
+    code, out, err = _run_strict("spectrum --chi-re 1.5e308 --chi-im 1.5e308", capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "oscilab: error: label (1.5e+308+1.5e+308j) is too large: |chi|^2 overflows\n"
+    )

@@ -24,18 +24,13 @@ from oracle import (
     transform_state_phase,
 )
 from oscilab.dynamics import (
-    Trajectory,
     check_uniform_times,
     ehrenfest_residual,
     propagate_fock,
     sample_times,
 )
 from oscilab.fock import OscillatorParams
-from oscilab.observables import (
-    RECORD_COLUMNS,
-    averages_bruteforce,
-    averages_bruteforce_batch,
-)
+from oscilab.observables import averages_bruteforce, averages_bruteforce_batch
 
 PARAMS = OscillatorParams()
 
@@ -172,47 +167,34 @@ def test_propagator_group_law(t1, t2):
 
 
 def test_trajectory_rejects_bad_sampling():
-    traj = closedform_trajectory(CoherentLabel(1), PARAMS, 0.0, 0.1, 0.05)
-    columns = {name: traj.column(name) for name in RECORD_COLUMNS}
+    times = closedform_trajectory(CoherentLabel(1), PARAMS, 0.0, 0.1, 0.05)["time"]
     with pytest.raises(ValueError):
-        Trajectory.from_columns(columns, dt=0.07)  # spacing disagrees with dt
+        check_uniform_times(times, dt=0.07)  # spacing disagrees with dt
     with pytest.raises(ValueError):
-        Trajectory.from_columns(columns, dt=-0.05)
+        check_uniform_times(times, dt=-0.05)
     with pytest.raises(ValueError):
-        Trajectory.from_columns({name: [] for name in RECORD_COLUMNS}, dt=0.05)
-    reversed_columns = {name: values[::-1] for name, values in columns.items()}
+        check_uniform_times(np.array([]), dt=0.05)
     with pytest.raises(ValueError):
-        Trajectory.from_columns(reversed_columns, dt=0.05)
+        check_uniform_times(times[::-1], dt=0.05)
 
 
-def test_the_spacing_helper_refuses_what_from_columns_refuses():
-    traj = closedform_trajectory(CoherentLabel(1), PARAMS, 0.0, 0.1, 0.05)
-    times = traj.column("time")
+def test_the_spacing_helper_names_what_it_refuses():
+    times = closedform_trajectory(CoherentLabel(1), PARAMS, 0.0, 0.1, 0.05)["time"]
     refused = [
         (times, 0.07, "uniformly spaced"),
         (times, -0.05, "finite and positive"),
         (times, float("nan"), "finite and positive"),
-        (np.zeros(0), 0.05, "at least one record"),
-        (np.zeros((1, 1)), 0.05, "at least one record"),
+        (np.zeros(0), 0.05, "nonempty 1-d array of sample times"),
+        (np.zeros((1, 1)), 0.05, "nonempty 1-d array of sample times"),
         (times[::-1], 0.05, "strictly increasing"),
         (np.array([0.0, 0.0, 0.05]), 0.05, "strictly increasing"),
     ]
     for values, dt, message in refused:
-        columns = {name: np.zeros(values.shape) for name in RECORD_COLUMNS}
-        columns["time"] = values
         with pytest.raises(ValueError, match=message):
             check_uniform_times(values, dt)
-        with pytest.raises(ValueError, match=message):
-            Trajectory.from_columns(columns, dt)
     check_uniform_times(times, 0.05)
     check_uniform_times(times[::2], 0.1)
     check_uniform_times(np.array([7.0]), 0.05)  # one sample has no spacing
-
-
-def test_from_columns_is_the_one_constructor():
-    traj = closedform_trajectory(CoherentLabel(1), PARAMS, 0.0, 0.1, 0.05)
-    with pytest.raises(TypeError):
-        Trajectory({name: traj.column(name) for name in RECORD_COLUMNS}, 0.05)
 
 
 def test_sample_times_includes_endpoint():
@@ -227,42 +209,41 @@ def test_mean_motion_follows_classical_solution():
     label = CoherentLabel(1 + 0.5j)
     base = coherent_coefficients(label, resolve_n_max(label))
     dt = 2 * math.pi / 256
-    traj = Trajectory.from_columns(
-        averages_bruteforce_batch(base, sample_times(0.0, 2 * math.pi, dt), PARAMS), dt
-    )
-    t = traj.column("time")
-    x0 = traj.column("mean_x")[0]
-    p0 = traj.column("mean_p")[0]
+    times = sample_times(0.0, 2 * math.pi, dt)
+    check_uniform_times(times, dt)
+    columns = averages_bruteforce_batch(base, times, PARAMS)
+    t = columns["time"]
+    x0 = columns["mean_x"][0]
+    p0 = columns["mean_p"][0]
     expected = x0 * np.cos(t) + (p0 / (PARAMS.mass * PARAMS.omega)) * np.sin(t)
-    np.testing.assert_allclose(traj.column("mean_x"), expected, atol=1e-10)
+    np.testing.assert_allclose(columns["mean_x"], expected, atol=1e-10)
 
 
-def residual_of(traj: Trajectory):
-    x, p = traj.column("mean_x"), traj.column("mean_p")
-    return ehrenfest_residual(x, p, traj.dt, PARAMS)
+def residual_of(columns: dict, dt: float):
+    check_uniform_times(columns["time"], dt)
+    return ehrenfest_residual(columns["mean_x"], columns["mean_p"], dt, PARAMS)
 
 
 def test_ehrenfest_residual_zero_for_stationary_state():
     base = fock_state(2, 8)
     columns = averages_bruteforce_batch(base, sample_times(0.0, 0.4, 0.1), PARAMS)
-    traj = Trajectory.from_columns(columns, 0.1)
-    assert residual_of(traj) == (0.0, 0.0)
+    assert residual_of(columns, 0.1) == (0.0, 0.0)
 
 
 def test_ehrenfest_residual_small_and_quadratic_in_dt():
     label = CoherentLabel(1)
-    coarse = residual_of(closedform_trajectory(label, PARAMS, 0.0, 2 * math.pi, 1e-3))
-    fine = residual_of(closedform_trajectory(label, PARAMS, 0.0, 2 * math.pi, 5e-4))
+    coarse = residual_of(closedform_trajectory(label, PARAMS, 0.0, 2 * math.pi, 1e-3), 1e-3)
+    fine = residual_of(closedform_trajectory(label, PARAMS, 0.0, 2 * math.pi, 5e-4), 5e-4)
     assert max(coarse) < 1e-5
     for c, f in zip(coarse, fine):
         assert c / f == pytest.approx(4.0, rel=0.2)
 
 
 def test_ehrenfest_needs_three_records():
-    traj = closedform_trajectory(CoherentLabel(1), PARAMS, 0.0, 0.01, 0.01)
-    assert len(traj) == 2
+    columns = closedform_trajectory(CoherentLabel(1), PARAMS, 0.0, 0.01, 0.01)
+    assert columns["time"].size == 2
     with pytest.raises(ValueError):
-        residual_of(traj)
+        residual_of(columns, 0.01)
     with pytest.raises(ValueError):  # one <p> short of the <x>
         ehrenfest_residual(np.zeros(3), np.zeros(2), 0.01, PARAMS)
 

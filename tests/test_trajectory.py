@@ -1,8 +1,6 @@
-"""Columnar trajectories and the time-batched sampling behind them."""
+"""Time-batched sampling: phase rows, sample times and the averages' columns."""
 
-import copy
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -16,7 +14,7 @@ from oscilab.coherent import (
     resolve_n_max,
 )
 from oscilab.dynamics import (
-    Trajectory,
+    check_uniform_times,
     propagate_fock,
     sample_count,
     sample_times,
@@ -50,62 +48,16 @@ def test_phase_rows_are_bit_identical_to_the_per_state_propagators():
         )
 
 
-def test_columns_are_read_only_arrays():
-    label = CoherentLabel(1 + 1j)
-    base = coherent_coefficients(label, resolve_n_max(label))
-    columns = averages_bruteforce_batch(base, sample_times(0.0, 1.0, 0.1), PARAMS)
-    traj = Trajectory.from_columns(columns, 0.1)
-    assert len(traj) == 11
-    for name in RECORD_COLUMNS:
-        values = traj.column(name)
-        assert values.shape == (11,) and not values.flags.writeable
-    with pytest.raises(KeyError):
-        traj.column("a_avg")  # complex averages are stored as _re/_im
-    with pytest.raises(AttributeError):
-        traj.dt = 1.0
-
-
-def test_pickle_and_copy_rebuild_an_equal_trajectory():
-    label = CoherentLabel(0.5 - 1j)
-    base = coherent_coefficients(label, resolve_n_max(label))
-    columns = averages_bruteforce_batch(base, sample_times(0.0, 2.0, 0.25), PARAMS)
-    traj = Trajectory.from_columns(columns, 0.25)
-    for clone in (
-        pickle.loads(pickle.dumps(traj)),
-        copy.copy(traj),
-        copy.deepcopy(traj),
-    ):
-        assert type(clone) is Trajectory and clone.dt == traj.dt
-        for name in RECORD_COLUMNS:
-            np.testing.assert_array_equal(clone.column(name), traj.column(name))
-            assert not clone.column(name).flags.writeable
-
-
-def test_from_columns_validates_shape_and_sampling():
-    columns = {name: np.zeros(3) for name in RECORD_COLUMNS}
-    columns["time"] = np.array([0.0, 0.5, 1.0])
-    assert len(Trajectory.from_columns(columns, 0.5)) == 3
-    with pytest.raises(ValueError):
-        Trajectory.from_columns(columns, 0.25)
-    with pytest.raises(ValueError):
-        Trajectory.from_columns({**columns, "energy": np.zeros(2)}, 0.5)
-    with pytest.raises(ValueError):
-        Trajectory.from_columns({k: v for k, v in columns.items() if k != "energy"}, 0.5)
-    with pytest.raises(ValueError):
-        Trajectory.from_columns({name: np.zeros(0) for name in RECORD_COLUMNS}, 0.5)
-
-
 def test_bruteforce_and_closedform_trajectories_agree():
     label = CoherentLabel(-1.5 + 0.5j)
     base = coherent_coefficients(label, resolve_n_max(label))
     times = sample_times(0.0, 2 * math.pi, 0.01)
-    brute = Trajectory.from_columns(averages_bruteforce_batch(base, times, PARAMS), 0.01)
+    check_uniform_times(times, 0.01)
+    brute = averages_bruteforce_batch(base, times, PARAMS)
     closed = closedform_trajectory(label, PARAMS, 0.0, 2 * math.pi, 0.01)
-    np.testing.assert_array_equal(brute.column("time"), closed.column("time"))
+    np.testing.assert_array_equal(brute["time"], closed["time"])
     for name in RECORD_COLUMNS:
-        np.testing.assert_allclose(
-            brute.column(name), closed.column(name), atol=1e-9, rtol=0
-        )
+        np.testing.assert_allclose(brute[name], closed[name], atol=1e-9, rtol=0)
 
 
 def test_bruteforce_sampling_rejects_gross_under_truncation():
