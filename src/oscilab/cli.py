@@ -1,15 +1,16 @@
 """Command-line front end: reproducible runs written to CSV or JSON.
 
-Every command is a pure function of its RunConfig (seed included), and every
-numeric cell is written with 17 significant digits, as "%.17g" % x, so
-identical invocations produce byte-identical files. A table of floats goes
-through one exact array kernel (`_float_cells`), which hands the few cells
-it cannot decide exactly to "%.17g" itself; any other table goes cell by
-cell. The output is ASCII bytes: written to a file as rendered, and to
-stdout decoded once. CSV output is RFC-4180 with '#' comment lines
-for the schema, the echoed config (including the resolved truncation level)
-and footer records; JSON output is one object with "config", "rows" and
-"footer".
+Every command is a pure function of its parsed options (seed included):
+`main` hands the argparse namespace on as the run's config, and `DEFAULTS`
+gives each field its one default. Every numeric cell is written with 17
+significant digits, as "%.17g" % x, so identical invocations produce
+byte-identical files. A table of floats goes through one exact array kernel
+(`_float_cells`), which hands the few cells it cannot decide exactly to
+"%.17g" itself; any other table goes cell by cell. The output is ASCII
+bytes: written to a file as rendered, and to stdout decoded once. CSV output
+is RFC-4180 with '#' comment lines for the schema, the echoed config
+(including the resolved truncation level) and footer records; JSON output is
+one object with "config", "rows" and "footer".
 
 Each call is a fresh process, so the module imports no more than every
 command needs: `json` is imported by the JSON branches only, and the
@@ -43,7 +44,7 @@ from .coherent import (
     truncation_tail,
 )
 from .dynamics import sample_count, sample_times
-from .fock import OscillatorParams, TruncationWarning, Value
+from .fock import OscillatorParams, TruncationWarning
 from .observables import (
     RECORD_COLUMNS,
     averages_bruteforce_batch,
@@ -55,7 +56,7 @@ from .observables import (
 from .verify import format_table, run_all
 from .wavefunction import DEFAULT_GRID_HALFWIDTH, DEFAULT_GRID_POINTS, packet_sweep
 
-__all__ = ["RunConfig", "UsageError", "main"]
+__all__ = ["UsageError", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,56 +85,52 @@ class UsageError(ValueError):
     """Invalid configuration; maps to exit code 1."""
 
 
-class RunConfig(Value):
-    """One command's parsed options; `main` builds it from the argparse
-    namespace, so each field is the `dest` of an option."""
+# Every field of a run's config and its default. The root parser supplies
+# them all and a subparser's options default to argparse.SUPPRESS, so a field
+# the argv leaves out, or the command does not register, keeps its default
+# here (and in the echoed config); an option gives its own default only where
+# its command's differs.
+DEFAULTS = {
+    "chi_re": 1.0, "chi_im": 0.0, "hbar": 1.0, "mass": 1.0, "omega": 1.0,
+    "n_max": "auto", "t_start": 0.0, "t_end": 0.0, "dt": 0.01,
+    "grid_halfwidth": DEFAULT_GRID_HALFWIDTH, "grid_points": DEFAULT_GRID_POINTS,
+    "output_path": "-", "format": "csv", "seed": 0,
+}
 
-    __slots__ = ("command", "chi_re", "chi_im", "hbar", "mass", "omega", "n_max",
-                 "t_start", "t_end", "dt", "grid_halfwidth", "grid_points",
-                 "output_path", "format", "seed")
 
-    def __init__(self, command: str, chi_re: float | None = 1.0, chi_im: float | None = 0.0,
-                 hbar: float = 1.0, mass: float = 1.0, omega: float = 1.0,
-                 n_max: int | str = "auto", t_start: float = 0.0, t_end: float = 0.0,
-                 dt: float = 0.01, grid_halfwidth: float = DEFAULT_GRID_HALFWIDTH,
-                 grid_points: int = DEFAULT_GRID_POINTS,
-                 output_path: str = "-", format: str = "csv", seed: int = 0):
-        self._init(command, chi_re, chi_im, hbar, mass, omega, n_max, t_start, t_end,
-                   dt, grid_halfwidth, grid_points, output_path, format, seed)
+def _params(config: argparse.Namespace) -> OscillatorParams:
+    """The run's units; OscillatorParams refuses any that are not finite and positive."""
+    return OscillatorParams(config.hbar, config.mass, config.omega)
 
-    def validate(self) -> None:
-        """The checks argparse does not make; it already checks the command,
-        `format` and `n_max`."""
-        for name in ("hbar", "mass", "omega"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise UsageError(f"{name} must be finite and positive, got {value!r}")
-        for name in ("chi_re", "chi_im"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise UsageError(f"{name} must be finite, got {value!r}")
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
-            raise UsageError("t_start and t_end must be finite")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise UsageError(f"dt must be positive, got {self.dt!r}")
-        if not math.isfinite(self.grid_halfwidth):
-            raise UsageError(f"grid_halfwidth must be finite, got {self.grid_halfwidth!r}")
-        if self.grid_halfwidth <= 0:
-            raise UsageError(
-                f"grid_halfwidth must be positive, got {self.grid_halfwidth!r}"
-            )
-        if self.grid_points < 3 or self.grid_points % 2 == 0:
-            raise UsageError(
-                f"grid_points must be an odd integer >= 3, got {self.grid_points}"
-            )
-        if self.seed < 0:
-            raise UsageError(f"seed must be nonnegative, got {self.seed}")
 
-    def params(self) -> OscillatorParams:
-        return OscillatorParams(self.hbar, self.mass, self.omega)
+def _label(config: argparse.Namespace) -> CoherentLabel:
+    return CoherentLabel(complex(config.chi_re or 0.0, config.chi_im or 0.0))
 
-    def label(self) -> CoherentLabel:
-        return CoherentLabel(complex(self.chi_re or 0.0, self.chi_im or 0.0))
+
+def _validate(config: argparse.Namespace) -> None:
+    """The checks argparse does not make; it already checks the command,
+    `format` and `n_max`. OscillatorParams checks the units first."""
+    _params(config)
+    for name in ("chi_re", "chi_im"):
+        value = getattr(config, name)
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"{name} must be finite, got {value!r}")
+    if not (math.isfinite(config.t_start) and math.isfinite(config.t_end)):
+        raise UsageError("t_start and t_end must be finite")
+    if not (math.isfinite(config.dt) and config.dt > 0):
+        raise UsageError(f"dt must be positive, got {config.dt!r}")
+    if not math.isfinite(config.grid_halfwidth):
+        raise UsageError(f"grid_halfwidth must be finite, got {config.grid_halfwidth!r}")
+    if config.grid_halfwidth <= 0:
+        raise UsageError(
+            f"grid_halfwidth must be positive, got {config.grid_halfwidth!r}"
+        )
+    if config.grid_points < 3 or config.grid_points % 2 == 0:
+        raise UsageError(
+            f"grid_points must be an odd integer >= 3, got {config.grid_points}"
+        )
+    if config.seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {config.seed}")
 
 
 def _fmt(value) -> str:
@@ -378,10 +375,10 @@ def _json_text(value) -> str:
     return _fmt(value)
 
 
-def _config_echo(config: RunConfig, n_max: int) -> list[tuple[str, object]]:
+def _config_echo(config: argparse.Namespace, n_max: int) -> list[tuple[str, object]]:
     """Every field but output_path, with the resolved n_max and its source."""
     source = "auto" if config.n_max == "auto" else "explicit"
-    echo = dict(zip(config.__slots__, config._fields()), n_max=n_max, n_max_source=source)
+    echo = dict(vars(config), n_max=n_max, n_max_source=source)
     del echo["output_path"]
     for name in ("chi_re", "chi_im"):
         if echo[name] is None:
@@ -390,7 +387,7 @@ def _config_echo(config: RunConfig, n_max: int) -> list[tuple[str, object]]:
 
 
 def _render(
-    config: RunConfig,
+    config: argparse.Namespace,
     schema: str,
     echo: list[tuple[str, object]],
     columns: list[str],
@@ -429,7 +426,7 @@ def _render(
     return [(head + _json_text([dict(zip(columns, row)) for row in rows]) + tail).encode()]
 
 
-def _emit(config: RunConfig, pieces: list[bytes]) -> None:
+def _emit(config: argparse.Namespace, pieces: list[bytes]) -> None:
     """Write the pieces to the output file, or decoded to stdout, a text
     stream that may be a StringIO."""
     if config.output_path == "-":
@@ -439,7 +436,7 @@ def _emit(config: RunConfig, pieces: list[bytes]) -> None:
         handle.writelines(pieces)
 
 
-def _check_phase(config: RunConfig, t: float, n_max: int) -> None:
+def _check_phase(config: argparse.Namespace, t: float, n_max: int) -> None:
     """Refuse a time whose largest level phase, omega |t| (n_max + 1/2), is
     not a finite float (numpy's cos and sin would make it nan), or whose ulp
     exceeds PHASE_ULP_LIMIT, from 2^35 rad up: its phases keep too few digits."""
@@ -465,7 +462,7 @@ def _count(n: int, noun: str) -> str:
     return f"{text} {noun[:-1] if n == 1 else noun}"
 
 
-def _admit(config: RunConfig, n_max: int) -> None:
+def _admit(config: argparse.Namespace, n_max: int) -> None:
     """Refuse a run whose moment scales leave the normal floats, or whose
     largest array term passes MAX_CELLS cells, from the argv and n_max alone,
     before any sample times, grid or coefficient array exist; the commands
@@ -619,23 +616,23 @@ PRODUCERS = {
 }
 
 
-def _run_table(config: RunConfig) -> int:
+def _run_table(config: argparse.Namespace) -> int:
     producer, tail_tol = PRODUCERS[config.command]
     explicit = None if config.n_max == "auto" else config.n_max
-    n_max = resolve_n_max(config.label(), explicit, tail_tol)
+    n_max = resolve_n_max(_label(config), explicit, tail_tol)
     _admit(config, n_max)
-    columns, rows, footer = producer(config, config.params(), config.label(), n_max)
+    columns, rows, footer = producer(config, _params(config), _label(config), n_max)
     echo = _config_echo(config, n_max)
     _emit(config, _render(config, config.command, echo, columns, rows, footer))
     return EXIT_OK
 
 
-def _cmd_verify(config: RunConfig) -> int:
+def _cmd_verify(config: argparse.Namespace) -> int:
     n_max = None if config.n_max == "auto" else int(config.n_max)
     chi = None
     if config.chi_re is not None or config.chi_im is not None:
-        chi = config.label().chi
-        resolve_n_max(config.label(), n_max)  # refuse a capped auto truncation first
+        chi = _label(config).chi
+        resolve_n_max(_label(config), n_max)  # refuse a capped auto truncation first
     _admit(config, n_max or 0)
     results = run_all(chi=chi, n_max=n_max, seed=config.seed)
     sys.stdout.write(format_table(results) + "\n")
@@ -684,42 +681,40 @@ def _n_max_type(text: str):
 
 
 def _state_options(p: argparse.ArgumentParser, units: bool = True) -> None:
-    p.add_argument("--chi-re", type=float, default=1.0, help="Re chi (default 1)")
-    p.add_argument("--chi-im", type=float, default=0.0, help="Im chi (default 0)")
+    p.add_argument("--chi-re", type=float, help=f"Re chi (default {DEFAULTS['chi_re']:g})")
+    p.add_argument("--chi-im", type=float, help=f"Im chi (default {DEFAULTS['chi_im']:g})")
     if units:
-        p.add_argument("--hbar", type=float, default=1.0)
-        p.add_argument("--mass", type=float, default=1.0)
-        p.add_argument("--omega", type=float, default=1.0)
+        p.add_argument("--hbar", type=float)
+        p.add_argument("--mass", type=float)
+        p.add_argument("--omega", type=float)
     p.add_argument(
-        "--n-max", type=_n_max_type, default="auto",
-        help="truncation level, or 'auto' for the tail rule (default auto)",
+        "--n-max", type=_n_max_type,
+        help=f"truncation level, or 'auto' for the tail rule (default {DEFAULTS['n_max']})",
     )
 
 
 def _output_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--output", dest="output_path", default="-",
-        help="output file path, '-' for stdout (default)",
+        "--output", dest="output_path", help="output file path, '-' for stdout (default)"
     )
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"))
 
 
 def _time_options(p: argparse.ArgumentParser, t_end_default: float | None = None) -> None:
     """--t-start, and with a t_end default --t-end and --dt."""
-    p.add_argument("--t-start", type=float, default=0.0)
+    p.add_argument("--t-start", type=float)
     if t_end_default is not None:
         p.add_argument("--t-end", type=float, default=t_end_default)
-        p.add_argument("--dt", type=float, default=0.01)
+        p.add_argument("--dt", type=float)
 
 
 def _grid_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--grid-halfwidth", type=float, default=DEFAULT_GRID_HALFWIDTH,
-        help=f"grid half-width in oscillator lengths (default {DEFAULT_GRID_HALFWIDTH:g})",
+        "--grid-halfwidth", type=float,
+        help=f"grid half-width in oscillator lengths (default {DEFAULTS['grid_halfwidth']:g})",
     )
     p.add_argument(
-        "--grid-points", type=int, default=DEFAULT_GRID_POINTS,
-        help=f"odd point count (default {DEFAULT_GRID_POINTS})",
+        "--grid-points", type=int, help=f"odd point count (default {DEFAULTS['grid_points']})"
     )
 
 
@@ -729,8 +724,8 @@ def _verify_options(p: argparse.ArgumentParser) -> None:
         help="override the probe set with this single label",
     )
     p.add_argument("--chi-im", type=float, default=None)
-    p.add_argument("--n-max", type=_n_max_type, default="auto")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-max", type=_n_max_type)
+    p.add_argument("--seed", type=int)
 
 
 # Every command: name -> (help line, option groups as (adder, *arguments)),
@@ -743,8 +738,8 @@ COMMANDS = {
     "uncertainty": ("fluctuation products of number states and the coherent state",
                     [(_state_options,), (_output_options,), (_time_options,)]),
     "wavefunction": ("packet samples: truncated series against the closed form",
-                     [(_state_options,), (_output_options,), (_time_options, 0.0),
-                      (_grid_options,)]),
+                     [(_state_options,), (_output_options,),
+                      (_time_options, DEFAULTS["t_end"]), (_grid_options,)]),
     "symmetry-check": ("phase-rotation invariance report",
                        [(_state_options,), (_output_options,)]),
     "verify": ("run the acceptance battery (natural units); exit 3 on failure",
@@ -761,9 +756,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="oscilab",
         description="Harmonic-oscillator coherent-state laboratory",
     )
+    parser.set_defaults(**DEFAULTS)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, groups) in COMMANDS.items():
-        subparser = sub.add_parser(name, help=help_text)
+        subparser = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         if command == name or command not in COMMANDS:
             for add, *arguments in groups:
                 add(subparser, *arguments)
@@ -799,13 +795,12 @@ def main(argv=None) -> int:
     _keep_freed_memory()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        ns = build_parser(argv[0] if argv else None).parse_args(argv)
+        config = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    config = RunConfig(**vars(ns))
     with warnings.catch_warnings(record=True) as caught:
         try:
-            config.validate()
+            _validate(config)
             code = _cmd_verify(config) if config.command == "verify" else _run_table(config)
         except ValueError as exc:  # UsageError and every library refusal
             sys.stderr.write(f"oscilab: error: {exc}\n")

@@ -8,10 +8,10 @@ construction and every operation is a pure function of its inputs.
 
 The package's value types (`OscillatorParams`, `StateVector`,
 `coherent.CoherentLabel`, `observables.ObservableRecord`,
-`verify.CriterionResult`, `wavefunction.WaveSample` and `cli.RunConfig`)
-derive from `Value`: fields in `__slots__`, set once by a hand-written
-`__init__`. Every CLI call imports them afresh, so they are plain classes
-rather than dataclasses, whose methods are built with `exec` on import.
+`verify.CriterionResult` and `wavefunction.WaveSample`) derive from
+`Value`: fields in `__slots__`, set once by a hand-written `__init__`.
+Every CLI call imports them afresh, so they are plain classes rather than
+dataclasses, whose methods are built with `exec` on import.
 """
 
 from __future__ import annotations
@@ -72,23 +72,20 @@ class Value:
 
     __setattr__ = __delattr__ = _immutable
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
+            return self.__reduce__() == other.__reduce__()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self.__reduce__())
 
     def __reduce__(self):
-        return (type(self), self._fields())
+        return (type(self), tuple(getattr(self, name) for name in self.__slots__))
 
 
 class OscillatorParams(Value):

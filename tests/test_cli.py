@@ -37,7 +37,6 @@ from oscilab.cli import (
     AMPLITUDE_TAIL_TOL,
     MAX_CELLS,
     PRODUCERS,
-    RunConfig,
     _csv_cell,
     _fmt,
     _json_text,
@@ -64,6 +63,11 @@ from oscilab.wavefunction import (
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _config(command, *options):
+    """The namespace `main` hands a command, from the parser `main` builds."""
+    return cli.build_parser(command).parse_args([command, *options])
 
 
 def read_csv(path: Path):
@@ -417,6 +421,25 @@ def test_the_parser_for_one_command_parses_as_the_full_parser(argv):
     # argv must parse, or be refused, byte for byte as with all of them
     lazy = cli.build_parser(argv[0] if argv else None)
     assert _parsed(lazy, argv) == _parsed(cli.build_parser(), argv)
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_the_echo_of_a_field_the_command_does_not_register_is_its_default(
+    command, tmp_path, capsys
+):
+    # the root parser gives every field its default from cli.DEFAULTS, and
+    # the echo lists every field, registered by the command or not
+    registered = {a.dest for a in _subparser(cli.build_parser(command), command)._actions}
+    expected = {k: _fmt(v) for k, v in cli.DEFAULTS.items() if k not in registered}
+    out = tmp_path / "out.csv"
+    assert main([command, "--output", str(out)]) == 0
+    capsys.readouterr()
+    echo = read_csv(out)[3]
+    assert {k: echo[k] for k in expected} == expected
+    if command == "spectrum":
+        assert echo.items() >= {
+            "dt": "0.01", "grid_points": "2001", "seed": "0", "t_end": "0", "t_start": "0"
+        }.items()
 
 
 def test_main_reads_sys_argv_when_given_no_argv(monkeypatch, capsys):
@@ -1066,8 +1089,8 @@ def test_verify_with_underflowing_amplitudes_passes_nothing_on_a_zero_state():
 def test_wavefunction_rows_match_the_per_scalar_form():
     # the packet-large label: np.abs(series - closed) differs from the scalar
     # abs in 1,367 of these 6,003 cells, np.hypot in none
-    config = RunConfig("wavefunction", chi_re=20.0, t_end=0.8, dt=0.4)
-    params, label = config.params(), config.label()
+    config = _config("wavefunction", "--chi-re", "20", "--t-end", "0.8", "--dt", "0.4")
+    params, label = cli._params(config), cli._label(config)
     n_max = resolve_n_max(label, None, AMPLITUDE_TAIL_TOL)
     _, rows, _ = PRODUCERS["wavefunction"][0](config, params, label, n_max)
     expected = []
@@ -1107,7 +1130,7 @@ def _rendered(*args) -> str:
 
 
 def _data_lines(rows, width):
-    config = RunConfig("wavefunction")
+    config = _config("wavefunction")
     text = _rendered(config, "wavefunction", [], [f"c{i}" for i in range(width)], rows, [])
     return text.splitlines()[3:]
 
@@ -1134,7 +1157,7 @@ NAMES = st.text(max_size=6) | st.sampled_from(
 def test_all_float_rows_render_as_their_json_text(names, data):
     rows = data.draw(st.lists(st.tuples(*[CELLS] * len(names)), max_size=12))
     echo, footer = [("chi_re", 1.5), ("n_max", 4)], [{"t": 0.25}]
-    config = RunConfig("wavefunction", format="json")
+    config = _config("wavefunction", "--format", "json")
     expected = _json_text({
         "schema": "oscilab.wavefunction.v1",
         "config": dict(echo),
@@ -1149,7 +1172,7 @@ def test_json_column_names_with_the_delete_and_marker_bytes_render_as_today():
     # json.dumps escapes both bytes, so the kernel's separators hold neither
     names = ["\x00\x01", "\x01"]
     matrix = np.array([[0.5, -1e-300], [math.nan, -0.0], [1 / 3, 2.0**-1074]])
-    config = RunConfig("wavefunction", format="json")
+    config = _config("wavefunction", "--format", "json")
     expected = _json_text({
         "schema": "oscilab.wavefunction.v1",
         "config": {},
@@ -1258,7 +1281,7 @@ def test_decimal_digits_are_exact_wherever_they_can_be():
 def test_float_matrices_of_any_shape_render_as_their_row_tuples(shape, fmt):
     matrix = np.arange(math.prod(shape), dtype=float).reshape(shape) / 7 - 0.5
     columns = [f"c{i}" for i in range(shape[1])]
-    config = RunConfig("wavefunction", format=fmt)
+    config = _config("wavefunction", "--format", fmt)
     rows = [tuple(row) for row in matrix.tolist()]
     assert _rendered(config, "wavefunction", [("a", 1)], columns, matrix, []) == _rendered(
         config, "wavefunction", [("a", 1)], columns, rows, []
@@ -1320,12 +1343,10 @@ def test_spectrum_and_uncertainty_write_their_row_tuples_bytes(
     argv = [command, "--chi-re", chi, "--chi-im", chi_im, "--n-max", str(n_max),
             "--format", fmt, *[f"--{k}={v}" for k, v in units.items()]]
     assert main(argv + ["--output", str(out)]) == 0
-    config = RunConfig(command, chi_re=float(chi), chi_im=float(chi_im), n_max=n_max,
-                       format=fmt, **units)
-    columns, matrix, footer = PRODUCERS[command][0](
-        config, config.params(), config.label(), n_max
-    )
-    rows = per_level_rows(command, config.label(), n_max, config.params())
+    config = cli.build_parser(command).parse_args(argv)
+    params, label = cli._params(config), cli._label(config)
+    columns, matrix, footer = PRODUCERS[command][0](config, params, label, n_max)
+    rows = per_level_rows(command, label, n_max, params)
     assert isinstance(matrix, np.ndarray) and len(matrix) == len(rows)
     echo = cli._config_echo(config, n_max)
     pieces = _render(config, command, echo, columns, rows, footer)
@@ -1342,7 +1363,7 @@ def _render_packet_sized_matrix(fmt):
     """The byte count of the packet-sized matrix and the tracemalloc peak of
     rendering it."""
     matrix = _packet_sized_matrix()
-    config = RunConfig("wavefunction", format=fmt)
+    config = _config("wavefunction", "--format", fmt)
     columns = [f"c{i}" for i in range(7)]
     _render(config, "wavefunction", [], columns, matrix[:2], [])  # builds the tables
     tracemalloc.start()
@@ -1382,7 +1403,7 @@ def test_float_cells_do_not_depend_on_the_chunk_size(fmt, monkeypatch):
     # itself, split out on its marker) in every 1000th row
     matrix = _packet_sized_matrix()
     matrix[::1000, 2], matrix[::1000, 5] = 0.0, 1e300
-    config = RunConfig("wavefunction", format=fmt)
+    config = _config("wavefunction", "--format", fmt)
     columns = [f"c{i}" for i in range(7)]
     texts = set()
     for cells in (7, cli._CHUNK_CELLS, 1 << 14, matrix.size):
@@ -1423,7 +1444,7 @@ def test_a_phase_without_digits_exits_1_naming_the_time():
 
 def test_the_phase_bound_refuses_from_2_to_the_35_radians():
     # one ulp is 2^-18 rad just below 2^35 and 2^-17 at it; 2 pi 2^-20 lies between
-    config = RunConfig("trajectory", omega=2.0)
+    config = _config("trajectory", "--omega", "2")
     cli._check_phase(config, 2.7e10 / (2.0 * 16.5), 16)
     cli._check_phase(config, math.nextafter(2.0**35, 0.0), 0)  # omega t (0 + 1/2)
     with pytest.raises(cli.UsageError, match="too few digits at t = -34359738368.0"):

@@ -166,18 +166,6 @@ def test_propagator_group_law(t1, t2):
     np.testing.assert_allclose(two_steps.coeffs, one_step.coeffs, atol=1e-12)
 
 
-def test_trajectory_rejects_bad_sampling():
-    times = closedform_trajectory(CoherentLabel(1), PARAMS, 0.0, 0.1, 0.05)["time"]
-    with pytest.raises(ValueError):
-        check_uniform_times(times, dt=0.07)  # spacing disagrees with dt
-    with pytest.raises(ValueError):
-        check_uniform_times(times, dt=-0.05)
-    with pytest.raises(ValueError):
-        check_uniform_times(np.array([]), dt=0.05)
-    with pytest.raises(ValueError):
-        check_uniform_times(times[::-1], dt=0.05)
-
-
 def test_the_spacing_helper_names_what_it_refuses():
     times = closedform_trajectory(CoherentLabel(1), PARAMS, 0.0, 0.1, 0.05)["time"]
     refused = [

@@ -51,7 +51,7 @@ ALLOWLIST = {
     "fock.StateVector.norm": "public accessor of a state's norm",
     # library checks of what the CLI validates, or builds valid, before the call
     "coherent.CoherentLabel.__init__": (
-        "RunConfig.validate refuses a non-finite chi first",
+        "cli._validate refuses a non-finite chi first",
         'raise ValueError(f"label must be finite, got {chi!r}")',
     ),
     "coherent.occupation_probability": (
@@ -71,12 +71,8 @@ ALLOWLIST = {
         'raise ValueError(f"need at least 3 samples, got {x.size}")',
     ),
     "dynamics.sample_count": (
-        "RunConfig.validate refuses a nonpositive dt first",
+        "cli._validate refuses a nonpositive dt first",
         'raise ValueError(f"dt must be positive, got {dt}")',
-    ),
-    "fock.OscillatorParams.__init__": (
-        "RunConfig.validate refuses the same units first",
-        'raise ValueError(f"{name} must be finite and positive, got {value!r}")',
     ),
     "fock.StateVector.__init__": (
         "the package builds finite 1-d coefficients of n_max + 1 levels at finite times",
@@ -119,7 +115,7 @@ ALLOWLIST = {
         'raise ValueError(f"level must be nonnegative, got {n}")',
     ),
     "verify._uniform_draws": (
-        "RunConfig.validate refuses a negative seed first",
+        "cli._validate refuses a negative seed first",
         'raise ValueError(f"seed must be nonnegative, got {seed}")',
     ),
     "wavefunction._slices": (
@@ -140,7 +136,7 @@ ALLOWLIST = {
         'raise ValueError("cannot take moments of a zero-norm sample set")',
     ),
     "wavefunction.packet_sweep": (
-        "RunConfig.validate refuses grid_points < 3 and a nonpositive halfwidth first",
+        "cli._validate refuses grid_points < 3 and a nonpositive halfwidth first",
         'raise ValueError(f"need at least 2 points, got {npoints}")',
         'raise ValueError(f"halfwidth must be finite and positive, got {halfwidth!r}")',
     ),

@@ -1,9 +1,9 @@
 """The value types: constructors, validation, immutability, equality, pickling.
 
 `OscillatorParams`, `StateVector`, `CoherentLabel`, `ObservableRecord`,
-`CriterionResult`, `WaveSample` and `RunConfig` are plain classes on the
-`fock.Value` base, with no dataclass behind them; these tests pin what a
-frozen dataclass gave each of them.
+`CriterionResult` and `WaveSample` are plain classes on the `fock.Value`
+base, with no dataclass behind them; these tests pin what a frozen
+dataclass gave each of them.
 """
 
 import copy
@@ -14,7 +14,6 @@ import pickle
 import numpy as np
 import pytest
 
-from oscilab.cli import RunConfig
 from oscilab.coherent import CoherentLabel
 from oscilab.fock import DimensionMismatchError, OscillatorParams, StateVector
 from oscilab.observables import ObservableRecord
@@ -35,8 +34,6 @@ EXAMPLES = {
     "CriterionResult": (lambda: CriterionResult("energy-constancy", True, "ok"),
                         CriterionResult("energy-constancy", False, "ok")),
     "WaveSample": (lambda: WaveSample(0.25, 1 - 1j), WaveSample(0.25, 1 + 1j)),
-    "RunConfig": (lambda: RunConfig("trajectory", chi_re=2.0, dt=0.5, format="json"),
-                  RunConfig("trajectory", chi_re=2.0, dt=0.25, format="json")),
 }
 
 
@@ -61,12 +58,6 @@ def test_constructors_keep_their_signatures_and_defaults():
     assert set(defaults(ObservableRecord).values()) == {empty}
     assert defaults(CriterionResult) == {"name": empty, "passed": empty, "detail": empty}
     assert defaults(WaveSample) == {"x": empty, "value": empty}
-    assert defaults(RunConfig) == {
-        "command": empty, "chi_re": 1.0, "chi_im": 0.0, "hbar": 1.0, "mass": 1.0,
-        "omega": 1.0, "n_max": "auto", "t_start": 0.0, "t_end": 0.0, "dt": 0.01,
-        "grid_halfwidth": 10.0, "grid_points": 2001, "output_path": "-",
-        "format": "csv", "seed": 0,
-    }
 
 
 def test_constructors_normalize_their_fields():
@@ -79,8 +70,6 @@ def test_constructors_normalize_their_fields():
     assert CriterionResult("c", np.bool_(True), "").passed is True
     sample = WaveSample(1, 2)
     assert (type(sample.x), type(sample.value)) == (float, complex)
-    config = RunConfig("verify")
-    assert (config.command, config.n_max, config.grid_points) == ("verify", "auto", 2001)
     assert RECORD.a_avg == 1 + 2j and RECORD.energy == 1.5
 
 
