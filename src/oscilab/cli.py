@@ -5,8 +5,9 @@ Every command is a pure function of its parsed options (seed included):
 gives each field its one default. Every numeric cell is written with 17
 significant digits, as "%.17g" % x, so identical invocations produce
 byte-identical files. A table of floats goes through one exact array kernel
-(`_float_cells`), which hands the few cells it cannot decide exactly to
-"%.17g" itself; any other table goes cell by cell. The output is ASCII
+(`_float_cells`: a digit plan per pass of two chunks, then the bytes per
+chunk), which hands the few cells it cannot decide exactly to "%.17g"
+itself; any other table goes cell by cell. The output is ASCII
 bytes: written to a file as rendered, and to stdout decoded once. CSV output
 is RFC-4180 with '#' comment lines for the schema, the echoed config
 (including the resolved truncation level) and footer records; JSON output is
@@ -151,9 +152,12 @@ def _csv_cell(value) -> str:
     return text
 
 
-# The float-cell kernel works through a table this many cells at a time, so
-# its temporaries stay near a megabyte (1.1 MiB under tracemalloc) whatever
-# the table's size, and fit in a 2 MiB L2 cache.
+# The float-cell kernel writes a table's bytes this many cells at a time and
+# plans their digits over passes of two such chunks, so its temporaries stay
+# near a megabyte whatever the table's size, inside a 2 MiB L2 cache. A plan
+# pays about 40 us of ufunc call overhead whatever its size and a byte chunk
+# about 4 us (AMD EPYC): two-chunk passes halve the plan's share, and larger
+# byte chunks would raise the render's peak.
 _CHUNK_CELLS = 1 << 12
 # Largest scale 10^q it multiplies by: 10^(16 - X) for the smallest decimal
 # exponent X = -281 that log10 gives its range, and one more for the correction.
@@ -283,13 +287,12 @@ def _decimal(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return digits, exp10, exact
 
 
-def _float_chunk(table: np.ndarray, tails: np.ndarray) -> bytes:
-    """Rows of a float64 table, each cell "%.17g" % cell followed by its
-    column's separator, the nonzero bytes of its row of `tails` (uint32
-    words). A cell `_decimal` cannot write exactly, +-0 aside, goes through
-    "%.17g" itself."""
-    zeros, cell_words, exp_words, keep64, keep32 = _kernel_tables()[4:]
-    x = table.ravel()
+def _digit_plan(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per cell of the flat float64 array `x`: the indices of its five cell
+    words, of its keep mask and of its exponent word (the scale `_decimal`
+    took, 0.._MAX_SCALE), and whether "%.17g" itself must write it, as it
+    must every cell `_decimal` cannot write exactly, +-0 aside."""
+    zeros = _kernel_tables()[4]
     ax = np.abs(x)
     digits, exp10, exact = _decimal(ax)
     zero = ax == 0  # the digit 0 at `_decimal`'s exponent 0 for its stand-in 1.0
@@ -320,14 +323,20 @@ def _float_chunk(table: np.ndarray, tails: np.ndarray) -> bytes:
     shape += exp10 <= -100  # _SCIENTIFIC_3
     np.copyto(shape, _OTHER, where=fallback)
     shape += np.signbit(x) * (_OTHER + 1)
-    mask = shape * 18 + 17 - trailing
+    return index, shape * 18 + 17 - trailing, 16 - exp10, fallback
 
+
+def _float_chunk(x: np.ndarray, tails: np.ndarray, plan: list[np.ndarray]) -> bytes:
+    """Whole rows of a float64 table, raveled into `x`, with their cells'
+    `_digit_plan`: each cell "%.17g" % cell followed by its column's
+    separator, the nonzero bytes of its row of `tails` (uint32 words)."""
+    cell_words, exp_words, keep64, keep32 = _kernel_tables()[5:]
+    index, mask, q, fallback = plan
     block = np.empty((x.size, (11 + tails.shape[1]) // 2), np.uint64)  # 11 slot words
     words = block.view(np.uint32)
     np.bitwise_and(cell_words.take(index), keep64.take(mask, axis=0), out=block[:, :5])
-    q = 16 - exp10  # the scale `_decimal` took, 0.._MAX_SCALE
     np.bitwise_and(exp_words.take(q), keep32.take(mask), out=words[:, 10])
-    words.reshape(table.shape + (-1,))[..., 11:] = tails
+    words.reshape(-1, len(tails), words.shape[1])[..., 11:] = tails
 
     data = block.tobytes().translate(None, b"\0")
     if not fallback.any():
@@ -340,7 +349,7 @@ def _float_chunk(table: np.ndarray, tails: np.ndarray) -> bytes:
 def _float_cells(table: np.ndarray, seps: list[str]) -> list[bytes]:
     """A float64 (rows, columns) table as ASCII bytes, row by row, each cell
     written as "%.17g" % cell and followed by its column's separator;
-    returned in pieces of whole rows."""
+    returned in pieces of whole rows, one per chunk (see _CHUNK_CELLS)."""
     rows, columns = table.shape
     raw = [sep.encode() for sep in seps]
     if any(b"\0" in sep or b"\1" in sep for sep in raw):
@@ -351,8 +360,15 @@ def _float_cells(table: np.ndarray, seps: list[str]) -> list[bytes]:
     for k, sep in enumerate(raw):
         tails[k, :len(sep)] = np.frombuffer(sep, np.uint8)
     tails = tails.view(np.uint32)
-    step = max(1, _CHUNK_CELLS // columns)
-    return [_float_chunk(table[i:i + step], tails) for i in range(0, rows, step)]
+    step = max(1, _CHUNK_CELLS // columns)  # rows of a chunk
+    pieces = []
+    for start in range(0, rows, 2 * step):
+        x = table[start:start + 2 * step].ravel()
+        plan = _digit_plan(x)
+        for cell in range(0, x.size, step * columns):
+            cells = slice(cell, cell + step * columns)
+            pieces.append(_float_chunk(x[cells], tails, [a[cells] for a in plan]))
+    return pieces
 
 
 def _json_text(value) -> str:

@@ -2,12 +2,16 @@
 
     python tests/float_kernel.py                  # 10^6 random bit patterns
     python tests/float_kernel.py --count 20000 --seed 3
+    python tests/float_kernel.py --columns 7      # as a 7-column CSV table
 
 The cells are every edge value of `edge_floats` and `--count` float64 values
 whose 64 bits are drawn at random from `--seed`, so every sign, exponent and
 significand (nan and inf included) turns up. They go through
-`oscilab.cli._float_cells` as one column; any line of its bytes that
-differs from b"%.17g" % value is printed, and the exit code is then 1. No
+`oscilab.cli._float_cells` as a table of `--columns` columns (one by
+default), with the separators of the packet CSV: "," between cells and a
+newline after each row, so a table of several columns puts separators at
+the kernel's chunk and pass boundaries. Any cell of its bytes that differs
+from b"%.17g" % value is printed, and the exit code is then 1. No
 hypothesis database is involved, so a run depends on the seed alone.
 """
 
@@ -66,27 +70,42 @@ def random_floats(count: int, seed: int) -> np.ndarray:
     return bits.view(np.float64)
 
 
-def mismatches(values) -> list[tuple[float, bytes, bytes]]:
+def mismatches(values, columns: int = 1) -> list[tuple]:
     """(value, kernel bytes, b"%.17g" bytes) of every cell the kernel
-    writes differently."""
-    column = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    got = b"".join(_float_cells(column, ["\n"])).split(b"\n")[:-1]
-    want = [b"%.17g" % v for v in column.ravel().tolist()]
-    assert len(got) == len(want)
-    return [(v, g, w) for v, g, w in zip(column.ravel().tolist(), got, want) if g != w]
+    writes differently, the values laid out row by row as a table of
+    `columns` columns, its last row filled up from the first values. A row
+    whose bytes do not split into `columns` cells is one entry: its values,
+    its bytes and the bytes it should have."""
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    table = np.resize(flat, (-(-flat.size // columns), columns))
+    lines = b"".join(_float_cells(table, [","] * (columns - 1) + ["\n"])).split(b"\n")
+    assert lines.pop() == b"" and len(lines) == len(table)
+    bad = []
+    for row, line in zip(table.tolist(), lines):
+        want = [b"%.17g" % v for v in row]
+        cells = line.split(b",")
+        if len(cells) != columns:
+            bad.append((row, line, b",".join(want)))
+        else:
+            bad += [(v, g, w) for v, g, w in zip(row, cells, want) if g != w]
+    return bad
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=10**6)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--columns", type=int, default=1)
     args = parser.parse_args(argv)
+    if args.columns < 1:
+        parser.error("--columns must be at least 1")
     edges = edge_floats()
-    bad = mismatches(edges) + mismatches(random_floats(args.count, args.seed))
+    bad = (mismatches(edges, args.columns)
+           + mismatches(random_floats(args.count, args.seed), args.columns))
     for value, got, want in bad[:20]:
         print(f"{value!r}: kernel {got!r}, %.17g {want!r}")
     print(f"{len(edges)} edge values and {args.count} random bit patterns "
-          f"(seed {args.seed}): {len(bad)} mismatches")
+          f"(seed {args.seed}), {args.columns}-column table: {len(bad)} mismatches")
     return 1 if bad else 0
 
 

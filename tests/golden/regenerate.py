@@ -74,13 +74,26 @@ HEADER = (
 
 
 def fingerprint() -> str:
-    """Python, numpy, BLAS build and SIMD set, and machine: what the bytes
-    of the corpus depend on."""
+    """Python, numpy, BLAS build, SIMD level and machine: what the bytes of
+    the corpus depend on.
+
+    The SIMD part is the highest x86-64 level numpy found or has as its
+    baseline (X86_V2, X86_V3 or X86_V4): the float loops numpy dispatches
+    change with it, and the corpus bytes have been seen to move between
+    levels. The feature groups above X86_V4 (AVX512_ICL, AVX512_SPR) select
+    only integer, sorting and float16 loops, whose results do not depend on
+    them, so a machine that lacks one still checks the bytes. Off x86-64
+    the whole found list stands.
+    """
     try:
         config = np.show_config(mode="dicts")
         blas = config["Build Dependencies"]["blas"]
         blas_text = f"{blas.get('name')}-{blas.get('version')}"
-        simd = ",".join(config["SIMD Extensions"].get("found", ()))
+        simd_info = config["SIMD Extensions"]
+        found = simd_info.get("found", ())
+        levels = [name for name in (*simd_info.get("baseline", ()), *found)
+                  if name in ("X86_V2", "X86_V3", "X86_V4")]
+        simd = max(levels) if levels else ",".join(found)
     except (TypeError, KeyError):  # numpy before 1.26 prints its config only
         blas_text, simd = "unknown", "unknown"
     return (

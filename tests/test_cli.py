@@ -1376,21 +1376,24 @@ def _render_packet_sized_matrix(fmt):
 
 
 def test_rendering_a_packet_sized_matrix_stays_in_its_memory_bound():
-    # 2.7 MiB of CSV. Measured peak: 3.5 MiB, the byte pieces and one
-    # 4,096-cell chunk's temporaries; the bound leaves 0.7 MiB of margin, less
-    # than the 0.9 MiB that 8,192-cell chunks add. With 16,384-cell chunks
-    # the peak was 6.0 MiB; joined into one str, 8.3 MiB; with the whole
-    # table as one chunk the kernel's slot block and keep mask took it to 48 MiB
+    # 2.7 MiB of CSV. Measured peak: 3.8 MiB, the byte pieces and the
+    # temporaries of one 8,192-cell digit plan and one 4,096-cell byte chunk;
+    # the bound leaves 0.45 MiB of margin. With 4,096-cell plans the peak was
+    # 3.5 MiB, with 16,384-cell plans 4.7 MiB, and with 8,192-cell byte chunks
+    # 0.9 MiB more. With 16,384-cell chunks the peak was 6.0 MiB; joined into
+    # one str, 8.3 MiB; with the whole table as one chunk the kernel's slot
+    # block and keep mask took it to 48 MiB
     size, peak = _render_packet_sized_matrix("csv")
     assert size > 2.5 * 2**20
     assert peak < 4.25 * 2**20
 
 
 def test_rendering_a_packet_sized_matrix_as_json_stays_in_its_memory_bound():
-    # 3.6 MiB of JSON. Measured peak: 4.4 MiB, the byte pieces and one
-    # 4,096-cell chunk's temporaries; the bound leaves 0.8 MiB of margin. With
-    # 16,384-cell chunks, 7.1 MiB; joined into one str, 10.3 MiB; joined into
-    # intermediate strings three times over, 17.9 MiB
+    # 3.6 MiB of JSON. Measured peak: 4.6 MiB, the byte pieces and the
+    # temporaries of one 8,192-cell digit plan and one 4,096-cell byte chunk;
+    # the bound leaves 0.65 MiB of margin (4.4 MiB with 4,096-cell plans).
+    # With 16,384-cell chunks, 7.1 MiB; joined into one str, 10.3 MiB; joined
+    # into intermediate strings three times over, 17.9 MiB
     size, peak = _render_packet_sized_matrix("json")
     assert size > 3.5 * 2**20
     assert peak < 5.25 * 2**20
@@ -1398,18 +1401,50 @@ def test_rendering_a_packet_sized_matrix_as_json_stays_in_its_memory_bound():
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_float_cells_do_not_depend_on_the_chunk_size(fmt, monkeypatch):
-    # chunks of one row (7 cells), of the kernel's size, of the old size
-    # 16,384 and of the whole table; a zero and a fallback cell ("%.17g"
-    # itself, split out on its marker) in every 1000th row
+    # the digits are planned over passes of two chunks and the bytes written
+    # a chunk at a time, both sized by _CHUNK_CELLS: chunks of one row (7
+    # cells) in passes of two rows, the kernel's size, the old size 16,384,
+    # the whole table in one pass of two chunks, and the whole table as one
+    # chunk; a zero and a fallback cell ("%.17g" itself, split out on its
+    # marker) in every 1000th row
     matrix = _packet_sized_matrix()
     matrix[::1000, 2], matrix[::1000, 5] = 0.0, 1e300
     config = _config("wavefunction", "--format", fmt)
     columns = [f"c{i}" for i in range(7)]
+    plan, chunk = cli._digit_plan, cli._float_chunk
+    planned, written = [], []
+
+    def planning(x):
+        planned.append(x.size)
+        return plan(x)
+
+    def writing(x, tails, plan):
+        written.append(x.size)
+        return chunk(x, tails, plan)
+
+    monkeypatch.setattr(cli, "_digit_plan", planning)
+    monkeypatch.setattr(cli, "_float_chunk", writing)
     texts = set()
-    for cells in (7, cli._CHUNK_CELLS, 1 << 14, matrix.size):
+    for cells in (7, cli._CHUNK_CELLS, 1 << 14, (matrix.size + 13) // 2, matrix.size):
         monkeypatch.setattr(cli, "_CHUNK_CELLS", cells)
+        planned.clear()
+        written.clear()
         texts.add(_rendered(config, "wavefunction", [], columns, matrix, []))
+        rows = cells // 7
+        assert max(written) == 7 * min(rows, len(matrix))
+        assert max(planned) == 7 * min(2 * rows, len(matrix))
+        assert sum(planned) == sum(written) == matrix.size
     assert len(texts) == 1
+
+
+def test_float_kernel_matches_across_columns_chunks_and_passes(monkeypatch):
+    # random bit patterns in a 7-column CSV table, with chunks of 2, 3 and
+    # 585 rows: every separator is written at the end of a chunk and of a
+    # pass somewhere
+    values = FLOAT_KERNEL.random_floats(20000, seed=3)
+    for cells in (14, 21, cli._CHUNK_CELLS):
+        monkeypatch.setattr(cli, "_CHUNK_CELLS", cells)
+        assert FLOAT_KERNEL.mismatches(values, columns=7) == []
 
 
 @pytest.mark.parametrize("command", ["wavefunction", "trajectory"])

@@ -321,6 +321,38 @@ def test_stacked_slices_equal_the_per_slice_calls_to_the_bit(
         assert stacked[s].tobytes() == single.tobytes()
 
 
+@pytest.mark.parametrize("npoints", [1, 7, 8, 9, 2001, 2008])
+@pytest.mark.parametrize("several_passes", [False, True])
+def test_padded_lanes_never_reach_the_series(monkeypatch, npoints, several_passes):
+    # the recurrence runs on rows padded to whole 64-byte lines (8 floats)
+    # with each slice's last point; the series of a 5-slice stack, in one
+    # pass or in passes of 2, 2 and 1 slices, is the fixed-order product of
+    # the textbook table, and each slice its own call, to the bit
+    if several_passes:
+        monkeypatch.setattr(wavefunction, "_SERIES_PASS_POINTS", 2 * npoints)
+    widths = []
+    rows = wavefunction._eigenfunction_rows
+
+    def recorded(n_max, xs, params, scratch):
+        widths.append(xs.shape)
+        return rows(n_max, xs, params, scratch)
+
+    monkeypatch.setattr(wavefunction, "_eigenfunction_rows", recorded)
+    label, n_max = CoherentLabel(2.0 - 1.0j), 40
+    times = np.linspace(0.0, 2.0, 5)
+    points = np.linspace(-7.0, 7.0, npoints) + np.linspace(-0.5, 0.5, 5)[:, np.newaxis]
+    stacked = psi_series_grid(label, points, times, PARAMS, n_max)
+    width = -(-npoints // 8) * 8
+    assert widths == ([(2, width)] * 2 + [(1, width)] if several_passes else [(5, width)])
+    for s, t in enumerate(times):
+        coeffs = dynamical_coherent_state(label, t, PARAMS, n_max).coeffs
+        fixed_order = np.zeros(npoints, dtype=complex)
+        for c_k, row in zip(coeffs, textbook_table(n_max, points[s], PARAMS)):
+            fixed_order += c_k * row
+        single = psi_series_grid(label, points[s], t, PARAMS, n_max)
+        assert stacked[s].tobytes() == single.tobytes() == fixed_order.tobytes()
+
+
 @pytest.mark.parametrize(
     "chi, n_max, times",
     [
@@ -334,7 +366,7 @@ def test_every_slice_uses_the_dynamical_state_coefficients_to_the_bit(
 ):
     # with phi_k replaced by the indicator of point k, the series at point k
     # of slice s is c_k(t_s) itself (its zeros made +0 by the accumulator)
-    def indicator_rows(top, points, params):
+    def indicator_rows(top, points, params, scratch):
         for k in range(top + 1):
             row = np.zeros(points.shape)
             row[:, k] = 1.0
@@ -493,8 +525,8 @@ def test_vacuum_series_stops_at_its_last_nonzero_level(monkeypatch):
     rows_run = []
     rows = wavefunction._eigenfunction_rows
 
-    def counted(n_max, xs, params):
-        for row in rows(n_max, xs, params):
+    def counted(n_max, xs, params, scratch):
+        for row in rows(n_max, xs, params, scratch):
             rows_run.append(row.shape)
             yield row
 
@@ -532,8 +564,8 @@ def test_series_restores_the_buffer_size_when_the_recurrence_raises(monkeypatch)
     rows = wavefunction._eigenfunction_rows
     inside = []
 
-    def failing(n_max, xs, params):
-        for k, row in enumerate(rows(n_max, xs, params)):
+    def failing(n_max, xs, params, scratch):
+        for k, row in enumerate(rows(n_max, xs, params, scratch)):
             inside.append(np.getbufsize())
             if k == 3:
                 raise RuntimeError("recurrence failed")
