@@ -155,9 +155,9 @@ def _csv_cell(value) -> str:
 # The float-cell kernel writes a table's bytes this many cells at a time and
 # plans their digits over passes of two such chunks, so its temporaries stay
 # near a megabyte whatever the table's size, inside a 2 MiB L2 cache. A plan
-# pays about 40 us of ufunc call overhead whatever its size and a byte chunk
-# about 4 us (AMD EPYC): two-chunk passes halve the plan's share, and larger
-# byte chunks would raise the render's peak.
+# pays about 40 us of ufunc call overhead whatever its size, a byte chunk a
+# few us (AMD EPYC): two-chunk passes halve the plan's share, and larger byte
+# chunks would raise the render's peak.
 _CHUNK_CELLS = 1 << 12
 # Largest scale 10^q it multiplies by: 10^(16 - X) for the smallest decimal
 # exponent X = -281 that log10 gives its range, and one more for the correction.

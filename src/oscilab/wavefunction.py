@@ -126,7 +126,8 @@ def eigenfunction_table(n_max: int, x, params: OscillatorParams) -> np.ndarray:
     n_max = check_n_max(n_max)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     table = np.empty((n_max + 1, xs.size), dtype=float)
-    for k, row in enumerate(_eigenfunction_rows(n_max, xs, params, _aligned((4, xs.size)))):
+    rows = _eigenfunction_rows(n_max, xs, params, _aligned((4, xs.size)))
+    for k, row in enumerate(rows):
         table[k] = row
     return table
 
@@ -189,15 +190,12 @@ def psi_series_grid(
     count.
 
     A pass's xi, three recurrence rows, accumulator and term come from one
-    workspace, allocated per call so that concurrent calls share nothing,
-    whose every row starts on a 64-byte cache line: each slice's row is
-    padded to a whole number of lines (2001 points to 2008) with copies of
-    its last point, which keep the padded lanes finite, the recurrence and
-    the sum run over the padded width, and only the first N lanes are read
-    back. An element's operations do not change, so neither do its bits;
-    unaligned rows cost loads that straddle two lines, and at 9 x 2001
-    points and n_max 589 the call took 12.4 ms with them and 11.1 ms
-    without (AMD EPYC, 1 MiB L2, one CPU).
+    workspace per call (concurrent calls share nothing) whose rows each
+    start on a 64-byte cache line: a row is padded to whole lines (2001
+    points to 2008) with its last point, which keeps the padded lanes
+    finite, and only the first N lanes are read back. Every element keeps
+    its operations, so its bits; unaligned rows cost loads that straddle
+    two lines (12.4 against 11.1 ms at 9 x 2001 points, n_max 589).
 
     The multiply broadcasts the (2, S, 1) coefficients over the (S, N) rows,
     and numpy's ufunc iterator copies both operands through its buffer
@@ -213,8 +211,7 @@ def psi_series_grid(
     series = np.empty(xs.shape, dtype=complex)
     per_pass = max(1, _SERIES_PASS_POINTS // max(1, npoints))
     width = -(-npoints // 8) * 8  # whole 64-byte lines of floats
-    # one pass's xi, three recurrence rows, accumulator and term, each row
-    # on a cache line of its own
+    # a pass's xi, three recurrence rows, accumulator and term
     space = _aligned((8, min(per_pass, slices), width))
     base = coherent_coefficients(label, n_max).coeffs
     multiply, add = np.multiply, np.add
