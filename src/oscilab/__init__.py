@@ -29,7 +29,6 @@ from .fock import (
     level_phases,
 )
 from .observables import (
-    ObservableRecord,
     averages_bruteforce,
     averages_bruteforce_batch,
     averages_bruteforce_fock,

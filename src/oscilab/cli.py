@@ -553,7 +553,7 @@ def _uncertainty(config, params, label, n_max):
     levels = range(max(0, n_max + 1 - TRUNCATION_MARGIN))  # second-moment headroom
     table = np.empty((len(levels), 4))
     table[:, 0] = levels
-    table[:, 1] = [uncertainty_fock(n, params) for n in levels]
+    table[:, 1] = uncertainty_fock(levels, params)
     table[:, 2] = averages_bruteforce_fock(levels, n_max, params)["uncertainty"]
     table[:, 3] = np.abs(table[:, 1] - table[:, 2])
     state = coherent_coefficients(label, n_max)

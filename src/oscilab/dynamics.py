@@ -6,9 +6,8 @@ transformation a -> a e^(i alpha), coeffs[n] -> coeffs[n] e^(-i n alpha) on
 states, is applied by `observables.phase_rotation_drifts`; the tests check
 it against the rotated ladder matrix of `tests/oracle.py`.
 
-`ehrenfest_residual` takes bare <x> and <p> arrays sampled at one spacing;
-the `ehrenfest-mean-motion` criterion checks its sample times with
-`check_uniform_times`.
+`ehrenfest_residual` takes bare <x> and <p> arrays sampled at one spacing,
+such as `sample_times` builds.
 """
 
 from __future__ import annotations
@@ -23,26 +22,8 @@ __all__ = [
     "propagate_fock",
     "sample_times",
     "sample_count",
-    "check_uniform_times",
     "ehrenfest_residual",
 ]
-
-
-def check_uniform_times(times: np.ndarray, dt: float) -> None:
-    """Raise ValueError unless the 1-d times are nonempty, dt is finite and
-    positive, and the times strictly increase in steps of dt to within
-    1e-9 max(1, |t|)."""
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("need a nonempty 1-d array of sample times")
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    if times.size > 1:
-        steps = np.diff(times)
-        if np.any(steps <= 0):
-            raise ValueError("sample times must be strictly increasing")
-        tol = 1e-9 * max(1.0, float(np.max(np.abs(times))))
-        if np.max(np.abs(steps - dt)) > tol:
-            raise ValueError("sample times must be uniformly spaced by dt")
 
 
 def propagate_fock(state: StateVector, t: float, params: OscillatorParams) -> StateVector:
@@ -86,7 +67,7 @@ def ehrenfest_residual(
     equations D2 x + omega^2 x = 0, D2 p + omega^2 p = 0 and the first-order
     relations D x = p / M, D p = -M omega^2 x; per component the worse of
     the two is returned. For exact means both scale as dt^2. The caller
-    vouches for the spacing, with `check_uniform_times` on the sample times.
+    vouches that the samples are evenly spaced by dt.
     """
     x = np.asarray(mean_x, dtype=float)
     p = np.asarray(mean_p, dtype=float)

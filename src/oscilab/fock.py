@@ -7,9 +7,9 @@ against live in `tests/oracle.py`. All values are immutable after
 construction and every operation is a pure function of its inputs.
 
 The package's value types (`OscillatorParams`, `StateVector`,
-`coherent.CoherentLabel`, `observables.ObservableRecord`,
-`verify.CriterionResult` and `wavefunction.WaveSample`) derive from
-`Value`: fields in `__slots__`, set once by a hand-written `__init__`.
+`coherent.CoherentLabel`, `verify.CriterionResult` and
+`wavefunction.WaveSample`) derive from `Value`: fields in `__slots__`, set
+once by a hand-written `__init__`.
 Every CLI call imports them afresh, so they are plain classes rather than
 dataclasses, whose methods are built with `exec` on import.
 """

@@ -24,6 +24,9 @@ only) and `averages_bruteforce_fock` (many number states) feed it blocks
 of at most BATCH_CELLS rows x levels, each row the 1-row call to the bit.
 `phase_rotation_drifts` reads a block and its phase-rotated copy from
 `_moments`. Tests pin the kernel to the dense matrices of `tests/oracle.py`.
+
+The averages come in one format: a dict of float arrays, one entry per
+row, named by RECORD_COLUMNS (complex averages split into _re and _im).
 """
 
 from __future__ import annotations
@@ -41,14 +44,11 @@ from .fock import (
     OscillatorParams,
     StateVector,
     TruncationWarning,
-    Value,
     level_phases,
 )
 
 __all__ = [
-    "ObservableRecord",
     "RECORD_COLUMNS",
-    "record_from_row",
     "averages_bruteforce",
     "averages_bruteforce_batch",
     "averages_bruteforce_fock",
@@ -64,6 +64,7 @@ SUPPORT_MASS_TOL = 1e-10
 # Rounding may push a variance slightly negative; anything worse is a bug.
 VARIANCE_CLIP_TOL = 1e-12
 
+# A row whose norm is off 1 by more than this is refused.
 DEFAULT_NORM_TOL = 1e-10
 
 # Rows x levels per block of the batched kernels: one complex block is
@@ -73,23 +74,7 @@ DEFAULT_NORM_TOL = 1e-10
 BATCH_CELLS = 2**14
 
 
-class ObservableRecord(Value):
-    """One time sample of every computed average.
-
-    Creation/annihilation averages are stored once; their conjugates
-    (<a+> = conj(<a>), <a+ a+> = conj(<a a>)) are implied, not stored.
-    """
-
-    __slots__ = ("time", "mean_x", "mean_p", "mean_x2", "mean_p2", "n_avg",
-                 "a_avg", "a2_avg", "uncertainty", "energy")
-
-    def __init__(self, time: float, mean_x: float, mean_p: float, mean_x2: float,
-                 mean_p2: float, n_avg: float, a_avg: complex, a2_avg: complex,
-                 uncertainty: float, energy: float):
-        self._init(time, mean_x, mean_p, mean_x2, mean_p2, n_avg, a_avg, a2_avg,
-                   uncertainty, energy)
-
-
+# <a+> = conj(<a>) and <a+ a+> = conj(<a a>) are implied, not stored.
 RECORD_COLUMNS = (
     "time",
     "mean_x",
@@ -106,16 +91,6 @@ RECORD_COLUMNS = (
 )
 
 
-def record_from_row(row) -> ObservableRecord:
-    """A record from values in RECORD_COLUMNS order (complex averages re, im)."""
-    (time, mean_x, mean_p, mean_x2, mean_p2, n_avg,
-     a_re, a_im, a2_re, a2_im, uncertainty, energy) = map(float, row)
-    return ObservableRecord(
-        time, mean_x, mean_p, mean_x2, mean_p2, n_avg,
-        complex(a_re, a_im), complex(a2_re, a2_im), uncertainty, energy,
-    )
-
-
 def _variance(second_moment, mean):
     """second_moment - mean^2 elementwise, rounding-level negatives set to 0."""
     var = np.asarray(second_moment - mean * mean)
@@ -127,13 +102,13 @@ def _variance(second_moment, mean):
     return np.where(var < 0.0, 0.0, var)
 
 
-def _first_moments(c: np.ndarray, params: OscillatorParams, norm_tol: float):
+def _first_moments(c: np.ndarray, params: OscillatorParams):
     """The checks of the kernel and the first moments of each row of a block.
 
     c is a nonempty (rows, n_max + 1) complex block. Raises ValueError on
     nonfinite coefficients, and NormalizationError carrying the worst norm
-    when a row's norm is off 1 by more than norm_tol. Returns |c|^2, the
-    fields a_avg_re, a_avg_im, mean_x and mean_p, from
+    when a row's norm is off 1 by more than DEFAULT_NORM_TOL. Returns |c|^2,
+    the fields a_avg_re, a_avg_im, mean_x and mean_p, from
         <a> = sum_n sqrt(n) conj(c[n-1]) c[n],
         <x> = 2 sqrt(hbar/2M omega) Re<a>,  <p> = 2 sqrt(M hbar omega/2) Im<a>,
     and the largest probability on the top two levels.
@@ -145,8 +120,8 @@ def _first_moments(c: np.ndarray, params: OscillatorParams, norm_tol: float):
     if not np.isfinite(norms).all() and not np.isfinite(c).all():
         raise ValueError("coefficients must be finite")
     worst = int(np.argmax(np.abs(norms - 1.0)))
-    if abs(norms[worst] - 1.0) > norm_tol:
-        raise NormalizationError(float(norms[worst]), norm_tol)
+    if abs(norms[worst] - 1.0) > DEFAULT_NORM_TOL:
+        raise NormalizationError(float(norms[worst]), DEFAULT_NORM_TOL)
     top_mass = float(np.max(prob[:, -2:].sum(axis=1)))
     hbar, mass, omega = params.hbar, params.mass, params.omega
     # conj(c[n-1]) c[n] out of place: numpy's in-place complex product of a
@@ -166,7 +141,7 @@ def _first_moments(c: np.ndarray, params: OscillatorParams, norm_tol: float):
     return prob, fields, top_mass
 
 
-def _moments(c: np.ndarray, params: OscillatorParams, norm_tol: float):
+def _moments(c: np.ndarray, params: OscillatorParams):
     """Every RECORD_COLUMNS field but "time" for each row of a coefficient block.
 
     On top of `_first_moments` (its checks, <a>, <x> and <p>), with the
@@ -183,7 +158,7 @@ def _moments(c: np.ndarray, params: OscillatorParams, norm_tol: float):
 
     Returns the fields and the largest probability on the top two levels.
     """
-    prob, fields, top_mass = _first_moments(c, params, norm_tol)
+    prob, fields, top_mass = _first_moments(c, params)
     hbar, mass, omega = params.hbar, params.mass, params.omega
     n_max = c.shape[1] - 1
     n = np.arange(n_max + 1, dtype=float)
@@ -242,20 +217,22 @@ def _columns(rows: int, blocks, kernel, names=RECORD_COLUMNS[1:]):
 
 
 def averages_bruteforce(
-    state: StateVector, params: OscillatorParams, norm_tol: float = DEFAULT_NORM_TOL
-) -> ObservableRecord:
-    """All averages of one state by expectation in the truncated basis.
+    state: StateVector, params: OscillatorParams
+) -> dict[str, np.ndarray]:
+    """All averages of one state by expectation in the truncated basis, as
+    one-row columns in the shape of `averages_bruteforce_batch`, "time"
+    holding state.time.
 
     The one-row call of `_columns`, so every row of
     `averages_bruteforce_batch` and `averages_bruteforce_fock` equals it to
     the bit. Raises NormalizationError (carrying the measured norm) when the
-    state is not normalized within norm_tol. Warns with TruncationWarning
-    when the top two levels carry enough weight to bias the second moments.
+    state is not normalized within DEFAULT_NORM_TOL. Warns with
+    TruncationWarning when the top two levels carry enough weight to bias
+    the second moments.
     """
-    kernel = functools.partial(_moments, params=params, norm_tol=norm_tol)
+    kernel = functools.partial(_moments, params=params)
     columns = _columns(1, [state.coeffs[np.newaxis, :]], kernel)
-    values = (columns[name][0] for name in RECORD_COLUMNS[1:])
-    return record_from_row([state.time, *values])
+    return {"time": np.array([state.time]), **columns}
 
 
 def _propagated_blocks(base: StateVector, times, params: OscillatorParams):
@@ -289,14 +266,14 @@ def averages_bruteforce_batch(
     most BATCH_CELLS rows x levels, so memory does not grow with their number.
     """
     times, blocks = _propagated_blocks(base, times, params)
-    kernel = functools.partial(_moments, params=params, norm_tol=DEFAULT_NORM_TOL)
+    kernel = functools.partial(_moments, params=params)
     return {"time": base.time + times, **_columns(times.size, blocks, kernel)}
 
 
 def mean_motion_batch(
     base: StateVector, times, params: OscillatorParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """(mean_x, mean_p) of `base` propagated by each of `times`.
+) -> dict[str, np.ndarray]:
+    """The mean_x and mean_p columns of `base` propagated by each of `times`.
 
     Row k equals row k of the mean_x and mean_p columns of
     `averages_bruteforce_batch` to the bit, with the same blocks, the same
@@ -304,12 +281,11 @@ def mean_motion_batch(
     moments, which these two columns never read, are skipped.
     """
     times, blocks = _propagated_blocks(base, times, params)
-    columns = _columns(
+    return _columns(
         times.size, blocks,
-        lambda c: _first_moments(c, params, DEFAULT_NORM_TOL)[1:],  # (fields, top mass)
+        lambda c: _first_moments(c, params)[1:],  # (fields, top mass)
         ("mean_x", "mean_p"),
     )
-    return columns["mean_x"], columns["mean_p"]
 
 
 def averages_bruteforce_fock(
@@ -342,7 +318,7 @@ def averages_bruteforce_fock(
         basis_rows(levels[start:start + rows])
         for start in range(0, levels.size, rows)
     )
-    kernel = functools.partial(_moments, params=params, norm_tol=DEFAULT_NORM_TOL)
+    kernel = functools.partial(_moments, params=params)
     return {"time": np.zeros(levels.size), **_columns(levels.size, blocks, kernel)}
 
 
@@ -372,8 +348,8 @@ def phase_rotation_drifts(
         )
     n = np.arange(states.shape[1])
     rotated = states * np.exp(-1j * alphas[:, np.newaxis] * n)
-    before, _ = _moments(states, params, DEFAULT_NORM_TOL)
-    after, _ = _moments(rotated, params, DEFAULT_NORM_TOL)
+    before, _ = _moments(states, params)
+    after, _ = _moments(rotated, params)
     a_before = before["a_avg_re"] + 1j * before["a_avg_im"]
     a_after = after["a_avg_re"] + 1j * after["a_avg_im"]
     xs = before["mean_x"] if xs is None else np.asarray(xs, dtype=float)
@@ -436,9 +412,15 @@ def averages_closedform_batch(
     }
 
 
-def uncertainty_fock(n: int, params: OscillatorParams) -> float:
-    """Coordinate-momentum fluctuation product of level n: hbar (n + 1/2)."""
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"level must be nonnegative, got {n}")
-    return params.hbar * (n + 0.5)
+def uncertainty_fock(levels, params: OscillatorParams) -> np.ndarray:
+    """Coordinate-momentum fluctuation product hbar (n + 1/2) of each level
+    n in `levels`, an int or an array of them.
+
+    Each entry is the scalar product to the bit, and like it turns inf
+    without a warning past the float range.
+    """
+    levels = np.asarray(levels, dtype=int)
+    if levels.size and levels.min() < 0:
+        raise ValueError(f"level must be nonnegative, got {levels.min()}")
+    with np.errstate(over="ignore"):
+        return params.hbar * (levels + 0.5)

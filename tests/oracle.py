@@ -11,8 +11,8 @@ not part of it:
 - the raw Hermite recurrence, single eigenfunctions and Gauss-Hermite
   nodes (`hermite`, `eigenfunction`, `gauss_hermite_grid`);
 - the packet written through the mean coordinate and momentum
-  (`psi_schrodinger_grid`), and a record flattened into the RECORD_COLUMNS
-  order (`record_row`);
+  (`psi_schrodinger_grid`), and one row of averages' columns in the
+  RECORD_COLUMNS order (`record_row`);
 - one validated trapezoid grid per packet slice and its moments
   (`SpatialGrid`, `trapezoid_grid`, `default_packet_grid`, `slice_moments`),
   the per-slice reference of the (S, N) arrays of `packet_sweep`;
@@ -48,14 +48,14 @@ from oscilab.coherent import (
     CoherentLabel,
     truncation_tail,
 )
-from oscilab.dynamics import check_uniform_times, sample_times
+from oscilab.dynamics import sample_times
 from oscilab.fock import (
     DimensionMismatchError,
     OscillatorParams,
     StateVector,
     check_n_max,
 )
-from oscilab.observables import ObservableRecord, averages_closedform_batch
+from oscilab.observables import RECORD_COLUMNS, averages_closedform_batch
 from oscilab.wavefunction import (
     DEFAULT_GRID_HALFWIDTH,
     DEFAULT_GRID_POINTS,
@@ -243,22 +243,9 @@ def transform_state_phase(state: StateVector, alpha: PhaseAngle) -> StateVector:
     return StateVector(state.coeffs * phases, state.n_max, time=state.time)
 
 
-def record_row(record: ObservableRecord) -> tuple[float, ...]:
-    """Flatten a record into the RECORD_COLUMNS order (complex split re/im)."""
-    return (
-        record.time,
-        record.mean_x,
-        record.mean_p,
-        record.mean_x2,
-        record.mean_p2,
-        record.n_avg,
-        record.a_avg.real,
-        record.a_avg.imag,
-        record.a2_avg.real,
-        record.a2_avg.imag,
-        record.uncertainty,
-        record.energy,
-    )
+def record_row(columns: dict[str, np.ndarray], k: int = 0) -> tuple[float, ...]:
+    """Row k of averages' columns in the RECORD_COLUMNS order."""
+    return tuple(columns[name][k] for name in RECORD_COLUMNS)
 
 
 def _as_axis(x) -> tuple[np.ndarray, bool]:
@@ -423,9 +410,8 @@ def closedform_trajectory(
     label: CoherentLabel, params: OscillatorParams, t_start: float, t_end: float, dt: float
 ) -> dict[str, np.ndarray]:
     """The label's closed-form averages on the uniform time grid, one array
-    per RECORD_COLUMNS name; the times pass `check_uniform_times`."""
+    per RECORD_COLUMNS name."""
     times = sample_times(t_start, t_end, dt)
-    check_uniform_times(times, dt)
     return averages_closedform_batch(label, times, params)
 
 

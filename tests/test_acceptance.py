@@ -85,7 +85,7 @@ def test_ehrenfest_reads_the_coarse_trajectory_from_the_fine_one(monkeypatch, ch
     # independently sampled columns, column by column and residual by residual
     from oscilab import verify
     from oscilab.coherent import CoherentLabel, coherent_coefficients, resolve_n_max
-    from oscilab.dynamics import check_uniform_times, ehrenfest_residual, sample_times
+    from oscilab.dynamics import ehrenfest_residual, sample_times
     from oscilab.fock import OscillatorParams
     from oscilab.observables import averages_bruteforce_batch
 
@@ -102,7 +102,6 @@ def test_ehrenfest_reads_the_coarse_trajectory_from_the_fine_one(monkeypatch, ch
     label = CoherentLabel(chi)
     base = coherent_coefficients(label, resolve_n_max(label))
     times = sample_times(0.0, 2.0 * math.pi, 1e-3)
-    check_uniform_times(times, 1e-3)
     independent = averages_bruteforce_batch(base, times, params)
     mean_x, mean_p, residual = seen[1e-3]
     assert mean_x.tobytes() == independent["mean_x"].tobytes()

@@ -23,12 +23,7 @@ from oracle import (
     rotate_xp,
     transform_state_phase,
 )
-from oscilab.dynamics import (
-    check_uniform_times,
-    ehrenfest_residual,
-    propagate_fock,
-    sample_times,
-)
+from oscilab.dynamics import ehrenfest_residual, propagate_fock, sample_times
 from oscilab.fock import OscillatorParams
 from oscilab.observables import averages_bruteforce, averages_bruteforce_batch
 
@@ -117,9 +112,10 @@ def test_fock_states_have_nothing_observable_to_rotate():
     rotated = transform_state_phase(state, PhaseAngle(2.3))
     before = averages_bruteforce(state, PARAMS)
     after = averages_bruteforce(rotated, PARAMS)
-    assert before.a_avg == after.a_avg == 0
-    assert after.uncertainty == pytest.approx(before.uncertainty, abs=1e-12)
-    assert after.energy == pytest.approx(before.energy, abs=1e-12)
+    for name in ("a_avg_re", "a_avg_im"):
+        assert before[name][0] == after[name][0] == 0
+    for name in ("uncertainty", "energy"):
+        assert after[name][0] == pytest.approx(before[name][0], abs=1e-12)
 
 
 def test_hamiltonian_expectation_invariant_under_phase():
@@ -166,25 +162,6 @@ def test_propagator_group_law(t1, t2):
     np.testing.assert_allclose(two_steps.coeffs, one_step.coeffs, atol=1e-12)
 
 
-def test_the_spacing_helper_names_what_it_refuses():
-    times = closedform_trajectory(CoherentLabel(1), PARAMS, 0.0, 0.1, 0.05)["time"]
-    refused = [
-        (times, 0.07, "uniformly spaced"),
-        (times, -0.05, "finite and positive"),
-        (times, float("nan"), "finite and positive"),
-        (np.zeros(0), 0.05, "nonempty 1-d array of sample times"),
-        (np.zeros((1, 1)), 0.05, "nonempty 1-d array of sample times"),
-        (times[::-1], 0.05, "strictly increasing"),
-        (np.array([0.0, 0.0, 0.05]), 0.05, "strictly increasing"),
-    ]
-    for values, dt, message in refused:
-        with pytest.raises(ValueError, match=message):
-            check_uniform_times(values, dt)
-    check_uniform_times(times, 0.05)
-    check_uniform_times(times[::2], 0.1)
-    check_uniform_times(np.array([7.0]), 0.05)  # one sample has no spacing
-
-
 def test_sample_times_includes_endpoint():
     times = sample_times(0.0, 2 * math.pi, 2 * math.pi / 100)
     assert len(times) == 101
@@ -198,7 +175,6 @@ def test_mean_motion_follows_classical_solution():
     base = coherent_coefficients(label, resolve_n_max(label))
     dt = 2 * math.pi / 256
     times = sample_times(0.0, 2 * math.pi, dt)
-    check_uniform_times(times, dt)
     columns = averages_bruteforce_batch(base, times, PARAMS)
     t = columns["time"]
     x0 = columns["mean_x"][0]
@@ -208,7 +184,6 @@ def test_mean_motion_follows_classical_solution():
 
 
 def residual_of(columns: dict, dt: float):
-    check_uniform_times(columns["time"], dt)
     return ehrenfest_residual(columns["mean_x"], columns["mean_p"], dt, PARAMS)
 
 

@@ -34,6 +34,7 @@ from oscilab import observables
 from oscilab.dynamics import propagate_fock
 from oscilab.observables import (
     BATCH_CELLS,
+    DEFAULT_NORM_TOL,
     RECORD_COLUMNS,
     _variance,
     averages_bruteforce,
@@ -42,7 +43,6 @@ from oscilab.observables import (
     averages_closedform_batch,
     mean_motion_batch,
     phase_rotation_drifts,
-    record_from_row,
     uncertainty_fock,
 )
 from oscilab.verify import DEFAULT_CHI_SET
@@ -52,23 +52,25 @@ PARAMS = OscillatorParams()
 
 def test_fock_state_record():
     rec = averages_bruteforce(fock_state(3, 12), PARAMS)
-    assert rec.mean_x == 0.0
-    assert rec.mean_p == 0.0
-    assert rec.uncertainty == pytest.approx(3.5, abs=1e-10)
-    assert rec.n_avg == pytest.approx(3.0, abs=1e-12)
-    assert rec.energy == pytest.approx(3.5, abs=1e-12)
-    assert rec.a_avg == 0
-    assert rec.a2_avg == 0
+    assert tuple(rec) == RECORD_COLUMNS
+    assert all(values.dtype == float and values.shape == (1,) for values in rec.values())
+    assert rec["mean_x"][0] == 0.0
+    assert rec["mean_p"][0] == 0.0
+    assert rec["uncertainty"][0] == pytest.approx(3.5, abs=1e-10)
+    assert rec["n_avg"][0] == pytest.approx(3.0, abs=1e-12)
+    assert rec["energy"][0] == pytest.approx(3.5, abs=1e-12)
+    for name in ("a_avg_re", "a_avg_im", "a2_avg_re", "a2_avg_im"):
+        assert rec[name][0] == 0
 
 
 def test_ground_state_reaches_uncertainty_floor():
     rec = averages_bruteforce(fock_state(0, 8), PARAMS)
-    assert rec.uncertainty == pytest.approx(0.5, abs=1e-12)
+    assert rec["uncertainty"][0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_coherent_occupation_matches_label():
     rec = averages_bruteforce(coherent_coefficients(CoherentLabel(2), 64), PARAMS)
-    assert rec.n_avg == pytest.approx(4.0, abs=1e-10)
+    assert rec["n_avg"][0] == pytest.approx(4.0, abs=1e-10)
 
 
 def test_closedform_values_at_zero_time():
@@ -102,7 +104,7 @@ def test_bruteforce_energy_time_independent():
     label = CoherentLabel(1.5j)
     base = coherent_coefficients(label, resolve_n_max(label))
     energies = [
-        averages_bruteforce(propagate_fock(base, t, PARAMS), PARAMS).energy
+        averages_bruteforce(propagate_fock(base, t, PARAMS), PARAMS)["energy"][0]
         for t in np.linspace(0.0, 4 * math.pi, 100)
     ]
     assert max(energies) - min(energies) < 1e-10
@@ -123,10 +125,10 @@ def test_energy_partition_between_kinetic_and_potential(params):
         brute = averages_bruteforce(
             dynamical_coherent_state(label, t, params, n_max), params
         )
-        split_brute = brute.mean_p2 / (2 * params.mass) + (
+        split_brute = brute["mean_p2"][0] / (2 * params.mass) + (
             0.5 * params.mass * params.omega**2
-        ) * brute.mean_x2
-        assert brute.energy == pytest.approx(split_brute, abs=1e-10)
+        ) * brute["mean_x2"][0]
+        assert brute["energy"][0] == pytest.approx(split_brute, abs=1e-10)
 
 
 @pytest.mark.filterwarnings("ignore::oscilab.fock.TruncationWarning")
@@ -135,19 +137,21 @@ def test_uncertainty_floor_for_random_states():
     rng = np.random.default_rng(42)
     for _ in range(200):
         rec = averages_bruteforce(random_state(20, rng), PARAMS)
-        assert rec.uncertainty >= 0.5 - 1e-9
-        assert rec.mean_x2 >= rec.mean_x**2 - 1e-12
-        assert rec.mean_p2 >= rec.mean_p**2 - 1e-12
+        assert rec["uncertainty"][0] >= 0.5 - 1e-9
+        assert rec["mean_x2"][0] >= rec["mean_x"][0] ** 2 - 1e-12
+        assert rec["mean_p2"][0] >= rec["mean_p"][0] ** 2 - 1e-12
 
 
 def test_pair_average_is_square_of_single_for_coherent_only():
-    label = CoherentLabel(1.2 + 0.5j)
-    rec = averages_bruteforce(coherent_coefficients(label, 40), PARAMS)
-    assert abs(rec.a2_avg - rec.a_avg**2) < 1e-10
+    def pair_excess(state):
+        rec = averages_bruteforce(state, PARAMS)
+        a_avg = complex(rec["a_avg_re"][0], rec["a_avg_im"][0])
+        return abs(complex(rec["a2_avg_re"][0], rec["a2_avg_im"][0]) - a_avg**2)
+
+    assert pair_excess(coherent_coefficients(CoherentLabel(1.2 + 0.5j), 40)) < 1e-10
     # a generic superposition does not factorize
     mixed = StateVector(np.array([1, 1, 0, 0], dtype=complex) / math.sqrt(2))
-    rec = averages_bruteforce(mixed, PARAMS)
-    assert abs(rec.a2_avg - rec.a_avg**2) > 0.1
+    assert pair_excess(mixed) > 0.1
 
 
 def test_unnormalized_state_rejected_with_measured_norm():
@@ -169,34 +173,61 @@ def test_averages_bruteforce_is_row_0_of_the_batch_to_the_bit(t):
     base = coherent_coefficients(CoherentLabel(1.2 - 0.7j), 30)
     record = averages_bruteforce(propagate_fock(base, t, params), params)
     batch = averages_bruteforce_batch(base, [t], params)
-    row = np.array([batch[name][0] for name in RECORD_COLUMNS])
-    assert np.array(record_row(record)).tobytes() == row.tobytes()
+    assert tuple(record) == tuple(batch) == RECORD_COLUMNS
+    for name in RECORD_COLUMNS:
+        assert record[name].tobytes() == batch[name].tobytes(), name
 
 
-def test_averages_bruteforce_takes_a_custom_norm_tolerance():
-    state = coherent_coefficients(CoherentLabel(1), 8)  # norm 1 - 5.6e-7
-    gap = abs(state.norm() - 1.0)
-    assert 1e-10 < gap < 1e-6
-    with pytest.raises(NormalizationError) as excinfo:
-        averages_bruteforce(state, PARAMS, norm_tol=0.5 * gap)
-    assert excinfo.value.norm == pytest.approx(state.norm(), rel=1e-12)
-    with pytest.warns(TruncationWarning):
-        record = averages_bruteforce(state, PARAMS, norm_tol=2.0 * gap)
-    assert record.n_avg == pytest.approx(1.0, abs=1e-4)
+@pytest.mark.parametrize("gap", [0.5 * DEFAULT_NORM_TOL, 2.0 * DEFAULT_NORM_TOL])
+def test_averages_bruteforce_refuses_norms_off_by_more_than_the_default_tolerance(gap):
+    # |1> and a coherent state scaled to norm 1 + gap, off 1 by gap to an ulp
+    for state in (fock_state(1, 6), coherent_coefficients(CoherentLabel(1 - 1j), 30)):
+        scaled = StateVector((1.0 + gap) * state.coeffs)
+        assert abs(abs(scaled.norm() - 1.0) - gap) < 1e-15
+        if gap < DEFAULT_NORM_TOL:
+            rec = averages_bruteforce(scaled, PARAMS)
+            assert np.isfinite(rec["energy"][0])
+            continue
+        with pytest.raises(NormalizationError) as excinfo:
+            averages_bruteforce(scaled, PARAMS)
+        assert excinfo.value.norm == pytest.approx(scaled.norm(), rel=1e-15)
+        assert excinfo.value.tol == DEFAULT_NORM_TOL
 
 
 def test_uncertainty_fock_formula():
     assert uncertainty_fock(0, PARAMS) == 0.5
     assert uncertainty_fock(3, PARAMS) == 3.5
     assert uncertainty_fock(3, OscillatorParams(hbar=3.0)) == 10.5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="level must be nonnegative, got -1"):
         uncertainty_fock(-1, PARAMS)
+
+
+@pytest.mark.parametrize("hbar", [1.0, 2.0, 0.7, 1e-34, 1e300])
+def test_uncertainty_fock_column_is_the_scalar_formula_to_the_bit(hbar):
+    params = OscillatorParams(hbar=hbar)
+    near_2_52 = [2**52 + d for d in range(-3, 4)]
+    for levels in (np.arange(4097), np.array(near_2_52), range(5), [2**52 - 1]):
+        want = np.array([hbar * (int(n) + 0.5) for n in levels])  # Python floats
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # inf past the float range, silently
+            got = uncertainty_fock(levels, params)
+        assert got.dtype == float and got.tobytes() == want.tobytes()
+    # a scalar level gives the scalar
+    assert np.ndim(uncertainty_fock(7, params)) == 0
+    assert uncertainty_fock(7, params) == hbar * (7 + 0.5)
+    assert uncertainty_fock(np.arange(0), params).shape == (0,)
+
+
+def test_uncertainty_fock_names_a_negative_level_anywhere():
+    for levels, named in (([-1, 0, 1], -1), ([0, 1, 2, -7], -7), ([3, -2, 5, -4], -4)):
+        with pytest.raises(ValueError, match=f"level must be nonnegative, got {named}$"):
+            uncertainty_fock(np.array(levels), PARAMS)
 
 
 @pytest.mark.parametrize("n", range(11))
 def test_uncertainty_fock_matches_bruteforce(n):
     rec = averages_bruteforce(fock_state(n, 13), PARAMS)
-    assert rec.uncertainty == pytest.approx(uncertainty_fock(n, PARAMS), abs=1e-10)
+    assert rec["uncertainty"][0] == pytest.approx(uncertainty_fock(n, PARAMS), abs=1e-10)
 
 
 @pytest.mark.parametrize("hbar", [1e-170, 1e200, 1e300])
@@ -227,16 +258,6 @@ def test_variance_clipping_policy():
     )
     with pytest.raises(ValueError):
         _variance(np.array([5.0, 4.0]), np.array([2.0, 2.0 + 1e-5]))
-
-
-def test_record_serialization_schema():
-    rec = averages_bruteforce(
-        dynamical_coherent_state(CoherentLabel(1j), 0.25, PARAMS, 24), PARAMS
-    )
-    row = record_row(rec)
-    assert row[RECORD_COLUMNS.index("a_avg_re")] == rec.a_avg.real
-    assert row[RECORD_COLUMNS.index("a_avg_im")] == rec.a_avg.imag
-    assert record_from_row(row) == rec
 
 
 # blocks of 256 rows below: not a multiple of the block size, and negative
@@ -317,9 +338,11 @@ def assert_kernel_matches_dense(states, params):
     for state in states:
         rec = averages_bruteforce(state, params)
         for name, (op, scale) in ops.items():
-            got, want = getattr(rec, name), expectation(op, state)
-            if name not in ("a_avg", "a2_avg"):
-                want = want.real
+            want = expectation(op, state)
+            if name in ("a_avg", "a2_avg"):
+                got = complex(rec[f"{name}_re"][0], rec[f"{name}_im"][0])
+            else:
+                got, want = rec[name][0], want.real
             bound = 1e-13 * max(1.0, abs(want), scale)
             assert abs(got - want) <= bound, (name, got, want)
 
@@ -374,12 +397,12 @@ def test_every_batched_row_equals_the_one_row_call_to_the_bit(rows):
         for k in (0, rows // 2, rows - 1):
             state = propagate_fock(base, times[k], PARAMS)
             want = record_row(averages_bruteforce(state, PARAMS))
-            assert tuple(columns[name][k] for name in RECORD_COLUMNS) == want
+            assert record_row(columns, k) == want
     levels = rng.integers(0, 41, rows)
     columns = averages_bruteforce_fock(levels, 40, PARAMS)
     for k in (0, rows // 2, rows - 1):
         want = record_row(averages_bruteforce(fock_state(levels[k], 40), PARAMS))
-        assert tuple(columns[name][k] for name in RECORD_COLUMNS) == want
+        assert record_row(columns, k) == want
 
 
 def _outcome(fn, base, times, params):
@@ -404,7 +427,8 @@ def assert_mean_motion_is_the_batch_kernel(base, times, params):
     if isinstance(full, ValueError):
         assert type(motion) is type(full) and str(motion) == str(full)
         return None
-    assert [values.tobytes() for values in motion] == [
+    assert tuple(motion) == ("mean_x", "mean_p")
+    assert [values.tobytes() for values in motion.values()] == [
         full["mean_x"].tobytes(), full["mean_p"].tobytes()
     ]
     return motion
@@ -441,7 +465,9 @@ def test_mean_motion_batch_is_the_batch_kernels_means_to_the_bit(
         motion = assert_mean_motion_is_the_batch_kernel(base, times, params)
     if motion is not None:
         default, _ = _outcome(mean_motion_batch, base, times, params)
-        assert [v.tobytes() for v in default] == [v.tobytes() for v in motion]
+        assert [v.tobytes() for v in default.values()] == [
+            v.tobytes() for v in motion.values()
+        ]
 
 
 def test_mean_motion_batch_refuses_and_warns_as_the_batch_kernel():
@@ -460,15 +486,16 @@ def test_mean_motion_batch_refuses_and_warns_as_the_batch_kernel():
     with pytest.raises(ValueError, match="one-dimensional"):
         mean_motion_batch(fock_state(1, 6), np.zeros((2, 2)), PARAMS)
     empty = mean_motion_batch(fock_state(1, 6), [], PARAMS)
-    assert [values.shape for values in empty] == [(0,), (0,)]
+    assert [values.shape for values in empty.values()] == [(0,), (0,)]
 
 
 def test_fock_states_give_the_exact_uncertainty_product():
     levels = range(41)
     products = averages_bruteforce_fock(levels, 42, PARAMS)["uncertainty"]
+    assert products.tobytes() == uncertainty_fock(levels, PARAMS).tobytes()
     for n, product in zip(levels, products):
-        assert product == uncertainty_fock(n, PARAMS)
-        assert averages_bruteforce(fock_state(n, 42), PARAMS).uncertainty == product
+        rec = averages_bruteforce(fock_state(n, 42), PARAMS)
+        assert rec["uncertainty"][0] == product
 
 
 def test_fock_columns_check_their_levels():

@@ -34,11 +34,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 PACKAGE = Path(oscilab.__file__).resolve().parent
 
 ALLOWLIST = {
-    # perfbench's traced metrics read these six names (ROADMAP item 1)
+    # perfbench's traced metrics read these four names (ROADMAP item 1)
     "fock.make_xp": "perfbench's traced metric fock.make_xp.calls names it",
     "observables.averages_bruteforce": "perfbench's traced metrics name it",
-    "observables.ObservableRecord.__init__": "the record averages_bruteforce returns",
-    "observables.record_from_row": "builds the record of averages_bruteforce",
     "wavefunction.WaveSample.__init__": "perfbench's traced metric "
     "wavefunction.wavesample.count wraps it",
     "wavefunction.eigenfunction_table": "perfbench's traced metrics name it",
@@ -57,13 +55,6 @@ ALLOWLIST = {
     "coherent.occupation_probability": (
         "spectrum asks for levels 0..n_max only",
         'raise ValueError(f"level must be nonnegative, got {n}")',
-    ),
-    "dynamics.check_uniform_times": (
-        "the ehrenfest criterion checks its own uniform sample times",
-        'raise ValueError("need a nonempty 1-d array of sample times")',
-        'raise ValueError(f"dt must be finite and positive, got {dt!r}")',
-        'raise ValueError("sample times must be strictly increasing")',
-        'raise ValueError("sample times must be uniformly spaced by dt")',
     ),
     "dynamics.ehrenfest_residual": (
         "the ehrenfest criterion passes two means of thousands of samples each",
@@ -112,7 +103,7 @@ ALLOWLIST = {
     ),
     "observables.uncertainty_fock": (
         "uncertainty asks for levels from 0 up",
-        'raise ValueError(f"level must be nonnegative, got {n}")',
+        'raise ValueError(f"level must be nonnegative, got {levels.min()}")',
     ),
     "verify._uniform_draws": (
         "cli._validate refuses a negative seed first",

@@ -13,12 +13,7 @@ from oscilab.coherent import (
     dynamical_coherent_state,
     resolve_n_max,
 )
-from oscilab.dynamics import (
-    check_uniform_times,
-    propagate_fock,
-    sample_count,
-    sample_times,
-)
+from oscilab.dynamics import propagate_fock, sample_count, sample_times
 from oscilab.fock import (
     NormalizationError,
     OscillatorParams,
@@ -52,7 +47,6 @@ def test_bruteforce_and_closedform_trajectories_agree():
     label = CoherentLabel(-1.5 + 0.5j)
     base = coherent_coefficients(label, resolve_n_max(label))
     times = sample_times(0.0, 2 * math.pi, 0.01)
-    check_uniform_times(times, 0.01)
     brute = averages_bruteforce_batch(base, times, PARAMS)
     closed = closedform_trajectory(label, PARAMS, 0.0, 2 * math.pi, 0.01)
     np.testing.assert_array_equal(brute["time"], closed["time"])

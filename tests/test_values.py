@@ -1,9 +1,9 @@
 """The value types: constructors, validation, immutability, equality, pickling.
 
-`OscillatorParams`, `StateVector`, `CoherentLabel`, `ObservableRecord`,
-`CriterionResult` and `WaveSample` are plain classes on the `fock.Value`
-base, with no dataclass behind them; these tests pin what a frozen
-dataclass gave each of them.
+`OscillatorParams`, `StateVector`, `CoherentLabel`, `CriterionResult` and
+`WaveSample` are plain classes on the `fock.Value` base, with no dataclass
+behind them; these tests pin what a frozen dataclass gave each of them.
+The averages are no value type: `observables` returns them as columns.
 """
 
 import copy
@@ -16,12 +16,8 @@ import pytest
 
 from oscilab.coherent import CoherentLabel
 from oscilab.fock import DimensionMismatchError, OscillatorParams, StateVector
-from oscilab.observables import ObservableRecord
 from oscilab.verify import CriterionResult
 from oscilab.wavefunction import WaveSample
-
-RECORD_VALUES = (0.5, 1.0, -1.0, 1.5, 1.5, 1.0, 1 + 2j, -3j, 0.5, 1.5)
-RECORD = ObservableRecord(*RECORD_VALUES)
 
 # per value type: a builder, called twice for two equal values, and a value
 # that differs from them in one field
@@ -29,8 +25,6 @@ EXAMPLES = {
     "OscillatorParams": (lambda: OscillatorParams(2.0, 0.5, 3.0),
                          OscillatorParams(2.0, 0.5, 3.5)),
     "CoherentLabel": (lambda: CoherentLabel(1.5 - 0.25j), CoherentLabel(1.5)),
-    "ObservableRecord": (lambda: ObservableRecord(*RECORD_VALUES),
-                         ObservableRecord(*RECORD_VALUES[:-1], 2.5)),
     "CriterionResult": (lambda: CriterionResult("energy-constancy", True, "ok"),
                         CriterionResult("energy-constancy", False, "ok")),
     "WaveSample": (lambda: WaveSample(0.25, 1 - 1j), WaveSample(0.25, 1 + 1j)),
@@ -51,11 +45,6 @@ def test_constructors_keep_their_signatures_and_defaults():
     assert defaults(OscillatorParams) == {"hbar": 1.0, "mass": 1.0, "omega": 1.0}
     assert defaults(StateVector) == {"coeffs": empty, "n_max": None, "time": 0.0}
     assert defaults(CoherentLabel) == {"chi": empty}
-    assert list(defaults(ObservableRecord)) == [
-        "time", "mean_x", "mean_p", "mean_x2", "mean_p2", "n_avg",
-        "a_avg", "a2_avg", "uncertainty", "energy",
-    ]
-    assert set(defaults(ObservableRecord).values()) == {empty}
     assert defaults(CriterionResult) == {"name": empty, "passed": empty, "detail": empty}
     assert defaults(WaveSample) == {"x": empty, "value": empty}
 
@@ -70,7 +59,6 @@ def test_constructors_normalize_their_fields():
     assert CriterionResult("c", np.bool_(True), "").passed is True
     sample = WaveSample(1, 2)
     assert (type(sample.x), type(sample.value)) == (float, complex)
-    assert RECORD.a_avg == 1 + 2j and RECORD.energy == 1.5
 
 
 @pytest.mark.parametrize(
