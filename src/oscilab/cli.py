@@ -45,7 +45,7 @@ from .coherent import (
     truncation_tail,
 )
 from .dynamics import sample_count, sample_times
-from .fock import OscillatorParams, TruncationWarning
+from .fock import OscillatorParams, TruncationWarning, check_n_max
 from .observables import (
     RECORD_COLUMNS,
     averages_bruteforce_batch,
@@ -57,7 +57,7 @@ from .observables import (
 from .verify import format_table, run_all
 from .wavefunction import DEFAULT_GRID_HALFWIDTH, DEFAULT_GRID_POINTS, packet_sweep
 
-__all__ = ["UsageError", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,10 +80,6 @@ QUADRATURE_TOL = 1e-8
 MAX_CELLS = 2**22
 # Largest ulp a level phase may have, in radians: 2 pi 2^-20, about 6e-6.
 PHASE_ULP_LIMIT = 2.0 * math.pi * 2.0**-20
-
-
-class UsageError(ValueError):
-    """Invalid configuration; maps to exit code 1."""
 
 
 # Every field of a run's config and its default. The root parser supplies
@@ -109,29 +105,17 @@ def _label(config: argparse.Namespace) -> CoherentLabel:
 
 
 def _validate(config: argparse.Namespace) -> None:
-    """The checks argparse does not make; it already checks the command,
-    `format` and `n_max`. OscillatorParams checks the units first."""
+    """The rules no library function makes, after OscillatorParams checks the
+    units; the seed too, whose refusal `run_all` would count as failures."""
     _params(config)
-    for name in ("chi_re", "chi_im"):
-        value = getattr(config, name)
-        if value is not None and not math.isfinite(value):
-            raise UsageError(f"{name} must be finite, got {value!r}")
     if not (math.isfinite(config.t_start) and math.isfinite(config.t_end)):
-        raise UsageError("t_start and t_end must be finite")
-    if not (math.isfinite(config.dt) and config.dt > 0):
-        raise UsageError(f"dt must be positive, got {config.dt!r}")
-    if not math.isfinite(config.grid_halfwidth):
-        raise UsageError(f"grid_halfwidth must be finite, got {config.grid_halfwidth!r}")
-    if config.grid_halfwidth <= 0:
-        raise UsageError(
-            f"grid_halfwidth must be positive, got {config.grid_halfwidth!r}"
-        )
+        raise ValueError("t_start and t_end must be finite")
     if config.grid_points < 3 or config.grid_points % 2 == 0:
-        raise UsageError(
+        raise ValueError(
             f"grid_points must be an odd integer >= 3, got {config.grid_points}"
         )
     if config.seed < 0:
-        raise UsageError(f"seed must be nonnegative, got {config.seed}")
+        raise ValueError(f"seed must be nonnegative, got {config.seed}")
 
 
 def _fmt(value) -> str:
@@ -458,12 +442,12 @@ def _check_phase(config: argparse.Namespace, t: float, n_max: int) -> None:
     exceeds PHASE_ULP_LIMIT, from 2^35 rad up: its phases keep too few digits."""
     phase = config.omega * abs(t) * (n_max + 0.5)
     if not math.isfinite(phase):
-        raise UsageError(
+        raise ValueError(
             f"the phase omega*|t|*(n_max + 1/2) overflows at t = {t!r} "
             f"(omega {config.omega!r}, n_max {n_max})"
         )
     if math.ulp(phase) > PHASE_ULP_LIMIT:
-        raise UsageError(
+        raise ValueError(
             f"the phase omega*|t|*(n_max + 1/2) = {phase:.3g} keeps too few digits at "
             f"t = {t!r}: one ulp of it is {math.ulp(phase):.3g} rad, above 2*pi*2^-20 "
             f"(omega {config.omega!r}, n_max {n_max})"
@@ -482,7 +466,7 @@ def _admit(config: argparse.Namespace, n_max: int) -> None:
     """Refuse a run whose moment scales leave the normal floats, or whose
     largest array term passes MAX_CELLS cells, from the argv and n_max alone,
     before any sample times, grid or coefficient array exist; the commands
-    that sample times first check the interval's ends."""
+    that evolve the state first check the phases at its times' ends."""
     hbar, mass, omega, top = config.hbar, config.mass, config.omega, 4 * n_max + 2
     # a state on levels 0..n_max has <x^2>, <p^2>, <x>^2, <p>^2 and <H> at
     # most top = 4 n_max + 2 times their scale; the ground level's equal it
@@ -492,21 +476,22 @@ def _admit(config: argparse.Namespace, n_max: int) -> None:
         ("hbar*omega/2", hbar * omega / 2.0),
     ):
         if not (scale >= sys.float_info.min and math.isfinite(scale * top)):
-            raise UsageError(
+            raise ValueError(
                 f"the moment scale {term} = {scale:.3g} and (4*n_max + 2) times it, "
                 f"{scale * top:.3g}, must be finite, normal floats (hbar {hbar!r}, "
                 f"mass {mass!r}, omega {omega!r}, n_max {n_max})"
             )
     # the classical energy M omega^2 x^2/2 of the symmetry check's xp drift
     if config.command == "symmetry-check" and not math.isfinite(mass * (omega * omega)):
-        raise UsageError(
+        raise ValueError(
             f"the energy scale M*omega^2 = {mass * (omega * omega):.3g} must be a "
             f"finite float (hbar {hbar!r}, mass {mass!r}, omega {omega!r})"
         )
     levels, count = n_max + 1, 0
     if config.command in ("trajectory", "wavefunction"):
         count = sample_count(config.t_start, config.t_end, config.dt)
-        for t in (config.t_start, config.t_end):
+    if config.command in ("trajectory", "wavefunction", "uncertainty"):
+        for t in (config.t_start, config.t_end):  # uncertainty's t_end stays 0
             _check_phase(config, t, n_max)
     # the output table's rows and columns, and the coefficient rows alive at once
     table, rows = {
@@ -520,7 +505,7 @@ def _admit(config: argparse.Namespace, n_max: int) -> None:
     terms = [(*table, "columns", "table"), (*rows, levels, "levels", "coefficient")]
     a, a_name, b, b_name, term = max(terms, key=lambda t: t[0] * t[2])
     if a * b > MAX_CELLS:
-        raise UsageError(
+        raise ValueError(
             f"{_count(a, a_name)} x {_count(b, b_name)} is "
             f"{_count(a * b, term + ' cells')}; the limit is {MAX_CELLS}"
         )
@@ -549,7 +534,6 @@ def _spectrum(config, params, label, n_max):
 
 
 def _uncertainty(config, params, label, n_max):
-    _check_phase(config, config.t_start, n_max)
     levels = range(max(0, n_max + 1 - TRUNCATION_MARGIN))  # second-moment headroom
     table = np.empty((len(levels), 4))
     table[:, 0] = levels
@@ -588,13 +572,13 @@ def _wavefunction(config, params, label, n_max):
             cause = "raise --grid-points or --grid-halfwidth"
             if lost * (points[s, 1] - points[s, 0]) > QUADRATURE_TOL:
                 cause = f"the seed exp(-xi^2/2) underflows to 0 at |xi| = {xi.max():.4g}"
-            raise UsageError(
+            raise ValueError(
                 f"the grid cannot resolve the packet at t = {t:g}: its quadrature "
                 f"norm {norm2:.6g} is off the state's norm {coeff_norm2:.6g} by "
                 f"{abs(norm2 - coeff_norm2):.1e} (tol {QUADRATURE_TOL:.0e}); {cause}"
             )
         if not ok:
-            raise UsageError(
+            raise ValueError(
                 f"the closed form is not finite at t = {t:g}: its Gaussian factor "
                 "leaves the float range (|Im chi(t)| above about 26.6)"
             )
@@ -644,7 +628,7 @@ def _run_table(config: argparse.Namespace) -> int:
 
 
 def _cmd_verify(config: argparse.Namespace) -> int:
-    n_max = None if config.n_max == "auto" else int(config.n_max)
+    n_max = None if config.n_max == "auto" else check_n_max(config.n_max)
     chi = None
     if config.chi_re is not None or config.chi_im is not None:
         chi = _label(config).chi
@@ -688,12 +672,9 @@ def _n_max_type(text: str):
     if text == "auto":
         return "auto"
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"n_max must be nonnegative, got {value}")
-    return value
 
 
 def _state_options(p: argparse.ArgumentParser, units: bool = True) -> None:
@@ -818,7 +799,7 @@ def main(argv=None) -> int:
         try:
             _validate(config)
             code = _cmd_verify(config) if config.command == "verify" else _run_table(config)
-        except ValueError as exc:  # UsageError and every library refusal
+        except ValueError as exc:  # every refusal, the CLI's and the library's
             sys.stderr.write(f"oscilab: error: {exc}\n")
             code = EXIT_USAGE
         except OSError as exc:

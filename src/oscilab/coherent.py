@@ -253,8 +253,8 @@ class TruncationCapError(ValueError):
 def resolve_n_max(
     label: CoherentLabel, n_max: int | None = None, tol: float = AUTO_TAIL_TOL
 ) -> int:
-    """The explicit n_max, or TRUNCATION_MARGIN levels above the smallest
-    n_max whose truncation tail is below tol.
+    """The explicit n_max, refused when negative, or TRUNCATION_MARGIN levels
+    above the smallest n_max whose truncation tail is below tol.
 
     The tail is nonincreasing in n_max, so one bisection finds the smallest
     adequate truncation: over 0..AUTO_N_MAX_CAP, and on up to 2**53 only when
@@ -263,7 +263,7 @@ def resolve_n_max(
     n_max the tolerance needs.
     """
     if n_max is not None:
-        return int(n_max)
+        return check_n_max(n_max)
     lo, hi = -1, AUTO_N_MAX_CAP  # tail(lo) >= tol; tail(hi) < tol unless hi = 2**53
     if truncation_tail(label, hi) >= tol:
         lo, hi = hi, 2**53

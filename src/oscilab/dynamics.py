@@ -43,10 +43,10 @@ def sample_times(t_start: float, t_end: float, dt: float) -> np.ndarray:
 
 def sample_count(t_start: float, t_end: float, dt: float) -> int:
     """The number of `sample_times(t_start, t_end, dt)`, computed without
-    allocating. Refuses a nonpositive dt, a reversed interval and a count
-    that is not finite (dt nan, or so small that the count overflows)."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    allocating. Refuses a nonpositive or infinite dt (its times would be nan), a
+    reversed interval and a count that is not finite (dt nan, or too small)."""
+    if dt <= 0 or dt == math.inf:
+        raise ValueError(f"dt must be {'positive' if dt <= 0 else 'finite'}, got {dt}")
     if t_end < t_start:
         raise ValueError(f"t_end ({t_end}) must not precede t_start ({t_start})")
     steps = (t_end - t_start) / dt + 1e-9

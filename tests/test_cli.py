@@ -215,10 +215,12 @@ def test_json_output_structure(tmp_path):
         (["spectrum", "--n-max", "junk"], "--n-max"),
         (["no-such-command"], "command"),
         (["spectrum", "--format", "xml"], "--format"),
-        (["spectrum", "--n-max", "-3"], "--n-max"),
+        (["spectrum", "--n-max", "-3"], "n_max must be nonnegative"),
         (["verify", "--seed", "-1"], "seed must be nonnegative"),
         (["trajectory", "--chi-im", "--hbar", "2"], "--chi-im: expected one argument"),
-        (["spectrum", "--chi-re", "-inf"], "chi_re must be finite"),
+        (["spectrum", "--chi-re", "-inf"], "label must be finite"),
+        # an infinite dt would put every sample time at nan
+        (["trajectory", "--dt", "inf"], "dt must be finite"),
         # the time order is checked before the phase that t_start would overflow
         (["wavefunction", "--t-start", "1e308", "--omega", "10"], "must not precede"),
     ],
@@ -854,10 +856,10 @@ def test_wavefunction_names_an_underflowing_eigenfunction_seed(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--grid-halfwidth", "inf"], "grid_halfwidth must be finite, got inf"),
-        (["--grid-halfwidth", "nan"], "grid_halfwidth must be finite, got nan"),
-        (["--grid-halfwidth", "-inf"], "grid_halfwidth must be finite, got -inf"),
-        (["--grid-halfwidth", "-1"], "grid_halfwidth must be positive, got -1.0"),
+        (["--grid-halfwidth", "inf"], "halfwidth must be finite and positive, got inf"),
+        (["--grid-halfwidth", "nan"], "halfwidth must be finite and positive, got nan"),
+        (["--grid-halfwidth", "-inf"], "halfwidth must be finite and positive, got -inf"),
+        (["--grid-halfwidth", "-1"], "halfwidth must be finite and positive, got -1.0"),
         (["--chi-re", "20", "--grid-halfwidth", "1e-20"],
          "the grid of halfwidth 1e-20 around centre 28.284271247461902 is not "
          "strictly increasing"),
@@ -922,6 +924,30 @@ sys.exit(code)
     ],
 )
 def test_oversized_runs_are_refused_before_any_array_exists(argv, message):
+    _assert_refused_before_any_array(argv, f"{message}; the limit is {MAX_CELLS}")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [  # library refusals of runs that `_admit` lets through at these sizes
+        (["wavefunction", "--grid-halfwidth", "0", "--grid-points", "599185"],
+         "halfwidth must be finite and positive, got 0.0"),
+        (["wavefunction", "--grid-halfwidth", "nan", "--t-end", "298", "--dt", "1"],
+         "halfwidth must be finite and positive, got nan"),
+        (["trajectory", "--chi-re", "inf", "--t-end", "123360", "--dt", "1"],
+         "label must be finite, got (inf+0j)"),
+        (["trajectory", "--dt", "-0.1", "--n-max", "4000000"], "dt must be positive, got -0.1"),
+        (["spectrum", "--n-max", "-3"], "n_max must be nonnegative, got -3"),
+        (["uncertainty", "--t-start", "1e308", "--omega", "10", "--n-max", "1000000"],
+         "the phase omega*|t|*(n_max + 1/2) overflows at t = 1e+308 "
+         "(omega 10.0, n_max 1000000)"),
+    ],
+)
+def test_library_refusals_come_before_any_array_exists(argv, message):
+    _assert_refused_before_any_array(argv, message)
+
+
+def _assert_refused_before_any_array(argv: list[str], message: str) -> None:
     limit = 2 * 1024**3
     result = subprocess.run(
         [sys.executable, "-c", _PEAK_CHILD, *argv],
@@ -932,7 +958,7 @@ def test_oversized_runs_are_refused_before_any_array_exists(argv, message):
         timeout=120,
     )
     assert result.returncode == 1
-    assert result.stderr == f"oscilab: error: {message}; the limit is {MAX_CELLS}\n"
+    assert result.stderr == f"oscilab: error: {message}\n"
     assert int(result.stdout) < 4 * 1024  # KiB above the imported CLI
 
 
@@ -1482,7 +1508,7 @@ def test_the_phase_bound_refuses_from_2_to_the_35_radians():
     config = _config("trajectory", "--omega", "2")
     cli._check_phase(config, 2.7e10 / (2.0 * 16.5), 16)
     cli._check_phase(config, math.nextafter(2.0**35, 0.0), 0)  # omega t (0 + 1/2)
-    with pytest.raises(cli.UsageError, match="too few digits at t = -34359738368.0"):
+    with pytest.raises(ValueError, match="too few digits at t = -34359738368.0"):
         cli._check_phase(config, -(2.0**35), 0)
 
 

@@ -270,6 +270,8 @@ def test_resolve_n_max_explicit_auto_and_capped():
         auto = scipy_auto_n_max(label, tol)
         assert resolve_n_max(label, tol=tol) == auto + TRUNCATION_MARGIN
     assert resolve_n_max(CoherentLabel(40), 2000) == 2000  # explicit skips the cap
+    with pytest.raises(ValueError, match="n_max must be nonnegative, got -1"):
+        resolve_n_max(CoherentLabel(1), -1)  # explicit is still checked
     with pytest.raises(TruncationCapError) as info:
         resolve_n_max(CoherentLabel(30))
     assert isinstance(info.value, ValueError)

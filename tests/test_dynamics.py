@@ -168,6 +168,8 @@ def test_sample_times_includes_endpoint():
     assert times[-1] == pytest.approx(2 * math.pi, abs=1e-12)
     with pytest.raises(ValueError):
         sample_times(0.0, 1.0, -0.1)
+    with pytest.raises(ValueError, match="dt must be finite, got inf"):
+        sample_times(0.0, 1.0, math.inf)  # its one time would be 0 + inf * 0, nan
 
 
 def test_mean_motion_follows_classical_solution():

@@ -12,6 +12,7 @@ and skips elsewhere.
 import contextlib
 import importlib.util
 import io
+import re
 import shlex
 import subprocess
 import sys
@@ -98,15 +99,25 @@ def test_no_corpus_case_warns(tmp_path, monkeypatch):
     # every case, refusals included, ends without a Python warning of any
     # kind: none is recorded, and none reaches the stderr the hashes pin. The
     # one case whose state fills its top levels has `main` write its
-    # TruncationWarning as an "oscilab: warning:" line instead
+    # TruncationWarning as an "oscilab: warning:" line instead. Every case
+    # exits as its hashes line records, on any machine, and a refused one
+    # writes no stdout and ends on its one error line, with no traceback
     warns = "oscilab trajectory --chi-re 1 --n-max 13 --t-end 0.02"
+    regenerate = _regenerate_module()
+    recorded = _by_case(regenerate.HASHES.read_text())
     monkeypatch.chdir(tmp_path)
-    for case in _regenerate_module().read_cases():
-        err = io.StringIO()
+    for case in regenerate.read_cases():
+        out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
-            cli.main(shlex.split(case)[1:])
+            code = cli.main(shlex.split(case)[1:])
         assert not caught, (case, [str(w.message) for w in caught])
         assert "Warning" not in err.getvalue(), case
         assert ("oscilab: warning: " in err.getvalue()) == (case == warns), case
+        assert code == int(recorded[case].split()[0]), case
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            refusals = [line for line in lines if re.match(r"oscilab( [\w-]+)?: error: ", line)]
+            assert out.getvalue() == "" and refusals == lines[-1:], (case, lines)
+            assert "Traceback" not in err.getvalue(), case
