@@ -54,7 +54,7 @@ from .observables import (
     phase_rotation_drifts,
     uncertainty_fock,
 )
-from .verify import format_table, run_all
+from .verify import SERIES_TAIL_TOL, format_table, run_all
 from .wavefunction import DEFAULT_GRID_HALFWIDTH, DEFAULT_GRID_POINTS, packet_sweep
 
 __all__ = ["main"]
@@ -463,13 +463,35 @@ def _count(n: int, noun: str) -> str:
 
 
 def _admit(config: argparse.Namespace, n_max: int) -> None:
-    """Refuse a run whose moment scales leave the normal floats, or whose
-    largest array term passes MAX_CELLS cells, from the argv and n_max alone,
+    """Refuse a run whose largest array term passes MAX_CELLS cells, or whose
+    moment scales leave the normal floats, from the argv and n_max alone,
     before any sample times, grid or coefficient array exist; the commands
-    that evolve the state first check the phases at its times' ends."""
-    hbar, mass, omega, top = config.hbar, config.mass, config.omega, 4 * n_max + 2
+    that evolve the state then check the phases at its times' ends. The cells
+    come first: every float product below then takes an n_max under
+    MAX_CELLS, never an int past the float range."""
+    hbar, mass, omega = config.hbar, config.mass, config.omega
+    levels, count = n_max + 1, 0
+    if config.command in ("trajectory", "wavefunction"):
+        count = sample_count(config.t_start, config.t_end, config.dt)
+    # the output table's rows and columns, and the coefficient rows alive at once
+    table, rows = {
+        "trajectory": ((count, "time samples", 34), (1, "states")),
+        "wavefunction": ((count * config.grid_points, "grid points", 7), (count, "slices")),
+        "spectrum": ((levels, "levels", 4), (1, "states")),
+        "uncertainty": ((levels - TRUNCATION_MARGIN, "number states", 4), (1, "states")),
+        "symmetry-check": ((17, "angles", 6), (17, "angles")),
+        "verify": ((0, "rows", 0), (5, "slices")),  # wave-packet-nondiffusion's
+    }[config.command]
+    terms = [(*table, "columns", "table"), (*rows, levels, "levels", "coefficient")]
+    a, a_name, b, b_name, term = max(terms, key=lambda t: t[0] * t[2])
+    if a * b > MAX_CELLS:
+        raise ValueError(
+            f"{_count(a, a_name)} x {_count(b, b_name)} is "
+            f"{_count(a * b, term + ' cells')}; the limit is {MAX_CELLS}"
+        )
     # a state on levels 0..n_max has <x^2>, <p^2>, <x>^2, <p>^2 and <H> at
     # most top = 4 n_max + 2 times their scale; the ground level's equal it
+    top = 4 * n_max + 2
     for term, scale in (
         ("hbar/(2*M*omega)", hbar / (2.0 * mass) / omega),
         ("M*hbar*omega/2", mass * hbar * omega / 2.0),
@@ -487,28 +509,9 @@ def _admit(config: argparse.Namespace, n_max: int) -> None:
             f"the energy scale M*omega^2 = {mass * (omega * omega):.3g} must be a "
             f"finite float (hbar {hbar!r}, mass {mass!r}, omega {omega!r})"
         )
-    levels, count = n_max + 1, 0
-    if config.command in ("trajectory", "wavefunction"):
-        count = sample_count(config.t_start, config.t_end, config.dt)
     if config.command in ("trajectory", "wavefunction", "uncertainty"):
         for t in (config.t_start, config.t_end):  # uncertainty's t_end stays 0
             _check_phase(config, t, n_max)
-    # the output table's rows and columns, and the coefficient rows alive at once
-    table, rows = {
-        "trajectory": ((count, "time samples", 34), (1, "states")),
-        "wavefunction": ((count * config.grid_points, "grid points", 7), (count, "slices")),
-        "spectrum": ((levels, "levels", 4), (1, "states")),
-        "uncertainty": ((levels - TRUNCATION_MARGIN, "number states", 4), (1, "states")),
-        "symmetry-check": ((17, "angles", 6), (17, "angles")),
-        "verify": ((0, "rows", 0), (5, "slices")),  # wave-packet-nondiffusion's
-    }[config.command]
-    terms = [(*table, "columns", "table"), (*rows, levels, "levels", "coefficient")]
-    a, a_name, b, b_name, term = max(terms, key=lambda t: t[0] * t[2])
-    if a * b > MAX_CELLS:
-        raise ValueError(
-            f"{_count(a, a_name)} x {_count(b, b_name)} is "
-            f"{_count(a * b, term + ' cells')}; the limit is {MAX_CELLS}"
-        )
 
 
 def _trajectory(config, params, label, n_max):
@@ -632,7 +635,9 @@ def _cmd_verify(config: argparse.Namespace) -> int:
     chi = None
     if config.chi_re is not None or config.chi_im is not None:
         chi = _label(config).chi
-        resolve_n_max(_label(config), n_max)  # refuse a capped auto truncation first
+        # refuse a capped auto truncation first: the moments' and the series'
+        for tol in (AUTO_TAIL_TOL, SERIES_TAIL_TOL):
+            resolve_n_max(_label(config), n_max, tol)
     _admit(config, n_max or 0)
     results = run_all(chi=chi, n_max=n_max, seed=config.seed)
     sys.stdout.write(format_table(results) + "\n")

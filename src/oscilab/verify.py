@@ -57,10 +57,8 @@ DEFAULT_CHI_SET = (0j, 1 + 0j, 2j, 1 + 1j, -1.5 + 0.5j)
 # The packet series (tol 1e-8) and the annihilation residual (tol 1e-10) err
 # like the square root of the truncation tail, so their auto truncation takes
 # a far tighter tail than the moments' AUTO_TAIL_TOL: at chi = 5 a tail of
-# 1e-18 (n_max 82) still left a residual of 1.8e-09. The floor is the fixed
-# truncation they used before, above what the probe set resolves to.
+# 1e-18 (n_max 82) still left a residual of 1.8e-09, where 1e-24 takes 93.
 SERIES_TAIL_TOL = 1e-24
-SERIES_N_MAX_FLOOR = 64
 
 # SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): a Weyl sequence with the
 # golden-ratio step 2^64 / phi, each state passed through a 64-bit mixer.
@@ -120,12 +118,12 @@ class CriterionResult(Value):
         self._init(name, bool(passed), detail)
 
 
-def _label_sweep(chi_set, n_max: int | None, count: int):
+def _label_sweep(chi_set, n_max: int | None):
     """Each label of chi_set with its `averages_bruteforce_batch` columns at
-    `count` times over two periods, in natural units. n_max=None applies the
+    100 times over two periods, in natural units. n_max=None applies the
     auto truncation rule."""
     params = OscillatorParams()
-    times = np.linspace(0.0, 2.0 * (2.0 * math.pi / params.omega), count)
+    times = np.linspace(0.0, 2.0 * (2.0 * math.pi / params.omega), 100)
     sweep = []
     for chi in chi_set:
         label = CoherentLabel(chi)
@@ -136,7 +134,7 @@ def _label_sweep(chi_set, n_max: int | None, count: int):
 
 def check_minimal_uncertainty(sweep) -> CriterionResult:
     """Coherent-state uncertainty product equals hbar/2 at all times, on the
-    8-time `_label_sweep` that `run_all` shares with `check_anomalous_averages`."""
+    `_label_sweep` that `run_all` shares among three criteria."""
     params = OscillatorParams()
     tol = 1e-9
     worst = 0.0
@@ -166,7 +164,7 @@ def check_fock_uncertainty() -> CriterionResult:
 
 def check_anomalous_averages(sweep) -> CriterionResult:
     """<a>, <a a>, <a+ a> match the evolved label's closed-form columns on the
-    8-time `_label_sweep`; zero exactly on Fock states."""
+    shared `_label_sweep`; zero exactly on Fock states."""
     params = OscillatorParams()
     tol = 1e-9
     worst = 0.0
@@ -231,16 +229,15 @@ def check_ehrenfest(
     )
 
 
-def check_energy_constancy(
-    chi_set, n_max: int | None = None
-) -> CriterionResult:
-    """Mean energy is time independent and equals hbar omega (|chi|^2 + 1/2)."""
+def check_energy_constancy(sweep) -> CriterionResult:
+    """Mean energy is time independent and equals hbar omega (|chi|^2 + 1/2),
+    on the shared `_label_sweep`."""
     params = OscillatorParams()
     spread_tol = 1e-10
     value_tol = 1e-9
     worst_spread = 0.0
     worst_value = 0.0
-    for label, columns in _label_sweep(chi_set, n_max, 100):
+    for label, columns in sweep:
         energies = columns["energy"]
         expected = params.hbar * params.omega * (label.nbar + 0.5)
         worst_spread = max(worst_spread, float(energies.max() - energies.min()))
@@ -253,18 +250,10 @@ def check_energy_constancy(
     )
 
 
-def _series_n_max(label: CoherentLabel, n_max: int | None) -> int:
-    """The explicit n_max, or the label's truncation at SERIES_TAIL_TOL,
-    never below SERIES_N_MAX_FLOOR."""
-    if n_max is not None:
-        return int(n_max)
-    return max(SERIES_N_MAX_FLOOR, resolve_n_max(label, tol=SERIES_TAIL_TOL))
-
-
 def check_wave_packet(chi_set, n_max: int | None = None) -> CriterionResult:
     """Series and closed-form packets agree; the packet width never changes.
 
-    n_max=None resolves each label's truncation by `_series_n_max`. The five
+    n_max=None resolves each label's truncation at SERIES_TAIL_TOL. The five
     slices of a label, each on a grid around its mean, come from one
     `packet_sweep` call, the sweep behind the `wavefunction` command. Any
     slice with a non-finite difference or variance fails it, and is counted.
@@ -280,7 +269,7 @@ def check_wave_packet(chi_set, n_max: int | None = None) -> CriterionResult:
     for chi in chi_set:
         label = CoherentLabel(chi)
         _, series, closed, _, variances = packet_sweep(
-            label, times, params, _series_n_max(label, n_max)
+            label, times, params, resolve_n_max(label, n_max, SERIES_TAIL_TOL)
         )
         diffs = np.max(np.abs(series - closed), axis=1)  # per slice, nan-propagating
         finite = np.isfinite(diffs) & np.isfinite(variances)
@@ -321,14 +310,14 @@ def check_annihilation_eigenstate(
 ) -> CriterionResult:
     """The evolved state stays an annihilation eigenstate, except when
     deliberately under-truncated. n_max=None resolves each label's
-    truncation by `_series_n_max`."""
+    truncation at SERIES_TAIL_TOL."""
     params = OscillatorParams()
     tol = 1e-10
     worst = 0.0
     times = (0.0, 1.1)
     for chi in chi_set:
         label = CoherentLabel(chi)
-        nm = _series_n_max(label, n_max)
+        nm = resolve_n_max(label, n_max, SERIES_TAIL_TOL)
         closed = averages_closedform_batch(label, times, params)
         for k, t in enumerate(times):
             chit = complex(closed["a_avg_re"][k], closed["a_avg_im"][k])  # <a>
@@ -426,28 +415,23 @@ def rk4_coefficients(state, params: OscillatorParams, t_total: float, steps: int
     return c + c * acc
 
 
-def check_propagator_vs_rk4(
-    chi: complex | None = None, n_max: int | None = None
-) -> CriterionResult:
-    """The exact spectral propagator agrees with brute RK4 integration.
-
-    chi=None runs every label of DEFAULT_CHI_SET; the detail reports the
-    worst error and the largest step count of any label.
-    """
+def check_propagator_vs_rk4(chi_set, n_max: int | None = None) -> CriterionResult:
+    """The exact spectral propagator agrees with brute RK4 integration on
+    every label of chi_set; the detail reports the worst error and the
+    largest step count of any label."""
     params = OscillatorParams()
     tol = 1e-7
     period = 2.0 * math.pi / params.omega
     worst = 0.0
     most_steps = 0
-    for label in map(CoherentLabel, DEFAULT_CHI_SET if chi is None else (chi,)):
+    for label in map(CoherentLabel, chi_set):
         nm = resolve_n_max(label, n_max)
         base = coherent_coefficients(label, nm)
         # RK4's global error on the top level, whose phase over the period is
         # theta = E_max period / hbar, is about N |theta / N|^5 / 120: take
-        # dt = 1e-4, or the smallest N that holds that error to tol / 100.
+        # the smallest N that holds that error to tol / 100.
         theta = params.omega * (nm + 0.5) * period
-        needed = math.ceil((100.0 * theta**5 / (120.0 * tol)) ** 0.25)
-        steps = max(round(period / 1e-4), needed)
+        steps = math.ceil((100.0 * theta**5 / (120.0 * tol)) ** 0.25)
         numeric = rk4_coefficients(base, params, period, steps)
         exact = propagate_fock(base, period, params).coeffs
         worst = max(worst, float(np.max(np.abs(numeric - exact))))
@@ -469,14 +453,14 @@ def run_all(
     instead of the built-in probe set; pinned controls stay pinned.
     """
     chi_set = DEFAULT_CHI_SET if chi is None else (complex(chi),)
-    # one 8-time sweep for two criteria; if it raises, so does each reader
-    sweep = functools.cache(lambda: _label_sweep(chi_set, n_max, 8))
+    # one sweep for three criteria; if it raises, so does each reader
+    sweep = functools.cache(lambda: _label_sweep(chi_set, n_max))
     battery: list[tuple[str, Callable[[], CriterionResult]]] = [
         ("minimal-uncertainty", lambda: check_minimal_uncertainty(sweep())),
         ("fock-uncertainty", check_fock_uncertainty),
         ("anomalous-averages", lambda: check_anomalous_averages(sweep())),
         ("ehrenfest-mean-motion", lambda: check_ehrenfest(chi, n_max)),
-        ("energy-constancy", lambda: check_energy_constancy(chi_set, n_max)),
+        ("energy-constancy", lambda: check_energy_constancy(sweep())),
         ("wave-packet-nondiffusion", lambda: check_wave_packet(chi_set, n_max)),
         ("hermite-generating-identity", lambda: check_generating_identity(seed)),
         (
@@ -484,7 +468,7 @@ def run_all(
             lambda: check_annihilation_eigenstate(chi_set, n_max),
         ),
         ("phase-symmetry", lambda: check_phase_symmetry(seed)),
-        ("propagator-vs-rk4", lambda: check_propagator_vs_rk4(chi, n_max)),
+        ("propagator-vs-rk4", lambda: check_propagator_vs_rk4(chi_set, n_max)),
     ]
     results = []
     for name, runner in battery:

@@ -149,35 +149,25 @@ def generating_sum_check(x: float, t: float, k_max: int) -> float:
     return abs(total - math.exp(2.0 * x * t - t * t))
 
 
-def _slices(t, x) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(S,) times, (S, N) points and whether t is a single time: a scalar t
-    with a scalar or 1-d x (S = 1), or S slices, t of length S and x of
+def _slices(t, x) -> tuple[np.ndarray, np.ndarray]:
+    """(S,) times and (S, N) points of S slices, t of length S and x of
     shape (S, N), slice s on the points x[s] at t[s]. Any other pairing
     raises DimensionMismatchError."""
     ts = np.asarray(t, dtype=float)
     xs = np.asarray(x, dtype=float)
-    if ts.ndim == 0:
-        if xs.ndim > 1:
-            raise DimensionMismatchError(
-                f"a single time takes a scalar or 1-d x, got shape {xs.shape}"
-            )
-        return ts.reshape(1), xs.reshape(1, -1), True
     if ts.ndim != 1 or xs.ndim != 2 or xs.shape[0] != ts.size:
         raise DimensionMismatchError(
             f"times of shape {ts.shape} need x of shape ({ts.size}, N), "
             f"got {xs.shape}"
         )
-    return ts, xs, False
+    return ts, xs
 
 
 def psi_series_grid(
     label: CoherentLabel, x, t, params: OscillatorParams, n_max: int
 ) -> np.ndarray:
-    """Coherent packet as the truncated eigenfunction series, on arrays of x.
-
-    A scalar t takes a scalar or 1-d x and returns the (N,) series. A stack
-    of S slices takes t of length S and x of shape (S, N) and returns an
-    (S, N) array; see `_slices` for the pairings.
+    """Coherent packet as the truncated eigenfunction series on a stack of
+    S slices: t of length S and x of shape (S, N) give an (S, N) array.
 
     One pass of the recurrence covers every point of as many slices as fit
     in _SERIES_PASS_POINTS points, and at least one. Each eigenfunction row
@@ -206,7 +196,7 @@ def psi_series_grid(
     never above the caller's size, which every exit restores. Only the
     copying changes: each element gets the same multiply and add.
     """
-    ts, xs, single = _slices(t, x)
+    ts, xs = _slices(t, x)
     slices, npoints = xs.shape
     series = np.empty(xs.shape, dtype=complex)
     per_pass = max(1, _SERIES_PASS_POINTS // max(1, npoints))
@@ -247,20 +237,20 @@ def psi_series_grid(
             np.setbufsize(caller_bufsize)
         out = series[block]
         out.real, out.imag = acc[..., :npoints]
-    return series[0] if single else series
+    return series
 
 
 def psi_closed_grid(label: CoherentLabel, x, t, params: OscillatorParams) -> np.ndarray:
     """Closed-form coherent packet on arrays of positions: a Gaussian whose
     squared shift has the complex center chi(t) sqrt(2 hbar / M omega).
 
-    Takes the (t, x) pairings of `psi_series_grid`. Each slice's scalar
-    factors are Python numbers, from `averages_closedform_batch`, and only
-    the Gaussian array is broadcast, so a slice is its own single-time call
-    to the bit (numpy complex factors round otherwise). No multivalued
+    Takes the stacks of `psi_series_grid`. Each slice's scalar factors are
+    Python numbers, from `averages_closedform_batch`, and only the Gaussian
+    array is broadcast, so a slice is its own 1-slice call to the bit (numpy
+    complex factors round otherwise). No multivalued
     logarithm is involved, so sweeps over t never hit a branch cut.
     """
-    ts, xs, single = _slices(t, x)
+    ts, xs = _slices(t, x)
     hbar, mass, omega = params.hbar, params.mass, params.omega
     prefactor = (mass * omega / (math.pi * hbar)) ** 0.25
     closed = averages_closedform_batch(label, ts, params)
@@ -276,7 +266,7 @@ def psi_closed_grid(label: CoherentLabel, x, t, params: OscillatorParams) -> np.
     # past |Im chi(t)| ~ 26.6 the Gaussian overflows: nan or inf, which callers refuse
     with np.errstate(over="ignore", invalid="ignore"):
         values = factor * np.exp(-(mass * omega / (2.0 * hbar)) * (xs - shift) ** 2)
-    return values[0] if single else values
+    return values
 
 
 def packet_moments(amplitudes, points, weights):

@@ -303,11 +303,11 @@ def psi_schrodinger_grid(
 ) -> np.ndarray:
     """The coherent packet written through the mean coordinate and momentum,
     a plane-wave factor on a real-centered Gaussian: algebraically the
-    complex-centre closed form of `psi_closed_grid`, and with its (t, x)
-    pairings. Each slice's scalar factors are Python numbers, from
-    `averages_closedform_batch`, so a slice is its own single-time call to
-    the bit."""
-    ts, xs, single = _slices(t, x)
+    complex-centre closed form of `psi_closed_grid`, on its stacks of
+    slices. Each slice's scalar factors are Python numbers, from
+    `averages_closedform_batch`, so a slice is its own 1-slice call to the
+    bit."""
+    ts, xs = _slices(t, x)
     hbar, mass, omega = params.hbar, params.mass, params.omega
     prefactor = (mass * omega / (math.pi * hbar)) ** 0.25
     closed = averages_closedform_batch(label, ts, params)
@@ -319,8 +319,7 @@ def psi_schrodinger_grid(
         factor[s], wave[s] = prefactor * phase, 1j * (p_s / hbar)
     plane = np.exp(wave * xs)
     gauss = np.exp(-(mass * omega / (2.0 * hbar)) * (xs - xb[:, np.newaxis]) ** 2)
-    values = factor * plane * gauss
-    return values[0] if single else values
+    return factor * plane * gauss
 
 
 @dataclass(frozen=True, eq=False)

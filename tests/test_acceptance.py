@@ -121,24 +121,46 @@ def test_series_criteria_resolve_their_truncation_from_the_label(chi):
         assert result.passed, result.detail
 
 
-def test_series_truncation_is_floored_at_the_fixed_level():
-    # the probe set keeps the fixed 64 levels, so its bytes do not move
-    from oscilab.coherent import CoherentLabel
-    from oscilab.verify import _series_n_max
+@pytest.mark.parametrize(
+    "chi, n_max, expected", [(0j, None, 2), (5 + 0j, None, 93), (5 + 0j, 4, 4)]
+)
+def test_series_criteria_truncate_at_the_series_tail(monkeypatch, chi, n_max, expected):
+    # both series criteria take resolve_n_max(label, n_max, SERIES_TAIL_TOL):
+    # the label's own level at a 1e-24 tail, or an explicit n_max unchanged
+    from oscilab import verify
+    from oscilab.coherent import CoherentLabel, resolve_n_max
 
-    for chi in DEFAULT_CHI_SET:
-        assert _series_n_max(CoherentLabel(chi), None) == 64
-        assert _series_n_max(CoherentLabel(chi), 4) == 4
-    assert _series_n_max(CoherentLabel(5), None) == 93
-    assert _series_n_max(CoherentLabel(10), None) == 220
+    assert resolve_n_max(CoherentLabel(chi), n_max, verify.SERIES_TAIL_TOL) == expected
+    packet_levels, state_levels = [], []
+    packet_sweep, dynamical_state = verify.packet_sweep, verify.dynamical_coherent_state
+
+    def recording_sweep(label, times, params, n_max):
+        packet_levels.append(n_max)
+        return packet_sweep(label, times, params, n_max)
+
+    def recording_state(label, t, params, n_max):
+        state_levels.append(n_max)
+        return dynamical_state(label, t, params, n_max)
+
+    monkeypatch.setattr(verify, "packet_sweep", recording_sweep)
+    monkeypatch.setattr(verify, "dynamical_coherent_state", recording_state)
+    verify.check_wave_packet((chi,), n_max)
+    verify.check_annihilation_eigenstate((chi,), n_max)
+    assert packet_levels == [expected]
+    assert state_levels == [expected, expected]  # at t = 0 and t = 1.1
 
 
 def test_propagator_vs_rk4_detail_is_pinned():
     from oscilab.verify import check_propagator_vs_rk4
 
-    assert check_propagator_vs_rk4().detail == (
-        "max coefficient error = 4.809e-14 (tol 1e-07) "
-        "over one period at up to 62832 steps"
+    # the fewest steps N with N |theta / N|^5 / 120 <= 1e-9 at the probe
+    # set's top level, n_max 27 of chi = 2i: theta = 27.5 * 2 pi
+    theta = 27.5 * 2.0 * math.pi
+    steps = math.ceil((100.0 * theta**5 / (120.0 * 1e-7)) ** 0.25)
+    assert steps == 33659
+    assert check_propagator_vs_rk4(DEFAULT_CHI_SET).detail == (
+        "max coefficient error = 5.909e-13 (tol 1e-07) "
+        f"over one period at up to {steps} steps"
     )
 
 
@@ -146,7 +168,7 @@ def test_propagator_vs_rk4_refines_its_steps_for_high_levels():
     # dt = 1e-4 leaves an RK4 error of 3.664e-04 at level 1200
     from oscilab.verify import check_propagator_vs_rk4
 
-    result = check_propagator_vs_rk4(30 + 0j, n_max=1200)
+    result = check_propagator_vs_rk4((30 + 0j,), n_max=1200)
     assert result.passed, result.detail
 
 
@@ -154,7 +176,7 @@ def test_wave_packet_detail_is_pinned():
     from oscilab.verify import check_wave_packet
 
     assert check_wave_packet(DEFAULT_CHI_SET).detail == (
-        "max |series - closed| = 2.136e-15 (tol 1e-08), "
+        "max |series - closed| = 3.190e-14 (tol 1e-08), "
         "max width drift = 3.886e-16 (tol 1e-08)"
     )
 
@@ -185,21 +207,25 @@ def _counting_sweeps(monkeypatch, fail_at=None):
     return lengths
 
 
-def test_one_run_sweeps_each_label_once_at_eight_times(monkeypatch):
+SWEEP_READERS = ("minimal-uncertainty", "anomalous-averages", "energy-constancy")
+
+
+def test_one_run_sweeps_each_label_once(monkeypatch):
+    # the three readers share one 100-time sweep; no other criterion calls
+    # averages_bruteforce_batch
     lengths = _counting_sweeps(monkeypatch)
     results = run_all(seed=0)
     assert all(result.passed for result in results)
-    # minimal-uncertainty and anomalous-averages read one 8-time sweep;
-    # energy-constancy takes its own at 100 times
-    assert sorted(lengths) == [8] * len(DEFAULT_CHI_SET) + [100] * len(DEFAULT_CHI_SET)
+    assert lengths == [100] * len(DEFAULT_CHI_SET)
 
 
-def test_a_failing_sweep_fails_both_of_its_readers(monkeypatch):
-    lengths = _counting_sweeps(monkeypatch, fail_at=8)
+def test_a_failing_sweep_fails_each_of_its_readers(monkeypatch):
+    lengths = _counting_sweeps(monkeypatch, fail_at=100)
     results = {result.name: result for result in run_all(seed=0)}
-    assert lengths.count(8) == 2  # the first label raised, once per reader
-    for name in ("minimal-uncertainty", "anomalous-averages"):
+    # the first label raised, once per reader
+    assert lengths == [100] * len(SWEEP_READERS)
+    for name in SWEEP_READERS:
         assert not results[name].passed
         assert results[name].detail == "raised RuntimeError: forced sweep failure"
-    others = set(CRITERIA) - {"minimal-uncertainty", "anomalous-averages"}
+    others = set(CRITERIA) - set(SWEEP_READERS)
     assert all(results[name].passed for name in others)

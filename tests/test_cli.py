@@ -223,6 +223,10 @@ def test_json_output_structure(tmp_path):
         (["trajectory", "--dt", "inf"], "dt must be finite"),
         # the time order is checked before the phase that t_start would overflow
         (["wavefunction", "--t-start", "1e308", "--omega", "10"], "must not precede"),
+        # an n_max past the float range, which the moment-scale and phase
+        # products could not convert: the exact cell count refuses it first
+        *[([command, "--n-max", "1" + "0" * 308], f"cells; the limit is {MAX_CELLS}")
+          for command in cli.COMMANDS],
     ],
 )
 def test_invalid_configuration_exits_1(args, capsys):
@@ -647,6 +651,9 @@ def test_module_entry_point_runs():
         (["spectrum", "--chi-re", "30"], "at least n_max = 1121 "),
         (["wavefunction", "--chi-re", "30"], "at least n_max = 1177 "),
         (["trajectory", "--chi-re", "1e100"], "at least n_max = 9007199254740994 "),
+        # the moments resolve below the cap; the series criteria's 1e-24 tail
+        # does not, and was two "raised TruncationCapError" rows, exit 3
+        (["verify", "--chi-re", "28"], "at least n_max = 1088 for a tail below 1e-24"),
     ],
 )
 def test_capped_auto_truncation_exits_1(argv, needed, capsys):
@@ -1123,8 +1130,8 @@ def test_wavefunction_rows_match_the_per_scalar_form():
     for t in (0.0, 0.4, 0.8):
         center = averages_closedform_batch(label, [t], params)["mean_x"][0]
         points = default_packet_grid(params, center=center).points
-        series = psi_series_grid(label, points, t, params, n_max)
-        closed = psi_closed_grid(label, points, t, params)
+        series = psi_series_grid(label, points[np.newaxis], [t], params, n_max)[0]
+        closed = psi_closed_grid(label, points[np.newaxis], [t], params)[0]
         for x, s, c in zip(points, series, closed):
             expected.append(
                 (t, float(x), s.real, s.imag, c.real, c.imag, float(abs(s - c)))

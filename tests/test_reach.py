@@ -99,10 +99,8 @@ ALLOWLIST = {
         'raise ValueError(f"seed must be nonnegative, got {seed}")',
     ),
     "wavefunction._slices": (
-        "packet_sweep passes stacks of slices; a single time serves library callers",
-        "if xs.ndim > 1:",
+        "packet_sweep passes one grid row per time; the shape check serves library callers",
         "raise DimensionMismatchError(",
-        "return ts.reshape(1), xs.reshape(1, -1), True",
     ),
     "wavefunction.generating_sum_check": (
         "the generating-identity criterion passes its own k_max",

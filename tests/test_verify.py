@@ -90,7 +90,7 @@ def _case(params, chi):
 @pytest.mark.parametrize("params, chi", CASES)
 def test_rk4_matches_the_dense_oracle_bit_for_bit(params, chi):
     base, period = _case(params, chi)
-    for steps in (1, 2000, 62832):
+    for steps in (1, 2000, 33659):  # 33659: propagator-vs-rk4's on the probe set
         fast = rk4_coefficients(base, params, period, steps)
         reference = dense_increment_rk4(base, params, period, steps)
         assert np.array_equal(fast.view(float), reference.view(float)), steps

@@ -47,6 +47,12 @@ def direct_eigenfunction(n, x, params):
     return norm * np.exp(-0.5 * xi**2) * eval_hermite(n, xi)
 
 
+def one_slice(grid_form, label, x, t, params, *n_max):
+    """A grid form at the one time t on the points x, a scalar or a 1-d
+    array, through a 1-slice stack."""
+    return grid_form(label, np.reshape(x, (1, -1)), [t], params, *n_max)[0]
+
+
 def samples_from(values, grid):
     """The amplitude array the moment functions take, aligned with the grid."""
     values = np.asarray(values, dtype=complex)
@@ -132,14 +138,14 @@ def test_generating_sum_residual_squeezed_by_term_tail():
 def test_series_vacuum_is_ground_gaussian_with_phase():
     grid = default_packet_grid(PARAMS, npoints=201)
     for t in (0.0, 1.1):
-        series = psi_series_grid(CoherentLabel(0), grid.points, t, PARAMS, 16)
+        series = one_slice(psi_series_grid, CoherentLabel(0), grid.points, t, PARAMS, 16)
         expected = eigenfunction(0, grid.points, PARAMS) * np.exp(-0.5j * t)
         np.testing.assert_allclose(series, expected, atol=1e-14)
 
 
 def test_series_matches_closed_form_at_origin():
-    sample_series = psi_series_grid(CoherentLabel(1), 0.0, 0.0, PARAMS, 64)[0]
-    sample_closed = psi_closed_grid(CoherentLabel(1), 0.0, 0.0, PARAMS)[0]
+    sample_series = one_slice(psi_series_grid, CoherentLabel(1), 0.0, 0.0, PARAMS, 64)[0]
+    sample_closed = one_slice(psi_closed_grid, CoherentLabel(1), 0.0, 0.0, PARAMS)[0]
     assert abs(sample_series - sample_closed) < 1e-10
 
 
@@ -149,8 +155,8 @@ def test_series_and_closed_form_agree_on_grid(chi, t):
     label = CoherentLabel(chi)
     center = averages_closedform_batch(label, [t], PARAMS)["mean_x"][0]
     grid = default_packet_grid(PARAMS, center=center)
-    series = psi_series_grid(label, grid.points, t, PARAMS, 64)
-    closed = psi_closed_grid(label, grid.points, t, PARAMS)
+    series = one_slice(psi_series_grid, label, grid.points, t, PARAMS, 64)
+    closed = one_slice(psi_closed_grid, label, grid.points, t, PARAMS)
     assert np.max(np.abs(series - closed)) < 1e-8
 
 
@@ -160,15 +166,15 @@ def test_two_closed_forms_agree_pointwise():
     for _ in range(20):
         x = rng.uniform(-4, 4)
         t = rng.uniform(0, 4 * math.pi)
-        a = psi_closed_grid(label, x, t, PARAMS)[0]
-        b = psi_schrodinger_grid(label, x, t, PARAMS)[0]
+        a = one_slice(psi_closed_grid, label, x, t, PARAMS)[0]
+        b = one_slice(psi_schrodinger_grid, label, x, t, PARAMS)[0]
         assert abs(a - b) < 1e-12
 
 
 def test_closed_form_vacuum():
     xs = np.linspace(-3, 3, 11)
     for closed_grid in CLOSED_FORMS.values():
-        values = closed_grid(CoherentLabel(0), xs, 0.7, PARAMS)
+        values = one_slice(closed_grid, CoherentLabel(0), xs, 0.7, PARAMS)
         expected = eigenfunction(0, xs, PARAMS) * np.exp(-0.35j)
         np.testing.assert_allclose(values, expected, atol=1e-14)
 
@@ -182,7 +188,7 @@ def test_packet_width_never_changes(params):
     for t in np.linspace(0.0, 2 * math.pi / params.omega, 7):
         center = averages_closedform_batch(label, [t], params)["mean_x"][0]
         grid = default_packet_grid(params, center=center)
-        values = psi_closed_grid(label, grid.points, t, params)
+        values = one_slice(psi_closed_grid, label, grid.points, t, params)
         _, _, var = packet_moments(samples_from(values, grid), grid.points, grid.weights)
         assert var == pytest.approx(expected_var, abs=1e-9)
 
@@ -192,7 +198,7 @@ def test_packet_center_tracks_mean_position():
     for t in (0.0, 0.9, 2.4):
         mean_x = averages_closedform_batch(label, [t], PARAMS)["mean_x"][0]
         grid = default_packet_grid(PARAMS, center=mean_x)
-        values = psi_series_grid(label, grid.points, t, PARAMS, 64)
+        values = one_slice(psi_series_grid, label, grid.points, t, PARAMS, 64)
         step = grid.points[1] - grid.points[0]
         peak = grid.points[np.argmax(np.abs(values))]
         assert abs(peak - mean_x) <= step
@@ -205,8 +211,8 @@ def test_phase_gradient_at_center_is_mean_momentum():
         rec = averages_closedform_batch(label, [t], PARAMS)
         mean_x, mean_p = rec["mean_x"][0], rec["mean_p"][0]
         for closed_grid in CLOSED_FORMS.values():
-            left = closed_grid(label, mean_x - h, t, PARAMS)[0]
-            right = closed_grid(label, mean_x + h, t, PARAMS)[0]
+            left = one_slice(closed_grid, label, mean_x - h, t, PARAMS)[0]
+            right = one_slice(closed_grid, label, mean_x + h, t, PARAMS)[0]
             gradient = np.angle(right / left) / (2 * h)
             assert gradient == pytest.approx(mean_p / PARAMS.hbar, abs=1e-6)
 
@@ -230,7 +236,7 @@ def test_quadrature_norm_shifted_packet():
     t = 1.234
     center = averages_closedform_batch(label, [t], PARAMS)["mean_x"][0]
     grid = default_packet_grid(PARAMS, center=center)
-    values = psi_closed_grid(label, grid.points, t, PARAMS)
+    values = one_slice(psi_closed_grid, label, grid.points, t, PARAMS)
     assert packet_moments(
         samples_from(values, grid), grid.points, grid.weights
     )[0] == pytest.approx(1.0, abs=1e-8)
@@ -286,7 +292,7 @@ def test_series_is_the_float_table_product_to_the_bit(n_max, chi, grid):
         fixed_order = np.zeros(grid.size, dtype=complex)
         for c_k, row in zip(coeffs, table):
             fixed_order += c_k * row
-        series = psi_series_grid(label, grid, t, PARAMS, n_max)
+        series = one_slice(psi_series_grid, label, grid, t, PARAMS, n_max)
         assert series.dtype == complex
         assert np.array_equal(series, fixed_order)
         assert series.tobytes() == fixed_order.tobytes()
@@ -316,7 +322,7 @@ def test_stacked_slices_equal_the_per_slice_calls_to_the_bit(
     stacked = psi_series_grid(label, points, times, PARAMS, n_max)
     assert stacked.shape == points.shape and stacked.dtype == complex
     for s in range(slices):
-        single = psi_series_grid(label, points[s], times[s], PARAMS, n_max)
+        single = one_slice(psi_series_grid, label, points[s], times[s], PARAMS, n_max)
         np.testing.assert_array_equal(stacked[s].view(float), single.view(float))
         assert stacked[s].tobytes() == single.tobytes()
 
@@ -349,7 +355,7 @@ def test_padded_lanes_never_reach_the_series(monkeypatch, npoints, several_passe
         fixed_order = np.zeros(npoints, dtype=complex)
         for c_k, row in zip(coeffs, textbook_table(n_max, points[s], PARAMS)):
             fixed_order += c_k * row
-        single = psi_series_grid(label, points[s], t, PARAMS, n_max)
+        single = one_slice(psi_series_grid, label, points[s], t, PARAMS, n_max)
         assert stacked[s].tobytes() == single.tobytes() == fixed_order.tobytes()
 
 
@@ -387,6 +393,7 @@ MISMATCHED_STACKS = [
     (np.zeros((2, 5)), [0.0, 1.0, 2.0]),  # three times, two slices
     (np.zeros(2), [0.0, 1.0]),  # a flat axis for two times
     (np.zeros((2, 5)), 0.0),  # a stack for one time
+    (np.zeros(5), 0.0),  # one time on a flat axis: a 1-slice stack is (1, 5)
     (np.zeros((1, 2, 5)), [0.0]),
     (np.zeros((2, 5)), np.zeros((2, 1))),
 ]
@@ -451,7 +458,7 @@ def test_closed_form_slices_are_their_single_time_calls_to_the_bit(
     stacked = CLOSED_FORMS[form](label, points, times, params)
     assert stacked.shape == points.shape and stacked.dtype == complex
     for t, xs, got in zip(times.tolist(), points, stacked):
-        single = CLOSED_FORMS[form](label, xs, t, params)
+        single = one_slice(CLOSED_FORMS[form], label, xs, t, params)
         want = per_time_closed_form(label, xs, t, params, form)
         assert got.tobytes() == single.tobytes() == want.tobytes()
 
@@ -473,8 +480,8 @@ def test_packet_sweep_rows_are_the_per_slice_calls_to_the_bit(
     for s, t in enumerate(times.tolist()):
         center = averages_closedform_batch(label, [t], params)["mean_x"][0]
         grid = default_packet_grid(params, center, halfwidth, npoints)
-        series = psi_series_grid(label, grid.points, t, params, n_max)
-        closed = psi_closed_grid(label, grid.points, t, params)
+        series = one_slice(psi_series_grid, label, grid.points, t, params, n_max)
+        closed = one_slice(psi_closed_grid, label, grid.points, t, params)
         want = per_time_closed_form(label, grid.points, t, params, "complex_center")
         assert closed.tobytes() == want.tobytes()
         norm2, _, variance = packet_moments(series, grid.points, grid.weights)
@@ -538,8 +545,9 @@ def test_vacuum_series_stops_at_its_last_nonzero_level(monkeypatch):
     bare = psi_series_grid(label, points, times, PARAMS, 0)
     assert full.tobytes() == bare.tobytes()
     for t in (0.0, -1.3):
-        single = psi_series_grid(label, points[0], t, PARAMS, 64)
-        assert single.tobytes() == psi_series_grid(label, points[0], t, PARAMS, 0).tobytes()
+        single = one_slice(psi_series_grid, label, points[0], t, PARAMS, 64)
+        bare_single = one_slice(psi_series_grid, label, points[0], t, PARAMS, 0)
+        assert single.tobytes() == bare_single.tobytes()
 
 
 @contextlib.contextmanager
