@@ -14,7 +14,6 @@ from .coherent import (
     TruncationCapError,
     annihilation_residual,
     coherent_coefficients,
-    dynamical_coherent_state,
     occupation_probability,
     resolve_n_max,
     truncation_tail,

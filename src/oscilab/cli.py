@@ -54,7 +54,7 @@ from .observables import (
     phase_rotation_drifts,
     uncertainty_fock,
 )
-from .verify import SERIES_TAIL_TOL, format_table, run_all
+from .verify import format_table, run_all
 from .wavefunction import DEFAULT_GRID_HALFWIDTH, DEFAULT_GRID_POINTS, packet_sweep
 
 __all__ = ["main"]
@@ -465,10 +465,10 @@ def _count(n: int, noun: str) -> str:
 def _admit(config: argparse.Namespace, n_max: int) -> None:
     """Refuse a run whose largest array term passes MAX_CELLS cells, or whose
     moment scales leave the normal floats, from the argv and n_max alone,
-    before any sample times, grid or coefficient array exist; the commands
-    that evolve the state then check the phases at its times' ends. The cells
-    come first: every float product below then takes an n_max under
-    MAX_CELLS, never an int past the float range."""
+    before any sample times, grid or coefficient array exist, and then check
+    the level phases at t_start and t_end (0 for a command without times).
+    The cells come first: every float product below then takes an n_max
+    under MAX_CELLS, never an int past the float range."""
     hbar, mass, omega = config.hbar, config.mass, config.omega
     levels, count = n_max + 1, 0
     if config.command in ("trajectory", "wavefunction"):
@@ -509,9 +509,8 @@ def _admit(config: argparse.Namespace, n_max: int) -> None:
             f"the energy scale M*omega^2 = {mass * (omega * omega):.3g} must be a "
             f"finite float (hbar {hbar!r}, mass {mass!r}, omega {omega!r})"
         )
-    if config.command in ("trajectory", "wavefunction", "uncertainty"):
-        for t in (config.t_start, config.t_end):  # uncertainty's t_end stays 0
-            _check_phase(config, t, n_max)
+    for t in (config.t_start, config.t_end):
+        _check_phase(config, t, n_max)
 
 
 def _trajectory(config, params, label, n_max):
@@ -635,9 +634,6 @@ def _cmd_verify(config: argparse.Namespace) -> int:
     chi = None
     if config.chi_re is not None or config.chi_im is not None:
         chi = _label(config).chi
-        # refuse a capped auto truncation first: the moments' and the series'
-        for tol in (AUTO_TAIL_TOL, SERIES_TAIL_TOL):
-            resolve_n_max(_label(config), n_max, tol)
     _admit(config, n_max or 0)
     results = run_all(chi=chi, n_max=n_max, seed=config.seed)
     sys.stdout.write(format_table(results) + "\n")

@@ -3,7 +3,11 @@
 Amplitudes follow C_n = chi**n / sqrt(n!) * exp(-|chi|^2 / 2), but are built
 by the multiplicative ladder C_{n+1} = C_n * chi / sqrt(n+1): the literal
 formula overflows n! and underflows chi**n long before truncation levels of
-interest, while the ladder stays well-scaled for any n.
+interest, while the ladder stays well-scaled for any n. The dynamical
+coherent state at time t is these amplitudes carried forward by the exact
+level phases, `dynamics.propagate_fock(coherent_coefficients(label, n_max),
+t, params)`: the time-0 state of the evolved label chi exp(-i omega t),
+times the global phase exp(-i omega t / 2).
 
 The truncation tail (total Poisson weight above n_max) is the single error
 control for everything downstream, and `resolve_n_max` alone turns a tail
@@ -23,13 +27,12 @@ import sys
 
 import numpy as np
 
-from .fock import OscillatorParams, StateVector, Value, check_n_max, level_phases
+from .fock import OscillatorParams, StateVector, Value, check_n_max
 
 __all__ = [
     "CoherentLabel",
     "coherent_coefficients",
     "occupation_probability",
-    "dynamical_coherent_state",
     "annihilation_residual",
     "truncation_tail",
     "resolve_n_max",
@@ -116,20 +119,6 @@ def _evolved_chi(
     cos, sin = np.cos(angle), np.sin(angle)
     ar, ai = label.chi.real, label.chi.imag
     return ar * cos - ai * sin, ar * sin + ai * cos
-
-
-def dynamical_coherent_state(
-    label: CoherentLabel, t: float, params: OscillatorParams, n_max: int
-) -> StateVector:
-    """Exact time-dependent coherent state truncated at n_max.
-
-    Each amplitude carries the level phase exp(-i omega (n + 1/2) t); this
-    equals the time-0 coherent state of the evolved label times the global
-    phase exp(-i omega t / 2).
-    """
-    base = coherent_coefficients(label, n_max)
-    phases = level_phases(params, t, n_max)
-    return StateVector(base.coeffs * phases, n_max, time=float(t))
 
 
 def annihilation_residual(state: StateVector, evolved: CoherentLabel) -> float:

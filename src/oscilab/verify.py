@@ -35,11 +35,10 @@ from .coherent import (
     CoherentLabel,
     annihilation_residual,
     coherent_coefficients,
-    dynamical_coherent_state,
     resolve_n_max,
 )
 from .dynamics import ehrenfest_residual, propagate_fock, sample_times
-from .fock import OscillatorParams, Value
+from .fock import OscillatorParams, StateVector, Value
 from .observables import (
     averages_bruteforce_batch,
     averages_bruteforce_fock,
@@ -118,18 +117,25 @@ class CriterionResult(Value):
         self._init(name, bool(passed), detail)
 
 
-def _label_sweep(chi_set, n_max: int | None):
-    """Each label of chi_set with its `averages_bruteforce_batch` columns at
-    100 times over two periods, in natural units. n_max=None applies the
-    auto truncation rule."""
+def _label_plan(chi_set, n_max: int | None):
+    """Each label of chi_set with its time-0 amplitudes at
+    `resolve_n_max(label, n_max)` and its series n_max, at SERIES_TAIL_TOL.
+    A label the plan cannot build raises ValueError: a capped truncation (the
+    moments' first), a negative n_max or underflowing amplitudes."""
+    plan = []
+    for label in map(CoherentLabel, chi_set):
+        moments = resolve_n_max(label, n_max)
+        series = resolve_n_max(label, n_max, SERIES_TAIL_TOL)
+        plan.append((label, coherent_coefficients(label, moments), series))
+    return plan
+
+
+def _label_sweep(plan):
+    """Each label of the plan with its `averages_bruteforce_batch` columns
+    at 100 times over two periods, in natural units."""
     params = OscillatorParams()
     times = np.linspace(0.0, 2.0 * (2.0 * math.pi / params.omega), 100)
-    sweep = []
-    for chi in chi_set:
-        label = CoherentLabel(chi)
-        base = coherent_coefficients(label, resolve_n_max(label, n_max))
-        sweep.append((label, averages_bruteforce_batch(base, times, params)))
-    return sweep
+    return [(label, averages_bruteforce_batch(base, times, params)) for label, base, _ in plan]
 
 
 def check_minimal_uncertainty(sweep) -> CriterionResult:
@@ -188,14 +194,11 @@ def check_anomalous_averages(sweep) -> CriterionResult:
     )
 
 
-def check_ehrenfest(
-    chi: complex | None = None, n_max: int | None = None
-) -> CriterionResult:
-    """Mean coordinate and momentum obey the classical oscillator equation.
+def check_ehrenfest(base: StateVector) -> CriterionResult:
+    """<x> and <p> of the state `base` obey the classical oscillator equation.
 
     Centered-difference residuals stay below 1e-5 at dt = 1e-3 and shrink
-    fourfold (to within 20%) when dt halves. n_max=None applies the auto
-    truncation rule.
+    fourfold (to within 20%) when dt halves.
 
     Only <x> and <p> are computed (`mean_motion_batch`), and only at the
     dt = 5e-4 times. The dt = 1e-3 sample times are their even rows to the
@@ -203,11 +206,9 @@ def check_ehrenfest(
     coarse residual is taken on those rows.
     """
     params = OscillatorParams()  # omega = 1 pinned by the tolerance model
-    label = CoherentLabel(1 + 0j if chi is None else chi)
     period = 2.0 * math.pi / params.omega
     tol = 1e-5
     times = sample_times(0.0, period, 5e-4)
-    base = coherent_coefficients(label, resolve_n_max(label, n_max))
     motion = mean_motion_batch(base, times, params)
     mean_x, mean_p = motion["mean_x"], motion["mean_p"]
     coarse = ehrenfest_residual(mean_x[::2], mean_p[::2], 1e-3, params)
@@ -250,13 +251,13 @@ def check_energy_constancy(sweep) -> CriterionResult:
     )
 
 
-def check_wave_packet(chi_set, n_max: int | None = None) -> CriterionResult:
+def check_wave_packet(plan) -> CriterionResult:
     """Series and closed-form packets agree; the packet width never changes.
 
-    n_max=None resolves each label's truncation at SERIES_TAIL_TOL. The five
-    slices of a label, each on a grid around its mean, come from one
-    `packet_sweep` call, the sweep behind the `wavefunction` command. Any
-    slice with a non-finite difference or variance fails it, and is counted.
+    Each label's five slices, at its series n_max and each on a grid around
+    its mean, come from one `packet_sweep` call, the sweep behind the
+    `wavefunction` command. Any slice with a non-finite difference or
+    variance fails it, and is counted.
     """
     params = OscillatorParams()
     diff_tol = 1e-8
@@ -266,11 +267,8 @@ def check_wave_packet(chi_set, n_max: int | None = None) -> CriterionResult:
     worst_var = 0.0
     nonfinite = 0
     times = (0.0, 0.7, math.pi, 4.2, 2.0 * math.pi)
-    for chi in chi_set:
-        label = CoherentLabel(chi)
-        _, series, closed, _, variances = packet_sweep(
-            label, times, params, resolve_n_max(label, n_max, SERIES_TAIL_TOL)
-        )
+    for label, _, n_max in plan:
+        _, series, closed, _, variances = packet_sweep(label, times, params, n_max)
         diffs = np.max(np.abs(series - closed), axis=1)  # per slice, nan-propagating
         finite = np.isfinite(diffs) & np.isfinite(variances)
         nonfinite += int(np.count_nonzero(~finite))
@@ -305,23 +303,19 @@ def check_generating_identity(seed: int) -> CriterionResult:
     )
 
 
-def check_annihilation_eigenstate(
-    chi_set, n_max: int | None = None
-) -> CriterionResult:
-    """The evolved state stays an annihilation eigenstate, except when
-    deliberately under-truncated. n_max=None resolves each label's
-    truncation at SERIES_TAIL_TOL."""
+def check_annihilation_eigenstate(plan) -> CriterionResult:
+    """The evolved state, at each label's series n_max, stays an annihilation
+    eigenstate, except when deliberately under-truncated."""
     params = OscillatorParams()
     tol = 1e-10
     worst = 0.0
     times = (0.0, 1.1)
-    for chi in chi_set:
-        label = CoherentLabel(chi)
-        nm = resolve_n_max(label, n_max, SERIES_TAIL_TOL)
+    for label, _, n_max in plan:
+        base = coherent_coefficients(label, n_max)
         closed = averages_closedform_batch(label, times, params)
         for k, t in enumerate(times):
             chit = complex(closed["a_avg_re"][k], closed["a_avg_im"][k])  # <a>
-            state = dynamical_coherent_state(label, t, params, nm)
+            state = propagate_fock(base, t, params)
             worst = max(worst, annihilation_residual(state, CoherentLabel(chit)))
     # under-truncated control: the residual must be grossly visible
     bad_label = CoherentLabel(3 + 0j)
@@ -415,22 +409,20 @@ def rk4_coefficients(state, params: OscillatorParams, t_total: float, steps: int
     return c + c * acc
 
 
-def check_propagator_vs_rk4(chi_set, n_max: int | None = None) -> CriterionResult:
+def check_propagator_vs_rk4(plan) -> CriterionResult:
     """The exact spectral propagator agrees with brute RK4 integration on
-    every label of chi_set; the detail reports the worst error and the
-    largest step count of any label."""
+    the amplitudes of every label of the plan; the detail reports the worst
+    error and the largest step count of any label."""
     params = OscillatorParams()
     tol = 1e-7
     period = 2.0 * math.pi / params.omega
     worst = 0.0
     most_steps = 0
-    for label in map(CoherentLabel, chi_set):
-        nm = resolve_n_max(label, n_max)
-        base = coherent_coefficients(label, nm)
+    for _, base, _ in plan:
         # RK4's global error on the top level, whose phase over the period is
         # theta = E_max period / hbar, is about N |theta / N|^5 / 120: take
         # the smallest N that holds that error to tol / 100.
-        theta = params.omega * (nm + 0.5) * period
+        theta = params.omega * (base.n_max + 0.5) * period
         steps = math.ceil((100.0 * theta**5 / (120.0 * tol)) ** 0.25)
         numeric = rk4_coefficients(base, params, period, steps)
         exact = propagate_fock(base, period, params).coeffs
@@ -450,25 +442,26 @@ def run_all(
     """Run every criterion; exceptions count as failures of their criterion.
 
     With chi/n_max given, the sweeping criteria run at that single setting
-    instead of the built-in probe set; pinned controls stay pinned.
+    instead of the built-in probe set; pinned controls stay pinned. A label
+    that `_label_plan` cannot build raises ValueError before any criterion.
     """
     chi_set = DEFAULT_CHI_SET if chi is None else (complex(chi),)
+    plan = _label_plan(chi_set, n_max)
+    # ehrenfest-mean-motion's one label: chi, or the probe set's 1 + 0j
+    motion = plan[0 if chi is not None else DEFAULT_CHI_SET.index(1 + 0j)][1]
     # one sweep for three criteria; if it raises, so does each reader
-    sweep = functools.cache(lambda: _label_sweep(chi_set, n_max))
+    sweep = functools.cache(lambda: _label_sweep(plan))
     battery: list[tuple[str, Callable[[], CriterionResult]]] = [
         ("minimal-uncertainty", lambda: check_minimal_uncertainty(sweep())),
         ("fock-uncertainty", check_fock_uncertainty),
         ("anomalous-averages", lambda: check_anomalous_averages(sweep())),
-        ("ehrenfest-mean-motion", lambda: check_ehrenfest(chi, n_max)),
+        ("ehrenfest-mean-motion", lambda: check_ehrenfest(motion)),
         ("energy-constancy", lambda: check_energy_constancy(sweep())),
-        ("wave-packet-nondiffusion", lambda: check_wave_packet(chi_set, n_max)),
+        ("wave-packet-nondiffusion", lambda: check_wave_packet(plan)),
         ("hermite-generating-identity", lambda: check_generating_identity(seed)),
-        (
-            "annihilation-eigenstate",
-            lambda: check_annihilation_eigenstate(chi_set, n_max),
-        ),
+        ("annihilation-eigenstate", lambda: check_annihilation_eigenstate(plan)),
         ("phase-symmetry", lambda: check_phase_symmetry(seed)),
-        ("propagator-vs-rk4", lambda: check_propagator_vs_rk4(chi_set, n_max)),
+        ("propagator-vs-rk4", lambda: check_propagator_vs_rk4(plan)),
     ]
     results = []
     for name, runner in battery:

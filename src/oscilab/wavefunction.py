@@ -209,7 +209,7 @@ def psi_series_grid(
     bufsize = min(caller_bufsize, max(16, npoints // 16 * 16))
     for start in range(0, slices, per_pass):
         block = slice(start, start + per_pass)
-        # row s is dynamical_coherent_state(label, ts[s], ...).coeffs to the bit
+        # row s is propagate_fock's coeffs of base at ts[s], to the bit
         coeffs = base * level_phases(params, ts[block], n_max)
         # parts[k] is the (2, slices, 1) stack of Re and Im c_k(t_s)
         parts = np.stack([coeffs.real, coeffs.imag]).transpose(2, 0, 1)[..., np.newaxis]

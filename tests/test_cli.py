@@ -1104,19 +1104,20 @@ def test_underflowing_amplitudes_exit_1_naming_the_cause(capsys):
     assert "Traceback" not in captured.err
 
 
-def test_verify_with_underflowing_amplitudes_passes_nothing_on_a_zero_state():
+def test_verify_refuses_underflowing_amplitudes_before_the_battery():
+    # run_all's label plan builds the amplitudes before any criterion runs
     result = subprocess.run(
         [sys.executable, "-m", "oscilab", "verify", "--chi-re", "40", "--n-max", "10"],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
     )
-    assert result.returncode == 3
-    assert "RuntimeWarning" not in result.stderr
-    lines = {line.split()[1]: line for line in result.stdout.splitlines()[:-1]}
-    for name in ("annihilation-eigenstate", "propagator-vs-rk4"):
-        assert lines[name].startswith("FAIL")
-        assert "amplitudes underflow" in lines[name]
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "oscilab: error: label (40+0j) is too large: its amplitudes underflow "
+        "(exp(-|chi|^2/2) = 0 is below the smallest normal float)\n"
+    )
 
 
 def test_wavefunction_rows_match_the_per_scalar_form():

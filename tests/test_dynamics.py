@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from oscilab.coherent import (
     CoherentLabel,
     coherent_coefficients,
-    dynamical_coherent_state,
     resolve_n_max,
 )
 from oracle import (
@@ -134,15 +133,6 @@ def test_propagate_zero_time_is_identity():
     evolved = propagate_fock(state, 0.0, PARAMS)
     np.testing.assert_array_equal(evolved.coeffs, state.coeffs)
     assert evolved.time == state.time
-
-
-def test_propagate_matches_dynamical_coherent_state():
-    label = CoherentLabel(0.8 + 0.3j)
-    for t in (0.2, 1.9, 7.0):
-        via_propagator = propagate_fock(coherent_coefficients(label, 24), t, PARAMS)
-        direct = dynamical_coherent_state(label, t, PARAMS, 24)
-        np.testing.assert_allclose(via_propagator.coeffs, direct.coeffs, atol=1e-12)
-        assert via_propagator.time == direct.time
 
 
 def test_propagate_preserves_populations():

@@ -21,7 +21,6 @@ from oracle import (
 from oscilab.coherent import (
     CoherentLabel,
     coherent_coefficients,
-    dynamical_coherent_state,
     resolve_n_max,
 )
 from oscilab.fock import (
@@ -93,7 +92,7 @@ def test_closedform_energy():
 def test_closed_and_brute_force_agree_fieldwise(chi, t):
     label = CoherentLabel(chi)
     n_max = resolve_n_max(label, tol=1e-14)
-    state = dynamical_coherent_state(label, t, PARAMS, n_max)
+    state = propagate_fock(coherent_coefficients(label, n_max), t, PARAMS)
     brute = record_row(averages_bruteforce(state, PARAMS))
     single = averages_closedform_batch(label, [t], PARAMS)
     closed = [single[name][0] for name in RECORD_COLUMNS]
@@ -123,7 +122,7 @@ def test_energy_partition_between_kinetic_and_potential(params):
         assert rec["energy"][0] == pytest.approx(split, abs=1e-10)
         n_max = resolve_n_max(label)
         brute = averages_bruteforce(
-            dynamical_coherent_state(label, t, params, n_max), params
+            propagate_fock(coherent_coefficients(label, n_max), t, params), params
         )
         split_brute = brute["mean_p2"][0] / (2 * params.mass) + (
             0.5 * params.mass * params.omega**2

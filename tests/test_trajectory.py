@@ -10,7 +10,6 @@ from oscilab.coherent import (
     TRUNCATION_MARGIN,
     CoherentLabel,
     coherent_coefficients,
-    dynamical_coherent_state,
     resolve_n_max,
 )
 from oscilab.dynamics import propagate_fock, sample_count, sample_times
@@ -39,7 +38,7 @@ def test_phase_rows_are_bit_identical_to_the_per_state_propagators():
     for t, row in zip(times, block):
         np.testing.assert_array_equal(row, propagate_fock(base, t, params).coeffs)
         np.testing.assert_array_equal(
-            row, dynamical_coherent_state(label, t, params, n_max).coeffs
+            row, propagate_fock(coherent_coefficients(label, n_max), t, params).coeffs
         )
 
 

@@ -258,9 +258,10 @@ def test_a_non_finite_packet_slice_fails_and_is_counted(part, monkeypatch):
             variance[2] = math.nan
         return points, series, closed, norm2, variance
 
-    finite = check_wave_packet((1.0 + 0j,))
+    plan = verify._label_plan((1.0 + 0j,), None)
+    finite = check_wave_packet(plan)
     monkeypatch.setattr(verify, "packet_sweep", one_nan_slice)
-    result = check_wave_packet((1.0 + 0j,))
+    result = check_wave_packet(plan)
     assert finite.passed and not result.passed
     assert result.detail == finite.detail + ", 1 non-finite slice"
 
@@ -270,7 +271,7 @@ def test_an_overflowing_closed_form_fails_without_a_warning():
     # at three of the five times
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = check_wave_packet((27j,))
+        result = check_wave_packet(verify._label_plan((27j,), None))
     assert not result.passed
     assert result.detail == (
         "max |series - closed| = 7.009e-07 (tol 1e-08), "

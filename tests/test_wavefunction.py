@@ -19,7 +19,8 @@ from oracle import (
     slice_moments,
     trapezoid_grid,
 )
-from oscilab.coherent import CoherentLabel, dynamical_coherent_state
+from oscilab.coherent import CoherentLabel, coherent_coefficients
+from oscilab.dynamics import propagate_fock
 from oscilab.fock import DimensionMismatchError, OscillatorParams
 from oscilab.observables import averages_closedform_batch
 from oscilab import wavefunction
@@ -287,7 +288,7 @@ def test_series_is_the_float_table_product_to_the_bit(n_max, chi, grid):
     # (BLAS) product, whose summation order is its own
     label = CoherentLabel(chi)
     for t in (0.0, 0.9):
-        coeffs = dynamical_coherent_state(label, t, PARAMS, n_max).coeffs
+        coeffs = propagate_fock(coherent_coefficients(label, n_max), t, PARAMS).coeffs
         table = eigenfunction_table(n_max, grid, PARAMS)
         fixed_order = np.zeros(grid.size, dtype=complex)
         for c_k, row in zip(coeffs, table):
@@ -351,7 +352,7 @@ def test_padded_lanes_never_reach_the_series(monkeypatch, npoints, several_passe
     width = -(-npoints // 8) * 8
     assert widths == ([(2, width)] * 2 + [(1, width)] if several_passes else [(5, width)])
     for s, t in enumerate(times):
-        coeffs = dynamical_coherent_state(label, t, PARAMS, n_max).coeffs
+        coeffs = propagate_fock(coherent_coefficients(label, n_max), t, PARAMS).coeffs
         fixed_order = np.zeros(npoints, dtype=complex)
         for c_k, row in zip(coeffs, textbook_table(n_max, points[s], PARAMS)):
             fixed_order += c_k * row
@@ -384,7 +385,7 @@ def test_every_slice_uses_the_dynamical_state_coefficients_to_the_bit(
     points = np.zeros((times.size, 600))
     series = psi_series_grid(label, points, times, PARAMS, n_max)
     for t, got in zip(times, series):
-        want = dynamical_coherent_state(label, t, PARAMS, n_max).coeffs + 0.0
+        want = propagate_fock(coherent_coefficients(label, n_max), t, PARAMS).coeffs + 0.0
         assert got[: n_max + 1].tobytes() == want.tobytes()
         assert not np.any(got[n_max + 1:])
 
