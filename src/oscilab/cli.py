@@ -480,7 +480,7 @@ def _admit(config: argparse.Namespace, n_max: int) -> None:
         "spectrum": ((levels, "levels", 4), (1, "states")),
         "uncertainty": ((levels - TRUNCATION_MARGIN, "number states", 4), (1, "states")),
         "symmetry-check": ((17, "angles", 6), (17, "angles")),
-        "verify": ((0, "rows", 0), (5, "slices")),  # wave-packet-nondiffusion's
+        "verify": ((0, "rows", 0), (5, "slices")),  # its packet's; the plan rides on top
     }[config.command]
     terms = [(*table, "columns", "table"), (*rows, levels, "levels", "coefficient")]
     a, a_name, b, b_name, term = max(terms, key=lambda t: t[0] * t[2])

@@ -1,7 +1,6 @@
 """Run the committed mutation checks: each mutant must fail the tests it names.
 
-    python tests/mutants.py                            # every mutant
-    python tests/mutants.py only-the-named-subparser   # the named mutants only
+    python tests/mutants.py
 
 Each row of MUTANTS names a file under `src/oscilab`, one exact piece of its
 text, the replacement and the tests that must catch the change. For each
@@ -15,7 +14,6 @@ every tier-1 run. The exit code is 1 when any mutant survives or is stale.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -113,25 +111,17 @@ def run(mutant: Mutant) -> str:
     return "survived" if result.returncode == 0 else "killed"
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description="Run the committed mutation checks.")
-    parser.add_argument("names", nargs="*", metavar="NAME", help="mutants to run")
-    args = parser.parse_args(argv)
-    known = {mutant.name: mutant for mutant in MUTANTS}
-    unknown = [name for name in args.names if name not in known]
-    if unknown:
-        parser.error(f"no mutant named {', '.join(unknown)}")
-    chosen = [known[name] for name in args.names] or list(MUTANTS)
+def main() -> int:
     failed = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         start = time.perf_counter()
         verdict = run(mutant)
         print(f"{verdict:8}  {time.perf_counter() - start:6.1f} s  {mutant.name}",
               flush=True)
         failed += verdict != "killed"
-    print(f"{len(chosen) - failed}/{len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - failed}/{len(MUTANTS)} mutants killed")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -116,7 +116,7 @@ def test_ehrenfest_reads_the_coarse_trajectory_from_the_fine_one(monkeypatch, ch
 
 
 @pytest.mark.parametrize("chi", [5 + 0j, 10 + 0j, 3 - 4j])
-def test_series_criteria_resolve_their_truncation_from_the_label(chi):
+def test_series_criteria_pass_at_the_plans_series_n_max(chi):
     # n_max 64 left the chi = 5 packet at 3.6e-06 and its residual at 2.8e-05
     from oscilab.verify import check_annihilation_eigenstate, check_wave_packet
 

@@ -18,8 +18,3 @@ def test_each_mutant_edits_text_found_once_and_names_defined_tests(mutant):
         tree = ast.parse((ROOT / path).read_text())
         defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
         assert name in defined, test_id
-
-
-def test_mutant_names_are_unique():
-    names = [mutant.name for mutant in MUTANTS]
-    assert len(set(names)) == len(names)
