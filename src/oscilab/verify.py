@@ -256,33 +256,27 @@ def check_wave_packet(plan) -> CriterionResult:
 
     Each label's five slices, at its series n_max and each on a grid around
     its mean, come from one `packet_sweep` call, the sweep behind the
-    `wavefunction` command. Any slice with a non-finite difference or
-    variance fails it, and is counted.
+    `wavefunction` command. The maxima propagate nan, so a slice with a
+    non-finite difference or variance fails it, and its detail reads nan.
     """
     params = OscillatorParams()
     diff_tol = 1e-8
     var_tol = 1e-8
     expected_var = params.hbar / (2.0 * params.mass * params.omega)
-    worst_diff = 0.0
-    worst_var = 0.0
-    nonfinite = 0
+    diffs, drifts = [], []
     times = (0.0, 0.7, math.pi, 4.2, 2.0 * math.pi)
     for label, _, n_max in plan:
         _, series, closed, _, variances = packet_sweep(label, times, params, n_max)
-        diffs = np.max(np.abs(series - closed), axis=1)  # per slice, nan-propagating
-        finite = np.isfinite(diffs) & np.isfinite(variances)
-        nonfinite += int(np.count_nonzero(~finite))
-        worst_diff = max([worst_diff, *diffs[finite].tolist()])
-        worst_var = max([worst_var, *np.abs(variances[finite] - expected_var).tolist()])
+        diffs.append(np.max(np.abs(series - closed)))
+        drifts.append(np.max(np.abs(variances - expected_var)))
+    worst_diff, worst_var = float(np.max(diffs)), float(np.max(drifts))
     detail = (
         f"max |series - closed| = {worst_diff:.3e} (tol {diff_tol:.0e}), "
         f"max width drift = {worst_var:.3e} (tol {var_tol:.0e})"
     )
-    if nonfinite:
-        detail += f", {nonfinite} non-finite slice{'s' if nonfinite > 1 else ''}"
     return CriterionResult(
         "wave-packet-nondiffusion",
-        worst_diff < diff_tol and worst_var < var_tol and not nonfinite,
+        worst_diff < diff_tol and worst_var < var_tol,
         detail,
     )
 

@@ -7,7 +7,8 @@ any level. `generating_sum_check` keeps the raw recurrence for the Hermite
 generating identity, where k stays small.
 
 The coherent packet is available as a truncated eigenfunction series and as
-a closed form, a Gaussian with a complex center. `packet_sweep` returns
+a closed form, a Gaussian with a complex center whose exponent has a real
+part never above 0, so it is finite at any |chi|. `packet_sweep` returns
 both for its callers to compare, and the tests check them against each
 other and against the textbook references of `tests/oracle.py` (single
 eigenfunctions, the packet written through the mean coordinate).
@@ -241,31 +242,32 @@ def psi_series_grid(
 
 
 def psi_closed_grid(label: CoherentLabel, x, t, params: OscillatorParams) -> np.ndarray:
-    """Closed-form coherent packet on arrays of positions: a Gaussian whose
-    squared shift has the complex center chi(t) sqrt(2 hbar / M omega).
+    """Closed-form coherent packet on arrays of positions, the Gaussian with
+    complex center chi(t) = a + ib written as
+        N exp(-i omega t / 2) exp(-u^2 + i b (2u + a)),
+    u = x sqrt(M omega / 2 hbar) - a, N = (M omega / pi hbar)^(1/4): the
+    exponent's real part is never positive, so no cell overflows.
 
-    Takes the stacks of `psi_series_grid`. Each slice's scalar factors are
-    Python numbers, from `averages_closedform_batch`, and only the Gaussian
-    array is broadcast, so a slice is its own 1-slice call to the bit (numpy
-    complex factors round otherwise). No multivalued
+    Takes the stacks of `psi_series_grid`. The exponential is numpy's
+    complex one, and its product with each slice's factor, a Python complex,
+    is taken in real arithmetic as Python's complex `*` takes it, so a slice
+    is its own 1-slice call to the bit, at every SIMD level. No multivalued
     logarithm is involved, so sweeps over t never hit a branch cut.
     """
     ts, xs = _slices(t, x)
     hbar, mass, omega = params.hbar, params.mass, params.omega
     prefactor = (mass * omega / (math.pi * hbar)) ** 0.25
     closed = averages_closedform_batch(label, ts, params)
-    factor = np.empty((ts.size, 1), dtype=complex)  # one scalar per slice
-    scale = math.sqrt(2.0 * hbar / (mass * omega))
-    amp = prefactor * math.exp(-0.5 * label.nbar)
-    shift = np.empty_like(factor)
-    rows = zip(ts.tolist(), closed["a_avg_re"].tolist(), closed["a_avg_im"].tolist())
-    for s, (t_s, re, im) in enumerate(rows):
-        chit = complex(re, im)
-        shift[s] = chit * scale
-        factor[s] = amp * np.exp(-0.5j * omega * t_s + 0.5 * chit * chit)
-    # past |Im chi(t)| ~ 26.6 the Gaussian overflows: nan or inf, which callers refuse
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = factor * np.exp(-(mass * omega / (2.0 * hbar)) * (xs - shift) ** 2)
+    a, b = closed["a_avg_re"][:, np.newaxis], closed["a_avg_im"][:, np.newaxis]
+    u = xs * math.sqrt(mass * omega / (2.0 * hbar)) - a
+    gauss = np.empty(xs.shape, dtype=complex)
+    gauss.real, gauss.imag = -u * u, b * (2.0 * u + a)
+    np.exp(gauss, out=gauss)
+    factor = np.array([prefactor * np.exp(-0.5j * omega * t_s) for t_s in ts.tolist()])
+    fr, fi = factor.real[:, np.newaxis], factor.imag[:, np.newaxis]
+    values = np.empty_like(gauss)
+    values.real = fr * gauss.real - fi * gauss.imag
+    values.imag = fr * gauss.imag + fi * gauss.real
     return values
 
 

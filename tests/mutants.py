@@ -77,6 +77,12 @@ MUTANTS = (
         "series = resolve_n_max(label, n_max)",
         ("tests/test_acceptance.py::test_series_criteria_truncate_at_the_series_tail",),
     ),
+    Mutant(
+        "closed-form-phase-with-the-centre-subtracted", "wavefunction.py",
+        "2.0 * u + a", "2.0 * u - a",
+        ("tests/test_wavefunction.py::test_closed_form_is_finite_and_within_1e_12_of_mpmath",
+         "tests/test_wavefunction.py::test_two_closed_forms_agree_pointwise"),
+    ),
 )
 
 

@@ -872,16 +872,12 @@ def test_wavefunction_names_an_underflowing_eigenfunction_seed(capsys):
          "strictly increasing"),
         (["--grid-halfwidth", "1e300", "--hbar", "1e10"],
          "the grid of halfwidth 1e+300 around centre 141421.35623730952 is too wide"),
-        (["--chi-im", "27"], "the closed form is not finite at t = 0: "),
-        # t = -0.3 passes both checks; at t = 0, |Im chi(t)| = 26.7
-        (["--chi-im", "26.7", "--t-start", "-0.3", "--t-end", "0.3", "--dt", "0.3"],
-         "the closed form is not finite at t = 0: "),
-        # the quadrature refusal of t = 0 comes before its closed-form check
+        # the t = 0 grid reaches |xi| = 48.18, where the series' seed underflows
         (["--chi-re", "27", "--t-end", "1.6", "--dt", "1.6"],
          "the grid cannot resolve the packet at t = 0: "),
     ],
 )
-def test_wavefunction_refuses_a_bad_grid_or_closed_form_by_name(argv, message, capsys):
+def test_wavefunction_refuses_a_bad_grid_by_name(argv, message, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["wavefunction", *argv]) == 1
@@ -889,6 +885,23 @@ def test_wavefunction_refuses_a_bad_grid_or_closed_form_by_name(argv, message, c
     assert captured.out == ""
     assert message in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--chi-im 27",
+        # |Im chi(t)| = 26.7 at t = 0, between two slices below it
+        "--chi-im 26.7 --t-start -0.3 --t-end 0.3 --dt 0.3",
+    ],
+)
+def test_wavefunction_past_im_chi_26_6_writes_only_finite_cells(argv, capsys):
+    # past |Im chi(t)| = 26.6 the textbook closed form's Gaussian factor overflows
+    code, out, err = _run_strict(f"wavefunction {argv}", capsys)
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+    cells = np.array(rows[1:], dtype=float)
+    assert cells.shape[1] == 7 and np.isfinite(cells).all()
 
 
 # Run in a child under a 2 GiB address-space limit, so that a lost bound fails
@@ -1624,12 +1637,16 @@ def test_verify_of_the_vacuum_has_no_halving_ratio_to_report(capsys):
     assert row.startswith("PASS") and row.endswith("halving ratios = n/a")
 
 
-def test_verify_names_the_non_finite_slices_past_im_chi_26_6(capsys):
+def test_verify_at_im_chi_27_fails_on_the_underflowing_hermite_seed(capsys):
+    # a finite closed form at every slice; the series at t = 4.2 is not
     code, out, err = _run_strict("verify --chi-im 27", capsys)
     assert code == 3
     assert err == "verification failed: wave-packet-nondiffusion\n"
     row = next(line for line in out.splitlines() if "wave-packet-nondiffusion" in line)
-    assert row.startswith("FAIL") and row.endswith(", 3 non-finite slices")
+    assert row.startswith("FAIL") and row.endswith(
+        "max |series - closed| = 7.009e-07 (tol 1e-08), "
+        "max width drift = 5.929e-14 (tol 1e-08)"
+    )
 
 
 def test_a_label_whose_modulus_overflows_is_refused_by_name(capsys):

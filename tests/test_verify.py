@@ -244,9 +244,9 @@ def test_verify_loads_no_numpy_random():
 
 
 @pytest.mark.parametrize("part", ["closed", "variance"])
-def test_a_non_finite_packet_slice_fails_and_is_counted(part, monkeypatch):
-    # Python's max keeps its first argument over a nan, so a nan slice once
-    # left the maxima of the finite slices to pass the criterion
+def test_a_non_finite_packet_slice_fails_and_its_detail_reads_nan(part, monkeypatch):
+    # Python's max keeps its first argument over a nan, so only a maximum
+    # that propagates nan fails a nan slice
     sweep = verify.packet_sweep
 
     def one_nan_slice(*args, **kwargs):
@@ -263,17 +263,21 @@ def test_a_non_finite_packet_slice_fails_and_is_counted(part, monkeypatch):
     monkeypatch.setattr(verify, "packet_sweep", one_nan_slice)
     result = check_wave_packet(plan)
     assert finite.passed and not result.passed
-    assert result.detail == finite.detail + ", 1 non-finite slice"
+    diff, drift = finite.detail.split(", ")
+    if part == "closed":
+        assert result.detail == f"max |series - closed| = nan (tol 1e-08), {drift}"
+    else:
+        assert result.detail == f"{diff}, max width drift = nan (tol 1e-08)"
 
 
-def test_an_overflowing_closed_form_fails_without_a_warning():
-    # at |Im chi(t)| > 26.6 the closed form's Gaussian leaves the float range
-    # at three of the five times
+def test_im_chi_27_fails_on_the_underflowing_hermite_seed_without_a_warning():
+    # every closed-form slice is finite; the t = 4.2 slice's grid reaches
+    # |xi| = 43.3, where the series' seed exp(-xi^2/2) underflows to 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = check_wave_packet(verify._label_plan((27j,), None))
     assert not result.passed
     assert result.detail == (
         "max |series - closed| = 7.009e-07 (tol 1e-08), "
-        "max width drift = 5.929e-14 (tol 1e-08), 3 non-finite slices"
+        "max width drift = 5.929e-14 (tol 1e-08)"
     )

@@ -1,7 +1,10 @@
 import contextlib
 import math
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +38,7 @@ from oscilab.wavefunction import (
 )
 
 PARAMS = OscillatorParams()
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # The package's complex-center Gaussian and the oracle's mean-coordinate form.
 CLOSED_FORMS = {"complex_center": psi_closed_grid, "schrodinger": psi_schrodinger_grid}
@@ -420,10 +424,14 @@ def per_time_closed_form(label, xs, t, params, form):
     prefactor = (mass * omega / (math.pi * hbar)) ** 0.25
     if form == "complex_center":
         chit = label.chi * complex(np.exp(-1j * omega * t))
-        shift = chit * math.sqrt(2.0 * hbar / (mass * omega))
-        amp = prefactor * math.exp(-0.5 * label.nbar)
-        phase = np.exp(-0.5j * omega * t + 0.5 * chit * chit)
-        return amp * phase * np.exp(-(mass * omega / (2.0 * hbar)) * (xs - shift) ** 2)
+        u = xs * math.sqrt(mass * omega / (2.0 * hbar)) - chit.real
+        gauss = np.exp(-u * u + 1j * (chit.imag * (2.0 * u + chit.real)))
+        factor = prefactor * complex(np.exp(-0.5j * omega * t))
+        # factor * gauss as Python's complex `*` takes it
+        values = np.empty_like(gauss)
+        values.real = factor.real * gauss.real - factor.imag * gauss.imag
+        values.imag = factor.real * gauss.imag + factor.imag * gauss.real
+        return values
     rec = averages_closedform_batch(label, [t], params)
     xb, pb = float(rec["mean_x"][0]), float(rec["mean_p"][0])
     phase = np.exp(-1j * (0.5 * omega * t + 0.5 * pb * xb / hbar))
@@ -451,8 +459,9 @@ EDGE_TIMES = np.array([0.0, -0.0, -3.3, 1e4])
 def test_closed_form_slices_are_their_single_time_calls_to_the_bit(
     chi, params, times, form
 ):
-    # chi(t), chi(t)^2 and the phase taken as numpy complex arrays move up
-    # to 8,004 of the 18,009 packet-large cells, by up to 5.5e-15
+    # numpy's complex `*` in place of the complex-centre form's real-arithmetic
+    # product moves 6,349 of the 18,009 packet-large cells, by up to 1.6e-16
+    # (AVX-512 host)
     label = CoherentLabel(chi)
     centers = averages_closedform_batch(label, times, params)["mean_x"].tolist()
     points = np.array([default_packet_grid(params, center=c).points for c in centers])
@@ -488,6 +497,101 @@ def test_packet_sweep_rows_are_the_per_slice_calls_to_the_bit(
         norm2, _, variance = packet_moments(series, grid.points, grid.weights)
         expected = [grid.points, series, closed, np.float64(norm2), np.float64(variance)]
         assert [part[s].tobytes() for part in sweep] == [e.tobytes() for e in expected]
+
+
+@pytest.fixture(scope="module")
+def mpmath():
+    return pytest.importorskip("mpmath")
+
+
+def complex_center_at_40_digits(mpmath, label, x, t, params):
+    """The textbook complex-centre packet,
+        N exp(-|chi|^2/2) exp(-i omega t/2) exp(chi(t)^2/2)
+            exp(-(M omega / 2 hbar) (x - chi(t) sqrt(2 hbar / M omega))^2),
+    at 40 digits. It takes the double -omega * t that chi(t) is built from
+    as its exact angle: that rounding, up to 1e-12 rad at omega t = 2e4, is
+    the input's, and no form of the packet can undo it."""
+    with mpmath.workdps(40):
+        hbar, mass, omega = (mpmath.mpf(v) for v in (params.hbar, params.mass, params.omega))
+        angle = mpmath.mpf(-params.omega * t)
+        chi = mpmath.mpc(label.chi.real, label.chi.imag)
+        chit = chi * mpmath.expj(angle)
+        norm = (mass * omega / (mpmath.pi * hbar)) ** mpmath.mpf(0.25)
+        shift = chit * mpmath.sqrt(2 * hbar / (mass * omega))
+        return complex(
+            norm * mpmath.exp(-abs(chi) ** 2 / 2 + chit * chit / 2)
+            * mpmath.expj(angle / 2)
+            * mpmath.exp(-(mass * omega / (2 * hbar)) * (mpmath.mpf(x) - shift) ** 2)
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    chi=st.complex_numbers(max_magnitude=37.0),
+    units=st.tuples(*[st.floats(0.5, 2.0)] * 3),
+    t=st.floats(-1e4, 1e4),
+)
+def test_closed_form_is_finite_and_within_1e_12_of_mpmath(mpmath, chi, units, t):
+    # |Im chi(t)| past 26.6 included, where the textbook form's Gaussian
+    # factor overflows in floats
+    params = OscillatorParams(*units)
+    label = CoherentLabel(chi)
+    center = averages_closedform_batch(label, [t], params)["mean_x"][0]
+    points = default_packet_grid(params, center).points
+    got = one_slice(psi_closed_grid, label, points, t, params)
+    assert np.isfinite(got).all()
+    for x, value in zip(points[::100].tolist(), got[::100].tolist()):
+        want = complex_center_at_40_digits(mpmath, label, x, t, params)
+        assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), (x, value, want)
+
+
+# Prints the highest x86-64 level numpy dispatches to and the sha256 of the
+# closed form on the packet-large stack: chi = 20, 9 times over one period,
+# 2001 points around each mean.
+_CLOSED_DIGEST_CHILD = """
+import hashlib, math
+import numpy as np
+from oscilab.coherent import CoherentLabel
+from oscilab.fock import OscillatorParams
+from oscilab.observables import averages_closedform_batch
+from oscilab.wavefunction import psi_closed_grid
+simd = np.show_config(mode="dicts")["SIMD Extensions"]
+levels = [n for n in (*simd.get("baseline", ()), *simd.get("found", ())) if n.startswith("X86_V")]
+label, params = CoherentLabel(20.0), OscillatorParams()
+times = np.linspace(0.0, 2.0 * math.pi, 9)
+centers = averages_closedform_batch(label, times, params)["mean_x"]
+points = np.linspace(centers - 10.0, centers + 10.0, 2001, axis=-1)
+closed = psi_closed_grid(label, points, times, params)
+print(max(levels, default="none"), hashlib.sha256(closed.tobytes()).hexdigest())
+"""
+_ABOVE_X86_V3 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def closed_digest(disabled: str | None) -> tuple[str, str]:
+    """(SIMD level, digest) from a child with NPY_DISABLE_CPU_FEATURES set
+    to `disabled`, or unset."""
+    env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
+    if disabled is not None:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+    result = subprocess.run(
+        [sys.executable, "-c", _CLOSED_DIGEST_CHILD],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    level, digest = result.stdout.split()
+    return level, digest
+
+
+@pytest.mark.parametrize(
+    "level, disabled", [("X86_V3", _ABOVE_X86_V3), ("X86_V2", _ABOVE_X86_V3 + " X86_V3")]
+)
+def test_closed_form_bytes_do_not_depend_on_the_simd_level(level, disabled):
+    # numpy's complex `*` rounds differently at X86_V2 than above it, and
+    # its float `exp` at AVX-512 than below it; the closed form uses neither
+    child_level, digest = closed_digest(disabled)
+    if child_level != level:
+        pytest.skip(f"this machine dispatches to {child_level}, not {level}")
+    assert digest == closed_digest(None)[1]
 
 
 def test_packet_sweep_refuses_a_zero_norm_slice():
@@ -725,12 +829,14 @@ def test_packet_sweep_refuses_a_bad_grid_without_a_warning(halfwidth, npoints, m
     chi=st.complex_numbers(max_magnitude=5.0),
 )
 def test_packet_sweep_returns_or_refuses_without_a_warning(log_units, log_halfwidth, chi):
-    # a closed-form slice may come back non-finite (the CLI refuses it);
-    # nothing may warn on the way
+    # nothing may warn on the way, and a returned closed form is finite
     params = OscillatorParams(*(10.0**u for u in log_units))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            packet_sweep(CoherentLabel(chi), [0.0, 0.5], params, 40, 10.0**log_halfwidth, 41)
+            _, _, closed, _, _ = packet_sweep(
+                CoherentLabel(chi), [0.0, 0.5], params, 40, 10.0**log_halfwidth, 41
+            )
         except ValueError:
-            pass
+            return
+    assert np.isfinite(closed).all()
