@@ -1,16 +1,17 @@
 """Record the benchmark into a BENCH_*.json file, or diff two such files.
 
-    python tests/bench_record.py record BENCH_34.json [--seconds S] [--seed N]
+    python tests/bench_record.py record BENCH_34.json
     python tests/bench_record.py diff BENCH_parent.json BENCH_34.json
 
 `record` runs the command of BENCHMARK.json (`perfbench/run.py`, unchanged)
 once per workload at `--trace 0` and once at `--trace 1`, one run at a time,
-and writes one JSON file. Each run keeps the two JSON lines that run.py
-prints: the one with the argv, the machine, the tail percentiles and the
-failures (the imported module's path made relative to the checkout), and
-the result line with the metrics. The file adds the golden corpus
-fingerprint of `tests/golden/regenerate.py`, since the SIMD level that
-moves output bytes can move times too.
+each for BENCHMARK.json's `run_seconds` at seed 0, so that any two files
+are recorded alike, and writes one JSON file. Each run keeps the two JSON
+lines that run.py prints: the one with the argv, the machine, the tail
+percentiles and the failures (the imported module's path made relative to
+the checkout), and the result line with the metrics. The file adds the
+golden corpus fingerprint of `tests/golden/regenerate.py`, since the SIMD
+level that moves output bytes can move times too.
 
 `diff` prints, for each workload and metric of the change's file, the
 parent's value, the change's and the relative change. An end-to-end metric
@@ -29,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+SEED = 0
 
 
 def fingerprint() -> str:
@@ -40,10 +42,10 @@ def fingerprint() -> str:
     return module.fingerprint()
 
 
-def run(workload: str, trace: int, seconds: float, seed: int) -> dict:
+def run(workload: str, trace: int) -> dict:
     """One benchmark run: its two JSON lines, parsed."""
-    argv = [*SPEC["command"], "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+    argv = [*SPEC["command"], "--workload", workload, "--seed", str(SEED),
+            "--seconds", str(SPEC["run_seconds"]), "--trace", str(trace)]
     result = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
     if result.returncode != 0:
         raise SystemExit(f"{' '.join(argv)} exited {result.returncode}:\n{result.stderr}")
@@ -55,14 +57,14 @@ def run(workload: str, trace: int, seconds: float, seed: int) -> dict:
     return {"workload": workload, "trace": trace, "info": info, "result": metrics}
 
 
-def record(path: Path, seconds: float, seed: int) -> int:
+def record(path: Path) -> int:
     runs = []
     for workload in SPEC["workloads"]:
         for trace in (0, 1):
-            runs.append(run(workload["name"], trace, seconds, seed))
+            runs.append(run(workload["name"], trace))
             print(f"{workload['name']} --trace {trace}: done", file=sys.stderr)
-    document = {"fingerprint": fingerprint(), "seconds": seconds, "seed": seed,
-                "runs": runs}
+    document = {"fingerprint": fingerprint(), "seconds": SPEC["run_seconds"],
+                "seed": SEED, "runs": runs}
     path.write_text(json.dumps(document, indent=1) + "\n")
     return 0
 
@@ -97,14 +99,12 @@ def main(argv: list[str]) -> int:
     sub = parser.add_subparsers(dest="mode", required=True)
     rec = sub.add_parser("record", help="run every workload and write the file")
     rec.add_argument("output", type=Path)
-    rec.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
-    rec.add_argument("--seed", type=int, default=0)
     dif = sub.add_parser("diff", help="parent -> change for each metric")
     dif.add_argument("parent", type=Path)
     dif.add_argument("change", type=Path)
     args = parser.parse_args(argv)
     if args.mode == "record":
-        return record(args.output, args.seconds, args.seed)
+        return record(args.output)
     return diff(args.parent, args.change)
 
 
