@@ -480,7 +480,7 @@ def _admit(config: argparse.Namespace, n_max: int) -> None:
         "spectrum": ((levels, "levels", 4), (1, "states")),
         "uncertainty": ((levels - TRUNCATION_MARGIN, "number states", 4), (1, "states")),
         "symmetry-check": ((17, "angles", 6), (17, "angles")),
-        "verify": ((0, "rows", 0), (5, "slices")),  # its packet's; the plan rides on top
+        "verify": ((0, "rows", 0), (5, "slices")),  # its packet's; one state per label on top
     }[config.command]
     terms = [(*table, "columns", "table"), (*rows, levels, "levels", "coefficient")]
     a, a_name, b, b_name, term = max(terms, key=lambda t: t[0] * t[2])
@@ -513,9 +513,9 @@ def _admit(config: argparse.Namespace, n_max: int) -> None:
         _check_phase(config, t, n_max)
 
 
-def _trajectory(config, params, label, n_max):
+def _trajectory(config, params, label, state):
     times = sample_times(config.t_start, config.t_end, config.dt)
-    brute = averages_bruteforce_batch(coherent_coefficients(label, n_max), times, params)
+    brute = averages_bruteforce_batch(state, times, params)
     closed = averages_closedform_batch(label, times, params)
     columns, values = ["time"], [times]
     for name in RECORD_COLUMNS[1:]:
@@ -524,25 +524,24 @@ def _trajectory(config, params, label, n_max):
     return columns, np.column_stack(values), []
 
 
-def _spectrum(config, params, label, n_max):
-    table = np.empty((n_max + 1, 4))
-    table[:, 0] = range(n_max + 1)
+def _spectrum(config, params, label, state):
+    table = np.empty((state.n_max + 1, 4))
+    table[:, 0] = range(state.n_max + 1)
     # level by level: numpy's array complex abs rounds apart from its scalar one
-    table[:, 1] = [abs(c) ** 2 for c in coherent_coefficients(label, n_max).coeffs]
-    table[:, 2] = [occupation_probability(label, n) for n in range(n_max + 1)]
+    table[:, 1] = [abs(c) ** 2 for c in state.coeffs]
+    table[:, 2] = [occupation_probability(label, n) for n in range(state.n_max + 1)]
     table[:, 3] = np.abs(table[:, 1] - table[:, 2])
-    footer = [{"truncation_tail": truncation_tail(label, n_max)}]
+    footer = [{"truncation_tail": truncation_tail(label, state.n_max)}]
     return ["n", "prob_coeff", "prob_poisson", "abs_diff"], table, footer
 
 
-def _uncertainty(config, params, label, n_max):
-    levels = range(max(0, n_max + 1 - TRUNCATION_MARGIN))  # second-moment headroom
+def _uncertainty(config, params, label, state):
+    levels = range(max(0, state.n_max + 1 - TRUNCATION_MARGIN))  # second-moment headroom
     table = np.empty((len(levels), 4))
     table[:, 0] = levels
     table[:, 1] = uncertainty_fock(levels, params)
-    table[:, 2] = averages_bruteforce_fock(levels, n_max, params)["uncertainty"]
+    table[:, 2] = averages_bruteforce_fock(levels, state.n_max, params)["uncertainty"]
     table[:, 3] = np.abs(table[:, 1] - table[:, 2])
-    state = coherent_coefficients(label, n_max)
     at_start = averages_bruteforce_batch(state, [config.t_start], params)
     coherent_u = float(at_start["uncertainty"][0])
     floor = 0.5 * params.hbar
@@ -556,12 +555,11 @@ def _uncertainty(config, params, label, n_max):
     return ["n", "product_exact", "product_bruteforce", "abs_diff"], table, footer
 
 
-def _wavefunction(config, params, label, n_max):
+def _wavefunction(config, params, label, state):
     times = sample_times(config.t_start, config.t_end, config.dt)
-    coeffs = coherent_coefficients(label, n_max).coeffs
-    coeff_norm2 = float(np.vdot(coeffs, coeffs).real)
+    coeff_norm2 = float(np.vdot(state.coeffs, state.coeffs).real)
     points, series, closed, norms, variances = packet_sweep(
-        label, times, params, n_max, config.grid_halfwidth, config.grid_points
+        label, state, times, params, config.grid_halfwidth, config.grid_points
     )
     footer = []
     slices = zip(times.tolist(), norms.tolist(), variances.tolist())
@@ -589,20 +587,20 @@ def _wavefunction(config, params, label, n_max):
     return columns, table.reshape(-1, len(columns)), footer
 
 
-def _symmetry_check(config, params, label, n_max):
+def _symmetry_check(config, params, label, state):
     alphas = np.linspace(0.0, 2.0 * math.pi, 17)
-    coeffs = coherent_coefficients(label, n_max).coeffs
     drifts = phase_rotation_drifts(
-        np.broadcast_to(coeffs, (alphas.size, coeffs.size)), alphas, params
+        np.broadcast_to(state.coeffs, (alphas.size, state.coeffs.size)), alphas, params
     )
     footer = [{f"max_{name}": float(values.max()) for name, values in drifts.items()}]
     return ["alpha", *drifts], np.column_stack([alphas, *drifts.values()]), footer
 
 
 # Every table command: name -> (producer, tail tolerance of its auto
-# truncation). A producer maps (config, params, label, n_max) to
-# (columns, rows, footer), rows a float64 matrix (an integer column, such as
-# `n`, holds floats that "%.17g" writes as the ints). `_run_table` does the rest.
+# truncation). A producer maps (config, params, label, state), the state the
+# label's time-0 amplitudes, to (columns, rows, footer), rows a float64 matrix
+# (an integer column, such as `n`, holds floats that "%.17g" writes as the
+# ints). `_run_table` resolves n_max, builds the state once and does the rest.
 PRODUCERS = {
     "trajectory": (_trajectory, AUTO_TAIL_TOL),
     "spectrum": (_spectrum, AUTO_TAIL_TOL),
@@ -614,10 +612,11 @@ PRODUCERS = {
 
 def _run_table(config: argparse.Namespace) -> int:
     producer, tail_tol = PRODUCERS[config.command]
-    explicit = None if config.n_max == "auto" else config.n_max
-    n_max = resolve_n_max(_label(config), explicit, tail_tol)
+    label = _label(config)
+    n_max = resolve_n_max(label, None if config.n_max == "auto" else config.n_max, tail_tol)
     _admit(config, n_max)
-    columns, rows, footer = producer(config, _params(config), _label(config), n_max)
+    state = coherent_coefficients(label, n_max)  # the run's one build, once admitted
+    columns, rows, footer = producer(config, _params(config), label, state)
     echo = _config_echo(config, n_max)
     _emit(config, _render(config, config.command, echo, columns, rows, footer))
     return EXIT_OK

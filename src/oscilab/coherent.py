@@ -7,7 +7,9 @@ interest, while the ladder stays well-scaled for any n. The dynamical
 coherent state at time t is these amplitudes carried forward by the exact
 level phases, `dynamics.propagate_fock(coherent_coefficients(label, n_max),
 t, params)`: the time-0 state of the evolved label chi exp(-i omega t),
-times the global phase exp(-i omega t / 2).
+times the global phase exp(-i omega t / 2). A run builds them once, in the
+CLI's table runner or in `verify`'s label plan, and every kernel that evolves
+them, the packet series included, takes that state.
 
 The truncation tail (total Poisson weight above n_max) is the single error
 control for everything downstream, and `resolve_n_max` alone turns a tail

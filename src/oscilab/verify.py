@@ -118,15 +118,18 @@ class CriterionResult(Value):
 
 
 def _label_plan(chi_set, n_max: int | None):
-    """Each label of chi_set with its time-0 amplitudes at
-    `resolve_n_max(label, n_max)` and its series n_max, at SERIES_TAIL_TOL.
+    """Each label of chi_set with its time-0 states at the moments' and the
+    series' truncation, `resolve_n_max` at AUTO_TAIL_TOL and SERIES_TAIL_TOL,
+    built once at the latter: the ladder makes the former a bit-exact prefix.
     A label the plan cannot build raises ValueError: a capped truncation (the
     moments' first), a negative n_max or underflowing amplitudes."""
     plan = []
     for label in map(CoherentLabel, chi_set):
         moments = resolve_n_max(label, n_max)
         series = resolve_n_max(label, n_max, SERIES_TAIL_TOL)
-        plan.append((label, coherent_coefficients(label, moments), series))
+        full = coherent_coefficients(label, series)
+        prefix = StateVector(full.coeffs[:moments + 1], moments) if moments < series else full
+        plan.append((label, prefix, full))
     return plan
 
 
@@ -254,7 +257,7 @@ def check_energy_constancy(sweep) -> CriterionResult:
 def check_wave_packet(plan) -> CriterionResult:
     """Series and closed-form packets agree; the packet width never changes.
 
-    Each label's five slices, at its series n_max and each on a grid around
+    Each label's five slices, of its series state and each on a grid around
     its mean, come from one `packet_sweep` call, the sweep behind the
     `wavefunction` command. The maxima propagate nan, so a slice with a
     non-finite difference or variance fails it, and its detail reads nan.
@@ -265,8 +268,8 @@ def check_wave_packet(plan) -> CriterionResult:
     expected_var = params.hbar / (2.0 * params.mass * params.omega)
     diffs, drifts = [], []
     times = (0.0, 0.7, math.pi, 4.2, 2.0 * math.pi)
-    for label, _, n_max in plan:
-        _, series, closed, _, variances = packet_sweep(label, times, params, n_max)
+    for label, _, state in plan:
+        _, series, closed, _, variances = packet_sweep(label, state, times, params)
         diffs.append(np.max(np.abs(series - closed)))
         drifts.append(np.max(np.abs(variances - expected_var)))
     worst_diff, worst_var = float(np.max(diffs)), float(np.max(drifts))
@@ -298,14 +301,13 @@ def check_generating_identity(seed: int) -> CriterionResult:
 
 
 def check_annihilation_eigenstate(plan) -> CriterionResult:
-    """The evolved state, at each label's series n_max, stays an annihilation
+    """The evolved series state of each label stays an annihilation
     eigenstate, except when deliberately under-truncated."""
     params = OscillatorParams()
     tol = 1e-10
     worst = 0.0
     times = (0.0, 1.1)
-    for label, _, n_max in plan:
-        base = coherent_coefficients(label, n_max)
+    for label, _, base in plan:
         closed = averages_closedform_batch(label, times, params)
         for k, t in enumerate(times):
             chit = complex(closed["a_avg_re"][k], closed["a_avg_im"][k])  # <a>

@@ -6,11 +6,13 @@ Gaussian-weighted, orthonormal functions directly, which stay bounded for
 any level. `generating_sum_check` keeps the raw recurrence for the Hermite
 generating identity, where k stays small.
 
-The coherent packet is available as a truncated eigenfunction series and as
-a closed form, a Gaussian with a complex center whose exponent has a real
-part never above 0, so it is finite at any |chi|. `packet_sweep` returns
-both for its callers to compare, and the tests check them against each
-other and against the textbook references of `tests/oracle.py` (single
+The coherent packet is available as the eigenfunction series of a state, the
+time-0 amplitudes its caller built, and as the label's closed form, a Gaussian
+with a complex center whose exponent has a real part never above 0, so it is
+finite at any |chi|. `packet_sweep` returns both, on one (S, N) array of
+grids, one per time, for the `wavefunction` command and the
+`wave-packet-nondiffusion` criterion to compare; the tests check them against
+each other and against the textbook references of `tests/oracle.py` (single
 eigenfunctions, the packet written through the mean coordinate).
 
 The series never builds an eigenfunction table. It adds c_k phi_k into a
@@ -18,17 +20,11 @@ The series never builds an eigenfunction table. It adds c_k phi_k into a
 so it holds a few grid-sized rows instead of (n_max + 1) of them, and the
 sum is plain elementwise numpy in a fixed order: no BLAS call, and the same
 bits at any BLAS thread count. It takes a stack of S slices, each with its
-own time and grid, and runs the recurrence once over all their points, in
-passes bounded to stay in cache, on rows padded to whole 64-byte cache lines
-in one aligned workspace per call. A point gets the same operations in the
-same order either way, so a slice of a stack equals its own call to the bit.
-The accumulate loop runs with numpy's ufunc buffer no longer than a grid
-row: a buffer that spans rows makes the broadcast coefficient multiply copy
-its operands through it, 36 us a level at 9 x 2001 points against 12 us
-without the copies. The caller's buffer size is restored on every exit.
-The closed form takes the same stacks, with the same guarantee, and
-`packet_sweep` runs both on a grid per time for the `wavefunction` command
-and the `wave-packet-nondiffusion` criterion, on one (S, N) array of grids.
+own time and grid, and runs the recurrence once over all their points
+(`psi_series_grid` gives the passes, the workspace and the ufunc buffer). A
+point gets the same operations either way, so a slice of a stack equals its
+own call to the bit. The closed form takes the same stacks, with the same
+guarantee.
 """
 
 from __future__ import annotations
@@ -37,9 +33,9 @@ import math
 
 import numpy as np
 
-from .coherent import CoherentLabel, coherent_coefficients
+from .coherent import CoherentLabel
 from .fock import (
-    DimensionMismatchError, OscillatorParams, Value, check_n_max, level_phases,
+    DimensionMismatchError, OscillatorParams, StateVector, Value, check_n_max, level_phases,
 )
 from .observables import averages_closedform_batch
 
@@ -164,11 +160,10 @@ def _slices(t, x) -> tuple[np.ndarray, np.ndarray]:
     return ts, xs
 
 
-def psi_series_grid(
-    label: CoherentLabel, x, t, params: OscillatorParams, n_max: int
-) -> np.ndarray:
-    """Coherent packet as the truncated eigenfunction series on a stack of
-    S slices: t of length S and x of shape (S, N) give an (S, N) array.
+def psi_series_grid(base: StateVector, x, t, params: OscillatorParams) -> np.ndarray:
+    """The state `base` as its eigenfunction series on a stack of S slices,
+    slice s being `base` propagated by t[s] as `propagate_fock` propagates
+    it: t of length S and x of shape (S, N) give an (S, N) array.
 
     One pass of the recurrence covers every point of as many slices as fit
     in _SERIES_PASS_POINTS points, and at least one. Each eigenfunction row
@@ -204,14 +199,13 @@ def psi_series_grid(
     width = -(-npoints // 8) * 8  # whole 64-byte lines of floats
     # a pass's xi, three recurrence rows, accumulator and term
     space = _aligned((8, min(per_pass, slices), width))
-    base = coherent_coefficients(label, n_max).coeffs
     multiply, add = np.multiply, np.add
     caller_bufsize = np.getbufsize()
     bufsize = min(caller_bufsize, max(16, npoints // 16 * 16))
     for start in range(0, slices, per_pass):
         block = slice(start, start + per_pass)
         # row s is propagate_fock's coeffs of base at ts[s], to the bit
-        coeffs = base * level_phases(params, ts[block], n_max)
+        coeffs = base.coeffs * level_phases(params, ts[block], base.n_max)
         # parts[k] is the (2, slices, 1) stack of Re and Im c_k(t_s)
         parts = np.stack([coeffs.real, coeffs.imag]).transpose(2, 0, 1)[..., np.newaxis]
         work = space[:, :len(coeffs)]
@@ -246,13 +240,14 @@ def psi_closed_grid(label: CoherentLabel, x, t, params: OscillatorParams) -> np.
     complex center chi(t) = a + ib written as
         N exp(-i omega t / 2) exp(-u^2 + i b (2u + a)),
     u = x sqrt(M omega / 2 hbar) - a, N = (M omega / pi hbar)^(1/4): the
-    exponent's real part is never positive, so no cell overflows.
+    exponent's real part is never positive, so no cell overflows, and -u^2
+    takes u clipped to +-1e154, where exp(-u^2) is long 0, so it cannot either.
 
     Takes the stacks of `psi_series_grid`. The exponential is numpy's
-    complex one, and its product with each slice's factor, a Python complex,
-    is taken in real arithmetic as Python's complex `*` takes it, so a slice
-    is its own 1-slice call to the bit, at every SIMD level. No multivalued
-    logarithm is involved, so sweeps over t never hit a branch cut.
+    complex one, and its product with each slice's factor, N times the
+    ground level's phase from `level_phases`, is taken in real arithmetic,
+    so a slice is its own 1-slice call to the bit, at every SIMD level. No
+    multivalued logarithm is involved, so sweeps over t never hit a branch cut.
     """
     ts, xs = _slices(t, x)
     hbar, mass, omega = params.hbar, params.mass, params.omega
@@ -261,10 +256,10 @@ def psi_closed_grid(label: CoherentLabel, x, t, params: OscillatorParams) -> np.
     a, b = closed["a_avg_re"][:, np.newaxis], closed["a_avg_im"][:, np.newaxis]
     u = xs * math.sqrt(mass * omega / (2.0 * hbar)) - a
     gauss = np.empty(xs.shape, dtype=complex)
-    gauss.real, gauss.imag = -u * u, b * (2.0 * u + a)
+    gauss.real, gauss.imag = -np.square(np.clip(u, -1e154, 1e154)), b * (2.0 * u + a)
     np.exp(gauss, out=gauss)
-    factor = np.array([prefactor * np.exp(-0.5j * omega * t_s) for t_s in ts.tolist()])
-    fr, fi = factor.real[:, np.newaxis], factor.imag[:, np.newaxis]
+    phase = level_phases(params, ts, 0)
+    fr, fi = prefactor * phase.real, prefactor * phase.imag
     values = np.empty_like(gauss)
     values.real = fr * gauss.real - fi * gauss.imag
     values.imag = fr * gauss.imag + fi * gauss.real
@@ -298,16 +293,17 @@ def packet_moments(amplitudes, points, weights):
 
 
 def packet_sweep(
-    label: CoherentLabel, times, params: OscillatorParams, n_max: int,
+    label: CoherentLabel, base: StateVector, times, params: OscillatorParams,
     halfwidth: float = DEFAULT_GRID_HALFWIDTH, npoints: int = DEFAULT_GRID_POINTS,
 ):
     """(points, series, closed, norm2, variance) of the packet at the 1-d times.
 
     Slice s lies on the trapezoid grid of `npoints` points spanning the mean
     at times[s] +/- `halfwidth` oscillator lengths. The S grids are one
-    C-contiguous (S, N) array from one broadcast `linspace`, the series and
-    the complex-centre closed form come from one stacked call each, and one
-    `packet_moments` call takes every slice's squared norm and variance.
+    C-contiguous (S, N) array from one broadcast `linspace`, the series of
+    `base`, the label's time-0 state, and the label's complex-centre closed
+    form come from one stacked call each, and one `packet_moments` call takes
+    every slice's squared norm and variance.
     Before building anything it refuses a grid that would square past the
     float range, and after, the first grid, in time order, that is not
     strictly increasing.
@@ -340,7 +336,7 @@ def packet_sweep(
     step = points[:, 1:2] - points[:, :1]
     weights = np.repeat(step, npoints, axis=1)
     weights[:, [0, -1]] = 0.5 * step
-    series = psi_series_grid(label, points, times, params, n_max)
+    series = psi_series_grid(base, points, times, params)
     closed = psi_closed_grid(label, points, times, params)
     norm2, _, variance = packet_moments(series, points, weights)
     return points, series, closed, norm2, variance

@@ -1,9 +1,8 @@
 """Run the golden corpus and print, or with --write record, its hashes.
 
-    python tests/golden/regenerate.py           # print the hashes file
-    python tests/golden/regenerate.py --write   # rewrite tests/golden/hashes
-    python tests/golden/regenerate.py --blas-threads 2 --command trajectory
-                                                # those cases' lines only
+    python tests/golden/regenerate.py                   # print the hashes file
+    python tests/golden/regenerate.py --write           # rewrite tests/golden/hashes
+    python tests/golden/regenerate.py --blas-threads 2  # the same, at two BLAS threads
 
 Every case in `cases` goes through `oscilab.cli.main` in this one process,
 with stdout and stderr captured and an empty working directory of its own.
@@ -28,13 +27,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description="Run the golden corpus.")
     parser.add_argument("--write", action="store_true", help="rewrite the hashes file")
     parser.add_argument("--blas-threads", type=int, default=1, metavar="N")
-    parser.add_argument(
-        "--command", metavar="NAME",
-        help="run only the cases of this subcommand; print their lines, no header",
-    )
     args = parser.parse_args(argv)
-    if args.write and args.command:
-        parser.error("--write records the whole corpus; drop --command")
     if args.blas_threads < 1:
         parser.error("--blas-threads must be at least 1")
     return args
@@ -138,13 +131,12 @@ def run_case(case: str, workdir: Path) -> str:
     )
 
 
-def case_lines(command: str | None = None) -> list[str]:
-    """The hashes line of every case, or of the cases of one subcommand."""
+def case_lines() -> list[str]:
+    """The hashes line of every case."""
     lines = []
     for case in read_cases():
-        if command is None or shlex.split(case)[1:2] == [command]:
-            with tempfile.TemporaryDirectory() as workdir:
-                lines.append(run_case(case, Path(workdir)))
+        with tempfile.TemporaryDirectory() as workdir:
+            lines.append(run_case(case, Path(workdir)))
     return lines
 
 
@@ -155,9 +147,7 @@ def corpus_text() -> str:
 
 
 def main(args: argparse.Namespace) -> int:
-    if args.command:
-        sys.stdout.write("".join(line + "\n" for line in case_lines(args.command)))
-    elif args.write:
+    if args.write:
         HASHES.write_text(corpus_text())
     else:
         sys.stdout.write(corpus_text())

@@ -78,6 +78,12 @@ MUTANTS = (
         ("tests/test_acceptance.py::test_series_criteria_truncate_at_the_series_tail",),
     ),
     Mutant(
+        "packet-criterion-on-the-moments-state", "verify.py",
+        "for label, _, state in plan:",
+        "for label, state, _ in plan:",
+        ("tests/test_acceptance.py::test_series_criteria_truncate_at_the_series_tail",),
+    ),
+    Mutant(
         "closed-form-phase-with-the-centre-subtracted", "wavefunction.py",
         "2.0 * u + a", "2.0 * u - a",
         ("tests/test_wavefunction.py::test_closed_form_is_finite_and_within_1e_12_of_mpmath",

@@ -55,11 +55,12 @@ def test_overridden_run_fails_loudly_when_under_truncated():
 
 def test_explicit_n_max_reaches_every_sweeping_criterion():
     # n_max = 4 keeps 5.5% of the chi = 3 state: the plan holds it at both
-    # truncations, and both criteria must see that, ehrenfest-mean-motion
-    # with the worst norm of its first block, the text of the
-    # `verify --chi-re 3 --n-max 4` corpus case
+    # truncations, as one state, and both criteria must see that,
+    # ehrenfest-mean-motion with the worst norm of its first block, the text
+    # of the `verify --chi-re 3 --n-max 4` corpus case
     plan = _label_plan((3 + 0j,), 4)
-    assert [(base.n_max, series) for _, base, series in plan] == [(4, 4)]
+    assert [(moments.n_max, series.n_max) for _, moments, series in plan] == [(4, 4)]
+    assert plan[0][1] is plan[0][2]
     results = {r.name: r for r in run_all(chi=3 + 0j, n_max=4, seed=0)}
     assert results["ehrenfest-mean-motion"].detail == (
         "raised NormalizationError: state norm 0.23444325858319087 deviates "
@@ -139,9 +140,9 @@ def test_series_criteria_truncate_at_the_series_tail(monkeypatch, chi, n_max, ex
     packet_levels, state_levels = [], []
     packet_sweep, propagate = verify.packet_sweep, verify.propagate_fock
 
-    def recording_sweep(label, times, params, n_max):
-        packet_levels.append(n_max)
-        return packet_sweep(label, times, params, n_max)
+    def recording_sweep(label, state, times, params):
+        packet_levels.append(state.n_max)
+        return packet_sweep(label, state, times, params)
 
     def recording_propagate(state, t, params):
         state_levels.append(state.n_max)
@@ -264,13 +265,12 @@ def test_a_label_the_plan_cannot_build_raises_before_any_criterion(
 
 def test_one_run_resolves_each_label_twice_and_builds_its_amplitudes_once(monkeypatch):
     # the plan resolves the moments' then the series' truncation of each
-    # label and builds the moments' amplitudes; of the criteria, only
-    # annihilation-eigenstate builds amplitudes: each label's at its series
-    # n_max, then its under-truncated control's
+    # label and builds its amplitudes once, at the series n_max; of the
+    # criteria, only annihilation-eigenstate builds amplitudes: its
+    # under-truncated control's
     from oscilab import verify
     from oscilab.coherent import AUTO_TAIL_TOL
 
-    levels = [(base.n_max, series) for _, base, series in _label_plan(DEFAULT_CHI_SET, None)]
     resolved, built = [], []
     resolve, build = verify.resolve_n_max, verify.coherent_coefficients
 
@@ -287,9 +287,19 @@ def test_one_run_resolves_each_label_twice_and_builds_its_amplitudes_once(monkey
     assert all(result.passed for result in run_all(seed=0))
     tols = (AUTO_TAIL_TOL, verify.SERIES_TAIL_TOL)
     assert resolved == [(chi, tol) for chi in DEFAULT_CHI_SET for tol in tols]
-    pairs = list(zip(DEFAULT_CHI_SET, levels))
-    assert built == (
-        [(chi, moments) for chi, (moments, _) in pairs]
-        + [(chi, series) for chi, (_, series) in pairs]
-        + [(3 + 0j, 12)]
-    )
+    series = (2, 25, 40, 31, 34)  # at SERIES_TAIL_TOL
+    assert built == [*zip(DEFAULT_CHI_SET, series), (3 + 0j, 12)]
+
+
+@pytest.mark.parametrize("chi", [*DEFAULT_CHI_SET, 20 + 0j])  # 20: n_max 551 and 622
+def test_each_plan_state_is_its_own_build_to_the_byte(chi):
+    # the plan builds at the series n_max and cuts the moments' state from
+    # it: the ladder's running product makes every truncation a prefix
+    from oscilab.coherent import coherent_coefficients
+
+    (label, moments, series), = _label_plan((chi,), None)
+    for state in (moments, series):
+        own = coherent_coefficients(label, state.n_max)
+        assert (state.n_max, state.time) == (own.n_max, own.time)
+        assert state.coeffs.tobytes() == own.coeffs.tobytes()
+    assert (moments is series) == (moments.n_max == series.n_max)

@@ -3,6 +3,7 @@ import ast
 import contextlib
 import ctypes
 import importlib.util
+import inspect
 import io
 import json
 import math
@@ -1138,13 +1139,13 @@ def test_wavefunction_rows_match_the_per_scalar_form():
     # abs in 1,367 of these 6,003 cells, np.hypot in none
     config = _config("wavefunction", "--chi-re", "20", "--t-end", "0.8", "--dt", "0.4")
     params, label = cli._params(config), cli._label(config)
-    n_max = resolve_n_max(label, None, AMPLITUDE_TAIL_TOL)
-    _, rows, _ = PRODUCERS["wavefunction"][0](config, params, label, n_max)
+    state = coherent_coefficients(label, resolve_n_max(label, None, AMPLITUDE_TAIL_TOL))
+    _, rows, _ = PRODUCERS["wavefunction"][0](config, params, label, state)
     expected = []
     for t in (0.0, 0.4, 0.8):
         center = averages_closedform_batch(label, [t], params)["mean_x"][0]
         points = default_packet_grid(params, center=center).points
-        series = psi_series_grid(label, points[np.newaxis], [t], params, n_max)[0]
+        series = psi_series_grid(state, points[np.newaxis], [t], params)[0]
         closed = psi_closed_grid(label, points[np.newaxis], [t], params)[0]
         for x, s, c in zip(points, series, closed):
             expected.append(
@@ -1392,7 +1393,8 @@ def test_spectrum_and_uncertainty_write_their_row_tuples_bytes(
     assert main(argv + ["--output", str(out)]) == 0
     config = cli.build_parser(command).parse_args(argv)
     params, label = cli._params(config), cli._label(config)
-    columns, matrix, footer = PRODUCERS[command][0](config, params, label, n_max)
+    state = coherent_coefficients(label, n_max)
+    columns, matrix, footer = PRODUCERS[command][0](config, params, label, state)
     rows = per_level_rows(command, label, n_max, params)
     assert isinstance(matrix, np.ndarray) and len(matrix) == len(rows)
     echo = cli._config_echo(config, n_max)
@@ -1585,6 +1587,10 @@ def test_packet_callers_import_only_packet_sweep():
         "propagate_fock", "averages_bruteforce"
     }
     assert not [name for _, name in imported["wavefunction"] if name.startswith("_")]
+    # the series is that of the state its caller built
+    assert ("coherent", "coherent_coefficients") not in imported["wavefunction"]
+    for function in (wavefunction.psi_series_grid, wavefunction.packet_sweep):
+        assert "n_max" not in inspect.signature(function).parameters
 
 
 def test_verify_and_wavefunction_sweep_each_label_once(monkeypatch, capsys):
@@ -1602,6 +1608,40 @@ def test_verify_and_wavefunction_sweep_each_label_once(monkeypatch, capsys):
     assert main(["wavefunction", "--chi-re", "2", "--t-end", "3.14", "--dt", "1.57"]) == 0
     assert calls == [2 + 0j]
     assert capsys.readouterr().out.count("\n") == 3 + 3 * 2001 + 3
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["trajectory", "--t-end", "0.5", "--dt", "0.25"], [(1 + 0j, 16)]),
+        (["spectrum", "--chi-re", "1.5"], [(1.5 + 0j, 21)]),
+        (["uncertainty", "--n-max", "12"], [(1 + 0j, 12)]),
+        (["wavefunction", "--chi-re", "20", "--t-end", "0.4", "--dt", "0.4"], [(20 + 0j, 589)]),
+        (["symmetry-check", "--chi-im", "2"], [(1 + 2j, 29)]),
+        (["verify"], [(chi, n) for chi, n in zip(verify.DEFAULT_CHI_SET, (2, 25, 40, 31, 34))]
+         + [(3 + 0j, 12)]),
+    ],
+)
+def test_a_run_builds_each_label_once(monkeypatch, capsys, argv, builds):
+    # every module of the package that binds coherent_coefficients records
+    # its calls; the packet series takes the state it is given
+    built = []
+    build = cli.coherent_coefficients
+
+    def recording_build(label, n_max):
+        built.append((label.chi, n_max))
+        return build(label, n_max)
+
+    sites = [module for name, module in sorted(sys.modules.items())
+             if name.split(".")[0] == "oscilab"
+             and getattr(module, "coherent_coefficients", None) is build]
+    assert {module.__name__ for module in sites} == {
+        "oscilab", "oscilab.cli", "oscilab.coherent", "oscilab.verify"
+    }
+    for module in sites:
+        monkeypatch.setattr(module, "coherent_coefficients", recording_build)
+    assert main(argv) == 0
+    assert built == builds
 
 
 def _run_strict(argv: str, capsys) -> tuple[int, str, str]:

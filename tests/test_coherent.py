@@ -430,6 +430,16 @@ def test_coherent_coefficients_refuse_underflowing_amplitudes(chi):
     assert repr(label.chi) in str(info.value)
 
 
+def test_a_smaller_truncation_is_a_prefix_to_the_byte():
+    # the ladder's running product never looks ahead: chi = 20 at the
+    # `verify` moments' (551) and the `wavefunction` command's (589) n_max,
+    # cut from the series' (622)
+    label = CoherentLabel(20.0)
+    full = coherent_coefficients(label, 622).coeffs
+    for n_max in (551, 589):
+        assert full[:n_max + 1].tobytes() == coherent_coefficients(label, n_max).coeffs.tobytes()
+
+
 def test_coherent_coefficients_just_below_the_underflow_edge():
     label = CoherentLabel(37.6)  # exp(-|chi|^2 / 2) = 1.0e-307, still normal
     state = coherent_coefficients(label, 1700)

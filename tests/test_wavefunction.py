@@ -52,10 +52,10 @@ def direct_eigenfunction(n, x, params):
     return norm * np.exp(-0.5 * xi**2) * eval_hermite(n, xi)
 
 
-def one_slice(grid_form, label, x, t, params, *n_max):
-    """A grid form at the one time t on the points x, a scalar or a 1-d
-    array, through a 1-slice stack."""
-    return grid_form(label, np.reshape(x, (1, -1)), [t], params, *n_max)[0]
+def one_slice(grid_form, source, x, t, params):
+    """A grid form of `source`, a label or a series' state, at the one time
+    t on the points x, a scalar or a 1-d array, through a 1-slice stack."""
+    return grid_form(source, np.reshape(x, (1, -1)), [t], params)[0]
 
 
 def samples_from(values, grid):
@@ -142,14 +142,16 @@ def test_generating_sum_residual_squeezed_by_term_tail():
 
 def test_series_vacuum_is_ground_gaussian_with_phase():
     grid = default_packet_grid(PARAMS, npoints=201)
+    state = coherent_coefficients(CoherentLabel(0), 16)
     for t in (0.0, 1.1):
-        series = one_slice(psi_series_grid, CoherentLabel(0), grid.points, t, PARAMS, 16)
+        series = one_slice(psi_series_grid, state, grid.points, t, PARAMS)
         expected = eigenfunction(0, grid.points, PARAMS) * np.exp(-0.5j * t)
         np.testing.assert_allclose(series, expected, atol=1e-14)
 
 
 def test_series_matches_closed_form_at_origin():
-    sample_series = one_slice(psi_series_grid, CoherentLabel(1), 0.0, 0.0, PARAMS, 64)[0]
+    state = coherent_coefficients(CoherentLabel(1), 64)
+    sample_series = one_slice(psi_series_grid, state, 0.0, 0.0, PARAMS)[0]
     sample_closed = one_slice(psi_closed_grid, CoherentLabel(1), 0.0, 0.0, PARAMS)[0]
     assert abs(sample_series - sample_closed) < 1e-10
 
@@ -160,7 +162,8 @@ def test_series_and_closed_form_agree_on_grid(chi, t):
     label = CoherentLabel(chi)
     center = averages_closedform_batch(label, [t], PARAMS)["mean_x"][0]
     grid = default_packet_grid(PARAMS, center=center)
-    series = one_slice(psi_series_grid, label, grid.points, t, PARAMS, 64)
+    state = coherent_coefficients(label, 64)
+    series = one_slice(psi_series_grid, state, grid.points, t, PARAMS)
     closed = one_slice(psi_closed_grid, label, grid.points, t, PARAMS)
     assert np.max(np.abs(series - closed)) < 1e-8
 
@@ -204,10 +207,11 @@ def test_packet_width_never_changes(params):
 
 def test_packet_center_tracks_mean_position():
     label = CoherentLabel(1.5)
+    state = coherent_coefficients(label, 64)
     for t in (0.0, 0.9, 2.4):
         mean_x = averages_closedform_batch(label, [t], PARAMS)["mean_x"][0]
         grid = default_packet_grid(PARAMS, center=mean_x)
-        values = one_slice(psi_series_grid, label, grid.points, t, PARAMS, 64)
+        values = one_slice(psi_series_grid, state, grid.points, t, PARAMS)
         step = grid.points[1] - grid.points[0]
         peak = grid.points[np.argmax(np.abs(values))]
         assert abs(peak - mean_x) <= step
@@ -294,14 +298,14 @@ def test_series_is_the_float_table_product_to_the_bit(n_max, chi, grid):
     # off-centre grids; the series is the float table product summed in a
     # fixed order, k ascending, to the bit, and within 1e-13 of the dense
     # (BLAS) product, whose summation order is its own
-    label = CoherentLabel(chi)
+    state = coherent_coefficients(CoherentLabel(chi), n_max)
     for t in (0.0, 0.9):
-        coeffs = propagate_fock(coherent_coefficients(label, n_max), t, PARAMS).coeffs
+        coeffs = propagate_fock(state, t, PARAMS).coeffs
         table = eigenfunction_table(n_max, grid, PARAMS)
         fixed_order = np.zeros(grid.size, dtype=complex)
         for c_k, row in zip(coeffs, table):
             fixed_order += c_k * row
-        series = one_slice(psi_series_grid, label, grid, t, PARAMS, n_max)
+        series = one_slice(psi_series_grid, state, grid, t, PARAMS)
         assert series.dtype == complex
         assert np.array_equal(series, fixed_order)
         assert series.tobytes() == fixed_order.tobytes()
@@ -328,10 +332,11 @@ def test_stacked_slices_equal_the_per_slice_calls_to_the_bit(
     points = np.array(
         [np.linspace(c - h, c + h, 2001) for c, h in zip(centers, halfwidths)]
     )
-    stacked = psi_series_grid(label, points, times, PARAMS, n_max)
+    state = coherent_coefficients(label, n_max)
+    stacked = psi_series_grid(state, points, times, PARAMS)
     assert stacked.shape == points.shape and stacked.dtype == complex
     for s in range(slices):
-        single = one_slice(psi_series_grid, label, points[s], times[s], PARAMS, n_max)
+        single = one_slice(psi_series_grid, state, points[s], times[s], PARAMS)
         np.testing.assert_array_equal(stacked[s].view(float), single.view(float))
         assert stacked[s].tobytes() == single.tobytes()
 
@@ -353,18 +358,19 @@ def test_padded_lanes_never_reach_the_series(monkeypatch, npoints, several_passe
         return rows(n_max, xs, params, scratch)
 
     monkeypatch.setattr(wavefunction, "_eigenfunction_rows", recorded)
-    label, n_max = CoherentLabel(2.0 - 1.0j), 40
+    n_max = 40
+    state = coherent_coefficients(CoherentLabel(2.0 - 1.0j), n_max)
     times = np.linspace(0.0, 2.0, 5)
     points = np.linspace(-7.0, 7.0, npoints) + np.linspace(-0.5, 0.5, 5)[:, np.newaxis]
-    stacked = psi_series_grid(label, points, times, PARAMS, n_max)
+    stacked = psi_series_grid(state, points, times, PARAMS)
     width = -(-npoints // 8) * 8
     assert widths == ([(2, width)] * 2 + [(1, width)] if several_passes else [(5, width)])
     for s, t in enumerate(times):
-        coeffs = propagate_fock(coherent_coefficients(label, n_max), t, PARAMS).coeffs
+        coeffs = propagate_fock(state, t, PARAMS).coeffs
         fixed_order = np.zeros(npoints, dtype=complex)
         for c_k, row in zip(coeffs, textbook_table(n_max, points[s], PARAMS)):
             fixed_order += c_k * row
-        single = one_slice(psi_series_grid, label, points[s], t, PARAMS, n_max)
+        single = one_slice(psi_series_grid, state, points[s], t, PARAMS)
         assert stacked[s].tobytes() == single.tobytes() == fixed_order.tobytes()
 
 
@@ -389,11 +395,11 @@ def test_every_slice_uses_the_dynamical_state_coefficients_to_the_bit(
 
     monkeypatch.setattr(wavefunction, "_eigenfunction_rows", indicator_rows)
     monkeypatch.setattr(wavefunction, "_SERIES_PASS_POINTS", 20 * 600)
-    label = CoherentLabel(chi)
+    state = coherent_coefficients(CoherentLabel(chi), n_max)
     points = np.zeros((times.size, 600))
-    series = psi_series_grid(label, points, times, PARAMS, n_max)
+    series = psi_series_grid(state, points, times, PARAMS)
     for t, got in zip(times, series):
-        want = propagate_fock(coherent_coefficients(label, n_max), t, PARAMS).coeffs + 0.0
+        want = propagate_fock(state, t, PARAMS).coeffs + 0.0
         assert got[: n_max + 1].tobytes() == want.tobytes()
         assert not np.any(got[n_max + 1:])
 
@@ -411,7 +417,7 @@ MISMATCHED_STACKS = [
 @pytest.mark.parametrize("x, t", MISMATCHED_STACKS)
 def test_mismatched_stack_shapes_are_refused(x, t):
     with pytest.raises(DimensionMismatchError):
-        psi_series_grid(CoherentLabel(1.0), x, t, PARAMS, 8)
+        psi_series_grid(coherent_coefficients(CoherentLabel(1.0), 8), x, t, PARAMS)
 
 
 @pytest.mark.parametrize("form", CLOSED_FORMS)
@@ -489,12 +495,13 @@ def test_packet_sweep_rows_are_the_per_slice_calls_to_the_bit(
     chi, params, n_max, times, halfwidth, npoints
 ):
     label = CoherentLabel(chi)
-    sweep = packet_sweep(label, times, params, n_max, halfwidth, npoints)
+    state = coherent_coefficients(label, n_max)
+    sweep = packet_sweep(label, state, times, params, halfwidth, npoints)
     assert [part.shape for part in sweep] == [(times.size, npoints)] * 3 + [times.shape] * 2
     for s, t in enumerate(times.tolist()):
         center = averages_closedform_batch(label, [t], params)["mean_x"][0]
         grid = default_packet_grid(params, center, halfwidth, npoints)
-        series = one_slice(psi_series_grid, label, grid.points, t, params, n_max)
+        series = one_slice(psi_series_grid, state, grid.points, t, params)
         closed = one_slice(psi_closed_grid, label, grid.points, t, params)
         want = per_time_closed_form(label, grid.points, t, params, "complex_center")
         assert closed.tobytes() == want.tobytes()
@@ -549,6 +556,19 @@ def test_closed_form_is_finite_and_within_1e_12_of_mpmath(mpmath, chi, units, t)
         assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), (x, value, want)
 
 
+def test_closed_form_is_zero_far_out_without_a_warning():
+    # |u| = |x| sqrt(M omega / 2 hbar) past 1.3e154 would square past the
+    # float range; its cell is 0 whether or not the square overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = psi_closed_grid(
+            CoherentLabel(1.0), [[0.0, 1e160, -1e160]], [0.0], OscillatorParams()
+        )
+    near = psi_closed_grid(CoherentLabel(1.0), [[0.0]], [0.0], OscillatorParams())
+    assert values[0, 0].tobytes() == near[0, 0].tobytes()
+    assert values[0, 1] == 0 and values[0, 2] == 0
+
+
 # Prints the highest x86-64 level numpy dispatches to and the sha256 of the
 # closed form on the packet-large stack: chi = 20, 9 times over one period,
 # 2001 points around each mean.
@@ -601,8 +621,9 @@ def test_closed_form_bytes_do_not_depend_on_the_simd_level(level, disabled):
 def test_packet_sweep_refuses_a_zero_norm_slice():
     # at chi = 36 the whole default grid lies past |xi| = 38.6, where the
     # series' Gaussian seed underflows, so the t = 0 slice is zero
+    label = CoherentLabel(36.0)
     with pytest.raises(ValueError, match="zero-norm"):
-        packet_sweep(CoherentLabel(36.0), [0.0], PARAMS, 1300)
+        packet_sweep(label, coherent_coefficients(label, 1300), [0.0], PARAMS)
 
 
 def textbook_table(n_max, xs, params):
@@ -649,13 +670,14 @@ def test_vacuum_series_stops_at_its_last_nonzero_level(monkeypatch):
     monkeypatch.setattr(wavefunction, "_eigenfunction_rows", counted)
     times = np.array([0.0, 0.7, math.pi, 4.2, 2.0 * math.pi])
     points = np.tile(np.linspace(-10.0, 10.0, 2001), (times.size, 1))
-    full = psi_series_grid(label, points, times, PARAMS, 64)
+    state, bare_state = coherent_coefficients(label, 64), coherent_coefficients(label, 0)
+    full = psi_series_grid(state, points, times, PARAMS)
     assert len(rows_run) == 1
-    bare = psi_series_grid(label, points, times, PARAMS, 0)
+    bare = psi_series_grid(bare_state, points, times, PARAMS)
     assert full.tobytes() == bare.tobytes()
     for t in (0.0, -1.3):
-        single = one_slice(psi_series_grid, label, points[0], t, PARAMS, 64)
-        bare_single = one_slice(psi_series_grid, label, points[0], t, PARAMS, 0)
+        single = one_slice(psi_series_grid, state, points[0], t, PARAMS)
+        bare_single = one_slice(psi_series_grid, bare_state, points[0], t, PARAMS)
         assert single.tobytes() == bare_single.tobytes()
 
 
@@ -692,7 +714,7 @@ def test_series_restores_the_buffer_size_when_the_recurrence_raises(monkeypatch)
     label, points, times = series_stack(2001)
     with caller_bufsize(8192):
         with pytest.raises(RuntimeError, match="recurrence failed"):
-            psi_series_grid(label, points, times, PARAMS, 24)
+            psi_series_grid(coherent_coefficients(label, 24), points, times, PARAMS)
         assert np.getbufsize() == 8192
     assert inside[-1] == 2000  # the scope was entered: one row, to a multiple of 16
 
@@ -700,13 +722,14 @@ def test_series_restores_the_buffer_size_when_the_recurrence_raises(monkeypatch)
 @pytest.mark.parametrize("npoints", [7, 2001, 8209])
 def test_series_bytes_do_not_depend_on_the_buffer_size(monkeypatch, npoints):
     label, points, times = series_stack(npoints)
+    state = coherent_coefficients(label, 40)
     calls = []
     for size in (16, 8192):
         with caller_bufsize(size):
-            calls.append(psi_series_grid(label, points, times, PARAMS, 40).tobytes())
+            calls.append(psi_series_grid(state, points, times, PARAMS).tobytes())
     # and with the scope taken out: numpy's default buffer, which copies
     monkeypatch.setattr(np, "setbufsize", lambda size: None)
-    calls.append(psi_series_grid(label, points, times, PARAMS, 40).tobytes())
+    calls.append(psi_series_grid(state, points, times, PARAMS).tobytes())
     assert calls[0] == calls[1] == calls[2]
 
 
@@ -725,7 +748,7 @@ def test_series_never_asks_for_a_buffer_above_the_callers_and_restores_it(
     label, points, times = series_stack(npoints)
     with caller_bufsize(size):
         monkeypatch.setattr(np, "setbufsize", spy)
-        psi_series_grid(label, points, times, PARAMS, 12)
+        psi_series_grid(coherent_coefficients(label, 12), points, times, PARAMS)
         monkeypatch.undo()
         assert np.getbufsize() == size
     assert asked and asked[-1] == size  # the last call restores the caller's
@@ -747,7 +770,8 @@ def assert_sweep_is_the_per_slice_oracle(monkeypatch, label, times, params, n_ma
         return moments
 
     monkeypatch.setattr(wavefunction, "packet_moments", spy)
-    sweep = packet_sweep(label, times, params, n_max, halfwidth, npoints)
+    state = coherent_coefficients(label, n_max)
+    sweep = packet_sweep(label, state, times, params, halfwidth, npoints)
     (series, points, weights, moments), = seen
     assert points is sweep[0] and series is sweep[1]
     assert points.flags.c_contiguous and weights.flags.c_contiguous
@@ -820,10 +844,12 @@ def test_packet_moments_refuse_the_first_bad_slice_in_order():
     ],
 )
 def test_packet_sweep_refuses_a_bad_grid_without_a_warning(halfwidth, npoints, match):
+    label = CoherentLabel(20.0)
+    state = coherent_coefficients(label, 589)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=re.escape(match)):
-            packet_sweep(CoherentLabel(20.0), [0.0, 1.0], PARAMS, 589, halfwidth, npoints)
+            packet_sweep(label, state, [0.0, 1.0], PARAMS, halfwidth, npoints)
 
 
 @settings(max_examples=60, deadline=None)
@@ -835,11 +861,13 @@ def test_packet_sweep_refuses_a_bad_grid_without_a_warning(halfwidth, npoints, m
 def test_packet_sweep_returns_or_refuses_without_a_warning(log_units, log_halfwidth, chi):
     # nothing may warn on the way, and a returned closed form is finite
     params = OscillatorParams(*(10.0**u for u in log_units))
+    label = CoherentLabel(chi)
+    state = coherent_coefficients(label, 40)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             _, _, closed, _, _ = packet_sweep(
-                CoherentLabel(chi), [0.0, 0.5], params, 40, 10.0**log_halfwidth, 41
+                label, state, [0.0, 0.5], params, 10.0**log_halfwidth, 41
             )
         except ValueError:
             return
