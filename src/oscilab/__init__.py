@@ -11,7 +11,6 @@ from types import ModuleType as _ModuleType
 
 from .coherent import (
     CoherentLabel,
-    TruncationCapError,
     annihilation_residual,
     coherent_coefficients,
     occupation_probability,

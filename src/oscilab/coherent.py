@@ -14,11 +14,11 @@ them, the packet series included, takes that state.
 The truncation tail (total Poisson weight above n_max) is the single error
 control for everything downstream, and `resolve_n_max` alone turns a tail
 tolerance into n_max: the smallest truncation whose tail is below it, found
-by one bisection, plus the second-moment margin, or a TruncationCapError
-past AUTO_N_MAX_CAP. The tail is a direct sum of Poisson weights started from
-Loader's saddle-point form of the weight (C. Loader, "Fast and accurate
-computation of binomial probabilities", 2000), so this module needs only
-`math` and numpy.
+by one search, plus the second-moment margin, after refusing a label whose
+amplitudes underflow (so no auto n_max passes 1,819). The tail is a direct
+sum of Poisson weights started from Loader's saddle-point form of the weight
+(C. Loader, "Fast and accurate computation of binomial probabilities",
+2000), so this module needs only `math` and numpy.
 """
 
 from __future__ import annotations
@@ -38,11 +38,9 @@ __all__ = [
     "annihilation_residual",
     "truncation_tail",
     "resolve_n_max",
-    "TruncationCapError",
 ]
 
 AUTO_TAIL_TOL = 1e-12
-AUTO_N_MAX_CAP = 1024
 # Levels `resolve_n_max` adds above the tail rule's n_max: second moments
 # couple n to n + 2, so they need this much headroom below the truncation edge.
 TRUNCATION_MARGIN = 2
@@ -69,6 +67,18 @@ class CoherentLabel(Value):
         return abs(self.chi) ** 2
 
 
+def _ladder_start(label: CoherentLabel) -> float:
+    """exp(-|chi|^2 / 2), the amplitude of level 0, or ValueError when it
+    underflows past the smallest normal float (|chi| above about 37.64)."""
+    c0 = math.exp(-0.5 * abs(label.chi) ** 2)
+    if c0 < sys.float_info.min:
+        raise ValueError(
+            f"label {label.chi!r} is too large: its amplitudes underflow "
+            f"(exp(-|chi|^2/2) = {c0:.3g} is below the smallest normal float)"
+        )
+    return c0
+
+
 def coherent_coefficients(label: CoherentLabel, n_max: int) -> StateVector:
     """Coherent-state amplitudes truncated at n_max, at time 0.
 
@@ -78,14 +88,8 @@ def coherent_coefficients(label: CoherentLabel, n_max: int) -> StateVector:
     (|chi| above about 37.64), since every amplitude would then be lost.
     """
     n_max = check_n_max(n_max)
-    chi = label.chi
-    c0 = math.exp(-0.5 * abs(chi) ** 2)
-    if c0 < sys.float_info.min:
-        raise ValueError(
-            f"label {chi!r} is too large: its amplitudes underflow "
-            f"(exp(-|chi|^2/2) = {c0:.3g} is below the smallest normal float)"
-        )
-    ratios = chi / np.sqrt(np.arange(1, n_max + 1, dtype=float))
+    c0 = _ladder_start(label)
+    ratios = label.chi / np.sqrt(np.arange(1, n_max + 1, dtype=float))
     coeffs = np.empty(n_max + 1, dtype=complex)
     coeffs[0] = c0
     coeffs[1:] = c0 * np.cumprod(ratios)
@@ -229,41 +233,30 @@ def truncation_tail(label: CoherentLabel, n_max: int) -> float:
     return min(total, 1.0)  # rounding can lift a sum near 1 past it
 
 
-class TruncationCapError(ValueError):
-    """The capped auto truncation leaves a tail at or above the tolerance."""
-
-    def __init__(self, needed: int, tol: float):
-        self.needed = needed
-        super().__init__(
-            f"auto truncation needs at least n_max = {needed} for a tail below "
-            f"{tol:.0e}, but auto is capped at n_max = {AUTO_N_MAX_CAP}; "
-            "pass --n-max to set it explicitly"
-        )
-
-
 def resolve_n_max(
     label: CoherentLabel, n_max: int | None = None, tol: float = AUTO_TAIL_TOL
 ) -> int:
     """The explicit n_max, refused when negative, or TRUNCATION_MARGIN levels
     above the smallest n_max whose truncation tail is below tol.
 
-    The tail is nonincreasing in n_max, so one bisection finds the smallest
-    adequate truncation: over 0..AUTO_N_MAX_CAP, and on up to 2**53 only when
-    the tail at the cap is still at or above tol (exact below 2**53, a lower
-    bound at it). A result past the cap raises TruncationCapError, naming the
-    n_max the tolerance needs.
+    Auto first refuses a tol that is not finite and positive, and a label
+    whose amplitudes underflow, so no tail is summed for it. The tail is
+    nonincreasing in n_max, so one search finds the smallest adequate n_max:
+    a bracket [-1, 1024], its top doubled until its tail is below tol, then
+    bisected. It ends: past |chi|^2 the tail reaches 0.0 in a few doublings.
     """
     if n_max is not None:
         return check_n_max(n_max)
-    lo, hi = -1, AUTO_N_MAX_CAP  # tail(lo) >= tol; tail(hi) < tol unless hi = 2**53
-    if truncation_tail(label, hi) >= tol:
-        lo, hi = hi, 2**53
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tail tolerance must be finite and positive, got {tol!r}")
+    _ladder_start(label)  # the search's bound: no tail walk for a label past it
+    lo, hi = -1, 1024  # tail(lo) >= tol
+    while truncation_tail(label, hi) >= tol:
+        lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if truncation_tail(label, mid) < tol:
             hi = mid
         else:
             lo = mid
-    if hi > AUTO_N_MAX_CAP:
-        raise TruncationCapError(hi + TRUNCATION_MARGIN, tol)
     return hi + TRUNCATION_MARGIN

@@ -121,8 +121,8 @@ def _label_plan(chi_set, n_max: int | None):
     """Each label of chi_set with its time-0 states at the moments' and the
     series' truncation, `resolve_n_max` at AUTO_TAIL_TOL and SERIES_TAIL_TOL,
     built once at the latter: the ladder makes the former a bit-exact prefix.
-    A label the plan cannot build raises ValueError: a capped truncation (the
-    moments' first), a negative n_max or underflowing amplitudes."""
+    A label the plan cannot build raises ValueError: a negative n_max, or
+    amplitudes that underflow, refused before any tail walk under auto."""
     plan = []
     for label in map(CoherentLabel, chi_set):
         moments = resolve_n_max(label, n_max)

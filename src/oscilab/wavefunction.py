@@ -303,7 +303,8 @@ def packet_sweep(
     C-contiguous (S, N) array from one broadcast `linspace`, the series of
     `base`, the label's time-0 state, and the label's complex-centre closed
     form come from one stacked call each, and one `packet_moments` call takes
-    every slice's squared norm and variance.
+    every slice's squared norm and variance but a zero slice's (its grid wholly
+    past the series seed's underflow, |xi| > 38.6): norm 0 and variance nan.
     Before building anything it refuses a grid that would square past the
     float range, and after, the first grid, in time order, that is not
     strictly increasing.
@@ -338,5 +339,10 @@ def packet_sweep(
     weights[:, [0, -1]] = 0.5 * step
     series = psi_series_grid(base, points, times, params)
     closed = psi_closed_grid(label, points, times, params)
-    norm2, _, variance = packet_moments(series, points, weights)
+    live = series.any(axis=-1)
+    if live.all():
+        norm2, _, variance = packet_moments(series, points, weights)
+    else:
+        norm2, variance = np.zeros(live.size), np.full(live.size, np.nan)
+        norm2[live], _, variance[live] = packet_moments(series[live], points[live], weights[live])
     return points, series, closed, norm2, variance

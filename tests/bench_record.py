@@ -3,13 +3,16 @@
     python tests/bench_record.py record BENCH_34.json
     python tests/bench_record.py diff BENCH_parent.json BENCH_34.json
 
-`record` runs the command of BENCHMARK.json (`perfbench/run.py`, unchanged)
-once per workload at `--trace 0` and once at `--trace 1`, one run at a time,
-each for BENCHMARK.json's `run_seconds` at seed 0, so that any two files
-are recorded alike, and writes one JSON file. Each run keeps the two JSON
-lines that run.py prints: the one with the argv, the machine, the tail
+`record` copies the tracked files, as the working tree holds them, to a
+temporary directory, and there runs the command of BENCHMARK.json
+(`perfbench/run.py`, unchanged) once per workload at `--trace 0` and once at
+`--trace 1`, one run at a time, each for BENCHMARK.json's `run_seconds` at
+seed 0, so that any two files are recorded alike, and from a tree like the
+fresh checkout that the benchmark itself runs in: no caches or untracked
+files beside it. It writes one JSON file. Each run keeps the two JSON lines
+that run.py prints: the one with the argv, the machine, the tail
 percentiles and the failures (the imported module's path made relative to
-the checkout), and the result line with the metrics. The file adds the
+the copy), and the result line with the metrics. The file adds the
 golden corpus fingerprint of `tests/golden/regenerate.py`, since the SIMD
 level that moves output bytes can move times too.
 
@@ -24,8 +27,11 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,27 +48,41 @@ def fingerprint() -> str:
     return module.fingerprint()
 
 
-def run(workload: str, trace: int) -> dict:
-    """One benchmark run: its two JSON lines, parsed."""
+def copy_tracked(tree: Path) -> None:
+    """Copy each file git tracks, as the working tree holds it, into tree."""
+    listed = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, capture_output=True,
+                            check=True).stdout
+    for name in filter(None, listed.split(b"\0")):
+        source, target = ROOT / os.fsdecode(name), tree / os.fsdecode(name)
+        if source.is_file():  # a tracked file deleted in the working tree is left out
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
+
+
+def run(tree: Path, workload: str, trace: int) -> dict:
+    """One benchmark run in the copy `tree`: its two JSON lines, parsed."""
     argv = [*SPEC["command"], "--workload", workload, "--seed", str(SEED),
             "--seconds", str(SPEC["run_seconds"]), "--trace", str(trace)]
-    result = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    result = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if result.returncode != 0:
         raise SystemExit(f"{' '.join(argv)} exited {result.returncode}:\n{result.stderr}")
     info, metrics = map(json.loads, result.stdout.splitlines()[-2:])
-    # the imported module relative to the checkout, so files from two
-    # checkouts differ only where their runs do
+    # the imported module relative to the copy, so files from two copies
+    # differ only where their runs do
     machine = info["machine"]
-    machine["module"] = Path(machine["module"]).relative_to(ROOT).as_posix()
+    machine["module"] = Path(machine["module"]).relative_to(tree).as_posix()
     return {"workload": workload, "trace": trace, "info": info, "result": metrics}
 
 
 def record(path: Path) -> int:
     runs = []
-    for workload in SPEC["workloads"]:
-        for trace in (0, 1):
-            runs.append(run(workload["name"], trace))
-            print(f"{workload['name']} --trace {trace}: done", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="oscilab-bench-") as tmp:
+        tree = Path(tmp).resolve()
+        copy_tracked(tree)
+        for workload in SPEC["workloads"]:
+            for trace in (0, 1):
+                runs.append(run(tree, workload["name"], trace))
+                print(f"{workload['name']} --trace {trace}: done", file=sys.stderr)
     document = {"fingerprint": fingerprint(), "seconds": SPEC["run_seconds"],
                 "seed": SEED, "runs": runs}
     path.write_text(json.dumps(document, indent=1) + "\n")

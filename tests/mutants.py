@@ -89,6 +89,12 @@ MUTANTS = (
         ("tests/test_wavefunction.py::test_closed_form_is_finite_and_within_1e_12_of_mpmath",
          "tests/test_wavefunction.py::test_two_closed_forms_agree_pointwise"),
     ),
+    Mutant(
+        "auto-search-without-the-underflow-check", "coherent.py",
+        "    _ladder_start(label)  # the search's bound: no tail walk for a label past it\n",
+        "",
+        ("tests/test_coherent.py::test_an_underflowing_label_is_refused_before_any_tail_walk",),
+    ),
 )
 
 

@@ -17,8 +17,8 @@ not part of it:
   (`SpatialGrid`, `trapezoid_grid`, `default_packet_grid`, `slice_moments`),
   the per-slice reference of the (S, N) arrays of `packet_sweep`;
 - the closed-form averages on a uniform time grid (`closedform_trajectory`);
-- the two-step truncation rule that `coherent.resolve_n_max` folded into
-  one bisection (`auto_n_max`, `two_step_resolve`);
+- the auto truncation rule by a search of its own, over a bracket doubled
+  from [0, 1] (`auto_n_max`);
 - the float-cell kernel's tables built one (shape, digits) cell at a time
   (`kernel_tables`), the reference of `cli._kernel_tables`.
 
@@ -43,7 +43,6 @@ from oscilab.cli import (
     _SCIENTIFIC_3,
 )
 from oscilab.coherent import (
-    AUTO_N_MAX_CAP,
     TRUNCATION_MARGIN,
     CoherentLabel,
     truncation_tail,
@@ -414,32 +413,23 @@ def closedform_trajectory(
     return averages_closedform_batch(label, times, params)
 
 
-def auto_n_max(label: CoherentLabel, tol: float, cap: int = AUTO_N_MAX_CAP) -> int:
-    """Smallest n_max with truncation tail below tol, capped at `cap`: a
-    bisection over 0..cap, the tail being nonincreasing in n_max."""
+def auto_n_max(label: CoherentLabel, tol: float) -> int:
+    """TRUNCATION_MARGIN above the smallest n_max with truncation tail below
+    tol: the tail being nonincreasing in n_max, a bracket doubled from [0, 1]
+    until its top is below tol, then bisected. No cap: it ends wherever the
+    tail falls to 0.0, as it does within a few doublings past |chi|^2."""
     if truncation_tail(label, 0) < tol:
-        return 0
-    if truncation_tail(label, cap) >= tol:
-        return cap
-    lo, hi = 0, cap
+        return TRUNCATION_MARGIN
+    lo, hi = 0, 1
+    while truncation_tail(label, hi) >= tol:
+        lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if truncation_tail(label, mid) < tol:
             hi = mid
         else:
             lo = mid
-    return hi
-
-
-def two_step_resolve(label: CoherentLabel, tol: float) -> tuple[int, bool]:
-    """(auto n_max plus TRUNCATION_MARGIN, whether the cap binds) by two
-    bisections: `auto_n_max` at AUTO_N_MAX_CAP, a tail walk at its result to
-    tell a capped one, and for a capped one `auto_n_max` again at 2**53."""
-    auto = auto_n_max(label, tol)
-    capped = truncation_tail(label, auto) >= tol
-    if capped:
-        auto = auto_n_max(label, tol, cap=2**53)
-    return auto + TRUNCATION_MARGIN, capped
+    return hi + TRUNCATION_MARGIN
 
 
 def kernel_tables() -> tuple[np.ndarray, ...]:

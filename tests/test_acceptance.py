@@ -241,8 +241,7 @@ def test_a_failing_sweep_fails_each_of_its_readers(monkeypatch):
 @pytest.mark.parametrize(
     "chi, n_max, cause",
     [
-        (28 + 0j, None, "needs at least n_max = 1088 for a tail below 1e-24"),
-        (40 + 0j, None, "needs at least n_max = 1891 for a tail below 1e-12"),
+        (40 + 0j, None, "label (40+0j) is too large: its amplitudes underflow"),
         (None, -1, "n_max must be nonnegative, got -1"),
         (40 + 0j, 10, "label (40+0j) is too large: its amplitudes underflow"),
     ],
@@ -250,8 +249,9 @@ def test_a_failing_sweep_fails_each_of_its_readers(monkeypatch):
 def test_a_label_the_plan_cannot_build_raises_before_any_criterion(
     monkeypatch, chi, n_max, cause
 ):
-    # a capped truncation (the moments' before the series'), a negative n_max
-    # and underflowing amplitudes each raise out of run_all, with no verdict
+    # underflowing amplitudes, refused by the auto search before any tail
+    # walk or by the build, and a negative n_max each raise out of run_all,
+    # with no verdict
     from oscilab import verify
 
     ran = []

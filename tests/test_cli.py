@@ -647,33 +647,40 @@ def test_module_entry_point_runs():
 
 
 @pytest.mark.parametrize(
-    "argv, needed",
+    "argv, code, said",
     [
-        (["spectrum", "--chi-re", "30"], "at least n_max = 1121 "),
-        (["wavefunction", "--chi-re", "30"], "at least n_max = 1177 "),
-        (["trajectory", "--chi-re", "1e100"], "at least n_max = 9007199254740994 "),
-        # the moments resolve below the cap; the series criteria's 1e-24 tail
-        # does not, and was two "raised TruncationCapError" rows, exit 3
-        (["verify", "--chi-re", "28"], "at least n_max = 1088 for a tail below 1e-24"),
+        (["spectrum", "--chi-re", "30"], 0, ""),
+        # its grid reaches |xi| = 52.4, past the series seed's underflow
+        (["wavefunction", "--chi-re", "30"], 1, "the seed exp(-xi^2/2) underflows to 0"),
+        (["trajectory", "--chi-re", "1e100"], 1, "its amplitudes underflow"),
+        # the series criteria now run at n_max 1088; the packet's is the known
+        # seed-underflow failure
+        (["verify", "--chi-re", "28"], 3, "verification failed: wave-packet-nondiffusion"),
     ],
 )
-def test_capped_auto_truncation_exits_1(argv, needed, capsys):
-    assert main(argv) == 1
+def test_auto_truncations_past_1024_answer_or_name_the_cause(argv, code, said, capsys):
+    assert main(argv) == code
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert needed in captured.err
-    assert "capped at n_max = 1024" in captured.err
-    assert "--n-max" in captured.err
+    assert said in captured.err
+    assert "capped" not in captured.err
     assert "Traceback" not in captured.err
+    if code == 1:
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
 
 
-def test_explicit_n_max_past_the_auto_cap_still_runs(tmp_path):
+def test_auto_truncation_past_1024_equals_its_explicit_n_max(tmp_path):
     out = tmp_path / "spectrum.csv"
     argv = ["spectrum", "--chi-re", "30", "--n-max", "1121", "--output", str(out)]
     assert main(argv) == 0
     _, rows, footers, _ = read_csv(out)
     assert len(rows) == 1122
     assert float(footers[0]["truncation_tail"]) < 1e-12
+    auto = tmp_path / "auto.csv"
+    assert main(["spectrum", "--chi-re", "30", "--output", str(auto)]) == 0
+    explicit, automatic = out.read_text().splitlines(), auto.read_text().splitlines()
+    assert automatic[1] == explicit[1].replace("n_max_source=explicit", "n_max_source=auto")
+    assert automatic[2:] == explicit[2:]
 
 
 TRAJECTORY_QUANTITIES = (
@@ -809,7 +816,8 @@ def test_wavefunction_bytes_do_not_depend_on_the_blas_thread_count():
     assert one.stdout == two.stdout
 
 
-def test_verify_refuses_a_capped_auto_truncation():
+def test_verify_refuses_an_underflowing_auto_label():
+    # before any tail walk: the search has no label past this bound to end on
     result = subprocess.run(
         [sys.executable, "-m", "oscilab", "verify", "--chi-re", "40"],
         capture_output=True,
@@ -818,10 +826,28 @@ def test_verify_refuses_a_capped_auto_truncation():
     )
     assert result.returncode == 1
     assert result.stdout == ""
-    assert "at least n_max = 1891 " in result.stderr
-    assert "capped at n_max = 1024" in result.stderr
+    assert "label (40+0j) is too large: its amplitudes underflow" in result.stderr
+    assert len(result.stderr.splitlines()) == 1
     assert "Traceback" not in result.stderr
     assert "RuntimeWarning" not in result.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["wavefunction", "--chi-re", "37.64", "--n-max", "1761"],
+    ["wavefunction", "--chi-re", "36"],
+])
+def test_a_grid_wholly_past_the_seed_underflow_names_it(argv, capsys):
+    # no grid point survives, so every slice's series is 0: the cause is
+    # named, not a zero-norm refusal of the moments
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "its quadrature norm 0 is off the state's norm 1" in captured.err
+    assert "the seed exp(-xi^2/2) underflows to 0 at |xi| = " in captured.err
+    assert "zero-norm" not in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_overflowing_label_exits_1(capsys):

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -7,18 +9,17 @@ from hypothesis import strategies as st
 from scipy.special import gammainc
 from scipy.stats import poisson
 
+from oscilab import coherent
 from oscilab.coherent import (
-    AUTO_N_MAX_CAP,
     TRUNCATION_MARGIN,
     CoherentLabel,
-    TruncationCapError,
     annihilation_residual,
     coherent_coefficients,
     occupation_probability,
     resolve_n_max,
     truncation_tail,
 )
-from oracle import make_ladder, two_step_resolve
+from oracle import auto_n_max, make_ladder
 from oscilab.dynamics import propagate_fock
 from oscilab.fock import OscillatorParams
 from oscilab.observables import averages_closedform_batch
@@ -238,25 +239,52 @@ def test_resolve_n_max_minimality():
     assert truncation_tail(label, n - 1) >= 1e-12
 
 
-# |chi| whose smallest n_max with a tail below 1e-12 is the cap itself
-CAP_EDGE_CHI = 28.560098510768736
+# |chi| whose smallest n_max with a tail below 1e-12 is 1024, the top of the
+# search's first bracket, and the largest |chi| whose amplitudes are built
+FIRST_BRACKET_EDGE_CHI = 28.560098510768736
+BUILDABLE_EDGE_CHI = 37.6403
 
 
 def test_resolve_n_max_edge_cases():
     assert resolve_n_max(CoherentLabel(0)) == TRUNCATION_MARGIN
     assert resolve_n_max(CoherentLabel(1), tol=2.0) == TRUNCATION_MARGIN
     assert resolve_n_max(CoherentLabel(1), tol=1e-18) > resolve_n_max(CoherentLabel(1))
-    # the cap itself is not capped
-    edge = CoherentLabel(CAP_EDGE_CHI)
-    assert truncation_tail(edge, AUTO_N_MAX_CAP - 1) >= 1e-12
-    assert resolve_n_max(edge) == AUTO_N_MAX_CAP + TRUNCATION_MARGIN
-    with pytest.raises(TruncationCapError) as info:
-        resolve_n_max(CoherentLabel(CAP_EDGE_CHI + 1e-3))
-    assert info.value.needed == AUTO_N_MAX_CAP + 1 + TRUNCATION_MARGIN
-    # no n_max below 2**53 is enough: the bisection's top is the bound it names
-    with pytest.raises(TruncationCapError) as info:
-        resolve_n_max(CoherentLabel(1e100))
-    assert info.value.needed == 2**53 + TRUNCATION_MARGIN
+    # on either side of the first bracket's top: one search, no cap
+    edge = CoherentLabel(FIRST_BRACKET_EDGE_CHI)
+    assert truncation_tail(edge, 1023) >= 1e-12
+    assert resolve_n_max(edge) == 1024 + TRUNCATION_MARGIN
+    assert resolve_n_max(CoherentLabel(FIRST_BRACKET_EDGE_CHI + 1e-3)) == 1025 + TRUNCATION_MARGIN
+    # the largest buildable label resolves at every tolerance; past it, none
+    last = CoherentLabel(BUILDABLE_EDGE_CHI)
+    assert [resolve_n_max(last, tol=tol) for tol in (1e-12, 1e-18, 1e-24)] == [1692, 1761, 1819]
+    assert np.isfinite(coherent_coefficients(last, 1819).coeffs).all()
+    for chi in (37.6404, 1e100):
+        with pytest.raises(ValueError, match="amplitudes underflow"):
+            resolve_n_max(CoherentLabel(chi))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf, -math.inf])
+def test_resolve_n_max_refuses_a_tolerance_the_search_cannot_meet(tol):
+    with pytest.raises(ValueError, match="tail tolerance must be finite and positive"):
+        resolve_n_max(CoherentLabel(1), tol=tol)
+    assert resolve_n_max(CoherentLabel(1), 3, tol) == 3  # an explicit n_max needs none
+
+
+@pytest.mark.parametrize("chi", [37.6404, 27 + 27j, 40, 1e5, 1e6, 1e100])
+def test_an_underflowing_label_is_refused_before_any_tail_walk(monkeypatch, chi):
+    walks = []
+
+    def tail(label, n_max):
+        walks.append(n_max)
+        raise AssertionError("a tail walk for a label whose amplitudes underflow")
+
+    monkeypatch.setattr(coherent, "truncation_tail", tail)
+    label = CoherentLabel(chi)
+    for tol in (1e-12, 1e-18, 1e-24):
+        with pytest.raises(ValueError, match="amplitudes underflow") as info:
+            resolve_n_max(label, tol=tol)
+        assert repr(label.chi) in str(info.value)
+    assert walks == []
 
 
 def test_label_requires_finite_value():
@@ -264,27 +292,23 @@ def test_label_requires_finite_value():
         CoherentLabel(complex(float("nan"), 0))
 
 
-def test_resolve_n_max_explicit_auto_and_capped():
+def test_resolve_n_max_explicit_and_auto():
     label = CoherentLabel(1.5 - 0.25j)
     assert resolve_n_max(label, 7) == 7
     for tol in (1e-12, 1e-18):
         auto = scipy_auto_n_max(label, tol)
         assert resolve_n_max(label, tol=tol) == auto + TRUNCATION_MARGIN
-    assert resolve_n_max(CoherentLabel(40), 2000) == 2000  # explicit skips the cap
+    assert resolve_n_max(CoherentLabel(40), 2000) == 2000  # explicit: no amplitude check
     with pytest.raises(ValueError, match="n_max must be nonnegative, got -1"):
         resolve_n_max(CoherentLabel(1), -1)  # explicit is still checked
-    with pytest.raises(TruncationCapError) as info:
-        resolve_n_max(CoherentLabel(30))
-    assert isinstance(info.value, ValueError)
-    assert info.value.needed == 1121
-    needed_auto = info.value.needed - TRUNCATION_MARGIN
-    assert truncation_tail(CoherentLabel(30), needed_auto) < 1e-12
-    assert truncation_tail(CoherentLabel(30), needed_auto - 1) >= 1e-12
-    assert "at least n_max = 1121 for a tail below 1e-12" in str(info.value)
-    assert "capped at n_max = 1024" in str(info.value)
-    with pytest.raises(TruncationCapError) as info:
+    # past n_max = 1024 auto answers: the tail is below tol there and not
+    # one level lower
+    for chi, tol, n_max in ((30, 1e-12, 1121), (30, 1e-18, 1177), (28, 1e-24, 1088)):
+        assert resolve_n_max(CoherentLabel(chi), tol=tol) == n_max
+        assert truncation_tail(CoherentLabel(chi), n_max - TRUNCATION_MARGIN) < tol
+        assert truncation_tail(CoherentLabel(chi), n_max - TRUNCATION_MARGIN - 1) >= tol
+    with pytest.raises(ValueError, match=re.escape("label (40+0j) is too large")):
         resolve_n_max(CoherentLabel(40))
-    assert info.value.needed == 1891
 
 
 @pytest.mark.parametrize("chi", [1e200, 1e155j, complex(1e308, 1e308)])
@@ -312,13 +336,14 @@ def scipy_tail(label: CoherentLabel, n_max: int) -> float:
     return 0.0 if label.nbar == 0.0 else float(gammainc(n_max + 1, label.nbar))
 
 
-def scipy_auto_n_max(label: CoherentLabel, tol: float, cap: int = AUTO_N_MAX_CAP) -> int:
-    """Smallest n_max with a scipy tail below tol, capped at `cap`."""
+def scipy_auto_n_max(label: CoherentLabel, tol: float) -> int:
+    """Smallest n_max with a scipy tail below tol: a bracket doubled from
+    [0, 1], then bisected."""
     if scipy_tail(label, 0) < tol:
         return 0
-    if scipy_tail(label, cap) >= tol:
-        return cap
-    lo, hi = 0, cap
+    lo, hi = 0, 1
+    while scipy_tail(label, hi) >= tol:
+        lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if scipy_tail(label, mid) < tol:
@@ -360,49 +385,78 @@ def test_truncation_tail_limits():
     assert all(truncation_tail(label, n) <= 1.0 for n in range(731, 760))
 
 
+def buildable(label: CoherentLabel) -> bool:
+    """Whether the amplitude ladder's start exp(-|chi|^2 / 2) is a normal float."""
+    return math.exp(-0.5 * label.nbar) >= sys.float_info.min
+
+
 @pytest.mark.parametrize("tol", [1e-12, 1e-18])
 def test_resolve_n_max_matches_a_scipy_bisection(tol):
-    # a dense |chi| sweep up to 38; the tail depends on |chi| only
-    capped = 0
+    # a dense |chi| sweep up to 38; the tail depends on |chi| only. Every
+    # buildable label resolves, past 1024 too; the rest are refused
+    refused = 0
     for chi in np.linspace(0.0, 38.0, 3801):
         label = CoherentLabel(float(chi))
-        auto = scipy_auto_n_max(label, tol)
-        if auto == AUTO_N_MAX_CAP and scipy_tail(label, auto) >= tol:
-            capped += 1
-            with pytest.raises(TruncationCapError) as info:
+        if not buildable(label):
+            refused += 1
+            with pytest.raises(ValueError, match="amplitudes underflow"):
                 resolve_n_max(label, tol=tol)
-            needed = scipy_auto_n_max(label, tol, cap=2**53) + TRUNCATION_MARGIN
-            assert info.value.needed == needed, chi
-        else:
-            assert resolve_n_max(label, tol=tol) == auto + TRUNCATION_MARGIN, chi
-    assert capped > 0
+            continue
+        assert resolve_n_max(label, tol=tol) == scipy_auto_n_max(label, tol) + TRUNCATION_MARGIN, chi
+    assert refused == 36  # |chi| 37.65..38.00
 
 
-# |chi| across each tolerance's cap edge and on to 1e4, where the tail at
-# the cap is 1.0 and the bisection runs on to 2**53
+# |chi| across the first bracket's top at each tolerance, across the
+# buildable edge and on to 1e4
 RESOLVER_CHIS = np.concatenate([
     np.linspace(0.0, 40.0, 401),
-    [CAP_EDGE_CHI, 27.73640367432479, 27.05381905464064],  # the edges at 1e-18, 1e-24
+    [FIRST_BRACKET_EDGE_CHI, 27.73640367432479, 27.05381905464064],  # at 1e-18, 1e-24
     np.geomspace(40.0, 1e4, 25)[1:],
 ])
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-18, 1e-24])
-def test_resolve_n_max_equals_the_two_step_rule(tol):
-    # the one bisection gives what auto_n_max at the cap, the tail re-walk
-    # and auto_n_max at 2**53 gave: the same n_max, capped or not
-    capped = 0
+def test_resolve_n_max_equals_the_oracle_search(tol):
+    # the search from [-1, 1024] gives what the oracle's, doubled from
+    # [0, 1], gives for every buildable label, and refuses every other one
+    resolved = 0
     for chi in RESOLVER_CHIS:
         label = CoherentLabel(float(chi))
-        n_max, was_capped = two_step_resolve(label, tol)
-        if was_capped:
-            capped += 1
-            with pytest.raises(TruncationCapError) as info:
-                resolve_n_max(label, tol=tol)
-            assert info.value.needed == n_max, chi
+        if buildable(label):
+            resolved += 1
+            assert resolve_n_max(label, tol=tol) == auto_n_max(label, tol), chi
         else:
-            assert resolve_n_max(label, tol=tol) == n_max, chi
-    assert 0 < capped < len(RESOLVER_CHIS)
+            with pytest.raises(ValueError, match="amplitudes underflow"):
+                resolve_n_max(label, tol=tol)
+    assert 0 < resolved < len(RESOLVER_CHIS)
+
+
+def parent_n_max(label: CoherentLabel, tol: float) -> int | None:
+    """The rule auto truncation had while it was capped at 1024: one
+    bisection over [-1, 1024], None where the tail at 1024 is not below tol."""
+    if truncation_tail(label, 1024) >= tol:
+        return None
+    lo, hi = -1, 1024
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if truncation_tail(label, mid) < tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi + TRUNCATION_MARGIN
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-18, 1e-24])
+def test_labels_below_the_old_cap_keep_their_n_max(tol):
+    # so every byte of a run at such a label stays as it was
+    kept = 0
+    for chi in RESOLVER_CHIS:
+        label = CoherentLabel(float(chi))
+        before = parent_n_max(label, tol)
+        if before is not None:
+            kept += 1
+            assert resolve_n_max(label, tol=tol) == before, chi
+    assert kept > 250
 
 
 def test_truncation_tail_against_mpmath():

@@ -52,6 +52,10 @@ ALLOWLIST = {
         "spectrum asks for levels 0..n_max only",
         'raise ValueError(f"level must be nonnegative, got {n}")',
     ),
+    "coherent.resolve_n_max": (
+        "the CLI and verify pass their own positive tail tolerances",
+        'raise ValueError(f"tail tolerance must be finite and positive, got {tol!r}")',
+    ),
     "dynamics.ehrenfest_residual": (
         "the ehrenfest criterion passes two means of thousands of samples each",
         "raise ValueError(",

@@ -22,7 +22,7 @@ from oracle import (
     slice_moments,
     trapezoid_grid,
 )
-from oscilab.coherent import CoherentLabel, coherent_coefficients
+from oscilab.coherent import CoherentLabel, coherent_coefficients, resolve_n_max
 from oscilab.dynamics import propagate_fock
 from oscilab.fock import DimensionMismatchError, OscillatorParams
 from oscilab.observables import averages_closedform_batch
@@ -618,12 +618,22 @@ def test_closed_form_bytes_do_not_depend_on_the_simd_level(level, disabled):
     assert digest == closed_digest(None)[1]
 
 
-def test_packet_sweep_refuses_a_zero_norm_slice():
-    # at chi = 36 the whole default grid lies past |xi| = 38.6, where the
-    # series' Gaussian seed underflows, so the t = 0 slice is zero
+def test_packet_sweep_gives_a_slice_past_the_seed_underflow_norm_0():
+    # at chi = 36 the whole default grid at t = 0 lies past |xi| = 38.6,
+    # where the series' Gaussian seed underflows, so that slice is zero: norm
+    # 0 and no width, for the caller to name; at t = pi/2 the grid is centred
+    # on x = 0 and its slice is the same as on its own
     label = CoherentLabel(36.0)
-    with pytest.raises(ValueError, match="zero-norm"):
-        packet_sweep(label, coherent_coefficients(label, 1300), [0.0], PARAMS)
+    base = coherent_coefficients(label, resolve_n_max(label, tol=1e-18))
+    times = [0.0, 0.5 * math.pi]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points, series, closed, norm2, variance = packet_sweep(label, base, times, PARAMS)
+    assert not series[0].any() and np.abs(closed[0]).max() > 0.1
+    assert norm2[0] == 0.0 and math.isnan(variance[0])
+    alone = packet_sweep(label, base, times[1:], PARAMS)
+    assert norm2[1] == alone[3][0] and variance[1] == alone[4][0]
+    assert norm2[1] == pytest.approx(1.0, abs=1e-8)
 
 
 def textbook_table(n_max, xs, params):
