@@ -7,11 +7,11 @@ significant digits, as "%.17g" % x, so identical invocations produce
 byte-identical files. A table of floats goes through one exact array kernel
 (`_float_cells`: a digit plan per pass of two chunks, then the bytes per
 chunk), which hands the few cells it cannot decide exactly to "%.17g"
-itself; any other table goes cell by cell. The output is ASCII
-bytes: written to a file as rendered, and to stdout decoded once. CSV output
-is RFC-4180 with '#' comment lines for the schema, the echoed config
-(including the resolved truncation level) and footer records; JSON output is
-one object with "config", "rows" and "footer".
+itself; any other table goes cell by cell. The output is ASCII bytes,
+yielded in pieces and written as each comes: to a file as is, to stdout
+decoded. CSV output is RFC-4180 with '#' comment lines for the schema, the
+echoed config (including the resolved truncation level) and footer records;
+JSON output is one object with "config", "rows" and "footer".
 
 Each call is a fresh process, so the module imports no more than every
 command needs: `json` is imported by the JSON branches only, and the
@@ -32,6 +32,7 @@ import math
 import re
 import sys
 import warnings
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -75,8 +76,8 @@ AMPLITUDE_TAIL_TOL = 1e-18
 QUADRATURE_TOL = 1e-8
 # The most cells one array term of a run may hold; `_admit` refuses a run
 # with a larger term before any array exists. Measured at 2^22, a table cell
-# costs at most 103 B as CSV and 190 B as JSON, rendering included, and a
-# coefficient cell 96 B: every admitted run peaks below 0.8 GiB.
+# costs at most 24 B in either format, its output streamed, and a coefficient
+# cell 96 B: every admitted run measured peaks below 0.45 GiB.
 MAX_CELLS = 2**22
 # Largest ulp a level phase may have, in radians: 2 pi 2^-20, about 6e-6.
 PHASE_ULP_LIMIT = 2.0 * math.pi * 2.0**-20
@@ -330,10 +331,10 @@ def _float_chunk(x: np.ndarray, tails: np.ndarray, plan: list[np.ndarray]) -> by
     return b"".join(itertools.chain.from_iterable(zip(parts, texts + [b""])))
 
 
-def _float_cells(table: np.ndarray, seps: list[str]) -> list[bytes]:
+def _float_cells(table: np.ndarray, seps: list[str]) -> Iterator[bytes]:
     """A float64 (rows, columns) table as ASCII bytes, row by row, each cell
     written as "%.17g" % cell and followed by its column's separator;
-    returned in pieces of whole rows, one per chunk (see _CHUNK_CELLS)."""
+    yielded in pieces of whole rows, one per chunk (see _CHUNK_CELLS)."""
     rows, columns = table.shape
     raw = [sep.encode() for sep in seps]
     if any(b"\0" in sep or b"\1" in sep for sep in raw):
@@ -345,14 +346,12 @@ def _float_cells(table: np.ndarray, seps: list[str]) -> list[bytes]:
         tails[k, :len(sep)] = np.frombuffer(sep, np.uint8)
     tails = tails.view(np.uint32)
     step = max(1, _CHUNK_CELLS // columns)  # rows of a chunk
-    pieces = []
     for start in range(0, rows, 2 * step):
         x = table[start:start + 2 * step].ravel()
         plan = _digit_plan(x)
         for cell in range(0, x.size, step * columns):
             cells = slice(cell, cell + step * columns)
-            pieces.append(_float_chunk(x[cells], tails, [a[cells] for a in plan]))
-    return pieces
+            yield _float_chunk(x[cells], tails, [a[cells] for a in plan])
 
 
 def _json_text(value) -> str:
@@ -393,9 +392,10 @@ def _render(
     columns: list[str],
     rows: np.ndarray | list[tuple],
     footer: list[dict],
-) -> list[bytes]:
-    """The output bytes, in pieces for `_emit` to write as they are. A table
-    command's float64 matrix goes through the array kernel `_float_cells`,
+) -> Iterator[bytes]:
+    """The output bytes as one iterator of pieces, the head, the body and the
+    footer, for `_emit` to write as they come. A table command's float64
+    matrix goes through the array kernel `_float_cells`, a chunk a piece,
     `verify`'s row tuples through the per-cell formatters; both write floats
     as "%.17g"."""
     matrix = isinstance(rows, np.ndarray)
@@ -411,26 +411,26 @@ def _render(
             "# footer: " + " ".join(f"{k}={_fmt(v)}" for k, v in record.items()) + "\n"
             for record in footer
         )
-        return [("\n".join(head) + "\n").encode(), *body, feet.encode()]
+        return itertools.chain([("\n".join(head) + "\n").encode()], body, [feet.encode()])
     import json  # only JSON output needs it
 
     schema_id = json.dumps(f"{SCHEMA_PREFIX}.{schema}.{SCHEMA_VERSION}")
     head = f'{{"schema": {schema_id}, "config": {_json_text(dict(echo))}, "rows": '
     tail = f', "footer": {_json_text(footer)}}}\n'
-    if matrix and len(rows):
+    if matrix and len(rows):  # a row closes with the next's opening, the last with "}]"
         keys = [json.dumps(str(name)) for name in columns]
-        last = f"}}, {{{keys[0]}: "
-        cells = _float_cells(rows, [f", {key}: " for key in keys[1:]] + [last])
-        cells[-1] = cells[-1][:-len(last)]
-        return [f"{head}[{{{keys[0]}: ".encode(), *cells, f"}}]{tail}".encode()]
-    return [(head + _json_text([dict(zip(columns, row)) for row in rows]) + tail).encode()]
+        seps = [f", {key}: " for key in keys[1:]]
+        body = _float_cells(rows[:-1], seps + [f"}}, {{{keys[0]}: "])
+        last = _float_cells(rows[-1:], seps + ["}]"])
+        return itertools.chain([f"{head}[{{{keys[0]}: ".encode()], body, last, [tail.encode()])
+    rows_text = _json_text([dict(zip(columns, row)) for row in rows])
+    return iter([(head + rows_text + tail).encode()])
 
 
-def _emit(config: argparse.Namespace, pieces: list[bytes]) -> None:
-    """Write the pieces to the output file, or decoded to stdout, a text
-    stream that may be a StringIO."""
+def _emit(config: argparse.Namespace, pieces: Iterator[bytes]) -> None:
+    """Write each piece as it comes: to the file, or decoded to stdout (a text stream)."""
     if config.output_path == "-":
-        sys.stdout.write(b"".join(pieces).decode())
+        sys.stdout.writelines(piece.decode() for piece in pieces)
         return
     with open(config.output_path, "wb") as handle:
         handle.writelines(pieces)

@@ -260,28 +260,28 @@ def check_wave_packet(plan) -> CriterionResult:
     Each label's five slices, of its series state and each on a grid around
     its mean, come from one `packet_sweep` call, the sweep behind the
     `wavefunction` command. The maxima propagate nan, so a slice with a
-    non-finite difference or variance fails it, and its detail reads nan.
+    non-finite difference or variance fails it and its detail reads nan. A
+    slice wholly past the seed underflow has norm 0 and no width: the detail
+    counts it and it fails.
     """
     params = OscillatorParams()
     diff_tol = 1e-8
     var_tol = 1e-8
     expected_var = params.hbar / (2.0 * params.mass * params.omega)
-    diffs, drifts = [], []
+    diffs, drifts, dead = [], [], 0
     times = (0.0, 0.7, math.pi, 4.2, 2.0 * math.pi)
     for label, _, state in plan:
-        _, series, closed, _, variances = packet_sweep(label, state, times, params)
+        _, series, closed, norms, variances = packet_sweep(label, state, times, params)
         diffs.append(np.max(np.abs(series - closed)))
-        drifts.append(np.max(np.abs(variances - expected_var)))
+        drifts.append(np.max(np.abs(variances[norms != 0] - expected_var), initial=0.0))
+        dead += int(np.count_nonzero(norms == 0))
     worst_diff, worst_var = float(np.max(diffs)), float(np.max(drifts))
     detail = (
         f"max |series - closed| = {worst_diff:.3e} (tol {diff_tol:.0e}), "
         f"max width drift = {worst_var:.3e} (tol {var_tol:.0e})"
-    )
-    return CriterionResult(
-        "wave-packet-nondiffusion",
-        worst_diff < diff_tol and worst_var < var_tol,
-        detail,
-    )
+    ) + (f", slices wholly past the seed underflow = {dead}" if dead else "")
+    passed = worst_diff < diff_tol and worst_var < var_tol and not dead
+    return CriterionResult("wave-packet-nondiffusion", passed, detail)
 
 
 def check_generating_identity(seed: int) -> CriterionResult:

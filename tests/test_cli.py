@@ -483,6 +483,44 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+# the benchmark's packet-large argv: 9 slices of 2001 points, 2.7 MiB of CSV
+PACKET_LARGE = ["wavefunction", "--chi-re", "20", "--t-end", "6.283185307179586",
+                "--dt", "0.7853981633974483"]
+
+
+def _one_io_error_line(err):
+    assert err.startswith("oscilab: I/O error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_an_output_file_that_fills_mid_stream_exits_2(fmt, capsys):
+    # /dev/full opens, then refuses the first write that reaches it
+    assert main([*PACKET_LARGE, "--format", fmt, "--output", "/dev/full"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    _one_io_error_line(err)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_stdout_that_fails_after_the_first_piece_exits_2(fmt, monkeypatch, capsys):
+    class FailingAfterOneWrite(io.StringIO):
+        def write(self, text):
+            if self.tell():
+                raise OSError("the stream is closed")
+            return super().write(text)
+
+    stdout = FailingAfterOneWrite()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main([*PACKET_LARGE, "--format", fmt]) == 2
+    _one_io_error_line(capsys.readouterr().err)
+    # each piece is written as it comes, so the head alone got out
+    head = stdout.getvalue()
+    assert head.startswith("# schema:" if fmt == "csv" else '{"schema":')
+    assert head.endswith("abs_diff\n" if fmt == "csv" else '[{"t": ')
+
+
 def test_verify_default_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
@@ -1258,9 +1296,10 @@ def test_json_column_names_with_the_delete_and_marker_bytes_render_as_today():
 
 @pytest.mark.parametrize("sep", ["\x00", "a\x01", ",\x00\n", "\x01"])
 def test_a_separator_holding_the_delete_or_marker_byte_is_refused(sep):
-    # the delete pass would drop such a byte, and the fallback split cut on it
+    # the delete pass would drop such a byte, and the fallback split cut on
+    # it; the pieces are yielded, so the refusal comes with the first one
     with pytest.raises(ValueError, match="delete or marker byte"):
-        cli._float_cells(np.zeros((2, 2)), [",", sep])
+        next(cli._float_cells(np.zeros((2, 2)), [",", sep]))
 
 
 def test_all_float_rows_skip_the_per_cell_formatter(monkeypatch):
@@ -1434,44 +1473,50 @@ def _packet_sized_matrix():
     return rng.standard_normal((18009, 7)) * 10.0 ** rng.integers(-20, 5, (18009, 7))
 
 
-def _render_packet_sized_matrix(fmt):
-    """The byte count of the packet-sized matrix and the tracemalloc peak of
-    rendering it."""
-    matrix = _packet_sized_matrix()
+def _render_packet_sized_matrix(fmt, copies=1):
+    """The byte count of the packet-sized matrix, stacked `copies` times, and
+    the tracemalloc peak of rendering it, every piece taken and dropped
+    inside the traced window as `_emit` takes them."""
+    matrix = np.concatenate([_packet_sized_matrix()] * copies)
     config = _config("wavefunction", "--format", fmt)
     columns = [f"c{i}" for i in range(7)]
-    _render(config, "wavefunction", [], columns, matrix[:2], [])  # builds the tables
+    _rendered(config, "wavefunction", [], columns, matrix[:2], [])  # builds the tables
     tracemalloc.start()
     try:
-        pieces = _render(config, "wavefunction", [], columns, matrix, [])
+        size = sum(map(len, _render(config, "wavefunction", [], columns, matrix, [])))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return sum(map(len, pieces)), peak
+    return size, peak
 
 
 def test_rendering_a_packet_sized_matrix_stays_in_its_memory_bound():
-    # 2.7 MiB of CSV. Measured peak: 3.8 MiB, the byte pieces and the
-    # temporaries of one 8,192-cell digit plan and one 4,096-cell byte chunk;
-    # the bound leaves 0.45 MiB of margin. With 4,096-cell plans the peak was
-    # 3.5 MiB, with 16,384-cell plans 4.7 MiB, and with 8,192-cell byte chunks
-    # 0.9 MiB more. With 16,384-cell chunks the peak was 6.0 MiB; joined into
-    # one str, 8.3 MiB; with the whole table as one chunk the kernel's slot
-    # block and keep mask took it to 48 MiB
+    # 2.7 MiB of CSV. Measured peak: 1.32 MiB, the temporaries of one
+    # 8,192-cell digit plan and one 4,096-cell byte chunk; the bound leaves
+    # 0.18 MiB of margin, well under the output's size
     size, peak = _render_packet_sized_matrix("csv")
     assert size > 2.5 * 2**20
-    assert peak < 4.25 * 2**20
+    assert peak < 1.5 * 2**20
 
 
 def test_rendering_a_packet_sized_matrix_as_json_stays_in_its_memory_bound():
-    # 3.6 MiB of JSON. Measured peak: 4.6 MiB, the byte pieces and the
-    # temporaries of one 8,192-cell digit plan and one 4,096-cell byte chunk;
-    # the bound leaves 0.65 MiB of margin (4.4 MiB with 4,096-cell plans).
-    # With 16,384-cell chunks, 7.1 MiB; joined into one str, 10.3 MiB; joined
-    # into intermediate strings three times over, 17.9 MiB
+    # 3.6 MiB of JSON. Measured peak: 1.33 MiB, as for CSV; the bound leaves
+    # 0.17 MiB of margin
     size, peak = _render_packet_sized_matrix("json")
     assert size > 3.5 * 2**20
-    assert peak < 5.25 * 2**20
+    assert peak < 1.5 * 2**20
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_render_peak_does_not_grow_with_the_table(fmt):
+    # four times the rows, 10.8 MiB of CSV or 14.3 MiB of JSON, peak within
+    # one chunk's temporaries of the one-table peak (a 4,096-cell chunk's
+    # slot block alone is 192 or 224 KiB); a render that held its output
+    # would grow by 8-11 MiB
+    size, peak = _render_packet_sized_matrix(fmt)
+    size4, peak4 = _render_packet_sized_matrix(fmt, copies=4)
+    assert size4 > 3.9 * size
+    assert peak4 - peak < 2**18
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1505,9 +1550,10 @@ def test_float_cells_do_not_depend_on_the_chunk_size(fmt, monkeypatch):
         planned.clear()
         written.clear()
         texts.add(_rendered(config, "wavefunction", [], columns, matrix, []))
-        rows = cells // 7
-        assert max(written) == 7 * min(rows, len(matrix))
-        assert max(planned) == 7 * min(2 * rows, len(matrix))
+        # JSON writes its last row in a call of its own, closed by "}]"
+        rows, body = cells // 7, len(matrix) - (fmt == "json")
+        assert max(written) == 7 * min(rows, body)
+        assert max(planned) == 7 * min(2 * rows, body)
         assert sum(planned) == sum(written) == matrix.size
     assert len(texts) == 1
 

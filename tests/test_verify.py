@@ -281,3 +281,18 @@ def test_im_chi_27_fails_on_the_underflowing_hermite_seed_without_a_warning():
         "max |series - closed| = 7.009e-07 (tol 1e-08), "
         "max width drift = 5.929e-14 (tol 1e-08)"
     )
+
+
+def test_slices_wholly_past_the_seed_underflow_are_counted_and_fail():
+    # at chi = 36 the t = 0, pi and 2 pi grids lie wholly past the seed
+    # underflow: norm 0 and no width, so the drift is the other two slices'
+    # and the count says why the criterion fails
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = check_wave_packet(verify._label_plan((36 + 0j,), None))
+    assert not result.passed
+    assert result.detail == (
+        "max |series - closed| = 8.857e-01 (tol 1e-08), "
+        "max width drift = 3.595e-01 (tol 1e-08), "
+        "slices wholly past the seed underflow = 3"
+    )
