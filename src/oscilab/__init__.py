@@ -34,7 +34,7 @@ from .observables import (
     phase_rotation_drifts,
     uncertainty_fock,
 )
-from .wavefunction import WaveSample, generating_sum_check, packet_moments
+from .wavefunction import WaveSample, generating_sum_check
 
 __version__ = "0.1.0"
 

@@ -120,7 +120,9 @@ def _validate(config: argparse.Namespace) -> None:
 
 
 def _fmt(value) -> str:
-    """One cell: floats at 17 significant digits, ints and strings verbatim."""
+    """One cell: floats at 17 significant digits, ints and strings verbatim, None as null."""
+    if value is None:
+        return "null"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -374,14 +376,11 @@ def _json_text(value) -> str:
     return _fmt(value)
 
 
-def _config_echo(config: argparse.Namespace, n_max: int) -> list[tuple[str, object]]:
-    """Every field but output_path, with the resolved n_max and its source."""
+def _config_echo(config: argparse.Namespace, n_max: int | str) -> list[tuple[str, object]]:
+    """Every field but output_path, with n_max as resolved (`verify`: as given)."""
     source = "auto" if config.n_max == "auto" else "explicit"
     echo = dict(vars(config), n_max=n_max, n_max_source=source)
     del echo["output_path"]
-    for name in ("chi_re", "chi_im"):
-        if echo[name] is None:
-            echo[name] = 0.0
     return sorted(echo.items())
 
 
@@ -633,7 +632,7 @@ def _cmd_verify(config: argparse.Namespace) -> int:
     if config.output_path != "-":
         rows = [(r.name, r.passed, r.detail) for r in results]
         footer = [{"passed": sum(r.passed for r in results), "total": len(results)}]
-        echo = _config_echo(config, n_max or 0)
+        echo = _config_echo(config, config.n_max)
         columns = ["criterion", "passed", "detail"]
         _emit(config, _render(config, "verify", echo, columns, rows, footer))
     failed = [r.name for r in results if not r.passed]

@@ -10,10 +10,11 @@ The coherent packet is available as the eigenfunction series of a state, the
 time-0 amplitudes its caller built, and as the label's closed form, a Gaussian
 with a complex center whose exponent has a real part never above 0, so it is
 finite at any |chi|. `packet_sweep` returns both, on one (S, N) array of
-grids, one per time, for the `wavefunction` command and the
-`wave-packet-nondiffusion` criterion to compare; the tests check them against
-each other and against the textbook references of `tests/oracle.py` (single
-eigenfunctions, the packet written through the mean coordinate).
+grids, one per time, with the series' squared norm and width, for the
+`wavefunction` command and the `wave-packet-nondiffusion` criterion to
+compare; the tests check them against each other and against the textbook
+references of `tests/oracle.py` (single eigenfunctions, the packet written
+through the mean coordinate, each slice's moments).
 
 The series never builds an eigenfunction table. It adds c_k phi_k into a
 (2, S, N) float accumulator, k ascending, as each row leaves the recurrence,
@@ -44,7 +45,6 @@ __all__ = [
     "generating_sum_check",
     "psi_series_grid",
     "psi_closed_grid",
-    "packet_moments",
     "packet_sweep",
 ]
 
@@ -266,32 +266,6 @@ def psi_closed_grid(label: CoherentLabel, x, t, params: OscillatorParams) -> np.
     return values
 
 
-def packet_moments(amplitudes, points, weights):
-    """(squared norm, mean position, position variance) of |amplitude|^2 along
-    the last axis of three arrays of one shape, (N,) for one slice or (S, N).
-
-    The squared norm sums weights * |amplitude|^2, the quadrature of the
-    square integral; mean and variance are normalized by it, so a slightly
-    leaky truncation does not skew them. The first slice, in order, that is
-    not finite or has zero norm raises.
-    """
-    values = np.asarray(amplitudes, dtype=complex)
-    shapes = (values.shape, np.shape(points), np.shape(weights))
-    if len(set(shapes)) > 1:
-        raise DimensionMismatchError(f"amplitudes, points and weights of shapes {shapes}")
-    finite = np.isfinite(values).all(axis=-1)
-    density = weights * np.abs(values) ** 2  # inf or nan, silently, where not finite
-    norm2 = density.sum(axis=-1)
-    refused = (~finite | (norm2 <= 0.0)).ravel()
-    if refused.any():
-        if not finite.ravel()[refused.argmax()]:
-            raise ValueError("amplitudes must be finite")
-        raise ValueError("cannot take moments of a zero-norm sample set")
-    mean = (points * density).sum(axis=-1) / norm2
-    var = ((points - np.expand_dims(mean, -1)) ** 2 * density).sum(axis=-1) / norm2
-    return norm2, mean, var
-
-
 def packet_sweep(
     label: CoherentLabel, base: StateVector, times, params: OscillatorParams,
     halfwidth: float = DEFAULT_GRID_HALFWIDTH, npoints: int = DEFAULT_GRID_POINTS,
@@ -302,9 +276,11 @@ def packet_sweep(
     at times[s] +/- `halfwidth` oscillator lengths. The S grids are one
     C-contiguous (S, N) array from one broadcast `linspace`, the series of
     `base`, the label's time-0 state, and the label's complex-centre closed
-    form come from one stacked call each, and one `packet_moments` call takes
-    every slice's squared norm and variance but a zero slice's (its grid wholly
-    past the series seed's underflow, |xi| > 38.6): norm 0 and variance nan.
+    form come from one stacked call each. One pass over the stack takes each
+    slice's squared norm, the sum of weights * |series|^2, and its variance,
+    normalized by that norm so that a slightly leaky truncation does not skew
+    it; a zero slice (its grid wholly past the series seed's underflow,
+    |xi| > 38.6) gets norm 0 and, from 0/0, variance nan.
     Before building anything it refuses a grid that would square past the
     float range, and after, the first grid, in time order, that is not
     strictly increasing.
@@ -339,10 +315,9 @@ def packet_sweep(
     weights[:, [0, -1]] = 0.5 * step
     series = psi_series_grid(base, points, times, params)
     closed = psi_closed_grid(label, points, times, params)
-    live = series.any(axis=-1)
-    if live.all():
-        norm2, _, variance = packet_moments(series, points, weights)
-    else:
-        norm2, variance = np.zeros(live.size), np.full(live.size, np.nan)
-        norm2[live], _, variance[live] = packet_moments(series[live], points[live], weights[live])
+    density = weights * np.abs(series) ** 2
+    norm2 = density.sum(axis=-1)
+    with np.errstate(invalid="ignore"):  # a zero slice's 0/0
+        mean = (points * density).sum(axis=-1) / norm2
+        variance = ((points - mean[:, np.newaxis]) ** 2 * density).sum(axis=-1) / norm2
     return points, series, closed, norm2, variance

@@ -95,6 +95,18 @@ MUTANTS = (
         "",
         ("tests/test_coherent.py::test_an_underflowing_label_is_refused_before_any_tail_walk",),
     ),
+    Mutant(
+        "packet-norm-without-the-quadrature-weights", "wavefunction.py",
+        "weights * np.abs(series) ** 2", "np.abs(series) ** 2",
+        ("tests/test_wavefunction.py::"
+         "test_packet_sweep_grids_and_moments_are_the_per_slice_oracle_to_the_bit",),
+    ),
+    Mutant(
+        "zero-slice-moments-warn", "wavefunction.py",
+        'np.errstate(invalid="ignore")', 'np.errstate(invalid="warn")',
+        ("tests/test_wavefunction.py::"
+         "test_packet_sweep_gives_a_slice_past_the_seed_underflow_norm_0",),
+    ),
 )
 
 

@@ -284,7 +284,7 @@ def gauss_hermite_grid(
     """(points, weights): Gauss-Hermite nodes scaled to physical length, the
     Gaussian weight unfolded.
 
-    The weights include exp(+xi^2), so `packet_moments` integrates plain
+    The weights include exp(+xi^2), so `slice_moments` integrates plain
     |value|^2. Orders beyond ~350 overflow the unfolding and fail the
     grid finiteness validation before any physics sees them.
     """
@@ -381,7 +381,8 @@ def default_packet_grid(
 
 def slice_moments(amplitudes, grid: SpatialGrid) -> tuple[float, float, float]:
     """(squared norm, mean position, position variance) of |amplitude|^2 on
-    one grid: the per-slice reference of `packet_moments`.
+    one grid: the per-slice reference of `packet_sweep`'s norm2 and
+    variance, which take the same sums over a whole (S, N) stack at once.
 
     `amplitudes` is a complex array aligned with `grid.points`, in order;
     the squared norm sums weights * |amplitude|^2, the quadrature of the

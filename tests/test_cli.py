@@ -564,6 +564,33 @@ def test_verify_table_written_to_files(tmp_path, capsys):
     assert payload["footer"][0] == {"passed": 10, "total": 10}
 
 
+@pytest.mark.parametrize(
+    "args, chi_re, chi_im, n_max, source",
+    [
+        ([], None, None, "auto", "auto"),
+        (["--chi-re", "5"], 5, None, "auto", "auto"),
+        (["--chi-im", "-2", "--n-max", "60"], None, -2, 60, "explicit"),
+    ],
+    ids=["probe-set", "chi-re-5", "chi-im-explicit-n-max"],
+)
+def test_verify_echoes_its_options_as_given(tmp_path, capsys, args, chi_re, chi_im,
+                                            n_max, source):
+    # verify runs each label at its own truncation, so it echoes --n-max as
+    # given, and a chi part that was not given as null rather than as 0
+    csv_out = tmp_path / "verify.csv"
+    json_out = tmp_path / "verify.json"
+    assert main(["verify", *args, "--output", str(csv_out)]) == 0
+    assert main(["verify", *args, "--format", "json", "--output", str(json_out)]) == 0
+    capsys.readouterr()
+    config = json.loads(json_out.read_text())["config"]
+    want = {"chi_re": chi_re, "chi_im": chi_im, "n_max": n_max, "n_max_source": source}
+    assert {name: config[name] for name in want} == want
+    echoed = read_csv(csv_out)[3]
+    assert {name: echoed[name] for name in want} == {
+        name: "null" if value is None else str(value) for name, value in want.items()
+    }
+
+
 def test_wavefunction_multiple_times(tmp_path):
     out = tmp_path / "wave.csv"
     rc = main(
@@ -780,8 +807,8 @@ README_RUNS = [
     ),
     (
         ["verify"],
-        "chi_im=0 chi_re=0 command=verify dt=0.01 {defaults} t_end=0 t_start=0",
-        (0, "auto"),
+        "chi_im=null chi_re=null command=verify dt=0.01 {defaults} t_end=0 t_start=0",
+        ("auto", "auto"),
         ["criterion", "passed", "detail"],
         10,
         [["passed", "total"]],
@@ -790,6 +817,8 @@ README_RUNS = [
 
 
 def _cell(value) -> str:
+    if value is None:
+        return "null"
     return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
@@ -1651,7 +1680,7 @@ def test_packet_callers_import_only_packet_sweep():
             for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
             for alias in node.names
         }
-    packet_parts = {"psi_closed_grid", "default_packet_grid", "packet_moments"}
+    packet_parts = {"psi_closed_grid", "default_packet_grid"}
     for module in ("cli", "verify"):
         assert ("wavefunction", "packet_sweep") in imported[module]
         assert not {name for _, name in imported[module]} & packet_parts

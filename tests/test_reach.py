@@ -110,13 +110,6 @@ ALLOWLIST = {
         "the generating-identity criterion passes its own k_max",
         'raise ValueError(f"k_max must be nonnegative, got {k_max}")',
     ),
-    "wavefunction.packet_moments": (
-        "packet_sweep passes one shape and finite series of positive norm",
-        'raise DimensionMismatchError(f"amplitudes, points and weights of shapes {shapes}")',
-        "if not finite.ravel()[refused.argmax()]:",
-        'raise ValueError("amplitudes must be finite")',
-        'raise ValueError("cannot take moments of a zero-norm sample set")',
-    ),
     "wavefunction.packet_sweep": (
         "cli._validate refuses grid_points < 3 first",
         'raise ValueError(f"need at least 2 points, got {npoints}")',

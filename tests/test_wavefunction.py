@@ -31,7 +31,6 @@ from oscilab.wavefunction import (
     WaveSample,
     eigenfunction_table,
     generating_sum_check,
-    packet_moments,
     packet_sweep,
     psi_closed_grid,
     psi_series_grid,
@@ -104,12 +103,12 @@ def test_eigenfunction_matches_direct_formula(params):
 def test_eigenfunction_unit_norm_by_quadrature():
     grid = default_packet_grid(PARAMS)
     values = eigenfunction(3, grid.points, PARAMS)
-    assert packet_moments(
-        samples_from(values, grid), grid.points, grid.weights
-    )[0] == pytest.approx(1.0, abs=1e-8)
+    assert slice_moments(samples_from(values, grid), grid)[0] == pytest.approx(1.0, abs=1e-8)
     points, weights = gauss_hermite_grid(64, PARAMS)
     values = eigenfunction(3, points, PARAMS)
-    assert packet_moments(values, points, weights)[0] == pytest.approx(1.0, abs=1e-12)
+    assert slice_moments(values, SpatialGrid(points, weights))[0] == pytest.approx(
+        1.0, abs=1e-12
+    )
 
 
 def test_eigenfunctions_orthonormal_under_quadrature():
@@ -201,7 +200,7 @@ def test_packet_width_never_changes(params):
         center = averages_closedform_batch(label, [t], params)["mean_x"][0]
         grid = default_packet_grid(params, center=center)
         values = one_slice(psi_closed_grid, label, grid.points, t, params)
-        _, _, var = packet_moments(samples_from(values, grid), grid.points, grid.weights)
+        _, _, var = slice_moments(samples_from(values, grid), grid)
         assert var == pytest.approx(expected_var, abs=1e-9)
 
 
@@ -233,15 +232,7 @@ def test_phase_gradient_at_center_is_mean_momentum():
 def test_quadrature_norm_ground_state():
     grid = trapezoid_grid(-8.0, 8.0, 2001)
     values = eigenfunction(0, grid.points, PARAMS)
-    assert packet_moments(
-        samples_from(values, grid), grid.points, grid.weights
-    )[0] == pytest.approx(1.0, abs=1e-10)
-
-
-def test_packet_moments_refuse_an_empty_grid():
-    empty = SpatialGrid(np.array([]), np.array([]))
-    with pytest.raises(ValueError, match="zero-norm"):
-        packet_moments([], empty.points, empty.weights)
+    assert slice_moments(samples_from(values, grid), grid)[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_quadrature_norm_shifted_packet():
@@ -250,27 +241,7 @@ def test_quadrature_norm_shifted_packet():
     center = averages_closedform_batch(label, [t], PARAMS)["mean_x"][0]
     grid = default_packet_grid(PARAMS, center=center)
     values = one_slice(psi_closed_grid, label, grid.points, t, PARAMS)
-    assert packet_moments(
-        samples_from(values, grid), grid.points, grid.weights
-    )[0] == pytest.approx(1.0, abs=1e-8)
-
-
-def test_packet_moments_length_mismatch():
-    grid = trapezoid_grid(0.0, 1.0, 5)
-    for size in (1, 4):
-        with pytest.raises(DimensionMismatchError):
-            packet_moments(np.ones(size, dtype=complex), grid.points, grid.weights)
-
-
-@pytest.mark.parametrize(
-    "bad", [complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)]
-)
-def test_moments_reject_non_finite_amplitudes(bad):
-    grid = trapezoid_grid(-4.0, 4.0, 9)
-    values = eigenfunction(0, grid.points, PARAMS).astype(complex)
-    values[3] = bad
-    with pytest.raises(ValueError, match="finite"):
-        packet_moments(values, grid.points, grid.weights)
+    assert slice_moments(samples_from(values, grid), grid)[0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_wave_sample_requires_finite_value():
@@ -505,7 +476,7 @@ def test_packet_sweep_rows_are_the_per_slice_calls_to_the_bit(
         closed = one_slice(psi_closed_grid, label, grid.points, t, params)
         want = per_time_closed_form(label, grid.points, t, params, "complex_center")
         assert closed.tobytes() == want.tobytes()
-        norm2, _, variance = packet_moments(series, grid.points, grid.weights)
+        norm2, _, variance = slice_moments(series, grid)
         expected = [grid.points, series, closed, np.float64(norm2), np.float64(variance)]
         assert [part[s].tobytes() for part in sweep] == [e.tobytes() for e in expected]
 
@@ -634,6 +605,35 @@ def test_packet_sweep_gives_a_slice_past_the_seed_underflow_norm_0():
     alone = packet_sweep(label, base, times[1:], PARAMS)
     assert norm2[1] == alone[3][0] and variance[1] == alone[4][0]
     assert norm2[1] == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("chi", [36.0, -36j], ids=["36", "-36i"])
+def test_packet_sweep_slices_past_the_seed_underflow_fall_anywhere_in_a_stack(chi):
+    # near the turning points of |chi| = 36 a grid lies wholly past the seed
+    # underflow, so random times put zero slices at random places among live
+    # ones: every slice is its own one-slice sweep to the bit, a zero one
+    # reads norm 0 and variance nan, and nothing warns
+    label = CoherentLabel(chi)
+    base = coherent_coefficients(label, resolve_n_max(label, tol=1e-18))
+    rng = np.random.default_rng(36)
+    mixed = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(12):
+            times = rng.uniform(0.0, 2.0 * math.pi, size=int(rng.integers(2, 10)))
+            sweep = packet_sweep(label, base, times, PARAMS, 10.0, 65)
+            zero = []
+            for s, t in enumerate(times.tolist()):
+                alone = [part[0] for part in packet_sweep(label, base, [t], PARAMS, 10.0, 65)]
+                got = [part[s] for part in sweep]
+                assert [g.tobytes() for g in got[:4]] == [a.tobytes() for a in alone[:4]]
+                zero.append(not alone[1].any())
+                if zero[-1]:
+                    assert got[3] == 0.0 and math.isnan(got[4]) and math.isnan(alone[4])
+                else:
+                    assert got[4].tobytes() == alone[4].tobytes()
+            mixed += 0 < sum(zero) < len(zero)
+    assert mixed >= 3
 
 
 def textbook_table(n_max, xs, params):
@@ -768,35 +768,26 @@ def test_series_never_asks_for_a_buffer_above_the_callers_and_restores_it(
     assert min(asked) == min(size, max(16, npoints // 16 * 16))
 
 
-def assert_sweep_is_the_per_slice_oracle(monkeypatch, label, times, params, n_max,
-                                         halfwidth, npoints):
-    """The (S, N) grid, weights and moments of `packet_sweep` against
-    default_packet_grid and slice_moments of each slice, by bytes."""
-    seen = []
-
-    def spy(amplitudes, points, weights):
-        moments = packet_moments(amplitudes, points, weights)
-        seen.append((amplitudes, points, weights, moments))
-        return moments
-
-    monkeypatch.setattr(wavefunction, "packet_moments", spy)
+def assert_sweep_is_the_per_slice_oracle(label, times, params, n_max, halfwidth, npoints):
+    """The (S, N) grid and the moments of `packet_sweep` against
+    default_packet_grid and slice_moments of each slice, by bytes: the norm
+    takes the grid's trapezoid weights, and the variance its mean."""
     state = coherent_coefficients(label, n_max)
-    sweep = packet_sweep(label, state, times, params, halfwidth, npoints)
-    (series, points, weights, moments), = seen
-    assert points is sweep[0] and series is sweep[1]
-    assert points.flags.c_contiguous and weights.flags.c_contiguous
-    assert points.shape == weights.shape == (len(times), npoints)
+    points, series, _, norm2, variance = packet_sweep(
+        label, state, times, params, halfwidth, npoints
+    )
+    assert points.flags.c_contiguous
+    assert points.shape == series.shape == (len(times), npoints)
     centers = averages_closedform_batch(label, times, params)["mean_x"]
     for s, center in enumerate(centers.tolist()):
         grid = default_packet_grid(params, center, halfwidth, npoints)
         assert points[s].tobytes() == grid.points.tobytes()
-        assert weights[s].tobytes() == grid.weights.tobytes()
-        want = np.array(slice_moments(series[s], grid))
-        assert np.array([m[s] for m in moments]).tobytes() == want.tobytes()
-        assert sweep[3][s] == want[0] and sweep[4][s] == want[2]
+        want_norm2, _, want_variance = slice_moments(series[s], grid)
+        assert norm2[s].tobytes() == np.float64(want_norm2).tobytes()
+        assert variance[s].tobytes() == np.float64(want_variance).tobytes()
 
 
-def test_packet_sweep_grids_and_moments_are_the_per_slice_oracle_to_the_bit(monkeypatch):
+def test_packet_sweep_grids_and_moments_are_the_per_slice_oracle_to_the_bit():
     rng = np.random.default_rng(18)
     for _ in range(300):
         params = OscillatorParams(*(10.0 ** rng.uniform(-3.0, 3.0, size=3)))
@@ -804,9 +795,7 @@ def test_packet_sweep_grids_and_moments_are_the_per_slice_oracle_to_the_bit(monk
         times = rng.uniform(-10.0, 10.0, size=int(rng.integers(1, 10)))
         halfwidth = float(10.0 ** rng.uniform(-2.0, 2.0))
         npoints = int(rng.integers(2, 2002))
-        assert_sweep_is_the_per_slice_oracle(
-            monkeypatch, label, times, params, 8, halfwidth, npoints
-        )
+        assert_sweep_is_the_per_slice_oracle(label, times, params, 8, halfwidth, npoints)
 
 
 @pytest.mark.parametrize(
@@ -816,27 +805,8 @@ def test_packet_sweep_grids_and_moments_are_the_per_slice_oracle_to_the_bit(monk
         (-1.5 + 0.5j, 64, np.array([0.0, 0.7, math.pi, 4.2, 2.0 * math.pi])),  # verify
     ],
 )
-def test_packet_sweep_shapes_of_the_commands_are_the_per_slice_oracle(
-    monkeypatch, chi, n_max, times
-):
-    assert_sweep_is_the_per_slice_oracle(
-        monkeypatch, CoherentLabel(chi), times, PARAMS, n_max, 10.0, 2001
-    )
-
-
-def test_packet_moments_refuse_the_first_bad_slice_in_order():
-    points = np.tile(np.linspace(-4.0, 4.0, 9), (3, 1))
-    weights = np.ones_like(points)
-    values = np.ones(points.shape, dtype=complex)
-    values[1] = 0.0
-    values[2, 4] = math.nan
-    with pytest.raises(ValueError, match="zero-norm"):
-        packet_moments(values, points, weights)
-    values[0, 0] = math.inf
-    with pytest.raises(ValueError, match="amplitudes must be finite"):
-        packet_moments(values, points, weights)
-    with pytest.raises(DimensionMismatchError):
-        packet_moments(values, points, weights[:, 1:])
+def test_packet_sweep_shapes_of_the_commands_are_the_per_slice_oracle(chi, n_max, times):
+    assert_sweep_is_the_per_slice_oracle(CoherentLabel(chi), times, PARAMS, n_max, 10.0, 2001)
 
 
 @pytest.mark.parametrize(
