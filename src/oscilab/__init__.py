@@ -18,14 +18,7 @@ from .coherent import (
     truncation_tail,
 )
 from .dynamics import ehrenfest_residual, propagate_fock
-from .fock import (
-    DimensionMismatchError,
-    NormalizationError,
-    OscillatorParams,
-    StateVector,
-    TruncationWarning,
-    level_phases,
-)
+from .fock import OscillatorParams, StateVector, TruncationWarning, level_phases
 from .observables import (
     averages_bruteforce,
     averages_bruteforce_batch,

@@ -86,8 +86,8 @@ PHASE_ULP_LIMIT = 2.0 * math.pi * 2.0**-20
 # Every field of a run's config and its default. The root parser supplies
 # them all and a subparser's options default to argparse.SUPPRESS, so a field
 # the argv leaves out, or the command does not register, keeps its default
-# here (and in the echoed config); an option gives its own default only where
-# its command's differs.
+# here (and in a table command's echoed config); an option gives its own
+# default only where its command's differs.
 DEFAULTS = {
     "chi_re": 1.0, "chi_im": 0.0, "hbar": 1.0, "mass": 1.0, "omega": 1.0,
     "n_max": "auto", "t_start": 0.0, "t_end": 0.0, "dt": 0.01,
@@ -517,7 +517,7 @@ def _trajectory(config, params, label, state):
     brute = averages_bruteforce_batch(state, times, params)
     closed = averages_closedform_batch(label, times, params)
     columns, values = ["time"], [times]
-    for name in RECORD_COLUMNS[1:]:
+    for name in RECORD_COLUMNS:
         columns += [f"{name}_closed", f"{name}_brute", f"{name}_diff"]
         values += [closed[name], brute[name], np.abs(closed[name] - brute[name])]
     return columns, np.column_stack(values), []
@@ -632,7 +632,9 @@ def _cmd_verify(config: argparse.Namespace) -> int:
     if config.output_path != "-":
         rows = [(r.name, r.passed, r.detail) for r in results]
         footer = [{"passed": sum(r.passed for r in results), "total": len(results)}]
-        echo = _config_echo(config, config.n_max)
+        # the fields verify reads; it runs in natural units, at its own times and grids
+        read = ("chi_im", "chi_re", "command", "format", "n_max", "n_max_source", "seed")
+        echo = [item for item in _config_echo(config, config.n_max) if item[0] in read]
         columns = ["criterion", "passed", "detail"]
         _emit(config, _render(config, "verify", echo, columns, rows, footer))
     failed = [r.name for r in results if not r.passed]

@@ -93,7 +93,7 @@ def coherent_coefficients(label: CoherentLabel, n_max: int) -> StateVector:
     coeffs = np.empty(n_max + 1, dtype=complex)
     coeffs[0] = c0
     coeffs[1:] = c0 * np.cumprod(ratios)
-    return StateVector(coeffs, n_max, time=0.0)
+    return StateVector(coeffs)
 
 
 def occupation_probability(label: CoherentLabel, n: int) -> float:

@@ -33,7 +33,7 @@ def propagate_fock(state: StateVector, t: float, params: OscillatorParams) -> St
     t1 + t2. Level populations never change.
     """
     phases = level_phases(params, float(t), state.n_max)
-    return StateVector(state.coeffs * phases, state.n_max, time=state.time + float(t))
+    return StateVector(state.coeffs * phases)
 
 
 def sample_times(t_start: float, t_end: float, dt: float) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Truncated Fock-space core: oscillator parameters, states, level phases.
 
-Everything is expressed in the number basis |0>..|n_max>. No operator
-matrix is built on any runtime path: every average comes from the banded
-products of `observables`, and the dense matrices the tests check them
-against live in `tests/oracle.py`. All values are immutable after
-construction and every operation is a pure function of its inputs.
+Everything is expressed in the number basis |0>..|n_max>; a state is its
+amplitudes alone, and the times they are carried to belong to the caller.
+No operator matrix is built on any runtime path: every average comes from
+the banded products of `observables`, and the dense matrices the tests
+check them against live in `tests/oracle.py`. All values are immutable
+after construction and every operation is a pure function of its inputs.
 
 The package's value types (`OscillatorParams`, `StateVector`,
 `coherent.CoherentLabel`, `verify.CriterionResult` and
@@ -21,8 +22,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "DimensionMismatchError",
-    "NormalizationError",
     "TruncationWarning",
     "Value",
     "OscillatorParams",
@@ -30,21 +29,6 @@ __all__ = [
     "check_n_max",
     "level_phases",
 ]
-
-
-class DimensionMismatchError(ValueError):
-    """State, grid or stack sizes do not line up."""
-
-
-class NormalizationError(ValueError):
-    """State norm deviates from 1 by more than the allowed tolerance."""
-
-    def __init__(self, norm: float, tol: float):
-        super().__init__(
-            f"state norm {norm!r} deviates from 1 by more than tolerance {tol!r}"
-        )
-        self.norm = norm
-        self.tol = tol
 
 
 class TruncationWarning(UserWarning):
@@ -110,35 +94,29 @@ class OscillatorParams(Value):
 
 
 class StateVector(Value):
-    """Complex amplitudes over |0>..|n_max| plus the time they refer to.
+    """Complex amplitudes over |0>..|n_max>, n_max being coeffs.size - 1.
 
     The coefficient array is stored read-only; physical states have squared
     norm 1 up to the tolerance of whoever consumes them. States compare and
     hash by identity, as an array has no single truth value.
     """
 
-    __slots__ = ("coeffs", "n_max", "time")
+    __slots__ = ("coeffs",)
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, coeffs: np.ndarray, n_max: int | None = None, time: float = 0.0):
+    def __init__(self, coeffs: np.ndarray):
         c = np.array(coeffs, dtype=complex)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a nonempty one-dimensional array")
-        n_max = c.size - 1 if n_max is None else int(n_max)
-        if c.size != n_max + 1:
-            raise DimensionMismatchError(
-                f"{c.size} coefficients do not fit n_max={n_max}"
-            )
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        if not math.isfinite(time):
-            raise ValueError("time must be finite")
         c.setflags(write=False)
-        self._init(c, n_max, float(time))
+        self._init(c)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+    @property
+    def n_max(self) -> int:
+        return self.coeffs.size - 1
 
 
 def check_n_max(n_max: int) -> int:

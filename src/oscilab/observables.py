@@ -26,7 +26,8 @@ of at most BATCH_CELLS rows x levels, each row the 1-row call to the bit.
 `_moments`. Tests pin the kernel to the dense matrices of `tests/oracle.py`.
 
 The averages come in one format: a dict of float arrays, one entry per
-row, named by RECORD_COLUMNS (complex averages split into _re and _im).
+row, named by RECORD_COLUMNS (complex averages split into _re and _im). The
+rows carry no time column: a caller that asks at an array of times holds it.
 """
 
 from __future__ import annotations
@@ -39,13 +40,7 @@ import warnings
 import numpy as np
 
 from .coherent import CoherentLabel, _evolved_chi
-from .fock import (
-    NormalizationError,
-    OscillatorParams,
-    StateVector,
-    TruncationWarning,
-    level_phases,
-)
+from .fock import OscillatorParams, StateVector, TruncationWarning, level_phases
 
 __all__ = [
     "RECORD_COLUMNS",
@@ -76,7 +71,6 @@ BATCH_CELLS = 2**14
 
 # <a+> = conj(<a>) and <a+ a+> = conj(<a a>) are implied, not stored.
 RECORD_COLUMNS = (
-    "time",
     "mean_x",
     "mean_p",
     "mean_x2",
@@ -106,8 +100,8 @@ def _first_moments(c: np.ndarray, params: OscillatorParams):
     """The checks of the kernel and the first moments of each row of a block.
 
     c is a nonempty (rows, n_max + 1) complex block. Raises ValueError on
-    nonfinite coefficients, and NormalizationError carrying the worst norm
-    when a row's norm is off 1 by more than DEFAULT_NORM_TOL. Returns |c|^2,
+    nonfinite coefficients, and one naming the worst norm when a row's norm
+    is off 1 by more than DEFAULT_NORM_TOL. Returns |c|^2,
     the fields a_avg_re, a_avg_im, mean_x and mean_p, from
         <a> = sum_n sqrt(n) conj(c[n-1]) c[n],
         <x> = 2 sqrt(hbar/2M omega) Re<a>,  <p> = 2 sqrt(M hbar omega/2) Im<a>,
@@ -121,7 +115,10 @@ def _first_moments(c: np.ndarray, params: OscillatorParams):
         raise ValueError("coefficients must be finite")
     worst = int(np.argmax(np.abs(norms - 1.0)))
     if abs(norms[worst] - 1.0) > DEFAULT_NORM_TOL:
-        raise NormalizationError(float(norms[worst]), DEFAULT_NORM_TOL)
+        raise ValueError(
+            f"state norm {float(norms[worst])!r} deviates from 1 by more than "
+            f"tolerance {DEFAULT_NORM_TOL!r}"
+        )
     top_mass = float(np.max(prob[:, -2:].sum(axis=1)))
     hbar, mass, omega = params.hbar, params.mass, params.omega
     # conj(c[n-1]) c[n] out of place: numpy's in-place complex product of a
@@ -142,7 +139,7 @@ def _first_moments(c: np.ndarray, params: OscillatorParams):
 
 
 def _moments(c: np.ndarray, params: OscillatorParams):
-    """Every RECORD_COLUMNS field but "time" for each row of a coefficient block.
+    """Every RECORD_COLUMNS field for each row of a coefficient block.
 
     On top of `_first_moments` (its checks, <a>, <x> and <p>), with the
     operators again within two places of the diagonal:
@@ -190,7 +187,7 @@ def _moments(c: np.ndarray, params: OscillatorParams):
     return fields, top_mass
 
 
-def _columns(rows: int, blocks, kernel, names=RECORD_COLUMNS[1:]):
+def _columns(rows: int, blocks, kernel, names=RECORD_COLUMNS):
     """The `names` columns of `kernel` over consecutive blocks of `rows` rows
     in all, and one TruncationWarning for the largest top-two level mass of
     any row, attributed to the public function's caller.
@@ -220,19 +217,17 @@ def averages_bruteforce(
     state: StateVector, params: OscillatorParams
 ) -> dict[str, np.ndarray]:
     """All averages of one state by expectation in the truncated basis, as
-    one-row columns in the shape of `averages_bruteforce_batch`, "time"
-    holding state.time.
+    one-row columns in the shape of `averages_bruteforce_batch`.
 
     The one-row call of `_columns`, so every row of
     `averages_bruteforce_batch` and `averages_bruteforce_fock` equals it to
-    the bit. Raises NormalizationError (carrying the measured norm) when the
-    state is not normalized within DEFAULT_NORM_TOL. Warns with
+    the bit. Raises ValueError (naming the measured norm) when the state is
+    not normalized within DEFAULT_NORM_TOL. Warns with
     TruncationWarning when the top two levels carry enough weight to bias
     the second moments.
     """
     kernel = functools.partial(_moments, params=params)
-    columns = _columns(1, [state.coeffs[np.newaxis, :]], kernel)
-    return {"time": np.array([state.time]), **columns}
+    return _columns(1, [state.coeffs[np.newaxis, :]], kernel)
 
 
 def _propagated_blocks(base: StateVector, times, params: OscillatorParams):
@@ -254,20 +249,20 @@ def averages_bruteforce_batch(
 ) -> dict[str, np.ndarray]:
     """`averages_bruteforce` of `base` propagated by each of `times`, as columns.
 
-    Returns one float array per RECORD_COLUMNS name, "time" holding
-    base.time + t. Row k equals averages_bruteforce(propagate_fock(base,
-    times[k], params), params) to the bit: the propagated coefficients are
-    the same, and the kernel sums each row alike in a block of any size.
+    Returns one float array per RECORD_COLUMNS name. Row k equals
+    averages_bruteforce(propagate_fock(base, times[k], params), params) to
+    the bit: the propagated coefficients are the same, and the kernel sums
+    each row alike in a block of any size.
 
     Every sample gets the checks of the per-state path: finite coefficients,
-    DEFAULT_NORM_TOL (the NormalizationError carries the worst norm of the
-    first block that fails) and the variance clip. A single TruncationWarning
+    DEFAULT_NORM_TOL (the ValueError names the worst norm of the first
+    block that fails) and the variance clip. A single TruncationWarning
     reports the largest top-two level mass. Times go through in blocks of at
     most BATCH_CELLS rows x levels, so memory does not grow with their number.
     """
     times, blocks = _propagated_blocks(base, times, params)
     kernel = functools.partial(_moments, params=params)
-    return {"time": base.time + times, **_columns(times.size, blocks, kernel)}
+    return _columns(times.size, blocks, kernel)
 
 
 def mean_motion_batch(
@@ -319,7 +314,7 @@ def averages_bruteforce_fock(
         for start in range(0, levels.size, rows)
     )
     kernel = functools.partial(_moments, params=params)
-    return {"time": np.zeros(levels.size), **_columns(levels.size, blocks, kernel)}
+    return _columns(levels.size, blocks, kernel)
 
 
 def phase_rotation_drifts(
@@ -338,7 +333,7 @@ def phase_rotation_drifts(
         a_modulus_drift = ||<a>'| - |<a>||,
         xp_energy_drift = |E(x', p') - E(x, p)|,  E = M omega^2 x^2/2 + p^2/2M.
     No second moment is read, so states that fill the top levels draw no
-    TruncationWarning. Raises NormalizationError like `averages_bruteforce`.
+    TruncationWarning. Refuses a state off norm 1 like `averages_bruteforce`.
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.shape != states.shape[:1]:
@@ -397,7 +392,6 @@ def averages_closedform_batch(
     sq = 2.0 * a2_re  # chi*(t)^2 + chi(t)^2
     lam = label.nbar
     return {
-        "time": times,
         "mean_x": 2.0 * math.sqrt(hbar / (2.0 * mass * omega)) * re,
         "mean_p": 2.0 * math.sqrt(mass * hbar * omega / 2.0) * im,
         "mean_x2": (hbar / (2.0 * mass * omega)) * (sq + 2.0 * lam + 1.0),

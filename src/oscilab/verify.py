@@ -128,17 +128,20 @@ def _label_plan(chi_set, n_max: int | None):
         moments = resolve_n_max(label, n_max)
         series = resolve_n_max(label, n_max, SERIES_TAIL_TOL)
         full = coherent_coefficients(label, series)
-        prefix = StateVector(full.coeffs[:moments + 1], moments) if moments < series else full
+        prefix = StateVector(full.coeffs[:moments + 1]) if moments < series else full
         plan.append((label, prefix, full))
     return plan
 
 
 def _label_sweep(plan):
-    """Each label of the plan with its `averages_bruteforce_batch` columns
-    at 100 times over two periods, in natural units."""
+    """Each label of the plan with the 100 times over two periods, in natural
+    units, and its `averages_bruteforce_batch` columns at them."""
     params = OscillatorParams()
     times = np.linspace(0.0, 2.0 * (2.0 * math.pi / params.omega), 100)
-    return [(label, averages_bruteforce_batch(base, times, params)) for label, base, _ in plan]
+    return [
+        (label, times, averages_bruteforce_batch(base, times, params))
+        for label, base, _ in plan
+    ]
 
 
 def check_minimal_uncertainty(sweep) -> CriterionResult:
@@ -147,7 +150,7 @@ def check_minimal_uncertainty(sweep) -> CriterionResult:
     params = OscillatorParams()
     tol = 1e-9
     worst = 0.0
-    for _, columns in sweep:
+    for _, _, columns in sweep:
         products = columns["uncertainty"]
         worst = max(worst, float(np.max(np.abs(products - 0.5 * params.hbar))))
     return CriterionResult(
@@ -177,8 +180,8 @@ def check_anomalous_averages(sweep) -> CriterionResult:
     params = OscillatorParams()
     tol = 1e-9
     worst = 0.0
-    for label, brute in sweep:
-        closed = averages_closedform_batch(label, brute["time"], params)
+    for label, times, brute in sweep:
+        closed = averages_closedform_batch(label, times, params)
         errors = [np.abs(brute["n_avg"] - closed["n_avg"])]
         for name in ("a_avg", "a2_avg"):  # moduli of the complex differences
             errors.append(np.hypot(
@@ -241,7 +244,7 @@ def check_energy_constancy(sweep) -> CriterionResult:
     value_tol = 1e-9
     worst_spread = 0.0
     worst_value = 0.0
-    for label, columns in sweep:
+    for label, _, columns in sweep:
         energies = columns["energy"]
         expected = params.hbar * params.omega * (label.nbar + 0.5)
         worst_spread = max(worst_spread, float(energies.max() - energies.min()))

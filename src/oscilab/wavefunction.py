@@ -35,9 +35,7 @@ import math
 import numpy as np
 
 from .coherent import CoherentLabel
-from .fock import (
-    DimensionMismatchError, OscillatorParams, StateVector, Value, check_n_max, level_phases,
-)
+from .fock import OscillatorParams, StateVector, Value, check_n_max, level_phases
 from .observables import averages_closedform_batch
 
 __all__ = [
@@ -149,11 +147,11 @@ def generating_sum_check(x: float, t: float, k_max: int) -> float:
 def _slices(t, x) -> tuple[np.ndarray, np.ndarray]:
     """(S,) times and (S, N) points of S slices, t of length S and x of
     shape (S, N), slice s on the points x[s] at t[s]. Any other pairing
-    raises DimensionMismatchError."""
+    raises ValueError."""
     ts = np.asarray(t, dtype=float)
     xs = np.asarray(x, dtype=float)
     if ts.ndim != 1 or xs.ndim != 2 or xs.shape[0] != ts.size:
-        raise DimensionMismatchError(
+        raise ValueError(
             f"times of shape {ts.shape} need x of shape ({ts.size}, N), "
             f"got {xs.shape}"
         )

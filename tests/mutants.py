@@ -107,6 +107,20 @@ MUTANTS = (
         ("tests/test_wavefunction.py::"
          "test_packet_sweep_gives_a_slice_past_the_seed_underflow_norm_0",),
     ),
+    Mutant(
+        "state-without-the-finiteness-check", "fock.py",
+        "        if not np.all(np.isfinite(c)):\n"
+        '            raise ValueError("coefficients must be finite")\n',
+        "",
+        ("tests/test_values.py::test_validation_keeps_its_messages",),
+    ),
+    Mutant(
+        "norm-refusal-reworded", "observables.py",
+        'f"state norm {float(norms[worst])!r} deviates from 1 by more than "',
+        'f"state norm {float(norms[worst])!r} is off 1 by more than "',
+        ("tests/test_observables.py::test_unnormalized_state_rejected_with_measured_norm",
+         "tests/test_acceptance.py::test_explicit_n_max_reaches_every_sweeping_criterion"),
+    ),
 )
 
 

@@ -16,7 +16,7 @@ not part of it:
 - one validated trapezoid grid per packet slice and its moments
   (`SpatialGrid`, `trapezoid_grid`, `default_packet_grid`, `slice_moments`),
   the per-slice reference of the (S, N) arrays of `packet_sweep`;
-- the closed-form averages on a uniform time grid (`closedform_trajectory`);
+- a uniform time grid and the closed-form averages on it (`closedform_trajectory`);
 - the auto truncation rule by a search of its own, over a bracket doubled
   from [0, 1] (`auto_n_max`);
 - the float-cell kernel's tables built one (shape, digits) cell at a time
@@ -48,12 +48,7 @@ from oscilab.coherent import (
     truncation_tail,
 )
 from oscilab.dynamics import sample_times
-from oscilab.fock import (
-    DimensionMismatchError,
-    OscillatorParams,
-    StateVector,
-    check_n_max,
-)
+from oscilab.fock import OscillatorParams, StateVector, check_n_max
 from oscilab.observables import RECORD_COLUMNS, averages_closedform_batch
 from oscilab.wavefunction import (
     DEFAULT_GRID_HALFWIDTH,
@@ -76,7 +71,7 @@ class Operator:
             raise ValueError(f"matrix must be square and nonempty, got shape {m.shape}")
         n_max = m.shape[0] - 1 if self.n_max is None else int(self.n_max)
         if m.shape[0] != n_max + 1:
-            raise DimensionMismatchError(
+            raise ValueError(
                 f"matrix dimension {m.shape[0]} does not fit n_max={n_max}"
             )
         if not np.all(np.isfinite(m)):
@@ -91,21 +86,21 @@ class Operator:
 
     def __matmul__(self, other: "Operator") -> "Operator":
         if self.n_max != other.n_max:
-            raise DimensionMismatchError(
+            raise ValueError(
                 f"cannot multiply operators at n_max {self.n_max} and {other.n_max}"
             )
         return Operator(self.matrix @ other.matrix, self.n_max)
 
     def __add__(self, other: "Operator") -> "Operator":
         if self.n_max != other.n_max:
-            raise DimensionMismatchError(
+            raise ValueError(
                 f"cannot add operators at n_max {self.n_max} and {other.n_max}"
             )
         return Operator(self.matrix + other.matrix, self.n_max)
 
     def __sub__(self, other: "Operator") -> "Operator":
         if self.n_max != other.n_max:
-            raise DimensionMismatchError(
+            raise ValueError(
                 f"cannot subtract operators at n_max {self.n_max} and {other.n_max}"
             )
         return Operator(self.matrix - other.matrix, self.n_max)
@@ -159,7 +154,7 @@ def fock_state(n: int, n_max: int) -> StateVector:
         raise ValueError(f"level n={n} out of range 0..{n_max}")
     c = np.zeros(n_max + 1, dtype=complex)
     c[n] = 1.0
-    return StateVector(c, n_max, time=0.0)
+    return StateVector(c)
 
 
 def identity(n_max: int) -> Operator:
@@ -175,19 +170,19 @@ def expectation(op: Operator, state: StateVector) -> complex:
     complex number.
     """
     if op.matrix.shape[0] != state.coeffs.size:
-        raise DimensionMismatchError(
+        raise ValueError(
             f"operator dimension {op.matrix.shape[0]} does not match "
             f"state length {state.coeffs.size}"
         )
     return complex(np.vdot(state.coeffs, op.matrix @ state.coeffs))
 
 
-def random_state(n_max: int, rng=None, time: float = 0.0) -> StateVector:
+def random_state(n_max: int, rng=None) -> StateVector:
     """Haar-like random normalized state: i.i.d. complex Gaussian amplitudes."""
     n_max = check_n_max(n_max)
     rng = np.random.default_rng(rng)
     c = rng.standard_normal(n_max + 1) + 1j * rng.standard_normal(n_max + 1)
-    return StateVector(c / np.linalg.norm(c), n_max, time=time)
+    return StateVector(c / np.linalg.norm(c))
 
 
 @dataclass(frozen=True)
@@ -239,7 +234,7 @@ def transform_state_phase(state: StateVector, alpha: PhaseAngle) -> StateVector:
     """
     n = np.arange(state.coeffs.size)
     phases = np.exp(-1j * alpha.alpha * n)
-    return StateVector(state.coeffs * phases, state.n_max, time=state.time)
+    return StateVector(state.coeffs * phases)
 
 
 def record_row(columns: dict[str, np.ndarray], k: int = 0) -> tuple[float, ...]:
@@ -334,7 +329,7 @@ class SpatialGrid:
         if pts.ndim != 1 or wts.ndim != 1:
             raise ValueError("points and weights must be 1-d arrays")
         if pts.size != wts.size:
-            raise DimensionMismatchError(
+            raise ValueError(
                 f"{pts.size} points but {wts.size} weights"
             )
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
@@ -390,7 +385,7 @@ def slice_moments(amplitudes, grid: SpatialGrid) -> tuple[float, float, float]:
     so a slightly leaky truncation does not skew them.
     """
     if len(amplitudes) != len(grid):
-        raise DimensionMismatchError(
+        raise ValueError(
             f"{len(amplitudes)} amplitudes on a grid of {len(grid)} points"
         )
     values = np.asarray(amplitudes, dtype=complex)
@@ -407,11 +402,11 @@ def slice_moments(amplitudes, grid: SpatialGrid) -> tuple[float, float, float]:
 
 def closedform_trajectory(
     label: CoherentLabel, params: OscillatorParams, t_start: float, t_end: float, dt: float
-) -> dict[str, np.ndarray]:
-    """The label's closed-form averages on the uniform time grid, one array
-    per RECORD_COLUMNS name."""
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The uniform time grid and the label's closed-form averages on it, one
+    array per RECORD_COLUMNS name."""
     times = sample_times(t_start, t_end, dt)
-    return averages_closedform_batch(label, times, params)
+    return times, averages_closedform_batch(label, times, params)
 
 
 def auto_n_max(label: CoherentLabel, tol: float) -> int:

@@ -434,14 +434,21 @@ def test_the_parser_for_one_command_parses_as_the_full_parser(argv):
 def test_the_echo_of_a_field_the_command_does_not_register_is_its_default(
     command, tmp_path, capsys
 ):
-    # the root parser gives every field its default from cli.DEFAULTS, and
-    # the echo lists every field, registered by the command or not
+    # the root parser gives every field its default from cli.DEFAULTS, and a
+    # table command's echo lists every field, registered by the command or
+    # not; verify's lists only the fields it reads, every one registered
     registered = {a.dest for a in _subparser(cli.build_parser(command), command)._actions}
     expected = {k: _fmt(v) for k, v in cli.DEFAULTS.items() if k not in registered}
     out = tmp_path / "out.csv"
     assert main([command, "--output", str(out)]) == 0
     capsys.readouterr()
     echo = read_csv(out)[3]
+    if command == "verify":
+        assert sorted(echo) == [
+            "chi_im", "chi_re", "command", "format", "n_max", "n_max_source", "seed"
+        ]
+        assert set(echo) - {"command", "n_max_source"} <= registered
+        return
     assert {k: echo[k] for k in expected} == expected
     if command == "spectrum":
         assert echo.items() >= {
@@ -672,7 +679,7 @@ def test_symmetry_check_cells_match_dense_expectations(modulus, phase, n_max, pa
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     label = CoherentLabel(chi)
-    norm = coherent_coefficients(label, n_max).norm()
+    norm = np.linalg.norm(coherent_coefficients(label, n_max).coeffs)
     if abs(norm - 1.0) > 1e-10:  # an under-truncated state is refused
         assert code == 1
         assert "state norm" in err.getvalue()
@@ -807,7 +814,8 @@ README_RUNS = [
     ),
     (
         ["verify"],
-        "chi_im=null chi_re=null command=verify dt=0.01 {defaults} t_end=0 t_start=0",
+        # verify echoes only the fields it reads
+        "chi_im=null chi_re=null command=verify format={fmt} n_max=auto n_max_source=auto seed=0",
         ("auto", "auto"),
         ["criterion", "passed", "detail"],
         10,
@@ -846,7 +854,7 @@ def test_readme_command_layout(
     capsys.readouterr()
     n_max, source = resolved
     defaults = CONFIG_DEFAULTS.format(fmt=fmt, n_max=n_max, source=source)
-    expected_echo = echo.format(defaults=defaults)
+    expected_echo = echo.format(defaults=defaults, fmt=fmt)
     schema = f"oscilab.{argv[0]}.v1"
     if fmt == "csv":
         lines = out.read_text().splitlines()

@@ -45,7 +45,7 @@ def poisson_tail_direct(lam: float, n_max: int, terms: int = 400) -> float:
 def test_vacuum_label_is_ground_state():
     state = coherent_coefficients(CoherentLabel(0), 5)
     np.testing.assert_array_equal(state.coeffs, [1, 0, 0, 0, 0, 0])
-    assert state.time == 0.0
+    assert state.n_max == 5
 
 
 def test_single_level_amplitude():
@@ -56,11 +56,11 @@ def test_single_level_amplitude():
 def test_norm_is_one_minus_tail():
     label = CoherentLabel(1)
     state = coherent_coefficients(label, 64)
-    assert state.norm() ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(state.coeffs) ** 2 == pytest.approx(1.0, abs=1e-12)
     # cross-check against the direct tail sum at a leakier truncation
     leaky = coherent_coefficients(CoherentLabel(2.3 + 0.4j), 12)
     lam = abs(2.3 + 0.4j) ** 2
-    assert leaky.norm() ** 2 == pytest.approx(
+    assert np.linalg.norm(leaky.coeffs) ** 2 == pytest.approx(
         1.0 - poisson_tail_direct(lam, 12), abs=1e-13
     )
 
@@ -127,7 +127,7 @@ def test_truncation_tail_monotone_nonincreasing():
 @pytest.mark.parametrize("n_max", [8, 32])
 def test_norm_plus_tail_partition_of_unity(chi, n_max):
     label = CoherentLabel(chi)
-    norm2 = coherent_coefficients(label, n_max).norm() ** 2
+    norm2 = np.linalg.norm(coherent_coefficients(label, n_max).coeffs) ** 2
     assert norm2 + truncation_tail(label, n_max) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -498,6 +498,6 @@ def test_coherent_coefficients_just_below_the_underflow_edge():
     label = CoherentLabel(37.6)  # exp(-|chi|^2 / 2) = 1.0e-307, still normal
     state = coherent_coefficients(label, 1700)
     assert np.all(np.isfinite(state.coeffs))
-    assert state.norm() ** 2 == pytest.approx(
+    assert np.linalg.norm(state.coeffs) ** 2 == pytest.approx(
         1.0 - truncation_tail(label, 1700), abs=1e-12
     )

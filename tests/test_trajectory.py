@@ -13,12 +13,7 @@ from oscilab.coherent import (
     resolve_n_max,
 )
 from oscilab.dynamics import propagate_fock, sample_count, sample_times
-from oscilab.fock import (
-    NormalizationError,
-    OscillatorParams,
-    TruncationWarning,
-    level_phases,
-)
+from oscilab.fock import OscillatorParams, TruncationWarning, level_phases
 from oscilab.observables import (
     RECORD_COLUMNS,
     SUPPORT_MASS_TOL,
@@ -47,14 +42,15 @@ def test_bruteforce_and_closedform_trajectories_agree():
     base = coherent_coefficients(label, resolve_n_max(label))
     times = sample_times(0.0, 2 * math.pi, 0.01)
     brute = averages_bruteforce_batch(base, times, PARAMS)
-    closed = closedform_trajectory(label, PARAMS, 0.0, 2 * math.pi, 0.01)
-    np.testing.assert_array_equal(brute["time"], closed["time"])
+    closed_times, closed = closedform_trajectory(label, PARAMS, 0.0, 2 * math.pi, 0.01)
+    np.testing.assert_array_equal(closed_times, times)
+    assert tuple(brute) == tuple(closed) == RECORD_COLUMNS
     for name in RECORD_COLUMNS:
         np.testing.assert_allclose(brute[name], closed[name], atol=1e-9, rtol=0)
 
 
 def test_bruteforce_sampling_rejects_gross_under_truncation():
-    with pytest.raises(NormalizationError):
+    with pytest.raises(ValueError, match=r"^state norm 0\.2344\d* deviates from 1 by"):
         averages_bruteforce_batch(
             coherent_coefficients(CoherentLabel(3), 4), sample_times(0.0, 1.0, 0.1), PARAMS
         )

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from oscilab.coherent import CoherentLabel
-from oscilab.fock import DimensionMismatchError, OscillatorParams, StateVector
+from oscilab.fock import OscillatorParams, StateVector
 from oscilab.verify import CriterionResult
 from oscilab.wavefunction import WaveSample
 
@@ -33,7 +33,7 @@ EXAMPLES = {
 
 def example(name):
     if name == "StateVector":
-        return StateVector([0.6, 0.8j], time=1.5)
+        return StateVector([0.6, 0.8j])
     return EXAMPLES[name][0]()
 
 
@@ -43,7 +43,7 @@ def test_constructors_keep_their_signatures_and_defaults():
 
     empty = inspect.Parameter.empty
     assert defaults(OscillatorParams) == {"hbar": 1.0, "mass": 1.0, "omega": 1.0}
-    assert defaults(StateVector) == {"coeffs": empty, "n_max": None, "time": 0.0}
+    assert defaults(StateVector) == {"coeffs": empty}
     assert defaults(CoherentLabel) == {"chi": empty}
     assert defaults(CriterionResult) == {"name": empty, "passed": empty, "detail": empty}
     assert defaults(WaveSample) == {"x": empty, "value": empty}
@@ -52,9 +52,9 @@ def test_constructors_keep_their_signatures_and_defaults():
 def test_constructors_normalize_their_fields():
     params = OscillatorParams()
     assert (params.hbar, params.mass, params.omega) == (1.0, 1.0, 1.0)
-    state = StateVector([1, 0], time=2)
+    state = StateVector([1, 0])
     assert state.coeffs.dtype == complex and not state.coeffs.flags.writeable
-    assert (state.n_max, state.time) == (1, 2.0) and type(state.time) is float
+    assert state.n_max == 1 and type(state.n_max) is int
     assert CoherentLabel(2).chi == 2 + 0j and type(CoherentLabel(2).chi) is complex
     assert CriterionResult("c", np.bool_(True), "").passed is True
     sample = WaveSample(1, 2)
@@ -74,10 +74,7 @@ def test_constructors_normalize_their_fields():
          "coeffs must be a nonempty one-dimensional array"),
         (lambda: StateVector([]), ValueError,
          "coeffs must be a nonempty one-dimensional array"),
-        (lambda: StateVector(np.ones(3), n_max=4), DimensionMismatchError,
-         "3 coefficients do not fit n_max=4"),
         (lambda: StateVector([1.0, math.nan]), ValueError, "coefficients must be finite"),
-        (lambda: StateVector([1.0], time=math.inf), ValueError, "time must be finite"),
         (lambda: CoherentLabel(complex(math.nan, 0.0)), ValueError,
          "label must be finite, got (nan+0j)"),
         (lambda: CoherentLabel(1e200), ValueError,
@@ -141,6 +138,23 @@ def test_pickle_and_copy_round_trip(name):
         if name == "StateVector":
             np.testing.assert_array_equal(twin.coeffs, value.coeffs)
             assert not twin.coeffs.flags.writeable
-            assert (twin.n_max, twin.time) == (value.n_max, value.time)
+            assert twin.n_max == value.n_max
         else:
             assert twin == value
+
+
+def test_a_state_is_its_amplitudes_alone():
+    # coeffs is the one field, so pickle and copy rebuild a state through
+    # the constructor from it, and n_max is read off its size
+    coeffs = np.arange(1.0, 6.0) * (1 - 1j)
+    state = StateVector(coeffs / np.linalg.norm(coeffs))
+    assert StateVector.__slots__ == ("coeffs",)
+    assert state.__reduce__() == (StateVector, (state.coeffs,))
+    assert state.n_max == state.coeffs.size - 1 == 4
+    for twin in (pickle.loads(pickle.dumps(state)), copy.copy(state), copy.deepcopy(state)):
+        assert type(twin) is StateVector and twin is not state
+        assert twin.coeffs.tobytes() == state.coeffs.tobytes()
+        assert twin.n_max == 4 and not twin.coeffs.flags.writeable
+    for keyword in ("n_max", "time"):
+        with pytest.raises(TypeError):
+            StateVector(coeffs, **{keyword: 0})
