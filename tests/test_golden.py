@@ -95,6 +95,44 @@ def test_corpus_matches_at_two_blas_threads():
     assert got == expected
 
 
+# The cases that end inside argparse: their bytes are the parser's help
+# texts and usage errors, which depend on the Python version alone.
+PARSER_CASES = (
+    "oscilab --help",
+    "oscilab wavefunction --help",
+    "oscilab verify --help",
+    "oscilab trajectory --help",
+    "oscilab spectrum --help",
+    "oscilab uncertainty --help",
+    "oscilab symmetry-check --help",
+    "oscilab spectrum --n-max junk",
+    "oscilab spectrum --format xml",
+    "oscilab no-such-command",
+    "oscilab",
+    "oscilab spectrum --bogus 1",
+    "oscilab wavefunction --chi-re",
+    "oscilab -- verify",
+)
+
+
+def test_parser_cases_match_the_recorded_hashes_on_the_recorded_python(tmp_path, monkeypatch):
+    # argparse's bytes move with the Python version, not with numpy, BLAS
+    # or the SIMD level, so these cases are checked wherever the minor
+    # version is the fingerprint's
+    assert len(PARSER_CASES) == 14
+    regenerate = _regenerate_module()
+    expected = regenerate.HASHES.read_text()
+    prefix = re.escape(regenerate.FINGERPRINT_PREFIX)
+    recorded = re.search(rf"^{prefix}python=(\S+) ", expected, re.MULTILINE)[1]
+    here = f"{sys.version_info.major}.{sys.version_info.minor}"
+    if here != recorded:
+        pytest.skip(f"hashes recorded on Python {recorded}, this is Python {here}")
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the help texts to this width
+    want = _by_case(expected)
+    got = {case: regenerate.run_case(case, tmp_path) for case in PARSER_CASES}
+    _assert_same_cases(got, {case: want[case] for case in PARSER_CASES})
+
+
 def test_no_corpus_case_warns(tmp_path, monkeypatch):
     # every case, refusals included, ends without a Python warning of any
     # kind: none is recorded, and none reaches the stderr the hashes pin. The
