@@ -15,9 +15,9 @@ JSON output is one object with "config", "rows" and "footer".
 
 Each call is a fresh process, so the module imports no more than every
 command needs: `json` is imported by the JSON branches only, and the
-parser is built without argparse parent parsers and gives its options to
-the invoked command only. `main` keeps freed array memory in the process
-(`_keep_freed_memory`).
+parser, built from one option table without argparse parent parsers, gives
+its options to the invoked command only. `main` keeps freed array memory
+in the process (`_keep_freed_memory`).
 
 Exit codes: 0 success, 1 usage/invalid config, 2 unwritable output,
 3 failed verification. A TruncationWarning goes to stderr as one line.
@@ -386,7 +386,6 @@ def _config_echo(config: argparse.Namespace, n_max: int | str) -> list[tuple[str
 
 def _render(
     config: argparse.Namespace,
-    schema: str,
     echo: list[tuple[str, object]],
     columns: list[str],
     rows: np.ndarray | list[tuple],
@@ -396,10 +395,11 @@ def _render(
     footer, for `_emit` to write as they come. A table command's float64
     matrix goes through the array kernel `_float_cells`, a chunk a piece,
     `verify`'s row tuples through the per-cell formatters; both write floats
-    as "%.17g"."""
+    as "%.17g". The schema is named after the command."""
+    schema = f"{SCHEMA_PREFIX}.{config.command}.{SCHEMA_VERSION}"
     matrix = isinstance(rows, np.ndarray)
     if config.format == "csv":
-        head = [f"# schema: {SCHEMA_PREFIX}.{schema}.{SCHEMA_VERSION}"]
+        head = [f"# schema: {schema}"]
         head.append("# config: " + " ".join(f"{k}={_fmt(v)}" for k, v in echo))
         head.append(",".join(columns))
         if matrix:
@@ -413,8 +413,7 @@ def _render(
         return itertools.chain([("\n".join(head) + "\n").encode()], body, [feet.encode()])
     import json  # only JSON output needs it
 
-    schema_id = json.dumps(f"{SCHEMA_PREFIX}.{schema}.{SCHEMA_VERSION}")
-    head = f'{{"schema": {schema_id}, "config": {_json_text(dict(echo))}, "rows": '
+    head = f'{{"schema": {json.dumps(schema)}, "config": {_json_text(dict(echo))}, "rows": '
     tail = f', "footer": {_json_text(footer)}}}\n'
     if matrix and len(rows):  # a row closes with the next's opening, the last with "}]"
         keys = [json.dumps(str(name)) for name in columns]
@@ -617,7 +616,7 @@ def _run_table(config: argparse.Namespace) -> int:
     state = coherent_coefficients(label, n_max)  # the run's one build, once admitted
     columns, rows, footer = producer(config, _params(config), label, state)
     echo = _config_echo(config, n_max)
-    _emit(config, _render(config, config.command, echo, columns, rows, footer))
+    _emit(config, _render(config, echo, columns, rows, footer))
     return EXIT_OK
 
 
@@ -636,7 +635,7 @@ def _cmd_verify(config: argparse.Namespace) -> int:
         read = ("chi_im", "chi_re", "command", "format", "n_max", "n_max_source", "seed")
         echo = [item for item in _config_echo(config, config.n_max) if item[0] in read]
         columns = ["criterion", "passed", "detail"]
-        _emit(config, _render(config, "verify", echo, columns, rows, footer))
+        _emit(config, _render(config, echo, columns, rows, footer))
     failed = [r.name for r in results if not r.passed]
     if failed:
         sys.stderr.write("verification failed: " + ", ".join(failed) + "\n")
@@ -672,70 +671,47 @@ def _n_max_type(text: str):
         raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {text!r}")
 
 
-def _state_options(p: argparse.ArgumentParser, units: bool = True) -> None:
-    p.add_argument("--chi-re", type=float, help=f"Re chi (default {DEFAULTS['chi_re']:g})")
-    p.add_argument("--chi-im", type=float, help=f"Im chi (default {DEFAULTS['chi_im']:g})")
-    if units:
-        p.add_argument("--hbar", type=float)
-        p.add_argument("--mass", type=float)
-        p.add_argument("--omega", type=float)
-    p.add_argument(
-        "--n-max", type=_n_max_type,
-        help=f"truncation level, or 'auto' for the tail rule (default {DEFAULTS['n_max']})",
-    )
+# Every option: flag -> its add_argument keywords; a command's entry in
+# COMMANDS may override some of them.
+OPTIONS = {
+    "--chi-re": {"type": float, "help": f"Re chi (default {DEFAULTS['chi_re']:g})"},
+    "--chi-im": {"type": float, "help": f"Im chi (default {DEFAULTS['chi_im']:g})"},
+    "--hbar": {"type": float}, "--mass": {"type": float}, "--omega": {"type": float},
+    "--n-max": {"type": _n_max_type, "help": "truncation level, or 'auto' for the tail "
+                f"rule (default {DEFAULTS['n_max']})"},
+    "--output": {"dest": "output_path", "help": "output file path, '-' for stdout (default)"},
+    "--format": {"choices": ("csv", "json")},
+    "--t-start": {"type": float}, "--t-end": {"type": float}, "--dt": {"type": float},
+    "--grid-halfwidth": {"type": float, "help": "grid half-width in oscillator lengths "
+                         f"(default {DEFAULTS['grid_halfwidth']:g})"},
+    "--grid-points": {"type": int,
+                      "help": f"odd point count (default {DEFAULTS['grid_points']})"},
+    "--seed": {"type": int},
+}
 
+# The flags every table command but `spectrum` lists first.
+_STATE_AND_OUTPUT = "--chi-re --chi-im --hbar --mass --omega --n-max --output --format"
 
-def _output_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--output", dest="output_path", help="output file path, '-' for stdout (default)"
-    )
-    p.add_argument("--format", choices=("csv", "json"))
-
-
-def _time_options(p: argparse.ArgumentParser, t_end_default: float | None = None) -> None:
-    """--t-start, and with a t_end default --t-end and --dt."""
-    p.add_argument("--t-start", type=float)
-    if t_end_default is not None:
-        p.add_argument("--t-end", type=float, default=t_end_default)
-        p.add_argument("--dt", type=float)
-
-
-def _grid_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--grid-halfwidth", type=float,
-        help=f"grid half-width in oscillator lengths (default {DEFAULTS['grid_halfwidth']:g})",
-    )
-    p.add_argument(
-        "--grid-points", type=int, help=f"odd point count (default {DEFAULTS['grid_points']})"
-    )
-
-
-def _verify_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--chi-re", type=float, default=None,
-        help="override the probe set with this single label",
-    )
-    p.add_argument("--chi-im", type=float, default=None)
-    p.add_argument("--n-max", type=_n_max_type)
-    p.add_argument("--seed", type=int)
-
-
-# Every command: name -> (help line, option groups as (adder, *arguments)),
-# in the order --help lists them.
+# Every command: name -> (help line, its flags in the order --help lists
+# them, keyword overrides by flag).
 COMMANDS = {
     "trajectory": ("closed-form and brute-force averages over time, plus differences",
-                   [(_state_options,), (_output_options,), (_time_options, 2.0 * math.pi)]),
+                   f"{_STATE_AND_OUTPUT} --t-start --t-end --dt",
+                   {"--t-end": {"default": 2.0 * math.pi}}),
     "spectrum": ("level populations against the Poisson weights",
-                 [(_state_options, False), (_output_options,)]),
+                 "--chi-re --chi-im --n-max --output --format", {}),
     "uncertainty": ("fluctuation products of number states and the coherent state",
-                    [(_state_options,), (_output_options,), (_time_options,)]),
+                    f"{_STATE_AND_OUTPUT} --t-start", {}),
     "wavefunction": ("packet samples: truncated series against the closed form",
-                     [(_state_options,), (_output_options,),
-                      (_time_options, DEFAULTS["t_end"]), (_grid_options,)]),
-    "symmetry-check": ("phase-rotation invariance report",
-                       [(_state_options,), (_output_options,)]),
+                     f"{_STATE_AND_OUTPUT} --t-start --t-end --dt"
+                     " --grid-halfwidth --grid-points", {}),
+    "symmetry-check": ("phase-rotation invariance report", _STATE_AND_OUTPUT, {}),
     "verify": ("run the acceptance battery (natural units); exit 3 on failure",
-               [(_output_options,), (_verify_options,)]),
+               "--output --format --chi-re --chi-im --n-max --seed",
+               {"--chi-re": {"default": None,
+                             "help": "override the probe set with this single label"},
+                "--chi-im": {"default": None, "help": None},
+                "--n-max": {"help": None}}),
 }
 
 
@@ -750,11 +726,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     parser.set_defaults(**DEFAULTS)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, groups) in COMMANDS.items():
+    for name, (help_text, flags, own) in COMMANDS.items():
         subparser = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         if command == name or command not in COMMANDS:
-            for add, *arguments in groups:
-                add(subparser, *arguments)
+            for flag in flags.split():
+                subparser.add_argument(flag, **{**OPTIONS[flag], **own.get(flag, {})})
     return parser
 
 

@@ -44,11 +44,28 @@ MUTANTS = (
     ),
     Mutant(
         "only-the-named-subparser", "cli.py",
-        "    for name, (help_text, groups) in COMMANDS.items():\n",
-        "    for name, (help_text, groups) in COMMANDS.items():\n"
+        "    for name, (help_text, flags, own) in COMMANDS.items():\n",
+        "    for name, (help_text, flags, own) in COMMANDS.items():\n"
         "        if command in COMMANDS and name != command:\n"
         "            continue\n",
         ("tests/test_cli.py::test_the_parser_for_one_command_parses_as_the_full_parser",),
+    ),
+    Mutant(
+        "trajectory-t-end-default-dropped", "cli.py",
+        '{"--t-end": {"default": 2.0 * math.pi}}', "{}",
+        ("tests/test_cli.py::test_oversized_sample_count_exits_1_naming_the_cause",
+         "tests/test_golden.py::test_no_corpus_case_warns"),
+    ),
+    Mutant(
+        "spectrum-takes-the-units", "cli.py",
+        '"--chi-re --chi-im --n-max --output --format", {}', "_STATE_AND_OUTPUT, {}",
+        ("tests/test_cli.py::test_commands_refuse_the_options_they_do_not_read",),
+    ),
+    Mutant(
+        "verify-chi-im-with-the-shared-help", "cli.py",
+        '"--chi-im": {"default": None, "help": None}', '"--chi-im": {"default": None}',
+        ("tests/test_golden.py::"
+         "test_parser_cases_match_the_recorded_hashes_on_the_recorded_python",),
     ),
     Mutant(
         "unreachable-statement-in-count", "cli.py",

@@ -1280,7 +1280,7 @@ def _rendered(*args) -> str:
 
 def _data_lines(rows, width):
     config = _config("wavefunction")
-    text = _rendered(config, "wavefunction", [], [f"c{i}" for i in range(width)], rows, [])
+    text = _rendered(config, [], [f"c{i}" for i in range(width)], rows, [])
     return text.splitlines()[3:]
 
 
@@ -1314,7 +1314,7 @@ def test_all_float_rows_render_as_their_json_text(names, data):
         "footer": footer,
     }) + "\n"
     matrix = _matrix(rows, len(names))
-    assert _rendered(config, "wavefunction", echo, names, matrix, footer) == expected
+    assert _rendered(config, echo, names, matrix, footer) == expected
 
 
 def test_json_column_names_with_the_delete_and_marker_bytes_render_as_today():
@@ -1328,7 +1328,7 @@ def test_json_column_names_with_the_delete_and_marker_bytes_render_as_today():
         "rows": [dict(zip(names, row)) for row in matrix.tolist()],
         "footer": [],
     }) + "\n"
-    assert _rendered(config, "wavefunction", [], names, matrix, []) == expected
+    assert _rendered(config, [], names, matrix, []) == expected
 
 
 @pytest.mark.parametrize("sep", ["\x00", "a\x01", ",\x00\n", "\x01"])
@@ -1433,8 +1433,8 @@ def test_float_matrices_of_any_shape_render_as_their_row_tuples(shape, fmt):
     columns = [f"c{i}" for i in range(shape[1])]
     config = _config("wavefunction", "--format", fmt)
     rows = [tuple(row) for row in matrix.tolist()]
-    assert _rendered(config, "wavefunction", [("a", 1)], columns, matrix, []) == _rendered(
-        config, "wavefunction", [("a", 1)], columns, rows, []
+    assert _rendered(config, [("a", 1)], columns, matrix, []) == _rendered(
+        config, [("a", 1)], columns, rows, []
     )
 
 
@@ -1500,7 +1500,7 @@ def test_spectrum_and_uncertainty_write_their_row_tuples_bytes(
     rows = per_level_rows(command, label, n_max, params)
     assert isinstance(matrix, np.ndarray) and len(matrix) == len(rows)
     echo = cli._config_echo(config, n_max)
-    pieces = _render(config, command, echo, columns, rows, footer)
+    pieces = _render(config, echo, columns, rows, footer)
     assert out.read_bytes() == b"".join(pieces)
 
 
@@ -1517,10 +1517,10 @@ def _render_packet_sized_matrix(fmt, copies=1):
     matrix = np.concatenate([_packet_sized_matrix()] * copies)
     config = _config("wavefunction", "--format", fmt)
     columns = [f"c{i}" for i in range(7)]
-    _rendered(config, "wavefunction", [], columns, matrix[:2], [])  # builds the tables
+    _rendered(config, [], columns, matrix[:2], [])  # builds the tables
     tracemalloc.start()
     try:
-        size = sum(map(len, _render(config, "wavefunction", [], columns, matrix, [])))
+        size = sum(map(len, _render(config, [], columns, matrix, [])))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1586,7 +1586,7 @@ def test_float_cells_do_not_depend_on_the_chunk_size(fmt, monkeypatch):
         monkeypatch.setattr(cli, "_CHUNK_CELLS", cells)
         planned.clear()
         written.clear()
-        texts.add(_rendered(config, "wavefunction", [], columns, matrix, []))
+        texts.add(_rendered(config, [], columns, matrix, []))
         # JSON writes its last row in a call of its own, closed by "}]"
         rows, body = cells // 7, len(matrix) - (fmt == "json")
         assert max(written) == 7 * min(rows, body)
