@@ -1,7 +1,7 @@
 """Command-line front end: reproducible runs written to CSV or JSON.
 
 Every command is a pure function of its parsed options (seed included):
-`main` hands the argparse namespace on as the run's config, and `DEFAULTS`
+`main` hands them on as the run's config, a SimpleNamespace, and `DEFAULTS`
 gives each field its one default. Every numeric cell is written with 17
 significant digits, as "%.17g" % x, so identical invocations produce
 byte-identical files. A table of floats goes through one exact array kernel
@@ -14,10 +14,11 @@ echoed config (including the resolved truncation level) and footer records;
 JSON output is one object with "config", "rows" and "footer".
 
 Each call is a fresh process, so the module imports no more than every
-command needs: `json` is imported by the JSON branches only, and the
-parser, built from one option table without argparse parent parsers, gives
-its options to the invoked command only. `main` keeps freed array memory
-in the process (`_keep_freed_memory`).
+command needs: `json` is imported by the JSON branches only, and argparse
+for help and refusals only. One option table gives every flag: `main` reads
+an argv of a command and exact `--flag value` pairs straight from it
+(`_plain_args`), and hands any other argv to the argparse parser built from
+it. `main` keeps freed array memory in the process (`_keep_freed_memory`).
 
 Exit codes: 0 success, 1 usage/invalid config, 2 unwritable output,
 3 failed verification. A TruncationWarning goes to stderr as one line.
@@ -25,7 +26,6 @@ Exit codes: 0 success, 1 usage/invalid config, 2 unwritable output,
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import math
@@ -33,6 +33,7 @@ import re
 import sys
 import warnings
 from collections.abc import Iterator
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -83,11 +84,11 @@ MAX_CELLS = 2**22
 PHASE_ULP_LIMIT = 2.0 * math.pi * 2.0**-20
 
 
-# Every field of a run's config and its default. The root parser supplies
-# them all and a subparser's options default to argparse.SUPPRESS, so a field
-# the argv leaves out, or the command does not register, keeps its default
-# here (and in a table command's echoed config); an option gives its own
-# default only where its command's differs.
+# Every field of a run's config and its default. Both parsers start from
+# them all (argparse's root parser supplies them and a subparser's options
+# default to SUPPRESS), so a field the argv leaves out, or the command does
+# not register, keeps its default here (and in a table command's echoed
+# config); an option gives its own default only where its command's differs.
 DEFAULTS = {
     "chi_re": 1.0, "chi_im": 0.0, "hbar": 1.0, "mass": 1.0, "omega": 1.0,
     "n_max": "auto", "t_start": 0.0, "t_end": 0.0, "dt": 0.01,
@@ -96,16 +97,16 @@ DEFAULTS = {
 }
 
 
-def _params(config: argparse.Namespace) -> OscillatorParams:
+def _params(config: SimpleNamespace) -> OscillatorParams:
     """The run's units; OscillatorParams refuses any that are not finite and positive."""
     return OscillatorParams(config.hbar, config.mass, config.omega)
 
 
-def _label(config: argparse.Namespace) -> CoherentLabel:
+def _label(config: SimpleNamespace) -> CoherentLabel:
     return CoherentLabel(complex(config.chi_re or 0.0, config.chi_im or 0.0))
 
 
-def _validate(config: argparse.Namespace) -> None:
+def _validate(config: SimpleNamespace) -> None:
     """The rules no library function makes, after OscillatorParams checks the
     units; the seed too, whose refusal `run_all` would count as failures."""
     _params(config)
@@ -376,7 +377,7 @@ def _json_text(value) -> str:
     return _fmt(value)
 
 
-def _config_echo(config: argparse.Namespace, n_max: int | str) -> list[tuple[str, object]]:
+def _config_echo(config: SimpleNamespace, n_max: int | str) -> list[tuple[str, object]]:
     """Every field but output_path, with n_max as resolved (`verify`: as given)."""
     source = "auto" if config.n_max == "auto" else "explicit"
     echo = dict(vars(config), n_max=n_max, n_max_source=source)
@@ -385,7 +386,7 @@ def _config_echo(config: argparse.Namespace, n_max: int | str) -> list[tuple[str
 
 
 def _render(
-    config: argparse.Namespace,
+    config: SimpleNamespace,
     echo: list[tuple[str, object]],
     columns: list[str],
     rows: np.ndarray | list[tuple],
@@ -425,7 +426,7 @@ def _render(
     return iter([(head + rows_text + tail).encode()])
 
 
-def _emit(config: argparse.Namespace, pieces: Iterator[bytes]) -> None:
+def _emit(config: SimpleNamespace, pieces: Iterator[bytes]) -> None:
     """Write each piece as it comes: to the file, or decoded to stdout (a text stream)."""
     if config.output_path == "-":
         sys.stdout.writelines(piece.decode() for piece in pieces)
@@ -434,7 +435,7 @@ def _emit(config: argparse.Namespace, pieces: Iterator[bytes]) -> None:
         handle.writelines(pieces)
 
 
-def _check_phase(config: argparse.Namespace, t: float, n_max: int) -> None:
+def _check_phase(config: SimpleNamespace, t: float, n_max: int) -> None:
     """Refuse a time whose largest level phase, omega |t| (n_max + 1/2), is
     not a finite float (numpy's cos and sin would make it nan), or whose ulp
     exceeds PHASE_ULP_LIMIT, from 2^35 rad up: its phases keep too few digits."""
@@ -460,7 +461,7 @@ def _count(n: int, noun: str) -> str:
     return f"{text} {noun[:-1] if n == 1 else noun}"
 
 
-def _admit(config: argparse.Namespace, n_max: int) -> None:
+def _admit(config: SimpleNamespace, n_max: int) -> None:
     """Refuse a run whose largest array term passes MAX_CELLS cells, or whose
     moment scales leave the normal floats, from the argv and n_max alone,
     before any sample times, grid or coefficient array exist, and then check
@@ -608,7 +609,7 @@ PRODUCERS = {
 }
 
 
-def _run_table(config: argparse.Namespace) -> int:
+def _run_table(config: SimpleNamespace) -> int:
     producer, tail_tol = PRODUCERS[config.command]
     label = _label(config)
     n_max = resolve_n_max(label, None if config.n_max == "auto" else config.n_max, tail_tol)
@@ -620,7 +621,7 @@ def _run_table(config: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(config: argparse.Namespace) -> int:
+def _cmd_verify(config: SimpleNamespace) -> int:
     n_max = None if config.n_max == "auto" else check_n_max(config.n_max)
     chi = None
     if config.chi_re is not None or config.chi_im is not None:
@@ -646,20 +647,8 @@ def _cmd_verify(config: argparse.Namespace) -> int:
 # argparse reads an argument that starts with '-' as an option unless its
 # `_negative_number_matcher` matches it, and its own pattern misses "-1e-5"
 # and "-inf". Every negative float literal starts like this; no option does.
+# `_plain_args` takes a value that starts with '-' on the same terms.
 _NEGATIVE_NUMBER = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad usage; the file-I/O code owns exit 2 here."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
 
 
 def _n_max_type(text: str):
@@ -668,6 +657,8 @@ def _n_max_type(text: str):
     try:
         return int(text)
     except ValueError:
+        import argparse  # a refusal, which the parser reports
+
         raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {text!r}")
 
 
@@ -715,22 +706,72 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser and one subparser per command. Every subparser is
-    registered, so usage, help and the top-level errors list them all, but
-    given a command's name only that one gets its options; given anything
-    else (None, "--", "-h", a typo) every one does."""
+def _options(command: str) -> dict[str, dict]:
+    """The command's flags in the order --help lists them, each with its
+    add_argument keywords."""
+    _, flags, own = COMMANDS[command]
+    return {flag: {**OPTIONS[flag], **own.get(flag, {})} for flag in flags.split()}
+
+
+def _plain_args(argv) -> SimpleNamespace | None:
+    """The config argparse gives an argv that is a command and exact
+    `--flag value` pairs of its flags, read from the option table without
+    building a parser; None for any other argv (help, `--flag=value`, an
+    abbreviation, a value argparse would read as an option) and for a value
+    its type or choices refuse, all of which `main` leaves to argparse."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    options = _options(argv[0])
+    dests = {flag: keywords.get("dest", flag[2:].replace("-", "_"))
+             for flag, keywords in options.items()}
+    config = dict(DEFAULTS, command=argv[0])
+    for flag, keywords in options.items():  # the command's own defaults
+        if "default" in keywords:
+            config[dests[flag]] = keywords["default"]
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        if flag not in options:
+            return None
+        if text.startswith("-") and text != "-" and not _NEGATIVE_NUMBER.match(text):
+            return None
+        keywords = options[flag]
+        try:
+            value = keywords.get("type", str)(text)
+        except Exception:  # whatever the type raises, argparse reports or raises it
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        config[dests[flag]] = value
+    return SimpleNamespace(**config)
+
+
+def build_parser():
+    """The argparse parser, one subparser per command with its options, for
+    the argvs `_plain_args` leaves to it: help texts, usage errors and the
+    spellings it does not read, such as `--flag=value`."""
+    import argparse  # help and refusals only: a plain argv never loads it
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse exits 2 on bad usage; the file-I/O code owns exit 2 here."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = _NEGATIVE_NUMBER
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            sys.stderr.write(f"{self.prog}: error: {message}\n")
+            raise SystemExit(EXIT_USAGE)
+
     parser = _Parser(
         prog="oscilab",
         description="Harmonic-oscillator coherent-state laboratory",
     )
     parser.set_defaults(**DEFAULTS)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags, own) in COMMANDS.items():
+    for name, (help_text, *_) in COMMANDS.items():
         subparser = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        if command == name or command not in COMMANDS:
-            for flag in flags.split():
-                subparser.add_argument(flag, **{**OPTIONS[flag], **own.get(flag, {})})
+        for flag, keywords in _options(name).items():
+            subparser.add_argument(flag, **keywords)
     return parser
 
 
@@ -762,10 +803,12 @@ def _keep_freed_memory() -> None:
 def main(argv=None) -> int:
     _keep_freed_memory()
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        config = build_parser(argv[0] if argv else None).parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    config = _plain_args(argv)
+    if config is None:  # help, a refusal or a spelling only argparse reads
+        try:
+            config = SimpleNamespace(**vars(build_parser().parse_args(argv)))
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     with warnings.catch_warnings(record=True) as caught:
         try:
             _validate(config)

@@ -4,12 +4,13 @@
 
 Each row of MUTANTS names a file under `src/oscilab`, one exact piece of its
 text, the replacement and the tests that must catch the change. For each
-row the script copies `src/`, `tests/` and `pyproject.toml` to a temporary
-tree, applies the edit there, and runs the named tests with `pytest -x`.
-The mutant is killed when they fail, and survives when they pass. A row
-whose text is not found exactly once is stale, and fails loudly, as a
-stale reach allowlist entry does; `tests/test_mutants.py` checks that on
-every tier-1 run. The exit code is 1 when any mutant survives or is stale.
+row the script copies `src/`, `tests/`, `perfbench/` (a parser test reads
+its workload argvs) and `pyproject.toml` to a temporary tree, applies the
+edit there, and runs the named tests with `pytest -x`. The mutant is
+killed when they fail, and survives when they pass. A row whose text is not
+found exactly once is stale, and fails loudly, as a stale reach allowlist
+entry does; `tests/test_mutants.py` checks that on every tier-1 run. The
+exit code is 1 when any mutant survives or is stale.
 """
 
 from __future__ import annotations
@@ -43,12 +44,21 @@ MUTANTS = (
         ("tests/test_wavefunction.py::test_padded_lanes_never_reach_the_series",),
     ),
     Mutant(
-        "only-the-named-subparser", "cli.py",
-        "    for name, (help_text, flags, own) in COMMANDS.items():\n",
-        "    for name, (help_text, flags, own) in COMMANDS.items():\n"
-        "        if command in COMMANDS and name != command:\n"
-        "            continue\n",
-        ("tests/test_cli.py::test_the_parser_for_one_command_parses_as_the_full_parser",),
+        "plain-args-without-the-command-defaults", "cli.py",
+        "    for flag, keywords in options.items():  # the command's own defaults\n"
+        '        if "default" in keywords:\n'
+        '            config[dests[flag]] = keywords["default"]\n',
+        "",
+        ("tests/test_cli.py::test_the_plain_path_parses_as_argparse",),
+    ),
+    Mutant(
+        "plain-args-take-option-like-values", "cli.py",
+        '        if text.startswith("-") and text != "-" and not _NEGATIVE_NUMBER.match(text):\n'
+        "            return None\n",
+        "",
+        ("tests/test_cli.py::test_the_plain_path_parses_as_argparse",
+         "tests/test_golden.py::"
+         "test_parser_cases_match_the_recorded_hashes_on_the_recorded_python"),
     ),
     Mutant(
         "trajectory-t-end-default-dropped", "cli.py",
@@ -79,8 +89,7 @@ MUTANTS = (
         "subparsers-without-argument-default", "cli.py",
         "sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)",
         "sub.add_parser(name, help=help_text)",
-        ("tests/test_cli.py::"
-         "test_the_echo_of_a_field_the_command_does_not_register_is_its_default",),
+        ("tests/test_cli.py::test_the_plain_path_parses_as_argparse",),
     ),
     Mutant(
         "plan-arrays-rotated-by-one-cell", "cli.py",
@@ -153,7 +162,7 @@ def run(mutant: Mutant) -> str:
     with tempfile.TemporaryDirectory(prefix="oscilab-mutant-") as tmp:
         tree = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, tree / part, ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", tree / "pyproject.toml")
         target = tree / "src" / "oscilab" / mutant.path

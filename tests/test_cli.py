@@ -9,6 +9,7 @@ import json
 import math
 import re
 import resource
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -67,8 +68,10 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _config(command, *options):
-    """The namespace `main` hands a command, from the parser `main` builds."""
-    return cli.build_parser(command).parse_args([command, *options])
+    """The config `main` hands a command, read from the option table."""
+    config = cli._plain_args([command, *options])
+    assert config is not None
+    return config
 
 
 def read_csv(path: Path):
@@ -383,13 +386,6 @@ def _subparser(parser, command):
     return action.choices[command]
 
 
-@pytest.mark.parametrize("command", list(cli.COMMANDS))
-def test_the_parser_for_one_command_helps_as_the_full_parser(command):
-    lazy, full = cli.build_parser(command), cli.build_parser()
-    assert lazy.format_help() == full.format_help()
-    assert _subparser(lazy, command).format_help() == _subparser(full, command).format_help()
-
-
 def _parsed(parser, argv):
     """The namespace, or the exit code, stdout and stderr of a refusal."""
     out, err = io.StringIO(), io.StringIO()
@@ -407,9 +403,15 @@ PARSER_ARGVS = [
     ["wavefunction", "--grid-points", "11", "--grid-halfwidth", "4", "--mass", "3"],
     ["symmetry-check", "--omega", "0.5", "--n-max", "auto"],
     ["verify", "--seed", "7", "--chi-re", "2"],
+    ["trajectory", "--dt", "0.5"],  # t_end: the command's own default
+    ["verify", "--output", "-"],  # chi_re and chi_im: verify's None
+    ["spectrum", "--chi-re", "1", "--chi-re", "2"],  # the last one counts
+    ["spectrum", "--output", "-a b"],  # a dash value argparse reads as a value
     ["wavefunction", "--chi-re"],  # a missing value
     ["spectrum", "--bogus", "1"],  # an unknown option
     ["spectrum", "--dt", "1"],  # another command's option
+    ["spectrum", "--chi", "1"],  # an abbreviation
+    ["spectrum", "--output", "--format"],  # an option where a value belongs
     ["verify", "--n-max", "-3"],  # a bad value
     ["trajectory", "--format", "xml"],  # a bad --format choice
     ["uncertainty", "--n-max", "4", "stray"],  # a stray positional after the options
@@ -422,22 +424,82 @@ PARSER_ARGVS = [
 ]
 
 
-@pytest.mark.parametrize("argv", PARSER_ARGVS)
-def test_the_parser_for_one_command_parses_as_the_full_parser(argv):
-    # `main` builds the options of the command argv[0] names only; every
-    # argv must parse, or be refused, byte for byte as with all of them
-    lazy = cli.build_parser(argv[0] if argv else None)
-    assert _parsed(lazy, argv) == _parsed(cli.build_parser(), argv)
+def _corpus_argvs():
+    spec = importlib.util.spec_from_file_location(
+        "golden_regenerate", Path(__file__).parent / "golden" / "regenerate.py"
+    )
+    regenerate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regenerate)
+    return [shlex.split(case)[1:] for case in regenerate.read_cases()]
+
+
+def _perfbench_argvs():
+    """perfbench's workload argvs at seeds 0-9, as its run.py builds them."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(perfbench))  # run.py imports its sibling modules
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", perfbench / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(str(perfbench))
+        for name in ("checks", "child", "tracer"):  # the siblings it imported by bare name
+            sys.modules.pop(name, None)
+    return [workload(seed) for workload in run.WORKLOADS.values() for seed in range(10)]
+
+
+def _assert_plain_is_argparse(argv):
+    """Wherever `_plain_args` gives a config, it is argparse's namespace, to
+    the repr of each value; wherever argparse exits, it gave None."""
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        parsed = _parsed(cli.build_parser(), argv)
+        assert isinstance(parsed, dict), parsed
+        assert sorted((k, repr(v)) for k, v in vars(plain).items()) == sorted(
+            (k, repr(v)) for k, v in parsed.items()
+        )
+
+
+@pytest.mark.parametrize(
+    "argv", PARSER_ARGVS + _corpus_argvs() + _perfbench_argvs(),
+    ids=lambda argv: shlex.join(argv) or "(none)",
+)
+def test_the_plain_path_parses_as_argparse(argv):
+    _assert_plain_is_argparse(argv)
+
+
+def test_every_corpus_and_perfbench_argv_argparse_accepts_takes_the_plain_path():
+    for argv in _corpus_argvs() + _perfbench_argvs():
+        accepted = isinstance(_parsed(cli.build_parser(), argv), dict)
+        assert (cli._plain_args(argv) is not None) == accepted, argv
+
+
+_FLAGS = sorted(cli.OPTIONS) + ["-h", "--help", "--out", "--chi-re=1", "--"]
+_VALUES = ["-", "", "-1e-5", "-inf", "nan", "1_0", "auto", "junk", "csv", "json", "xml",
+           "-a b", "1" * 5000]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    command=st.sampled_from([*cli.COMMANDS, "junk", "-h", "--", ""]),
+    pairs=st.lists(
+        st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES + _FLAGS)), max_size=4
+    ),
+    cut=st.booleans(),
+)
+def test_the_plain_path_parses_drawn_argvs_as_argparse(command, pairs, cut):
+    words = [word for pair in pairs for word in pair]
+    _assert_plain_is_argparse([command, *words[:len(words) - cut]])
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_the_echo_of_a_field_the_command_does_not_register_is_its_default(
     command, tmp_path, capsys
 ):
-    # the root parser gives every field its default from cli.DEFAULTS, and a
+    # the config gives every field its default from cli.DEFAULTS, and a
     # table command's echo lists every field, registered by the command or
     # not; verify's lists only the fields it reads, every one registered
-    registered = {a.dest for a in _subparser(cli.build_parser(command), command)._actions}
+    registered = {a.dest for a in _subparser(cli.build_parser(), command)._actions}
     expected = {k: _fmt(v) for k, v in cli.DEFAULTS.items() if k not in registered}
     out = tmp_path / "out.csv"
     assert main([command, "--output", str(out)]) == 0
@@ -1153,7 +1215,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_json_nor_sets_malloc():
         "import sys, ctypes, numpy; "
         "ctypes.CDLL = lambda *args: sys.exit('the import opened libc'); "
         "import oscilab.cli; "
-        "print(sorted({'dataclasses', 'json'} & set(sys.modules)))"
+        "print(sorted({'argparse', 'dataclasses', 'gettext', 'json'} & set(sys.modules)))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -1163,6 +1225,32 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_json_nor_sets_malloc():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_a_plain_argv_loads_no_parser_and_a_refusal_still_gets_argparse(tmp_path):
+    # a command and exact --flag value pairs are read from the option table;
+    # argparse, and the gettext and locale it imports, load for a refusal only
+    out = str(tmp_path / "out.csv")
+    code = (
+        "import sys; from oscilab.cli import main; "
+        f"code = main(['spectrum', '--chi-re', '0', '--output', {out!r}]); "
+        "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))); "
+        "print(main(['spectrum', '--bogus', '1']))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "COLUMNS": "80"},
+    )
+    assert result.stdout.splitlines() == ["0 []", "1"], result.stderr
+    assert result.stderr == (
+        "usage: oscilab [-h]\n"
+        "               {trajectory,spectrum,uncertainty,wavefunction,symmetry-check,verify}\n"
+        "               ...\n"
+        "oscilab: error: unrecognized arguments: --bogus 1\n"
+    )
+    assert read_csv(Path(out))[1][0] == ["0", "1", "1", "0"]  # the vacuum
 
 
 def _fake_libc(monkeypatch, libc):
@@ -1493,7 +1581,7 @@ def test_spectrum_and_uncertainty_write_their_row_tuples_bytes(
     argv = [command, "--chi-re", chi, "--chi-im", chi_im, "--n-max", str(n_max),
             "--format", fmt, *[f"--{k}={v}" for k, v in units.items()]]
     assert main(argv + ["--output", str(out)]) == 0
-    config = cli.build_parser(command).parse_args(argv)
+    config = cli.build_parser().parse_args(argv)
     params, label = cli._params(config), cli._label(config)
     state = coherent_coefficients(label, n_max)
     columns, matrix, footer = PRODUCERS[command][0](config, params, label, state)

@@ -112,6 +112,7 @@ PARSER_CASES = (
     "oscilab spectrum --bogus 1",
     "oscilab wavefunction --chi-re",
     "oscilab -- verify",
+    "oscilab spectrum --output --format",
 )
 
 
@@ -119,7 +120,7 @@ def test_parser_cases_match_the_recorded_hashes_on_the_recorded_python(tmp_path,
     # argparse's bytes move with the Python version, not with numpy, BLAS
     # or the SIMD level, so these cases are checked wherever the minor
     # version is the fingerprint's
-    assert len(PARSER_CASES) == 14
+    assert len(PARSER_CASES) == 15
     regenerate = _regenerate_module()
     expected = regenerate.HASHES.read_text()
     prefix = re.escape(regenerate.FINGERPRINT_PREFIX)
